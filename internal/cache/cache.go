@@ -139,6 +139,21 @@ func New(cfg Config) *Cache {
 	}
 }
 
+// Reset returns the cache to the state New produced — every frame
+// invalid, LRU clock and event counters zero — keeping its storage. Only
+// frames with a non-zero key or LRU stamp are cleared (InvalidateFrame
+// zeroes all three, so every other frame is already pristine), which
+// makes resetting a mostly-empty cache cost what was touched.
+func (c *Cache) Reset() {
+	for f := range c.frames {
+		if c.keys[f] != 0 || c.lrus[f] != 0 {
+			c.InvalidateFrame(FrameID(f))
+		}
+	}
+	c.clock = 0
+	c.Hits, c.Misses, c.Evictions, c.WritebacksOnEvict = 0, 0, 0, 0
+}
+
 // NumFrames returns the number of line frames.
 func (c *Cache) NumFrames() int { return len(c.frames) }
 

@@ -13,7 +13,6 @@ import "repro/internal/mem"
 func (c *Cache) Fingerprint() uint64 {
 	h := mem.FNVOffset
 	ways := c.cfg.Ways
-	rank := make([]int, ways)
 	for s := 0; s < c.sets; s++ {
 		base := s * ways
 		hasValid := false
@@ -26,29 +25,26 @@ func (c *Cache) Fingerprint() uint64 {
 		if !hasValid {
 			continue
 		}
-		// Rank stamps within the set: rank[w] = number of ways in this
-		// set with a strictly smaller stamp. Invalid frames keep stamp 0
-		// and tie at the bottom, which is fine — they are skipped below
-		// and victim selection prefers them regardless of stamp.
-		for w := 0; w < ways; w++ {
-			r := 0
-			for v := 0; v < ways; v++ {
-				if c.lrus[base+v] < c.lrus[base+w] {
-					r++
-				}
-			}
-			rank[w] = r
-		}
 		h = mem.Mix64(h, uint64(s))
 		for w := 0; w < ways; w++ {
 			if c.keys[base+w] == 0 {
 				continue
 			}
+			// Rank the stamp within the set: the number of ways with a
+			// strictly smaller stamp. Invalid frames keep stamp 0 and tie
+			// at the bottom, which is fine — they are skipped here and
+			// victim selection prefers them regardless of stamp.
+			rank := 0
+			for v := 0; v < ways; v++ {
+				if c.lrus[base+v] < c.lrus[base+w] {
+					rank++
+				}
+			}
 			l := &c.frames[base+w]
 			h = mem.Mix64(h, uint64(w))
 			h = mem.Mix64(h, uint64(l.Tag))
 			h = mem.Mix64(h, uint64(l.Dirty)<<8|uint64(l.State))
-			h = mem.Mix64(h, uint64(rank[w]))
+			h = mem.Mix64(h, uint64(rank))
 			for i := range l.Words {
 				h = mem.Mix64(h, uint64(l.Words[i]))
 			}

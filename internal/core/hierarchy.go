@@ -163,6 +163,60 @@ func New(m *topo.Machine, cfg Config) *Hierarchy {
 	return h
 }
 
+// Reset returns the hierarchy to the state New produced while keeping its
+// storage, so callers that replay many short runs (the litmus explorer)
+// pay for what each run touches rather than for a whole machine: caches
+// and backing memory are cleared in place, MEBs and IEBs emptied with
+// their counters zeroed, protocol counters and mesh traffic zeroed, the
+// ThreadMap restored to the identity mapping, and parked delay-wb words
+// dropped. The block-parallel opt-in is a mode, not run state, and
+// persists.
+//
+// Reset refuses (panics on) a hierarchy with a fault plan, an
+// observability recorder, or Bloom signatures attached: their state lives
+// outside the hierarchy's storage and a reused machine would silently
+// carry it into the next run.
+func (h *Hierarchy) Reset() {
+	switch {
+	case h.fi != nil:
+		panic("core: Reset of a hierarchy with a fault plan attached")
+	case h.rec != nil:
+		panic("core: Reset of a hierarchy with a recorder attached")
+	case h.bloom != nil:
+		panic("core: Reset of a hierarchy with Bloom signatures")
+	}
+	h.backing.Reset()
+	for _, c := range h.l1 {
+		c.Reset()
+	}
+	for _, c := range h.l2 {
+		c.Reset()
+	}
+	if h.l3 != nil {
+		h.l3.Reset()
+	}
+	for _, b := range h.meb {
+		if b != nil {
+			b.Clear()
+			b.Records, b.Overflows = 0, 0
+		}
+	}
+	for _, b := range h.ieb {
+		if b != nil {
+			b.Disarm()
+			b.Insertions, b.Evictions = 0, 0
+		}
+	}
+	for t := range h.threadMap {
+		h.threadMap[t] = h.m.BlockOf(t)
+	}
+	h.delayed = h.delayed[:0]
+	for _, c := range h.ctrs {
+		c.Reset()
+	}
+	h.m.Mesh.ResetTraffic()
+}
+
 // Machine returns the topology the hierarchy is built on.
 func (h *Hierarchy) Machine() *topo.Machine { return h.m }
 

@@ -318,6 +318,36 @@ func New(h Hierarchy, guests []Guest) *Engine {
 	return e
 }
 
+// Reset readies the engine for a new run of guests over the same
+// hierarchy, returning it to the state New(h, guests) would produce while
+// reusing the thread arena and run-queue storage: a fresh sync
+// controller, and no scheduler, observer, recorder or watchdog override.
+// The hierarchy is not touched — reset it separately. The previous run
+// must have returned from Run/RunCtx (every guest coroutine has then
+// finished or been unwound); resetting an engine whose run panicked out of
+// a Scheduler or Observer leaves suspended coroutines behind.
+func (e *Engine) Reset(guests []Guest) {
+	if cap(e.tstore) < len(guests) {
+		e.tstore = make([]thread, len(guests))
+		e.ts = make([]*thread, len(guests))
+	}
+	e.tstore, e.ts = e.tstore[:len(guests)], e.ts[:len(guests)]
+	for i, g := range guests {
+		e.tstore[i] = thread{id: i, guest: g}
+		e.ts[i] = &e.tstore[i]
+	}
+	clear(e.rq.ts)
+	e.rq.ts = e.rq.ts[:0]
+	*e = Engine{
+		h:      e.h,
+		ctrl:   hwsync.New(e.h.SyncCost),
+		tstore: e.tstore,
+		ts:     e.ts,
+		rq:     e.rq,
+		cands:  e.cands[:0],
+	}
+}
+
 // SetObserver installs the execution event observer (nil to disable).
 // Call before Run; the observer adds one call per op to the hot loop, so
 // it is off by default.

@@ -17,8 +17,9 @@ import (
 //
 // The explorer maintains a persistent stack of decision nodes mirroring
 // the current schedule prefix. Each run replays the stack's choices on a
-// fresh machine (the engine cannot snapshot mid-run) and extends the
-// frontier until the program completes, the step budget truncates it,
+// reset, pooled machine (the engine cannot snapshot mid-run, so every
+// replay starts over from the initial state) and extends the frontier
+// until the program completes, the step budget truncates it,
 // every enabled thread is asleep (a provably redundant prefix), or the
 // frontier state's fingerprint has already been fully explored (a dedup
 // cut). Races detected while executing an op add the racing thread to
@@ -90,7 +91,8 @@ type dpor struct {
 	stack []*dporNode
 	seen  map[uint64][]*dedupEntry
 
-	// Per-run state, reset by exploreDPOR before each replay.
+	// m is the machine every replay runs on; the per-run state below is
+	// reset by exploreDPOR before each replay.
 	m          *machine
 	depth      int
 	status     int
@@ -98,20 +100,20 @@ type dpor struct {
 	sched      []int
 }
 
-func exploreDPOR(t Test, cfg Config, opts Options, rep *Report) {
+func exploreDPOR(t Test, opts Options, rep *Report, m *machine) {
 	x := &dpor{
 		opts: opts,
 		rep:  rep,
-		dep:  isa.Deps{MinSets: litmusHierarchy(cfg).MinCacheSets()},
+		dep:  isa.Deps{MinSets: m.h.MinCacheSets()},
 		seen: map[uint64][]*dedupEntry{},
+		m:    m,
 	}
 	for {
 		if rep.Runs >= opts.MaxSchedules {
 			rep.Capped = true
 			break
 		}
-		m := newMachine(t, cfg)
-		x.m = m
+		m.reset()
 		x.depth = 0
 		x.status = runComplete
 		x.cutSummary = nil

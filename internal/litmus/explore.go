@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync"
 
 	"repro/internal/cache"
 	"repro/internal/core"
@@ -61,16 +62,16 @@ func (o Options) withDefaults() Options {
 
 // litmusCores is the machine size explorations run on: a single block
 // (the intra-block topology, scaled to four cores) is enough for every
-// two- to four-thread test and keeps per-run construction cheap.
+// two- to four-thread test and keeps the machine cheap to build and reset.
 const litmusCores = 4
 
-// NewHierarchy builds the small, fresh hierarchy one litmus-scale run
-// executes on: blocks×coresPerBlock cores with scaled-down caches (4 KB
-// L1, 32 KB L2) — litmus footprints are a handful of lines, and small
-// caches keep per-run allocation off the exploration's critical path.
-// The explorer uses the single-block litmus machine; the fuzz harness
-// (internal/fuzzgen) also builds multi-block machines for its tri-engine
-// differential runs.
+// NewHierarchy builds the small hierarchy litmus-scale runs execute on:
+// blocks×coresPerBlock cores with scaled-down caches (4 KB L1, 32 KB L2)
+// — litmus footprints are a handful of lines, and small caches keep
+// construction and Reset cheap. The explorer uses the single-block
+// litmus machine, pooled and reset between replays; the fuzz harness
+// (internal/fuzzgen) builds a fresh one per cell, multi-block machines
+// included, for its tri-engine differential runs.
 func NewHierarchy(cfg Config, blocks, coresPerBlock int) *core.Hierarchy {
 	m := topo.NewCustom(blocks, coresPerBlock, 0, topo.DefaultParams())
 	return core.New(m, core.Config{
@@ -95,24 +96,57 @@ const (
 	runCut
 )
 
-// machine is the fresh hierarchy+engine+oracle one run executes on.
+// machine is the hierarchy+engine+oracle one run executes on. One
+// machine serves every replay of an Explore call: reset puts it back in
+// its constructed state before each run, so a replay costs what it
+// simulates instead of a whole machine's construction.
 type machine struct {
-	h    *core.Hierarchy
-	e    *engine.Engine
-	o    *oracle.Oracle
-	regs []mem.Word
+	h      *core.Hierarchy
+	e      *engine.Engine
+	o      *oracle.Oracle
+	regs   []mem.Word
+	guests []engine.Guest
 }
 
-func newMachine(t Test, cfg Config) *machine {
-	m := &machine{h: litmusHierarchy(cfg)}
-	m.regs = make([]mem.Word, t.Regs)
+// machinePools holds one sync.Pool of idle machines per hierarchy shape
+// (the only part of a Config the machine is built from), so concurrent
+// explorations each draw their own machine and sequential ones reuse it.
+var machinePools sync.Map // hierKey → *sync.Pool
+
+type hierKey struct{ meb, ieb int }
+
+func machinePool(cfg Config) *sync.Pool {
+	k := hierKey{cfg.MEBEntries, cfg.IEBEntries}
+	if p, ok := machinePools.Load(k); ok {
+		return p.(*sync.Pool)
+	}
+	p, _ := machinePools.LoadOrStore(k, &sync.Pool{New: func() any {
+		h := litmusHierarchy(cfg)
+		return &machine{h: h, e: engine.New(h, nil)}
+	}})
+	return p.(*sync.Pool)
+}
+
+// load readies the machine for test t under cfg: its registers and
+// guests are rebuilt for t, and every replay then starts with reset.
+func (m *machine) load(t Test, cfg Config) {
+	if cap(m.regs) < t.Regs {
+		m.regs = make([]mem.Word, t.Regs)
+	}
+	m.regs = m.regs[:t.Regs]
+	m.guests = Guests(t, cfg, m.regs)
+}
+
+// reset returns the machine to the state a freshly built one would have
+// for the loaded test, ready for one replay.
+func (m *machine) reset() {
 	for i := range m.regs {
 		m.regs[i] = UnsetReg
 	}
-	m.e = engine.New(m.h, Guests(t, cfg, m.regs))
-	m.o = oracle.New(len(t.Threads))
+	m.h.Reset()
+	m.e.Reset(m.guests)
+	m.o = oracle.New(len(m.guests))
 	m.e.SetObserver(m.o)
-	return m
 }
 
 // finish folds one complete run into the report: it probes stale-read
@@ -266,30 +300,39 @@ func Explore(t Test, cfg Config, opts Options) (*Report, error) {
 		return nil, fmt.Errorf("litmus %s: %d threads exceed the %d-core litmus machine", t.Name, len(t.Threads), litmusCores)
 	}
 	opts = opts.withDefaults()
-	rep := &Report{Test: t.Name, Config: cfg.Name, Algo: opts.Algo, Outcomes: map[string]*OutcomeInfo{}}
+	var explore func(Test, Options, *Report, *machine)
 	switch opts.Algo {
 	case AlgoSwap:
-		exploreSwap(t, cfg, opts, rep)
+		explore = exploreSwap
 	case AlgoDPOR:
-		exploreDPOR(t, cfg, opts, rep)
+		explore = exploreDPOR
 	default:
 		return nil, fmt.Errorf("litmus %s: unknown exploration algorithm %q (want %q or %q)", t.Name, opts.Algo, AlgoDPOR, AlgoSwap)
 	}
+	rep := &Report{Test: t.Name, Config: cfg.Name, Algo: opts.Algo, Outcomes: map[string]*OutcomeInfo{}}
+	pool := machinePool(cfg)
+	m := pool.Get().(*machine)
+	m.load(t, cfg)
+	explore(t, opts, rep, m)
+	// Only a machine whose exploration returned normally goes back: a
+	// panic (a replay divergence) may leave guest coroutines suspended,
+	// and that machine is dropped with them.
+	pool.Put(m)
 	return rep, nil
 }
 
 // exploreSwap is the adjacent-swap reference explorer: repeatedly run
-// the engine from scratch replaying a prefix of choices, extend
-// canonically to completion, then backtrack to the deepest decision
-// with an unexplored, unpruned candidate.
-func exploreSwap(t Test, cfg Config, opts Options, rep *Report) {
+// the engine from its initial state replaying a prefix of choices,
+// extend canonically to completion, then backtrack to the deepest
+// decision with an unexplored, unpruned candidate.
+func exploreSwap(t Test, opts Options, rep *Report, m *machine) {
 	prefix := []int{}
 	for {
 		if rep.Runs >= opts.MaxSchedules {
 			rep.Capped = true
 			break
 		}
-		r := runSwapOne(t, cfg, prefix, opts.Budget, rep)
+		r := runSwapOne(t, m, prefix, opts.Budget, rep)
 		next, ok := swapBacktrack(r, &rep.Pruned)
 		if !ok {
 			break
@@ -317,9 +360,9 @@ func swapBacktrack(r *replayer, pruned *int64) ([]int, bool) {
 	return nil, false
 }
 
-// runSwapOne executes one adjacent-swap schedule on a fresh machine.
-func runSwapOne(t Test, cfg Config, prefix []int, budget int, rep *Report) *replayer {
-	m := newMachine(t, cfg)
+// runSwapOne executes one adjacent-swap schedule on the reset machine.
+func runSwapOne(t Test, m *machine, prefix []int, budget int, rep *Report) *replayer {
+	m.reset()
 	r := &replayer{prefix: prefix, budget: budget, pruned: &rep.Pruned}
 	m.e.SetScheduler(r)
 

@@ -1,6 +1,9 @@
 package mem
 
-import "sort"
+import (
+	"math/bits"
+	"sort"
+)
 
 // State fingerprinting for the litmus explorer's dedup table. Every
 // stateful component of the simulated machine folds itself into an
@@ -48,12 +51,15 @@ func (m *Memory) Fingerprint() uint64 {
 			continue
 		}
 		base := Addr(uint32(pn) << pageShift)
-		for wi := 0; wi < pageWords; wi++ {
-			if p.written[wi>>6]&(1<<(wi&63)) == 0 {
-				continue
+		// Walk only the set bits of the population bitmap: pages of a
+		// reused (Reset) store stay resident, so scanning every word of
+		// every page would cost the page size, not the footprint.
+		for bi, bm := range p.written {
+			for ; bm != 0; bm &= bm - 1 {
+				wi := bi*64 + bits.TrailingZeros64(bm)
+				h = Mix64(h, uint64(base)+uint64(wi*WordBytes))
+				h = Mix64(h, uint64(p.words[wi]))
 			}
-			h = Mix64(h, uint64(base)+uint64(wi*WordBytes))
-			h = Mix64(h, uint64(p.words[wi]))
 		}
 	}
 	return h

@@ -201,6 +201,29 @@ func (m *Memory) page(pn uint32) *page {
 	return p
 }
 
+// Reset returns the store to the empty state NewMemory produced while
+// keeping its pages: each page's population bitmap is walked and only
+// the words it marks are zeroed, so a reset costs what was written. A
+// map-backed oracle store gets a fresh map.
+func (m *Memory) Reset() {
+	if m.oracle != nil {
+		m.oracle = newStoreOracle()
+		return
+	}
+	for _, p := range m.pages {
+		if p == nil {
+			continue
+		}
+		for bi, bm := range p.written {
+			for ; bm != 0; bm &= bm - 1 {
+				p.words[bi*64+bits.TrailingZeros64(bm)] = 0
+			}
+			p.written[bi] = 0
+		}
+	}
+	m.pop = 0
+}
+
 // ReadWord returns the value of the aligned word containing a.
 func (m *Memory) ReadWord(a Addr) Word {
 	if m.oracle != nil {

@@ -147,6 +147,9 @@ func (c *Counters) Inc(name string, n int64) { c.m[name] += n }
 // Get returns counter name (zero if never incremented).
 func (c *Counters) Get(name string) int64 { return c.m[name] }
 
+// Reset zeroes every counter, keeping the bag's storage.
+func (c *Counters) Reset() { clear(c.m) }
+
 // Names returns all counter names in sorted order.
 func (c *Counters) Names() []string {
 	names := make([]string, 0, len(c.m))
