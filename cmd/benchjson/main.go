@@ -14,7 +14,10 @@
 // allocs/op, plus any custom ReportMetric units. Context lines (goos,
 // goarch, pkg, cpu) are folded into the set, keyed by the last `pkg:`
 // seen so multi-package output concatenated from `go test ./...` parses
-// cleanly.
+// cleanly. The document and trajectory lines also record the run's
+// GOMAXPROCS, read from the "-N" suffix `go test` appends to every
+// benchmark name when GOMAXPROCS is N > 1 (no suffix means 1); names are
+// kept as printed.
 //
 // -trajectory instead emits one compact hic-bench-traj/v1 line — commit
 // SHA, date, and ns/op per benchmark — meant to be appended to a growing
@@ -57,11 +60,12 @@ type Bench struct {
 
 // Doc is the output document.
 type Doc struct {
-	Schema string             `json:"schema"`
-	Goos   string             `json:"goos,omitempty"`
-	Goarch string             `json:"goarch,omitempty"`
-	CPU    string             `json:"cpu,omitempty"`
-	Sets   map[string][]Bench `json:"sets"`
+	Schema     string             `json:"schema"`
+	Goos       string             `json:"goos,omitempty"`
+	Goarch     string             `json:"goarch,omitempty"`
+	CPU        string             `json:"cpu,omitempty"`
+	GOMAXPROCS int                `json:"gomaxprocs"` // of the last parsed run
+	Sets       map[string][]Bench `json:"sets"`
 }
 
 // TrajectoryEntry is one appendable bench-trajectory line (schema
@@ -74,6 +78,7 @@ type TrajectoryEntry struct {
 	Date       string             `json:"date"`
 	Goos       string             `json:"goos,omitempty"`
 	CPU        string             `json:"cpu,omitempty"`
+	GOMAXPROCS int                `json:"gomaxprocs"`
 	Benchmarks map[string]float64 `json:"benchmarks"`
 }
 
@@ -143,6 +148,7 @@ func writeTrajectory(w io.Writer, r io.Reader, sha, date string) error {
 		Date:       date,
 		Goos:       doc.Goos,
 		CPU:        doc.CPU,
+		GOMAXPROCS: doc.GOMAXPROCS,
 		Benchmarks: map[string]float64{},
 	}
 	for _, b := range doc.Sets["bench"] {
@@ -168,6 +174,7 @@ func parseInto(doc *Doc, label string, r io.Reader) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	pkg := ""
+	var names []string
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
 		switch {
@@ -186,11 +193,13 @@ func parseInto(doc *Doc, label string, r io.Reader) {
 			}
 			b.Pkg = pkg
 			doc.Sets[label] = append(doc.Sets[label], b)
+			names = append(names, b.Name)
 		}
 	}
 	if err := sc.Err(); err != nil {
 		log.Fatal(err)
 	}
+	doc.GOMAXPROCS = gomaxprocs(names)
 	sort.SliceStable(doc.Sets[label], func(i, j int) bool {
 		a, b := doc.Sets[label][i], doc.Sets[label][j]
 		if a.Pkg != b.Pkg {
@@ -198,6 +207,27 @@ func parseInto(doc *Doc, label string, r io.Reader) {
 		}
 		return a.Name < b.Name
 	})
+}
+
+// gomaxprocs infers a run's GOMAXPROCS from its benchmark names. With
+// GOMAXPROCS N > 1, go test ends every name in "-N"; with 1 it appends
+// nothing. A sub-benchmark's own name may also end in "-<digits>"
+// ("threads-64"), so N is taken only when every name of the run ends in
+// the same "-N"; otherwise the run used 1.
+func gomaxprocs(names []string) int {
+	procs := 0
+	for _, name := range names {
+		i := strings.LastIndexByte(name, '-')
+		if i < 0 {
+			return 1
+		}
+		n, err := strconv.Atoi(name[i+1:])
+		if err != nil || n < 2 || (procs != 0 && n != procs) {
+			return 1
+		}
+		procs = n
+	}
+	return max(procs, 1)
 }
 
 // parseLine parses one result line:

@@ -40,6 +40,48 @@ func TestParseIntoDocument(t *testing.T) {
 	}
 }
 
+// sampleProcs2 is a run at GOMAXPROCS 2: go test appended "-2" to every
+// name, after sub-benchmark names that themselves end in digits.
+const sampleProcs2 = `pkg: repro/internal/compiler
+BenchmarkAnalyze/jacobi/threads-64-2   	      20	   1305308 ns/op	  985769 B/op	    4064 allocs/op
+BenchmarkAnalyze/is/threads-32-2       	      20	   1251088 ns/op	 1630801 B/op	     629 allocs/op
+`
+
+func TestGOMAXPROCSFromNameSuffix(t *testing.T) {
+	for _, c := range []struct {
+		name, in string
+		want     int
+	}{
+		// "threads-64" is the sub-benchmark's own name, not a suffix:
+		// the other names end without one.
+		{"no suffix", sample, 1},
+		{"suffix -2", sampleProcs2, 2},
+	} {
+		doc := Doc{Sets: map[string][]Bench{}}
+		parseInto(&doc, "bench", strings.NewReader(c.in))
+		if doc.GOMAXPROCS != c.want {
+			t.Errorf("%s: gomaxprocs = %d, want %d", c.name, doc.GOMAXPROCS, c.want)
+		}
+	}
+
+	doc := Doc{Sets: map[string][]Bench{}}
+	parseInto(&doc, "bench", strings.NewReader(sampleProcs2))
+	if name := doc.Sets["bench"][0].Name; name != "BenchmarkAnalyze/is/threads-32-2" {
+		t.Errorf("name rewritten: %q", name)
+	}
+	var buf bytes.Buffer
+	if err := writeTrajectory(&buf, strings.NewReader(sampleProcs2), "abc123", "2026-08-08T00:00:00Z"); err != nil {
+		t.Fatal(err)
+	}
+	var e TrajectoryEntry
+	if err := json.Unmarshal(buf.Bytes(), &e); err != nil {
+		t.Fatal(err)
+	}
+	if e.GOMAXPROCS != 2 || e.Benchmarks["BenchmarkAnalyze/jacobi/threads-64-2"] != 1305308 {
+		t.Errorf("trajectory entry = %+v", e)
+	}
+}
+
 func TestTrajectoryEntry(t *testing.T) {
 	var buf bytes.Buffer
 	err := writeTrajectory(&buf, strings.NewReader(sample), "abc123", "2026-08-08T00:00:00Z")

@@ -1,7 +1,9 @@
 package compiler
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/mem"
@@ -61,9 +63,6 @@ type LoopPlan struct {
 	WBOut, INVIn [][]Annotation
 	// Inspectors are the loop's irregular reads.
 	Inspectors []InspectorPlan
-	// ReductionElems, for reduction loops, is the set of target element
-	// ranges a thread may touch (used by the lowering's locked merge).
-	ReductionElems []mem.Range
 }
 
 // Plan is the full compilation result.
@@ -71,9 +70,7 @@ type Plan struct {
 	Prog    *Program
 	Threads int
 	Loops   map[*Loop]*LoopPlan
-	// GlobalWBElems/GlobalINVElems count the analyzed elements that could
-	// not be level-adapted (diagnostics).
-	flat []flatLoop
+	flat    []flatLoop
 }
 
 // chunkOwner returns the owner of iteration i of loop l.
@@ -96,21 +93,33 @@ func iterRange(l *Loop, t, threads int) (lo, hi int) {
 	return l.Lo + clo, l.Lo + chi
 }
 
-// writeFoot returns loop l's written elements per array: array -> elem ->
-// writer thread. Reduction targets are excluded (they are handled by the
-// reduction fallback, not producer-consumer pairing).
-func writeFoot(l *Loop, threads int) map[string]map[int]int {
-	foot := make(map[string]map[int]int)
+// footprint is one loop's writes to one array, indexed by element: the
+// writer thread, or -1 where the loop does not write.
+type footprint []int32
+
+// writeFoot returns loop l's write footprint per written array. Reduction
+// targets are excluded (they are handled by the reduction fallback, not
+// producer-consumer pairing), and a loop without iterations writes
+// nothing.
+func writeFoot(prog *Program, l *Loop, threads int) map[string]footprint {
+	foot := make(map[string]footprint)
+	if l.Hi <= l.Lo {
+		return foot
+	}
+	for _, w := range l.Writes {
+		if _, ok := foot[w.Array]; !ok {
+			f := make(footprint, prog.Arrays[w.Array].Len)
+			for e := range f {
+				f[e] = -1
+			}
+			foot[w.Array] = f
+		}
+	}
 	for t := 0; t < threads; t++ {
 		lo, hi := iterRange(l, t, threads)
 		for i := lo; i < hi; i++ {
 			for _, w := range l.Writes {
-				m, ok := foot[w.Array]
-				if !ok {
-					m = make(map[int]int)
-					foot[w.Array] = m
-				}
-				m[w.At(i)] = t
+				foot[w.Array][w.At(i)] = int32(t)
 			}
 		}
 	}
@@ -127,25 +136,13 @@ func Analyze(prog *Program, threads int) *Plan {
 	flatten(prog.Stmts, -1, &nextRegion, &flat)
 
 	plan := &Plan{Prog: prog, Threads: threads, Loops: make(map[*Loop]*LoopPlan), flat: flat}
-	for _, fl := range flat {
-		lp := &LoopPlan{
+	foots := make([]map[string]footprint, len(flat))
+	for i, fl := range flat {
+		plan.Loops[fl.loop] = &LoopPlan{
 			WBOut: make([][]Annotation, threads),
 			INVIn: make([][]Annotation, threads),
 		}
-		plan.Loops[fl.loop] = lp
-		if r := fl.loop.Reduction; r != nil {
-			elems := map[int]bool{}
-			for i := fl.loop.Lo; i < fl.loop.Hi; i++ {
-				elems[r.At(i)] = true
-			}
-			lp.ReductionElems = elemsToRanges(prog.Arrays[r.Array], elems)
-		}
-	}
-
-	// Precompute write footprints.
-	foots := make([]map[string]map[int]int, len(flat))
-	for i, fl := range flat {
-		foots[i] = writeFoot(fl.loop, threads)
+		foots[i] = writeFoot(prog, fl.loop, threads)
 	}
 
 	for ci, cf := range flat {
@@ -179,7 +176,7 @@ func Analyze(prog *Program, threads int) *Plan {
 		// Reduction consumers: any loop reading an array that a reachable
 		// reduction targets gets a conservative global INV of the read
 		// footprint (no producer-consumer order exists).
-		for ri, rd := range cons.Reads {
+		for _, rd := range cons.Reads {
 			if rd.Indirect {
 				continue
 			}
@@ -190,27 +187,27 @@ func Analyze(prog *Program, threads int) *Plan {
 				if pf.loop.Reduction.Array != rd.Array || !plan.reaches(pf.index, ci) {
 					continue
 				}
-				redElems := map[int]bool{}
+				arr := prog.Arrays[rd.Array]
+				reduced := make([]bool, arr.Len)
 				for i := pf.loop.Lo; i < pf.loop.Hi; i++ {
-					redElems[pf.loop.Reduction.At(i)] = true
+					reduced[pf.loop.Reduction.At(i)] = true
 				}
 				for u := 0; u < threads; u++ {
 					lo, hi := iterRange(cons, u, threads)
-					elems := map[int]bool{}
+					var elems []int
 					for i := lo; i < hi; i++ {
-						if e := rd.At(i); redElems[e] {
-							elems[e] = true
+						if e := rd.At(i); reduced[e] {
+							elems = append(elems, e)
 						}
 					}
 					if len(elems) == 0 {
 						continue
 					}
 					plan.Loops[cons].INVIn[u] = append(plan.Loops[cons].INVIn[u], Annotation{
-						Ranges: elemsToRanges(prog.Arrays[rd.Array], elems),
+						Ranges: elemsToRanges(arr, elems),
 						Multi:  true,
 					})
 				}
-				_ = ri
 			}
 		}
 	}
@@ -236,7 +233,7 @@ func (pl *Plan) reaches(p, c int) bool {
 //     the time loop's back edge (steady-state source from iteration 2 on);
 //   - outside: producers before the consumer's region (the source on the
 //     first iteration when no sameIter producer writes the element).
-func (pl *Plan) reachableProducers(ci int, array string, foots []map[string]map[int]int) (sameIter, backEdge, outside []flatLoop) {
+func (pl *Plan) reachableProducers(ci int, array string, foots []map[string]footprint) (sameIter, backEdge, outside []flatLoop) {
 	creg := pl.flat[ci].region
 	for pi, pf := range pl.flat {
 		if pi == ci {
@@ -271,27 +268,26 @@ func concat(groups ...[]flatLoop) []flatLoop {
 // producerSrc identifies one producer occurrence.
 type producerSrc struct{ pi, t int }
 
-// candidateProducers returns the producer occurrences that can be the
-// last writer of element e at some dynamic consumption: if a same-
+// candidateProducers appends to out the producer occurrences that can be
+// the last writer of element e at some dynamic consumption: if a same-
 // iteration producer writes e it is the unique candidate; otherwise the
 // nearest back-edge writer (iterations ≥ 2) and the nearest preceding
 // outside writer (iteration 1) are both candidates.
-func candidateProducers(e int, array string, sameIter, backEdge, outside []flatLoop, foots []map[string]map[int]int) []producerSrc {
+func candidateProducers(out []producerSrc, e int, array string, sameIter, backEdge, outside []flatLoop, foots []map[string]footprint) []producerSrc {
 	for _, pf := range sameIter {
-		if t, ok := foots[pf.index][array][e]; ok {
-			return []producerSrc{{pf.index, t}}
+		if t := foots[pf.index][array][e]; t >= 0 {
+			return append(out, producerSrc{pf.index, int(t)})
 		}
 	}
-	var out []producerSrc
 	for _, pf := range backEdge {
-		if t, ok := foots[pf.index][array][e]; ok {
-			out = append(out, producerSrc{pf.index, t})
+		if t := foots[pf.index][array][e]; t >= 0 {
+			out = append(out, producerSrc{pf.index, int(t)})
 			break
 		}
 	}
 	for _, pf := range outside {
-		if t, ok := foots[pf.index][array][e]; ok {
-			out = append(out, producerSrc{pf.index, t})
+		if t := foots[pf.index][array][e]; t >= 0 {
+			out = append(out, producerSrc{pf.index, int(t)})
 			break
 		}
 	}
@@ -304,19 +300,14 @@ func candidateProducers(e int, array string, sameIter, backEdge, outside []flatL
 const OwnerUnknown = -2
 
 // ownerFunc builds the inspector's element-owner function.
-func (pl *Plan) ownerFunc(array string, sameIter, backEdge, outside []flatLoop, foots []map[string]map[int]int) func(int) int {
+func (pl *Plan) ownerFunc(array string, sameIter, backEdge, outside []flatLoop, foots []map[string]footprint) func(int) int {
 	return func(e int) int {
-		cands := candidateProducers(e, array, sameIter, backEdge, outside, foots)
-		if len(cands) == 0 {
+		var buf [2]producerSrc
+		cands := candidateProducers(buf[:0], e, array, sameIter, backEdge, outside, foots)
+		if len(cands) == 0 || !allSameThread(cands) {
 			return OwnerUnknown
 		}
-		t := cands[0].t
-		for _, c := range cands[1:] {
-			if c.t != t {
-				return OwnerUnknown
-			}
-		}
-		return t
+		return cands[0].t
 	}
 }
 
@@ -326,24 +317,46 @@ func (pl *Plan) ownerFunc(array string, sameIter, backEdge, outside []flatLoop, 
 // into per-(producer-thread, consumer-thread) ranges yielding WB_CONS at
 // the producer and INV_PROD at the consumer. Elements whose candidate
 // writers span several threads lower to conservative global instructions.
-func (pl *Plan) pairDirect(ci, ri int, sameIter, backEdge, outside []flatLoop, foots []map[string]map[int]int) {
+func (pl *Plan) pairDirect(ci, ri int, sameIter, backEdge, outside []flatLoop, foots []map[string]footprint) {
 	cons := pl.flat[ci].loop
 	rd := cons.Reads[ri]
 	arr := pl.Prog.Arrays[rd.Array]
 
-	elemCands := make(map[int][]producerSrc)
+	// Candidate writers per element, computed on first use and carved
+	// from one shared slab; seen[e] is the last consumer thread (plus
+	// one) that read e, so each thread handles each element it reads
+	// once.
+	elemCands := make([][]producerSrc, arr.Len)
+	known := make([]bool, arr.Len)
+	var slab []producerSrc
+	seen := make([]int32, arr.Len)
+	invElems := make(map[producerSrc][]int) // single-writer pieces
+	wbElems := make(map[producerSrc][]int)
+	note := func(elems []int) {
+		for _, e := range elems {
+			for _, c := range elemCands[e] {
+				wbElems[c] = append(wbElems[c], e)
+			}
+		}
+	}
 	for u := 0; u < pl.Threads; u++ {
 		lo, hi := iterRange(cons, u, pl.Threads)
-		invElems := make(map[producerSrc]map[int]bool) // single-writer pieces
-		multiElems := make(map[int]bool)               // conflicting-writer pieces
+		clear(invElems)
+		clear(wbElems)
+		var multiElems []int // conflicting-writer pieces
 		for i := lo; i < hi; i++ {
 			e := rd.At(i)
-			cands, ok := elemCands[e]
-			if !ok {
-				cands = candidateProducers(e, rd.Array, sameIter, backEdge, outside, foots)
-				elemCands[e] = cands
+			if seen[e] == int32(u+1) {
+				continue
 			}
-			switch {
+			seen[e] = int32(u + 1)
+			if !known[e] {
+				n := len(slab)
+				slab = candidateProducers(slab, e, rd.Array, sameIter, backEdge, outside, foots)
+				elemCands[e] = slab[n:len(slab):len(slab)]
+				known[e] = true
+			}
+			switch cands := elemCands[e]; {
 			case len(cands) == 0:
 				// Never-written (initial) data: nothing to communicate.
 			case allSameThread(cands):
@@ -351,44 +364,23 @@ func (pl *Plan) pairDirect(ci, ri int, sameIter, backEdge, outside []flatLoop, f
 					continue // produced by this thread: no communication
 				}
 				s := producerSrc{cands[0].pi, cands[0].t}
-				m, ok := invElems[s]
-				if !ok {
-					m = make(map[int]bool)
-					invElems[s] = m
-				}
-				m[e] = true
+				invElems[s] = append(invElems[s], e)
 			default:
-				multiElems[e] = true
+				multiElems = append(multiElems, e)
 			}
 		}
 		// WB side: every candidate occurrence must write back the
 		// elements this consumer reads from it (the outside producer
 		// feeds the first iteration, the back-edge one the rest).
-		wbElems := make(map[producerSrc]map[int]bool)
-		note := func(e int) {
-			for _, c := range elemCands[e] {
-				m, ok := wbElems[c]
-				if !ok {
-					m = make(map[int]bool)
-					wbElems[c] = m
-				}
-				m[e] = true
-			}
-		}
 		for s, elems := range invElems {
-			ranges := elemsToRanges(arr, elems)
-			pl.Loops[cons].INVIn[u] = append(pl.Loops[cons].INVIn[u], Annotation{Ranges: ranges, Peer: s.t})
-			for e := range elems {
-				note(e)
-			}
+			note(elems)
+			pl.Loops[cons].INVIn[u] = append(pl.Loops[cons].INVIn[u], Annotation{Ranges: elemsToRanges(arr, elems), Peer: s.t})
 		}
 		if len(multiElems) > 0 {
+			note(multiElems)
 			pl.Loops[cons].INVIn[u] = append(pl.Loops[cons].INVIn[u], Annotation{
 				Ranges: elemsToRanges(arr, multiElems), Multi: true,
 			})
-			for e := range multiElems {
-				note(e)
-			}
 		}
 		for c, elems := range wbElems {
 			pl.addWB(pl.flat[c.pi].loop, c.t, u, elemsToRanges(arr, elems))
@@ -418,26 +410,26 @@ func (pl *Plan) addWB(prod *Loop, t, u int, ranges []mem.Range) {
 	lp := pl.Loops[prod]
 	out := lp.WBOut[t]
 	for _, r := range ranges {
-		peers := map[int]bool{}
-		first := -1
-		for k := range out {
-			for _, have := range out[k].Ranges {
-				if have == r {
-					if first < 0 {
-						first = k
-					}
-					if out[k].Multi {
-						peers[multiPeerSentinel] = true
-					} else {
-						peers[out[k].Peer] = true
-					}
-				}
+		// Scan the existing annotations of r: covered if one is global
+		// or names u, else count distinct other consumers (up to two).
+		covered, consumers, first := false, 0, 0
+		for _, ann := range out {
+			if !slices.Contains(ann.Ranges, r) {
+				continue
+			}
+			switch {
+			case ann.Multi || ann.Peer == u:
+				covered = true
+			case consumers == 0:
+				consumers, first = 1, ann.Peer
+			case ann.Peer != first:
+				consumers = 2
 			}
 		}
 		switch {
-		case peers[multiPeerSentinel] || peers[u]:
+		case covered:
 			// Already covered (globally, or for this consumer).
-		case len(peers) >= 2:
+		case consumers >= 2:
 			// Third distinct consumer: collapse to one global annotation.
 			kept := out[:0]
 			for _, ann := range out {
@@ -451,25 +443,18 @@ func (pl *Plan) addWB(prod *Loop, t, u int, ranges []mem.Range) {
 			out = append(out, Annotation{Ranges: []mem.Range{r}, Peer: u})
 		}
 	}
+	sortAnns(out)
 	lp.WBOut[t] = out
-	sortAnnotations(lp.WBOut)
 }
-
-// multiPeerSentinel marks a collapsed multi-consumer annotation in peer
-// sets (never a valid thread ID).
-const multiPeerSentinel = -1
 
 // addProducerGlobalWB records a whole-footprint global writeback for
 // producer threads feeding an irregular consumer.
-func (pl *Plan) addProducerGlobalWB(prod *Loop, array string, foot map[int]int) {
-	perThread := make(map[int]map[int]bool)
+func (pl *Plan) addProducerGlobalWB(prod *Loop, array string, foot footprint) {
+	perThread := make(map[int32][]int)
 	for e, t := range foot {
-		m, ok := perThread[t]
-		if !ok {
-			m = make(map[int]bool)
-			perThread[t] = m
+		if t >= 0 {
+			perThread[t] = append(perThread[t], e)
 		}
-		m[e] = true
 	}
 	lp := pl.Loops[prod]
 	arr := pl.Prog.Arrays[array]
@@ -478,44 +463,31 @@ func (pl *Plan) addProducerGlobalWB(prod *Loop, array string, foot map[int]int) 
 		// Avoid duplicating an identical fallback annotation.
 		dup := false
 		for _, have := range lp.WBOut[t] {
-			if have.Multi && rangesEqual(have.Ranges, ann.Ranges) {
+			if have.Multi && slices.Equal(have.Ranges, ann.Ranges) {
 				dup = true
 				break
 			}
 		}
 		if !dup {
 			lp.WBOut[t] = append(lp.WBOut[t], ann)
+			sortAnns(lp.WBOut[t])
 		}
 	}
-	sortAnnotations(lp.WBOut)
 }
 
-func rangesEqual(a, b []mem.Range) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// elemsToRanges coalesces an element set into maximal consecutive byte
-// ranges of the array.
-func elemsToRanges(arr workload.Array, elems map[int]bool) []mem.Range {
+// elemsToRanges coalesces elements (in any order, repeats allowed) into
+// maximal consecutive byte ranges of the array. It sorts elems in place.
+func elemsToRanges(arr workload.Array, elems []int) []mem.Range {
 	if len(elems) == 0 {
 		return nil
 	}
-	idx := make([]int, 0, len(elems))
-	for e := range elems {
-		idx = append(idx, e)
-	}
-	sort.Ints(idx)
+	slices.Sort(elems)
 	var out []mem.Range
-	start, prev := idx[0], idx[0]
-	for _, e := range idx[1:] {
+	start, prev := elems[0], elems[0]
+	for _, e := range elems[1:] {
+		if e == prev {
+			continue
+		}
 		if e == prev+1 {
 			prev = e
 			continue
@@ -527,15 +499,23 @@ func elemsToRanges(arr workload.Array, elems map[int]bool) []mem.Range {
 	return out
 }
 
-// sortAnnotations keeps annotation lists in a deterministic order.
+// sortAnnotations keeps every thread's annotation list in a deterministic
+// order.
 func sortAnnotations(per [][]Annotation) {
 	for _, anns := range per {
-		sort.Slice(anns, func(a, b int) bool {
-			ra, rb := anns[a].Ranges[0], anns[b].Ranges[0]
-			if ra.Base != rb.Base {
-				return ra.Base < rb.Base
-			}
-			return anns[a].Peer < anns[b].Peer
-		})
+		sortAnns(anns)
 	}
+}
+
+// sortAnns orders one annotation list by first range base, then peer.
+// Callers sort only the lists they modify: re-sorting every thread's
+// list on each insertion would make plan construction quadratic in the
+// thread count.
+func sortAnns(anns []Annotation) {
+	slices.SortFunc(anns, func(a, b Annotation) int {
+		if c := cmp.Compare(a.Ranges[0].Base, b.Ranges[0].Base); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Peer, b.Peer)
+	})
 }

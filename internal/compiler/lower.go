@@ -2,6 +2,7 @@ package compiler
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/engine"
 	"repro/internal/mem"
@@ -17,7 +18,11 @@ const reductionLock = 31
 // computation; they differ only in the coherence-management instructions
 // inserted (Section VI's Base / Addr / Addr+L, or nothing for HCC).
 func Lower(prog *Program, threads int, mode Mode) []engine.Guest {
-	plan := Analyze(prog, threads)
+	// Only Addr and Addr+L read the plan; HCC and Base lower without one.
+	var plan *Plan
+	if mode == ModeAddr || mode == ModeAddrL {
+		plan = Analyze(prog, threads)
+	}
 	guests := make([]engine.Guest, threads)
 	for t := 0; t < threads; t++ {
 		t := t
@@ -32,7 +37,7 @@ func Lower(prog *Program, threads int, mode Mode) []engine.Guest {
 // executor runs the IR for one thread.
 type executor struct {
 	prog    *Program
-	plan    *Plan
+	plan    *Plan // nil under HCC and Base
 	mode    Mode
 	p       engine.Proc
 	me      int
@@ -76,7 +81,10 @@ func (ex *executor) runStmts(stmts []Stmt) {
 // runLoop executes one epoch: INV side, inspector, body, reduction merge,
 // WB side, implicit barrier.
 func (ex *executor) runLoop(l *Loop) {
-	lp := ex.plan.Loops[l]
+	var lp *LoopPlan
+	if ex.plan != nil {
+		lp = ex.plan.Loops[l]
+	}
 	lo, hi := iterRange(l, ex.me, ex.threads)
 	ex.invDone = nil // fresh epoch: no lines invalidated yet
 
@@ -154,13 +162,11 @@ func (ex *executor) runLoop(l *Loop) {
 	if l.Reduction != nil && len(redLocal) > 0 {
 		arr := ex.prog.Arrays[l.Reduction.Array]
 		elems := make([]int, 0, len(redLocal))
-		set := make(map[int]bool, len(redLocal))
 		for e := range redLocal {
 			elems = append(elems, e)
-			set[e] = true
 		}
-		sortInts(elems)
-		ranges := elemsToRanges(arr, set)
+		slices.Sort(elems)
+		ranges := elemsToRanges(arr, elems)
 		// A hierarchical-reduction rewrite confines each element to one
 		// block, so the merge uses a per-block lock and block-local
 		// coherence operations; a plain reduction must assume any thread
@@ -282,13 +288,5 @@ func (ex *executor) irregularINV(l *Loop, readIdx, i, elem int, rd *Read) {
 		ex.p.InvProd(r, writer)
 	} else {
 		ex.p.INVGlobal(r)
-	}
-}
-
-func sortInts(s []int) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
 	}
 }

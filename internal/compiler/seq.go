@@ -129,6 +129,3 @@ func (w *IRWorkload) VerifyMemory(m *mem.Memory) error {
 	}
 	return nil
 }
-
-// Plan exposes the analysis result (used by tests and diagnostics).
-func (w *IRWorkload) Plan() *Plan { return Analyze(w.Prog, w.Threads) }
