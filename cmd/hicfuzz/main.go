@@ -56,9 +56,6 @@ func main() {
 	if err := f.Validate(); err != nil {
 		log.Fatal(err)
 	}
-	if f.SchemaV1() {
-		log.Fatal("fuzz reports have no v1 layout (the kind postdates it); use -schema v2")
-	}
 	lo, hi, err := parseSeeds(*seeds)
 	if err != nil {
 		log.Fatal(err)

@@ -120,7 +120,7 @@ func TestFuzzCLI(t *testing.T) {
 		for _, args := range [][]string{
 			{"-seeds", "9:3"},
 			{"-config", "no-such-config"},
-			{"-json", "-schema", "v1"},
+			{"-json", "-schema", "v2"},
 		} {
 			if err := exec.Command(bin, args...).Run(); err == nil {
 				t.Errorf("hicfuzz %v accepted", args)

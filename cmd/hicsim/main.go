@@ -7,7 +7,7 @@
 //
 //	hicsim [-scale test|bench] [-parallel N] [-timeout D] [-json] [-timing] [-check]
 //	       [-check-coherence] [-faults matrix|PLAN] [-metrics] [-trace-chrome F]
-//	       [-schema v1|v2] [-cpuprofile F] [-memprofile F]
+//	       [-cpuprofile F] [-memprofile F]
 //	       [-blocks N] [-cores-per-block N] [-block-parallel] [-server URL]
 //
 // -block-parallel runs every incoherent-hierarchy simulation on the
@@ -39,14 +39,13 @@
 // outcome.
 //
 // With -json the figures and per-run metrics are emitted as a single
-// machine-readable document on stdout (schema hic/v2, kind "results";
-// -schema v1 selects the legacy hic-results/v1 layout) instead of the
-// text report; Table I and the storage report are text-only. The JSON is
-// canonical — byte-identical for serial and parallel runs — unless
-// -timing adds host wall times. With -check the paper's expected
-// config-vs-config orderings (DESIGN.md §4) are evaluated against the
-// results and the command exits nonzero on any violation; this is the
-// gate CI runs.
+// machine-readable document on stdout (schema hic/v2, kind "results")
+// instead of the text report; Table I and the storage report are
+// text-only. The JSON is canonical — byte-identical for serial and
+// parallel runs — unless -timing adds host wall times. With -check the
+// paper's expected config-vs-config orderings (DESIGN.md §4) are
+// evaluated against the results and the command exits nonzero on any
+// violation; this is the gate CI runs.
 //
 // -metrics attaches the observability layer to every run and embeds each
 // cell's deterministic snapshot (cache/MEB/IEB counters, NoC histograms,

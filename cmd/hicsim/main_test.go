@@ -63,29 +63,6 @@ func TestHicsimFlagPlumbing(t *testing.T) {
 		}
 	})
 
-	t.Run("schema-v1-compat", func(t *testing.T) {
-		cmd := exec.Command(bin, "-scale", "test", "-parallel", "4", "-json", "-metrics", "-schema", "v1")
-		var stdout, stderr bytes.Buffer
-		cmd.Stdout, cmd.Stderr = &stdout, &stderr
-		if err := cmd.Run(); err != nil {
-			t.Fatalf("hicsim: %v\nstderr:\n%s", err, stderr.String())
-		}
-		doc, err := runner.Decode(&stdout)
-		if err != nil {
-			t.Fatalf("decoding -json output: %v", err)
-		}
-		if doc.Schema != envelope.ResultsV1 || doc.Kind != "" {
-			t.Errorf("schema/kind = %q/%q, want %q with no kind", doc.Schema, doc.Kind, envelope.ResultsV1)
-		}
-		// The v1 layout predates per-run metrics: the compatibility
-		// writer must strip them even when -metrics recorded them.
-		for _, r := range doc.Runs {
-			if r.Metrics != nil {
-				t.Errorf("%s/%s: v1 document carries a metrics snapshot", r.Workload, r.Config)
-			}
-		}
-	})
-
 	t.Run("metrics-and-trace-chrome", func(t *testing.T) {
 		trace := filepath.Join(t.TempDir(), "trace.json")
 		cmd := exec.Command(bin, "-scale", "test", "-parallel", "4", "-json", "-metrics", "-trace-chrome", trace)

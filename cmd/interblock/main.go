@@ -5,18 +5,18 @@
 // Usage:
 //
 //	interblock [-scale test|bench] [-counts] [-parallel N] [-timeout D] [-json] [-timing]
-//	           [-check-coherence] [-metrics] [-trace-chrome F] [-schema v1|v2]
+//	           [-check-coherence] [-metrics] [-trace-chrome F]
 //	           [-cpuprofile F] [-memprofile F] [-server URL]
 //
 // Runs fan out across -parallel workers (default GOMAXPROCS) with results
 // identical to a serial sweep; -timeout bounds each individual run. With
 // -json the result is a machine-readable document on stdout (schema
-// hic/v2; -schema v1 selects the legacy layout; canonical unless -timing
-// adds host wall times). -check-coherence attaches the shadow-memory
-// coherence oracle to every run; a violation fails the cell with a
-// labeled coherence error. -metrics embeds per-run observability
-// snapshots in the JSON records; -trace-chrome writes the sweep's stall
-// timelines as a Chrome trace_event file (open in Perfetto). -server URL
+// hic/v2; canonical unless -timing adds host wall times).
+// -check-coherence attaches the shadow-memory coherence oracle to every
+// run; a violation fails the cell with a labeled coherence error.
+// -metrics embeds per-run observability snapshots in the JSON records;
+// -trace-chrome writes the sweep's stall timelines as a Chrome
+// trace_event file (open in Perfetto). -server URL
 // delegates the sweep (suite "inter") to a hicserve instance and prints
 // the fetched document — byte-identical to a local -json run.
 package main

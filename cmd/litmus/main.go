@@ -7,7 +7,7 @@
 // Usage:
 //
 //	litmus [-test NAME] [-config NAME] [-budget N] [-max-schedules N] [-json]
-//	       [-schema v1|v2] [-dpor=BOOL] [-enumerate -k N] [-server URL] [-v]
+//	       [-enumerate -k N] [-server URL] [-v]
 //
 // By default every suite test runs under every configuration (Base,
 // B+M+I, Adaptive) and one verdict line is printed per pair; -v adds
@@ -17,19 +17,17 @@
 // whose bug no schedule exposed (or exposed with the wrong
 // attribution), or a non-exhaustive exploration.
 //
-// Exploration uses dynamic partial-order reduction; -dpor=false selects
-// the exhaustive adjacent-swap explorer (same outcome sets, more
-// schedules). -enumerate replaces the curated suite with the systematic
-// enumeration of every litmus shape up to -k ops and fails unless every
-// annotated program explores violation-free to exhaustion.
+// Exploration uses dynamic partial-order reduction. -enumerate replaces
+// the curated suite with the systematic enumeration of every litmus
+// shape up to -k ops and fails unless every annotated program explores
+// violation-free to exhaustion.
 //
 // With -json a single machine-readable document (schema hic/v2, kind
-// "litmus"; -schema v1 selects the legacy hic-litmus/v1 layout) is
-// emitted on stdout instead of the text report. The document is
-// canonical: fixed key order, sorted outcome maps, no timestamps —
-// byte-identical across runs. -server URL delegates the run to a
-// hicserve instance and prints the fetched document — byte-identical
-// to a local -json run.
+// "litmus") is emitted on stdout instead of the text report. The
+// document is canonical: fixed key order, sorted outcome maps, no
+// timestamps — byte-identical across runs. -server URL delegates the
+// run to a hicserve instance and prints the fetched document —
+// byte-identical to a local -json run.
 package main
 
 import (
@@ -47,7 +45,7 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("litmus: ")
-	f := cli.Register(flag.CommandLine, cli.JSONFlags|cli.FlagExplore|cli.FlagServer)
+	f := cli.Register(flag.CommandLine, cli.FlagJSON|cli.FlagExplore|cli.FlagServer)
 	testName := flag.String("test", "", "run only the named suite test")
 	cfgName := flag.String("config", "", "run only the named configuration (Base, B+M+I, Adaptive)")
 	budget := flag.Int("budget", 0, "per-schedule step budget (0 = default)")
@@ -62,7 +60,7 @@ func main() {
 		req := serve.Request{
 			Suite: "litmus", Test: *testName, Config: *cfgName,
 			Budget: *budget, MaxSchedules: *maxSched,
-			Swap: !f.DPOR, Enumerate: f.Enumerate, K: f.K,
+			Enumerate: f.Enumerate, K: f.K,
 		}
 		if _, err := f.RunRemote(context.Background(), req, os.Stdout); err != nil {
 			log.Fatal(err)
@@ -87,9 +85,6 @@ func main() {
 		configs = []litmus.Config{c}
 	}
 	opts := litmus.Options{Budget: *budget, MaxSchedules: *maxSched}
-	if !f.DPOR {
-		opts.Algo = litmus.AlgoSwap
-	}
 
 	var doc *litmus.Document
 	if f.Enumerate {
@@ -103,9 +98,6 @@ func main() {
 	}
 
 	if f.JSON {
-		if f.SchemaV1() {
-			doc = doc.LegacyV1()
-		}
 		if err := doc.Encode(os.Stdout); err != nil {
 			log.Fatal(err)
 		}

@@ -76,20 +76,6 @@ func TestLitmusCLI(t *testing.T) {
 		}
 	})
 
-	t.Run("schema-v1-compat", func(t *testing.T) {
-		out, err := exec.Command(bin, "-json", "-schema", "v1", "-test", "sb", "-config", "Base").Output()
-		if err != nil {
-			t.Fatalf("litmus -json -schema v1: %v", err)
-		}
-		var doc litmus.Document
-		if err := json.Unmarshal(out, &doc); err != nil {
-			t.Fatalf("decoding -json output: %v", err)
-		}
-		if doc.Schema != envelope.LitmusV1 || doc.Kind != "" {
-			t.Errorf("schema/kind = %q/%q, want %q with no kind", doc.Schema, doc.Kind, envelope.LitmusV1)
-		}
-	})
-
 	t.Run("test-and-config-filters", func(t *testing.T) {
 		out, err := exec.Command(bin, "-test", "sb", "-config", "Base").CombinedOutput()
 		if err != nil {

@@ -1,7 +1,7 @@
 package hic
 
 // Determinism regression tests: the orchestrator's contract is that the
-// hic-results/v1 document is a pure function of (suite, scale, options)
+// hic/v2 results document is a pure function of (suite, scale, options)
 // — worker count, scheduling order, and host speed must never leak into
 // it. The basic serial-vs-parallel equality lives in
 // orchestrator_test.go; these tests pin the harder dimensions that ride

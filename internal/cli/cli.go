@@ -48,8 +48,6 @@ const (
 	FlagJSON
 	// FlagTiming is -timing (host wall times in -json output).
 	FlagTiming
-	// FlagSchema is -schema (v2 envelope or v1 compatibility layout).
-	FlagSchema
 	// FlagCheck is -check (shapecheck gate).
 	FlagCheck
 	// FlagCoherence is -check-coherence (shadow-memory oracle).
@@ -63,8 +61,7 @@ const (
 	// FlagTopo is -blocks, -cores-per-block, and -block-parallel (custom
 	// machine topology and the block-parallel engine).
 	FlagTopo
-	// FlagExplore is -enumerate, -k, and -dpor (systematic litmus
-	// enumeration and explorer selection).
+	// FlagExplore is -enumerate and -k (systematic litmus enumeration).
 	FlagExplore
 	// FlagServer is -server (run the sweep on a hicserve instance and
 	// print the fetched document, byte-identical to a local -json run).
@@ -72,17 +69,15 @@ const (
 
 	// SweepFlags is the full sweep-command set (hicsim).
 	SweepFlags = FlagScale | FlagParallel | FlagTimeout | FlagJSON | FlagTiming |
-		FlagSchema | FlagCheck | FlagCoherence | FlagFaults | FlagObs | FlagProfile |
+		FlagCheck | FlagCoherence | FlagFaults | FlagObs | FlagProfile |
 		FlagTopo | FlagServer
 	// FigureFlags is the single-figure sweep set (intrablock, interblock):
 	// everything but the shapecheck gate, fault injection, and topology.
 	FigureFlags = FlagScale | FlagParallel | FlagTimeout | FlagJSON | FlagTiming |
-		FlagSchema | FlagCoherence | FlagObs | FlagProfile | FlagServer
-	// JSONFlags is the minimal machine-output set (litmus, overhead).
-	JSONFlags = FlagJSON | FlagSchema
+		FlagCoherence | FlagObs | FlagProfile | FlagServer
 	// FuzzFlags is the fuzz-campaign set (hicfuzz): machine output plus
 	// sweep parallelism and wall-time reporting.
-	FuzzFlags = FlagParallel | FlagJSON | FlagSchema | FlagTiming
+	FuzzFlags = FlagParallel | FlagJSON | FlagTiming
 )
 
 // Flags holds the parsed shared flags. Fields whose flag was not
@@ -100,9 +95,6 @@ type Flags struct {
 	JSON bool
 	// Timing includes host wall times in JSON output.
 	Timing bool
-	// Schema selects the JSON envelope: "v2" (default) or "v1" for the
-	// legacy per-tool layouts.
-	Schema string
 	// Check evaluates the expected orderings and exits nonzero on
 	// violation.
 	Check bool
@@ -129,9 +121,6 @@ type Flags struct {
 	Enumerate bool
 	// K is the enumeration op budget per program (with -enumerate).
 	K int
-	// DPOR selects the partial-order-reduction explorer (the default);
-	// false falls back to the exhaustive adjacent-swap explorer.
-	DPOR bool
 	// Server is a hicserve base URL; when set the sweep runs remotely
 	// and the fetched document is printed instead of computing locally.
 	Server string
@@ -143,7 +132,7 @@ type Flags struct {
 // the destination Flags. Call it before registering command-specific
 // extras so the shared spellings stay first in -help output.
 func Register(fs *flag.FlagSet, mask Mask) *Flags {
-	f := &Flags{mask: mask, Scale: "bench", Parallel: runtime.GOMAXPROCS(0), Schema: "v2", K: 4, DPOR: true}
+	f := &Flags{mask: mask, Scale: "bench", Parallel: runtime.GOMAXPROCS(0), K: 4}
 	if mask&FlagScale != 0 {
 		fs.StringVar(&f.Scale, "scale", f.Scale, "problem scale: test or bench")
 	}
@@ -158,9 +147,6 @@ func Register(fs *flag.FlagSet, mask Mask) *Flags {
 	}
 	if mask&FlagTiming != 0 {
 		fs.BoolVar(&f.Timing, "timing", false, "include host wall times in -json output (not deterministic)")
-	}
-	if mask&FlagSchema != 0 {
-		fs.StringVar(&f.Schema, "schema", f.Schema, `JSON envelope: "v2" (hic/v2) or "v1" (legacy layout)`)
 	}
 	if mask&FlagCheck != 0 {
 		fs.BoolVar(&f.Check, "check", false, "verify the paper's expected orderings; exit nonzero on violation")
@@ -187,7 +173,6 @@ func Register(fs *flag.FlagSet, mask Mask) *Flags {
 	if mask&FlagExplore != 0 {
 		fs.BoolVar(&f.Enumerate, "enumerate", false, "sweep every litmus shape up to -k ops instead of the curated suite")
 		fs.IntVar(&f.K, "k", f.K, "op budget per enumerated program (with -enumerate)")
-		fs.BoolVar(&f.DPOR, "dpor", f.DPOR, "explore with dynamic partial-order reduction; -dpor=false uses the exhaustive adjacent-swap explorer")
 	}
 	if mask&FlagServer != 0 {
 		fs.StringVar(&f.Server, "server", "", "run on this hicserve base URL instead of locally (requires -json; bytes are identical)")
@@ -207,15 +192,9 @@ func (f *Flags) ScaleValue() (hic.Scale, error) {
 	return 0, fmt.Errorf("unknown scale %q (want test or bench)", f.Scale)
 }
 
-// SchemaV1 reports whether -schema selected the legacy layout.
-func (f *Flags) SchemaV1() bool { return f.Schema == "v1" }
-
 // Validate rejects values the flag parser accepts but the tools do not
 // (bad -scale spellings are reported by ScaleValue).
 func (f *Flags) Validate() error {
-	if f.Schema != "v1" && f.Schema != "v2" {
-		return fmt.Errorf("unknown schema %q (want v1 or v2)", f.Schema)
-	}
 	if f.Blocks < 0 {
 		return fmt.Errorf("-blocks %d: want a positive block count (or 0 for the standard sweeps)", f.Blocks)
 	}
@@ -240,8 +219,6 @@ func (f *Flags) Validate() error {
 			return fmt.Errorf("profiling flags are incompatible with -server (profile the server process instead)")
 		case f.Faults != "":
 			return fmt.Errorf("-faults is incompatible with -server (the robustness experiment runs locally only)")
-		case f.Check && f.SchemaV1():
-			return fmt.Errorf("-check with -server requires the v2 schema (the gate decodes the fetched document)")
 		}
 	}
 	return nil
@@ -277,20 +254,16 @@ func (f *Flags) Options() []hic.Option {
 	return opts
 }
 
-// EncodeDoc writes a results document per the -schema and -timing flags:
-// the hic/v2 envelope by default, the legacy hic-results/v1 layout under
-// -schema v1, canonical (wall times stripped) unless -timing.
+// EncodeDoc writes a results document per the -timing flag: canonical
+// (wall times stripped) unless -timing.
 func (f *Flags) EncodeDoc(w io.Writer, doc *runner.Document) error {
-	if f.SchemaV1() {
-		doc = doc.LegacyV1()
-	}
 	if f.Timing {
 		return doc.EncodeTiming(w)
 	}
 	return doc.Encode(w)
 }
 
-// RunRemote completes req from the shared flags (-scale, -schema,
+// RunRemote completes req from the shared flags (-scale,
 // -check-coherence, -metrics, -block-parallel), runs it on the -server
 // instance — riding out 429 backpressure per the server's Retry-After
 // hints — and writes the fetched document bytes to w (skipped when w is
@@ -298,9 +271,6 @@ func (f *Flags) EncodeDoc(w io.Writer, doc *runner.Document) error {
 func (f *Flags) RunRemote(ctx context.Context, req serve.Request, w io.Writer) ([]byte, error) {
 	if f.mask&FlagScale != 0 && req.Scale == "" {
 		req.Scale = f.Scale
-	}
-	if f.SchemaV1() {
-		req.Version = "v1"
 	}
 	if f.CheckCoherence {
 		req.Coherence = true

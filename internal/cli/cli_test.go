@@ -14,8 +14,6 @@ import (
 	"time"
 
 	hic "repro"
-	"repro/internal/envelope"
-	"repro/internal/runner"
 )
 
 func parse(t *testing.T, mask Mask, args ...string) *Flags {
@@ -33,7 +31,7 @@ var masks = map[string]Mask{
 	"hicsim":     SweepFlags,
 	"intrablock": FigureFlags,
 	"interblock": FigureFlags,
-	"litmus":     JSONFlags | FlagExplore,
+	"litmus":     FlagJSON | FlagExplore,
 	"overhead":   FlagJSON,
 }
 
@@ -44,19 +42,17 @@ var argFor = map[Mask][]string{
 	FlagTimeout:   {"-timeout", "90s"},
 	FlagJSON:      {"-json"},
 	FlagTiming:    {"-timing"},
-	FlagSchema:    {"-schema", "v1"},
 	FlagCheck:     {"-check"},
 	FlagCoherence: {"-check-coherence"},
 	FlagFaults:    {"-faults", "drop-wb@0"},
 	FlagObs:       {"-metrics", "-trace-chrome", "out.json"},
 	FlagProfile:   {"-cpuprofile", "cpu.out", "-memprofile", "mem.out"},
-	FlagExplore:   {"-enumerate", "-k", "3", "-dpor=false"},
+	FlagExplore:   {"-enumerate", "-k", "3"},
 }
 
 func TestEveryCommandMaskRoundTrips(t *testing.T) {
 	all := []Mask{FlagScale, FlagParallel, FlagTimeout, FlagJSON, FlagTiming,
-		FlagSchema, FlagCheck, FlagCoherence, FlagFaults, FlagObs, FlagProfile,
-		FlagExplore}
+		FlagCheck, FlagCoherence, FlagFaults, FlagObs, FlagProfile, FlagExplore}
 	for name, mask := range masks {
 		t.Run(name, func(t *testing.T) {
 			var args []string
@@ -83,9 +79,6 @@ func TestEveryCommandMaskRoundTrips(t *testing.T) {
 			if mask&FlagTiming != 0 && !f.Timing {
 				t.Error("-timing not recorded")
 			}
-			if mask&FlagSchema != 0 && !f.SchemaV1() {
-				t.Error("-schema v1 not recorded")
-			}
 			if mask&FlagCheck != 0 && !f.Check {
 				t.Error("-check not recorded")
 			}
@@ -101,8 +94,8 @@ func TestEveryCommandMaskRoundTrips(t *testing.T) {
 			if mask&FlagProfile != 0 && (f.CPUProfile != "cpu.out" || f.MemProfile != "mem.out") {
 				t.Errorf("profiles = %q/%q", f.CPUProfile, f.MemProfile)
 			}
-			if mask&FlagExplore != 0 && (!f.Enumerate || f.K != 3 || f.DPOR) {
-				t.Errorf("enumerate/k/dpor = %v/%d/%v, want true/3/false", f.Enumerate, f.K, f.DPOR)
+			if mask&FlagExplore != 0 && (!f.Enumerate || f.K != 3) {
+				t.Errorf("enumerate/k = %v/%d, want true/3", f.Enumerate, f.K)
 			}
 			if err := f.Validate(); err != nil {
 				t.Errorf("Validate: %v", err)
@@ -119,6 +112,15 @@ func TestUnselectedFlagsAreNotRegistered(t *testing.T) {
 	Register(fs, FlagJSON)
 	if err := fs.Parse([]string{"-parallel", "4"}); err == nil {
 		t.Error("mask without FlagParallel accepted -parallel")
+	}
+	// The removed -schema and -dpor flags parse under no mask.
+	for _, args := range [][]string{{"-schema", "v2"}, {"-dpor=false"}} {
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		fs.SetOutput(&bytes.Buffer{})
+		Register(fs, SweepFlags|FuzzFlags|FlagExplore)
+		if err := fs.Parse(args); err == nil {
+			t.Errorf("removed flag %v still parses", args)
+		}
 	}
 }
 
@@ -147,15 +149,8 @@ func TestOptionsFlowIntoRunOptions(t *testing.T) {
 	}
 }
 
-func TestValidateRejectsUnknownSchema(t *testing.T) {
-	f := parse(t, JSONFlags, "-schema", "v3")
-	if err := f.Validate(); err == nil || !strings.Contains(err.Error(), "v3") {
-		t.Errorf("Validate = %v, want unknown-schema error", err)
-	}
-}
-
 func TestValidateRejectsBadOpBudget(t *testing.T) {
-	f := parse(t, JSONFlags|FlagExplore, "-k", "0")
+	f := parse(t, FlagJSON|FlagExplore, "-k", "0")
 	if err := f.Validate(); err == nil || !strings.Contains(err.Error(), "-k") {
 		t.Errorf("Validate = %v, want op-budget error", err)
 	}
@@ -165,35 +160,5 @@ func TestScaleValueRejectsUnknownScale(t *testing.T) {
 	f := parse(t, FlagScale, "-scale", "huge")
 	if _, err := f.ScaleValue(); err == nil {
 		t.Error("unknown scale accepted")
-	}
-}
-
-func TestEncodeDocHonorsSchemaFlag(t *testing.T) {
-	doc := &runner.Document{Schema: envelope.SchemaV2, Kind: envelope.KindResults, Scale: "test", Suite: "intra"}
-	v2 := parse(t, FigureFlags)
-	var buf bytes.Buffer
-	if err := v2.EncodeDoc(&buf, doc); err != nil {
-		t.Fatal(err)
-	}
-	out, err := runner.Decode(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Schema != envelope.SchemaV2 || out.Kind != envelope.KindResults {
-		t.Errorf("default encode = %q/%q, want v2 envelope", out.Schema, out.Kind)
-	}
-	v1 := parse(t, FigureFlags, "-schema", "v1")
-	buf.Reset()
-	if err := v1.EncodeDoc(&buf, doc); err != nil {
-		t.Fatal(err)
-	}
-	if out, err = runner.Decode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if out.Schema != envelope.ResultsV1 || out.Kind != "" {
-		t.Errorf("-schema v1 encode = %q/%q, want legacy layout", out.Schema, out.Kind)
-	}
-	if doc.Schema != envelope.SchemaV2 {
-		t.Error("EncodeDoc mutated the caller's document")
 	}
 }

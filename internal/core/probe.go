@@ -24,10 +24,8 @@ type Probe struct {
 }
 
 // Evictions returns the total number of line evictions — clean and
-// dirty — across every cache in the hierarchy. Schedule explorers use
-// it to assert that a run stayed eviction-free: their line-disjointness
-// independence rule (isa.Independent) is only sound when no line moved
-// for capacity reasons.
+// dirty — across every cache in the hierarchy. The litmus explorer
+// counts runs with any eviction in Report.EvictionRuns.
 func (h *Hierarchy) Evictions() int64 {
 	var n int64
 	for _, c := range h.l1 {

@@ -4,19 +4,9 @@
 // reports — carries {"schema": "hic/v2", "kind": "..."} so consumers
 // dispatch on one field pair instead of per-tool schema strings.
 //
-// Before this package the schema constants lived in internal/runner and
-// each command kept its own legacy-schema spelling; the server
-// (internal/serve), the shape checker, and all the cmds now share these
-// definitions. The pre-envelope v1 layouts (one schema string per tool)
-// remain readable and writable for old consumers: each Kind knows its
-// legacy schema string, and Negotiate maps the -schema flag spellings to
-// an envelope generation.
+// The server (internal/serve), the shape checker, and all the cmds share
+// these definitions.
 package envelope
-
-import (
-	"encoding/json"
-	"fmt"
-)
 
 // SchemaV2 is the unified versioned envelope identifier.
 const SchemaV2 = "hic/v2"
@@ -55,87 +45,6 @@ func (k Kind) Valid() bool {
 // String returns the kind's JSON spelling.
 func (k Kind) String() string { return string(k) }
 
-// Legacy pre-envelope schema strings, one per tool.
-const (
-	// ResultsV1 is the legacy sweep-results layout.
-	ResultsV1 = "hic-results/v1"
-	// LitmusV1 is the legacy litmus-document layout.
-	LitmusV1 = "hic-litmus/v1"
-	// MetricsV1 identifies the metrics snapshot format (unchanged under
-	// v2: snapshots embed it even inside v2 result documents).
-	MetricsV1 = "hic-metrics/v1"
-)
-
-// V1Schema returns the kind's legacy pre-envelope schema string, or ""
-// for kinds that postdate the v1 layouts (storage, fuzz) and therefore
-// have no legacy writer.
-func (k Kind) V1Schema() string {
-	switch k {
-	case KindResults:
-		return ResultsV1
-	case KindLitmus:
-		return LitmusV1
-	case KindMetrics:
-		return MetricsV1
-	}
-	return ""
-}
-
-// Generation is an envelope generation a consumer can ask for.
-type Generation int
-
-const (
-	// V2 is the unified hic/v2 envelope (the default).
-	V2 Generation = iota
-	// V1 is the legacy per-tool layout.
-	V1
-)
-
-// Negotiate maps a version spelling (the -schema flag, a server request
-// field) to an envelope generation: "v2" or "" select V2, "v1" selects
-// V1, anything else is an error.
-func Negotiate(version string) (Generation, error) {
-	switch version {
-	case "", "v2", SchemaV2:
-		return V2, nil
-	case "v1":
-		return V1, nil
-	}
-	return V2, fmt.Errorf("unknown schema %q (want v1 or v2)", version)
-}
-
-// Head is the common prefix of every enveloped document, for sniffing a
-// document's generation and kind without decoding the body.
-type Head struct {
-	Schema string `json:"schema"`
-	Kind   Kind   `json:"kind,omitempty"`
-}
-
-// Validate checks that the head names a document this codebase can
-// dispatch: the v2 envelope with a valid kind, or a known v1 schema.
-func (h Head) Validate() error {
-	if h.Schema == SchemaV2 {
-		if !h.Kind.Valid() {
-			return fmt.Errorf("unknown %s kind %q", SchemaV2, h.Kind)
-		}
-		return nil
-	}
-	for _, k := range Kinds() {
-		if s := k.V1Schema(); s != "" && s == h.Schema {
-			return nil
-		}
-	}
-	return fmt.Errorf("unknown schema %q (want %q)", h.Schema, SchemaV2)
-}
-
-// Detect sniffs the envelope head from raw document bytes.
-func Detect(data []byte) (Head, error) {
-	var h Head
-	if err := json.Unmarshal(data, &h); err != nil {
-		return h, fmt.Errorf("not an enveloped document: %w", err)
-	}
-	if err := h.Validate(); err != nil {
-		return h, err
-	}
-	return h, nil
-}
+// MetricsV1 identifies the metrics snapshot format (unchanged under v2:
+// snapshots embed it even inside v2 result documents).
+const MetricsV1 = "hic-metrics/v1"

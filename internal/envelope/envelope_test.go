@@ -14,59 +14,3 @@ func TestKindValid(t *testing.T) {
 		}
 	}
 }
-
-func TestV1Schema(t *testing.T) {
-	cases := map[Kind]string{
-		KindResults: "hic-results/v1",
-		KindLitmus:  "hic-litmus/v1",
-		KindMetrics: "hic-metrics/v1",
-		KindStorage: "",
-		KindFuzz:    "",
-	}
-	for k, want := range cases {
-		if got := k.V1Schema(); got != want {
-			t.Errorf("%s.V1Schema() = %q, want %q", k, got, want)
-		}
-	}
-}
-
-func TestNegotiate(t *testing.T) {
-	for _, spelling := range []string{"", "v2", SchemaV2} {
-		g, err := Negotiate(spelling)
-		if err != nil || g != V2 {
-			t.Errorf("Negotiate(%q) = %v, %v; want V2, nil", spelling, g, err)
-		}
-	}
-	if g, err := Negotiate("v1"); err != nil || g != V1 {
-		t.Errorf("Negotiate(v1) = %v, %v; want V1, nil", g, err)
-	}
-	if _, err := Negotiate("v3"); err == nil {
-		t.Error("Negotiate(v3) succeeded, want error")
-	}
-}
-
-func TestDetect(t *testing.T) {
-	cases := []struct {
-		data string
-		kind Kind
-		ok   bool
-	}{
-		{`{"schema":"hic/v2","kind":"results","suite":"intra"}`, KindResults, true},
-		{`{"schema":"hic/v2","kind":"litmus"}`, KindLitmus, true},
-		{`{"schema":"hic-results/v1","suite":"intra"}`, "", true},
-		{`{"schema":"hic-litmus/v1"}`, "", true},
-		{`{"schema":"hic/v2","kind":"nope"}`, "", false},
-		{`{"schema":"hic/v3","kind":"results"}`, "", false},
-		{`not json`, "", false},
-	}
-	for _, c := range cases {
-		h, err := Detect([]byte(c.data))
-		if (err == nil) != c.ok {
-			t.Errorf("Detect(%s) err = %v, want ok=%v", c.data, err, c.ok)
-			continue
-		}
-		if err == nil && h.Kind != c.kind {
-			t.Errorf("Detect(%s) kind = %q, want %q", c.data, h.Kind, c.kind)
-		}
-	}
-}

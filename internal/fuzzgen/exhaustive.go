@@ -21,7 +21,6 @@ const MaskProvenExhaustive = "masked-exhaustive"
 // masked (MaskProvenExhaustive). A non-exhaustive exploration (error,
 // truncation, or the schedule cap) is a judgment failure, never a mask.
 func JudgeExhaustive(p Program, m Mutant, cfg litmus.Config, opts litmus.Options) Verdict {
-	opts.Algo = litmus.AlgoDPOR
 	rep, err := litmus.Explore(m.Test, cfg, opts)
 	if err != nil {
 		return Verdict{Err: err}

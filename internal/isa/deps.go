@@ -3,31 +3,32 @@ package isa
 import "repro/internal/mem"
 
 // Deps is the dependence relation used by the source-DPOR litmus
-// explorer. It refines Independent in both directions:
+// explorer. Compute commutes with everything; ops with static footprints
+// conflict when their footprints share a cache line (line granularity,
+// because WB/INV and fills move whole lines); whole-cache flushes, DMA
+// and signature ops conflict with every other memory op. Two
+// refinements make the relation sound and tight:
 //
-//   - It is *sound under evictions*. Independent's line-disjointness rule
-//     breaks when a fill in one thread evicts a line another thread's op
-//     touches: the two ops then interact through the victim even though
-//     their declared footprints are disjoint. Rather than banning
-//     eviction-bearing schedules (the adjacent-swap explorer's escape
-//     hatch), Deps treats any two lines that map to the same set of any
-//     cache in the hierarchy as conflicting — an op can only displace
-//     lines from the sets it touches, so set-disjoint ops cannot
-//     interact through capacity evictions at any level, private or
-//     shared. MinSets is the smallest set count among the machine's
-//     caches; two lines conflict in *some* cache exactly when their line
-//     numbers are congruent mod that minimum (set counts are powers of
-//     two, so congruence mod a larger set count implies congruence mod a
-//     smaller one).
+//   - It is *sound under evictions*. Line-disjointness alone breaks when
+//     a fill in one thread evicts a line another thread's op touches:
+//     the two ops then interact through the victim even though their
+//     declared footprints are disjoint. Deps therefore treats any two
+//     lines that map to the same set of any cache in the hierarchy as
+//     conflicting — an op can only displace lines from the sets it
+//     touches, so set-disjoint ops cannot interact through capacity
+//     evictions at any level, private or shared. MinSets is the
+//     smallest set count among the machine's caches; two lines conflict
+//     in *some* cache exactly when their line numbers are congruent mod
+//     that minimum (set counts are powers of two, so congruence mod a
+//     larger set count implies congruence mod a smaller one).
 //
-//   - It is *finer on synchronization*. Independent treats every sync op
-//     as conflicting with every non-local op. But sync ops touch only
-//     the hwsync controller (plus the issuing core's own epoch state),
-//     never caches or memory, so a sync op commutes with every memory op
-//     of another thread; and two sync ops commute unless they target the
-//     same primitive — the same lock, the same flag, or the same
-//     barrier. This is what makes multi-pair tests tractable: disjoint
-//     producer/consumer pairs on different flags no longer serialize
+//   - It is *fine on synchronization*. Sync ops touch only the hwsync
+//     controller (plus the issuing core's own epoch state), never caches
+//     or memory, so a sync op commutes with every memory op of another
+//     thread; and two sync ops commute unless they target the same
+//     primitive — the same lock, the same flag, or the same barrier.
+//     This is what makes multi-pair tests tractable: disjoint
+//     producer/consumer pairs on different flags do not serialize
 //     against each other.
 type Deps struct {
 	// MinSets is the minimum number of sets over all caches of the
@@ -94,4 +95,14 @@ func setConflict(a, b mem.Range, sets int) bool {
 		}
 	}
 	return false
+}
+
+// lineSpan widens a range to full line granularity.
+func lineSpan(r mem.Range) mem.Range {
+	if r.Empty() {
+		return r
+	}
+	base := mem.LineAddr(r.Base)
+	end := mem.LineAddr(r.End()-1) + mem.LineBytes
+	return mem.Range{Base: base, Bytes: uint32(end - base)}
 }

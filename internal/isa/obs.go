@@ -48,38 +48,3 @@ func (o Op) Footprint() (r mem.Range, ok bool) {
 	}
 	return mem.Range{}, false
 }
-
-// Independent reports whether two ops from different threads commute:
-// executing them in either adjacent order yields the same machine state.
-// Compute is independent of everything; ops with static footprints
-// commute when their footprints share no cache line (line granularity,
-// because WB/INV and fills move whole lines). Everything else —
-// synchronization, whole-cache flushes, DMA, signatures — is treated as
-// conflicting with every non-local op.
-//
-// The line-disjointness rule is only sound while no line moves for
-// capacity reasons: an eviction caused by one thread's fill can change
-// which data a disjoint-range flush on another thread writes back.
-// Callers that prune schedules with this predicate (internal/litmus)
-// must therefore verify the run performed no dirty evictions.
-func Independent(a, b Op) bool {
-	if a.PureLocal() || b.PureLocal() {
-		return true
-	}
-	ra, oka := a.Footprint()
-	rb, okb := b.Footprint()
-	if !oka || !okb {
-		return false
-	}
-	return !lineSpan(ra).Overlaps(lineSpan(rb))
-}
-
-// lineSpan widens a range to full line granularity.
-func lineSpan(r mem.Range) mem.Range {
-	if r.Empty() {
-		return r
-	}
-	base := mem.LineAddr(r.Base)
-	end := mem.LineAddr(r.End()-1) + mem.LineBytes
-	return mem.Range{Base: base, Bytes: uint32(end - base)}
-}

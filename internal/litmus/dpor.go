@@ -10,7 +10,7 @@ import (
 	"repro/internal/isa"
 )
 
-// This file implements the default exploration algorithm: source-style
+// This file implements the exploration algorithm: source-style
 // dynamic partial-order reduction (Flanagan/Godefroid backtrack sets
 // with sleep sets) over the eviction-sound isa.Deps dependence relation,
 // plus state-hash deduplication.

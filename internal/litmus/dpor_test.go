@@ -2,6 +2,7 @@ package litmus
 
 import (
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -10,12 +11,12 @@ import (
 // the standard three plus the fuzz-only single-buffer points.
 var allConfigs = []Config{Base, BMI, Adaptive, BM, BI}
 
-// goldenSchedules pins, for every suite test under every configuration,
-// the number of complete schedules each explorer needs. The DPOR count
-// must stay at or below the adjacent-swap count (it explores the same
-// outcome space with a finer dependence relation plus state dedup); a
-// drift in either column means the explorer's pruning changed and must
-// be re-derived deliberately.
+// goldenSchedules pins, for every suite test (and the four-thread
+// mp-pair-annotated) under every configuration, the number of complete
+// schedules DPOR needs; a drift means the explorer's pruning changed and
+// must be re-derived deliberately. The Swap column is frozen history:
+// the schedule counts of the adjacent-swap explorer DPOR replaced, which
+// no longer exists to recompute them. DPOR must stay at or below them.
 var goldenSchedules = []struct {
 	Test   string
 	Config string
@@ -122,6 +123,21 @@ var goldenSchedules = []struct {
 	{"race-nowb-payload", "Adaptive", 6, 17},
 	{"race-nowb-payload", "B+M", 6, 17},
 	{"race-nowb-payload", "B+I", 6, 17},
+	{"mp-pair-annotated", "Base", 4, 1908},
+	{"mp-pair-annotated", "B+M+I", 8, 8396},
+	{"mp-pair-annotated", "Adaptive", 4, 1908},
+	{"mp-pair-annotated", "B+M", 8, 4160},
+	{"mp-pair-annotated", "B+I", 8, 4956},
+}
+
+// goldenFor returns the pinned (DPOR, frozen swap) schedule counts.
+func goldenFor(test, config string) (dpor, swap int, ok bool) {
+	for _, g := range goldenSchedules {
+		if g.Test == test && g.Config == config {
+			return g.DPOR, g.Swap, true
+		}
+	}
+	return 0, 0, false
 }
 
 // outcomeKeys returns the sorted outcome-key set of a report.
@@ -140,90 +156,95 @@ func violationClasses(r *Report) []string {
 	for _, v := range r.Violations {
 		set[v.Class] = true
 	}
-	classes := make([]string, 0, len(set))
-	for c := range set {
-		classes = append(classes, c)
-	}
-	sort.Strings(classes)
-	return classes
+	return sortedKeys(set)
 }
 
-// TestDPORSwapEquivalence is the explorer-replacement regression gate:
-// for every suite test under every configuration, source-DPOR and the
-// legacy adjacent-swap canonicalization must agree on the outcome-key
-// set, the outcomes' allowed bits, the set of violation classes, and
-// whether any schedule violates at all — while DPOR completes in at
-// most as many schedules. Both schedule counts are pinned in
-// goldenSchedules.
-func TestDPORSwapEquivalence(t *testing.T) {
-	golden := map[[2]string][2]int{}
-	for _, g := range goldenSchedules {
-		golden[[2]string{g.Test, g.Config}] = [2]int{g.DPOR, g.Swap}
+func sortedKeys(set map[string]bool) []string {
+	keys := make([]string, 0, len(set))
+	for k := range set {
+		keys = append(keys, k)
 	}
-	for _, tc := range Suite {
-		for _, cfg := range allConfigs {
-			d, err := Explore(tc, cfg, Options{Algo: AlgoDPOR})
-			if err != nil {
-				t.Fatalf("%s/%s dpor: %v", tc.Name, cfg.Name, err)
+	sort.Strings(keys)
+	return keys
+}
+
+// TestDPORSwapEquivalence is the explorer's reference gate: on every
+// enumerated program up to k=3 under Configs, and on every Suite and
+// ExtraSuite test under allConfigs, source-DPOR and the unpruned
+// enumerator must agree on the outcome-key set, the outcomes' allowed
+// bits, the set of violation classes, and the verdict. Suite tests
+// additionally pin DPOR's schedule count in goldenSchedules, at or
+// below the frozen adjacent-swap count.
+func TestDPORSwapEquivalence(t *testing.T) {
+	var cases []poolCase
+	for _, tc := range Enumerate(enumGateOptions(3)) {
+		for _, cfg := range Configs {
+			cases = append(cases, poolCase{tc, cfg})
+		}
+	}
+	cases = append(cases, poolCases()...)
+	for _, c := range cases {
+		tc, cfg := c.test, c.cfg
+		d, err := Explore(tc, cfg, Options{})
+		if err != nil {
+			t.Fatalf("%s/%s: %v", tc.Name, cfg.Name, err)
+		}
+		u, uClasses := exploreUnpruned(tc, cfg)
+		if got, want := outcomeKeys(d), outcomeKeys(u); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s/%s: outcome sets differ: dpor %v, unpruned %v", tc.Name, cfg.Name, got, want)
+		}
+		for k, od := range d.Outcomes {
+			if ou, ok := u.Outcomes[k]; ok && od.Allowed != ou.Allowed {
+				t.Errorf("%s/%s: outcome %q allowed bit differs", tc.Name, cfg.Name, k)
 			}
-			s, err := Explore(tc, cfg, Options{Algo: AlgoSwap})
-			if err != nil {
-				t.Fatalf("%s/%s swap: %v", tc.Name, cfg.Name, err)
+		}
+		if got, want := violationClasses(d), sortedKeys(uClasses); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s/%s: violation classes differ: dpor %v, unpruned %v", tc.Name, cfg.Name, got, want)
+		}
+		if dv, uv := d.Verdict(tc), u.Verdict(tc); dv.OK != uv.OK {
+			t.Errorf("%s/%s: verdicts differ: dpor %v, unpruned %v", tc.Name, cfg.Name, dv, uv)
+		}
+		if d.Schedules > u.Schedules {
+			t.Errorf("%s/%s: dpor explored MORE schedules (%d) than exist (%d)",
+				tc.Name, cfg.Name, d.Schedules, u.Schedules)
+		}
+		dpor, swap, ok := goldenFor(tc.Name, cfg.Name)
+		if !ok {
+			if slices.ContainsFunc(Suite, func(s Test) bool { return s.Name == tc.Name }) {
+				t.Errorf("%s/%s: missing golden entry: {%q, %q, %d, ?}", tc.Name, cfg.Name, tc.Name, cfg.Name, d.Schedules)
 			}
-			if got, want := outcomeKeys(d), outcomeKeys(s); !reflect.DeepEqual(got, want) {
-				t.Errorf("%s/%s: outcome sets differ: dpor %v, swap %v", tc.Name, cfg.Name, got, want)
-			}
-			for k, od := range d.Outcomes {
-				if os, ok := s.Outcomes[k]; ok && od.Allowed != os.Allowed {
-					t.Errorf("%s/%s: outcome %q allowed bit differs", tc.Name, cfg.Name, k)
-				}
-			}
-			if got, want := violationClasses(d), violationClasses(s); !reflect.DeepEqual(got, want) {
-				t.Errorf("%s/%s: violation classes differ: dpor %v, swap %v", tc.Name, cfg.Name, got, want)
-			}
-			if (d.ViolationSchedules > 0) != (s.ViolationSchedules > 0) {
-				t.Errorf("%s/%s: violation presence differs: dpor %d, swap %d",
-					tc.Name, cfg.Name, d.ViolationSchedules, s.ViolationSchedules)
-			}
-			if dv, sv := d.Verdict(tc), s.Verdict(tc); dv.OK != sv.OK {
-				t.Errorf("%s/%s: verdicts differ: dpor %v, swap %v", tc.Name, cfg.Name, dv, sv)
-			}
-			if d.Schedules > s.Schedules {
-				t.Errorf("%s/%s: dpor explored MORE schedules (%d) than swap (%d)",
-					tc.Name, cfg.Name, d.Schedules, s.Schedules)
-			}
-			want, ok := golden[[2]string{tc.Name, cfg.Name}]
-			if !ok {
-				t.Errorf("%s/%s: missing golden entry: {%q, %q, %d, %d}", tc.Name, cfg.Name, tc.Name, cfg.Name, d.Schedules, s.Schedules)
-				continue
-			}
-			if d.Schedules != want[0] || s.Schedules != want[1] {
-				t.Errorf("%s/%s: schedule counts (dpor %d, swap %d) drifted from golden (%d, %d)",
-					tc.Name, cfg.Name, d.Schedules, s.Schedules, want[0], want[1])
-			}
+			continue
+		}
+		if d.Schedules != dpor {
+			t.Errorf("%s/%s: dpor schedule count %d drifted from golden %d", tc.Name, cfg.Name, d.Schedules, dpor)
+		}
+		if d.Schedules > swap {
+			t.Errorf("%s/%s: dpor explored MORE schedules (%d) than adjacent-swap did (%d)",
+				tc.Name, cfg.Name, d.Schedules, swap)
 		}
 	}
 }
 
 // TestDPORStrictWin: on the 4-thread disjoint-pair test, DPOR's refined
 // dependence relation (sync ops independent across primitive IDs) plus
-// state dedup must beat adjacent-swap by a strict margin, not just tie.
+// state dedup must beat adjacent-swap's frozen counts by a strict
+// margin, not just tie.
 func TestDPORStrictWin(t *testing.T) {
 	tc, ok := SuiteTest("mp-pair-annotated")
 	if !ok {
 		t.Fatal("mp-pair-annotated missing")
 	}
 	for _, cfg := range allConfigs {
-		d, err := Explore(tc, cfg, Options{Algo: AlgoDPOR})
+		d, err := Explore(tc, cfg, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := Explore(tc, cfg, Options{Algo: AlgoSwap})
-		if err != nil {
-			t.Fatal(err)
+		_, swap, ok := goldenFor(tc.Name, cfg.Name)
+		if !ok {
+			t.Fatalf("%s: no frozen swap count", cfg.Name)
 		}
-		if d.Schedules >= s.Schedules {
-			t.Errorf("%s: dpor %d schedules, swap %d: want strictly fewer", cfg.Name, d.Schedules, s.Schedules)
+		if d.Schedules >= swap {
+			t.Errorf("%s: dpor %d schedules, swap %d: want strictly fewer", cfg.Name, d.Schedules, swap)
 		}
 		if v := d.Verdict(tc); !v.OK {
 			t.Errorf("%s: %v", cfg.Name, v)

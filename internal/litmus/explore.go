@@ -2,32 +2,21 @@ package litmus
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 	"sync"
 
 	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/isa"
 	"repro/internal/mem"
 	"repro/internal/oracle"
 	"repro/internal/topo"
 )
 
-// Exploration algorithms.
-const (
-	// AlgoDPOR is source-DPOR with sleep sets, backtrack sets over the
-	// eviction-sound isa.Deps relation, and state-hash deduplication
-	// (see dpor.go). It is the default: sound for every test, packed
-	// layouts and eviction-bearing schedules included.
-	AlgoDPOR = "dpor"
-	// AlgoSwap is the original adjacent-swap canonicalization, retained
-	// as the reference the DPOR explorer is regression-tested against.
-	// It is only sound for runs without dirty evictions (the verdict
-	// enforces this) and prunes nothing between packed variables.
-	AlgoSwap = "adjacent-swap"
-)
+// AlgoDPOR names the exploration algorithm in every Report: source-DPOR
+// with sleep sets, backtrack sets over the eviction-sound isa.Deps
+// relation, and state-hash deduplication (see dpor.go). It is sound for
+// every test, packed layouts and eviction-bearing schedules included.
+const AlgoDPOR = "dpor"
 
 // Options bounds one exploration.
 type Options struct {
@@ -39,9 +28,6 @@ type Options struct {
 	// dead-end, or dedup-cut); hitting it sets Report.Capped. Default
 	// 200000.
 	MaxSchedules int
-	// Algo selects the exploration algorithm: AlgoDPOR (default) or
-	// AlgoSwap.
-	Algo string
 	// NoDedup disables the DPOR state-hash deduplication, for measuring
 	// its contribution; the exploration is still sound, just larger.
 	NoDedup bool
@@ -53,9 +39,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxSchedules <= 0 {
 		o.MaxSchedules = 200000
-	}
-	if o.Algo == "" {
-		o.Algo = AlgoDPOR
 	}
 	return o
 }
@@ -204,86 +187,6 @@ func (m *machine) finish(t Test, rep *Report, sched string) {
 	}
 }
 
-// replayer is the engine.Scheduler that drives one adjacent-swap run: it
-// replays the prefix of candidate-index choices, then extends it with
-// the first candidate the canonicalization allows, recording the
-// candidate list at every decision for the driver's backtracking.
-type replayer struct {
-	prefix []int
-	budget int
-	pruned *int64
-
-	trace  [][]engine.Candidate
-	chosen []int
-	status int
-}
-
-func (r *replayer) Pick(cands []engine.Candidate) int {
-	d := len(r.chosen)
-	if d >= r.budget {
-		r.status = runTruncated
-		return -1
-	}
-	r.trace = append(r.trace, append([]engine.Candidate(nil), cands...))
-	var choice int
-	if d < len(r.prefix) {
-		choice = r.prefix[d]
-		if choice >= len(cands) {
-			// Deterministic replay guarantees identical candidate sets;
-			// reaching this means the engine or a guest is nondeterministic.
-			panic(fmt.Sprintf("litmus: replay diverged at decision %d: choice %d of %d candidates",
-				d, choice, len(cands)))
-		}
-	} else {
-		choice = -1
-		for j := range cands {
-			if r.prunedAt(d, cands, j) {
-				*r.pruned++
-				continue
-			}
-			choice = j
-			break
-		}
-		if choice < 0 {
-			// Every candidate is pruned: this prefix is a non-canonical
-			// linearization whose representative is explored elsewhere.
-			r.status = runDeadEnd
-			return -1
-		}
-	}
-	r.chosen = append(r.chosen, choice)
-	return choice
-}
-
-// prunedAt implements the adjacent-swap canonicalization: candidate j
-// at decision d is cut iff executing it here would create an adjacent
-// independent inversion — the previous step came from a higher-numbered
-// thread and the two ops commute (isa.Independent). Every schedule
-// equivalence class keeps at least one inversion-free representative,
-// so pruning these branches loses no outcomes; see also the eviction
-// guard that protects the independence relation's soundness.
-func (r *replayer) prunedAt(d int, cands []engine.Candidate, j int) bool {
-	if d == 0 {
-		return false
-	}
-	prev := r.trace[d-1][r.chosen[d-1]]
-	c := cands[j]
-	return prev.Thread > c.Thread && isa.Independent(prev.Op, c.Op)
-}
-
-// schedule renders the executed thread order as a comma-separated ID
-// string ("0,0,1,0"), the replayable identity of the run.
-func (r *replayer) schedule() string {
-	var b strings.Builder
-	for d, c := range r.chosen {
-		if d > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(strconv.Itoa(r.trace[d][c].Thread))
-	}
-	return b.String()
-}
-
 // maxErrorsKept caps Report.Errors; ErrorRuns keeps counting past it.
 const maxErrorsKept = 8
 
@@ -300,91 +203,16 @@ func Explore(t Test, cfg Config, opts Options) (*Report, error) {
 		return nil, fmt.Errorf("litmus %s: %d threads exceed the %d-core litmus machine", t.Name, len(t.Threads), litmusCores)
 	}
 	opts = opts.withDefaults()
-	var explore func(Test, Options, *Report, *machine)
-	switch opts.Algo {
-	case AlgoSwap:
-		explore = exploreSwap
-	case AlgoDPOR:
-		explore = exploreDPOR
-	default:
-		return nil, fmt.Errorf("litmus %s: unknown exploration algorithm %q (want %q or %q)", t.Name, opts.Algo, AlgoDPOR, AlgoSwap)
-	}
-	rep := &Report{Test: t.Name, Config: cfg.Name, Algo: opts.Algo, Outcomes: map[string]*OutcomeInfo{}}
+	rep := &Report{Test: t.Name, Config: cfg.Name, Algo: AlgoDPOR, Outcomes: map[string]*OutcomeInfo{}}
 	pool := machinePool(cfg)
 	m := pool.Get().(*machine)
 	m.load(t, cfg)
-	explore(t, opts, rep, m)
+	exploreDPOR(t, opts, rep, m)
 	// Only a machine whose exploration returned normally goes back: a
 	// panic (a replay divergence) may leave guest coroutines suspended,
 	// and that machine is dropped with them.
 	pool.Put(m)
 	return rep, nil
-}
-
-// exploreSwap is the adjacent-swap reference explorer: repeatedly run
-// the engine from its initial state replaying a prefix of choices,
-// extend canonically to completion, then backtrack to the deepest
-// decision with an unexplored, unpruned candidate.
-func exploreSwap(t Test, opts Options, rep *Report, m *machine) {
-	prefix := []int{}
-	for {
-		if rep.Runs >= opts.MaxSchedules {
-			rep.Capped = true
-			break
-		}
-		r := runSwapOne(t, m, prefix, opts.Budget, rep)
-		next, ok := swapBacktrack(r, &rep.Pruned)
-		if !ok {
-			break
-		}
-		prefix = next
-	}
-}
-
-// swapBacktrack finds the deepest decision with an unexplored, unpruned
-// candidate and returns the prefix that takes it; ok=false means the
-// schedule space is exhausted.
-func swapBacktrack(r *replayer, pruned *int64) ([]int, bool) {
-	for d := len(r.chosen) - 1; d >= 0; d-- {
-		for j := r.chosen[d] + 1; j < len(r.trace[d]); j++ {
-			if r.prunedAt(d, r.trace[d], j) {
-				*pruned++
-				continue
-			}
-			next := make([]int, d+1)
-			copy(next, r.chosen[:d])
-			next[d] = j
-			return next, true
-		}
-	}
-	return nil, false
-}
-
-// runSwapOne executes one adjacent-swap schedule on the reset machine.
-func runSwapOne(t Test, m *machine, prefix []int, budget int, rep *Report) *replayer {
-	m.reset()
-	r := &replayer{prefix: prefix, budget: budget, pruned: &rep.Pruned}
-	m.e.SetScheduler(r)
-
-	_, err := m.e.Run()
-	rep.Runs++
-	switch {
-	case r.status == runDeadEnd:
-		rep.DeadEnds++
-		return r
-	case r.status == runTruncated:
-		rep.Truncated++
-		return r
-	case err != nil:
-		r.status = runError
-		rep.ErrorRuns++
-		if len(rep.Errors) < maxErrorsKept {
-			rep.Errors = append(rep.Errors, fmt.Sprintf("schedule %s: %v", r.schedule(), err))
-		}
-		return r
-	}
-	m.finish(t, rep, r.schedule())
-	return r
 }
 
 // Run explores the test under cfg and judges the result in one call.

@@ -29,7 +29,7 @@ import (
 
 // VarID names one shared variable of a test. The harness places each
 // variable on its own cache line (sequential lines, so tiny tests can
-// never conflict-miss — see the eviction guard in explore.go).
+// never conflict-miss).
 type VarID int
 
 // Reg names one observation register. Registers are global to the test
@@ -263,10 +263,9 @@ type Test struct {
 	OCC bool
 	// Packed lays consecutive variables out word-by-word on shared cache
 	// lines (false sharing) instead of one line per variable. Packed
-	// tests exercise line-granular WB/INV interactions; both explorers
-	// handle them soundly (same-line ops are dependent under both
-	// relations), the adjacent-swap one just prunes nothing between
-	// packed neighbors.
+	// tests exercise line-granular WB/INV interactions, which the
+	// explorer handles soundly: same-line ops are dependent under
+	// isa.Deps.
 	Packed bool
 }
 

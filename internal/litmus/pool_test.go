@@ -8,35 +8,29 @@ import (
 	"testing"
 )
 
-// poolCase is one (test, config, algorithm) exploration.
+// poolCase is one (test, config) exploration.
 type poolCase struct {
 	test Test
 	cfg  Config
-	algo string
 }
 
-func (c poolCase) String() string { return c.test.Name + "/" + c.cfg.Name + "/" + c.algo }
+func (c poolCase) String() string { return c.test.Name + "/" + c.cfg.Name }
 
 // poolCases is Suite plus ExtraSuite under every configuration: every
 // machine shape the pool keys on, warmed by tests of different thread and
-// register counts. Suite tests also run the adjacent-swap explorer, the
-// pool's other user; ExtraSuite's four-thread tests would cost it
-// thousands of schedules each without adding a machine shape.
+// register counts.
 func poolCases() []poolCase {
 	var cases []poolCase
 	for _, tc := range append(slices.Clone(Suite), ExtraSuite...) {
 		for _, cfg := range allConfigs {
-			cases = append(cases, poolCase{tc, cfg, AlgoDPOR})
-			if slices.ContainsFunc(Suite, func(s Test) bool { return s.Name == tc.Name }) {
-				cases = append(cases, poolCase{tc, cfg, AlgoSwap})
-			}
+			cases = append(cases, poolCase{tc, cfg})
 		}
 	}
 	return cases
 }
 
 func explorePoolCase(c poolCase) (*Report, error) {
-	rep, err := Explore(c.test, c.cfg, Options{Algo: c.algo})
+	rep, err := Explore(c.test, c.cfg, Options{})
 	if err != nil {
 		return nil, fmt.Errorf("%v: %w", c, err)
 	}

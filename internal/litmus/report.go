@@ -46,7 +46,7 @@ type Report struct {
 	Test   string `json:"test"`
 	Config string `json:"config"`
 	// Algo is the exploration algorithm that produced the report
-	// (AlgoDPOR or AlgoSwap).
+	// (always AlgoDPOR).
 	Algo string `json:"algo,omitempty"`
 
 	// Runs counts every engine run the exploration performed, whatever
@@ -76,10 +76,9 @@ type Report struct {
 	// proof.
 	Capped bool `json:"capped,omitempty"`
 	// EvictionRuns counts runs that evicted at least one cache line.
-	// Under AlgoSwap any nonzero value voids the pruning's soundness
-	// guarantee (see isa.Independent) and fails the verdict; AlgoDPOR
-	// treats cache-set conflicts as dependencies (isa.Deps), so
-	// evictions are explored soundly and merely counted here.
+	// The explorer treats cache-set conflicts as dependencies
+	// (isa.Deps), so evictions are explored soundly and merely counted
+	// here.
 	EvictionRuns int `json:"eviction_runs,omitempty"`
 
 	// Outcomes maps outcome keys to their aggregate info.
@@ -146,9 +145,6 @@ func (r *Report) Verdict(t Test) Verdict {
 	}
 	if r.Capped {
 		problem("schedule cap hit: exploration is not exhaustive")
-	}
-	if r.EvictionRuns > 0 && r.Algo != AlgoDPOR {
-		problem("%d run(s) evicted cache lines: partial-order pruning is unsound for this test", r.EvictionRuns)
 	}
 
 	var disallowed []*OutcomeInfo

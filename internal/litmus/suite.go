@@ -315,9 +315,9 @@ var Suite = []Test{
 
 // ExtraSuite holds tests outside the standard 20-test matrix: the
 // 4-thread disjoint-pair test that demonstrates the DPOR explorer's
-// strict schedule win over adjacent-swap (cross-pair steps are
-// independent under isa.Deps but not under the legacy relation), and
-// the packed-layout variants the legacy explorer used to reject.
+// strict schedule win over the frozen adjacent-swap counts (cross-pair
+// sync steps are independent under isa.Deps), and packed-layout
+// variants.
 var ExtraSuite = []Test{
 	{
 		Name: "mp-pair-annotated",

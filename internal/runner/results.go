@@ -22,15 +22,11 @@ import (
 )
 
 // Document is the machine-readable outcome of one or more sweeps. The
-// envelope pair (schema, kind) is defined once in internal/envelope;
-// LegacyV1 converts a document back to the pre-envelope hic-results/v1
-// layout for old consumers.
+// envelope pair (schema, kind) is defined once in internal/envelope.
 type Document struct {
-	// Schema is envelope.SchemaV2 (or envelope.ResultsV1 for legacy
-	// documents).
+	// Schema is envelope.SchemaV2.
 	Schema string `json:"schema"`
-	// Kind is envelope.KindResults under the v2 envelope; empty in v1
-	// documents.
+	// Kind is envelope.KindResults.
 	Kind envelope.Kind `json:"kind,omitempty"`
 	// Scale names the problem scale the sweep ran at ("test", "bench").
 	Scale string `json:"scale"`
@@ -170,21 +166,6 @@ func (g *Grid) Records() []RunRecord {
 		recs = append(recs, rec)
 	}
 	return recs
-}
-
-// LegacyV1 returns a copy of the document in the hic-results/v1 layout
-// for consumers that predate the v2 envelope: the kind discriminator
-// and the per-run metrics snapshots (fields v1 never had) are stripped.
-func (d *Document) LegacyV1() *Document {
-	legacy := *d
-	legacy.Schema = envelope.ResultsV1
-	legacy.Kind = ""
-	legacy.Runs = make([]RunRecord, len(d.Runs))
-	copy(legacy.Runs, d.Runs)
-	for i := range legacy.Runs {
-		legacy.Runs[i].Metrics = nil
-	}
-	return &legacy
 }
 
 // Merge combines documents into one (suite "all"): figures and runs are

@@ -175,7 +175,7 @@ func (e *NilOutcomeError) ErrorKind() string { return "nil-outcome" }
 // ReproError reports a fuzz-campaign failure together with the shrunk
 // program that reproduces it, rendered in the internal/litmus DSL. The
 // repro text flows into the cell's RunRecord, so a failed fuzz cell in a
-// hic-results/v1 or hic/v2 document is a self-contained regression test.
+// hic/v2 document is a self-contained regression test.
 type ReproError struct {
 	// Workload and Config label the failed fuzz cell.
 	Workload, Config string

@@ -74,7 +74,7 @@ func TestSerialAndParallelEmitIdenticalJSON(t *testing.T) {
 		if err := g.Err(); err != nil {
 			t.Fatal(err)
 		}
-		d := &Document{Schema: envelope.ResultsV1, Scale: "test", Suite: "intra", Runs: g.Records()}
+		d := &Document{Schema: envelope.SchemaV2, Kind: envelope.KindResults, Scale: "test", Suite: "intra", Runs: g.Records()}
 		var buf bytes.Buffer
 		if err := d.Encode(&buf); err != nil {
 			t.Fatal(err)
@@ -219,7 +219,7 @@ func TestRecordsCarryMetricsAndErrors(t *testing.T) {
 
 func TestEncodeStripsWallTimeAndRoundTrips(t *testing.T) {
 	g := Run(context.Background(), sweepTasks(), Options{Parallel: 1})
-	d := &Document{Schema: envelope.ResultsV1, Scale: "test", Suite: "intra", Runs: g.Records()}
+	d := &Document{Schema: envelope.SchemaV2, Kind: envelope.KindResults, Scale: "test", Suite: "intra", Runs: g.Records()}
 	var canon, timed bytes.Buffer
 	if err := d.Encode(&canon); err != nil {
 		t.Fatal(err)
@@ -238,7 +238,7 @@ func TestEncodeStripsWallTimeAndRoundTrips(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Schema != envelope.ResultsV1 || len(back.Runs) != len(d.Runs) {
+	if back.Schema != envelope.SchemaV2 || len(back.Runs) != len(d.Runs) {
 		t.Errorf("round trip lost data: %+v", back)
 	}
 	if back.Runs[0].Cycles != d.Runs[0].Cycles {
@@ -247,10 +247,10 @@ func TestEncodeStripsWallTimeAndRoundTrips(t *testing.T) {
 }
 
 func TestMergeAndFigureByID(t *testing.T) {
-	a := &Document{Schema: envelope.ResultsV1, Scale: "test", Suite: "intra",
+	a := &Document{Schema: envelope.SchemaV2, Kind: envelope.KindResults, Scale: "test", Suite: "intra",
 		Figures: []Figure{{ID: "figure9"}, {ID: "figure10"}},
 		Runs:    []RunRecord{{Workload: "fft", Config: "HCC"}}}
-	b := &Document{Schema: envelope.ResultsV1, Scale: "test", Suite: "inter",
+	b := &Document{Schema: envelope.SchemaV2, Kind: envelope.KindResults, Scale: "test", Suite: "inter",
 		Figures: []Figure{{ID: "figure11"}, {ID: "figure12"}},
 		Runs:    []RunRecord{{Workload: "ep", Config: "Addr"}}}
 	m := Merge(a, b)

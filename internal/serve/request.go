@@ -18,7 +18,6 @@ import (
 	"time"
 
 	hic "repro"
-	"repro/internal/envelope"
 	"repro/internal/faultinject"
 	"repro/internal/litmus"
 	"repro/internal/overhead"
@@ -36,10 +35,6 @@ type Request struct {
 	// Scale is the problem scale ("test" or "bench"; default "test").
 	// Simulation suites only.
 	Scale string `json:"scale,omitempty"`
-	// Version negotiates the envelope: "", "v2", or "hic/v2" for the
-	// canonical v2 envelope, "v1" for the legacy per-kind layout
-	// (rejected for kinds that predate no envelope, e.g. storage).
-	Version string `json:"version,omitempty"`
 	// Workloads restricts a simulation sweep to the named applications
 	// (sorted and deduplicated by Normalize; unknown names are
 	// rejected).
@@ -67,25 +62,10 @@ type Request struct {
 	// the explorer's defaults).
 	Budget       int `json:"budget,omitempty"`
 	MaxSchedules int `json:"max_schedules,omitempty"`
-	// Swap selects the exhaustive adjacent-swap explorer instead of
-	// DPOR.
-	Swap bool `json:"swap,omitempty"`
 	// Enumerate sweeps the systematic litmus enumeration up to K ops
 	// instead of the curated suite.
 	Enumerate bool `json:"enumerate,omitempty"`
 	K         int  `json:"k,omitempty"`
-}
-
-// Kind is the envelope kind of the document the request produces.
-func (r *Request) Kind() envelope.Kind {
-	switch r.Suite {
-	case "litmus":
-		return envelope.KindLitmus
-	case "overhead":
-		return envelope.KindStorage
-	default:
-		return envelope.KindResults
-	}
 }
 
 // simulation reports whether the suite runs the experiment sweeps (as
@@ -102,19 +82,6 @@ func (r *Request) simulation() bool {
 // request is ready for Key and computation afterward. Errors are safe
 // to return to clients.
 func (r *Request) Normalize() error {
-	gen, err := envelope.Negotiate(r.Version)
-	if err != nil {
-		return err
-	}
-	if gen == envelope.V1 {
-		if r.Kind().V1Schema() == "" {
-			return fmt.Errorf("suite %s has no v1 layout (kind %s postdates the v2 envelope)", r.Suite, r.Kind())
-		}
-		r.Version = "v1"
-	} else {
-		r.Version = "v2"
-	}
-
 	switch {
 	case r.simulation():
 		if r.Scale == "" {
@@ -137,7 +104,7 @@ func (r *Request) Normalize() error {
 			return fmt.Errorf("blocks and cores_per_block apply to suite manycore only")
 		}
 		if r.Test != "" || r.Config != "" || r.Budget != 0 || r.MaxSchedules != 0 ||
-			r.Swap || r.Enumerate || r.K != 0 {
+			r.Enumerate || r.K != 0 {
 			return fmt.Errorf("litmus parameters apply to suite litmus only")
 		}
 		if err := r.normalizeWorkloads(); err != nil {
@@ -187,7 +154,7 @@ func (r *Request) Normalize() error {
 			return err
 		}
 		if r.Test != "" || r.Config != "" || r.Budget != 0 || r.MaxSchedules != 0 ||
-			r.Swap || r.Enumerate || r.K != 0 {
+			r.Enumerate || r.K != 0 {
 			return fmt.Errorf("litmus parameters apply to suite litmus only")
 		}
 	default:
@@ -346,9 +313,6 @@ func (r *Request) compute(ctx context.Context, env computeEnv) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		if r.Version == "v1" {
-			doc = doc.LegacyV1()
-		}
 		if err := doc.Encode(&buf); err != nil {
 			return nil, err
 		}
@@ -356,9 +320,6 @@ func (r *Request) compute(ctx context.Context, env computeEnv) ([]byte, error) {
 		doc, err := r.litmusDocument()
 		if err != nil {
 			return nil, err
-		}
-		if r.Version == "v1" {
-			doc = doc.LegacyV1()
 		}
 		if err := doc.Encode(&buf); err != nil {
 			return nil, err
@@ -420,9 +381,6 @@ func (r *Request) litmusDocument() (*litmus.Document, error) {
 		configs = []litmus.Config{c}
 	}
 	opts := litmus.Options{Budget: r.Budget, MaxSchedules: r.MaxSchedules}
-	if r.Swap {
-		opts.Algo = litmus.AlgoSwap
-	}
 	if r.Enumerate {
 		return litmus.EnumerateDocument(configs, r.K, opts), nil
 	}

@@ -318,16 +318,14 @@ func TestHTTPErrorSurface(t *testing.T) {
 
 	t.Run("invalid-request-400", func(t *testing.T) {
 		for name, req := range map[string]Request{
-			"unknown suite":            {Suite: "nonesuch"},
-			"litmus params on sweep":   {Suite: "intra", K: 3},
-			"sim params on litmus":     {Suite: "litmus", Scale: "test"},
-			"overhead has no v1":       {Suite: "overhead", Version: "v1"},
-			"unknown workload":         {Suite: "intra", Workloads: []string{"nonesuch"}},
-			"manycore needs blocks":    {Suite: "manycore"},
-			"blocks on intra":          {Suite: "intra", Blocks: 4},
-			"enumerate excludes test":  {Suite: "litmus", Enumerate: true, Test: "sb"},
-			"unknown litmus test":      {Suite: "litmus", Test: "nonesuch"},
-			"unknown version spelling": {Suite: "intra", Version: "v3"},
+			"unknown suite":           {Suite: "nonesuch"},
+			"litmus params on sweep":  {Suite: "intra", K: 3},
+			"sim params on litmus":    {Suite: "litmus", Scale: "test"},
+			"unknown workload":        {Suite: "intra", Workloads: []string{"nonesuch"}},
+			"manycore needs blocks":   {Suite: "manycore"},
+			"blocks on intra":         {Suite: "intra", Blocks: 4},
+			"enumerate excludes test": {Suite: "litmus", Enumerate: true, Test: "sb"},
+			"unknown litmus test":     {Suite: "litmus", Test: "nonesuch"},
 		} {
 			_, err := c.Submit(ctx, req)
 			var se *StatusError
@@ -338,14 +336,21 @@ func TestHTTPErrorSurface(t *testing.T) {
 	})
 
 	t.Run("unknown-field-400", func(t *testing.T) {
-		resp, err := http.Post(c.BaseURL+"/v2/sweeps", "application/json",
-			strings.NewReader(`{"suite":"intra","bogus":1}`))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("unknown field accepted: %d", resp.StatusCode)
+		// The removed v1-envelope and adjacent-swap fields must be
+		// refused, not silently dropped into a different layout.
+		for _, body := range []string{
+			`{"suite":"intra","bogus":1}`,
+			`{"suite":"intra","version":"v1"}`,
+			`{"suite":"litmus","swap":true}`,
+		} {
+			resp, err := http.Post(c.BaseURL+"/v2/sweeps", "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("%s accepted: %d", body, resp.StatusCode)
+			}
 		}
 	})
 }
@@ -360,7 +365,7 @@ func TestRequestKeyCanonicalization(t *testing.T) {
 	}
 
 	same := [][2]Request{
-		{{Suite: "intra"}, {Suite: "intra", Scale: "test", Version: "v2"}},
+		{{Suite: "intra"}, {Suite: "intra", Scale: "test"}},
 		{
 			{Suite: "intra", Workloads: []string{"fft", "barnes", "fft"}},
 			{Suite: "intra", Workloads: []string{"barnes", "fft"}},
@@ -379,7 +384,6 @@ func TestRequestKeyCanonicalization(t *testing.T) {
 	for name, r := range map[string]Request{
 		"suite":          {Suite: "inter"},
 		"scale":          {Suite: "intra", Scale: "bench"},
-		"version":        {Suite: "intra", Version: "v1"},
 		"workloads":      {Suite: "intra", Workloads: []string{"fft"}},
 		"coherence":      {Suite: "intra", Coherence: true},
 		"metrics":        {Suite: "intra", Metrics: true},

@@ -76,19 +76,14 @@ func (v Violation) String() string {
 // the violations (empty means the document passes).
 func Check(doc *runner.Document) []Violation {
 	var vs []Violation
-	// Both envelope generations are accepted: the legacy hic-results/v1
-	// layout and the unified hic/v2 envelope with kind "results" (any
-	// other kind is not a results document and cannot be shape-checked).
-	switch doc.Schema {
-	case envelope.ResultsV1:
-	case envelope.SchemaV2:
-		if doc.Kind != envelope.KindResults {
-			return []Violation{{Figure: "document", Rule: "document kind",
-				Detail: fmt.Sprintf("got %q, want %q", doc.Kind, envelope.KindResults)}}
-		}
-	default:
+	// Only a hic/v2 document of kind "results" can be shape-checked.
+	if doc.Schema != envelope.SchemaV2 {
 		return []Violation{{Figure: "document", Rule: "schema version",
-			Detail: fmt.Sprintf("got %q, want %q or %q", doc.Schema, envelope.SchemaV2, envelope.ResultsV1)}}
+			Detail: fmt.Sprintf("got %q, want %q", doc.Schema, envelope.SchemaV2)}}
+	}
+	if doc.Kind != envelope.KindResults {
+		return []Violation{{Figure: "document", Rule: "document kind",
+			Detail: fmt.Sprintf("got %q, want %q", doc.Kind, envelope.KindResults)}}
 	}
 	vs = append(vs, checkRuns(doc)...)
 	if f := doc.FigureByID("figure9"); f != nil {

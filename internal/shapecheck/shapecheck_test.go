@@ -44,7 +44,8 @@ func goodDoc() *runner.Document {
 		}})
 	}
 	return &runner.Document{
-		Schema:  envelope.ResultsV1,
+		Schema:  envelope.SchemaV2,
+		Kind:    envelope.KindResults,
 		Scale:   "test",
 		Suite:   "all",
 		Figures: []runner.Figure{f9, f10, f11, f12},
@@ -59,11 +60,13 @@ func TestGoodDocumentPasses(t *testing.T) {
 }
 
 func TestSchemaVersionRejected(t *testing.T) {
-	d := goodDoc()
-	d.Schema = "hic-results/v0"
-	vs := Check(d)
-	if len(vs) != 1 || vs[0].Rule != "schema version" {
-		t.Fatalf("want single schema violation, got %v", vs)
+	for _, schema := range []string{"hic-results/v0", "hic-results/v1"} {
+		d := goodDoc()
+		d.Schema = schema
+		vs := Check(d)
+		if len(vs) != 1 || vs[0].Rule != "schema version" {
+			t.Errorf("%s: want single schema violation, got %v", schema, vs)
+		}
 	}
 }
 

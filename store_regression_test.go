@@ -3,7 +3,7 @@ package hic
 // Regression gate for the paged backing store: the whole-simulator output
 // must not depend on which mem.Memory implementation backs the hierarchy.
 // The intra-block sweep runs once on the paged store and once on the
-// retained map-based oracle store, and the canonical hic-results/v1
+// retained map-based oracle store, and the canonical hic/v2 results
 // documents must be byte-identical. Any divergence — a footprint
 // miscount, a word read back differently, a latency perturbed by store
 // behavior — fails here with the first differing byte in view.
