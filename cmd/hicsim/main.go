@@ -1,25 +1,41 @@
-// Command hicsim runs the complete reproduction — Table I, the Section
-// VII-A storage comparison, and Figures 9 through 12 — and prints an
-// EXPERIMENTS.md-style report comparing against the paper's headline
-// numbers.
+// Command hicsim runs the reproduction — Table I, the Section VII-A
+// storage comparison, Figures 9 through 12, and the many-core
+// block-scaling sweep — and prints either a text report or the
+// machine-readable document.
 //
 // Usage:
 //
-//	hicsim [-scale test|bench] [-parallel N] [-timeout D] [-json] [-timing] [-check]
-//	       [-check-coherence] [-faults matrix|PLAN] [-metrics] [-trace-chrome F]
+//	hicsim [-suite intra|inter|all|manycore|overhead|table1] [-scale test|bench]
+//	       [-parallel N] [-timeout D] [-json] [-timing] [-check] [-check-coherence]
+//	       [-faults matrix|PLAN] [-metrics] [-trace-chrome F]
 //	       [-cpuprofile F] [-memprofile F]
 //	       [-blocks N] [-cores-per-block N] [-block-parallel] [-server URL]
+//
+// -suite selects what runs, by the names hicserve's requests use:
+//
+//	intra     Figures 9 and 10 (intra-block time and traffic)
+//	inter     Figures 11 and 12 (inter-block WB/INV counts and time)
+//	all       (default) Table I, the storage comparison and Figures 9-12
+//	manycore  the E7 block-scaling sweep: Jacobi and NAS EP on machines of
+//	          1, 2, 4, ... blocks up to -blocks, each of -cores-per-block
+//	          cores (default 8), under Addr+L
+//	overhead  the Section VII-A storage comparison (the incoherent
+//	          hierarchy saves about 102 KB)
+//	table1    Table I, the communication-pattern classification with a
+//	          census of the synchronization operations each kernel executes
+//
+// A flag that does nothing for the chosen suite is an error, not ignored:
+// -blocks and -cores-per-block apply to manycore only, the sweep flags to
+// the four results suites (intra, inter, all, manycore), -json and
+// -server to those and overhead, and table1 is text only.
+// `hicsim -suite manycore -blocks 128 -block-parallel` is the 1024-core
+// sweep.
 //
 // -block-parallel runs every incoherent-hierarchy simulation on the
 // block-parallel engine — one event heap per block on its own goroutine
 // between deterministic sync epochs. Output is byte-identical to the
 // serial engine; fault-injected and recorder-attached runs silently fall
 // back to it.
-//
-// -blocks N switches to the E7 many-core block-scaling sweep instead of
-// the paper figures: Jacobi and NAS EP on machines of 1, 2, 4, ...
-// blocks up to N, each with -cores-per-block cores (default 8), under
-// Addr+L. `hicsim -blocks 128 -block-parallel` is the 1024-core sweep.
 //
 // Runs fan out across -parallel workers (default GOMAXPROCS); results are
 // identical to a serial sweep. -timeout bounds each individual run; a run
@@ -30,22 +46,21 @@
 // and a violation fails the cell with a labeled coherence error.
 //
 // -faults runs the buggy-annotation robustness experiment instead of the
-// figures: "matrix" injects the canonical fault classes (dropped and
-// delayed writebacks, skipped invalidations, a lying IEB, an over-capped
-// MEB) into every intra-block application; any other argument is a fault
-// plan in the internal/faultinject grammar injected as-is. The detection
-// matrix is printed and the command exits nonzero only on harness
-// failures — detected violations are the experiment's successful
+// figures (suite all only): "matrix" injects the canonical fault classes
+// (dropped and delayed writebacks, skipped invalidations, a lying IEB, an
+// over-capped MEB) into every intra-block application; any other argument
+// is a fault plan in the internal/faultinject grammar injected as-is. The
+// detection matrix is printed and the command exits nonzero only on
+// harness failures — detected violations are the experiment's successful
 // outcome.
 //
-// With -json the figures and per-run metrics are emitted as a single
-// machine-readable document on stdout (schema hic/v2, kind "results")
-// instead of the text report; Table I and the storage report are
-// text-only. The JSON is canonical — byte-identical for serial and
-// parallel runs — unless -timing adds host wall times. With -check the
-// paper's expected config-vs-config orderings (DESIGN.md §4) are
-// evaluated against the results and the command exits nonzero on any
-// violation; this is the gate CI runs.
+// With -json the suite's document is emitted on stdout (schema hic/v2,
+// kind "results", or "storage" for overhead) instead of the text report.
+// The JSON is canonical — byte-identical for serial and parallel runs —
+// unless -timing adds host wall times. With -check the paper's expected
+// config-vs-config orderings (DESIGN.md §4) are evaluated against the
+// results document and the command exits nonzero on any violation; this
+// is the gate CI runs.
 //
 // -metrics attaches the observability layer to every run and embeds each
 // cell's deterministic snapshot (cache/MEB/IEB counters, NoC histograms,
@@ -58,98 +73,280 @@
 // are labeled workload/config, so `go tool pprof -tags` attributes
 // samples to experiment cells.
 //
-// -server URL delegates the sweep to a hicserve instance (suite "all",
-// or "manycore" with -blocks) and prints the fetched document —
-// byte-identical to a local -json run; warm resubmits are answered from
-// the server's content-addressed cache without re-simulating. -check
-// still runs locally, against the fetched document.
+// -server URL delegates the suite to a hicserve instance and prints the
+// fetched document — byte-identical to a local -json run; warm resubmits
+// are answered from the server's content-addressed cache without
+// re-simulating. -check still runs locally, against the fetched document.
 package main
 
 import (
 	"bytes"
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
 	"os"
+	"strings"
 	"time"
 
 	hic "repro"
 	"repro/internal/cli"
+	"repro/internal/obs"
 	"repro/internal/runner"
 	"repro/internal/serve"
 	"repro/internal/shapecheck"
 )
 
+// Flag scopes, as space-separated flag names.
+const (
+	// anySuite flags apply to every suite.
+	anySuite   = "suite cpuprofile memprofile"
+	docFlags   = "json server tenant"
+	sweepFlags = docFlags + " scale parallel timeout timing check check-coherence metrics block-parallel"
+	// faultFlags are those the robustness experiment (-faults within
+	// suite all) uses.
+	faultFlags = "scale parallel timeout faults"
+)
+
+// accepts lists, per suite, the flags beyond anySuite that do something
+// there; setting any other flag is an error, the way
+// serve.Request.Normalize rejects inert fields.
+var accepts = map[string]string{
+	"intra":    sweepFlags + " trace-chrome",
+	"inter":    sweepFlags + " trace-chrome",
+	"all":      sweepFlags + " trace-chrome",
+	"manycore": sweepFlags + " blocks cores-per-block",
+	"overhead": docFlags,
+	"table1":   "scale",
+}
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("hicsim: ")
 	f := cli.Register(flag.CommandLine, cli.SweepFlags)
+	suite := flag.String("suite", "all", "what to run: intra, inter, all, manycore, overhead, or table1")
 	flag.Parse()
-	if err := f.Validate(); err != nil {
+	if err := validate(*suite, f); err != nil {
 		log.Fatal(err)
 	}
 	s, err := f.ScaleValue()
 	if err != nil {
 		log.Fatal(err)
 	}
-	stopProfiles := f.StartProfiles()
-	defer stopProfiles()
-
-	opts := f.Options()
 	ctx := context.Background()
 
 	if f.Server != "" {
-		runRemote(ctx, f)
+		runRemote(ctx, *suite, f)
 		return
 	}
+	stopProfiles := f.StartProfiles()
+	defer stopProfiles()
 
-	if f.Blocks > 0 {
-		runManycore(ctx, f, s, opts)
-		return
-	}
-
-	if f.Faults != "" {
-		rep, err := hic.RunBuggyAnnotation(ctx, s, opts...)
+	switch {
+	case f.Faults != "":
+		rep, err := hic.RunBuggyAnnotation(ctx, s, f.Options()...)
 		if rep != nil {
 			fmt.Print(rep.Render())
 		}
 		if err != nil {
 			log.Fatal(err)
 		}
-		return
-	}
-
-	if f.JSON || f.Check || f.Tracing() {
-		intra, intraErr := hic.RunIntra(ctx, s, opts...)
-		inter, interErr := hic.RunInter(ctx, s, opts...)
-		doc := runner.Merge(intra.Document(s), inter.Document(s))
-		if f.JSON {
-			if err := f.EncodeDoc(os.Stdout, doc); err != nil {
-				log.Fatal(err)
-			}
-		}
-		if err := f.WriteTraces(append(intra.Traces, inter.Traces...)); err != nil {
+	case *suite == "table1":
+		out, err := hic.PatternTable(s)
+		if err != nil {
 			log.Fatal(err)
 		}
-		for _, err := range []error{intraErr, interErr} {
-			if err != nil {
-				log.Print(err)
-			}
+		fmt.Print(out)
+	case *suite == "overhead":
+		rep := hic.StorageReport()
+		if !f.JSON {
+			fmt.Print(rep.Render())
+		} else if err := rep.Document().Encode(os.Stdout); err != nil {
+			log.Fatal(err)
 		}
-		if f.Check {
-			vs := shapecheck.Check(doc)
-			fmt.Fprint(os.Stderr, shapecheck.Render(vs))
-			if len(vs) > 0 {
-				os.Exit(1)
-			}
+	default:
+		runLocal(ctx, *suite, f, s)
+	}
+}
+
+// validate rejects an unknown suite and every flag set on the command
+// line that does nothing for it, then bad flag values.
+func validate(suite string, f *cli.Flags) error {
+	if _, ok := accepts[suite]; !ok {
+		return fmt.Errorf("unknown -suite %q (want intra, inter, all, manycore, overhead, or table1)", suite)
+	}
+	mode := "-suite " + suite
+	accepted := accepts[suite]
+	if f.Faults != "" && suite == "all" {
+		mode, accepted = "-faults", faultFlags
+	}
+	var err error
+	flag.Visit(func(fl *flag.Flag) {
+		if err != nil || inList(anySuite+" "+accepted, fl.Name) {
+			return
 		}
-		if intraErr != nil || interErr != nil {
-			os.Exit(1)
+		err = fmt.Errorf("-%s does not apply to %s", fl.Name, mode)
+	})
+	if err != nil {
+		return err
+	}
+	if err := f.Validate(); err != nil {
+		return err
+	}
+	if suite == "manycore" {
+		if f.Blocks < 1 {
+			return fmt.Errorf("-suite manycore requires -blocks N (N >= 1)")
 		}
+		if f.CoresPerBlock < 1 {
+			return fmt.Errorf("-cores-per-block %d: want at least 1", f.CoresPerBlock)
+		}
+	}
+	return nil
+}
+
+// inList reports whether name is a word of the space-separated list.
+func inList(list, name string) bool {
+	return strings.Contains(" "+list+" ", " "+name+" ")
+}
+
+// runRemote delegates the suite to the -server instance and prints the
+// fetched document; -check then gates the decoded bytes exactly as it
+// gates a local run.
+func runRemote(ctx context.Context, suite string, f *cli.Flags) {
+	req := serve.Request{Suite: suite}
+	if suite != "overhead" {
+		req.Scale = f.Scale
+	}
+	if suite == "manycore" {
+		req.Blocks, req.CoresPerBlock = f.Blocks, f.CoresPerBlock
+	}
+	data, err := f.RunRemote(ctx, req, os.Stdout)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if f.Check {
+		doc, err := runner.Decode(bytes.NewReader(data))
+		if err != nil {
+			log.Fatalf("decoding served document: %v", err)
+		}
+		check(doc)
+	}
+}
+
+// check runs the shapecheck gate on a results document, exiting nonzero
+// on any violated ordering.
+func check(doc *runner.Document) {
+	vs := shapecheck.Check(doc)
+	fmt.Fprint(os.Stderr, shapecheck.Render(vs))
+	if len(vs) > 0 {
+		os.Exit(1)
+	}
+}
+
+// runLocal runs a results suite: the document goes to stdout with -json
+// (partial on cell failures) and the text report otherwise; -check gates
+// the document either way.
+func runLocal(ctx context.Context, suite string, f *cli.Flags, s hic.Scale) {
+	sw := sweep(ctx, suite, f, s)
+	if f.JSON {
+		if err := f.EncodeDoc(os.Stdout, sw.doc); err != nil {
+			log.Fatal(err)
+		}
+	}
+	if err := f.WriteTraces(sw.traces); err != nil {
+		log.Fatal(err)
+	}
+	if sw.err != nil {
+		log.Print(sw.err)
+	} else if !f.JSON {
+		sw.text()
+	}
+	if f.Check {
+		check(sw.doc)
+	}
+	if sw.err != nil {
+		os.Exit(1)
+	}
+}
+
+// sweepResult is one results suite's outcome.
+type sweepResult struct {
+	doc    *runner.Document
+	traces []obs.CellTrace
+	text   func()
+	err    error
+}
+
+func sweep(ctx context.Context, suite string, f *cli.Flags, s hic.Scale) sweepResult {
+	opts := f.Options()
+	workers := hic.NewRunOptions(opts...).Workers(1 << 30)
+	switch suite {
+	case "intra":
+		res, err := hic.RunIntra(ctx, s, opts...)
+		return sweepResult{res.Document(s), res.Traces, func() { printIntra(res) }, err}
+	case "inter":
+		res, err := hic.RunInter(ctx, s, opts...)
+		return sweepResult{res.Document(s), res.Traces, func() { printInter(res) }, err}
+	case "manycore":
+		start := time.Now()
+		res, err := hic.RunManycore(ctx, s, hic.ManycoreBlockCounts(f.Blocks), f.CoresPerBlock, opts...)
+		wall := time.Since(start)
+		return sweepResult{res.Document(s), nil, func() {
+			fmt.Printf("== E7: block scaling (up to %d blocks x %d cores) ==============\n",
+				f.Blocks, f.CoresPerBlock)
+			fmt.Println(res.Curve.Render())
+			fmt.Printf("sweep wall time (%d workers): %s\n", workers, wall.Round(time.Millisecond))
+		}, err}
+	}
+	start := time.Now()
+	intra, intraErr := hic.RunIntra(ctx, s, opts...)
+	intraWall := time.Since(start)
+	start = time.Now()
+	inter, interErr := hic.RunInter(ctx, s, opts...)
+	interWall := time.Since(start)
+	return sweepResult{
+		runner.Merge(intra.Document(s), inter.Document(s)),
+		append(intra.Traces, inter.Traces...),
+		func() {
+			printAll(intra, inter)
+			fmt.Printf("\nsweep wall time (%d workers): intra %s, inter %s\n",
+				workers, intraWall.Round(time.Millisecond), interWall.Round(time.Millisecond))
+		},
+		errors.Join(intraErr, interErr),
+	}
+}
+
+// printIntra renders Figures 9 and 10 with each bar's mean.
+func printIntra(res *hic.IntraResult) {
+	fmt.Println(res.Figure9.Render())
+	printMeans("Figure 9 mean normalized execution time", res.Figure9)
+	fmt.Println()
+	fmt.Println(res.Figure10.Render())
+	printMeans("Figure 10 mean normalized traffic", res.Figure10)
+}
+
+// printInter renders Figures 11 and 12 with Figure 12's bar means.
+func printInter(res *hic.InterResult) {
+	fmt.Println(res.Figure11.Render())
+	fmt.Println(res.Figure12.Render())
+	printMeans("Figure 12 mean normalized execution time", res.Figure12)
+}
+
+func printMeans(title string, f *hic.Figure) {
+	fmt.Println(title + ":")
+	if len(f.Groups) == 0 {
 		return
 	}
+	means := f.MeanTotals()
+	for _, b := range f.Groups[0].Bars {
+		fmt.Printf("  %-8s %6.3f\n", b.Label, means[b.Label])
+	}
+}
 
+// printAll renders the whole reproduction: Table I, the storage
+// comparison, and Figures 9-12 against the paper's headline numbers.
+func printAll(intra *hic.IntraResult, inter *hic.InterResult) {
 	fmt.Println("== E1: Table I =================================================")
 	table1, err := hic.PatternTable(hic.ScaleTest)
 	if err != nil {
@@ -161,12 +358,6 @@ func main() {
 	fmt.Println(hic.StorageReport().Render())
 
 	fmt.Println("== E3 + E4: intra-block (Figures 9, 10) ========================")
-	start := time.Now()
-	intra, err := hic.RunIntra(ctx, s, opts...)
-	if err != nil {
-		log.Fatal(err)
-	}
-	intraWall := time.Since(start)
 	fmt.Println(intra.Figure9.Render())
 	m9 := intra.Figure9.MeanTotals()
 	fmt.Printf("mean normalized execution time: Base %.3f (paper ~1.20), B+M+I %.3f (paper ~1.02)\n\n",
@@ -176,74 +367,9 @@ func main() {
 	fmt.Printf("mean normalized traffic: B+M+I %.3f (paper ~0.96)\n\n", m10["B+M+I"])
 
 	fmt.Println("== E5 + E6: inter-block (Figures 11, 12) =======================")
-	start = time.Now()
-	inter, err := hic.RunInter(ctx, s, opts...)
-	if err != nil {
-		log.Fatal(err)
-	}
-	interWall := time.Since(start)
 	fmt.Println(inter.Figure11.Render())
 	fmt.Println(inter.Figure12.Render())
 	m12 := inter.Figure12.MeanTotals()
 	fmt.Printf("mean normalized execution time: Base %.3f, Addr %.3f, Addr+L %.3f (paper: Addr+L ~1.05, -31%% vs Base, -5%% vs Addr)\n",
 		m12["Base"], m12["Addr"], m12["Addr+L"])
-	fmt.Printf("\nsweep wall time (%d workers): intra %s, inter %s\n",
-		hic.NewRunOptions(opts...).Workers(1<<30), intraWall.Round(time.Millisecond), interWall.Round(time.Millisecond))
-}
-
-// runRemote delegates the sweep to the -server instance and prints the
-// fetched document. The shapecheck gate is not a server concern: -check
-// decodes the fetched bytes and evaluates the orderings locally, so the
-// gate behaves identically either way.
-func runRemote(ctx context.Context, f *cli.Flags) {
-	req := serve.Request{Suite: "all"}
-	if f.Blocks > 0 {
-		req = serve.Request{Suite: "manycore", Blocks: f.Blocks, CoresPerBlock: f.CoresPerBlock}
-	}
-	data, err := f.RunRemote(ctx, req, os.Stdout)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if f.Check {
-		doc, err := runner.Decode(bytes.NewReader(data))
-		if err != nil {
-			log.Fatalf("decoding served document: %v", err)
-		}
-		vs := shapecheck.Check(doc)
-		fmt.Fprint(os.Stderr, shapecheck.Render(vs))
-		if len(vs) > 0 {
-			os.Exit(1)
-		}
-	}
-}
-
-// runManycore executes the E7 block-scaling sweep selected by -blocks:
-// power-of-two machines up to -blocks blocks of -cores-per-block cores,
-// e.g. `hicsim -blocks 128 -cores-per-block 8 -block-parallel` for the
-// 1024-core sweep. With -json the document (suite "manycore") is emitted
-// on stdout; otherwise the normalized-execution-time curve is rendered
-// as text.
-func runManycore(ctx context.Context, f *cli.Flags, s hic.Scale, opts []hic.Option) {
-	start := time.Now()
-	res, err := hic.RunManycore(ctx, s, hic.ManycoreBlockCounts(f.Blocks), f.CoresPerBlock, opts...)
-	wall := time.Since(start)
-	if f.JSON {
-		if res != nil {
-			if encErr := f.EncodeDoc(os.Stdout, res.Document(s)); encErr != nil {
-				log.Fatal(encErr)
-			}
-		}
-		if err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("== E7: block scaling (up to %d blocks x %d cores) ==============\n",
-		f.Blocks, f.CoresPerBlock)
-	fmt.Println(res.Curve.Render())
-	fmt.Printf("sweep wall time (%d workers): %s\n",
-		hic.NewRunOptions(opts...).Workers(1<<30), wall.Round(time.Millisecond))
 }

@@ -7,6 +7,8 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"os"
 	"os/exec"
@@ -137,6 +139,44 @@ func TestHicsimFlagPlumbing(t *testing.T) {
 		}
 	})
 
+	t.Run("manycore-check", func(t *testing.T) {
+		cmd := exec.Command(bin, "-suite", "manycore", "-blocks", "2", "-scale", "test", "-json", "-check")
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		if err := cmd.Run(); err != nil {
+			t.Fatalf("hicsim: %v\nstderr:\n%s", err, stderr.String())
+		}
+		if !strings.Contains(stderr.String(), "shapecheck: all expected orderings hold") {
+			t.Errorf("no shapecheck verdict on stderr:\n%s", stderr.String())
+		}
+	})
+
+	// Flags that do nothing for the chosen suite are rejected, not
+	// silently ignored.
+	for _, tc := range []struct {
+		name string
+		args []string
+		want string
+	}{
+		{"blocks-outside-manycore-exits-nonzero", []string{"-suite", "intra", "-blocks", "2"}, "-blocks does not apply"},
+		{"cores-per-block-outside-manycore-exits-nonzero", []string{"-cores-per-block", "4"}, "-cores-per-block does not apply"},
+		{"faults-with-suite-exits-nonzero", []string{"-suite", "inter", "-faults", "matrix"}, "-faults does not apply"},
+		{"json-with-table1-exits-nonzero", []string{"-suite", "table1", "-json"}, "-json does not apply"},
+		{"check-with-table1-exits-nonzero", []string{"-suite", "table1", "-check"}, "-check does not apply"},
+		{"server-with-table1-exits-nonzero", []string{"-suite", "table1", "-server", "http://127.0.0.1:1"}, "-server does not apply"},
+		{"unknown-suite-exits-nonzero", []string{"-suite", "storage"}, "unknown -suite"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			out, err := exec.Command(bin, append([]string{"-scale", "test"}, tc.args...)...).CombinedOutput()
+			if err == nil {
+				t.Fatalf("hicsim %v accepted:\n%s", tc.args, out)
+			}
+			if !strings.Contains(string(out), tc.want) {
+				t.Errorf("error does not say %q:\n%s", tc.want, out)
+			}
+		})
+	}
+
 	t.Run("bad-flag-exits-nonzero", func(t *testing.T) {
 		if err := exec.Command(bin, "-definitely-not-a-flag").Run(); err == nil {
 			t.Fatal("unknown flag accepted")
@@ -148,4 +188,49 @@ func TestHicsimFlagPlumbing(t *testing.T) {
 			t.Fatal("unknown scale accepted")
 		}
 	})
+}
+
+// TestSuiteOutputsPinned pins stdout of every suite, text and -json, at
+// test scale. The digests were taken from the per-figure commands this
+// one replaced, so they also prove the fold changed no output byte.
+func TestSuiteOutputsPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the binary")
+	}
+	bin := buildHicsim(t)
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-suite", "intra", "-scale", "test", "-json"}, "16a4dddf7ceec3729115ac95d6d0f61ac8148a80d408e935850633f95fab931e"},
+		{[]string{"-suite", "intra", "-scale", "test"}, "03d83e1489eafcf579cc1507053a3f9607948e1b5ae553a722d9c2337a0be84c"},
+		{[]string{"-suite", "inter", "-scale", "test", "-json"}, "ca88d21e0b39492ad17c5784047797613f44fd27c7bf3b51a6b4ef46881012f3"},
+		{[]string{"-suite", "inter", "-scale", "test"}, "3de371901c0f1fec113b99d45432c2951bc9adf146b0b7272cbaece3e8d751e2"},
+		{[]string{"-suite", "all", "-scale", "test", "-json"}, "9f1138cdeac479ab816f6fb299ee022a5139dcec7ddac6e00117850a3930c3ff"},
+		{[]string{"-suite", "all", "-scale", "test"}, "88418acf100416965bdac123a7c23c42da581c5d4d6717ad03c48d6560ccb7aa"},
+		{[]string{"-suite", "overhead", "-json"}, "24686374509b8fd25671fbb13ca511cd2b0c99d6ebde2b54d78bcd470191a87e"},
+		{[]string{"-suite", "overhead"}, "1dacf5b0c48c9997198f815f70acaba3c94ed1448a131ff6d5bec2eb7aa198e3"},
+		{[]string{"-suite", "manycore", "-blocks", "4", "-scale", "test", "-json"}, "4aa5726b9e5724f75ad67d4b9eb9d218107f6c4bf375aa894ed99ca211a96b06"},
+		{[]string{"-suite", "manycore", "-blocks", "4", "-scale", "test"}, "49085037d20e88e7ddacd11f5f91fc7423a8ecd635cc338eff5e5506081c1db6"},
+		{[]string{"-suite", "table1", "-scale", "test"}, "96e2e0a32303c3aa485353d7a5fccde104f33db7b936720fbacabcb39671f71a"},
+	} {
+		name := strings.Join(tc.args, " ")
+		t.Run(name, func(t *testing.T) {
+			out, err := exec.Command(bin, tc.args...).Output()
+			if err != nil {
+				t.Fatalf("hicsim %s: %v", name, err)
+			}
+			// The wall-time line is the one nondeterministic output.
+			var kept []byte
+			for _, line := range bytes.SplitAfter(out, []byte("\n")) {
+				if !bytes.HasPrefix(line, []byte("sweep wall time")) {
+					kept = append(kept, line...)
+				}
+			}
+			sum := sha256.Sum256(kept)
+			if got := hex.EncodeToString(sum[:]); got != tc.want {
+				t.Errorf("stdout sha256 = %s, want %s", got, tc.want)
+			}
+		})
+	}
 }

@@ -58,7 +58,7 @@ func configByName(name string) hic.Config {
 
 func record(args []string) {
 	fs := flag.NewFlagSet("record", flag.ExitOnError)
-	app := fs.String("app", "fft", "workload name (see cmd/patterns for the list)")
+	app := fs.String("app", "fft", "workload name (see hicsim -suite table1 for the list)")
 	config := fs.String("config", "B+M+I", "configuration to record under")
 	dir := fs.String("dir", ".", "output directory")
 	fs.Parse(args)

@@ -5,10 +5,10 @@
 // with a Mask and registers only its extras, and the parsed values
 // convert to hic run options and JSON encoding policy in one place.
 //
-// Typical use (see cmd/intrablock for a complete example):
+// Typical use (see cmd/hicsim for a complete example):
 //
-//	f := cli.Register(flag.CommandLine, cli.FigureFlags)
-//	extra := flag.Bool("traffic", false, "...")   // command-specific
+//	f := cli.Register(flag.CommandLine, cli.SweepFlags)
+//	suite := flag.String("suite", "all", "...")   // command-specific
 //	flag.Parse()
 //	s, err := f.ScaleValue()
 //	...
@@ -71,10 +71,6 @@ const (
 	SweepFlags = FlagScale | FlagParallel | FlagTimeout | FlagJSON | FlagTiming |
 		FlagCheck | FlagCoherence | FlagFaults | FlagObs | FlagProfile |
 		FlagTopo | FlagServer
-	// FigureFlags is the single-figure sweep set (intrablock, interblock):
-	// everything but the shapecheck gate, fault injection, and topology.
-	FigureFlags = FlagScale | FlagParallel | FlagTimeout | FlagJSON | FlagTiming |
-		FlagCoherence | FlagObs | FlagProfile | FlagServer
 	// FuzzFlags is the fuzz-campaign set (hicfuzz): machine output plus
 	// sweep parallelism and wall-time reporting.
 	FuzzFlags = FlagParallel | FlagJSON | FlagTiming
@@ -83,8 +79,6 @@ const (
 // Flags holds the parsed shared flags. Fields whose flag was not
 // selected by the mask keep their defaults.
 type Flags struct {
-	mask Mask
-
 	// Scale is the problem scale spelling ("test" or "bench").
 	Scale string
 	// Parallel is the sweep worker count.
@@ -109,8 +103,8 @@ type Flags struct {
 	TraceChrome string
 	// CPUProfile and MemProfile are pprof output paths.
 	CPUProfile, MemProfile string
-	// Blocks selects the many-core block-scaling sweep up to this block
-	// count (0 = run the standard paper sweeps instead).
+	// Blocks is the largest block count of the many-core block-scaling
+	// sweep.
 	Blocks int
 	// CoresPerBlock is the cores per block of the many-core machines.
 	CoresPerBlock int
@@ -132,7 +126,7 @@ type Flags struct {
 // the destination Flags. Call it before registering command-specific
 // extras so the shared spellings stay first in -help output.
 func Register(fs *flag.FlagSet, mask Mask) *Flags {
-	f := &Flags{mask: mask, Scale: "bench", Parallel: runtime.GOMAXPROCS(0), K: 4}
+	f := &Flags{Scale: "bench", Parallel: runtime.GOMAXPROCS(0), K: 4}
 	if mask&FlagScale != 0 {
 		fs.StringVar(&f.Scale, "scale", f.Scale, "problem scale: test or bench")
 	}
@@ -166,7 +160,7 @@ func Register(fs *flag.FlagSet, mask Mask) *Flags {
 		fs.StringVar(&f.MemProfile, "memprofile", "", "write a heap profile to this file on exit")
 	}
 	if mask&FlagTopo != 0 {
-		fs.IntVar(&f.Blocks, "blocks", 0, "run the many-core block-scaling sweep: powers of two up to this block count (0 = standard sweeps)")
+		fs.IntVar(&f.Blocks, "blocks", 0, "largest block count of the many-core block-scaling sweep (powers of two up to it)")
 		fs.IntVar(&f.CoresPerBlock, "cores-per-block", hic.DefaultManycoreCoresPerBlock, "cores per block of the many-core machines")
 		fs.BoolVar(&f.BlockParallel, "block-parallel", false, "run each simulation on the block-parallel engine (one goroutine per block; results are byte-identical)")
 	}
@@ -195,12 +189,6 @@ func (f *Flags) ScaleValue() (hic.Scale, error) {
 // Validate rejects values the flag parser accepts but the tools do not
 // (bad -scale spellings are reported by ScaleValue).
 func (f *Flags) Validate() error {
-	if f.Blocks < 0 {
-		return fmt.Errorf("-blocks %d: want a positive block count (or 0 for the standard sweeps)", f.Blocks)
-	}
-	if f.Blocks > 0 && f.CoresPerBlock < 1 {
-		return fmt.Errorf("-cores-per-block %d: want at least 1", f.CoresPerBlock)
-	}
 	if f.K < 1 {
 		return fmt.Errorf("-k %d: want an op budget of at least 1", f.K)
 	}
@@ -217,8 +205,6 @@ func (f *Flags) Validate() error {
 			return fmt.Errorf("-trace-chrome is incompatible with -server (stall timelines stay on the server)")
 		case f.CPUProfile != "" || f.MemProfile != "":
 			return fmt.Errorf("profiling flags are incompatible with -server (profile the server process instead)")
-		case f.Faults != "":
-			return fmt.Errorf("-faults is incompatible with -server (the robustness experiment runs locally only)")
 		}
 	}
 	return nil
@@ -263,15 +249,12 @@ func (f *Flags) EncodeDoc(w io.Writer, doc *runner.Document) error {
 	return doc.Encode(w)
 }
 
-// RunRemote completes req from the shared flags (-scale,
-// -check-coherence, -metrics, -block-parallel), runs it on the -server
+// RunRemote completes req from the shared flags (-check-coherence,
+// -metrics, -block-parallel), runs it on the -server
 // instance — riding out 429 backpressure per the server's Retry-After
 // hints — and writes the fetched document bytes to w (skipped when w is
 // nil). The bytes are identical to the equivalent local -json run.
 func (f *Flags) RunRemote(ctx context.Context, req serve.Request, w io.Writer) ([]byte, error) {
-	if f.mask&FlagScale != 0 && req.Scale == "" {
-		req.Scale = f.Scale
-	}
 	if f.CheckCoherence {
 		req.Coherence = true
 	}

@@ -28,11 +28,9 @@ func parse(t *testing.T, mask Mask, args ...string) *Flags {
 
 // masks mirrors the per-command flag selections in cmd/*.
 var masks = map[string]Mask{
-	"hicsim":     SweepFlags,
-	"intrablock": FigureFlags,
-	"interblock": FigureFlags,
-	"litmus":     FlagJSON | FlagExplore,
-	"overhead":   FlagJSON,
+	"hicsim":  SweepFlags,
+	"hicfuzz": FuzzFlags,
+	"litmus":  FlagJSON | FlagExplore | FlagServer,
 }
 
 // argFor maps each registered shared flag to a non-default test value.

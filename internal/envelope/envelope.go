@@ -28,20 +28,6 @@ const (
 	KindFuzz Kind = "fuzz"
 )
 
-// Kinds lists every valid kind, in a fixed order.
-func Kinds() []Kind {
-	return []Kind{KindResults, KindLitmus, KindMetrics, KindStorage, KindFuzz}
-}
-
-// Valid reports whether k is a known envelope kind.
-func (k Kind) Valid() bool {
-	switch k {
-	case KindResults, KindLitmus, KindMetrics, KindStorage, KindFuzz:
-		return true
-	}
-	return false
-}
-
 // String returns the kind's JSON spelling.
 func (k Kind) String() string { return string(k) }
 

@@ -63,8 +63,8 @@ func TestServedIntraBytesEqualLocalAndWarmResubmitHits(t *testing.T) {
 	s, c := newTestServer(t, Config{Workers: 1, Parallel: 1})
 	ctx := context.Background()
 
-	// The local reference: exactly what `intrablock -json` computes for
-	// the same workload filter.
+	// The local reference: exactly what `hicsim -suite intra -json`
+	// computes for the same workload filter.
 	res, err := hic.RunIntra(ctx, hic.ScaleTest, hic.WithParallel(1), hic.WithOnly("fft"))
 	if err != nil {
 		t.Fatal(err)
