@@ -1,199 +1,156 @@
 package hic
 
-// Determinism and scale tests for the block-parallel engine: the sweep
-// documents — figures, run records, metrics snapshots — must be
-// byte-identical whether incoherent-hierarchy cells execute on the
-// serial scheduler or on one goroutine per block, and the many-core
-// block-scaling sweep (up to 128 blocks × 8 cores = 1024 simulated
-// cores) must complete inside the tier-1 test budget.
+// Differential tests for the block-parallel executor on the real Model 2
+// workloads. Sweeps always run on the serial engine; the executor
+// survives only as a differential oracle (fuzzgen's third leg), so these
+// tests drive it directly through core.Hierarchy.SetBlockParallel on
+// multi-block machines and require every cell to reproduce the serial
+// sweep's outcome exactly — including the cells whose recorder or fault
+// plan must keep the hierarchy from sharding. They also keep the
+// 1024-core topology inside the tier-1 budget.
 
 import (
-	"bytes"
 	"context"
+	"reflect"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/runner"
 )
 
-// TestBlockParallelInterSweepMatchesSerial is the headline determinism
-// gate for the block-parallel executor: the inter-block machine has four
-// blocks, so every incoherent cell actually exercises the sharded path,
-// and the resulting JSON document must equal the serial one byte for
-// byte. Coherence checking is deliberately off — an attached oracle
-// records per-load values but the engine result must already match.
-func TestBlockParallelInterSweepMatchesSerial(t *testing.T) {
-	serial, err := RunInter(context.Background(), ScaleTest, WithParallel(2))
-	if err != nil {
-		t.Fatal(err)
+// interCellsOnExecutor reruns every incoherent cell of the inter sweep
+// res, which ran under opts, on a hierarchy opted into the executor and
+// built the way the sweep's task body builds it. Each cell must return
+// the sweep's outcome: the same error, or the same result, global WB/INV
+// counts and (with metrics) snapshot. wantShards is the shard count the
+// hierarchy must report once opts' recorder and fault state are
+// attached: 4 when the executor engages, 1 when they force serial.
+func interCellsOnExecutor(t *testing.T, res *InterResult, opts RunOptions, wantShards int) {
+	t.Helper()
+	records := map[[2]string]runner.RunRecord{}
+	for _, r := range res.Runs {
+		records[[2]string{r.Workload, r.Config}] = r
 	}
-	par, err := RunInter(context.Background(), ScaleTest, WithParallel(2), WithBlockParallel())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sj := encodeDoc(t, serial.Document(ScaleTest))
-	pj := encodeDoc(t, par.Document(ScaleTest))
-	if !bytes.Equal(sj, pj) {
-		t.Errorf("inter sweep differs between serial and block-parallel engines:\nserial:\n%s\nblock-parallel:\n%s", sj, pj)
-	}
-}
-
-// TestBlockParallelIntraSweepMatchesSerial covers the single-block
-// machine: ParallelShards degrades to 1 there, so the option must be an
-// exact no-op.
-func TestBlockParallelIntraSweepMatchesSerial(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the intra sweep twice")
-	}
-	serial, err := RunIntra(context.Background(), ScaleTest, WithParallel(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := RunIntra(context.Background(), ScaleTest, WithParallel(2), WithBlockParallel())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(encodeDoc(t, serial.Document(ScaleTest)), encodeDoc(t, par.Document(ScaleTest))) {
-		t.Error("intra sweep differs between serial and block-parallel engines")
-	}
-}
-
-// TestBlockParallelMetricsSnapshotsMatchSerial pins the degrade contract
-// for observability: a recorder-attached run is not sharded (the
-// recorder samples freely across cores), so requesting both metrics and
-// block parallelism must still produce the serial document — snapshots
-// included — except for the explicit degradation markers, which must
-// fire on every incoherent cell and appear nowhere in the serial sweep.
-func TestBlockParallelMetricsSnapshotsMatchSerial(t *testing.T) {
-	serial, err := RunInter(context.Background(), ScaleTest, WithParallel(2), WithMetrics())
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := RunInter(context.Background(), ScaleTest, WithParallel(2), WithMetrics(), WithBlockParallel())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range serial.Runs {
-		if r.DegradedToSerial != "" {
-			t.Errorf("%s/%s: serial sweep marked degraded (%q)", r.Workload, r.Config, r.DegradedToSerial)
-		}
-	}
-	// Every incoherent cell on the four-block machine must be marked, in
-	// both the run record and the obs counter; HCC cells (MESI hierarchy,
-	// never sharded) must not be.
-	for i := range par.Runs {
-		r := &par.Runs[i]
-		if r.Metrics == nil {
-			t.Fatalf("%s/%s: no metrics snapshot under block parallelism", r.Workload, r.Config)
-		}
-		degraded := r.Config != "HCC"
-		if got := r.DegradedToSerial; (got == "recorder") != degraded {
-			t.Errorf("%s/%s: degraded_to_serial = %q, want %v", r.Workload, r.Config, got, degraded)
-		}
-		if got := r.Metrics.Counters["engine.degraded_to_serial"]; (got == 1) != degraded {
-			t.Errorf("%s/%s: engine.degraded_to_serial counter = %d, want firing=%v", r.Workload, r.Config, got, degraded)
-		}
-		// Normalize the markers away; everything else must match the
-		// serial document byte for byte.
-		r.DegradedToSerial = ""
-		delete(r.Metrics.Counters, "engine.degraded_to_serial")
-	}
-	sj := encodeDoc(t, serial.Document(ScaleTest))
-	pj := encodeDoc(t, par.Document(ScaleTest))
-	if !bytes.Equal(sj, pj) {
-		t.Error("metrics-bearing inter sweep differs between serial and block-parallel engines beyond the degrade markers")
-	}
-}
-
-// TestBlockParallelDegradeReasons pins the full reason vocabulary of the
-// degraded_to_serial field: fault injection, an attached recorder, and a
-// coherence observer each force the serial engine on a multi-block
-// machine, and the run record names which one did it.
-func TestBlockParallelDegradeReasons(t *testing.T) {
-	cases := []struct {
-		reason string
-		opts   []Option
-	}{
-		// The fault plan's trigger index is past any realistic op count,
-		// so the cells still pass — only the attached cursor state forces
-		// serial execution.
-		{"fault-injection", []Option{WithFaultPlan("drop-wb@99999999; seed=1")}},
-		{"recorder", []Option{WithMetrics()}},
-		{"observer", []Option{WithCoherenceCheck()}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.reason, func(t *testing.T) {
-			opts := append([]Option{WithParallel(2), WithOnly("ep"), WithBlockParallel()}, tc.opts...)
-			res, err := RunInter(context.Background(), ScaleTest, opts...)
+	for i, w := range InterWorkloads(ScaleTest) {
+		for _, mode := range InterModes {
+			if mode == ModeHCC {
+				continue // MESI hierarchy: never sharded
+			}
+			cell := w.Name + "/" + mode.String()
+			want := records[[2]string{w.Name, mode.String()}]
+			wl := InterWorkloads(ScaleTest)[i]
+			h := NewModeHierarchy(NewInterMachine(), mode).(*core.Hierarchy)
+			h.SetBlockParallel(true)
+			rec := opts.instrument(h)
+			orc, _, err := opts.checks(h, wl.Threads)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(res.Runs) == 0 {
-				t.Fatal("sweep produced no run records")
+			if got := h.ParallelShards(); got != wantShards {
+				t.Fatalf("%s: %d shards, want %d", cell, got, wantShards)
 			}
-			for _, r := range res.Runs {
-				want := tc.reason
-				if r.Config == "HCC" {
-					want = "" // MESI hierarchy: never sharded, never degraded
+			r, err := wl.RunObserved(context.Background(), h, mode, orc, rec)
+			if err != nil || want.Error != "" {
+				if err == nil || err.Error() != want.Error {
+					t.Errorf("%s: error %v on the executor, %q serial", cell, err, want.Error)
 				}
-				if r.DegradedToSerial != want {
-					t.Errorf("%s/%s: degraded_to_serial = %q, want %q", r.Workload, r.Config, r.DegradedToSerial, want)
-				}
+				continue
 			}
-		})
-	}
-}
-
-// TestBlockParallelSeededFaultSweepMatchesSerial pins the other degrade
-// path: a fault plan forces serial execution (fault cursors are global
-// state), and the seeded sweep's document — detected violations and all
-// — must be unchanged by the option.
-func TestBlockParallelSeededFaultSweepMatchesSerial(t *testing.T) {
-	opts := func(blockPar bool) RunOptions {
-		o := RunOptions{
-			Parallel:       2,
-			CheckCoherence: true,
-			Faults:         "drop-wb@rand; skip-inv@rand; seed=7",
+			if serial := res.Raw[w.Name][mode.String()]; !reflect.DeepEqual(r, serial) {
+				t.Errorf("%s: result differs from the serial sweep:\nserial: %+v\nblock-parallel: %+v", cell, serial, r)
+			}
+			if wb, inv := h.GlobalOps(); wb != want.GlobalWB || inv != want.GlobalINV {
+				t.Errorf("%s: global WB/INV %d/%d on the executor, %d/%d serial", cell, wb, inv, want.GlobalWB, want.GlobalINV)
+			}
+			if opts.Metrics && !reflect.DeepEqual(rec.Snapshot(), want.Metrics) {
+				t.Errorf("%s: metrics snapshot differs from the serial sweep's", cell)
+			}
 		}
-		o.BlockParallel = blockPar
-		return o
-	}
-	// Injected faults make cells fail with detected coherence violations;
-	// that is the experiment working, so only the documents are compared.
-	serial, _ := runIntraOpts(context.Background(), ScaleTest, opts(false))
-	par, _ := runIntraOpts(context.Background(), ScaleTest, opts(true))
-	if !bytes.Equal(encodeDoc(t, serial.Document(ScaleTest)), encodeDoc(t, par.Document(ScaleTest))) {
-		t.Error("seeded fault sweep differs between serial and block-parallel engines")
 	}
 }
 
-// TestManycoreSweepMatchesSerial runs the block-scaling experiment both
-// ways on machines where the sharded path is really taken (2 and 4
-// blocks) and requires byte-identical documents.
+// TestBlockParallelInterSweepMatchesSerial is the executor's determinism
+// gate on the inter-block machine: it has four blocks, so every
+// incoherent cell really takes the sharded path.
+func TestBlockParallelInterSweepMatchesSerial(t *testing.T) {
+	opts := NewRunOptions(WithParallel(2))
+	res, err := runInterOpts(context.Background(), ScaleTest, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	interCellsOnExecutor(t, res, opts, 4)
+}
+
+// TestBlockParallelMetricsSnapshotsMatchSerial: a recorder samples
+// freely across cores, so an attached one must keep the hierarchy from
+// sharding, and the snapshot must equal the serial sweep's.
+func TestBlockParallelMetricsSnapshotsMatchSerial(t *testing.T) {
+	opts := NewRunOptions(WithParallel(2), WithMetrics())
+	res, err := runInterOpts(context.Background(), ScaleTest, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	interCellsOnExecutor(t, res, opts, 1)
+}
+
+// TestBlockParallelSeededFaultSweepMatchesSerial: a fault plan's cursors
+// are global state, so it must keep the hierarchy from sharding, and the
+// seeded cells must fail (or pass) exactly as in the serial sweep.
+func TestBlockParallelSeededFaultSweepMatchesSerial(t *testing.T) {
+	opts := NewRunOptions(WithParallel(2), WithCoherenceCheck(),
+		WithFaultPlan("drop-wb@5; skip-inv@5"))
+	// Injected faults make cells fail with detected coherence
+	// violations; that is the experiment working, so the sweep's error
+	// is not checked here — each cell's is, against the executor's.
+	res, _ := runInterOpts(context.Background(), ScaleTest, opts)
+	failed := 0
+	for _, r := range res.Runs {
+		if r.Error != "" {
+			failed++
+		}
+	}
+	if failed == 0 {
+		t.Fatal("the fault plan made no cell fail")
+	}
+	interCellsOnExecutor(t, res, opts, 1)
+}
+
+// TestManycoreSweepMatchesSerial reruns the block-scaling sweep's
+// multi-block cells (2 and 4 blocks) under the executor and requires
+// results identical to the serial sweep's.
 func TestManycoreSweepMatchesSerial(t *testing.T) {
 	blocks := []int{1, 2, 4}
-	serial, err := RunManycore(context.Background(), ScaleTest, blocks, 8)
+	res, err := RunManycore(context.Background(), ScaleTest, blocks, DefaultManycoreCoresPerBlock)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := RunManycore(context.Background(), ScaleTest, blocks, 8, WithBlockParallel())
-	if err != nil {
-		t.Fatal(err)
+	if len(res.Curve.Groups) != 2 {
+		t.Fatalf("curve has %d groups, want 2", len(res.Curve.Groups))
 	}
-	sj := encodeDoc(t, serial.Document(ScaleTest))
-	pj := encodeDoc(t, par.Document(ScaleTest))
-	if !bytes.Equal(sj, pj) {
-		t.Errorf("manycore sweep differs between serial and block-parallel engines:\nserial:\n%s\nblock-parallel:\n%s", sj, pj)
-	}
-	if len(serial.Curve.Groups) != 2 {
-		t.Fatalf("curve has %d groups, want 2", len(serial.Curve.Groups))
+	for _, b := range blocks[1:] {
+		for _, wl := range ManycoreWorkloads(ScaleTest, b*DefaultManycoreCoresPerBlock) {
+			h := NewModeHierarchy(NewManycoreMachine(b, DefaultManycoreCoresPerBlock), ModeAddrL).(*core.Hierarchy)
+			h.SetBlockParallel(true)
+			if h.ParallelShards() != b {
+				t.Fatalf("%s/blocks-%d: %d shards", wl.Name, b, h.ParallelShards())
+			}
+			got, err := wl.Run(h, ModeAddrL)
+			if err != nil {
+				t.Fatalf("%s/blocks-%d on the executor: %v", wl.Name, b, err)
+			}
+			if want := res.Raw[wl.Name][b]; !reflect.DeepEqual(got, want) {
+				t.Errorf("%s/blocks-%d: result differs from the serial sweep:\nserial: %+v\nblock-parallel: %+v", wl.Name, b, want, got)
+			}
+		}
 	}
 }
 
 // TestManycoreSmoke is the 1024-core smoke cell: one tiny Jacobi run on
-// the 128-block machine under the block-parallel engine, inside the
-// tier-1 budget. It pins that the full topology — 32×32 mesh, 128 L2s,
-// 1024 thread contexts — actually builds and runs.
+// the 128-block machine, inside the tier-1 budget. It pins that the full
+// topology — 32×32 mesh, 128 L2s, 1024 thread contexts — actually builds
+// and runs.
 func TestManycoreSmoke(t *testing.T) {
-	res, err := RunManycore(context.Background(), ScaleTest, []int{128}, 8,
-		WithBlockParallel(), WithOnly("jacobi"))
+	res, err := RunManycore(context.Background(), ScaleTest, []int{128}, DefaultManycoreCoresPerBlock, WithOnly("jacobi"))
 	if err != nil {
 		t.Fatal(err)
 	}

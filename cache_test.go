@@ -23,7 +23,6 @@ func TestCacheKeyIgnoresOrchestration(t *testing.T) {
 		"serial":         NewRunOptions(WithMetrics(), WithCoherenceCheck(), WithParallel(1)),
 		"eight workers":  NewRunOptions(WithMetrics(), WithCoherenceCheck(), WithParallel(8)),
 		"timeout":        NewRunOptions(WithMetrics(), WithCoherenceCheck(), WithTimeout(time.Minute)),
-		"retries":        NewRunOptions(WithMetrics(), WithCoherenceCheck(), WithRetry(3, time.Millisecond)),
 		"reversed order": NewRunOptions(WithCoherenceCheck(), WithMetrics()),
 		"only filter":    NewRunOptions(WithMetrics(), WithCoherenceCheck(), WithOnly("fft")),
 	}
@@ -33,10 +32,9 @@ func TestCacheKeyIgnoresOrchestration(t *testing.T) {
 		}
 	}
 	diff := map[string]RunOptions{
-		"fault plan":     NewRunOptions(WithMetrics(), WithCoherenceCheck(), WithFaultPlan("drop-wb@3")),
-		"seed":           NewRunOptions(WithMetrics(), WithCoherenceCheck(), WithSeed(7)),
-		"block parallel": NewRunOptions(WithMetrics(), WithCoherenceCheck(), WithBlockParallel()),
-		"no metrics":     NewRunOptions(WithCoherenceCheck()),
+		"fault plan": NewRunOptions(WithMetrics(), WithCoherenceCheck(), WithFaultPlan("drop-wb@3")),
+		"seed":       NewRunOptions(WithMetrics(), WithCoherenceCheck(), WithSeed(7)),
+		"no metrics": NewRunOptions(WithCoherenceCheck()),
 	}
 	for name, o := range diff {
 		if got := intraKeyHash(o); got == ref {
@@ -45,14 +43,16 @@ func TestCacheKeyIgnoresOrchestration(t *testing.T) {
 	}
 }
 
-// TestObserverAloneMovesCellKey: attaching an Observer without Metrics
-// still attaches a recorder, which changes block-parallel degradation
-// (degraded_to_serial), so it must have its own address.
-func TestObserverAloneMovesCellKey(t *testing.T) {
+// TestObserverAloneSharesPlainCellKey: an Observer without Metrics
+// attaches a recorder but embeds no snapshot, and recording never
+// changes results, so an observed cell computes the plain cell's bytes
+// and must share its address. Metrics does change the record (it embeds
+// the snapshot), so its key must still differ.
+func TestObserverAloneSharesPlainCellKey(t *testing.T) {
 	plain := intraKeyHash(NewRunOptions())
 	observed := intraKeyHash(NewRunOptions(WithObserver(func(string, string, *Recorder) {})))
-	if plain == observed {
-		t.Error("Observer-only options share the plain cell key")
+	if plain != observed {
+		t.Error("Observer-only options moved the cell key off the plain one")
 	}
 	withMetrics := intraKeyHash(NewRunOptions(WithMetrics()))
 	if observed == withMetrics {

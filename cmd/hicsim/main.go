@@ -9,7 +9,7 @@
 //	       [-parallel N] [-timeout D] [-json] [-timing] [-check] [-check-coherence]
 //	       [-faults matrix|PLAN] [-metrics] [-trace-chrome F]
 //	       [-cpuprofile F] [-memprofile F]
-//	       [-blocks N] [-cores-per-block N] [-block-parallel] [-server URL]
+//	       [-blocks N] [-cores-per-block N] [-server URL]
 //
 // -suite selects what runs, by the names hicserve's requests use:
 //
@@ -28,14 +28,7 @@
 // -blocks and -cores-per-block apply to manycore only, the sweep flags to
 // the four results suites (intra, inter, all, manycore), -json and
 // -server to those and overhead, and table1 is text only.
-// `hicsim -suite manycore -blocks 128 -block-parallel` is the 1024-core
-// sweep.
-//
-// -block-parallel runs every incoherent-hierarchy simulation on the
-// block-parallel engine — one event heap per block on its own goroutine
-// between deterministic sync epochs. Output is byte-identical to the
-// serial engine; fault-injected and recorder-attached runs silently fall
-// back to it.
+// `hicsim -suite manycore -blocks 128` runs machines up to 1024 cores.
 //
 // Runs fan out across -parallel workers (default GOMAXPROCS); results are
 // identical to a serial sweep. -timeout bounds each individual run; a run
@@ -103,7 +96,7 @@ const (
 	// anySuite flags apply to every suite.
 	anySuite   = "suite cpuprofile memprofile"
 	docFlags   = "json server tenant"
-	sweepFlags = docFlags + " scale parallel timeout timing check check-coherence metrics block-parallel"
+	sweepFlags = docFlags + " scale parallel timeout timing check check-coherence metrics"
 	// faultFlags are those the robustness experiment (-faults within
 	// suite all) uses.
 	faultFlags = "scale parallel timeout faults"
@@ -309,7 +302,7 @@ func sweep(ctx context.Context, suite string, f *cli.Flags, s hic.Scale) sweepRe
 		runner.Merge(intra.Document(s), inter.Document(s)),
 		append(intra.Traces, inter.Traces...),
 		func() {
-			printAll(intra, inter)
+			printAll(s, intra, inter)
 			fmt.Printf("\nsweep wall time (%d workers): intra %s, inter %s\n",
 				workers, intraWall.Round(time.Millisecond), interWall.Round(time.Millisecond))
 		},
@@ -344,11 +337,12 @@ func printMeans(title string, f *hic.Figure) {
 	}
 }
 
-// printAll renders the whole reproduction: Table I, the storage
-// comparison, and Figures 9-12 against the paper's headline numbers.
-func printAll(intra *hic.IntraResult, inter *hic.InterResult) {
+// printAll renders the whole reproduction at scale s: Table I, the
+// storage comparison, and Figures 9-12 against the paper's headline
+// numbers.
+func printAll(s hic.Scale, intra *hic.IntraResult, inter *hic.InterResult) {
 	fmt.Println("== E1: Table I =================================================")
-	table1, err := hic.PatternTable(hic.ScaleTest)
+	table1, err := hic.PatternTable(s)
 	if err != nil {
 		log.Fatal(err)
 	}

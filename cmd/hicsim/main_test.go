@@ -165,6 +165,7 @@ func TestHicsimFlagPlumbing(t *testing.T) {
 		{"check-with-table1-exits-nonzero", []string{"-suite", "table1", "-check"}, "-check does not apply"},
 		{"server-with-table1-exits-nonzero", []string{"-suite", "table1", "-server", "http://127.0.0.1:1"}, "-server does not apply"},
 		{"unknown-suite-exits-nonzero", []string{"-suite", "storage"}, "unknown -suite"},
+		{"block-parallel-exits-nonzero", []string{"-suite", "manycore", "-blocks", "2", "-block-parallel"}, "flag provided but not defined: -block-parallel"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			out, err := exec.Command(bin, append([]string{"-scale", "test"}, tc.args...)...).CombinedOutput()

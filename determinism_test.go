@@ -12,6 +12,7 @@ package hic
 import (
 	"bytes"
 	"context"
+	"strings"
 	"testing"
 )
 
@@ -75,5 +76,29 @@ func TestOracleSweepIsDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 	if !bytes.Equal(encodeDoc(t, serial.Document(ScaleTest)), encodeDoc(t, parallel.Document(ScaleTest))) {
 		t.Error("oracle-checked inter-block sweep differs between 1 and 8 workers")
+	}
+}
+
+// TestFaultedInterSweepIsRepeatable pins the Model 2 failure text: a
+// faulted inter cell can also fail output verification, and the
+// mismatch it reports must not depend on map iteration order.
+func TestFaultedInterSweepIsRepeatable(t *testing.T) {
+	opts := RunOptions{Parallel: 2, CheckCoherence: true, Faults: "drop-wb@5; skip-inv@5"}
+	a, _ := runInterOpts(context.Background(), ScaleTest, opts)
+	verification := 0
+	for _, r := range a.Runs {
+		if strings.Contains(r.Error, "verification:") {
+			verification++
+		}
+	}
+	if verification == 0 {
+		t.Fatal("no faulted inter cell failed verification; the test is vacuous")
+	}
+	want := encodeDoc(t, a.Document(ScaleTest))
+	for i := 0; i < 3; i++ {
+		b, _ := runInterOpts(context.Background(), ScaleTest, opts)
+		if !bytes.Equal(want, encodeDoc(t, b.Document(ScaleTest))) {
+			t.Fatal("two identical faulted inter sweeps emitted different documents")
+		}
 	}
 }

@@ -75,19 +75,15 @@ func InterWorkloads(s Scale) []*IRWorkload {
 }
 
 // RunOptions controls a sweep: orchestration (worker count, per-run
-// timeout, transient-failure retries) plus the robustness checks
-// (coherence oracle, fault injection). The zero value runs with
-// GOMAXPROCS workers, no timeout, and no checks.
+// timeout) plus the robustness checks (coherence oracle, fault
+// injection). The zero value runs with GOMAXPROCS workers, no timeout,
+// and no checks.
 type RunOptions struct {
 	// Parallel is the worker count; values <= 0 mean GOMAXPROCS.
 	Parallel int
 	// Timeout bounds each individual run; 0 means none. See
 	// runner.Options.
 	Timeout time.Duration
-	// Retries and RetryBackoff rerun cells whose failure is transient
-	// (timeouts). See runner.Options.
-	Retries      int
-	RetryBackoff time.Duration
 	// CheckCoherence attaches the shadow-memory coherence oracle
 	// (internal/oracle) to every run: each load is checked against the
 	// happens-before-legal value set, and a violation fails the cell
@@ -119,12 +115,6 @@ type RunOptions struct {
 	// ran; absent applications simply contribute no groups. The -short
 	// regression paths use this to avoid re-simulating full sweeps.
 	Only []string
-	// BlockParallel runs incoherent-hierarchy cells under the engine's
-	// block-parallel executor (one goroutine per block between
-	// deterministic sync epochs). Results are byte-identical to serial
-	// execution; cells with fault injection or a recorder attached
-	// degrade to the serial engine on their own.
-	BlockParallel bool
 	// Cache, when non-nil, is a content-addressed result cache: before a
 	// cell simulates, its runner.CellKey hash is looked up, and a hit
 	// returns the stored outcome with zero engine steps. Determinism
@@ -142,11 +132,8 @@ type RunOptions struct {
 }
 
 // cacheOptions is the result-affecting option subset that participates
-// in the cache key. Parallel/Timeout/Retries are excluded — they cannot
-// change a deterministic cell's bytes. "recording" is distinct from
-// "metrics" because merely attaching a recorder (an Observer without
-// Metrics) changes block-parallel degradation, and therefore the
-// record's degraded_to_serial field, without embedding a snapshot.
+// in the cache key. Parallel, Timeout and a bare Observer are excluded:
+// they cannot change a deterministic cell's bytes.
 func (o RunOptions) cacheOptions() map[string]string {
 	m := map[string]string{}
 	if o.CheckCoherence {
@@ -154,12 +141,6 @@ func (o RunOptions) cacheOptions() map[string]string {
 	}
 	if o.Metrics {
 		m["metrics"] = "1"
-	}
-	if o.BlockParallel {
-		m["block_parallel"] = "1"
-	}
-	if o.recording() {
-		m["recording"] = "1"
 	}
 	return m
 }
@@ -199,41 +180,6 @@ func (o RunOptions) withCache(s Scale, topology string, t runner.Task) runner.Ta
 	return t
 }
 
-// engage applies the block-parallel option to a freshly built hierarchy
-// (a no-op for hierarchies that do not support sharding, i.e. MESI).
-func (o RunOptions) engage(h engine.Hierarchy) {
-	if !o.BlockParallel {
-		return
-	}
-	if ch, ok := h.(*core.Hierarchy); ok {
-		ch.SetBlockParallel(true)
-	}
-}
-
-// degradeReason reports why this cell's requested block-parallel
-// execution will nevertheless run serially: the hierarchy's own degrade
-// causes first (fault plans and recorders are global state), then an
-// attached oracle (the engine refuses to shard observed runs — the
-// observer consumes a serialized event stream). Empty when sharding
-// engages, when block parallelism was not requested, or when the
-// hierarchy cannot shard at all (MESI, single-block machines).
-func (o RunOptions) degradeReason(h engine.Hierarchy, orc *oracle.Oracle) string {
-	if !o.BlockParallel {
-		return ""
-	}
-	ch, ok := h.(*core.Hierarchy)
-	if !ok {
-		return ""
-	}
-	if r := ch.DegradeReason(); r != "" {
-		return r
-	}
-	if orc != nil && ch.ParallelShards() > 1 {
-		return "observer"
-	}
-	return ""
-}
-
 // wants reports whether workload name is selected by the Only filter.
 func (o RunOptions) wants(name string) bool {
 	if len(o.Only) == 0 {
@@ -252,10 +198,7 @@ func (o RunOptions) Workers(n int) int { return o.runner().Workers(n) }
 
 // runner converts the orchestration subset to runner.Options.
 func (o RunOptions) runner() runner.Options {
-	return runner.Options{
-		Parallel: o.Parallel, Timeout: o.Timeout,
-		Retries: o.Retries, RetryBackoff: o.RetryBackoff,
-	}
+	return runner.Options{Parallel: o.Parallel, Timeout: o.Timeout}
 }
 
 // checks builds the per-run fault state and oracle for a hierarchy,
@@ -280,17 +223,12 @@ func (o RunOptions) checks(h engine.Hierarchy, threads int) (*oracle.Oracle, *fa
 	return orc, st, nil
 }
 
-// recording reports whether the options ask for any observability.
-func (o RunOptions) recording() bool {
-	return o.Metrics || o.Trace || o.Observer != nil
-}
-
 // instrument builds the cell's recorder per the options and attaches it
 // to the hierarchy's components; nil when observability is off.
 // Metrics-only cells keep exact totals and high-water marks but store
 // no timelines (negative caps); tracing buys the bounded rings.
 func (o RunOptions) instrument(h engine.Hierarchy) *obs.Recorder {
-	if !o.recording() {
+	if !o.Metrics && !o.Trace && o.Observer == nil {
 		return nil
 	}
 	cfg := obs.Config{SpanCap: -1, TrackCap: -1}
@@ -381,7 +319,6 @@ func intraTasks(s Scale, opts RunOptions) []runner.Task {
 				Run: func(ctx context.Context) (*runner.Outcome, error) {
 					wl := IntraWorkloads(s)[i]
 					h := NewHierarchy(NewIntraMachine(), cfg)
-					opts.engage(h)
 					rec := opts.instrument(h)
 					orc, _, err := opts.checks(h, wl.Threads)
 					if err != nil {
@@ -392,7 +329,7 @@ func intraTasks(s Scale, opts RunOptions) []runner.Task {
 						opts.finish(wl.Name, cfg.Name, rec, nil)
 						return nil, err
 					}
-					out := &runner.Outcome{Result: r, Degraded: opts.degradeReason(h, orc)}
+					out := &runner.Outcome{Result: r}
 					opts.finish(wl.Name, cfg.Name, rec, out)
 					return out, nil
 				},
@@ -532,7 +469,6 @@ func interTasks(s Scale, opts RunOptions) []runner.Task {
 				Run: func(ctx context.Context) (*runner.Outcome, error) {
 					wl := InterWorkloads(s)[i]
 					h := NewModeHierarchy(NewInterMachine(), mode)
-					opts.engage(h)
 					rec := opts.instrument(h)
 					orc, _, err := opts.checks(h, wl.Threads)
 					if err != nil {
@@ -543,7 +479,7 @@ func interTasks(s Scale, opts RunOptions) []runner.Task {
 						opts.finish(wl.Name, mode.String(), rec, nil)
 						return nil, err
 					}
-					out := &runner.Outcome{Result: r, Degraded: opts.degradeReason(h, orc)}
+					out := &runner.Outcome{Result: r}
 					if hi, ok := h.(*core.Hierarchy); ok {
 						out.GlobalWB, out.GlobalINV = hi.GlobalOps()
 					}

@@ -58,8 +58,8 @@ const (
 	FlagObs
 	// FlagProfile is -cpuprofile and -memprofile.
 	FlagProfile
-	// FlagTopo is -blocks, -cores-per-block, and -block-parallel (custom
-	// machine topology and the block-parallel engine).
+	// FlagTopo is -blocks and -cores-per-block (custom machine
+	// topology).
 	FlagTopo
 	// FlagExplore is -enumerate and -k (systematic litmus enumeration).
 	FlagExplore
@@ -108,8 +108,6 @@ type Flags struct {
 	Blocks int
 	// CoresPerBlock is the cores per block of the many-core machines.
 	CoresPerBlock int
-	// BlockParallel runs each simulation on the block-parallel engine.
-	BlockParallel bool
 	// Enumerate sweeps the systematic litmus enumeration instead of the
 	// curated suite.
 	Enumerate bool
@@ -162,7 +160,6 @@ func Register(fs *flag.FlagSet, mask Mask) *Flags {
 	if mask&FlagTopo != 0 {
 		fs.IntVar(&f.Blocks, "blocks", 0, "largest block count of the many-core block-scaling sweep (powers of two up to it)")
 		fs.IntVar(&f.CoresPerBlock, "cores-per-block", hic.DefaultManycoreCoresPerBlock, "cores per block of the many-core machines")
-		fs.BoolVar(&f.BlockParallel, "block-parallel", false, "run each simulation on the block-parallel engine (one goroutine per block; results are byte-identical)")
 	}
 	if mask&FlagExplore != 0 {
 		fs.BoolVar(&f.Enumerate, "enumerate", false, "sweep every litmus shape up to -k ops instead of the curated suite")
@@ -234,9 +231,6 @@ func (f *Flags) Options() []hic.Option {
 	if f.Tracing() {
 		opts = append(opts, hic.WithTracing())
 	}
-	if f.BlockParallel {
-		opts = append(opts, hic.WithBlockParallel())
-	}
 	return opts
 }
 
@@ -249,20 +243,17 @@ func (f *Flags) EncodeDoc(w io.Writer, doc *runner.Document) error {
 	return doc.Encode(w)
 }
 
-// RunRemote completes req from the shared flags (-check-coherence,
-// -metrics, -block-parallel), runs it on the -server
-// instance — riding out 429 backpressure per the server's Retry-After
-// hints — and writes the fetched document bytes to w (skipped when w is
-// nil). The bytes are identical to the equivalent local -json run.
+// RunRemote completes req from the shared flags (-check-coherence and
+// -metrics), runs it on the -server instance — riding out 429
+// backpressure per the server's Retry-After hints — and writes the
+// fetched document bytes to w (skipped when w is nil). The bytes are
+// identical to the equivalent local -json run.
 func (f *Flags) RunRemote(ctx context.Context, req serve.Request, w io.Writer) ([]byte, error) {
 	if f.CheckCoherence {
 		req.Coherence = true
 	}
 	if f.Metrics {
 		req.Metrics = true
-	}
-	if f.BlockParallel {
-		req.BlockParallel = true
 	}
 	c := &serve.Client{BaseURL: f.Server, Tenant: f.Tenant}
 	data, err := c.Run(ctx, req)

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 
 	"repro/internal/engine"
 	"repro/internal/mem"
@@ -116,12 +118,14 @@ func (w *IRWorkload) RunObserved(ctx context.Context, h engine.Hierarchy, mode M
 // VerifyMemory checks the drained memory against the sequential reference.
 func (w *IRWorkload) VerifyMemory(m *mem.Memory) error {
 	ref := Reference(w.Prog)
-	for name, want := range ref {
+	// Check arrays in name order so a failed run always reports the same
+	// mismatch: the message lands in the canonical run record.
+	for _, name := range slices.Sorted(maps.Keys(ref)) {
 		if w.SkipVerify[name] {
 			continue
 		}
 		arr := w.Prog.Arrays[name]
-		for i, v := range want {
+		for i, v := range ref[name] {
 			if got := m.ReadWord(arr.At(i)); got != v {
 				return fmt.Errorf("array %q element %d = %d, want %d", name, i, got, v)
 			}

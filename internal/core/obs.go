@@ -61,13 +61,6 @@ func (h *Hierarchy) sampleIEB(core int) {
 
 // collect reads the hierarchy's existing counters into a snapshot.
 func (h *Hierarchy) collect(c *obs.Collect) {
-	// A collector only runs with a recorder attached, which is itself a
-	// degrade cause on a multi-block machine, so the counter fires
-	// exactly when a block-parallel request silently fell back to the
-	// serial engine (ParallelShards == 1; see DegradeReason).
-	if h.DegradeReason() != "" {
-		c.Count("engine.degraded_to_serial", 1)
-	}
 	var l1 cache.Stats
 	for _, cc := range h.l1 {
 		addCacheStats(&l1, cc)

@@ -43,27 +43,6 @@ func (h *Hierarchy) ParallelShards() int {
 	return h.m.Blocks
 }
 
-// DegradeReason explains why a hierarchy opted into block parallelism
-// will nevertheless execute serially: "fault-injection" when a fault
-// plan is attached (its cursors are global state), "recorder" when an
-// observability recorder is attached (it samples freely across cores).
-// Empty when sharding actually engages, when block parallelism was
-// never requested, or on a single-block machine — there is nothing to
-// shard there, so the option is an exact no-op rather than a
-// degradation.
-func (h *Hierarchy) DegradeReason() string {
-	if !h.blockPar || h.m.Blocks <= 1 {
-		return ""
-	}
-	switch {
-	case h.fi != nil:
-		return "fault-injection"
-	case h.rec != nil:
-		return "recorder"
-	}
-	return ""
-}
-
 // ShardOf maps a core to its shard — the block it belongs to. The shard
 // index deliberately equals the block index: the engine's cross-block DMA
 // check relies on OpDMACopy's Peer (a block) naming the target shard.

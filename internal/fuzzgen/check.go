@@ -14,6 +14,12 @@ import (
 // uses the default fast-forward engine on the single-block litmus
 // machine; the differential trio runs on a two-block machine so the
 // block-parallel engine actually shards.
+//
+// This is the block-parallel executor's only non-test caller: no sweep,
+// command or server request can select it, because it is slower than
+// the serial engine at every measured block count. It stays as an
+// independently written third implementation of the same semantics, so
+// a divergence between any two legs points at the engine that broke.
 const (
 	engFastForward = iota
 	engSerial

@@ -7,9 +7,9 @@
 // them, in what order their flags were spelled, or in what order an
 // options map was populated (json.Marshal sorts map keys).
 //
-// Orchestration options (worker count, timeouts, retries) are
-// deliberately absent from the key: they cannot change a deterministic
-// cell's outcome, only how fast it is computed.
+// Orchestration options (worker count, timeouts) are deliberately
+// absent from the key: they cannot change a deterministic cell's
+// outcome, only how fast it is computed.
 
 package runner
 
@@ -41,9 +41,8 @@ type CellKey struct {
 	// the keying discipline.
 	Seed int64 `json:"seed,omitempty"`
 	// Options is the result-affecting option subset, as a string map
-	// ("coherence", "metrics", "block_parallel", "recording").
-	// json.Marshal sorts the keys, so insertion order cannot perturb
-	// the hash.
+	// ("coherence", "metrics"). json.Marshal sorts the keys, so
+	// insertion order cannot perturb the hash.
 	Options map[string]string `json:"options,omitempty"`
 	// CodeVersion pins the address to the simulator build that computed
 	// the outcome (see CodeVersion()); a new revision never reuses old

@@ -26,10 +26,8 @@ func TestCellKeyHashIgnoresMapOrder(t *testing.T) {
 	a.Options = map[string]string{}
 	a.Options["coherence"] = "1"
 	a.Options["metrics"] = "1"
-	a.Options["block_parallel"] = "1"
 	b := baseKey()
 	b.Options = map[string]string{}
-	b.Options["block_parallel"] = "1"
 	b.Options["metrics"] = "1"
 	b.Options["coherence"] = "1"
 	if a.Hash() != b.Hash() {
@@ -48,7 +46,7 @@ func TestCellKeyHashSeparatesFields(t *testing.T) {
 		"scale":        func(k *CellKey) { k.Scale = "bench" },
 		"faults":       func(k *CellKey) { k.Faults = "drop-wb@3" },
 		"seed":         func(k *CellKey) { k.Seed = 7 },
-		"options":      func(k *CellKey) { k.Options["block_parallel"] = "1" },
+		"options":      func(k *CellKey) { delete(k.Options, "metrics") },
 		"code_version": func(k *CellKey) { k.CodeVersion = "def456" },
 	}
 	for name, mut := range muts {

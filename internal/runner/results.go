@@ -83,16 +83,9 @@ type RunRecord struct {
 	// error).
 	Error     string `json:"error,omitempty"`
 	ErrorKind string `json:"error_kind,omitempty"`
-	// Attempts is emitted only when transient-failure retries reran the
-	// cell (values > 1).
-	Attempts int `json:"attempts,omitempty"`
 	// Repro is the shrunk litmus-DSL reproduction of a fuzz-repro
 	// failure, making the record a self-contained regression test.
 	Repro string `json:"repro,omitempty"`
-	// DegradedToSerial names why a requested block-parallel execution
-	// fell back to the serial engine ("fault-injection", "recorder",
-	// "observer"); empty when sharding engaged or was never requested.
-	DegradedToSerial string `json:"degraded_to_serial,omitempty"`
 	// Metrics is the cell's observability snapshot when the sweep ran
 	// with metrics enabled. It is deterministic (all values are
 	// simulation-derived) and therefore survives canonical encoding.
@@ -140,13 +133,9 @@ func (g *Grid) Records() []RunRecord {
 				rec.Repro = re.Repro
 			}
 		}
-		if c.Attempts > 1 {
-			rec.Attempts = c.Attempts
-		}
 		if c.Outcome != nil {
 			rec.GlobalWB, rec.GlobalINV = c.Outcome.GlobalWB, c.Outcome.GlobalINV
 			rec.Metrics = c.Outcome.Metrics
-			rec.DegradedToSerial = c.Outcome.Degraded
 			if r := c.Outcome.Result; r != nil {
 				rec.Cycles = r.Cycles
 				rec.Stalls = make(map[string]int64, int(stats.NumStallKinds))

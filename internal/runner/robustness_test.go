@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -36,80 +35,6 @@ func TestNilOutcomeFailsCell(t *testing.T) {
 	}
 	if rec := g.Records()[0]; rec.ErrorKind != "nil-outcome" {
 		t.Errorf("record kind = %q, want nil-outcome", rec.ErrorKind)
-	}
-}
-
-func TestTransientRetryRecovers(t *testing.T) {
-	var calls int32
-	tasks := []Task{{
-		Workload: "fft", Config: "Base",
-		Run: func(ctx context.Context) (*Outcome, error) {
-			if atomic.AddInt32(&calls, 1) == 1 {
-				// Deterministic first-attempt timeout: wait for the
-				// cancellation the runner will deliver.
-				<-ctx.Done()
-				return nil, ctx.Err()
-			}
-			return &Outcome{Result: &engine.Result{Cycles: 7}}, nil
-		},
-	}}
-	g := Run(context.Background(), tasks, Options{
-		Parallel: 1, Timeout: 20 * time.Millisecond,
-		Retries: 2, RetryBackoff: time.Millisecond,
-	})
-	c := g.Get("fft", "Base")
-	if c.Err != nil {
-		t.Fatalf("retried cell failed: %v", c.Err)
-	}
-	if c.Attempts != 2 {
-		t.Errorf("Attempts = %d, want 2", c.Attempts)
-	}
-	if c.Outcome == nil || c.Outcome.Result.Cycles != 7 {
-		t.Errorf("outcome = %+v, want the second attempt's result", c.Outcome)
-	}
-	if rec := g.Records()[0]; rec.Attempts != 2 {
-		t.Errorf("record attempts = %d, want 2", rec.Attempts)
-	}
-}
-
-func TestRetriesAreBounded(t *testing.T) {
-	var calls int32
-	tasks := []Task{{
-		Workload: "fft", Config: "Base",
-		Run: func(ctx context.Context) (*Outcome, error) {
-			atomic.AddInt32(&calls, 1)
-			<-ctx.Done()
-			return nil, ctx.Err()
-		},
-	}}
-	g := Run(context.Background(), tasks, Options{
-		Parallel: 1, Timeout: 10 * time.Millisecond, Retries: 2,
-	})
-	c := g.Get("fft", "Base")
-	var te *TimeoutError
-	if !errors.As(c.Err, &te) {
-		t.Fatalf("err = %v, want TimeoutError", c.Err)
-	}
-	if c.Attempts != 3 || atomic.LoadInt32(&calls) != 3 {
-		t.Errorf("attempts = %d (calls %d), want 3", c.Attempts, calls)
-	}
-}
-
-func TestNonTransientFailureIsNotRetried(t *testing.T) {
-	var calls int32
-	tasks := []Task{{
-		Workload: "fft", Config: "Base",
-		Run: func(ctx context.Context) (*Outcome, error) {
-			atomic.AddInt32(&calls, 1)
-			return nil, errors.New("verification: wrong answer")
-		},
-	}}
-	g := Run(context.Background(), tasks, Options{Parallel: 1, Retries: 5})
-	if atomic.LoadInt32(&calls) != 1 {
-		t.Errorf("deterministic failure ran %d times, want 1", calls)
-	}
-	if c := g.Get("fft", "Base"); c.Attempts != 1 {
-		t.Errorf("Attempts = %d, want 1", c.Attempts)
 	}
 }
 

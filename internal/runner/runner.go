@@ -15,9 +15,7 @@
 // or crashing guest fails its own cell with a labeled error instead of
 // taking down (or hanging) the whole sweep. Failures carry a small error
 // taxonomy (ErrorKind: panic, timeout, livelock, coherence, nil-outcome,
-// canceled) that flows into the JSON records, and failures marked
-// transient (currently timeouts, which depend on host load) can be
-// retried with exponential backoff.
+// canceled) that flows into the JSON records.
 package runner
 
 import (
@@ -46,13 +44,6 @@ type Options struct {
 	// without leaking; only a body wedged outside the engine step loop is
 	// abandoned, after a grace period.
 	Timeout time.Duration
-	// Retries is how many times a cell whose failure is transient
-	// (currently timeouts) is rerun before the failure sticks. 0 means
-	// no retries.
-	Retries int
-	// RetryBackoff is the sleep before the first retry; it doubles on
-	// each subsequent one. 0 means retry immediately.
-	RetryBackoff time.Duration
 }
 
 // Workers returns the effective worker count for n tasks.
@@ -96,11 +87,6 @@ type Outcome struct {
 	// Trace is the run's stall-span timeline for Chrome-trace export,
 	// when the sweep ran with tracing enabled (nil otherwise).
 	Trace *obs.Trace
-	// Degraded names why a requested block-parallel execution silently
-	// fell back to the serial engine ("fault-injection", "recorder",
-	// "observer"); empty when sharding engaged or was never requested.
-	// It flows into the cell's RunRecord as degraded_to_serial.
-	Degraded string
 }
 
 // Cell is one completed grid entry.
@@ -112,12 +98,8 @@ type Cell struct {
 	// Err is the run's failure, labeled with the cell's workload and
 	// config (timeouts and panics included).
 	Err error
-	// Wall is the host wall-clock duration of the run, across all
-	// attempts.
+	// Wall is the host wall-clock duration of the run.
 	Wall time.Duration
-	// Attempts is how many times the cell ran (1 unless transient
-	// failures were retried).
-	Attempts int
 }
 
 // PanicError is a guest panic captured by the orchestrator.
@@ -151,11 +133,6 @@ func (e *TimeoutError) Error() string {
 
 // ErrorKind labels the failure for the error taxonomy.
 func (e *TimeoutError) ErrorKind() string { return "timeout" }
-
-// Transient marks timeouts as retryable: the simulator is deterministic,
-// but its wall-clock budget is not — a loaded host can push a healthy
-// run past the limit.
-func (e *TimeoutError) Transient() bool { return true }
 
 // NilOutcomeError reports a task body that returned neither an outcome
 // nor an error — a bug in the task, surfaced instead of recorded as a
@@ -215,12 +192,6 @@ func ErrorKind(err error) string {
 	return "error"
 }
 
-// transient reports whether a failure declares itself retryable.
-func transient(err error) bool {
-	var tr interface{ Transient() bool }
-	return errors.As(err, &tr) && tr.Transient()
-}
-
 // Grid holds a completed sweep: every cell in task order, addressable by
 // (workload, config) key. Iteration order is the task order regardless of
 // which runs finished first.
@@ -270,30 +241,15 @@ func Run(ctx context.Context, tasks []Task, opts Options) *Grid {
 // this; only a body wedged outside the engine can exhaust it.
 const bodyGrace = 2 * time.Second
 
-// runOne executes a single task with timeout, panic capture, and bounded
-// retry of transient failures.
+// runOne executes a single task with timeout and panic capture.
 func runOne(parent context.Context, t Task, opts Options) Cell {
-	cell := Cell{Workload: t.Workload, Config: t.Config}
 	start := time.Now()
-	for attempt := 0; ; attempt++ {
-		cell.Attempts = attempt + 1
-		cell.Outcome, cell.Err = runAttempt(parent, t, opts.Timeout)
-		if cell.Err == nil || attempt >= opts.Retries || !transient(cell.Err) || parent.Err() != nil {
-			break
-		}
-		if opts.RetryBackoff > 0 {
-			select {
-			case <-time.After(opts.RetryBackoff << attempt):
-			case <-parent.Done():
-			}
-		}
-	}
-	cell.Wall = time.Since(start)
-	return cell
+	out, err := runBody(parent, t, opts.Timeout)
+	return Cell{Workload: t.Workload, Config: t.Config, Outcome: out, Err: err, Wall: time.Since(start)}
 }
 
-// runAttempt is one execution of the task body.
-func runAttempt(parent context.Context, t Task, timeout time.Duration) (*Outcome, error) {
+// runBody is one execution of the task body.
+func runBody(parent context.Context, t Task, timeout time.Duration) (*Outcome, error) {
 	ctx := parent
 	if timeout > 0 {
 		var cancel context.CancelFunc

@@ -43,8 +43,6 @@ type Request struct {
 	Coherence bool `json:"coherence,omitempty"`
 	// Metrics embeds per-run observability snapshots in the records.
 	Metrics bool `json:"metrics,omitempty"`
-	// BlockParallel runs each simulation on the block-parallel engine.
-	BlockParallel bool `json:"block_parallel,omitempty"`
 	// Faults is a deterministic fault plan (internal/faultinject
 	// grammar), canonicalized by Normalize.
 	Faults string `json:"faults,omitempty"`
@@ -66,6 +64,12 @@ type Request struct {
 	// instead of the curated suite.
 	Enumerate bool `json:"enumerate,omitempty"`
 	K         int  `json:"k,omitempty"`
+
+	// all is every (workload, config) cell a simulation suite can run,
+	// in task order and before the workload filter. Normalize builds it
+	// once, so validation and per-cell progress share one construction
+	// of the suite's workloads.
+	all [][2]string
 }
 
 // simulation reports whether the suite runs the experiment sweeps (as
@@ -107,6 +111,7 @@ func (r *Request) Normalize() error {
 			r.Enumerate || r.K != 0 {
 			return fmt.Errorf("litmus parameters apply to suite litmus only")
 		}
+		r.all = r.suiteCells()
 		if err := r.normalizeWorkloads(); err != nil {
 			return err
 		}
@@ -169,7 +174,7 @@ func (r *Request) rejectSimulationFields() error {
 	if r.Scale != "" {
 		return fmt.Errorf("scale applies to simulation suites only")
 	}
-	if len(r.Workloads) > 0 || r.Coherence || r.Metrics || r.BlockParallel ||
+	if len(r.Workloads) > 0 || r.Coherence || r.Metrics ||
 		r.Faults != "" || r.Seed != 0 || r.Blocks != 0 || r.CoresPerBlock != 0 {
 		return fmt.Errorf("simulation parameters apply to suites intra, inter, all, and manycore only")
 	}
@@ -184,8 +189,8 @@ func (r *Request) normalizeWorkloads() error {
 		return nil
 	}
 	known := map[string]bool{}
-	for _, n := range r.workloadNames() {
-		known[n] = true
+	for _, c := range r.all {
+		known[c[0]] = true
 	}
 	seen := map[string]bool{}
 	var out []string
@@ -201,28 +206,6 @@ func (r *Request) normalizeWorkloads() error {
 	sort.Strings(out)
 	r.Workloads = out
 	return nil
-}
-
-// workloadNames lists the applications the suite can run.
-func (r *Request) workloadNames() []string {
-	var names []string
-	s := r.scale()
-	if r.Suite == "intra" || r.Suite == "all" {
-		for _, w := range hic.IntraWorkloads(s) {
-			names = append(names, w.Name)
-		}
-	}
-	if r.Suite == "inter" || r.Suite == "all" {
-		for _, w := range hic.InterWorkloads(s) {
-			names = append(names, w.Name)
-		}
-	}
-	if r.Suite == "manycore" {
-		for _, w := range hic.ManycoreWorkloads(s, r.CoresPerBlock) {
-			names = append(names, w.Name)
-		}
-	}
-	return names
 }
 
 func (r *Request) scale() hic.Scale {
@@ -263,9 +246,8 @@ type computeEnv struct {
 	// Cells is the shared cell-level result cache (nil disables it).
 	Cells runner.Cache
 	// Observer, when non-nil, receives each completed simulation cell
-	// for live progress. It is not attached to block-parallel sweeps
-	// (a recorder would degrade them to serial execution) and does not
-	// fire for cells served from the cell cache.
+	// for live progress. It does not fire for cells served from the
+	// cell cache.
 	Observer func(workload, config string)
 }
 
@@ -284,9 +266,6 @@ func (r *Request) options(env computeEnv) []hic.Option {
 	if r.Metrics {
 		opts = append(opts, hic.WithMetrics())
 	}
-	if r.BlockParallel {
-		opts = append(opts, hic.WithBlockParallel())
-	}
 	if r.Faults != "" {
 		opts = append(opts, hic.WithFaultPlan(r.Faults))
 	}
@@ -296,7 +275,7 @@ func (r *Request) options(env computeEnv) []hic.Option {
 	if env.Cells != nil {
 		opts = append(opts, hic.WithCache(env.Cells))
 	}
-	if env.Observer != nil && !r.BlockParallel {
+	if env.Observer != nil {
 		done := env.Observer
 		opts = append(opts, hic.WithObserver(func(w, c string, _ *hic.Recorder) { done(w, c) }))
 	}
@@ -401,18 +380,25 @@ func (r *Request) wantsWorkload(name string) bool {
 }
 
 // cells predicts the sweep's (workload, config) labels in task order,
-// for per-cell progress. Non-simulation suites have no cells.
+// for per-cell progress, by filtering the list Normalize built.
+// Non-simulation suites have no cells.
 func (r *Request) cells() [][2]string {
-	if !r.simulation() {
-		return nil
+	var out [][2]string
+	for _, c := range r.all {
+		if r.wantsWorkload(c[0]) {
+			out = append(out, c)
+		}
 	}
+	return out
+}
+
+// suiteCells lists every (workload, config) label the suite can run, in
+// task order, ignoring the workload filter.
+func (r *Request) suiteCells() [][2]string {
 	s := r.scale()
 	var out [][2]string
 	if r.Suite == "intra" || r.Suite == "all" {
 		for _, w := range hic.IntraWorkloads(s) {
-			if !r.wantsWorkload(w.Name) {
-				continue
-			}
 			for _, cfg := range hic.IntraConfigs {
 				out = append(out, [2]string{w.Name, cfg.Name})
 			}
@@ -420,9 +406,6 @@ func (r *Request) cells() [][2]string {
 	}
 	if r.Suite == "inter" || r.Suite == "all" {
 		for _, w := range hic.InterWorkloads(s) {
-			if !r.wantsWorkload(w.Name) {
-				continue
-			}
 			for _, mode := range hic.InterModes {
 				out = append(out, [2]string{w.Name, mode.String()})
 			}
@@ -430,9 +413,6 @@ func (r *Request) cells() [][2]string {
 	}
 	if r.Suite == "manycore" {
 		for _, w := range hic.ManycoreWorkloads(s, r.CoresPerBlock) {
-			if !r.wantsWorkload(w.Name) {
-				continue
-			}
 			for b := 1; b <= r.Blocks; b *= 2 {
 				out = append(out, [2]string{w.Name, fmt.Sprintf("blocks-%d", b)})
 			}

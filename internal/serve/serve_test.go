@@ -336,12 +336,14 @@ func TestHTTPErrorSurface(t *testing.T) {
 	})
 
 	t.Run("unknown-field-400", func(t *testing.T) {
-		// The removed v1-envelope and adjacent-swap fields must be
-		// refused, not silently dropped into a different layout.
+		// The removed v1-envelope, adjacent-swap and block-parallel
+		// fields must be refused, not silently dropped into a different
+		// layout.
 		for _, body := range []string{
 			`{"suite":"intra","bogus":1}`,
 			`{"suite":"intra","version":"v1"}`,
 			`{"suite":"litmus","swap":true}`,
+			`{"suite":"manycore","blocks":2,"block_parallel":true}`,
 		} {
 			resp, err := http.Post(c.BaseURL+"/v2/sweeps", "application/json", strings.NewReader(body))
 			if err != nil {
@@ -382,13 +384,12 @@ func TestRequestKeyCanonicalization(t *testing.T) {
 
 	base := key(Request{Suite: "intra"})
 	for name, r := range map[string]Request{
-		"suite":          {Suite: "inter"},
-		"scale":          {Suite: "intra", Scale: "bench"},
-		"workloads":      {Suite: "intra", Workloads: []string{"fft"}},
-		"coherence":      {Suite: "intra", Coherence: true},
-		"metrics":        {Suite: "intra", Metrics: true},
-		"block parallel": {Suite: "intra", BlockParallel: true},
-		"seed":           {Suite: "intra", Seed: 1},
+		"suite":     {Suite: "inter"},
+		"scale":     {Suite: "intra", Scale: "bench"},
+		"workloads": {Suite: "intra", Workloads: []string{"fft"}},
+		"coherence": {Suite: "intra", Coherence: true},
+		"metrics":   {Suite: "intra", Metrics: true},
+		"seed":      {Suite: "intra", Seed: 1},
 	} {
 		if key(r) == base {
 			t.Errorf("%s does not move the content address", name)

@@ -17,9 +17,8 @@ import (
 // same Model 2 applications as the inter-block evaluation, run on custom
 // machines from 1 block up to 128 blocks of 8 cores (1024 cores), under
 // the level-adaptive Addr+L mode. The experiment exists to exercise the
-// simulator itself at scale — the block-parallel engine makes the large
-// cells tractable, and the curve documents how simulated execution time
-// scales as the same problem is spread over more blocks.
+// simulator itself at scale, and the curve documents how simulated
+// execution time scales as the same problem is spread over more blocks.
 
 // DefaultManycoreCoresPerBlock matches the paper's 8-core blocks.
 const DefaultManycoreCoresPerBlock = 8
@@ -76,8 +75,7 @@ type ManycoreResult struct {
 func manycoreConfig(blocks int) string { return fmt.Sprintf("blocks-%d", blocks) }
 
 // manycoreTasks builds one task per (application, block count). Each cell
-// constructs its own machine and hierarchy; the block-parallel engine is
-// engaged per RunOptions like any other sweep.
+// constructs its own machine and hierarchy.
 func manycoreTasks(s Scale, blockCounts []int, coresPerBlock int, opts RunOptions) []runner.Task {
 	var tasks []runner.Task
 	names := make(map[string]bool)
@@ -103,7 +101,6 @@ func manycoreTasks(s Scale, blockCounts []int, coresPerBlock int, opts RunOption
 						}
 					}
 					h := NewModeHierarchy(m, ModeAddrL)
-					opts.engage(h)
 					rec := opts.instrument(h)
 					orc, _, err := opts.checks(h, wl.Threads)
 					if err != nil {
@@ -114,7 +111,7 @@ func manycoreTasks(s Scale, blockCounts []int, coresPerBlock int, opts RunOption
 						opts.finish(name, manycoreConfig(blocks), rec, nil)
 						return nil, err
 					}
-					out := &runner.Outcome{Result: r, Degraded: opts.degradeReason(h, orc)}
+					out := &runner.Outcome{Result: r}
 					opts.finish(name, manycoreConfig(blocks), rec, out)
 					return out, nil
 				},

@@ -64,12 +64,6 @@ func WithTimeout(d time.Duration) Option {
 	return func(o *RunOptions) { o.Timeout = d }
 }
 
-// WithRetry reruns cells whose failure is transient up to retries times,
-// sleeping backoff before the first retry and doubling thereafter.
-func WithRetry(retries int, backoff time.Duration) Option {
-	return func(o *RunOptions) { o.Retries, o.RetryBackoff = retries, backoff }
-}
-
 // WithCoherenceCheck attaches the shadow-memory coherence oracle to
 // every run.
 func WithCoherenceCheck() Option {
@@ -107,18 +101,6 @@ func WithOnly(workloads ...string) Option {
 	return func(o *RunOptions) { o.Only = workloads }
 }
 
-// WithBlockParallel runs each incoherent-hierarchy simulation with the
-// block-parallel engine: cores are partitioned by block and each block's
-// event heap runs on its own goroutine between deterministic sync epochs.
-// Results are byte-identical to serial execution; fault-injected,
-// recorder-attached, and oracle-observed runs degrade to the serial
-// engine (their state is not sharded), recording the cause in the run
-// record's degraded_to_serial field and the engine.degraded_to_serial
-// obs counter. HCC cells are unaffected.
-func WithBlockParallel() Option {
-	return func(o *RunOptions) { o.BlockParallel = true }
-}
-
 // WithCache attaches a content-addressed result cache to the sweep:
 // cells whose runner.CellKey hash is already stored return the cached
 // outcome with zero engine steps. Determinism makes hits exact. See
@@ -153,7 +135,7 @@ func RunInter(ctx context.Context, s Scale, opts ...Option) (*InterResult, error
 // engine and (when h supports it) the hierarchy, and the Observer
 // callback — invoked with empty workload/config labels — is the access
 // path to its snapshot and timeline. Orchestration options (parallelism,
-// timeouts, retries) have no effect on a single Run.
+// timeouts) have no effect on a single Run.
 func Run(h Hierarchy, guests []Guest, opts ...Option) (*Result, error) {
 	var o RunOptions
 	for _, opt := range opts {
