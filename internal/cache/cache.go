@@ -189,6 +189,18 @@ func (c *Cache) Frame(f FrameID) *Line { return &c.frames[f] }
 // lookup refreshes LRU state and counts a hit; a failed one counts a miss.
 // The set is scanned exactly once.
 func (c *Cache) Lookup(addr mem.Addr) *Line {
+	if l := c.LookupHit(addr); l != nil {
+		return l
+	}
+	c.Misses++
+	return nil
+}
+
+// LookupHit is Lookup without the miss count: a hit refreshes LRU state
+// and counts a hit, a miss changes nothing. Callers that only act on a
+// hit and otherwise fall back to a full Lookup use it so each miss is
+// counted once.
+func (c *Cache) LookupHit(addr mem.Addr) *Line {
 	line := mem.LineAddr(addr)
 	want := keyOf(line)
 	base := c.setOf(line) * c.cfg.Ways
@@ -199,7 +211,6 @@ func (c *Cache) Lookup(addr mem.Addr) *Line {
 			return &c.frames[f]
 		}
 	}
-	c.Misses++
 	return nil
 }
 

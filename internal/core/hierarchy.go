@@ -279,20 +279,13 @@ func (h *Hierarchy) Load(core int, a mem.Addr) (mem.Word, int64) {
 	line := mem.LineAddr(a)
 
 	if b := h.ieb[core]; b != nil && b.Armed() {
-		switch {
-		case b.Contains(line):
-			// Already refreshed this epoch: no special action.
-			h.ctr(core).Inc("ieb.filtered", 1)
-		case func() bool { l := l1.Peek(a); return l != nil && l.Dirty.Has(mem.WordIndex(a)) }():
-			// The word was written by this core in the past: not stale.
-			h.ctr(core).Inc("ieb.dirtyhit", 1)
-		default:
-			if h.fi != nil && h.fi.NextIEBLie() {
-				// Injected fault: the IEB claims the line was already
-				// refreshed this epoch; the stale copy survives.
-				h.ctr(core).Inc("fault.ieb.lie", 1)
-				break
-			}
+		if name := iebFresh(b, l1, a); name != "" {
+			h.ctr(core).Inc(name, 1)
+		} else if h.fi != nil && h.fi.NextIEBLie() {
+			// Injected fault: the IEB claims the line was already
+			// refreshed this epoch; the stale copy survives.
+			h.ctr(core).Inc("fault.ieb.lie", 1)
+		} else {
 			if b.Insert(line) {
 				h.ctr(core).Inc("ieb.evictions", 1)
 			}
@@ -318,6 +311,22 @@ func (h *Hierarchy) Load(core int, a mem.Addr) (mem.Word, int64) {
 	return words[mem.WordIndex(a)], lat
 }
 
+// iebFresh classifies a load of a under core's armed IEB b (l1 is the
+// core's L1). It names the counter of a load that needs no refresh —
+// "ieb.filtered" when the line was already refreshed this epoch,
+// "ieb.dirtyhit" when this core wrote the word itself, so it is not
+// stale — and returns "" for the line's first read in the epoch, which
+// self-invalidates and refetches.
+func iebFresh(b *IEB, l1 *cache.Cache, a mem.Addr) string {
+	if b.Contains(mem.LineAddr(a)) {
+		return "ieb.filtered"
+	}
+	if l := l1.Peek(a); l != nil && l.Dirty.Has(mem.WordIndex(a)) {
+		return "ieb.dirtyhit"
+	}
+	return ""
+}
+
 // Store writes one word, write-allocating on a miss, and returns exposed
 // latency. A clean→dirty word transition records the frame in the MEB.
 // Under write-through the word goes straight to the shared L2 and the L1
@@ -330,8 +339,8 @@ func (h *Hierarchy) Store(core int, a mem.Addr, v mem.Word) int64 {
 		_, lat = h.fillL1(core, mem.LineAddr(a))
 		l = l1.Peek(a)
 	}
-	i := mem.WordIndex(a)
 	if h.cfg.WriteThrough {
+		i := mem.WordIndex(a)
 		l.Words[i] = v
 		var words [mem.WordsPerLine]mem.Word
 		words[i] = v
@@ -340,9 +349,18 @@ func (h *Hierarchy) Store(core int, a mem.Addr, v mem.Word) int64 {
 		h.mergeBelowL1(h.m.BlockOf(core), mem.LineAddr(a), &words, mem.Bit(i))
 		return lat
 	}
+	h.storeL1(core, l, a, v)
+	return lat
+}
+
+// storeL1 writes v into core's write-back L1 line l, which holds a: a
+// clean→dirty word transition records the frame in the MEB and notes the
+// line in the Bloom accumulator.
+func (h *Hierarchy) storeL1(core int, l *cache.Line, a mem.Addr, v mem.Word) {
+	i := mem.WordIndex(a)
 	if !l.Dirty.Has(i) {
 		if b := h.meb[core]; b != nil {
-			f := l1.FrameOf(a)
+			f := h.l1[core].FrameOf(a)
 			if h.fi != nil && h.fi.MEBOverCap(b.Len(), b.Has(f)) {
 				// Injected fault: an undersized MEB silently discards the
 				// record instead of entering the overflow state.
@@ -357,7 +375,53 @@ func (h *Hierarchy) Store(core int, a mem.Addr, v mem.Word) int64 {
 	}
 	l.Words[i] = v
 	l.Dirty |= mem.Bit(i)
-	return lat
+}
+
+// Private executes core's cacheable load (kind isa.OpLoad) or store
+// (isa.OpStore, writing v) when it provably touches only core's private
+// state — its L1, MEB, IEB and Bloom accumulator — and reports true with
+// the loaded value; the effect is exactly Load's or Store's. That is the
+// case for an L1 hit, except for the IEB's first read of a line in an
+// epoch (a self-invalidation and refetch) and for write-through stores
+// (which update the shared L2). Otherwise, and whenever a fault plan or
+// recorder is attached, Private changes nothing and reports false, and
+// the op must go through Load or Store. No other core's operation reads
+// or writes this state, so a private op gives the same value and the
+// same state whenever it runs, as long as it runs in the core's program
+// order; the engine's fast path relies on that.
+func (h *Hierarchy) Private(core int, kind isa.OpKind, a mem.Addr, v mem.Word) (mem.Word, bool) {
+	if h.fi != nil || h.rec != nil {
+		return 0, false
+	}
+	l1 := h.l1[core]
+	switch kind {
+	case isa.OpLoad:
+		var name string
+		if b := h.ieb[core]; b != nil && b.Armed() {
+			if name = iebFresh(b, l1, a); name == "" {
+				return 0, false
+			}
+		}
+		l := l1.LookupHit(a)
+		if l == nil {
+			return 0, false
+		}
+		if name != "" {
+			h.ctr(core).Inc(name, 1)
+		}
+		return l.Words[mem.WordIndex(a)], true
+	case isa.OpStore:
+		if h.cfg.WriteThrough {
+			return 0, false
+		}
+		l := l1.LookupHit(a)
+		if l == nil {
+			return 0, false
+		}
+		h.storeL1(core, l, a, v)
+		return 0, true
+	}
+	return 0, false
 }
 
 // fillL1 fetches a line into core's L1 from the shared levels, handling

@@ -61,15 +61,8 @@ func (h *Hierarchy) sampleIEB(core int) {
 
 // collect reads the hierarchy's existing counters into a snapshot.
 func (h *Hierarchy) collect(c *obs.Collect) {
-	var l1 cache.Stats
-	for _, cc := range h.l1 {
-		addCacheStats(&l1, cc)
-	}
+	l1, l2 := h.CacheStats()
 	emitCacheStats(c, "cache.l1", l1)
-	var l2 cache.Stats
-	for _, cc := range h.l2 {
-		addCacheStats(&l2, cc)
-	}
 	emitCacheStats(c, "cache.l2", l2)
 	if h.l3 != nil {
 		emitCacheStats(c, "cache.l3", h.l3.Stats())

@@ -1,6 +1,9 @@
 package core
 
-import "repro/internal/mem"
+import (
+	"repro/internal/cache"
+	"repro/internal/mem"
+)
 
 // Probe is a side-effect-free snapshot of where one word lives in the
 // hierarchy as seen from a given core: its private L1, its block's L2,
@@ -38,6 +41,18 @@ func (h *Hierarchy) Evictions() int64 {
 		n += h.l3.Evictions
 	}
 	return n
+}
+
+// CacheStats returns the event counters summed over every core's L1 and
+// over every block's L2.
+func (h *Hierarchy) CacheStats() (l1, l2 cache.Stats) {
+	for _, c := range h.l1 {
+		addCacheStats(&l1, c)
+	}
+	for _, c := range h.l2 {
+		addCacheStats(&l2, c)
+	}
+	return l1, l2
 }
 
 // ProbeWord reports where the word at a currently lives relative to

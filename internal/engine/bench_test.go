@@ -50,6 +50,25 @@ func (n *nullHierarchy) Memory() *mem.Memory         { return n.m }
 func (n *nullHierarchy) Traffic() stats.Traffic      { return stats.Traffic{} }
 func (n *nullHierarchy) Counters() *stats.Counters   { return n.ctr }
 
+// privateNullHierarchy is nullHierarchy with the private-op surface:
+// cacheable accesses to even lines run inline, the rest are scheduled,
+// so a run exercises both paths and the switches between them.
+type privateNullHierarchy struct{ *nullHierarchy }
+
+func (n privateNullHierarchy) Private(core int, kind isa.OpKind, a mem.Addr, v mem.Word) (mem.Word, bool) {
+	if a/mem.LineBytes%2 != 0 {
+		return 0, false
+	}
+	switch kind {
+	case isa.OpLoad:
+		return n.m.ReadWord(a), true
+	case isa.OpStore:
+		n.m.WriteWord(a, v)
+		return 0, true
+	}
+	return 0, false
+}
+
 // shardedNullHierarchy is nullHierarchy with a shard decomposition: cores
 // are grouped into shards of coresPerShard, every non-sync op is
 // shard-local, and each core has its own backing memory (the benchmark
@@ -166,17 +185,22 @@ func benchName(prefix string, n int) string {
 // overhead (iter.Pull's handles are the irreducible per-thread part)
 // instead of growing per thread struct and per ring. The hierarchy is
 // built outside the measured region so the gate holds the engine, not
-// the null memory's page faults, to the bound.
+// the null memory's page faults, to the bound. The same bound holds with
+// the private-op fast path on: an inline op must not allocate.
 func TestEngineStepAllocs(t *testing.T) {
 	const threads = 64
 	guests := benchGuests(threads)
-	h := newNullHierarchy()
-	avg := testing.AllocsPerRun(3, func() {
-		if _, err := New(h, guests).Run(); err != nil {
-			t.Fatal(err)
+	for name, h := range map[string]Hierarchy{
+		"scheduled": newNullHierarchy(),
+		"private":   privateNullHierarchy{newNullHierarchy()},
+	} {
+		avg := testing.AllocsPerRun(3, func() {
+			if _, err := New(h, guests).Run(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if limit := float64(13*threads + 64); avg > limit {
+			t.Errorf("%s: engine run allocated %.0f times for %d threads; limit %.0f", name, avg, threads, limit)
 		}
-	})
-	if limit := float64(13*threads + 64); avg > limit {
-		t.Fatalf("engine run allocated %.0f times for %d threads; limit %.0f", avg, threads, limit)
 	}
 }

@@ -1,11 +1,11 @@
 // Package engine is the execution-driven multiprocessor simulator. Guest
 // threads are ordinary Go functions programmed against the Proc interface
 // (the machine's ISA: loads, stores, WB/INV flavors, synchronization).
-// Each guest runs as a coroutine (iter.Pull) whose operations are executed
-// strictly one at a time by the scheduler, so simulation is fully
-// deterministic: at every step the runnable thread with the smallest
-// local clock executes its next operation (ties broken by thread ID), its
-// latency is computed by the memory hierarchy, and the cycles are
+// Each guest runs as a coroutine (iter.Pull), and simulation is fully
+// deterministic: every operation that can see or change another core's
+// state executes in global (local clock, thread ID) order — the runnable
+// thread with the smallest clock goes next, ties broken by thread ID —
+// its latency is computed by the memory hierarchy, and the cycles are
 // attributed to the paper's stall categories (INV, WB, lock, barrier,
 // rest).
 //
@@ -28,7 +28,16 @@
 // engine: the heap pops a unique (time, thread-ID) minimum, and a
 // thread's clock is final before it is re-pushed, so the operation
 // sequence — and therefore every result, event stream, and span — is
-// byte-identical. When an external Scheduler is installed (litmus
+// byte-identical.
+//
+// Operations that touch only the issuing core's private state — compute,
+// and the L1 hits a PrivateHierarchy vouches for — never reach the
+// scheduler: the guest coroutine runs them itself, in program order, when
+// its ring is empty. No other core's operation reads or writes that
+// state, so running them early changes nothing anyone can observe; the
+// scheduler re-keys the thread at its advanced clock before its next
+// scheduled op. The fast path is off under an Observer or recorder, which
+// must see every op. When an external Scheduler is installed (litmus
 // exploration), the engine falls back to the synchronous one-op
 // rendezvous, which keeps candidate sets (pending ops included)
 // observable at every decision point.
@@ -72,6 +81,20 @@ type Hierarchy interface {
 	Memory() *mem.Memory
 	Traffic() stats.Traffic
 	Counters() *stats.Counters
+}
+
+// PrivateHierarchy is the optional surface behind the private-op fast
+// path (see DESIGN.md §10). Private executes core's cacheable load
+// (kind isa.OpLoad) or store (isa.OpStore of v) and reports true when the
+// op touches only state that no other core's op reads or writes, with the
+// exact effect of Load or Store and zero exposed latency; otherwise it
+// changes nothing and reports false. Such an op gives the same value and
+// state whenever it runs in the core's program order, so the guest
+// coroutine runs it itself instead of handing it to the scheduler. The
+// hardware-incoherent hierarchy implements it; MESI, whose directory
+// reaches into other cores' caches, does not.
+type PrivateHierarchy interface {
+	Private(core int, kind isa.OpKind, a mem.Addr, v mem.Word) (mem.Word, bool)
 }
 
 // Guest is one guest thread's program. The Proc passed in is only valid
@@ -290,6 +313,14 @@ type thread struct {
 	// pr is the guest-facing Proc, embedded here so it lives in the
 	// thread arena instead of a per-thread heap allocation.
 	pr proc
+	// Private-op fast path (pipelined mode only): priv is the hierarchy's
+	// private-op surface (nil when the path is off), budget the number of
+	// ops the guest may still run inline before the current resume
+	// returns, and ops the run's per-kind op counts, which inline ops bump
+	// directly.
+	priv   PrivateHierarchy
+	budget int64
+	ops    *[isa.NumOpKinds]int64
 }
 
 type tstate int
@@ -371,8 +402,13 @@ func (e *Engine) Run() (*Result, error) {
 
 // ctxPollMask sets how often the step loop polls ctx: every 256 steps
 // keeps cancellation latency in the microseconds without measurably
-// slowing the hot loop.
+// slowing the hot loop. In the pipelined loop an inline op counts as a
+// step, and the inline budget never carries a resume past the next poll.
 const ctxPollMask = 255
+
+// cpi is the busy time, in cycles, every non-compute op charges on top
+// of its exposed latency.
+const cpi = 1
 
 // RunCtx is Run with cooperative preemption: the step loop polls ctx and
 // aborts the run when it is canceled, unwinding every guest coroutine
@@ -409,6 +445,15 @@ func (e *Engine) RunCtx(ctx context.Context) (*Result, error) {
 // closed retires the thread. Blocked threads re-enter the queue from
 // wake(), timestamped at their grant — which is what makes a fully
 // quiescent machine jump straight to the earliest pending event.
+//
+// When the hierarchy offers the private-op fast path, each resume grants
+// the guest a budget of ops it may run inline (see thread.inline). The ops
+// it ran are charged as steps for the watchdog and the ctx poll; the
+// budget stops one short of the watchdog limit, so the trip still lands
+// on a scheduled op, and never runs past the next poll. If the inline
+// ops moved the thread's clock past the run-queue minimum, the thread is
+// re-keyed before its next deposited op runs, so every op that reaches
+// the scheduler still runs in (time, ID) order.
 func (e *Engine) runPipelined(ctx context.Context) (*Result, error) {
 	for _, t := range e.ts {
 		e.rq.push(t)
@@ -418,17 +463,24 @@ func (e *Engine) runPipelined(ctx context.Context) (*Result, error) {
 	if limit <= 0 {
 		limit = DefaultNoProgressLimit
 	}
+	priv := e.privateOps()
+	if priv != nil {
+		for _, t := range e.ts {
+			t.priv, t.ops = priv, &res.Ops
+		}
+	}
 	stop := ctx.Done()
-	var steps, idle int64
+	var steps, idle, nextPoll int64
 	t := e.rq.pop()
 	for {
-		if stop != nil && steps&ctxPollMask == 0 {
+		if stop != nil && steps >= nextPoll {
 			select {
 			case <-stop:
 				e.shutdown()
 				return nil, fmt.Errorf("engine: run canceled: %w", ctx.Err())
 			default:
 			}
+			nextPoll = steps + ctxPollMask + 1
 		}
 		steps++
 		if t == nil {
@@ -438,6 +490,22 @@ func (e *Engine) runPipelined(ctx context.Context) (*Result, error) {
 			err := e.deadlockError()
 			e.shutdown()
 			return nil, err
+		}
+		if priv != nil && t.pipe.empty() && !t.finished {
+			budget := limit - 1 - idle
+			if stop != nil {
+				budget = min(budget, nextPoll-steps)
+			}
+			before := t.time
+			n := t.resumeInline(budget)
+			steps += n
+			idle += n
+			if t.time != before {
+				if m := e.rq.peek(); m != nil && runqLess(m, t) {
+					t = e.rq.swapMin(t)
+					continue
+				}
+			}
 		}
 		op, ok := e.nextOp(t)
 		runnable := false
@@ -559,6 +627,31 @@ func (e *Engine) nextOp(t *thread) (*isa.Op, bool) {
 			t.finished = true
 		}
 	}
+}
+
+// privateOps returns the hierarchy's private-op surface when the
+// pipelined loop may use the fast path: never under an observer or a
+// recorder, which must see every op.
+func (e *Engine) privateOps() PrivateHierarchy {
+	if e.obs != nil || e.rec != nil {
+		return nil
+	}
+	p, _ := e.h.(PrivateHierarchy)
+	return p
+}
+
+// resumeInline resumes t's guest, whose ring is empty, letting it run up
+// to budget private ops inline, and returns how many it ran. The guest
+// returns having deposited its next op (or finished), as under nextOp.
+func (t *thread) resumeInline(budget int64) int64 {
+	budget = max(budget, 0)
+	t.budget = budget
+	if _, more := t.resume(); !more {
+		t.finished = true
+	}
+	n := budget - t.budget
+	t.budget = 0
+	return n
 }
 
 // shutdown unwinds every live guest coroutine: halt makes the guest's
@@ -727,7 +820,6 @@ func (e *Engine) execOp(t *thread, op *isa.Op) (mem.Word, error) {
 	default:
 		return 0, fmt.Errorf("engine: thread %d issued unknown op %v", t.id, op)
 	}
-	cpi := int64(1)
 	t.time += cpi + lat
 	t.stalls.Add(stats.Busy, cpi)
 	t.stalls.Add(kind, lat)
@@ -914,7 +1006,8 @@ func guestSeq(t *thread, n int) iter.Seq[struct{}] {
 // program order is preserved by the ring, and the scheduler executes at
 // most one of this thread's ops at a time — while loads yield control
 // until their value arrives. In synchronous mode every op is a full
-// yield/resume rendezvous.
+// yield/resume rendezvous. Under the private-op fast path, Load, Store
+// and Compute first try to run inline (see inline).
 type proc struct {
 	t *thread
 	n int
@@ -944,13 +1037,39 @@ func (p *proc) do(op isa.Op) mem.Word {
 	return t.loadVal
 }
 
+// inline reports whether the guest may run its next op itself: the run
+// granted it budget, and its ring is empty, so every earlier op of the
+// guest has executed and running this one now keeps program order.
+func (t *thread) inline() bool { return t.budget > 0 && t.pipe.empty() }
+
+// retire charges an op the guest ran inline exactly as execOp would
+// charge it: cycles of busy time and no exposed latency.
+func (t *thread) retire(k isa.OpKind, cycles int64) {
+	t.budget--
+	t.ops[k]++
+	t.time += cycles
+	t.stalls.Add(stats.Busy, cycles)
+}
+
 func (p *proc) ID() int         { return p.t.id }
 func (p *proc) NumThreads() int { return p.n }
 
 func (p *proc) Load(a mem.Addr) mem.Word {
+	if t := p.t; t.inline() {
+		if v, ok := t.priv.Private(t.id, isa.OpLoad, a, 0); ok {
+			t.retire(isa.OpLoad, cpi)
+			return v
+		}
+	}
 	return p.do(isa.Op{Kind: isa.OpLoad, Addr: a})
 }
 func (p *proc) Store(a mem.Addr, v mem.Word) {
+	if t := p.t; t.inline() {
+		if _, ok := t.priv.Private(t.id, isa.OpStore, a, v); ok {
+			t.retire(isa.OpStore, cpi)
+			return
+		}
+	}
 	p.do(isa.Op{Kind: isa.OpStore, Addr: a, Value: v})
 }
 func (p *proc) LoadU(a mem.Addr) mem.Word {
@@ -961,6 +1080,10 @@ func (p *proc) StoreU(a mem.Addr, v mem.Word) {
 }
 func (p *proc) Compute(cycles int64) {
 	if cycles <= 0 {
+		return
+	}
+	if t := p.t; t.inline() {
+		t.retire(isa.OpCompute, cycles)
 		return
 	}
 	p.do(isa.Op{Kind: isa.OpCompute, Cycles: cycles})

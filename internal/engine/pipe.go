@@ -4,10 +4,13 @@ import "repro/internal/isa"
 
 // pipeCap is the op ring depth: how far a guest may run ahead of the
 // scheduler depositing fire-and-forget ops between loads. A power of two
-// (the ring indexes with a modulo the compiler reduces to a mask). Deep
-// enough that one guest activation deposits a long burst per coroutine
-// switch, shallow enough to stay cache-resident.
-const pipeCap = 256
+// (the ring indexes with a modulo the compiler reduces to a mask). Under
+// the private-op fast path, L1 hits and compute run inline and never
+// enter the ring, so it holds only the ops that reach the scheduler:
+// misses, WB/INV and sync. 64 of those still make a long burst per
+// coroutine switch, and the ring is most of a thread's footprint, which
+// a 1024-core machine pays 1024 times.
+const pipeCap = 64
 
 // opPipe is the per-thread operation ring between a guest coroutine
 // (producer) and the scheduler (consumer). Control moves between the two
@@ -32,6 +35,9 @@ func (p *opPipe) tryPush(op isa.Op) bool {
 	p.tail++
 	return true
 }
+
+// empty reports whether every deposited op has been popped.
+func (p *opPipe) empty() bool { return p.tail == p.head }
 
 // tryPop removes the next op, reporting false when the ring is empty.
 // The returned pointer aliases the ring slot: it stays valid until the
