@@ -12,6 +12,7 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/mem"
 )
@@ -85,12 +86,19 @@ type Config struct {
 // stride whole cache lines of simulator memory per way, while the side
 // arrays pack 8 ways into one. Lookup, Peek, FrameOf, Victim and Insert
 // touch only the side arrays until they have a frame to return.
+//
+// The valid bitmap has bit f set exactly when frame f holds a line
+// (keys[f] != 0); Insert sets it and InvalidateFrame clears it. Whole-cache
+// walks — Reset, Fingerprint, ForEachValid, the counts and FlashInvalidate
+// — visit only its set bits, so they cost what the cache holds, not its
+// capacity.
 type Cache struct {
 	cfg    Config
 	sets   int
 	frames []Line   // sets × ways, frame f = set*ways + way
 	keys   []uint64 // tag | 1 when valid, 0 when invalid
 	lrus   []uint64 // LRU stamps, parallel to frames
+	valid  []uint64 // occupancy bitmap, bit f%64 of word f/64
 	clock  uint64
 
 	// Event counters.
@@ -136,18 +144,20 @@ func New(cfg Config) *Cache {
 		frames: make([]Line, lines),
 		keys:   make([]uint64, lines),
 		lrus:   make([]uint64, lines),
+		valid:  make([]uint64, (lines+63)/64),
 	}
 }
 
 // Reset returns the cache to the state New produced — every frame
 // invalid, LRU clock and event counters zero — keeping its storage. Only
-// frames with a non-zero key or LRU stamp are cleared (InvalidateFrame
-// zeroes all three, so every other frame is already pristine), which
-// makes resetting a mostly-empty cache cost what was touched.
+// valid frames are cleared: InvalidateFrame zeroes a frame's line, key
+// and LRU stamp, and only a valid frame's stamp is ever set, so every
+// other frame is already pristine and resetting a mostly-empty cache
+// costs what was touched.
 func (c *Cache) Reset() {
-	for f := range c.frames {
-		if c.keys[f] != 0 || c.lrus[f] != 0 {
-			c.InvalidateFrame(FrameID(f))
+	for wi, w := range c.valid {
+		for ; w != 0; w &= w - 1 {
+			c.InvalidateFrame(FrameID(wi*64 + bits.TrailingZeros64(w)))
 		}
 	}
 	c.clock = 0
@@ -296,6 +306,7 @@ func (c *Cache) Insert(line mem.Addr, words *[mem.WordsPerLine]mem.Word, st Stat
 	}
 	c.frames[f] = Line{Tag: line, Valid: true, State: st, Words: *words}
 	c.keys[f] = want
+	c.valid[f/64] |= 1 << (f % 64)
 	c.touch(FrameID(f))
 	return FrameID(f), evicted
 }
@@ -306,6 +317,7 @@ func (c *Cache) InvalidateFrame(f FrameID) {
 	c.frames[f] = Line{}
 	c.keys[f] = 0
 	c.lrus[f] = 0
+	c.valid[f/64] &^= 1 << (f % 64)
 }
 
 // Invalidate removes addr's line if present and reports whether it was
@@ -333,13 +345,14 @@ func (c *Cache) InvalidateInto(addr mem.Addr, victim *Line) bool {
 	return true
 }
 
-// ForEachValid calls fn for every valid line. fn may mutate the line (for
-// example, clear dirty bits during a full writeback) but must not insert or
-// invalidate.
+// ForEachValid calls fn for every valid line, in frame order. fn may
+// mutate the line (for example, clear dirty bits during a full writeback)
+// but must not insert or invalidate.
 func (c *Cache) ForEachValid(fn func(f FrameID, l *Line)) {
-	for i := range c.frames {
-		if c.frames[i].Valid {
-			fn(FrameID(i), &c.frames[i])
+	for wi, w := range c.valid {
+		for ; w != 0; w &= w - 1 {
+			f := wi*64 + bits.TrailingZeros64(w)
+			fn(FrameID(f), &c.frames[f])
 		}
 	}
 }
@@ -347,10 +360,8 @@ func (c *Cache) ForEachValid(fn func(f FrameID, l *Line)) {
 // CountValid returns the number of valid lines.
 func (c *Cache) CountValid() int {
 	n := 0
-	for i := range c.frames {
-		if c.frames[i].Valid {
-			n++
-		}
+	for _, w := range c.valid {
+		n += bits.OnesCount64(w)
 	}
 	return n
 }
@@ -358,9 +369,11 @@ func (c *Cache) CountValid() int {
 // CountDirty returns the number of lines with at least one dirty word.
 func (c *Cache) CountDirty() int {
 	n := 0
-	for i := range c.frames {
-		if c.frames[i].IsDirty() {
-			n++
+	for wi, w := range c.valid {
+		for ; w != 0; w &= w - 1 {
+			if c.frames[wi*64+bits.TrailingZeros64(w)].IsDirty() {
+				n++
+			}
 		}
 	}
 	return n
@@ -372,15 +385,18 @@ func (c *Cache) CountDirty() int {
 // III-B, dirty data is never lost by INV.
 func (c *Cache) FlashInvalidate(drain func(l *Line)) int {
 	n := 0
-	for i := range c.frames {
-		if !c.frames[i].Valid {
-			continue
+	for wi := range c.valid {
+		// Re-read the word each time: the frame just visited is cleared
+		// by InvalidateFrame, so the lowest set bit is always the next
+		// valid frame.
+		for c.valid[wi] != 0 {
+			f := wi*64 + bits.TrailingZeros64(c.valid[wi])
+			if c.frames[f].IsDirty() && drain != nil {
+				drain(&c.frames[f])
+			}
+			c.InvalidateFrame(FrameID(f))
+			n++
 		}
-		if c.frames[i].IsDirty() && drain != nil {
-			drain(&c.frames[i])
-		}
-		c.InvalidateFrame(FrameID(i))
-		n++
 	}
 	return n
 }

@@ -1,6 +1,10 @@
 package cache
 
-import "repro/internal/mem"
+import (
+	"math/bits"
+
+	"repro/internal/mem"
+)
 
 // Fingerprint hashes the behavioral state of the cache for the litmus
 // explorer's dedup table: every valid frame's tag, dirty mask, MESI
@@ -11,36 +15,31 @@ import "repro/internal/mem"
 // set is least recently used, i.e. the rank order of the stamps.
 // Event counters are excluded: they never influence behavior.
 func (c *Cache) Fingerprint() uint64 {
-	h := mem.FNVOffset
+	h := mem.FingerprintSeed
 	ways := c.cfg.Ways
-	for s := 0; s < c.sets; s++ {
-		base := s * ways
-		hasValid := false
-		for w := 0; w < ways; w++ {
-			if c.keys[base+w] != 0 {
-				hasValid = true
-				break
+	set := -1
+	// Valid frames arrive in frame order, so each set's ways are visited
+	// together and in way order; a set is announced before its first one.
+	for wi, bm := range c.valid {
+		for ; bm != 0; bm &= bm - 1 {
+			f := wi*64 + bits.TrailingZeros64(bm)
+			s, w := f/ways, f%ways
+			if s != set {
+				set = s
+				h = mem.Mix64(h, uint64(s))
 			}
-		}
-		if !hasValid {
-			continue
-		}
-		h = mem.Mix64(h, uint64(s))
-		for w := 0; w < ways; w++ {
-			if c.keys[base+w] == 0 {
-				continue
-			}
+			base := s * ways
 			// Rank the stamp within the set: the number of ways with a
 			// strictly smaller stamp. Invalid frames keep stamp 0 and tie
 			// at the bottom, which is fine — they are skipped here and
 			// victim selection prefers them regardless of stamp.
 			rank := 0
 			for v := 0; v < ways; v++ {
-				if c.lrus[base+v] < c.lrus[base+w] {
+				if c.lrus[base+v] < c.lrus[f] {
 					rank++
 				}
 			}
-			l := &c.frames[base+w]
+			l := &c.frames[f]
 			h = mem.Mix64(h, uint64(w))
 			h = mem.Mix64(h, uint64(l.Tag))
 			h = mem.Mix64(h, uint64(l.Dirty)<<8|uint64(l.State))

@@ -41,6 +41,14 @@
 // exploration), the engine falls back to the synchronous one-op
 // rendezvous, which keeps candidate sets (pending ops included)
 // observable at every decision point.
+//
+// Each guest runs on a coroutine that parks once its guest is done
+// instead of ending. An engine that has been Reset keeps the parked
+// coroutines between runs, and the next run resumes each with the
+// thread's next guest, so a caller that replays many short runs (litmus
+// exploration) neither starts coroutines nor regrows their stacks per
+// run; Close ends them. An engine that is never Reset ends its
+// coroutines when its run returns.
 package engine
 
 import (
@@ -278,6 +286,10 @@ type Engine struct {
 	// completes; the watchdog clears it each step.
 	progressed bool
 	stopped    bool
+
+	// keep is set by Reset: the engine then keeps its parked guest
+	// coroutines when a run returns, until Close.
+	keep bool
 }
 
 type thread struct {
@@ -301,15 +313,12 @@ type thread struct {
 	// pipelined mirrors Engine.pipelined for the guest-side do(); set
 	// before the guest coroutine starts.
 	pipelined bool
-	// Coroutine controls (iter.Pull over guestSeq). resume runs the guest
-	// until its next yield, reporting false once it has returned; halt
-	// unwinds a suspended guest (its pending yield returns false and do
-	// raises the stop sentinel). yield is the guest-side handle, set when
-	// the coroutine first runs. finished latches resume's false.
-	resume   func() (struct{}, bool)
-	halt     func()
-	yield    func(struct{}) bool
+	co        coro
+	// finished is set by the coroutine once this run's guest has returned
+	// or unwound; stop asks the guest to unwind at its next yield (see
+	// shutdown).
 	finished bool
+	stop     bool
 	// pr is the guest-facing Proc, embedded here so it lives in the
 	// thread arena instead of a per-thread heap allocation.
 	pr proc
@@ -321,6 +330,26 @@ type thread struct {
 	priv   PrivateHierarchy
 	budget int64
 	ops    *[isa.NumOpKinds]int64
+}
+
+// coro holds one thread's guest coroutine (iter.Pull over guestSeq).
+// resume runs the guest until its next yield; halt ends the coroutine
+// for good (a suspended guest's pending yield returns false and do
+// raises the stop sentinel). yield is the guest-side handle, set when
+// the coroutine first runs. A kept coroutine outlives its thread's
+// Reset, so these live apart from the per-run thread state.
+type coro struct {
+	resume func() (struct{}, bool)
+	halt   func()
+	yield  func(struct{}) bool
+}
+
+// close ends the coroutine, if there is one.
+func (c *coro) close() {
+	if c.halt != nil {
+		c.halt()
+		*c = coro{}
+	}
 }
 
 type tstate int
@@ -353,18 +382,33 @@ func New(h Hierarchy, guests []Guest) *Engine {
 // hierarchy, returning it to the state New(h, guests) would produce while
 // reusing the thread arena and run-queue storage: a fresh sync
 // controller, and no scheduler, observer, recorder or watchdog override.
-// The hierarchy is not touched — reset it separately. The previous run
-// must have returned from Run/RunCtx (every guest coroutine has then
-// finished or been unwound); resetting an engine whose run panicked out of
-// a Scheduler or Observer leaves suspended coroutines behind.
+// The hierarchy is not touched — reset it separately.
+//
+// A Reset engine also keeps its guest coroutines: each one parks when
+// its guest is done and runs the thread's next guest on the next run, so
+// a replay does not start new coroutines and grow their stacks again.
+// Parked coroutines stay until Close; the caller must Close an engine it
+// has Reset before dropping it. Reset ends every coroutine whose guest
+// did not finish (a run that panicked out of a Scheduler or Observer
+// leaves its guests suspended), the surplus ones when guests has fewer
+// threads than the last run, and all of them when it needs a larger
+// arena.
 func (e *Engine) Reset(guests []Guest) {
-	if cap(e.tstore) < len(guests) {
-		e.tstore = make([]thread, len(guests))
-		e.ts = make([]*thread, len(guests))
+	n := len(guests)
+	if cap(e.tstore) < n {
+		e.Close()
+		e.tstore = make([]thread, n)
+		e.ts = make([]*thread, n)
 	}
-	e.tstore, e.ts = e.tstore[:len(guests)], e.ts[:len(guests)]
+	for i := range e.tstore {
+		if t := &e.tstore[i]; i >= n || !t.finished {
+			t.co.close()
+		}
+	}
+	clear(e.tstore[min(n, len(e.tstore)):])
+	e.tstore, e.ts = e.tstore[:n], e.ts[:n]
 	for i, g := range guests {
-		e.tstore[i] = thread{id: i, guest: g}
+		e.tstore[i] = thread{id: i, guest: g, co: e.tstore[i].co}
 		e.ts[i] = &e.tstore[i]
 	}
 	clear(e.rq.ts)
@@ -376,6 +420,20 @@ func (e *Engine) Reset(guests []Guest) {
 		ts:     e.ts,
 		rq:     e.rq,
 		cands:  e.cands[:0],
+		keep:   true,
+	}
+}
+
+// Close ends the guest coroutines a Reset engine keeps parked between
+// runs. Call it once the engine will not run again, or before handing it
+// to a cache that may drop it; a closed engine may still be Reset and run
+// again, starting new coroutines. An engine that was never Reset has
+// nothing parked, since RunCtx ends its coroutines on return. Close also
+// unwinds guests a run left suspended by panicking out of a Scheduler or
+// Observer.
+func (e *Engine) Close() {
+	for _, t := range e.ts {
+		t.co.close()
 	}
 }
 
@@ -419,10 +477,18 @@ const cpi = 1
 // see. Simulation results are identical to Run's; cancellation and the
 // watchdog only decide whether the run completes.
 func (e *Engine) RunCtx(ctx context.Context) (*Result, error) {
+	if !e.keep {
+		// Nothing runs this engine again without a Reset: end its
+		// coroutines with the run, whichever way it returns.
+		defer e.Close()
+	}
 	e.pipelined = e.sched == nil
 	for _, t := range e.ts {
 		t.pipelined = e.pipelined
-		t.resume, t.halt = iter.Pull(guestSeq(t, len(e.ts)))
+		t.pr = proc{t: t, n: len(e.ts)}
+		if t.co.resume == nil {
+			t.co.resume, t.co.halt = iter.Pull(guestSeq(t))
+		}
 	}
 	if e.pipelined {
 		if sh, ok := e.h.(ShardedHierarchy); ok && e.obs == nil && e.rec == nil &&
@@ -623,9 +689,7 @@ func (e *Engine) nextOp(t *thread) (*isa.Op, bool) {
 		if t.finished {
 			return nil, false
 		}
-		if _, more := t.resume(); !more {
-			t.finished = true
-		}
+		t.co.resume()
 	}
 }
 
@@ -646,18 +710,16 @@ func (e *Engine) privateOps() PrivateHierarchy {
 func (t *thread) resumeInline(budget int64) int64 {
 	budget = max(budget, 0)
 	t.budget = budget
-	if _, more := t.resume(); !more {
-		t.finished = true
-	}
+	t.co.resume()
 	n := budget - t.budget
 	t.budget = 0
 	return n
 }
 
-// shutdown unwinds every live guest coroutine: halt makes the guest's
-// pending (or next) yield return false, which do converts into the stop
-// sentinel, and the unwind runs to completion inside the halt call — no
-// guest survives shutdown.
+// shutdown unwinds every live guest: stop makes the guest's pending (or
+// next) yield raise the stop sentinel, and the unwind runs to completion
+// inside the resume call, after which the coroutine parks (a guest that
+// never started this run is not started) — no guest survives shutdown.
 func (e *Engine) shutdown() {
 	if e.stopped {
 		return
@@ -667,7 +729,10 @@ func (e *Engine) shutdown() {
 		if t.state == done {
 			continue
 		}
-		t.halt()
+		if !t.finished {
+			t.stop = true
+			t.co.resume()
+		}
 		t.state = done
 	}
 }
@@ -956,8 +1021,8 @@ func (e *Engine) wake(g hwsync.Grant) {
 // (synchronous protocol only).
 func (e *Engine) reply(t *thread, val mem.Word) {
 	t.loadVal = val
-	// The |1 bit makes every delivery change the hash (FNV-64a fixes 0
-	// at 0), so the hash also counts how many ops have completed.
+	// The |1 bit makes every delivery change the hash (Mix64 fixes 0 at
+	// 0), so the hash also counts how many ops have completed.
 	t.histHash = mem.Mix64(t.histHash, uint64(val)<<1|1)
 	e.recvNext(t)
 }
@@ -981,24 +1046,39 @@ func (e *Engine) recvNext(t *thread) {
 // reported as a guest failure.
 type stopSentinel struct{}
 
-// guestSeq adapts one guest to a coroutine body for iter.Pull, with panic
-// capture. The guest runs only while the scheduler is inside resume; a
-// yield returning false (the scheduler called halt) unwinds it via the
-// stop sentinel.
-func guestSeq(t *thread, n int) iter.Seq[struct{}] {
+// guestSeq adapts thread t's guest to a coroutine body for iter.Pull.
+// The guest runs only while the scheduler is inside resume; a stop
+// request or a yield returning false (halt) unwinds it via the stop
+// sentinel. Either way the body marks the thread finished and parks at a
+// yield; the next resume — after Reset has installed the thread's next
+// guest — runs that guest on the same coroutine and stack, and halt ends
+// the body.
+func guestSeq(t *thread) iter.Seq[struct{}] {
 	return func(yield func(struct{}) bool) {
-		t.yield = yield
-		defer func() {
-			if r := recover(); r != nil {
-				if _, stopped := r.(stopSentinel); stopped {
-					return
-				}
+		t.co.yield = yield
+		for {
+			if !t.stop {
+				t.runGuest()
+			}
+			t.finished = true
+			if !yield(struct{}{}) {
+				return
+			}
+		}
+	}
+}
+
+// runGuest runs the thread's guest once, capturing a panic as the
+// thread's error; the stop sentinel is an unwind, not a failure.
+func (t *thread) runGuest() {
+	defer func() {
+		if r := recover(); r != nil {
+			if _, stopped := r.(stopSentinel); !stopped {
 				t.err = fmt.Errorf("guest panic: %v", r)
 			}
-		}()
-		t.pr = proc{t: t, n: n}
-		t.guest(&t.pr)
-	}
+		}
+	}()
+	t.guest(&t.pr)
 }
 
 // proc implements Proc over the thread's op ring. In pipelined mode ops
@@ -1017,9 +1097,7 @@ func (p *proc) do(op isa.Op) mem.Word {
 	t := p.t
 	for !t.pipe.tryPush(op) {
 		// Ring full: hand control back until the scheduler drains it.
-		if !t.yield(struct{}{}) {
-			panic(stopSentinel{})
-		}
+		t.suspend()
 	}
 	if t.pipelined {
 		switch op.Kind {
@@ -1031,10 +1109,17 @@ func (p *proc) do(op isa.Op) mem.Word {
 			return 0
 		}
 	}
-	if !t.yield(struct{}{}) {
+	t.suspend()
+	return t.loadVal
+}
+
+// suspend hands control back to the scheduler until it resumes the
+// guest, unwinding the guest with the stop sentinel if the scheduler
+// halted or stopped it meanwhile.
+func (t *thread) suspend() {
+	if !t.co.yield(struct{}{}) || t.stop {
 		panic(stopSentinel{})
 	}
-	return t.loadVal
 }
 
 // inline reports whether the guest may run its next op itself: the run

@@ -13,7 +13,7 @@ import (
 // sorting makes the hash deterministic). Queue and waiter order is part
 // of the state — grants are FIFO — so it is hashed positionally.
 func (c *Controller) Fingerprint() uint64 {
-	h := mem.FNVOffset
+	h := mem.FingerprintSeed
 	for _, id := range sortedKeys(len(c.locks), func(ks []int) []int {
 		for k := range c.locks {
 			ks = append(ks, k)

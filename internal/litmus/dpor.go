@@ -2,7 +2,8 @@ package litmus
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -57,20 +58,38 @@ type threadOp struct {
 	op     isa.Op
 }
 
+// addStep adds to to the step set sum (a slice without duplicates).
+func addStep(sum []threadOp, to threadOp) []threadOp {
+	if slices.Contains(sum, to) {
+		return sum
+	}
+	return append(sum, to)
+}
+
+// threadSet is a set of thread IDs, bit q for thread q; the litmus
+// machine has litmusCores threads at most.
+type threadSet uint8
+
+const _ = uint8(1 << (litmusCores - 1)) // threadSet holds every thread
+
+func (s threadSet) has(q int) bool { return s&(1<<q) != 0 }
+
 // dporNode is one decision on the persistent exploration stack.
 type dporNode struct {
 	cands  []engine.Candidate
 	chosen int // index into cands of the child currently being explored
-	// sleep maps threads whose subtrees here are already covered to the
-	// pending op they would execute; entrySleep is the sorted thread set
-	// as of node creation, the key for dedup registration.
-	sleep      map[int]isa.Op
-	entrySleep []int
-	backtrack  map[int]bool // threads scheduled for exploration from here
-	done       map[int]bool // threads already explored from here
+	// sleep holds threads whose subtrees here are already covered, and
+	// sleepOps[q] the pending op sleeping thread q would execute;
+	// entrySleep is the sleep set as of node creation, the key for dedup
+	// registration.
+	sleep      threadSet
+	sleepOps   [litmusCores]isa.Op
+	entrySleep threadSet
+	backtrack  threadSet // threads scheduled for exploration from here
+	done       threadSet // threads already explored from here
 	fp         uint64
 	fpOK       bool
-	summary    map[threadOp]struct{}
+	summary    []threadOp
 	// tainted marks a subtree that was not fully explored (budget
 	// truncation or an engine error below); tainted nodes never register
 	// in the dedup table.
@@ -79,24 +98,26 @@ type dporNode struct {
 
 // dedupEntry is one fully-explored subtree of a fingerprinted state.
 type dedupEntry struct {
-	sleep   []int // sorted entry sleep set the subtree was explored under
-	summary map[threadOp]struct{}
+	sleep   threadSet // entry sleep set the subtree was explored under
+	summary []threadOp
 }
 
 // dpor is the engine.Scheduler driving a source-DPOR exploration.
 type dpor struct {
-	opts  Options
-	rep   *Report
-	dep   isa.Deps
-	stack []*dporNode
-	seen  map[uint64][]*dedupEntry
+	opts Options
+	rep  *Report
+	dep  isa.Deps
+	// stack holds the nodes by value; a slot's cands storage is reused
+	// by the next node pushed there.
+	stack []dporNode
+	seen  map[uint64][]dedupEntry
 
 	// m is the machine every replay runs on; the per-run state below is
 	// reset by exploreDPOR before each replay.
 	m          *machine
 	depth      int
 	status     int
-	cutSummary map[threadOp]struct{}
+	cutSummary []threadOp
 	sched      []int
 }
 
@@ -105,7 +126,7 @@ func exploreDPOR(t Test, opts Options, rep *Report, m *machine) {
 		opts: opts,
 		rep:  rep,
 		dep:  isa.Deps{MinSets: m.h.MinCacheSets()},
-		seen: map[uint64][]*dedupEntry{},
+		seen: map[uint64][]dedupEntry{},
 		m:    m,
 	}
 	for {
@@ -122,7 +143,7 @@ func exploreDPOR(t Test, opts Options, rep *Report, m *machine) {
 		_, err := m.e.Run()
 		rep.Runs++
 
-		var childSummary map[threadOp]struct{}
+		var childSummary []threadOp
 		taint := false
 		switch {
 		case x.status == runCut:
@@ -156,7 +177,7 @@ func (x *dpor) Pick(cands []engine.Candidate) int {
 	d := x.depth
 	x.depth++
 	if d < len(x.stack) {
-		n := x.stack[d]
+		n := &x.stack[d]
 		if len(cands) != len(n.cands) || cands[n.chosen].Thread != n.cands[n.chosen].Thread {
 			// Deterministic replay guarantees identical candidate sets;
 			// reaching this means the engine or a guest is nondeterministic.
@@ -171,26 +192,27 @@ func (x *dpor) Pick(cands []engine.Candidate) int {
 		return -1
 	}
 
-	n := &dporNode{
-		cands:     append([]engine.Candidate(nil), cands...),
-		chosen:    -1,
-		sleep:     map[int]isa.Op{},
-		backtrack: map[int]bool{},
-		done:      map[int]bool{},
-		summary:   map[threadOp]struct{}{},
+	// The node is built in the stack slot it will occupy, just past the
+	// stack's end (pushed below only if the run goes on from here),
+	// reusing that slot's cands storage.
+	if len(x.stack) == cap(x.stack) {
+		x.stack = append(x.stack, dporNode{})[:d]
 	}
+	n := &x.stack[:d+1][d]
+	*n = dporNode{cands: append(n.cands[:0], cands...), chosen: -1}
 	if d > 0 {
 		// Inherit the parent's sleepers whose ops commute with the op
 		// that led here; the executed op may have woken the rest.
-		p := x.stack[d-1]
+		p := &x.stack[d-1]
 		ex := p.cands[p.chosen]
-		for q, op := range p.sleep {
-			if x.dep.Independent(ex.Op, op) {
-				n.sleep[q] = op
+		for q := range litmusCores {
+			if p.sleep.has(q) && x.dep.Independent(ex.Op, p.sleepOps[q]) {
+				n.sleep |= 1 << q
+				n.sleepOps[q] = p.sleepOps[q]
 			}
 		}
 	}
-	n.entrySleep = sortedThreads(n.sleep)
+	n.entrySleep = n.sleep
 	if !x.opts.NoDedup {
 		if fp, ok := x.m.e.StateFingerprint(); ok {
 			n.fp, n.fpOK = fp, true
@@ -207,7 +229,7 @@ func (x *dpor) Pick(cands []engine.Candidate) int {
 
 	choice := -1
 	for j, c := range n.cands {
-		if _, asleep := n.sleep[c.Thread]; !asleep {
+		if !n.sleep.has(c.Thread) {
 			choice = j
 			break
 		}
@@ -220,11 +242,11 @@ func (x *dpor) Pick(cands []engine.Candidate) int {
 		return -1
 	}
 	c := n.cands[choice]
-	x.raceUpdate(len(x.stack), c)
+	x.raceUpdate(d, c)
 	n.chosen = choice
-	n.backtrack[c.Thread] = true
-	n.done[c.Thread] = true
-	x.stack = append(x.stack, n)
+	n.backtrack |= 1 << c.Thread
+	n.done |= 1 << c.Thread
+	x.stack = x.stack[:d+1]
 	x.sched = append(x.sched, c.Thread)
 	return choice
 }
@@ -235,12 +257,12 @@ func (x *dpor) Pick(cands []engine.Candidate) int {
 // c's thread was not enabled there, everything that was.
 func (x *dpor) raceUpdate(k int, c engine.Candidate) {
 	for i := k - 1; i >= 0; i-- {
-		n := x.stack[i]
+		n := &x.stack[i]
 		ex := n.cands[n.chosen]
 		if ex.Thread == c.Thread || x.dep.Independent(ex.Op, c.Op) {
 			continue
 		}
-		x.addBacktrack(n, c.Thread)
+		n.addBacktrack(c.Thread)
 		return
 	}
 }
@@ -250,68 +272,66 @@ func (x *dpor) raceUpdate(k int, c engine.Candidate) {
 // raced against every dependent node of the current stack. Scanning all
 // dependent nodes (not just the deepest) over-approximates, which only
 // adds schedules, never loses them.
-func (x *dpor) foldCutSummary(sum map[threadOp]struct{}) {
-	for to := range sum {
+func (x *dpor) foldCutSummary(sum []threadOp) {
+	for _, to := range sum {
 		for i := len(x.stack) - 1; i >= 0; i-- {
-			n := x.stack[i]
+			n := &x.stack[i]
 			ex := n.cands[n.chosen]
 			if ex.Thread == to.thread || x.dep.Independent(ex.Op, to.op) {
 				continue
 			}
-			x.addBacktrack(n, to.thread)
+			n.addBacktrack(to.thread)
 		}
 	}
 }
 
 // addBacktrack schedules thread q for exploration at n if it is enabled
 // there, otherwise conservatively schedules every enabled thread.
-func (x *dpor) addBacktrack(n *dporNode, q int) {
+func (n *dporNode) addBacktrack(q int) {
+	var enabled threadSet
 	for _, c := range n.cands {
 		if c.Thread == q {
-			n.backtrack[q] = true
+			n.backtrack |= 1 << q
 			return
 		}
+		enabled |= 1 << c.Thread
 	}
-	for _, c := range n.cands {
-		n.backtrack[c.Thread] = true
-	}
+	n.backtrack |= enabled
 }
 
 // advance retires the just-finished child subtree (whose executed-step
 // summary is childSummary) and moves the stack to the next unexplored
 // backtrack choice, popping fully-explored nodes into the dedup table.
 // It returns false when the whole tree is explored.
-func (x *dpor) advance(childSummary map[threadOp]struct{}, taint bool) bool {
+func (x *dpor) advance(childSummary []threadOp, taint bool) bool {
 	for len(x.stack) > 0 {
-		n := x.stack[len(x.stack)-1]
+		n := &x.stack[len(x.stack)-1]
 		if taint {
 			n.tainted = true
 		}
 		ex := n.cands[n.chosen]
-		for to := range childSummary {
-			n.summary[to] = struct{}{}
+		for _, to := range childSummary {
+			n.summary = addStep(n.summary, to)
 		}
-		n.summary[threadOp{ex.Thread, ex.Op}] = struct{}{}
+		n.summary = addStep(n.summary, threadOp{ex.Thread, ex.Op})
 		// The explored thread joins the sleep set: any schedule that
 		// delays it past an independent op is equivalent to one of the
 		// schedules just covered.
-		n.sleep[ex.Thread] = ex.Op
+		n.sleep |= 1 << ex.Thread
+		n.sleepOps[ex.Thread] = ex.Op
 
 		for j, c := range n.cands {
 			q := c.Thread
-			if !n.backtrack[q] || n.done[q] {
-				continue
-			}
-			if _, asleep := n.sleep[q]; asleep {
+			if !n.backtrack.has(q) || n.done.has(q) || n.sleep.has(q) {
 				continue
 			}
 			x.raceUpdate(len(x.stack)-1, c)
 			n.chosen = j
-			n.done[q] = true
+			n.done |= 1 << q
 			return true
 		}
 
-		x.rep.Pruned += int64(len(n.cands) - len(n.done))
+		x.rep.Pruned += int64(len(n.cands) - bits.OnesCount8(uint8(n.done)))
 		if n.fpOK && !n.tainted {
 			x.register(n)
 		}
@@ -323,18 +343,13 @@ func (x *dpor) advance(childSummary map[threadOp]struct{}, taint bool) bool {
 }
 
 // lookup returns a dedup entry proving the state behind fp was fully
-// explored under a sleep set no stronger than the current one.
-func (x *dpor) lookup(fp uint64, sleep map[int]isa.Op) *dedupEntry {
-	for _, ent := range x.seen[fp] {
-		covered := true
-		for _, q := range ent.sleep {
-			if _, ok := sleep[q]; !ok {
-				covered = false
-				break
-			}
-		}
-		if covered {
-			return ent
+// explored under a sleep set no stronger than (a subset of) the current
+// one.
+func (x *dpor) lookup(fp uint64, sleep threadSet) *dedupEntry {
+	ents := x.seen[fp]
+	for i := range ents {
+		if ents[i].sleep&^sleep == 0 {
+			return &ents[i]
 		}
 	}
 	return nil
@@ -343,13 +358,10 @@ func (x *dpor) lookup(fp uint64, sleep map[int]isa.Op) *dedupEntry {
 // register records a fully-explored node in the dedup table unless an
 // entry with a weaker (subset) sleep set already covers it.
 func (x *dpor) register(n *dporNode) {
-	ents := x.seen[n.fp]
-	for _, ent := range ents {
-		if subsetSorted(ent.sleep, n.entrySleep) {
-			return
-		}
+	if x.lookup(n.fp, n.entrySleep) != nil {
+		return
 	}
-	x.seen[n.fp] = append(ents, &dedupEntry{sleep: n.entrySleep, summary: n.summary})
+	x.seen[n.fp] = append(x.seen[n.fp], dedupEntry{sleep: n.entrySleep, summary: n.summary})
 }
 
 func (x *dpor) schedString() string {
@@ -361,31 +373,4 @@ func (x *dpor) schedString() string {
 		b.WriteString(strconv.Itoa(t))
 	}
 	return b.String()
-}
-
-func sortedThreads(m map[int]isa.Op) []int {
-	if len(m) == 0 {
-		return nil
-	}
-	ts := make([]int, 0, len(m))
-	for t := range m {
-		ts = append(ts, t)
-	}
-	sort.Ints(ts)
-	return ts
-}
-
-// subsetSorted reports whether sorted slice a ⊆ sorted slice b.
-func subsetSorted(a, b []int) bool {
-	j := 0
-	for _, v := range a {
-		for j < len(b) && b[j] < v {
-			j++
-		}
-		if j >= len(b) || b[j] != v {
-			return false
-		}
-		j++
-	}
-	return true
 }

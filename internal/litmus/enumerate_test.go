@@ -14,16 +14,22 @@ func enumGateOptions(k int) EnumOptions {
 }
 
 // goldenEnum pins the sweep size per op budget k: canonical programs
-// (packed clones included) and annotation mutants. Drift means the
-// alphabet, the validity filters, or the canonicalization changed.
+// (packed clones included) and annotation mutants, and the DPOR
+// exploration totals of the whole sweep under Base. Drift in the sizes
+// means the alphabet, the validity filters, or the canonicalization
+// changed; drift in the totals with the sizes intact means the explorer
+// changed what it visits — a state-fingerprint collision merges states
+// and lowers StatesSeen, a wrong sleep/backtrack set moves Runs.
 var goldenEnum = []struct {
 	K        int
 	Programs int
 	Mutants  int
+	// Exploration totals under Base.
+	Runs, Schedules, DedupCuts, StatesSeen int64
 }{
-	{2, 44, 9},
-	{3, 1009, 367},
-	{4, 17851, 10416},
+	{2, 44, 9, 85, 74, 9, 142},
+	{3, 1009, 367, 3153, 2014, 1096, 6040},
+	{4, 17851, 10416, 92758, 42305, 48962, 181072},
 }
 
 // TestEnumerateGolden pins the enumeration's size and basic hygiene:
@@ -95,8 +101,9 @@ func TestEnumerateCanonical(t *testing.T) {
 // TestEnumerationSweep is the exhaustiveness gate of the enumeration
 // tentpole: every annotated-by-construction program up to k ops must
 // explore to completion (no errors, truncation, or caps) with zero
-// violations under DPOR. Short mode stops at k=3; the full run sweeps
-// k=4 (the CI litmus-enumerate job always runs the full sweep).
+// violations under DPOR, and the exploration totals must equal
+// goldenEnum's. Short mode stops at k=3; the full run sweeps k=4 (the CI
+// litmus-enumerate job always runs the full sweep).
 func TestEnumerationSweep(t *testing.T) {
 	maxK := 4
 	if testing.Short() {
@@ -110,8 +117,15 @@ func TestEnumerationSweep(t *testing.T) {
 		t.Errorf("%d explorations not exhaustive, first: %s", len(st.Failed), st.Failed[0])
 	}
 	for _, g := range goldenEnum {
-		if g.K == maxK && st.Programs != g.Programs {
+		if g.K != maxK {
+			continue
+		}
+		if st.Programs != g.Programs {
 			t.Errorf("k=%d: swept %d programs, golden %d", maxK, st.Programs, g.Programs)
+		}
+		got := [4]int64{st.Runs, st.Schedules, st.DedupCuts, st.StatesSeen}
+		if want := [4]int64{g.Runs, g.Schedules, g.DedupCuts, g.StatesSeen}; got != want {
+			t.Errorf("k=%d: runs/schedules/dedup_cuts/states_seen = %v, golden %v", maxK, got, want)
 		}
 	}
 	if st.DedupCuts == 0 || st.Schedules == 0 {

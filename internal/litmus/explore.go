@@ -82,7 +82,8 @@ const (
 // machine is the hierarchy+engine+oracle one run executes on. One
 // machine serves every replay of an Explore call: reset puts it back in
 // its constructed state before each run, so a replay costs what it
-// simulates instead of a whole machine's construction.
+// simulates instead of a whole machine's construction. The engine keeps
+// its guest coroutines across those replays until Explore closes it.
 type machine struct {
 	h      *core.Hierarchy
 	e      *engine.Engine
@@ -105,7 +106,7 @@ func machinePool(cfg Config) *sync.Pool {
 	}
 	p, _ := machinePools.LoadOrStore(k, &sync.Pool{New: func() any {
 		h := litmusHierarchy(cfg)
-		return &machine{h: h, e: engine.New(h, nil)}
+		return &machine{h: h, e: engine.New(h, nil), o: oracle.New(0)}
 	}})
 	return p.(*sync.Pool)
 }
@@ -128,7 +129,7 @@ func (m *machine) reset() {
 	}
 	m.h.Reset()
 	m.e.Reset(m.guests)
-	m.o = oracle.New(len(m.guests))
+	m.o.Reset(len(m.guests))
 	m.e.SetObserver(m.o)
 }
 
@@ -208,9 +209,12 @@ func Explore(t Test, cfg Config, opts Options) (*Report, error) {
 	m := pool.Get().(*machine)
 	m.load(t, cfg)
 	exploreDPOR(t, opts, rep, m)
-	// Only a machine whose exploration returned normally goes back: a
-	// panic (a replay divergence) may leave guest coroutines suspended,
-	// and that machine is dropped with them.
+	// The pool may drop an idle machine at any GC, so none goes back
+	// with coroutines parked: Close ends them, and the next Explore to
+	// draw this machine starts its own. Only a machine whose exploration
+	// returned normally goes back: a panic (a replay divergence) leaves
+	// its guests suspended, and that machine is dropped with them.
+	m.e.Close()
 	pool.Put(m)
 	return rep, nil
 }

@@ -3,9 +3,11 @@ package litmus
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
+	"time"
 )
 
 // poolCase is one (test, config) exploration.
@@ -88,5 +90,33 @@ func TestMachinePoolIsolation(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+}
+
+// TestExploreLeavesNoGoroutines: a pooled machine's engine keeps its
+// guest coroutines parked across the replays of one exploration, and
+// Explore must end them before the machine goes back to the pool (which
+// may drop it at any GC). After exploring the whole Suite no goroutine
+// is left over: every config's machine would otherwise keep one parked
+// coroutine per guest thread.
+func TestExploreLeavesNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	for _, tc := range Suite {
+		for _, cfg := range Configs {
+			if _, err := Explore(tc, cfg, Options{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// A halted coroutine's goroutine exits before the halt returns, so
+	// a leak shows at once; the retries only absorb goroutines an earlier
+	// test left exiting, which can also make the count drop below before.
+	after := runtime.NumGoroutine()
+	for i := 0; i < 100 && after > before; i++ {
+		time.Sleep(time.Millisecond)
+		after = runtime.NumGoroutine()
+	}
+	if after > before {
+		t.Errorf("goroutines: %d before exploring the suite, %d after", before, after)
 	}
 }

@@ -6,26 +6,30 @@ import (
 )
 
 // State fingerprinting for the litmus explorer's dedup table. Every
-// stateful component of the simulated machine folds itself into an
-// FNV-64a accumulator through these helpers; the explorer treats two
+// stateful component of the simulated machine folds itself into a 64-bit
+// accumulator, one word at a time, through Mix64; the explorer treats two
 // machine states with equal fingerprints as having identical futures.
 // The mixing function is fixed (not seeded) so fingerprint-derived
-// counts are stable across runs and platforms.
+// counts are stable across runs and platforms. Fingerprints live only in
+// the explorer's in-memory tables and the engine's per-thread history
+// hash: no fingerprint value is persisted or printed.
 
-// Fingerprint accumulation constants: FNV-64a offset basis and prime.
-const (
-	FNVOffset uint64 = 14695981039346656037
-	FNVPrime  uint64 = 1099511628211
-)
+// FingerprintSeed is the accumulator every fingerprint starts from.
+const FingerprintSeed uint64 = 14695981039346656037
 
-// Mix64 folds the 8 bytes of v into the FNV-64a accumulator h.
+// mixK is the odd multiplier of Mix64: 2^64 divided by the golden ratio,
+// whose evenly spread bits carry every input bit into both halves of the
+// 128-bit product.
+const mixK uint64 = 0x9e3779b97f4a7c15
+
+// Mix64 folds the word v into the accumulator h: one 64×64→128-bit
+// multiply of h^v by mixK, with the high and low halves of the product
+// XORed together. Mix64(0, 0) is 0, so callers that hash a stream of
+// possibly-zero words from a zero accumulator tag each word (see the
+// engine's history hash).
 func Mix64(h, v uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h ^= v & 0xff
-		h *= FNVPrime
-		v >>= 8
-	}
-	return h
+	hi, lo := bits.Mul64(h^v, mixK)
+	return hi ^ lo
 }
 
 // Fingerprint hashes the full contents of the backing store: every word
@@ -33,7 +37,7 @@ func Mix64(h, v uint64) uint64 {
 // Pages are dense bitmapped arrays, so iteration order is deterministic;
 // the map-backed oracle store sorts its keys first.
 func (m *Memory) Fingerprint() uint64 {
-	h := FNVOffset
+	h := FingerprintSeed
 	if m.oracle != nil {
 		addrs := make([]Addr, 0, len(m.oracle.words))
 		for a := range m.oracle.words {

@@ -9,7 +9,7 @@ import (
 // every resident page against the population bitmap, the original
 // formulation whose hash order and value the bitmap walk must reproduce.
 func perWordFingerprint(m *Memory) uint64 {
-	h := FNVOffset
+	h := FingerprintSeed
 	for pn, p := range m.pages {
 		if p == nil {
 			continue

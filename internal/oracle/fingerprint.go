@@ -1,7 +1,8 @@
 package oracle
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/mem"
 )
@@ -14,35 +15,28 @@ import (
 // clocks, every shadow word's happens-before-last write and concurrent
 // set, unpublished-write sets, last WB/INV sites, the per-address
 // reported filter, and the violation totals. Map iteration is made
-// deterministic by sorting keys.
+// deterministic by sorting keys, into buffers the oracle keeps for the
+// next call.
 func (o *Oracle) Fingerprint() uint64 {
-	h := mem.FNVOffset
+	h := mem.FingerprintSeed
 	for _, v := range o.vc {
 		h = hashClock(h, v)
 	}
 	// Tag each primitive-clock map so a lock's clock can never alias a
 	// flag's with the same ID.
 	h = mem.Mix64(h, uint64(len(o.locks))<<8|'L')
-	h = hashClockMap(h, o.locks)
+	h = o.hashClockMap(h, o.locks)
 	h = mem.Mix64(h, uint64(len(o.flags))<<8|'F')
-	h = hashClockMap(h, o.flags)
-	for _, id := range sortedIntKeys(len(o.barriers), func(ks []int) []int {
-		for k := range o.barriers {
-			ks = append(ks, k)
-		}
-		return ks
-	}) {
+	h = o.hashClockMap(h, o.flags)
+	o.intKeys = sortedKeys(o.intKeys, o.barriers)
+	for _, id := range o.intKeys {
 		b := o.barriers[id]
 		h = mem.Mix64(h, uint64(id))
 		h = hashClock(h, b.acc)
 		h = mem.Mix64(h, uint64(b.dones))
 	}
-	addrs := make([]mem.Addr, 0, len(o.words))
-	for a := range o.words {
-		addrs = append(addrs, a)
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	for _, a := range addrs {
+	o.addrKeys = sortedKeys(o.addrKeys, o.words)
+	for _, a := range o.addrKeys {
 		ws := o.words[a]
 		h = mem.Mix64(h, uint64(a))
 		h = hashWrite(h, ws.wr)
@@ -56,12 +50,8 @@ func (o *Oracle) Fingerprint() uint64 {
 	}
 	for t, set := range o.unpub {
 		h = mem.Mix64(h, uint64(t))
-		us := make([]mem.Addr, 0, len(set))
-		for a := range set {
-			us = append(us, a)
-		}
-		sort.Slice(us, func(i, j int) bool { return us[i] < us[j] })
-		for _, a := range us {
+		o.addrKeys = sortedKeys(o.addrKeys, set)
+		for _, a := range o.addrKeys {
 			h = mem.Mix64(h, uint64(a))
 		}
 	}
@@ -69,12 +59,8 @@ func (o *Oracle) Fingerprint() uint64 {
 		h = hashOpAt(h, o.lastWB[t])
 		h = hashOpAt(h, o.lastINV[t])
 	}
-	ra := make([]mem.Addr, 0, len(o.reported))
-	for a := range o.reported {
-		ra = append(ra, a)
-	}
-	sort.Slice(ra, func(i, j int) bool { return ra[i] < ra[j] })
-	for _, a := range ra {
+	o.addrKeys = sortedKeys(o.addrKeys, o.reported)
+	for _, a := range o.addrKeys {
 		h = mem.Mix64(h, uint64(a))
 	}
 	h = mem.Mix64(h, uint64(len(o.violations)))
@@ -88,13 +74,9 @@ func hashClock(h uint64, v vclock) uint64 {
 	return h
 }
 
-func hashClockMap(h uint64, m map[int]vclock) uint64 {
-	for _, id := range sortedIntKeys(len(m), func(ks []int) []int {
-		for k := range m {
-			ks = append(ks, k)
-		}
-		return ks
-	}) {
+func (o *Oracle) hashClockMap(h uint64, m map[int]vclock) uint64 {
+	o.intKeys = sortedKeys(o.intKeys, m)
+	for _, id := range o.intKeys {
 		h = mem.Mix64(h, uint64(id))
 		h = hashClock(h, m[id])
 	}
@@ -122,11 +104,12 @@ func hashOpAt(h uint64, s opAt) uint64 {
 	return mem.Mix64(h, uint64(s.cycle))
 }
 
-func sortedIntKeys(n int, collect func([]int) []int) []int {
-	if n == 0 {
-		return nil
+// sortedKeys refills buf with m's keys in ascending order.
+func sortedKeys[K cmp.Ordered, V any](buf []K, m map[K]V) []K {
+	buf = buf[:0]
+	for k := range m {
+		buf = append(buf, k)
 	}
-	ks := collect(make([]int, 0, n))
-	sort.Ints(ks)
-	return ks
+	slices.Sort(buf)
+	return buf
 }

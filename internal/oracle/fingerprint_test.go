@@ -1,9 +1,11 @@
 package oracle
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/faultinject"
 	"repro/internal/isa"
 	"repro/internal/mem"
 )
@@ -100,5 +102,52 @@ func TestFingerprintViolationStateCovered(t *testing.T) {
 	loadEv(violated, 1, 0x100, 0) // stale read -> violation recorded
 	if violated.Fingerprint() == a {
 		t.Error("recorded violation does not reach the fingerprint")
+	}
+}
+
+// TestResetMatchesNew: an oracle Reset after a history that recorded a
+// stale read and a lost update, with a fault state attached, must be
+// indistinguishable from a fresh one: fed the same second history, both
+// report equal fingerprints, violations, totals and CheckFinal findings,
+// whether the thread count stays or changes.
+func TestResetMatchesNew(t *testing.T) {
+	second := func(o *Oracle, threads int) {
+		for th := 0; th < threads; th++ {
+			store(o, th, mem.Addr(0x500+64*th), mem.Word(10+th))
+		}
+		flagSet(o, 0, 3)
+		flagWaitDone(o, threads-1, 3)
+		loadEv(o, threads-1, 0x500, 4) // synchronized stale read
+		o.OnEvent(engine.Event{Kind: engine.EvSyncIssue, Thread: 0, Op: isa.Op{Kind: isa.OpBarrier, ID: 2}})
+	}
+	for _, threads := range []int{2, 3, 1} {
+		reused := script()
+		store(reused, 0, 0x140, 5)
+		reused.SetFaults(faultinject.NewState(faultinject.MustParse("drop-wb@1")))
+		reused.CheckFinal(mem.NewMemory()) // lost updates: memory holds zeros
+		if reused.Total() < 2 {
+			t.Fatalf("first history recorded %d violations, want a stale read and a lost update", reused.Total())
+		}
+		reused.Reset(threads)
+		fresh := New(threads)
+		second(reused, threads)
+		second(fresh, threads)
+		for _, o := range []*Oracle{reused, fresh} {
+			m := mem.NewMemory()
+			m.WriteWord(0x500, 10)
+			o.CheckFinal(m)
+		}
+		if a, b := reused.Fingerprint(), fresh.Fingerprint(); a != b {
+			t.Errorf("threads=%d: fingerprint after Reset %#x, fresh %#x", threads, a, b)
+		}
+		if a, b := reused.Total(), fresh.Total(); a != b || a == 0 {
+			t.Errorf("threads=%d: Total after Reset %d, fresh %d (want equal and non-zero)", threads, a, b)
+		}
+		if a, b := reused.Violations(), fresh.Violations(); !reflect.DeepEqual(a, b) {
+			t.Errorf("threads=%d: violations after Reset %v, fresh %v", threads, a, b)
+		}
+		if !reflect.DeepEqual(reused, fresh) {
+			t.Errorf("threads=%d: reset oracle's state differs from a fresh one's", threads)
+		}
 	}
 }

@@ -37,7 +37,6 @@ package oracle
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/engine"
@@ -193,30 +192,60 @@ type Oracle struct {
 	reported   map[mem.Addr]bool
 	violations []Violation
 	total      int
+
+	// Reused key buffers for Fingerprint and CheckFinal.
+	intKeys  []int
+	addrKeys []mem.Addr
 }
 
 // New builds an oracle for a run with the given number of threads.
 func New(threads int) *Oracle {
 	o := &Oracle{
-		n:        threads,
-		vc:       make([]vclock, threads),
 		locks:    make(map[int]vclock),
 		flags:    make(map[int]vclock),
 		barriers: make(map[int]*barrierState),
 		words:    make(map[mem.Addr]*wordState),
-		unpub:    make([]map[mem.Addr]struct{}, threads),
-		lastWB:   make([]opAt, threads),
-		lastINV:  make([]opAt, threads),
 		reported: make(map[mem.Addr]bool),
 	}
-	for t := 0; t < threads; t++ {
-		o.vc[t] = make(vclock, threads)
+	o.Reset(threads)
+	return o
+}
+
+// Reset readies the oracle to check a new run with the given number of
+// threads, leaving it in the state New(threads) builds: every shadow
+// word, clock and violation forgotten and no fault state attached. The
+// maps are cleared in place and kept, so an oracle reused across many
+// short runs stops allocating them. What Violations and Err returned
+// before the Reset shares storage with the next run's violations.
+func (o *Oracle) Reset(threads int) {
+	if o.n != threads || o.vc == nil {
+		o.n = threads
+		o.vc = make([]vclock, threads)
+		o.unpub = make([]map[mem.Addr]struct{}, threads)
+		o.lastWB = make([]opAt, threads)
+		o.lastINV = make([]opAt, threads)
+		for t := range o.vc {
+			o.vc[t] = make(vclock, threads)
+			o.unpub[t] = make(map[mem.Addr]struct{})
+		}
+	}
+	for t, v := range o.vc {
+		clear(v)
 		// Epochs start at 1 so a fresh write is not trivially visible to
 		// every thread (other threads' components start at 0).
-		o.vc[t][t] = 1
-		o.unpub[t] = make(map[mem.Addr]struct{})
+		v[t] = 1
+		clear(o.unpub[t])
 	}
-	return o
+	clear(o.lastWB)
+	clear(o.lastINV)
+	clear(o.locks)
+	clear(o.flags)
+	clear(o.barriers)
+	clear(o.words)
+	clear(o.reported)
+	o.fi = nil
+	o.violations = o.violations[:0]
+	o.total = 0
 }
 
 // SetFaults attaches the run's fault-injection state so the oracle can
@@ -521,12 +550,8 @@ func (o *Oracle) dma(ev engine.Event) {
 // memory: every checked word must hold one of its legal final values.
 // Call after Hierarchy.Drain.
 func (o *Oracle) CheckFinal(m *mem.Memory) {
-	addrs := make([]mem.Addr, 0, len(o.words))
-	for a := range o.words {
-		addrs = append(addrs, a)
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	for _, a := range addrs {
+	o.addrKeys = sortedKeys(o.addrKeys, o.words)
+	for _, a := range o.addrKeys {
 		ws := o.words[a]
 		if ws.unchecked || ws.wr.thread < 0 || o.reported[a] {
 			continue
