@@ -17,7 +17,8 @@
 //	GET  /v2/metrics            server counters (hic-metrics/v1)
 //	GET  /healthz               liveness
 //
-// Every sweep CLI takes -server URL to run here instead of locally:
+// hicsim takes -server URL to run any suite but table1 here instead of
+// locally:
 //
 //	hicsim -json -scale test -server http://localhost:8080
 //

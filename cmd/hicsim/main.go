@@ -1,15 +1,17 @@
 // Command hicsim runs the reproduction — Table I, the Section VII-A
-// storage comparison, Figures 9 through 12, and the many-core
-// block-scaling sweep — and prints either a text report or the
+// storage comparison, Figures 9 through 12, the many-core block-scaling
+// sweep and the litmus suite — and prints either a text report or the
 // machine-readable document.
 //
 // Usage:
 //
-//	hicsim [-suite intra|inter|all|manycore|overhead|table1] [-scale test|bench]
+//	hicsim [-suite intra|inter|all|manycore|litmus|overhead|table1] [-scale test|bench]
 //	       [-parallel N] [-timeout D] [-json] [-timing] [-check] [-check-coherence]
 //	       [-faults matrix|PLAN] [-metrics] [-trace-chrome F]
 //	       [-cpuprofile F] [-memprofile F]
-//	       [-blocks N] [-cores-per-block N] [-server URL]
+//	       [-blocks N] [-cores-per-block N]
+//	       [-test NAME] [-config NAME] [-budget N] [-max-schedules N]
+//	       [-enumerate] [-k N] [-v] [-server URL]
 //
 // -suite selects what runs, by the names hicserve's requests use:
 //
@@ -19,15 +21,23 @@
 //	manycore  the E7 block-scaling sweep: Jacobi and NAS EP on machines of
 //	          1, 2, 4, ... blocks up to -blocks, each of -cores-per-block
 //	          cores (default 8), under Addr+L
+//	litmus    the litmus suite: every test in internal/litmus's table,
+//	          explored through all thread interleavings under each
+//	          configuration and checked against its allowed outcomes and
+//	          the coherence oracle
 //	overhead  the Section VII-A storage comparison (the incoherent
 //	          hierarchy saves about 102 KB)
 //	table1    Table I, the communication-pattern classification with a
 //	          census of the synchronization operations each kernel executes
 //
-// A flag that does nothing for the chosen suite is an error, not ignored:
-// -blocks and -cores-per-block apply to manycore only, the sweep flags to
-// the four results suites (intra, inter, all, manycore), -json and
-// -server to those and overhead, and table1 is text only.
+// Every suite but table1 is a serve.Request: hicsim builds it from the
+// flags, validates it with Request.Normalize and computes it with
+// Request.Run — the same method hicserve's workers call — or sends it to
+// a hicserve instance with -server. A flag that does nothing for the
+// chosen suite is an error, not ignored: -blocks and -cores-per-block
+// apply to manycore only, the sweep flags to the four results suites
+// (intra, inter, all, manycore), the litmus flags to litmus, -json and
+// -server to every suite but table1, and table1 is text only.
 // `hicsim -suite manycore -blocks 128` runs machines up to 1024 cores.
 //
 // Runs fan out across -parallel workers (default GOMAXPROCS); results are
@@ -47,13 +57,25 @@
 // harness failures — detected violations are the experiment's successful
 // outcome.
 //
+// The litmus suite prints one verdict line per (test, configuration)
+// pair; -v adds exploration statistics and the outcome histogram. -test
+// and -config restrict the matrix; -budget and -max-schedules bound each
+// exploration (0 means the explorer's defaults). Exploration uses dynamic
+// partial-order reduction. -enumerate replaces the curated suite with the
+// systematic enumeration of every litmus shape up to -k ops (default 4)
+// and fails unless every annotated program explores violation-free to
+// exhaustion. The exit status is nonzero iff any verdict fails — an
+// annotated test with a violation, an under-annotated test whose bug no
+// schedule exposed (or exposed with the wrong attribution), or a
+// non-exhaustive exploration.
+//
 // With -json the suite's document is emitted on stdout (schema hic/v2,
-// kind "results", or "storage" for overhead) instead of the text report.
-// The JSON is canonical — byte-identical for serial and parallel runs —
-// unless -timing adds host wall times. With -check the paper's expected
-// config-vs-config orderings (DESIGN.md §4) are evaluated against the
-// results document and the command exits nonzero on any violation; this
-// is the gate CI runs.
+// kind "results", "litmus", or "storage" for overhead) instead of the
+// text report. The JSON is canonical — byte-identical for serial and
+// parallel runs — unless -timing adds host wall times. With -check the
+// paper's expected config-vs-config orderings (DESIGN.md §4) are
+// evaluated against the results document and the command exits nonzero
+// on any violation; this is the gate CI runs.
 //
 // -metrics attaches the observability layer to every run and embeds each
 // cell's deterministic snapshot (cache/MEB/IEB counters, NoC histograms,
@@ -67,15 +89,17 @@
 // samples to experiment cells.
 //
 // -server URL delegates the suite to a hicserve instance and prints the
-// fetched document — byte-identical to a local -json run; warm resubmits
-// are answered from the server's content-addressed cache without
-// re-simulating. -check still runs locally, against the fetched document.
+// fetched document — byte-identical to a local -json run, with the same
+// exit status; warm resubmits are answered from the server's
+// content-addressed cache without re-simulating. The server uses its own
+// -parallel and -timeout, so neither may be set. -check still runs
+// locally, against the fetched document.
 package main
 
 import (
 	"bytes"
 	"context"
-	"errors"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -85,31 +109,33 @@ import (
 
 	hic "repro"
 	"repro/internal/cli"
-	"repro/internal/obs"
+	"repro/internal/litmus"
 	"repro/internal/runner"
 	"repro/internal/serve"
 	"repro/internal/shapecheck"
 )
 
-// Flag scopes, as space-separated flag names.
+// Flag scopes, as space-separated flag names. Flags that fill a
+// serve.Request field are judged by Request.Normalize instead.
 const (
 	// anySuite flags apply to every suite.
 	anySuite   = "suite cpuprofile memprofile"
 	docFlags   = "json server tenant"
-	sweepFlags = docFlags + " scale parallel timeout timing check check-coherence metrics"
+	sweepFlags = docFlags + " parallel timeout timing check"
 	// faultFlags are those the robustness experiment (-faults within
-	// suite all) uses.
+	// suite all) uses; it builds no Request.
 	faultFlags = "scale parallel timeout faults"
 )
 
-// accepts lists, per suite, the flags beyond anySuite that do something
-// there; setting any other flag is an error, the way
-// serve.Request.Normalize rejects inert fields.
+// accepts lists, per suite, the hicsim-only flags beyond anySuite that
+// do something there; setting any other one is an error. table1 builds
+// no Request, so its list holds every flag it uses.
 var accepts = map[string]string{
 	"intra":    sweepFlags + " trace-chrome",
 	"inter":    sweepFlags + " trace-chrome",
 	"all":      sweepFlags + " trace-chrome",
-	"manycore": sweepFlags + " blocks cores-per-block",
+	"manycore": sweepFlags,
+	"litmus":   docFlags + " v",
 	"overhead": docFlags,
 	"table1":   "scale",
 }
@@ -118,9 +144,17 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("hicsim: ")
 	f := cli.Register(flag.CommandLine, cli.SweepFlags)
-	suite := flag.String("suite", "all", "what to run: intra, inter, all, manycore, overhead, or table1")
+	suite := flag.String("suite", "all", "what to run: intra, inter, all, manycore, litmus, overhead, or table1")
+	// The litmus filters and bounds parse straight into the request.
+	var req serve.Request
+	flag.StringVar(&req.Test, "test", "", "run only the named litmus suite test")
+	flag.StringVar(&req.Config, "config", "", "run only the named litmus configuration (Base, B+M+I, Adaptive)")
+	flag.IntVar(&req.Budget, "budget", 0, "per-schedule litmus step budget (0 = default)")
+	flag.IntVar(&req.MaxSchedules, "max-schedules", 0, "total schedule cap per litmus exploration (0 = default)")
+	verbose := flag.Bool("v", false, "print litmus exploration statistics and outcome histograms")
 	flag.Parse()
-	if err := validate(*suite, f); err != nil {
+	req.Suite = *suite
+	if err := validate(&req, f); err != nil {
 		log.Fatal(err)
 	}
 	s, err := f.ScaleValue()
@@ -130,7 +164,7 @@ func main() {
 	ctx := context.Background()
 
 	if f.Server != "" {
-		runRemote(ctx, *suite, f)
+		remote(ctx, req, f)
 		return
 	}
 	stopProfiles := f.StartProfiles()
@@ -145,41 +179,55 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-	case *suite == "table1":
+	case req.Suite == "table1":
 		out, err := hic.PatternTable(s)
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Print(out)
-	case *suite == "overhead":
-		rep := hic.StorageReport()
-		if !f.JSON {
-			fmt.Print(rep.Render())
-		} else if err := rep.Document().Encode(os.Stdout); err != nil {
-			log.Fatal(err)
-		}
 	default:
-		runLocal(ctx, *suite, f, s)
+		local(ctx, req, f, s, *verbose)
 	}
 }
 
-// validate rejects an unknown suite and every flag set on the command
-// line that does nothing for it, then bad flag values.
-func validate(suite string, f *cli.Flags) error {
-	if _, ok := accepts[suite]; !ok {
-		return fmt.Errorf("unknown -suite %q (want intra, inter, all, manycore, overhead, or table1)", suite)
+// validate completes req from the flags set on the command line and
+// checks it. A flag that fills a Request field is left to
+// Request.Normalize, which rejects it where the suite does not use it;
+// any other flag must be one hicsim uses for the suite (accepts).
+func validate(req *serve.Request, f *cli.Flags) error {
+	accepted, ok := accepts[req.Suite]
+	if !ok {
+		return fmt.Errorf("unknown -suite %q (want intra, inter, all, manycore, litmus, overhead, or table1)", req.Suite)
 	}
-	mode := "-suite " + suite
-	accepted := accepts[suite]
-	if f.Faults != "" && suite == "all" {
-		mode, accepted = "-faults", faultFlags
+	scope, served := "-suite "+req.Suite, req.Suite != "table1"
+	if f.Faults != "" && req.Suite == "all" {
+		scope, accepted, served = "-faults", faultFlags, false
 	}
 	var err error
 	flag.Visit(func(fl *flag.Flag) {
-		if err != nil || inList(anySuite+" "+accepted, fl.Name) {
-			return
+		field := true
+		switch fl.Name {
+		case "scale":
+			req.Scale = f.Scale
+		case "check-coherence":
+			req.Coherence = f.CheckCoherence
+		case "metrics":
+			req.Metrics = f.Metrics
+		case "blocks":
+			req.Blocks = f.Blocks
+		case "cores-per-block":
+			req.CoresPerBlock = f.CoresPerBlock
+		case "enumerate":
+			req.Enumerate = f.Enumerate
+		case "k":
+			req.K = f.K
+		case "test", "config", "budget", "max-schedules":
+		default:
+			field = false
 		}
-		err = fmt.Errorf("-%s does not apply to %s", fl.Name, mode)
+		if err == nil && !(served && field) && !inList(anySuite+" "+accepted, fl.Name) {
+			err = fmt.Errorf("-%s does not apply to %s", fl.Name, scope)
+		}
 	})
 	if err != nil {
 		return err
@@ -187,15 +235,16 @@ func validate(suite string, f *cli.Flags) error {
 	if err := f.Validate(); err != nil {
 		return err
 	}
-	if suite == "manycore" {
-		if f.Blocks < 1 {
-			return fmt.Errorf("-suite manycore requires -blocks N (N >= 1)")
-		}
-		if f.CoresPerBlock < 1 {
-			return fmt.Errorf("-cores-per-block %d: want at least 1", f.CoresPerBlock)
-		}
+	if !served {
+		return nil
 	}
-	return nil
+	if req.K != 0 && !req.Enumerate {
+		return fmt.Errorf("-k applies to -suite litmus -enumerate only")
+	}
+	if req.Simulation() && req.Scale == "" {
+		req.Scale = f.Scale // hicsim defaults to bench scale, a Request to test
+	}
+	return req.Normalize()
 }
 
 // inList reports whether name is a word of the space-separated list.
@@ -203,19 +252,17 @@ func inList(list, name string) bool {
 	return strings.Contains(" "+list+" ", " "+name+" ")
 }
 
-// runRemote delegates the suite to the -server instance and prints the
-// fetched document; -check then gates the decoded bytes exactly as it
-// gates a local run.
-func runRemote(ctx context.Context, suite string, f *cli.Flags) {
-	req := serve.Request{Suite: suite}
-	if suite != "overhead" {
-		req.Scale = f.Scale
-	}
-	if suite == "manycore" {
-		req.Blocks, req.CoresPerBlock = f.Blocks, f.CoresPerBlock
-	}
-	data, err := f.RunRemote(ctx, req, os.Stdout)
+// remote runs req on the -server instance and prints the fetched
+// document. -check then gates the decoded bytes exactly as it gates a
+// local run, and a failed litmus verdict exits nonzero as it does
+// locally.
+func remote(ctx context.Context, req serve.Request, f *cli.Flags) {
+	c := &serve.Client{BaseURL: f.Server, Tenant: f.Tenant}
+	data, err := c.Run(ctx, req)
 	if err != nil {
+		log.Fatal(err)
+	}
+	if _, err := os.Stdout.Write(data); err != nil {
 		log.Fatal(err)
 	}
 	if f.Check {
@@ -224,6 +271,15 @@ func runRemote(ctx context.Context, suite string, f *cli.Flags) {
 			log.Fatalf("decoding served document: %v", err)
 		}
 		check(doc)
+	}
+	if req.Suite == "litmus" {
+		var doc litmus.Document
+		if err := json.Unmarshal(data, &doc); err != nil {
+			log.Fatalf("decoding served document: %v", err)
+		}
+		if doc.Failed() {
+			os.Exit(1)
+		}
 	}
 }
 
@@ -237,76 +293,101 @@ func check(doc *runner.Document) {
 	}
 }
 
-// runLocal runs a results suite: the document goes to stdout with -json
-// (partial on cell failures) and the text report otherwise; -check gates
-// the document either way.
-func runLocal(ctx context.Context, suite string, f *cli.Flags, s hic.Scale) {
-	sw := sweep(ctx, suite, f, s)
+// local computes req in this process with the Request.Run the server's
+// workers call. The document goes to stdout with -json (partial on cell
+// failures) and the text report otherwise; -check gates a results
+// document either way.
+func local(ctx context.Context, req serve.Request, f *cli.Flags, s hic.Scale, verbose bool) {
+	res, err := req.Run(ctx, serve.Env{Parallel: f.Parallel, Timeout: f.Timeout, Trace: f.Tracing()})
+	if res == nil {
+		log.Fatal(err)
+	}
 	if f.JSON {
-		if err := f.EncodeDoc(os.Stdout, sw.doc); err != nil {
+		write := res.Encode
+		if f.Timing {
+			write = res.Doc.EncodeTiming // -timing applies to results suites only
+		}
+		if err := write(os.Stdout); err != nil {
 			log.Fatal(err)
 		}
 	}
-	if err := f.WriteTraces(sw.traces); err != nil {
+	if err := f.WriteTraces(res.Traces); err != nil {
 		log.Fatal(err)
 	}
-	if sw.err != nil {
-		log.Print(sw.err)
+	if err != nil {
+		log.Print(err)
 	} else if !f.JSON {
-		sw.text()
+		report(req, res, f, s, verbose)
 	}
 	if f.Check {
-		check(sw.doc)
+		check(res.Doc)
 	}
-	if sw.err != nil {
+	if err != nil || res.Litmus != nil && res.Litmus.Failed() {
 		os.Exit(1)
 	}
 }
 
-// sweepResult is one results suite's outcome.
-type sweepResult struct {
-	doc    *runner.Document
-	traces []obs.CellTrace
-	text   func()
-	err    error
+// report prints a local result's text report.
+func report(req serve.Request, res *serve.Result, f *cli.Flags, s hic.Scale, verbose bool) {
+	workers := hic.NewRunOptions(hic.WithParallel(f.Parallel)).Workers(1 << 30)
+	switch req.Suite {
+	case "intra":
+		printIntra(res.Intra)
+	case "inter":
+		printInter(res.Inter)
+	case "all":
+		printAll(s, res.Intra, res.Inter)
+		fmt.Printf("\nsweep wall time (%d workers): intra %s, inter %s\n",
+			workers, res.Walls[0].Round(time.Millisecond), res.Walls[1].Round(time.Millisecond))
+	case "manycore":
+		fmt.Printf("== E7: block scaling (up to %d blocks x %d cores) ==============\n",
+			req.Blocks, req.CoresPerBlock)
+		fmt.Println(res.Manycore.Curve.Render())
+		fmt.Printf("sweep wall time (%d workers): %s\n", workers, res.Walls[0].Round(time.Millisecond))
+	case "litmus":
+		printLitmus(res.Litmus, verbose)
+	case "overhead":
+		fmt.Print(res.Storage.Render())
+	}
 }
 
-func sweep(ctx context.Context, suite string, f *cli.Flags, s hic.Scale) sweepResult {
-	opts := f.Options()
-	workers := hic.NewRunOptions(opts...).Workers(1 << 30)
-	switch suite {
-	case "intra":
-		res, err := hic.RunIntra(ctx, s, opts...)
-		return sweepResult{res.Document(s), res.Traces, func() { printIntra(res) }, err}
-	case "inter":
-		res, err := hic.RunInter(ctx, s, opts...)
-		return sweepResult{res.Document(s), res.Traces, func() { printInter(res) }, err}
-	case "manycore":
-		start := time.Now()
-		res, err := hic.RunManycore(ctx, s, hic.ManycoreBlockCounts(f.Blocks), f.CoresPerBlock, opts...)
-		wall := time.Since(start)
-		return sweepResult{res.Document(s), nil, func() {
-			fmt.Printf("== E7: block scaling (up to %d blocks x %d cores) ==============\n",
-				f.Blocks, f.CoresPerBlock)
-			fmt.Println(res.Curve.Render())
-			fmt.Printf("sweep wall time (%d workers): %s\n", workers, wall.Round(time.Millisecond))
-		}, err}
+// printLitmus renders the litmus text report: one verdict line per
+// (test, configuration) pair, or one line per configuration sweep with
+// -enumerate, plus exploration statistics with -v.
+func printLitmus(doc *litmus.Document, verbose bool) {
+	for _, r := range doc.Results {
+		fmt.Println(r.Verdict)
+		if verbose {
+			rep := r.Report
+			fmt.Printf("  %d schedules, %d pruned, %d dead ends, %d violation schedule(s)\n",
+				rep.Schedules, rep.Pruned, rep.DeadEnds, rep.ViolationSchedules)
+			for _, o := range rep.SortedOutcomes() {
+				fmt.Printf("  outcome %-24s count=%-6d allowed=%-5v sample=%s\n",
+					o.Key, o.Count, o.Allowed, o.Sample)
+			}
+			for _, vi := range rep.Violations {
+				fmt.Printf("  violation [%s] on %s: %s\n", vi.Class, vi.Schedule, vi.Detail)
+			}
+		}
 	}
-	start := time.Now()
-	intra, intraErr := hic.RunIntra(ctx, s, opts...)
-	intraWall := time.Since(start)
-	start = time.Now()
-	inter, interErr := hic.RunInter(ctx, s, opts...)
-	interWall := time.Since(start)
-	return sweepResult{
-		runner.Merge(intra.Document(s), inter.Document(s)),
-		append(intra.Traces, inter.Traces...),
-		func() {
-			printAll(s, intra, inter)
-			fmt.Printf("\nsweep wall time (%d workers): intra %s, inter %s\n",
-				workers, intraWall.Round(time.Millisecond), interWall.Round(time.Millisecond))
-		},
-		errors.Join(intraErr, interErr),
+	for _, st := range doc.Sweeps {
+		ok := len(st.Stats.Violating) == 0 && len(st.Stats.Failed) == 0
+		status := "PASS"
+		if !ok {
+			status = "FAIL"
+		}
+		fmt.Printf("%s enumerate k=%d config=%s: %d programs, %d mutants\n",
+			status, st.K, st.Config, st.Stats.Programs, st.Stats.Mutants)
+		if verbose || !ok {
+			fmt.Printf("  runs=%d schedules=%d dedup_cuts=%d states=%d\n",
+				st.Stats.Runs, st.Stats.Schedules, st.Stats.DedupCuts, st.Stats.StatesSeen)
+			for _, name := range st.Stats.Violating {
+				fmt.Printf("  violating: %s\n", name)
+			}
+			for _, name := range st.Stats.Failed {
+				fmt.Printf("  not exhaustive: %s\n", name)
+			}
+		}
 	}
 }
 

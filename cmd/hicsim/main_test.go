@@ -10,6 +10,8 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
+	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -17,8 +19,10 @@ import (
 	"testing"
 
 	"repro/internal/envelope"
+	"repro/internal/litmus"
 	"repro/internal/obs"
 	"repro/internal/runner"
+	"repro/internal/serve"
 )
 
 func buildHicsim(t *testing.T) string {
@@ -152,23 +156,30 @@ func TestHicsimFlagPlumbing(t *testing.T) {
 	})
 
 	// Flags that do nothing for the chosen suite are rejected, not
-	// silently ignored.
+	// silently ignored: by Request.Normalize for the flags that fill a
+	// serve.Request field, by hicsim's own scope check for the rest.
 	for _, tc := range []struct {
 		name string
 		args []string
 		want string
 	}{
-		{"blocks-outside-manycore-exits-nonzero", []string{"-suite", "intra", "-blocks", "2"}, "-blocks does not apply"},
-		{"cores-per-block-outside-manycore-exits-nonzero", []string{"-cores-per-block", "4"}, "-cores-per-block does not apply"},
-		{"faults-with-suite-exits-nonzero", []string{"-suite", "inter", "-faults", "matrix"}, "-faults does not apply"},
-		{"json-with-table1-exits-nonzero", []string{"-suite", "table1", "-json"}, "-json does not apply"},
-		{"check-with-table1-exits-nonzero", []string{"-suite", "table1", "-check"}, "-check does not apply"},
-		{"server-with-table1-exits-nonzero", []string{"-suite", "table1", "-server", "http://127.0.0.1:1"}, "-server does not apply"},
-		{"unknown-suite-exits-nonzero", []string{"-suite", "storage"}, "unknown -suite"},
-		{"block-parallel-exits-nonzero", []string{"-suite", "manycore", "-blocks", "2", "-block-parallel"}, "flag provided but not defined: -block-parallel"},
+		{"blocks-outside-manycore-exits-nonzero", []string{"-suite", "intra", "-scale", "test", "-blocks", "2"}, "blocks and cores_per_block apply to suite manycore only"},
+		{"cores-per-block-outside-manycore-exits-nonzero", []string{"-scale", "test", "-cores-per-block", "4"}, "blocks and cores_per_block apply to suite manycore only"},
+		{"faults-with-suite-exits-nonzero", []string{"-suite", "inter", "-scale", "test", "-faults", "matrix"}, "-faults does not apply"},
+		{"json-with-table1-exits-nonzero", []string{"-suite", "table1", "-scale", "test", "-json"}, "-json does not apply"},
+		{"check-with-table1-exits-nonzero", []string{"-suite", "table1", "-scale", "test", "-check"}, "-check does not apply"},
+		{"server-with-table1-exits-nonzero", []string{"-suite", "table1", "-scale", "test", "-server", "http://127.0.0.1:1"}, "-server does not apply"},
+		{"unknown-suite-exits-nonzero", []string{"-suite", "storage", "-scale", "test"}, "unknown -suite"},
+		{"block-parallel-exits-nonzero", []string{"-suite", "manycore", "-blocks", "2", "-scale", "test", "-block-parallel"}, "flag provided but not defined: -block-parallel"},
+		{"litmus-flag-on-sweep-exits-nonzero", []string{"-suite", "inter", "-scale", "test", "-test", "sb"}, "litmus parameters apply to suite litmus only"},
+		{"scale-with-litmus-exits-nonzero", []string{"-suite", "litmus", "-scale", "test"}, "scale applies to simulation suites only"},
+		{"v-with-sweep-exits-nonzero", []string{"-suite", "inter", "-scale", "test", "-v"}, "-v does not apply"},
+		{"litmus-enumerate-with-test-exits-nonzero", []string{"-suite", "litmus", "-enumerate", "-test", "sb"}, "test applies to the curated suite, not -enumerate"},
+		{"litmus-negative-budget-exits-nonzero", []string{"-suite", "litmus", "-budget", "-5"}, "budget and max_schedules must be non-negative"},
+		{"litmus-k-without-enumerate-exits-nonzero", []string{"-suite", "litmus", "-k", "3"}, "-k applies to -suite litmus -enumerate only"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			out, err := exec.Command(bin, append([]string{"-scale", "test"}, tc.args...)...).CombinedOutput()
+			out, err := exec.Command(bin, tc.args...).CombinedOutput()
 			if err == nil {
 				t.Fatalf("hicsim %v accepted:\n%s", tc.args, out)
 			}
@@ -192,8 +203,9 @@ func TestHicsimFlagPlumbing(t *testing.T) {
 }
 
 // TestSuiteOutputsPinned pins stdout of every suite, text and -json, at
-// test scale. The digests were taken from the per-figure commands this
-// one replaced, so they also prove the fold changed no output byte.
+// test scale. The digests were taken from the per-figure and litmus
+// commands this one replaced, so they also prove the fold changed no
+// output byte.
 func TestSuiteOutputsPinned(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the binary")
@@ -214,6 +226,12 @@ func TestSuiteOutputsPinned(t *testing.T) {
 		{[]string{"-suite", "manycore", "-blocks", "4", "-scale", "test", "-json"}, "4aa5726b9e5724f75ad67d4b9eb9d218107f6c4bf375aa894ed99ca211a96b06"},
 		{[]string{"-suite", "manycore", "-blocks", "4", "-scale", "test"}, "49085037d20e88e7ddacd11f5f91fc7423a8ecd635cc338eff5e5506081c1db6"},
 		{[]string{"-suite", "table1", "-scale", "test"}, "96e2e0a32303c3aa485353d7a5fccde104f33db7b936720fbacabcb39671f71a"},
+		// The litmus digests were taken from the retired litmus command.
+		{[]string{"-suite", "litmus", "-json"}, "67d3442a404343fc42091a93044b7bda7fb166cefc5868d6efb8044e54924159"},
+		{[]string{"-suite", "litmus", "-v"}, "48bfab1525efbec2982ddd49093c1a432aa73a23dedd08ba44b889685bf91115"},
+		{[]string{"-suite", "litmus", "-test", "sb", "-config", "Base"}, "40d66235bfcdfbb85297e4411943e5bf44258df2e856bcc8cfae478e18541577"},
+		{[]string{"-suite", "litmus", "-enumerate", "-k", "3", "-json"}, "c117781c0158301123ca31bdb3beca72d64cb735f7ad0eefdd3426f7adf0422a"},
+		{[]string{"-suite", "litmus", "-enumerate", "-k", "3", "-v"}, "3ae1d0e5386c1624e383eb3c78e1528f6d2aabe4c5a2f8ba9a0979f37dcdd622"},
 	} {
 		name := strings.Join(tc.args, " ")
 		t.Run(name, func(t *testing.T) {
@@ -231,6 +249,140 @@ func TestSuiteOutputsPinned(t *testing.T) {
 			sum := sha256.Sum256(kept)
 			if got := hex.EncodeToString(sum[:]); got != tc.want {
 				t.Errorf("stdout sha256 = %s, want %s", got, tc.want)
+			}
+		})
+	}
+}
+
+func TestLitmusSuite(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the binary")
+	}
+	bin := buildHicsim(t)
+	litmusRun := func(args ...string) *exec.Cmd {
+		return exec.Command(bin, append([]string{"-suite", "litmus"}, args...)...)
+	}
+
+	t.Run("full-suite-passes", func(t *testing.T) {
+		out, err := litmusRun("-v").CombinedOutput()
+		if err != nil {
+			t.Fatalf("-suite litmus -v: %v\n%s", err, out)
+		}
+		for _, want := range []string{"mp-annotated/Base: ok", "lock-lostupdate/Adaptive: ok", "schedules"} {
+			if !strings.Contains(string(out), want) {
+				t.Errorf("output missing %q:\n%s", want, out)
+			}
+		}
+	})
+
+	t.Run("json-is-deterministic", func(t *testing.T) {
+		run := func() []byte {
+			out, err := litmusRun("-json").Output()
+			if err != nil {
+				t.Fatalf("-suite litmus -json: %v", err)
+			}
+			return out
+		}
+		a, b := run(), run()
+		if !bytes.Equal(a, b) {
+			t.Fatal("-json output differs across two identical runs")
+		}
+		var doc litmus.Document
+		if err := json.Unmarshal(a, &doc); err != nil {
+			t.Fatalf("decoding -json output: %v", err)
+		}
+		if doc.Schema != envelope.SchemaV2 || doc.Kind != envelope.KindLitmus {
+			t.Errorf("schema/kind = %q/%q, want %q/%q", doc.Schema, doc.Kind, envelope.SchemaV2, envelope.KindLitmus)
+		}
+		if len(doc.Results) == 0 {
+			t.Fatal("no results")
+		}
+		for _, r := range doc.Results {
+			if !r.Verdict.OK {
+				t.Errorf("%s", r.Verdict)
+			}
+			if r.Report.Schedules == 0 {
+				t.Errorf("%s/%s: zero schedules", r.Report.Test, r.Report.Config)
+			}
+		}
+	})
+
+	t.Run("test-and-config-filters", func(t *testing.T) {
+		out, err := litmusRun("-test", "sb", "-config", "Base").CombinedOutput()
+		if err != nil {
+			t.Fatalf("-test sb -config Base: %v\n%s", err, out)
+		}
+		if got := strings.TrimSpace(string(out)); got != "sb/Base: ok (expect none)" {
+			t.Errorf("filtered run printed %q", got)
+		}
+	})
+
+	t.Run("tiny-budget-exits-nonzero", func(t *testing.T) {
+		out, err := litmusRun("-test", "sb", "-config", "Base", "-budget", "3").CombinedOutput()
+		if err == nil {
+			t.Fatalf("truncated exploration exited zero:\n%s", out)
+		}
+		if !strings.Contains(string(out), "not exhaustive") {
+			t.Errorf("missing truncation diagnosis:\n%s", out)
+		}
+	})
+
+	t.Run("unknown-test-exits-nonzero", func(t *testing.T) {
+		out, err := litmusRun("-test", "no-such-test").CombinedOutput()
+		if err == nil || !strings.Contains(string(out), "unknown litmus test") {
+			t.Fatalf("unknown test accepted: %v\n%s", err, out)
+		}
+	})
+
+	t.Run("unknown-config-exits-nonzero", func(t *testing.T) {
+		out, err := litmusRun("-config", "no-such-config").CombinedOutput()
+		if err == nil || !strings.Contains(string(out), "unknown litmus config") {
+			t.Fatalf("unknown config accepted: %v\n%s", err, out)
+		}
+	})
+}
+
+// TestServedMatchesLocal runs suites locally and through -server against
+// an in-process hicserve: stdout and exit status must match.
+func TestServedMatchesLocal(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the binary")
+	}
+	bin := buildHicsim(t)
+	srv, err := serve.New(serve.Config{Workers: 1, Parallel: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() {
+		hs.Close()
+		srv.Close()
+	})
+	run := func(args ...string) ([]byte, int) {
+		var stdout bytes.Buffer
+		cmd := exec.Command(bin, args...)
+		cmd.Stdout = &stdout
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if err != nil && !errors.As(err, &exit) {
+			t.Fatalf("hicsim %v: %v", args, err)
+		}
+		return stdout.Bytes(), cmd.ProcessState.ExitCode()
+	}
+	for _, args := range [][]string{
+		{"-suite", "inter", "-scale", "test", "-json"},
+		{"-suite", "litmus", "-test", "sb", "-config", "Base", "-json"},
+		// A truncated exploration fails its verdict: exit 1 either way.
+		{"-suite", "litmus", "-test", "sb", "-config", "Base", "-budget", "3", "-json"},
+	} {
+		t.Run(strings.Join(args, " "), func(t *testing.T) {
+			want, wantCode := run(args...)
+			got, gotCode := run(append(args, "-server", hs.URL)...)
+			if !bytes.Equal(got, want) {
+				t.Errorf("served stdout differs from local:\nserved:\n%s\nlocal:\n%s", got, want)
+			}
+			if gotCode != wantCode {
+				t.Errorf("served exit status %d, local %d", gotCode, wantCode)
 			}
 		})
 	}

@@ -3,25 +3,21 @@
 // -timeout, -json, ...), which let their spellings, defaults, and help
 // strings drift; here each command selects the shared flags it supports
 // with a Mask and registers only its extras, and the parsed values
-// convert to hic run options and JSON encoding policy in one place.
+// convert to hic run options in one place.
 //
 // Typical use (see cmd/hicsim for a complete example):
 //
 //	f := cli.Register(flag.CommandLine, cli.SweepFlags)
 //	suite := flag.String("suite", "all", "...")   // command-specific
 //	flag.Parse()
+//	if err := f.Validate(); err != nil { ... }
 //	s, err := f.ScaleValue()
-//	...
-//	res, err := hic.RunIntra(ctx, s, f.Options()...)
-//	err = f.EncodeDoc(os.Stdout, res.Document(s))
-//	err = f.WriteTraces(res.Traces)
+//	rep, err := hic.RunBuggyAnnotation(ctx, s, f.Options()...)
 package cli
 
 import (
-	"context"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"os"
 	"runtime"
@@ -30,8 +26,6 @@ import (
 
 	hic "repro"
 	"repro/internal/obs"
-	"repro/internal/runner"
-	"repro/internal/serve"
 )
 
 // Mask selects which shared flags a command registers.
@@ -67,10 +61,10 @@ const (
 	// print the fetched document, byte-identical to a local -json run).
 	FlagServer
 
-	// SweepFlags is the full sweep-command set (hicsim).
+	// SweepFlags is the full suite-command set (hicsim).
 	SweepFlags = FlagScale | FlagParallel | FlagTimeout | FlagJSON | FlagTiming |
 		FlagCheck | FlagCoherence | FlagFaults | FlagObs | FlagProfile |
-		FlagTopo | FlagServer
+		FlagTopo | FlagExplore | FlagServer
 	// FuzzFlags is the fuzz-campaign set (hicfuzz): machine output plus
 	// sweep parallelism and wall-time reporting.
 	FuzzFlags = FlagParallel | FlagJSON | FlagTiming
@@ -81,7 +75,7 @@ const (
 type Flags struct {
 	// Scale is the problem scale spelling ("test" or "bench").
 	Scale string
-	// Parallel is the sweep worker count.
+	// Parallel is the sweep worker count (0 = GOMAXPROCS).
 	Parallel int
 	// Timeout bounds each individual run (0 = none).
 	Timeout time.Duration
@@ -124,12 +118,12 @@ type Flags struct {
 // the destination Flags. Call it before registering command-specific
 // extras so the shared spellings stay first in -help output.
 func Register(fs *flag.FlagSet, mask Mask) *Flags {
-	f := &Flags{Scale: "bench", Parallel: runtime.GOMAXPROCS(0), K: 4}
+	f := &Flags{Scale: "bench", K: 4}
 	if mask&FlagScale != 0 {
 		fs.StringVar(&f.Scale, "scale", f.Scale, "problem scale: test or bench")
 	}
 	if mask&FlagParallel != 0 {
-		fs.IntVar(&f.Parallel, "parallel", f.Parallel, "worker count for the experiment sweeps")
+		fs.IntVar(&f.Parallel, "parallel", f.Parallel, "worker count for the experiment sweeps (0 = GOMAXPROCS)")
 	}
 	if mask&FlagTimeout != 0 {
 		fs.DurationVar(&f.Timeout, "timeout", 0, "per-run timeout (0 = none)")
@@ -190,12 +184,15 @@ func (f *Flags) Validate() error {
 		return fmt.Errorf("-k %d: want an op budget of at least 1", f.K)
 	}
 	if f.Server != "" {
-		// The server computes canonical documents; flags that change the
-		// output beyond what a Request can express (or that only make
-		// sense against a local process) cannot ride along.
+		// The server computes canonical documents with its own workers
+		// and per-run bound; flags that change the output beyond what a
+		// Request can express, or that only act on a local process,
+		// cannot ride along.
 		switch {
 		case !f.JSON:
 			return fmt.Errorf("-server requires -json (the server returns the machine-readable document)")
+		case f.Parallel != 0 || f.Timeout != 0:
+			return fmt.Errorf("-parallel and -timeout are incompatible with -server (the server uses its own)")
 		case f.Timing:
 			return fmt.Errorf("-timing is incompatible with -server (served documents are canonical, wall times stripped)")
 		case f.TraceChrome != "":
@@ -210,62 +207,21 @@ func (f *Flags) Validate() error {
 // Tracing reports whether the command should retain stall timelines.
 func (f *Flags) Tracing() bool { return f.TraceChrome != "" }
 
-// Options converts the parsed flags to functional run options. A
-// -faults value other than "matrix" becomes a WithFaultPlan option
-// ("matrix" selects RunBuggyAnnotation's canonical per-class plans, so
-// it contributes no plan of its own).
+// Options converts the orchestration flags and the -faults plan to
+// functional run options for the robustness experiment; hicsim's suites
+// reach their options through serve.Request instead. A -faults value
+// other than "matrix" becomes a WithFaultPlan option ("matrix" selects
+// RunBuggyAnnotation's canonical per-class plans, so it contributes no
+// plan of its own).
 func (f *Flags) Options() []hic.Option {
 	opts := []hic.Option{
 		hic.WithParallel(f.Parallel),
 		hic.WithTimeout(f.Timeout),
 	}
-	if f.CheckCoherence {
-		opts = append(opts, hic.WithCoherenceCheck())
-	}
 	if f.Faults != "" && f.Faults != "matrix" {
 		opts = append(opts, hic.WithFaultPlan(f.Faults))
 	}
-	if f.Metrics {
-		opts = append(opts, hic.WithMetrics())
-	}
-	if f.Tracing() {
-		opts = append(opts, hic.WithTracing())
-	}
 	return opts
-}
-
-// EncodeDoc writes a results document per the -timing flag: canonical
-// (wall times stripped) unless -timing.
-func (f *Flags) EncodeDoc(w io.Writer, doc *runner.Document) error {
-	if f.Timing {
-		return doc.EncodeTiming(w)
-	}
-	return doc.Encode(w)
-}
-
-// RunRemote completes req from the shared flags (-check-coherence and
-// -metrics), runs it on the -server instance — riding out 429
-// backpressure per the server's Retry-After hints — and writes the
-// fetched document bytes to w (skipped when w is nil). The bytes are
-// identical to the equivalent local -json run.
-func (f *Flags) RunRemote(ctx context.Context, req serve.Request, w io.Writer) ([]byte, error) {
-	if f.CheckCoherence {
-		req.Coherence = true
-	}
-	if f.Metrics {
-		req.Metrics = true
-	}
-	c := &serve.Client{BaseURL: f.Server, Tenant: f.Tenant}
-	data, err := c.Run(ctx, req)
-	if err != nil {
-		return nil, err
-	}
-	if w != nil {
-		if _, err := w.Write(data); err != nil {
-			return nil, err
-		}
-	}
-	return data, nil
 }
 
 // WriteTraces writes the sweep's stall timelines to the -trace-chrome

@@ -30,7 +30,6 @@ func parse(t *testing.T, mask Mask, args ...string) *Flags {
 var masks = map[string]Mask{
 	"hicsim":  SweepFlags,
 	"hicfuzz": FuzzFlags,
-	"litmus":  FlagJSON | FlagExplore | FlagServer,
 }
 
 // argFor maps each registered shared flag to a non-default test value.
@@ -123,18 +122,10 @@ func TestUnselectedFlagsAreNotRegistered(t *testing.T) {
 }
 
 func TestOptionsFlowIntoRunOptions(t *testing.T) {
-	f := parse(t, SweepFlags,
-		"-parallel", "5", "-timeout", "30s", "-check-coherence",
-		"-metrics", "-trace-chrome", "t.json", "-faults", "drop-wb@1")
+	f := parse(t, SweepFlags, "-parallel", "5", "-timeout", "30s", "-faults", "drop-wb@1")
 	o := hic.NewRunOptions(f.Options()...)
 	if o.Parallel != 5 || o.Timeout != 30*time.Second {
 		t.Errorf("orchestration = %d/%s", o.Parallel, o.Timeout)
-	}
-	if !o.CheckCoherence {
-		t.Error("coherence check not wired")
-	}
-	if !o.Metrics || !o.Trace {
-		t.Errorf("metrics/trace = %v/%v, want true/true", o.Metrics, o.Trace)
 	}
 	if o.Faults != "drop-wb@1" {
 		t.Errorf("faults = %q", o.Faults)
@@ -151,6 +142,33 @@ func TestValidateRejectsBadOpBudget(t *testing.T) {
 	f := parse(t, FlagJSON|FlagExplore, "-k", "0")
 	if err := f.Validate(); err == nil || !strings.Contains(err.Error(), "-k") {
 		t.Errorf("Validate = %v, want op-budget error", err)
+	}
+}
+
+func TestValidateServerFlags(t *testing.T) {
+	// The server runs its own workers under its own per-run bound, and
+	// returns canonical documents: flags it would drop are refused.
+	for _, tc := range []struct {
+		args []string
+		want string // "" means accepted
+	}{
+		{[]string{"-json"}, ""},
+		{[]string{"-json", "-check", "-check-coherence", "-metrics"}, ""},
+		{[]string{}, "requires -json"},
+		{[]string{"-json", "-parallel", "3"}, "-parallel and -timeout"},
+		{[]string{"-json", "-timeout", "5s"}, "-parallel and -timeout"},
+		{[]string{"-json", "-timing"}, "-timing"},
+		{[]string{"-json", "-trace-chrome", "t.json"}, "-trace-chrome"},
+		{[]string{"-json", "-cpuprofile", "cpu.out"}, "profiling"},
+	} {
+		f := parse(t, SweepFlags, append(tc.args, "-server", "http://127.0.0.1:1")...)
+		err := f.Validate()
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%v: Validate = %v, want accepted", tc.args, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%v: Validate = %v, want error containing %q", tc.args, err, tc.want)
+		}
 	}
 }
 

@@ -4,7 +4,7 @@ import "testing"
 
 // BenchmarkExploreEnumerate explores every k=3 enumerated program under
 // B+M+I, one full sweep per iteration: the replay-heavy path of
-// `litmus -enumerate`. Run with -benchmem to see what each sweep
+// `hicsim -suite litmus -enumerate`. Run with -benchmem to see what each sweep
 // allocates.
 func BenchmarkExploreEnumerate(b *testing.B) {
 	tests := Enumerate(DefaultEnumOptions(3))

@@ -1,6 +1,6 @@
-// The machine-readable document of a litmus run, shared by the litmus
-// CLI and the sweep server so both emit byte-identical JSON for the
-// same exploration.
+// The machine-readable document of a litmus run, which hicsim and the
+// sweep server both compute through serve.Request, so both emit
+// byte-identical JSON for the same exploration.
 
 package litmus
 

@@ -10,7 +10,8 @@ import (
 
 // This file systematically generates every litmus-test shape up to a
 // small size from the DSL's instruction alphabet, for the exhaustive
-// sweep in cmd/litmus -enumerate and the enumeration regression tests.
+// sweep of `hicsim -suite litmus -enumerate` and the enumeration
+// regression tests.
 //
 // Generated programs use only the annotated synchronization forms plus
 // the always-safe raw ops (loads, stores, WB, INV — both WB and INV

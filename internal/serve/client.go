@@ -1,7 +1,7 @@
 // The thin client: submit a request, honor the server's backpressure,
-// poll until terminal, and fetch the result bytes. The five CLIs use it
-// for their -server mode, which must emit exactly the bytes a local
-// -json run would.
+// poll until terminal, and fetch the result bytes. hicsim uses it for
+// its -server mode, which must emit exactly the bytes a local -json run
+// would.
 
 package serve
 

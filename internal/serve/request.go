@@ -1,6 +1,7 @@
-// The sweep request model: a normalized, validated description of one
-// document-producing run (the same runs the CLIs perform), plus its
-// content address and its local computation. Normalization is strict —
+// The suite model: a normalized, validated description of one
+// document-producing run, plus its content address and its computation
+// (Run), which both the server's workers and hicsim's local runs call.
+// Normalization is strict —
 // fields that do not apply to the requested suite are rejected rather
 // than ignored, so two requests that would compute identical bytes
 // never hash to different addresses because of an inert field.
@@ -13,13 +14,16 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"sort"
 	"time"
 
 	hic "repro"
 	"repro/internal/faultinject"
 	"repro/internal/litmus"
+	"repro/internal/obs"
 	"repro/internal/overhead"
 	"repro/internal/runner"
 )
@@ -72,9 +76,9 @@ type Request struct {
 	all [][2]string
 }
 
-// simulation reports whether the suite runs the experiment sweeps (as
+// Simulation reports whether the suite runs the experiment sweeps (as
 // opposed to the litmus explorer or the storage computation).
-func (r *Request) simulation() bool {
+func (r *Request) Simulation() bool {
 	switch r.Suite {
 	case "intra", "inter", "all", "manycore":
 		return true
@@ -87,7 +91,7 @@ func (r *Request) simulation() bool {
 // to return to clients.
 func (r *Request) Normalize() error {
 	switch {
-	case r.simulation():
+	case r.Simulation():
 		if r.Scale == "" {
 			r.Scale = "test"
 		}
@@ -236,13 +240,16 @@ func (r *Request) Key() string {
 	return hex.EncodeToString(sum[:])
 }
 
-// computeEnv is the server-side execution context of one request: the
-// orchestration the tenant does not control.
-type computeEnv struct {
-	// Parallel and Timeout are the server's per-sweep worker count and
-	// per-run bound.
+// Env is the execution context of one request: the orchestration the
+// request does not control, so it never enters the content address.
+type Env struct {
+	// Parallel and Timeout are the per-sweep worker count and per-run
+	// bound.
 	Parallel int
 	Timeout  time.Duration
+	// Trace retains each simulation cell's stall timeline in the typed
+	// results (hicsim -trace-chrome).
+	Trace bool
 	// Cells is the shared cell-level result cache (nil disables it).
 	Cells runner.Cache
 	// Observer, when non-nil, receives each completed simulation cell
@@ -252,7 +259,7 @@ type computeEnv struct {
 }
 
 // options converts the request and environment to run options.
-func (r *Request) options(env computeEnv) []hic.Option {
+func (r *Request) options(env Env) []hic.Option {
 	opts := []hic.Option{
 		hic.WithParallel(env.Parallel),
 		hic.WithTimeout(env.Timeout),
@@ -272,6 +279,9 @@ func (r *Request) options(env computeEnv) []hic.Option {
 	if r.Seed != 0 {
 		opts = append(opts, hic.WithSeed(r.Seed))
 	}
+	if env.Trace {
+		opts = append(opts, hic.WithTracing())
+	}
 	if env.Cells != nil {
 		opts = append(opts, hic.WithCache(env.Cells))
 	}
@@ -282,69 +292,106 @@ func (r *Request) options(env computeEnv) []hic.Option {
 	return opts
 }
 
-// compute runs the request locally and returns the canonical document
-// bytes — exactly what the equivalent CLI invocation writes to stdout.
-func (r *Request) compute(ctx context.Context, env computeEnv) ([]byte, error) {
-	var buf bytes.Buffer
-	switch {
-	case r.simulation():
-		doc, err := r.sweepDocument(ctx, env)
-		if err != nil {
-			return nil, err
-		}
-		if err := doc.Encode(&buf); err != nil {
-			return nil, err
-		}
-	case r.Suite == "litmus":
+// Result is one computed request: its document, and the typed results
+// a text report renders from. Exactly one of Doc, Litmus and Storage is
+// set.
+type Result struct {
+	// Doc is a simulation suite's results document.
+	Doc *runner.Document
+	// Litmus is the litmus suite's document; failed verdicts are data
+	// (see litmus.Document.Failed), not a Run error.
+	Litmus *litmus.Document
+	// Storage is the overhead suite's storage comparison.
+	Storage *overhead.Report
+	// Intra, Inter and Manycore are the sweeps behind Doc (suite all
+	// runs both Intra and Inter).
+	Intra    *hic.IntraResult
+	Inter    *hic.InterResult
+	Manycore *hic.ManycoreResult
+	// Traces holds the cells' stall timelines when Env.Trace is set.
+	Traces []obs.CellTrace
+	// Walls is each sweep's host wall time, in run order.
+	Walls []time.Duration
+}
+
+// Run computes a normalized request locally. It is the one computation
+// behind both the server's workers and hicsim's local runs. A
+// simulation sweep's cell failures come back as the joined error
+// together with the partial result, whose document records every cell.
+func (r *Request) Run(ctx context.Context, env Env) (*Result, error) {
+	s := r.scale()
+	opts := r.options(env)
+	res := &Result{}
+	var errs []error
+	// sweep times one sweep run and records its error.
+	sweep := func(run func() error) {
+		start := time.Now()
+		errs = append(errs, run())
+		res.Walls = append(res.Walls, time.Since(start))
+	}
+	switch r.Suite {
+	case "litmus":
 		doc, err := r.litmusDocument()
 		if err != nil {
 			return nil, err
 		}
-		if err := doc.Encode(&buf); err != nil {
-			return nil, err
+		res.Litmus = doc
+	case "overhead":
+		res.Storage = overhead.Compute(overhead.PaperMachine())
+	case "manycore":
+		sweep(func() (err error) {
+			res.Manycore, err = hic.RunManycore(ctx, s, hic.ManycoreBlockCounts(r.Blocks), r.CoresPerBlock, opts...)
+			return err
+		})
+		res.Doc = res.Manycore.Document(s)
+	default: // intra, inter, all
+		var docs []*runner.Document
+		if r.Suite != "inter" {
+			sweep(func() (err error) {
+				res.Intra, err = hic.RunIntra(ctx, s, opts...)
+				return err
+			})
+			docs, res.Traces = append(docs, res.Intra.Document(s)), append(res.Traces, res.Intra.Traces...)
 		}
-	default: // overhead
-		if err := overhead.Compute(overhead.PaperMachine()).Document().Encode(&buf); err != nil {
-			return nil, err
+		if r.Suite != "intra" {
+			sweep(func() (err error) {
+				res.Inter, err = hic.RunInter(ctx, s, opts...)
+				return err
+			})
+			docs, res.Traces = append(docs, res.Inter.Document(s)), append(res.Traces, res.Inter.Traces...)
+		}
+		res.Doc = docs[0]
+		if len(docs) > 1 {
+			res.Doc = runner.Merge(docs...)
 		}
 	}
-	return buf.Bytes(), nil
+	return res, errors.Join(errs...)
 }
 
-// sweepDocument runs the simulation suites.
-func (r *Request) sweepDocument(ctx context.Context, env computeEnv) (*runner.Document, error) {
-	s := r.scale()
-	opts := r.options(env)
-	switch r.Suite {
-	case "intra":
-		res, err := hic.RunIntra(ctx, s, opts...)
-		if err != nil {
-			return nil, err
-		}
-		return res.Document(s), nil
-	case "inter":
-		res, err := hic.RunInter(ctx, s, opts...)
-		if err != nil {
-			return nil, err
-		}
-		return res.Document(s), nil
-	case "all":
-		intra, err := hic.RunIntra(ctx, s, opts...)
-		if err != nil {
-			return nil, err
-		}
-		inter, err := hic.RunInter(ctx, s, opts...)
-		if err != nil {
-			return nil, err
-		}
-		return runner.Merge(intra.Document(s), inter.Document(s)), nil
-	default: // manycore
-		res, err := hic.RunManycore(ctx, s, hic.ManycoreBlockCounts(r.Blocks), r.CoresPerBlock, opts...)
-		if err != nil {
-			return nil, err
-		}
-		return res.Document(s), nil
+// Encode writes the result's canonical document: the bytes the server
+// serves and `hicsim -json` prints.
+func (res *Result) Encode(w io.Writer) error {
+	switch {
+	case res.Doc != nil:
+		return res.Doc.Encode(w)
+	case res.Litmus != nil:
+		return res.Litmus.Encode(w)
 	}
+	return res.Storage.Document().Encode(w)
+}
+
+// compute runs the request and returns the canonical document bytes;
+// any Run error fails it.
+func (r *Request) compute(ctx context.Context, env Env) ([]byte, error) {
+	res, err := r.Run(ctx, env)
+	if err != nil {
+		return nil, err
+	}
+	var buf bytes.Buffer
+	if err := res.Encode(&buf); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
 }
 
 // litmusDocument runs the litmus suite or enumeration.
@@ -393,38 +440,17 @@ func (r *Request) cells() [][2]string {
 }
 
 // suiteCells lists every (workload, config) label the suite can run, in
-// task order, ignoring the workload filter.
+// task order, ignoring the workload filter; the sweeps' task builders
+// define the order.
 func (r *Request) suiteCells() [][2]string {
 	s := r.scale()
-	var out [][2]string
-	if r.Suite == "intra" || r.Suite == "all" {
-		for _, w := range hic.IntraWorkloads(s) {
-			for _, cfg := range hic.IntraConfigs {
-				out = append(out, [2]string{w.Name, cfg.Name})
-			}
-		}
+	switch r.Suite {
+	case "intra":
+		return hic.IntraCells(s)
+	case "inter":
+		return hic.InterCells(s)
+	case "all":
+		return append(hic.IntraCells(s), hic.InterCells(s)...)
 	}
-	if r.Suite == "inter" || r.Suite == "all" {
-		for _, w := range hic.InterWorkloads(s) {
-			for _, mode := range hic.InterModes {
-				out = append(out, [2]string{w.Name, mode.String()})
-			}
-		}
-	}
-	if r.Suite == "manycore" {
-		for _, w := range hic.ManycoreWorkloads(s, r.CoresPerBlock) {
-			for b := 1; b <= r.Blocks; b *= 2 {
-				out = append(out, [2]string{w.Name, fmt.Sprintf("blocks-%d", b)})
-			}
-		}
-		// The manycore sweep sorts its tasks by (workload, config) for
-		// deterministic records; mirror it.
-		sort.Slice(out, func(i, j int) bool {
-			if out[i][0] != out[j][0] {
-				return out[i][0] < out[j][0]
-			}
-			return out[i][1] < out[j][1]
-		})
-	}
-	return out
+	return hic.ManycoreCells(s, hic.ManycoreBlockCounts(r.Blocks), r.CoresPerBlock)
 }

@@ -80,7 +80,7 @@ type Server struct {
 	wg     sync.WaitGroup
 
 	// compute runs one request; tests stub it to control timing.
-	compute func(ctx context.Context, req Request, env computeEnv) ([]byte, error)
+	compute func(ctx context.Context, req Request, env Env) ([]byte, error)
 }
 
 // New builds a server and starts its workers; Close stops them.
@@ -111,7 +111,7 @@ func New(cfg Config) (*Server, error) {
 		queue:    make(chan *Job, cfg.QueueDepth),
 		ctx:      ctx,
 		cancel:   cancel,
-		compute: func(ctx context.Context, req Request, env computeEnv) ([]byte, error) {
+		compute: func(ctx context.Context, req Request, env Env) ([]byte, error) {
 			return req.compute(ctx, env)
 		},
 	}
@@ -147,7 +147,7 @@ func (s *Server) run(job *Job) {
 	job.state = JobRunning
 	s.mu.Unlock()
 
-	env := computeEnv{
+	env := Env{
 		Parallel: s.cfg.Parallel,
 		Timeout:  s.cfg.Timeout,
 		Cells:    s.cells,

@@ -171,7 +171,7 @@ func TestServedLitmusAndOverheadBytesEqualLocal(t *testing.T) {
 // stubCompute replaces the server's compute hook with one that blocks
 // until release closes, so queue occupancy is test-controlled.
 func stubCompute(s *Server, release <-chan struct{}) {
-	s.compute = func(ctx context.Context, _ Request, _ computeEnv) ([]byte, error) {
+	s.compute = func(ctx context.Context, _ Request, _ Env) ([]byte, error) {
 		select {
 		case <-release:
 			return []byte("{}\n"), nil
@@ -400,7 +400,7 @@ func TestRequestKeyCanonicalization(t *testing.T) {
 func TestComputeFailureIsNotCached(t *testing.T) {
 	s, c := newTestServer(t, Config{Workers: 1})
 	boom := true
-	s.compute = func(context.Context, Request, computeEnv) ([]byte, error) {
+	s.compute = func(context.Context, Request, Env) ([]byte, error) {
 		if boom {
 			return nil, fmt.Errorf("synthetic failure")
 		}
@@ -465,5 +465,53 @@ func TestStorePersistsAcrossRestart(t *testing.T) {
 	}
 	if s2.store.Hits() != 1 {
 		t.Fatalf("restarted store hits = %d, want 1", s2.store.Hits())
+	}
+}
+
+func TestCellsFollowTaskOrder(t *testing.T) {
+	// Per-cell progress predicts each sweep's cells; they must be the
+	// cells the sweep records, in the order it records them.
+	for _, req := range []Request{
+		{Suite: "intra", Workloads: []string{"fft"}},
+		{Suite: "inter"},
+		{Suite: "all", Workloads: []string{"jacobi", "fft"}},
+		{Suite: "manycore", Blocks: 2},
+	} {
+		t.Run(req.Suite, func(t *testing.T) {
+			if err := req.Normalize(); err != nil {
+				t.Fatal(err)
+			}
+			res, err := req.Run(context.Background(), Env{Parallel: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var ran [][2]string
+			for _, r := range res.Doc.Runs {
+				ran = append(ran, [2]string{r.Workload, r.Config})
+			}
+			if got := req.cells(); fmt.Sprint(got) != fmt.Sprint(ran) {
+				t.Errorf("cells = %v\nsweep ran %v", got, ran)
+			}
+		})
+	}
+}
+
+func TestRequestOptionsReachTheRun(t *testing.T) {
+	// Every request field and environment setting must land in the run
+	// options: a field that parses but is never wired computes the
+	// wrong document under a correct-looking address.
+	r := Request{Suite: "intra", Workloads: []string{"fft"}, Coherence: true,
+		Metrics: true, Faults: "drop-wb@1", Seed: 7}
+	if err := r.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	o := hic.NewRunOptions(r.options(Env{Parallel: 5, Timeout: 30 * time.Second, Trace: true})...)
+	if o.Parallel != 5 || o.Timeout != 30*time.Second || !o.Trace {
+		t.Errorf("environment = %d/%s/%v, want 5/30s/true", o.Parallel, o.Timeout, o.Trace)
+	}
+	if !o.CheckCoherence || !o.Metrics || o.Faults != "drop-wb@1" || o.Seed != 7 ||
+		fmt.Sprint(o.Only) != "[fft]" {
+		t.Errorf("request fields = coherence %v, metrics %v, faults %q, seed %d, only %v",
+			o.CheckCoherence, o.Metrics, o.Faults, o.Seed, o.Only)
 	}
 }

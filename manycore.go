@@ -145,6 +145,12 @@ func RunManycore(ctx context.Context, s Scale, blockCounts []int, coresPerBlock 
 	return runManycoreOpts(ctx, s, blockCounts, coresPerBlock, NewRunOptions(opts...))
 }
 
+// ManycoreCells lists the block-scaling sweep's cells like IntraCells;
+// coresPerBlock must be at least 1.
+func ManycoreCells(s Scale, blockCounts []int, coresPerBlock int) [][2]string {
+	return taskCells(manycoreTasks(s, blockCounts, coresPerBlock, RunOptions{}))
+}
+
 // runManycoreOpts is the struct-options form behind RunManycore; error
 // semantics match the other sweeps (partial results plus joined per-cell
 // errors).
