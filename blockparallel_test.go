@@ -42,7 +42,7 @@ func interCellsOnExecutor(t *testing.T, res *InterResult, opts RunOptions, wantS
 			h := NewModeHierarchy(NewInterMachine(), mode).(*core.Hierarchy)
 			h.SetBlockParallel(true)
 			rec := opts.instrument(h)
-			orc, _, err := opts.checks(h, wl.Threads)
+			orc, err := opts.checks(h, wl.Threads)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -418,12 +418,12 @@ func printMeans(title string, f *hic.Figure) {
 	}
 }
 
-// printAll renders the whole reproduction at scale s: Table I, the
-// storage comparison, and Figures 9-12 against the paper's headline
-// numbers.
+// printAll renders the whole reproduction at scale s: Table I (its
+// census taken from the intra sweep's Base cells), the storage
+// comparison, and Figures 9-12 against the paper's headline numbers.
 func printAll(s hic.Scale, intra *hic.IntraResult, inter *hic.InterResult) {
 	fmt.Println("== E1: Table I =================================================")
-	table1, err := hic.PatternTable(s)
+	table1, err := intra.PatternTable(s)
 	if err != nil {
 		log.Fatal(err)
 	}

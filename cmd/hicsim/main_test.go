@@ -226,6 +226,12 @@ func TestSuiteOutputsPinned(t *testing.T) {
 		{[]string{"-suite", "manycore", "-blocks", "4", "-scale", "test", "-json"}, "4aa5726b9e5724f75ad67d4b9eb9d218107f6c4bf375aa894ed99ca211a96b06"},
 		{[]string{"-suite", "manycore", "-blocks", "4", "-scale", "test"}, "49085037d20e88e7ddacd11f5f91fc7423a8ecd635cc338eff5e5506081c1db6"},
 		{[]string{"-suite", "table1", "-scale", "test"}, "96e2e0a32303c3aa485353d7a5fccde104f33db7b936720fbacabcb39671f71a"},
+		// The buggy-annotation matrix and a custom plan, at one worker and
+		// at four.
+		{[]string{"-scale", "test", "-parallel", "1", "-faults", "matrix"}, "d070a3682449d8e7793a5cde37c686f8384748f589036721671114c445175198"},
+		{[]string{"-scale", "test", "-parallel", "4", "-faults", "matrix"}, "d070a3682449d8e7793a5cde37c686f8384748f589036721671114c445175198"},
+		{[]string{"-scale", "test", "-parallel", "1", "-faults", "delay-wb@16; delay-wb@64"}, "3964498699f0e9a90df045033c6b456101ed88337f9f2470074d432d751134a8"},
+		{[]string{"-scale", "test", "-parallel", "4", "-faults", "delay-wb@16; delay-wb@64"}, "3964498699f0e9a90df045033c6b456101ed88337f9f2470074d432d751134a8"},
 		// The litmus digests were taken from the retired litmus command.
 		{[]string{"-suite", "litmus", "-json"}, "67d3442a404343fc42091a93044b7bda7fb166cefc5868d6efb8044e54924159"},
 		{[]string{"-suite", "litmus", "-v"}, "48bfab1525efbec2982ddd49093c1a432aa73a23dedd08ba44b889685bf91115"},

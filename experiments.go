@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -54,24 +55,115 @@ func nasSize(s Scale) nas.Size {
 	return nas.Test
 }
 
+func jacobiSize(s Scale) jacobi.Size {
+	if s == ScaleBench {
+		return jacobi.Bench
+	}
+	return jacobi.Test
+}
+
+// app is one entry of a suite's application table: the application's
+// name and its constructor. The name is the one the constructor sets, so
+// a sweep lists and filters its cells without building anything, and
+// each cell builds only its own application.
+type app[W any] struct {
+	name  string
+	build func(s Scale, threads int) W
+}
+
+// Thread counts of the intra- and inter-block evaluations (Table III).
+const (
+	intraThreads = 16
+	interThreads = 32
+)
+
+// intraApps is the intra-block suite: the eleven SPLASH-2 variants, in
+// Figure 9's order.
+var intraApps = []app[*Workload]{
+	{"fft", func(s Scale, n int) *Workload { return splash.FFT(splashSize(s), n) }},
+	{"lu-cont", func(s Scale, n int) *Workload { return splash.LU(splashSize(s), n, true) }},
+	{"lu-noncont", func(s Scale, n int) *Workload { return splash.LU(splashSize(s), n, false) }},
+	{"cholesky", func(s Scale, n int) *Workload { return splash.Cholesky(splashSize(s), n) }},
+	{"barnes", func(s Scale, n int) *Workload { return splash.Barnes(splashSize(s), n) }},
+	{"raytrace", func(s Scale, n int) *Workload { return splash.Raytrace(splashSize(s), n) }},
+	{"volrend", func(s Scale, n int) *Workload { return splash.Volrend(splashSize(s), n) }},
+	{"ocean-cont", func(s Scale, n int) *Workload { return splash.Ocean(splashSize(s), n, true) }},
+	{"ocean-noncont", func(s Scale, n int) *Workload { return splash.Ocean(splashSize(s), n, false) }},
+	{"water-nsq", func(s Scale, n int) *Workload { return splash.Water(splashSize(s), n, false) }},
+	{"water-sp", func(s Scale, n int) *Workload { return splash.Water(splashSize(s), n, true) }},
+}
+
+// The Model 2 applications. EP and Jacobi run in both the inter-block
+// and the block-scaling suite.
+var (
+	epApp     = app[*IRWorkload]{"ep", func(s Scale, n int) *IRWorkload { return nas.EP(nasSize(s), n) }}
+	jacobiApp = app[*IRWorkload]{"jacobi", func(s Scale, n int) *IRWorkload { return jacobi.New(jacobiSize(s), n) }}
+	// interApps is the inter-block suite, in Figure 12's order.
+	interApps = []app[*IRWorkload]{
+		epApp,
+		{"is", func(s Scale, n int) *IRWorkload { return nas.IS(nasSize(s), n) }},
+		{"cg", func(s Scale, n int) *IRWorkload { return nas.CG(nasSize(s), n) }},
+		jacobiApp,
+	}
+	// manycoreApps is the block-scaling suite (manycore.go).
+	manycoreApps = []app[*IRWorkload]{jacobiApp, epApp}
+)
+
+// buildAll constructs every application of a table, in table order.
+func buildAll[W any](apps []app[W], s Scale, threads int) []W {
+	ws := make([]W, len(apps))
+	for i, a := range apps {
+		ws[i] = a.build(s, threads)
+	}
+	return ws
+}
+
+// selected returns the apps an Only filter names, in table order; an
+// empty filter selects them all, and unknown names are ignored.
+func selected[W any](apps []app[W], only []string) []app[W] {
+	if len(only) == 0 {
+		return apps
+	}
+	var out []app[W]
+	for _, a := range apps {
+		if slices.Contains(only, a.name) {
+			out = append(out, a)
+		}
+	}
+	return out
+}
+
 // IntraWorkloads returns the eleven SPLASH-2 application variants of the
 // intra-block evaluation at the given scale, on 16 threads (Table III).
-func IntraWorkloads(s Scale) []*Workload { return splash.All(splashSize(s), 16) }
+func IntraWorkloads(s Scale) []*Workload { return buildAll(intraApps, s, intraThreads) }
 
 // InterWorkloads returns the four Model 2 applications of the inter-block
 // evaluation at the given scale, on 32 threads (Table III).
-func InterWorkloads(s Scale) []*IRWorkload {
-	sz := nasSize(s)
-	jsz := jacobi.Test
-	if s == ScaleBench {
-		jsz = jacobi.Bench
+func InterWorkloads(s Scale) []*IRWorkload { return buildAll(interApps, s, interThreads) }
+
+// IntraCells lists the intra-block sweep's (workload, config) cells in
+// task order, the order of its run records, keeping the workloads only
+// names as RunOptions.Only does. Cells are the same at every scale, and
+// listing them builds no application.
+func IntraCells(only ...string) [][2]string {
+	var cells [][2]string
+	for _, a := range selected(intraApps, only) {
+		for _, cfg := range IntraConfigs {
+			cells = append(cells, [2]string{a.name, cfg.Name})
+		}
 	}
-	return []*IRWorkload{
-		nas.EP(sz, 32),
-		nas.IS(sz, 32),
-		nas.CG(sz, 32),
-		jacobi.New(jsz, 32),
+	return cells
+}
+
+// InterCells lists the inter-block sweep's cells like IntraCells.
+func InterCells(only ...string) [][2]string {
+	var cells [][2]string
+	for _, a := range selected(interApps, only) {
+		for _, mode := range InterModes {
+			cells = append(cells, [2]string{a.name, mode.String()})
+		}
 	}
+	return cells
 }
 
 // RunOptions controls a sweep: orchestration (worker count, per-run
@@ -180,17 +272,35 @@ func (o RunOptions) withCache(s Scale, topology string, t runner.Task) runner.Ta
 	return t
 }
 
-// wants reports whether workload name is selected by the Only filter.
-func (o RunOptions) wants(name string) bool {
-	if len(o.Only) == 0 {
-		return true
-	}
-	for _, n := range o.Only {
-		if n == name {
-			return true
-		}
-	}
-	return false
+// cellRun runs a cell's application on h with the oracle and recorder
+// the options call for (either may be nil).
+type cellRun func(ctx context.Context, h Hierarchy, orc *oracle.Oracle, rec *obs.Recorder) (*runner.Outcome, error)
+
+// cell is the one task builder of the sweeps' cells. On a cell-cache
+// miss its task calls build — which constructs the cell's hierarchy and
+// its own application, nothing else — then attaches the recorder and
+// checks the options ask for, runs the cell, and finishes its outcome.
+// Each task owns everything it touches, so tasks run concurrently.
+func (o RunOptions) cell(s Scale, topology, workload, config string, build func() (h Hierarchy, threads int, run cellRun)) runner.Task {
+	return o.withCache(s, topology, runner.Task{
+		Workload: workload,
+		Config:   config,
+		Run: func(ctx context.Context) (*runner.Outcome, error) {
+			h, threads, run := build()
+			rec := o.instrument(h)
+			orc, err := o.checks(h, threads)
+			if err != nil {
+				return nil, err
+			}
+			out, err := run(ctx, h, orc, rec)
+			if err != nil {
+				o.finish(workload, config, rec, nil)
+				return nil, err
+			}
+			o.finish(workload, config, rec, out)
+			return out, nil
+		},
+	})
 }
 
 // Workers returns the effective worker count for n tasks.
@@ -201,14 +311,14 @@ func (o RunOptions) runner() runner.Options {
 	return runner.Options{Parallel: o.Parallel, Timeout: o.Timeout}
 }
 
-// checks builds the per-run fault state and oracle for a hierarchy,
-// per the options. Either may be nil.
-func (o RunOptions) checks(h engine.Hierarchy, threads int) (*oracle.Oracle, *faultinject.State, error) {
+// checks attaches the per-run fault state to a hierarchy and builds the
+// oracle, per the options; the oracle is nil when neither is asked for.
+func (o RunOptions) checks(h engine.Hierarchy, threads int) (*oracle.Oracle, error) {
 	var st *faultinject.State
 	if o.Faults != "" {
 		plan, err := faultinject.Parse(o.Faults)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		if ch, ok := h.(*core.Hierarchy); ok && !plan.Empty() {
 			st = faultinject.NewState(plan)
@@ -216,11 +326,11 @@ func (o RunOptions) checks(h engine.Hierarchy, threads int) (*oracle.Oracle, *fa
 		}
 	}
 	if !o.CheckCoherence && st == nil {
-		return nil, nil, nil
+		return nil, nil
 	}
 	orc := oracle.New(threads)
 	orc.SetFaults(st)
-	return orc, st, nil
+	return orc, nil
 }
 
 // instrument builds the cell's recorder per the options and attaches it
@@ -301,53 +411,27 @@ type IntraResult struct {
 	Traces []obs.CellTrace
 }
 
-// intraTasks builds one task per (application, configuration) pair. Each
-// task constructs its own workload instance, hierarchy, and (when opts
-// asks for them) fault state and oracle, so tasks are fully independent
-// and safe to run concurrently.
+// intraTasks builds one task per (application, configuration) pair, in
+// IntraCells order.
 func intraTasks(s Scale, opts RunOptions) []runner.Task {
 	var tasks []runner.Task
-	for i, w := range IntraWorkloads(s) {
-		if !opts.wants(w.Name) {
-			continue
-		}
+	for _, a := range selected(intraApps, opts.Only) {
 		for _, cfg := range IntraConfigs {
-			i, cfg := i, cfg
-			tasks = append(tasks, opts.withCache(s, "intra", runner.Task{
-				Workload: w.Name,
-				Config:   cfg.Name,
-				Run: func(ctx context.Context) (*runner.Outcome, error) {
-					wl := IntraWorkloads(s)[i]
-					h := NewHierarchy(NewIntraMachine(), cfg)
-					rec := opts.instrument(h)
-					orc, _, err := opts.checks(h, wl.Threads)
-					if err != nil {
-						return nil, err
+			tasks = append(tasks, opts.cell(s, "intra", a.name, cfg.Name, func() (Hierarchy, int, cellRun) {
+				wl := a.build(s, intraThreads)
+				return NewHierarchy(NewIntraMachine(), cfg), wl.Threads,
+					func(ctx context.Context, h Hierarchy, orc *oracle.Oracle, rec *obs.Recorder) (*runner.Outcome, error) {
+						r, err := wl.RunObserved(ctx, h, cfg, orc, rec)
+						return &runner.Outcome{Result: r}, err
 					}
-					r, err := wl.RunObserved(ctx, h, cfg, orc, rec)
-					if err != nil {
-						opts.finish(wl.Name, cfg.Name, rec, nil)
-						return nil, err
-					}
-					out := &runner.Outcome{Result: r}
-					opts.finish(wl.Name, cfg.Name, rec, out)
-					return out, nil
-				},
 			}))
 		}
 	}
 	return tasks
 }
 
-// RunIntraBlock executes every intra-block application under every Table
-// II configuration and builds Figures 9 and 10, fanning the runs out
-// under DefaultRunOptions.
-func RunIntraBlock(s Scale) (*IntraResult, error) {
-	return runIntraOpts(context.Background(), s, DefaultRunOptions())
-}
-
-// runIntraOpts is the struct-options form behind RunIntra and
-// RunIntraBlock. On failure it returns the joined per-cell errors
+// runIntraOpts is the struct-options form behind RunIntra. On failure
+// it returns the joined per-cell errors
 // together with the partial result: applications whose HCC baseline
 // succeeded still get their figure groups, and Runs records every cell
 // including the failed ones.
@@ -360,25 +444,25 @@ func runIntraOpts(ctx context.Context, s Scale, opts RunOptions) (*IntraResult, 
 		Runs:     grid.Records(),
 		Traces:   cellTraces(grid),
 	}
-	for _, w := range IntraWorkloads(s) {
-		res.Raw[w.Name] = make(map[string]*Result)
+	for _, a := range intraApps {
+		res.Raw[a.name] = make(map[string]*Result)
 		for _, cfg := range IntraConfigs {
-			if r := grid.Result(w.Name, cfg.Name); r != nil {
-				res.Raw[w.Name][cfg.Name] = r
+			if r := grid.Result(a.name, cfg.Name); r != nil {
+				res.Raw[a.name][cfg.Name] = r
 			}
 		}
 		// Normalization reads the HCC baseline by key, so the figures do
 		// not depend on IntraConfigs order (or on which run finished
 		// first under parallel execution).
-		hcc := grid.Result(w.Name, HCC.Name)
+		hcc := grid.Result(a.name, HCC.Name)
 		if hcc == nil {
 			continue // baseline failed; reported via Runs and Err
 		}
 		hccCycles := float64(hcc.Cycles)
-		g9 := stats.Group{Name: w.Name}
-		g10 := stats.Group{Name: w.Name}
+		g9 := stats.Group{Name: a.name}
+		g10 := stats.Group{Name: a.name}
 		for _, cfg := range IntraConfigs {
-			r := grid.Result(w.Name, cfg.Name)
+			r := grid.Result(a.name, cfg.Name)
 			if r == nil {
 				continue
 			}
@@ -452,55 +536,32 @@ type InterResult struct {
 	Traces []obs.CellTrace
 }
 
-// interTasks builds one task per (application, mode) pair; global WB/INV
-// line-operation counts are captured into the outcome for the modes
-// Figure 11 compares.
+// interTasks builds one task per (application, mode) pair, in
+// InterCells order; global WB/INV line-operation counts are captured
+// into the outcome for the modes Figure 11 compares.
 func interTasks(s Scale, opts RunOptions) []runner.Task {
 	var tasks []runner.Task
-	for i, w := range InterWorkloads(s) {
-		if !opts.wants(w.Name) {
-			continue
-		}
+	for _, a := range selected(interApps, opts.Only) {
 		for _, mode := range InterModes {
-			i, mode := i, mode
-			tasks = append(tasks, opts.withCache(s, "inter", runner.Task{
-				Workload: w.Name,
-				Config:   mode.String(),
-				Run: func(ctx context.Context) (*runner.Outcome, error) {
-					wl := InterWorkloads(s)[i]
-					h := NewModeHierarchy(NewInterMachine(), mode)
-					rec := opts.instrument(h)
-					orc, _, err := opts.checks(h, wl.Threads)
-					if err != nil {
-						return nil, err
+			tasks = append(tasks, opts.cell(s, "inter", a.name, mode.String(), func() (Hierarchy, int, cellRun) {
+				wl := a.build(s, interThreads)
+				return NewModeHierarchy(NewInterMachine(), mode), wl.Threads,
+					func(ctx context.Context, h Hierarchy, orc *oracle.Oracle, rec *obs.Recorder) (*runner.Outcome, error) {
+						r, err := wl.RunObserved(ctx, h, mode, orc, rec)
+						out := &runner.Outcome{Result: r}
+						if hi, ok := h.(*core.Hierarchy); ok {
+							out.GlobalWB, out.GlobalINV = hi.GlobalOps()
+						}
+						return out, err
 					}
-					r, err := wl.RunObserved(ctx, h, mode, orc, rec)
-					if err != nil {
-						opts.finish(wl.Name, mode.String(), rec, nil)
-						return nil, err
-					}
-					out := &runner.Outcome{Result: r}
-					if hi, ok := h.(*core.Hierarchy); ok {
-						out.GlobalWB, out.GlobalINV = hi.GlobalOps()
-					}
-					opts.finish(wl.Name, mode.String(), rec, out)
-					return out, nil
-				},
 			}))
 		}
 	}
 	return tasks
 }
 
-// RunInterBlock executes every inter-block application under every Table
-// II mode and builds Figures 11 and 12, fanning the runs out under
-// DefaultRunOptions.
-func RunInterBlock(s Scale) (*InterResult, error) {
-	return runInterOpts(context.Background(), s, DefaultRunOptions())
-}
-
-// runInterOpts is the struct-options form behind RunInter and
-// RunInterBlock; error semantics match runIntraOpts.
+// runInterOpts is the struct-options form behind RunInter; error
+// semantics match runIntraOpts.
 func runInterOpts(ctx context.Context, s Scale, opts RunOptions) (*InterResult, error) {
 	grid := runner.Run(ctx, interTasks(s, opts), opts.runner())
 	res := &InterResult{
@@ -510,24 +571,24 @@ func runInterOpts(ctx context.Context, s Scale, opts RunOptions) (*InterResult, 
 		Runs:     grid.Records(),
 		Traces:   cellTraces(grid),
 	}
-	for _, w := range InterWorkloads(s) {
-		res.Raw[w.Name] = make(map[string]*Result)
+	for _, a := range interApps {
+		res.Raw[a.name] = make(map[string]*Result)
 		for _, mode := range InterModes {
-			if r := grid.Result(w.Name, mode.String()); r != nil {
-				res.Raw[w.Name][mode.String()] = r
+			if r := grid.Result(a.name, mode.String()); r != nil {
+				res.Raw[a.name][mode.String()] = r
 			}
 		}
 		// Figure 12 normalizes to the HCC baseline by key; Figure 11
 		// normalizes Addr+L's global operations to Addr's by key. Neither
 		// depends on InterModes order.
-		hcc := grid.Result(w.Name, ModeHCC.String())
+		hcc := grid.Result(a.name, ModeHCC.String())
 		if hcc == nil {
 			continue
 		}
 		hccCycles := float64(hcc.Cycles)
-		g12 := stats.Group{Name: w.Name}
+		g12 := stats.Group{Name: a.name}
 		for _, mode := range InterModes {
-			if r := grid.Result(w.Name, mode.String()); r != nil {
+			if r := grid.Result(a.name, mode.String()); r != nil {
 				g12.Bars = append(g12.Bars, stats.Bar{
 					Label:    mode.String(),
 					Segments: []float64{ratio(float64(r.Cycles), hccCycles)},
@@ -535,13 +596,13 @@ func runInterOpts(ctx context.Context, s Scale, opts RunOptions) (*InterResult, 
 			}
 		}
 		res.Figure12.Groups = append(res.Figure12.Groups, g12)
-		addr := grid.Get(w.Name, ModeAddr.String())
+		addr := grid.Get(a.name, ModeAddr.String())
 		if addr == nil || addr.Outcome == nil {
 			continue
 		}
-		g11 := stats.Group{Name: w.Name}
+		g11 := stats.Group{Name: a.name}
 		for _, mode := range []Mode{ModeAddr, ModeAddrL} {
-			c := grid.Get(w.Name, mode.String())
+			c := grid.Get(a.name, mode.String())
 			if c == nil || c.Outcome == nil {
 				continue
 			}
@@ -590,15 +651,13 @@ func ratio(a, b float64) float64 {
 // actually execute. The per-application Base runs execute under
 // DefaultRunOptions.
 func PatternTable(s Scale) (string, error) {
-	ws := IntraWorkloads(s)
 	var tasks []runner.Task
-	for i, w := range ws {
-		i := i
+	for _, a := range intraApps {
 		tasks = append(tasks, runner.Task{
-			Workload: w.Name,
+			Workload: a.name,
 			Config:   Base.Name,
 			Run: func(context.Context) (*runner.Outcome, error) {
-				r, err := IntraWorkloads(s)[i].Run(NewHierarchy(NewIntraMachine(), Base), Base)
+				r, err := a.build(s, intraThreads).Run(NewHierarchy(NewIntraMachine(), Base), Base)
 				if err != nil {
 					return nil, err
 				}
@@ -610,13 +669,27 @@ func PatternTable(s Scale) (string, error) {
 	if err := grid.Err(); err != nil {
 		return "", err
 	}
+	res := &IntraResult{Raw: make(map[string]map[string]*Result)}
+	for _, c := range grid.Cells() {
+		res.Raw[c.Workload] = map[string]*Result{Base.Name: c.Outcome.Result}
+	}
+	return res.PatternTable(s)
+}
+
+// PatternTable renders Table I at scale s from the sweep's own Base
+// cells, so a report that ran the intra sweep need not run them again.
+// It fails if a Base cell is missing.
+func (r *IntraResult) PatternTable(s Scale) (string, error) {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Table I: communication patterns (intra-block applications)\n")
 	fmt.Fprintf(&b, "%-14s %-28s %-28s %s\n", "app", "main", "other", "measured sync ops")
-	for _, w := range ws {
-		census := SyncCensus(grid.Result(w.Name, Base.Name))
+	for _, w := range IntraWorkloads(s) {
+		base := r.Raw[w.Name][Base.Name]
+		if base == nil {
+			return "", fmt.Errorf("Table I: %s has no Base result", w.Name)
+		}
 		fmt.Fprintf(&b, "%-14s %-28s %-28s %s\n",
-			w.Name, strings.Join(w.Main, ", "), strings.Join(w.Other, ", "), census)
+			w.Name, strings.Join(w.Main, ", "), strings.Join(w.Other, ", "), SyncCensus(base))
 	}
 	return b.String(), nil
 }

@@ -1,9 +1,13 @@
 package hic
 
 import (
+	"context"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
+
+	"repro/internal/runner"
 )
 
 func TestVerifyAll(t *testing.T) {
@@ -16,7 +20,7 @@ func TestVerifyAll(t *testing.T) {
 }
 
 func TestRunIntraBlockShapes(t *testing.T) {
-	res, err := RunIntraBlock(ScaleTest)
+	res, err := RunIntra(context.Background(), ScaleTest)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +70,7 @@ func TestRunIntraBlockShapes(t *testing.T) {
 }
 
 func TestRunInterBlockShapes(t *testing.T) {
-	res, err := RunInterBlock(ScaleTest)
+	res, err := RunInter(context.Background(), ScaleTest)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,6 +131,22 @@ func TestPatternTable(t *testing.T) {
 			t.Errorf("Table I output missing %q:\n%s", want, out)
 		}
 	}
+	// The intra sweep's own Base cells render the same table, and a
+	// sweep without them refuses to render one.
+	res, err := RunIntra(context.Background(), ScaleTest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if from, err := res.PatternTable(ScaleTest); err != nil || from != out {
+		t.Errorf("Table I from the sweep (err %v):\n%s\nwant:\n%s", err, from, out)
+	}
+	res, err = RunIntra(context.Background(), ScaleTest, WithOnly("fft"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := res.PatternTable(ScaleTest); err == nil {
+		t.Error("Table I rendered from a sweep missing ten Base cells")
+	}
 }
 
 func TestStorageReport(t *testing.T) {
@@ -137,11 +157,70 @@ func TestStorageReport(t *testing.T) {
 }
 
 func TestFigureRendersNonEmpty(t *testing.T) {
-	res, err := RunIntraBlock(ScaleTest)
+	res, err := RunIntra(context.Background(), ScaleTest)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out := res.Figure9.Render(); !strings.Contains(out, "Figure 9") {
 		t.Error("figure 9 render broken")
+	}
+}
+
+func TestAppTableNames(t *testing.T) {
+	// Sweeps list and filter their cells by the table names without
+	// building anything, so each name must be the one its constructor
+	// sets, at every scale.
+	for _, s := range []Scale{ScaleTest, ScaleBench} {
+		check := func(name, built string) {
+			if name != built {
+				t.Errorf("scale %s: table name %q, constructor sets %q", s.Name(), name, built)
+			}
+		}
+		for _, a := range intraApps {
+			check(a.name, a.build(s, intraThreads).Name)
+		}
+		for _, a := range interApps {
+			check(a.name, a.build(s, interThreads).Name)
+		}
+		for _, a := range manycoreApps {
+			check(a.name, a.build(s, DefaultManycoreCoresPerBlock).Name)
+		}
+	}
+}
+
+func TestCellListsMatchTasks(t *testing.T) {
+	// The cell lists are the tasks' labels in order, filter included;
+	// manycore keeps its (workload, config label) sort.
+	labels := func(tasks []runner.Task) string {
+		var out [][2]string
+		for _, task := range tasks {
+			out = append(out, [2]string{task.Workload, task.Config})
+		}
+		return fmt.Sprint(out)
+	}
+	only := RunOptions{Only: []string{"jacobi", "fft", "nope"}}
+	blocks := ManycoreBlockCounts(16)
+	for _, tc := range []struct {
+		name        string
+		cells       [][2]string
+		tasks       []runner.Task
+		first, last string
+	}{
+		{"intra", IntraCells(), intraTasks(ScaleTest, RunOptions{}), "[fft HCC]", "[water-sp B+M+I]"},
+		{"intra-only", IntraCells(only.Only...), intraTasks(ScaleTest, only), "[fft HCC]", "[fft B+M+I]"},
+		{"inter", InterCells(), interTasks(ScaleTest, RunOptions{}), "[ep HCC]", "[jacobi Addr+L]"},
+		{"inter-only", InterCells(only.Only...), interTasks(ScaleTest, only), "[jacobi HCC]", "[jacobi Addr+L]"},
+		{"manycore", ManycoreCells(blocks), manycoreTasks(ScaleTest, blocks, 8, RunOptions{}), "[ep blocks-1]", "[jacobi blocks-8]"},
+		{"manycore-only", ManycoreCells(blocks, only.Only...), manycoreTasks(ScaleTest, blocks, 8, only), "[jacobi blocks-1]", "[jacobi blocks-8]"},
+	} {
+		if got, want := fmt.Sprint(tc.cells), labels(tc.tasks); got != want {
+			t.Errorf("%s: cells %s, tasks %s", tc.name, got, want)
+		}
+		if first, last := fmt.Sprint(tc.cells[0]), fmt.Sprint(tc.cells[len(tc.cells)-1]); first != tc.first || last != tc.last {
+			t.Errorf("%s: cells run %s .. %s, want %s .. %s", tc.name, first, last, tc.first, tc.last)
+		}
+	}
+	if got := fmt.Sprint(ManycoreCells(blocks, "ep")); got != "[[ep blocks-1] [ep blocks-16] [ep blocks-2] [ep blocks-4] [ep blocks-8]]" {
+		t.Errorf("manycore cells = %s, want label order", got)
 	}
 }

@@ -15,8 +15,6 @@
 // commutative so results are independent of dynamic task assignment.
 package splash
 
-import "repro/internal/workload"
-
 // Size selects a problem scale.
 type Size int
 
@@ -26,24 +24,6 @@ const (
 	// Bench is the scale used by the Figure 9/10 harness.
 	Bench
 )
-
-// All returns all eleven application variants (Figure 9's x-axis) at the
-// given size for the given thread count.
-func All(sz Size, threads int) []*workload.Workload {
-	return []*workload.Workload{
-		FFT(sz, threads),
-		LU(sz, threads, true),
-		LU(sz, threads, false),
-		Cholesky(sz, threads),
-		Barnes(sz, threads),
-		Raytrace(sz, threads),
-		Volrend(sz, threads),
-		Ocean(sz, threads, true),
-		Ocean(sz, threads, false),
-		Water(sz, threads, false),
-		Water(sz, threads, true),
-	}
-}
 
 // pick returns a or b depending on sz.
 func pick(sz Size, test, bench int) int {

@@ -53,8 +53,25 @@ func TestOceanNonCont(t *testing.T) { runAll(t, Ocean(Test, 16, false)) }
 func TestWaterNsq(t *testing.T)     { runAll(t, Water(Test, 16, false)) }
 func TestWaterSp(t *testing.T)      { runAll(t, Water(Test, 16, true)) }
 
+// all returns the eleven application variants (Figure 9's x-axis).
+func all(sz Size, threads int) []*workload.Workload {
+	return []*workload.Workload{
+		FFT(sz, threads),
+		LU(sz, threads, true),
+		LU(sz, threads, false),
+		Cholesky(sz, threads),
+		Barnes(sz, threads),
+		Raytrace(sz, threads),
+		Volrend(sz, threads),
+		Ocean(sz, threads, true),
+		Ocean(sz, threads, false),
+		Water(sz, threads, false),
+		Water(sz, threads, true),
+	}
+}
+
 func TestAllRegistry(t *testing.T) {
-	ws := All(Test, 16)
+	ws := all(Test, 16)
 	if len(ws) != 11 {
 		t.Fatalf("registry has %d workloads, want 11", len(ws))
 	}
@@ -82,7 +99,7 @@ func TestFFTFewThreads(t *testing.T) {
 // configuration: stores self-downgrade continuously, no WBs are inserted,
 // and correctness must still hold through INV alone.
 func TestAllUnderWriteThrough(t *testing.T) {
-	for _, w := range All(Test, 16) {
+	for _, w := range all(Test, 16) {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
 			h := hierarchyFor(annotate.WT)
@@ -97,7 +114,7 @@ func TestAllUnderWriteThrough(t *testing.T) {
 // critical-section invalidation becomes selective, everything else keeps
 // the Base annotations.
 func TestAllUnderBloomSignatures(t *testing.T) {
-	for _, w := range All(Test, 16) {
+	for _, w := range all(Test, 16) {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
 			m := topo.NewIntraBlock()

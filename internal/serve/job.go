@@ -80,7 +80,7 @@ func newJob(id, tenant string, req Request, key string) *Job {
 		state:  JobQueued,
 		doneCh: make(chan struct{}),
 	}
-	for _, wc := range req.cells() {
+	for _, wc := range req.cells(req.Workloads) {
 		j.cells = append(j.cells, cellStatus{Workload: wc[0], Config: wc[1], State: "pending"})
 	}
 	return j

@@ -17,7 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"time"
 
 	hic "repro"
@@ -68,12 +68,6 @@ type Request struct {
 	// instead of the curated suite.
 	Enumerate bool `json:"enumerate,omitempty"`
 	K         int  `json:"k,omitempty"`
-
-	// all is every (workload, config) cell a simulation suite can run,
-	// in task order and before the workload filter. Normalize builds it
-	// once, so validation and per-cell progress share one construction
-	// of the suite's workloads.
-	all [][2]string
 }
 
 // Simulation reports whether the suite runs the experiment sweeps (as
@@ -115,7 +109,6 @@ func (r *Request) Normalize() error {
 			r.Enumerate || r.K != 0 {
 			return fmt.Errorf("litmus parameters apply to suite litmus only")
 		}
-		r.all = r.suiteCells()
 		if err := r.normalizeWorkloads(); err != nil {
 			return err
 		}
@@ -188,27 +181,14 @@ func (r *Request) rejectSimulationFields() error {
 // normalizeWorkloads sorts, deduplicates, and validates the workload
 // filter against the suite's applications.
 func (r *Request) normalizeWorkloads() error {
-	if len(r.Workloads) == 0 {
-		r.Workloads = nil
-		return nil
-	}
-	known := map[string]bool{}
-	for _, c := range r.all {
-		known[c[0]] = true
-	}
-	seen := map[string]bool{}
-	var out []string
 	for _, w := range r.Workloads {
-		if !known[w] {
+		if len(r.cells([]string{w})) == 0 {
 			return fmt.Errorf("unknown workload %q for suite %s", w, r.Suite)
 		}
-		if !seen[w] {
-			seen[w] = true
-			out = append(out, w)
-		}
 	}
-	sort.Strings(out)
-	r.Workloads = out
+	ws := slices.Clone(r.Workloads)
+	slices.Sort(ws)
+	r.Workloads = slices.Compact(ws)
 	return nil
 }
 
@@ -413,44 +393,20 @@ func (r *Request) litmusDocument() (*litmus.Document, error) {
 	return litmus.SuiteDocument(tests, configs, opts)
 }
 
-// wantsWorkload mirrors the sweeps' Only filter.
-func (r *Request) wantsWorkload(name string) bool {
-	if len(r.Workloads) == 0 {
-		return true
-	}
-	for _, w := range r.Workloads {
-		if w == name {
-			return true
-		}
-	}
-	return false
-}
-
-// cells predicts the sweep's (workload, config) labels in task order,
-// for per-cell progress, by filtering the list Normalize built.
-// Non-simulation suites have no cells.
-func (r *Request) cells() [][2]string {
-	var out [][2]string
-	for _, c := range r.all {
-		if r.wantsWorkload(c[0]) {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
-// suiteCells lists every (workload, config) label the suite can run, in
-// task order, ignoring the workload filter; the sweeps' task builders
-// define the order.
-func (r *Request) suiteCells() [][2]string {
-	s := r.scale()
+// cells lists the (workload, config) labels the suite runs under the
+// workload filter only, in task order, for per-cell progress and
+// workload validation. The sweeps define the order, and listing builds
+// no application. Non-simulation suites have no cells.
+func (r *Request) cells(only []string) [][2]string {
 	switch r.Suite {
 	case "intra":
-		return hic.IntraCells(s)
+		return hic.IntraCells(only...)
 	case "inter":
-		return hic.InterCells(s)
+		return hic.InterCells(only...)
 	case "all":
-		return append(hic.IntraCells(s), hic.InterCells(s)...)
+		return append(hic.IntraCells(only...), hic.InterCells(only...)...)
+	case "manycore":
+		return hic.ManycoreCells(hic.ManycoreBlockCounts(r.Blocks), only...)
 	}
-	return hic.ManycoreCells(s, hic.ManycoreBlockCounts(r.Blocks), r.CoresPerBlock)
+	return nil
 }

@@ -318,6 +318,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	}
 	count("serve.store.hits", s.store.Hits())
 	count("serve.store.misses", s.store.Misses())
+	count("serve.store.corrupt", s.store.Corrupt())
 	count("serve.store.entries", int64(s.store.Len()))
 	count("serve.cells.hits", s.cells.Hits())
 	count("serve.cells.misses", s.cells.Misses())

@@ -15,6 +15,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -440,16 +442,30 @@ func TestComputeFailureIsNotCached(t *testing.T) {
 func TestStorePersistsAcrossRestart(t *testing.T) {
 	dir := t.TempDir()
 	ctx := context.Background()
+	req := Request{Suite: "intra", Workloads: []string{"fft"}}
 
-	_, c1 := newTestServer(t, Config{Workers: 1, CacheDir: dir})
-	first, err := c1.Run(ctx, Request{Suite: "overhead"})
+	// The local reference: Request.Run, what hicsim computes in-process.
+	local := req
+	if err := local.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	want, err := local.compute(ctx, Env{Parallel: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 
+	_, c1 := newTestServer(t, Config{Workers: 1, CacheDir: dir})
+	first, err := c1.Run(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first, want) {
+		t.Fatal("served bytes differ from the local run")
+	}
+
 	// A fresh server over the same directory answers at submit time.
 	s2, c2 := newTestServer(t, Config{Workers: 1, CacheDir: dir})
-	reply, err := c2.Submit(ctx, Request{Suite: "overhead"})
+	reply, err := c2.Submit(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -460,11 +476,57 @@ func TestStorePersistsAcrossRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(data, first) {
-		t.Fatal("persisted bytes differ from the original run")
+	if !bytes.Equal(data, want) {
+		t.Fatal("persisted bytes differ from the local run")
 	}
 	if s2.store.Hits() != 1 {
 		t.Fatalf("restarted store hits = %d, want 1", s2.store.Hits())
+	}
+
+	// A damaged entry is never served: the next server counts it as
+	// corrupt and as a miss, deletes it, and recomputes the local bytes
+	// (whose Put writes a sound entry for the next case).
+	entry := filepath.Join(dir, local.Key()+".entry")
+	for _, tc := range []struct {
+		name   string
+		damage func([]byte) []byte
+	}{
+		{"truncated", func(b []byte) []byte { return b[:len(b)/2] }},
+		{"flipped-byte", func(b []byte) []byte { b[len(b)-2] ^= 0x20; return b }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			file, err := os.ReadFile(entry)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(entry, tc.damage(file), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			s, c := newTestServer(t, Config{Workers: 1, CacheDir: dir})
+			reply, err := c.Submit(ctx, req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if reply.Cache != "miss" {
+				t.Fatalf("damaged entry reply = %+v, want a miss", reply)
+			}
+			if _, err := c.Wait(ctx, reply.ID); err != nil {
+				t.Fatal(err)
+			}
+			data, err := c.Result(ctx, reply.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(data, want) {
+				t.Fatal("recomputed bytes differ from the local run")
+			}
+			if h, m := s.store.Hits(), s.store.Misses(); h != 0 || m != 1 {
+				t.Fatalf("store hits/misses = %d/%d, want 0/1", h, m)
+			}
+			if got := metricsCounter(t, c, "serve.store.corrupt"); got != 1 {
+				t.Fatalf("serve.store.corrupt = %d, want 1", got)
+			}
+		})
 	}
 }
 
@@ -489,7 +551,7 @@ func TestCellsFollowTaskOrder(t *testing.T) {
 			for _, r := range res.Doc.Runs {
 				ran = append(ran, [2]string{r.Workload, r.Config})
 			}
-			if got := req.cells(); fmt.Sprint(got) != fmt.Sprint(ran) {
+			if got := req.cells(req.Workloads); fmt.Sprint(got) != fmt.Sprint(ran) {
 				t.Errorf("cells = %v\nsweep ran %v", got, ran)
 			}
 		})

@@ -6,6 +6,8 @@
 package serve
 
 import (
+	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -18,14 +20,18 @@ import (
 var keyPattern = regexp.MustCompile(`^[0-9a-f]{64}$`)
 
 // Store holds document bytes by content address, in memory and
-// optionally persisted to a directory (one <key>.json file per entry),
-// with hit/miss accounting.
+// optionally persisted to a directory, with hit/miss accounting. Each
+// persisted entry is one <key>.entry file: the hex SHA-256 of the
+// document bytes on the first line, then the bytes. A file whose digest
+// does not match (truncated, or corrupted on disk) is never served: Get
+// counts it as a miss and as corrupt, and deletes it.
 type Store struct {
-	mu     sync.Mutex
-	mem    map[string][]byte
-	dir    string
-	hits   int64
-	misses int64
+	mu      sync.Mutex
+	mem     map[string][]byte
+	dir     string
+	hits    int64
+	misses  int64
+	corrupt int64
 }
 
 // NewStore returns a store persisting to dir ("" keeps entries in
@@ -40,7 +46,7 @@ func NewStore(dir string) (*Store, error) {
 }
 
 // Get returns the bytes stored under key and counts the hit or miss.
-// Directory entries found on disk are promoted into memory.
+// Directory entries found on disk are verified and promoted into memory.
 func (s *Store) Get(key string) ([]byte, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -49,14 +55,29 @@ func (s *Store) Get(key string) ([]byte, bool) {
 		return data, true
 	}
 	if s.dir != "" && keyPattern.MatchString(key) {
-		if data, err := os.ReadFile(filepath.Join(s.dir, key+".json")); err == nil {
-			s.mem[key] = data
-			s.hits++
-			return data, true
+		path := filepath.Join(s.dir, key+".entry")
+		if file, err := os.ReadFile(path); err == nil {
+			if data, ok := unframe(file); ok {
+				s.mem[key] = data
+				s.hits++
+				return data, true
+			}
+			s.corrupt++
+			os.Remove(path)
 		}
 	}
 	s.misses++
 	return nil, false
+}
+
+// unframe returns the document bytes of an entry file, or false when its
+// digest line is missing or does not match them.
+func unframe(file []byte) ([]byte, bool) {
+	digest, data, ok := bytes.Cut(file, []byte("\n"))
+	if !ok || string(digest) != fmt.Sprintf("%x", sha256.Sum256(data)) {
+		return nil, false
+	}
+	return data, true
 }
 
 // Put stores data under key (and persists it when the store is
@@ -73,8 +94,8 @@ func (s *Store) Put(key string, data []byte) {
 	if err != nil {
 		return
 	}
-	if _, err := tmp.Write(data); err == nil && tmp.Close() == nil {
-		os.Rename(tmp.Name(), filepath.Join(s.dir, key+".json"))
+	if _, err := fmt.Fprintf(tmp, "%x\n%s", sha256.Sum256(data), data); err == nil && tmp.Close() == nil {
+		os.Rename(tmp.Name(), filepath.Join(s.dir, key+".entry"))
 	} else {
 		tmp.Close()
 		os.Remove(tmp.Name())
@@ -93,6 +114,14 @@ func (s *Store) Misses() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.misses
+}
+
+// Corrupt returns how many persisted entries failed verification and
+// were deleted.
+func (s *Store) Corrupt() int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.corrupt
 }
 
 // Len returns the number of in-memory entries.

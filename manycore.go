@@ -3,11 +3,13 @@ package hic
 import (
 	"context"
 	"fmt"
+	"slices"
+	"strings"
 
-	"repro/internal/apps/jacobi"
-	"repro/internal/apps/nas"
 	"repro/internal/compiler"
 	"repro/internal/envelope"
+	"repro/internal/obs"
+	"repro/internal/oracle"
 	"repro/internal/runner"
 	"repro/internal/stats"
 	"repro/internal/topo"
@@ -47,14 +49,7 @@ func ManycoreBlockCounts(max int) []int {
 // level-adaptive best case) and NAS EP (reduction-only communication).
 // Every core runs one thread.
 func ManycoreWorkloads(s Scale, threads int) []*IRWorkload {
-	jsz := jacobi.Test
-	if s == ScaleBench {
-		jsz = jacobi.Bench
-	}
-	return []*IRWorkload{
-		jacobi.New(jsz, threads),
-		nas.EP(nasSize(s), threads),
-	}
+	return buildAll(manycoreApps, s, threads)
 }
 
 // ManycoreResult is the outcome of the block-scaling experiment.
@@ -74,68 +69,41 @@ type ManycoreResult struct {
 // manycoreConfig is the grid's config key for a block count.
 func manycoreConfig(blocks int) string { return fmt.Sprintf("blocks-%d", blocks) }
 
-// manycoreTasks builds one task per (application, block count). Each cell
-// constructs its own machine and hierarchy.
+// manycoreGrid returns the selected applications and the block counts in
+// the sweep's task order. Runs has always been recorded sorted by
+// (workload, config label), so both sort by label: "ep" before
+// "jacobi", and "blocks-128" before "blocks-16".
+func manycoreGrid(blockCounts []int, only []string) ([]app[*IRWorkload], []int) {
+	apps := slices.SortedFunc(slices.Values(selected(manycoreApps, only)), func(a, b app[*IRWorkload]) int {
+		return strings.Compare(a.name, b.name)
+	})
+	blocks := slices.SortedFunc(slices.Values(blockCounts), func(a, b int) int {
+		return strings.Compare(manycoreConfig(a), manycoreConfig(b))
+	})
+	return apps, blocks
+}
+
+// manycoreTasks builds one task per (application, block count), in
+// ManycoreCells order. Each cell constructs its own machine, hierarchy
+// and application.
 func manycoreTasks(s Scale, blockCounts []int, coresPerBlock int, opts RunOptions) []runner.Task {
+	apps, blocks := manycoreGrid(blockCounts, opts.Only)
+	topology := fmt.Sprintf("manycore/%d", coresPerBlock)
 	var tasks []runner.Task
-	names := make(map[string]bool)
-	for _, w := range ManycoreWorkloads(s, coresPerBlock) {
-		names[w.Name] = true
-	}
-	for name := range names {
-		if !opts.wants(name) {
-			continue
-		}
-		name := name
-		for _, blocks := range blockCounts {
-			blocks := blocks
-			tasks = append(tasks, opts.withCache(s, fmt.Sprintf("manycore/%d", coresPerBlock), runner.Task{
-				Workload: name,
-				Config:   manycoreConfig(blocks),
-				Run: func(ctx context.Context) (*runner.Outcome, error) {
-					m := NewManycoreMachine(blocks, coresPerBlock)
-					var wl *IRWorkload
-					for _, w := range ManycoreWorkloads(s, m.NumCores()) {
-						if w.Name == name {
-							wl = w
-						}
+	for _, a := range apps {
+		for _, b := range blocks {
+			tasks = append(tasks, opts.cell(s, topology, a.name, manycoreConfig(b), func() (Hierarchy, int, cellRun) {
+				m := NewManycoreMachine(b, coresPerBlock)
+				wl := a.build(s, m.NumCores())
+				return NewModeHierarchy(m, ModeAddrL), wl.Threads,
+					func(ctx context.Context, h Hierarchy, orc *oracle.Oracle, rec *obs.Recorder) (*runner.Outcome, error) {
+						r, err := wl.RunObserved(ctx, h, compiler.ModeAddrL, orc, rec)
+						return &runner.Outcome{Result: r}, err
 					}
-					h := NewModeHierarchy(m, ModeAddrL)
-					rec := opts.instrument(h)
-					orc, _, err := opts.checks(h, wl.Threads)
-					if err != nil {
-						return nil, err
-					}
-					r, err := wl.RunObserved(ctx, h, compiler.ModeAddrL, orc, rec)
-					if err != nil {
-						opts.finish(name, manycoreConfig(blocks), rec, nil)
-						return nil, err
-					}
-					out := &runner.Outcome{Result: r}
-					opts.finish(name, manycoreConfig(blocks), rec, out)
-					return out, nil
-				},
 			}))
 		}
 	}
-	// Map iteration order is random; the runner keys cells, but Runs is
-	// recorded in task order, so fix it for byte-identical JSON.
-	sortTasks(tasks)
 	return tasks
-}
-
-// sortTasks orders tasks by (workload, config) for deterministic sweep
-// records.
-func sortTasks(tasks []runner.Task) {
-	for i := 1; i < len(tasks); i++ {
-		for j := i; j > 0; j-- {
-			a, b := tasks[j-1], tasks[j]
-			if a.Workload < b.Workload || (a.Workload == b.Workload && a.Config <= b.Config) {
-				break
-			}
-			tasks[j-1], tasks[j] = b, a
-		}
-	}
 }
 
 // RunManycore executes the block-scaling sweep at scale s over the given
@@ -145,10 +113,17 @@ func RunManycore(ctx context.Context, s Scale, blockCounts []int, coresPerBlock 
 	return runManycoreOpts(ctx, s, blockCounts, coresPerBlock, NewRunOptions(opts...))
 }
 
-// ManycoreCells lists the block-scaling sweep's cells like IntraCells;
-// coresPerBlock must be at least 1.
-func ManycoreCells(s Scale, blockCounts []int, coresPerBlock int) [][2]string {
-	return taskCells(manycoreTasks(s, blockCounts, coresPerBlock, RunOptions{}))
+// ManycoreCells lists the block-scaling sweep's cells over the given
+// block counts like IntraCells.
+func ManycoreCells(blockCounts []int, only ...string) [][2]string {
+	apps, blocks := manycoreGrid(blockCounts, only)
+	var cells [][2]string
+	for _, a := range apps {
+		for _, b := range blocks {
+			cells = append(cells, [2]string{a.name, manycoreConfig(b)})
+		}
+	}
+	return cells
 }
 
 // runManycoreOpts is the struct-options form behind RunManycore; error
@@ -170,25 +145,22 @@ func runManycoreOpts(ctx context.Context, s Scale, blockCounts []int, coresPerBl
 		Raw:  make(map[string]map[int]*Result),
 		Runs: grid.Records(),
 	}
-	for _, w := range ManycoreWorkloads(s, coresPerBlock) {
-		if !opts.wants(w.Name) {
-			continue
-		}
-		res.Raw[w.Name] = make(map[int]*Result)
+	for _, a := range selected(manycoreApps, opts.Only) {
+		res.Raw[a.name] = make(map[int]*Result)
 		for _, blocks := range blockCounts {
-			if r := grid.Result(w.Name, manycoreConfig(blocks)); r != nil {
-				res.Raw[w.Name][blocks] = r
+			if r := grid.Result(a.name, manycoreConfig(blocks)); r != nil {
+				res.Raw[a.name][blocks] = r
 			}
 		}
 		// Normalize to the smallest machine by key, so the curve does not
 		// depend on completion order.
-		base := grid.Result(w.Name, manycoreConfig(blockCounts[0]))
+		base := grid.Result(a.name, manycoreConfig(blockCounts[0]))
 		if base == nil {
 			continue
 		}
-		g := stats.Group{Name: w.Name}
+		g := stats.Group{Name: a.name}
 		for _, blocks := range blockCounts {
-			r := grid.Result(w.Name, manycoreConfig(blocks))
+			r := grid.Result(a.name, manycoreConfig(blocks))
 			if r == nil {
 				continue
 			}

@@ -130,22 +130,6 @@ func RunInter(ctx context.Context, s Scale, opts ...Option) (*InterResult, error
 	return runInterOpts(ctx, s, NewRunOptions(opts...))
 }
 
-// IntraCells lists the intra-block sweep's (workload, config) cells at
-// scale s in task order, the order of its run records.
-func IntraCells(s Scale) [][2]string { return taskCells(intraTasks(s, RunOptions{})) }
-
-// InterCells lists the inter-block sweep's cells like IntraCells.
-func InterCells(s Scale) [][2]string { return taskCells(interTasks(s, RunOptions{})) }
-
-// taskCells returns each task's (workload, config) label in order.
-func taskCells(tasks []runner.Task) [][2]string {
-	cells := make([][2]string, len(tasks))
-	for i, t := range tasks {
-		cells[i] = [2]string{t.Workload, t.Config}
-	}
-	return cells
-}
-
 // Run executes guests on h and returns the result. Options apply per
 // run: WithMetrics/WithTracing/WithObserver attach a recorder to the
 // engine and (when h supports it) the hierarchy, and the Observer

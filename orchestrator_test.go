@@ -92,11 +92,11 @@ func sameHeights(t *testing.T, what string, ref, got map[[2]string]float64) {
 }
 
 // TestIntraAssemblyIndependentOfConfigOrder is the regression test for
-// the normalization-order bug: RunIntraBlock used to read hccCycles
+// the normalization-order bug: the intra sweep used to read hccCycles
 // before it was set whenever HCC was not first in IntraConfigs. Keyed
 // assembly must produce identical figures for any config order.
 func TestIntraAssemblyIndependentOfConfigOrder(t *testing.T) {
-	ref, err := RunIntraBlock(ScaleTest)
+	ref, err := RunIntra(context.Background(), ScaleTest)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestIntraAssemblyIndependentOfConfigOrder(t *testing.T) {
 	for i, c := range orig {
 		IntraConfigs[len(orig)-1-i] = c
 	}
-	shuffled, err := RunIntraBlock(ScaleTest)
+	shuffled, err := RunIntra(context.Background(), ScaleTest)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,10 +117,10 @@ func TestIntraAssemblyIndependentOfConfigOrder(t *testing.T) {
 }
 
 // TestInterAssemblyIndependentOfModeOrder covers the same bug in
-// RunInterBlock, where addrWB/addrINV (and hccCycles) were loop-carried:
+// the inter sweep, where addrWB/addrINV (and hccCycles) were loop-carried:
 // with Addr after Addr+L, Figure 11's normalization used stale zeros.
 func TestInterAssemblyIndependentOfModeOrder(t *testing.T) {
-	ref, err := RunInterBlock(ScaleTest)
+	ref, err := RunInter(context.Background(), ScaleTest)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestInterAssemblyIndependentOfModeOrder(t *testing.T) {
 	for i, m := range orig {
 		InterModes[len(orig)-1-i] = m
 	}
-	shuffled, err := RunInterBlock(ScaleTest)
+	shuffled, err := RunInter(context.Background(), ScaleTest)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,11 +174,11 @@ func TestPerRunTimeoutFailsCellsWithLabels(t *testing.T) {
 // TestShapecheckPassesOnRealResults is the same gate CI's shape job runs:
 // the test-scale sweeps must satisfy every expected ordering.
 func TestShapecheckPassesOnRealResults(t *testing.T) {
-	intra, err := RunIntraBlock(ScaleTest)
+	intra, err := RunIntra(context.Background(), ScaleTest)
 	if err != nil {
 		t.Fatal(err)
 	}
-	inter, err := RunInterBlock(ScaleTest)
+	inter, err := RunInter(context.Background(), ScaleTest)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,15 +37,13 @@ func calibrate(ctx context.Context, s Scale, classes []FaultClass, opts RunOptio
 		return out, nil
 	}
 	var tasks []runner.Task
-	for i, w := range IntraWorkloads(s) {
+	for _, a := range intraApps {
 		for _, cfg := range need {
-			i, cfg := i, cfg
 			tasks = append(tasks, runner.Task{
-				Workload: w.Name,
+				Workload: a.name,
 				Config:   cfg.Name,
 				Run: func(ctx context.Context) (*runner.Outcome, error) {
-					wl := IntraWorkloads(s)[i]
-					r, err := wl.RunChecked(ctx, NewHierarchy(NewIntraMachine(), cfg), cfg, nil)
+					r, err := a.build(s, intraThreads).RunChecked(ctx, NewHierarchy(NewIntraMachine(), cfg), cfg, nil)
 					if err != nil {
 						return nil, err
 					}
@@ -58,9 +56,9 @@ func calibrate(ctx context.Context, s Scale, classes []FaultClass, opts RunOptio
 	if err := grid.Err(); err != nil {
 		return nil, fmt.Errorf("buggy-annotation calibration: %w", err)
 	}
-	for _, w := range IntraWorkloads(s) {
+	for _, a := range intraApps {
 		for name := range need {
-			out[w.Name+"/"+name] = grid.Result(w.Name, name)
+			out[a.name+"/"+name] = grid.Result(a.name, name)
 		}
 	}
 	return out, nil
@@ -241,19 +239,19 @@ func RunBuggyAnnotation(ctx context.Context, s Scale, options ...Option) (*Fault
 	}
 
 	type row struct {
-		wi    int
+		app   app[*Workload]
 		class string
 		plan  faultinject.Plan
 		cfg   Config
 	}
 	var rows []row
 	rep := &FaultReport{Scale: s.Name()}
-	for wi, w := range IntraWorkloads(s) {
+	for _, a := range intraApps {
 		for _, c := range classes {
 			spec := c.Plan
 			if c.Calibrate != nil {
 				var parts []string
-				for _, idx := range spreadIndices(c.Calibrate(census[w.Name+"/"+c.Config.Name]), faultSpread) {
+				for _, idx := range spreadIndices(c.Calibrate(census[a.name+"/"+c.Config.Name]), faultSpread) {
 					parts = append(parts, fmt.Sprintf("%s@%d", c.Directive, idx))
 				}
 				spec = strings.Join(parts, "; ")
@@ -262,23 +260,21 @@ func RunBuggyAnnotation(ctx context.Context, s Scale, options ...Option) (*Fault
 			if err != nil {
 				return nil, fmt.Errorf("fault class %s: %w", c.Class, err)
 			}
-			rows = append(rows, row{wi: wi, class: c.Class, plan: plan, cfg: c.Config})
+			rows = append(rows, row{app: a, class: c.Class, plan: plan, cfg: c.Config})
 			rep.Entries = append(rep.Entries, FaultMatrixEntry{
-				Workload: w.Name, Class: c.Class,
+				Workload: a.name, Class: c.Class,
 				Plan: plan.String(), Config: c.Config.Name,
 			})
 		}
 	}
 
 	var tasks []runner.Task
-	for i := range rows {
-		i := i
-		r := rows[i]
+	for i, r := range rows {
 		tasks = append(tasks, runner.Task{
 			Workload: rep.Entries[i].Workload,
 			Config:   r.class,
 			Run: func(ctx context.Context) (*runner.Outcome, error) {
-				wl := IntraWorkloads(s)[r.wi]
+				wl := r.app.build(s, intraThreads)
 				h := NewHierarchy(NewIntraMachine(), r.cfg)
 				ch, ok := h.(*core.Hierarchy)
 				if !ok {
