@@ -7,21 +7,28 @@ import (
 
 	"repro/internal/annotate"
 	"repro/internal/cache"
-	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/isa"
 	"repro/internal/mem"
 )
 
-// inlineCount wraps an incoherent hierarchy and counts the ops its
-// Private accepted, so the differential test can tell the fast path ran.
+// privateHierarchy is what both hierarchies offer the fast path and the
+// differential test: the private-op surface and L1/L2 statistics.
+type privateHierarchy interface {
+	Hierarchy
+	engine.PrivateHierarchy
+	CacheStats() (l1, l2 cache.Stats)
+}
+
+// inlineCount wraps a hierarchy and counts the ops its Private accepted,
+// so the differential test can tell the fast path ran.
 type inlineCount struct {
-	*core.Hierarchy
+	privateHierarchy
 	n int64
 }
 
 func (c *inlineCount) Private(core int, kind isa.OpKind, a mem.Addr, v mem.Word) (mem.Word, bool) {
-	w, ok := c.Hierarchy.Private(core, kind, a, v)
+	w, ok := c.privateHierarchy.Private(core, kind, a, v)
 	if ok {
 		c.n++
 	}
@@ -39,16 +46,12 @@ type fastPathRun struct {
 
 // runEngine runs guests on h to completion, under the synchronous
 // MinTimeScheduler reference when sync is set and on the default
-// pipelined engine otherwise, and drains h. For an incoherent h it
-// returns how many ops ran inline.
-func runEngine(t *testing.T, h Hierarchy, guests []Guest, sync bool) (fastPathRun, int64) {
+// pipelined engine otherwise, and drains h, returning how many ops ran
+// inline.
+func runEngine(t *testing.T, h privateHierarchy, guests []Guest, sync bool) (fastPathRun, int64) {
 	t.Helper()
-	var ic *inlineCount
-	if c, ok := h.(*core.Hierarchy); ok {
-		ic = &inlineCount{Hierarchy: c}
-		h = ic
-	}
-	e := engine.New(h, guests)
+	ic := &inlineCount{privateHierarchy: h}
+	e := engine.New(ic, guests)
 	if sync {
 		e.SetScheduler(engine.MinTimeScheduler{})
 	}
@@ -61,9 +64,6 @@ func runEngine(t *testing.T, h Hierarchy, guests []Guest, sync bool) (fastPathRu
 	c := h.Counters()
 	for _, n := range c.Names() {
 		r.ctrs[n] = c.Get(n)
-	}
-	if ic == nil {
-		return r, 0
 	}
 	r.l1, r.l2 = ic.CacheStats()
 	return r, ic.n
@@ -93,19 +93,19 @@ func compareFastPath(t *testing.T, cell string, run func(sync bool) (fastPathRun
 }
 
 // TestFastPathMatchesSynchronous is the private-op fast path's
-// differential gate: every intra application under every incoherent
-// configuration (Table II's plus write-through and Bloom signatures) and
+// differential gate: every intra application under every configuration
+// (Table II's, HCC included, plus write-through and Bloom signatures) and
 // every inter application under every mode must leave the same result,
 // protocol counters, L1/L2 statistics and final memory on the default
 // engine as under the synchronous MinTimeScheduler, which never runs an
 // op inline.
 func TestFastPathMatchesSynchronous(t *testing.T) {
-	cfgs := append([]Config{annotate.WT, annotate.BloomSig}, IntraConfigs[1:]...)
+	cfgs := append([]Config{annotate.WT, annotate.BloomSig}, IntraConfigs...)
 	for i, w := range IntraWorkloads(ScaleTest) {
 		for _, cfg := range cfgs {
 			compareFastPath(t, w.Name+"/"+cfg.Name, func(sync bool) (fastPathRun, int64) {
 				wl := IntraWorkloads(ScaleTest)[i]
-				return runEngine(t, NewHierarchy(NewIntraMachine(), cfg), wl.Guests(cfg), sync)
+				return runEngine(t, NewHierarchy(NewIntraMachine(), cfg).(privateHierarchy), wl.Guests(cfg), sync)
 			})
 		}
 	}
@@ -113,7 +113,7 @@ func TestFastPathMatchesSynchronous(t *testing.T) {
 		for _, mode := range InterModes {
 			compareFastPath(t, w.Name+"/"+mode.String(), func(sync bool) (fastPathRun, int64) {
 				wl := InterWorkloads(ScaleTest)[i]
-				return runEngine(t, NewModeHierarchy(NewInterMachine(), mode), LowerIR(wl.Prog, wl.Threads, mode), sync)
+				return runEngine(t, NewModeHierarchy(NewInterMachine(), mode).(privateHierarchy), LowerIR(wl.Prog, wl.Threads, mode), sync)
 			})
 		}
 	}

@@ -424,6 +424,11 @@ func (h *Hierarchy) Private(core int, kind isa.OpKind, a mem.Addr, v mem.Word) (
 	return 0, false
 }
 
+// PrivateOrdered reports false: no other core's op reads or writes the
+// state a private op touches, so the engine may run one at any time in
+// the core's program order.
+func (h *Hierarchy) PrivateOrdered() bool { return false }
+
 // fillL1 fetches a line into core's L1 from the shared levels, handling
 // victim writeback, and returns the line data and exposed latency.
 func (h *Hierarchy) fillL1(core int, line mem.Addr) ([mem.WordsPerLine]mem.Word, int64) {

@@ -69,6 +69,8 @@ func (n privateNullHierarchy) Private(core int, kind isa.OpKind, a mem.Addr, v m
 	return 0, false
 }
 
+func (privateNullHierarchy) PrivateOrdered() bool { return false }
+
 // shardedNullHierarchy is nullHierarchy with a shard decomposition: cores
 // are grouped into shards of coresPerShard, every non-sync op is
 // shard-local, and each core has its own backing memory (the benchmark

@@ -30,17 +30,19 @@
 // sequence — and therefore every result, event stream, and span — is
 // byte-identical.
 //
-// Operations that touch only the issuing core's private state — compute,
-// and the L1 hits a PrivateHierarchy vouches for — never reach the
+// Compute and the L1 hits a PrivateHierarchy vouches for never reach the
 // scheduler: the guest coroutine runs them itself, in program order, when
-// its ring is empty. No other core's operation reads or writes that
-// state, so running them early changes nothing anyone can observe; the
-// scheduler re-keys the thread at its advanced clock before its next
-// scheduled op. The fast path is off under an Observer or recorder, which
-// must see every op. When an external Scheduler is installed (litmus
-// exploration), the engine falls back to the synchronous one-op
-// rendezvous, which keeps candidate sets (pending ops included)
-// observable at every decision point.
+// its ring is empty. Compute touches nothing shared, and neither does an
+// incoherent hierarchy's L1 hit, so those run early without anyone being
+// able to tell. A coherent hierarchy's hits are ordered: a remote store
+// can invalidate the line, so the guest runs one only while its own
+// (clock, ID) is below the run-queue minimum — the op the scheduler would
+// pick next anyway. Either way the scheduler re-keys the thread at its
+// advanced clock before its next scheduled op. The fast path is off under
+// an Observer or recorder, which must see every op. When an external
+// Scheduler is installed (litmus exploration), the engine falls back to
+// the synchronous one-op rendezvous, which keeps candidate sets (pending
+// ops included) observable at every decision point.
 //
 // Each guest runs on a coroutine that parks once its guest is done
 // instead of ending. An engine that has been Reset keeps the parked
@@ -55,6 +57,7 @@ import (
 	"context"
 	"fmt"
 	"iter"
+	"math"
 	"sort"
 
 	"repro/internal/hwsync"
@@ -93,16 +96,23 @@ type Hierarchy interface {
 
 // PrivateHierarchy is the optional surface behind the private-op fast
 // path (see DESIGN.md §10). Private executes core's cacheable load
-// (kind isa.OpLoad) or store (isa.OpStore of v) and reports true when the
-// op touches only state that no other core's op reads or writes, with the
-// exact effect of Load or Store and zero exposed latency; otherwise it
-// changes nothing and reports false. Such an op gives the same value and
-// state whenever it runs in the core's program order, so the guest
-// coroutine runs it itself instead of handing it to the scheduler. The
-// hardware-incoherent hierarchy implements it; MESI, whose directory
-// reaches into other cores' caches, does not.
+// (kind isa.OpLoad) or store (isa.OpStore of v) and reports true when it
+// is an L1 hit with the exact effect of Load or Store and zero exposed
+// latency; otherwise it changes nothing and reports false. The guest
+// coroutine runs an accepted op itself instead of handing it to the
+// scheduler.
+//
+// PrivateOrdered says when that is sound. False: the op touches only
+// state no other core's op reads or writes (the hardware-incoherent
+// hierarchy), so it gives the same value and state whenever it runs in
+// the core's program order, and the guest may run it at any time. True:
+// other cores' ops can change the line (MESI, whose directory invalidates
+// and downgrades L1 copies), so the engine offers the op only while the
+// thread's (clock, ID) is below every other ready thread's — where the
+// scheduler would run it next anyway.
 type PrivateHierarchy interface {
 	Private(core int, kind isa.OpKind, a mem.Addr, v mem.Word) (mem.Word, bool)
+	PrivateOrdered() bool
 }
 
 // Guest is one guest thread's program. The Proc passed in is only valid
@@ -326,11 +336,18 @@ type thread struct {
 	// private-op surface (nil when the path is off), budget the number of
 	// ops the guest may still run inline before the current resume
 	// returns, and ops the run's per-kind op counts, which inline ops bump
-	// directly.
-	priv   PrivateHierarchy
-	budget int64
-	ops    *[isa.NumOpKinds]int64
+	// directly. horizon bounds the clock at which the guest may start an
+	// inline load or store: noHorizon for an unordered hierarchy, else the
+	// run-queue minimum folded into one clock value (see setHorizon).
+	priv    PrivateHierarchy
+	budget  int64
+	horizon int64
+	ops     *[isa.NumOpKinds]int64
 }
+
+// noHorizon is the horizon of a hierarchy whose private ops are
+// unordered: no clock reaches it, so the guest's check always passes.
+const noHorizon = math.MaxInt64
 
 // coro holds one thread's guest coroutine (iter.Pull over guestSeq).
 // resume runs the guest until its next yield; halt ends the coroutine
@@ -516,10 +533,13 @@ func (e *Engine) RunCtx(ctx context.Context) (*Result, error) {
 // the guest a budget of ops it may run inline (see thread.inline). The ops
 // it ran are charged as steps for the watchdog and the ctx poll; the
 // budget stops one short of the watchdog limit, so the trip still lands
-// on a scheduled op, and never runs past the next poll. If the inline
-// ops moved the thread's clock past the run-queue minimum, the thread is
-// re-keyed before its next deposited op runs, so every op that reaches
-// the scheduler still runs in (time, ID) order.
+// on a scheduled op, and never runs past the next poll. For a hierarchy
+// whose private ops are ordered, each resume also hands the guest the
+// run-queue minimum as its horizon. Nothing else runs while the guest
+// does, so the bound holds for the whole resume. If the inline ops moved
+// the thread's clock past the run-queue minimum, the thread is re-keyed
+// before its next deposited op runs, so every op that reaches the
+// scheduler still runs in (time, ID) order.
 func (e *Engine) runPipelined(ctx context.Context) (*Result, error) {
 	for _, t := range e.ts {
 		e.rq.push(t)
@@ -530,9 +550,10 @@ func (e *Engine) runPipelined(ctx context.Context) (*Result, error) {
 		limit = DefaultNoProgressLimit
 	}
 	priv := e.privateOps()
+	ordered := priv != nil && priv.PrivateOrdered()
 	if priv != nil {
 		for _, t := range e.ts {
-			t.priv, t.ops = priv, &res.Ops
+			t.priv, t.ops, t.horizon = priv, &res.Ops, noHorizon
 		}
 	}
 	stop := ctx.Done()
@@ -561,6 +582,9 @@ func (e *Engine) runPipelined(ctx context.Context) (*Result, error) {
 			budget := limit - 1 - idle
 			if stop != nil {
 				budget = min(budget, nextPoll-steps)
+			}
+			if ordered {
+				t.setHorizon(e.rq.peek())
 			}
 			before := t.time
 			n := t.resumeInline(budget)
@@ -702,6 +726,22 @@ func (e *Engine) privateOps() PrivateHierarchy {
 	}
 	p, _ := e.h.(PrivateHierarchy)
 	return p
+}
+
+// setHorizon bounds t's ordered inline ops by m, the run-queue minimum
+// (nil when no other thread is ready). t may start one while its
+// (clock, ID) orders before m's: clock < m.time, or clock == m.time and
+// t.id < m.id. IDs are fixed, so that is the single compare
+// clock < horizon with the tie folded into the bound.
+func (t *thread) setHorizon(m *thread) {
+	switch {
+	case m == nil:
+		t.horizon = noHorizon
+	case t.id < m.id:
+		t.horizon = m.time + 1
+	default:
+		t.horizon = m.time
+	}
 }
 
 // resumeInline resumes t's guest, whose ring is empty, letting it run up
@@ -1127,6 +1167,10 @@ func (t *thread) suspend() {
 // guest has executed and running this one now keeps program order.
 func (t *thread) inline() bool { return t.budget > 0 && t.pipe.empty() }
 
+// inlineAccess is inline for a cacheable load or store, which must also
+// start below the thread's horizon (always, for an unordered hierarchy).
+func (t *thread) inlineAccess() bool { return t.inline() && t.time < t.horizon }
+
 // retire charges an op the guest ran inline exactly as execOp would
 // charge it: cycles of busy time and no exposed latency.
 func (t *thread) retire(k isa.OpKind, cycles int64) {
@@ -1140,7 +1184,7 @@ func (p *proc) ID() int         { return p.t.id }
 func (p *proc) NumThreads() int { return p.n }
 
 func (p *proc) Load(a mem.Addr) mem.Word {
-	if t := p.t; t.inline() {
+	if t := p.t; t.inlineAccess() {
 		if v, ok := t.priv.Private(t.id, isa.OpLoad, a, 0); ok {
 			t.retire(isa.OpLoad, cpi)
 			return v
@@ -1149,7 +1193,7 @@ func (p *proc) Load(a mem.Addr) mem.Word {
 	return p.do(isa.Op{Kind: isa.OpLoad, Addr: a})
 }
 func (p *proc) Store(a mem.Addr, v mem.Word) {
-	if t := p.t; t.inline() {
+	if t := p.t; t.inlineAccess() {
 		if _, ok := t.priv.Private(t.id, isa.OpStore, a, v); ok {
 			t.retire(isa.OpStore, cpi)
 			return

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 
@@ -10,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/isa"
 	"repro/internal/mem"
+	"repro/internal/mesi"
 	"repro/internal/topo"
 )
 
@@ -122,5 +124,135 @@ func TestCancelStopsStaleFlagSpin(t *testing.T) {
 	}
 	if h.inlined == 0 {
 		t.Error("no op ran inline; the fast path did not engage")
+	}
+}
+
+// horizonProbe wraps a hierarchy and counts the ops its Private accepted
+// per core, and how many of those the thread ran at or past the run-queue
+// minimum, where the scheduler would have run another thread's op first.
+type horizonProbe struct {
+	privateTestHierarchy
+	e                *Engine
+	beyond           int64
+	accepted, called [2]int64
+}
+
+type privateTestHierarchy interface {
+	Hierarchy
+	PrivateHierarchy
+}
+
+func (p *horizonProbe) Private(core int, kind isa.OpKind, a mem.Addr, v mem.Word) (mem.Word, bool) {
+	p.called[core]++
+	w, ok := p.privateTestHierarchy.Private(core, kind, a, v)
+	if ok {
+		p.accepted[core]++
+		if m := p.e.rq.peek(); m != nil && !runqLess(p.e.ts[core], m) {
+			p.beyond++
+		}
+	}
+	return w, ok
+}
+
+// horizonGuests: both threads first miss on x, which leaves core 1 an S
+// copy under MESI. Thread 0 then computes to clock ~230 and stores to y;
+// thread 1 computes to ~1040 and loads x again, so in (clock, ID) order
+// thread 0's store comes first. got receives thread 1's second load.
+func horizonGuests(x, y mem.Addr, got *mem.Word) []Guest {
+	return []Guest{
+		func(p Proc) {
+			p.Load(x)
+			p.Compute(200)
+			p.Store(y, 5)
+		},
+		func(p Proc) {
+			p.Load(x)
+			p.Compute(1000)
+			*got = p.Load(x)
+		},
+	}
+}
+
+func newMesiProbe() *horizonProbe {
+	m := topo.NewCustom(1, 2, 0, topo.DefaultParams())
+	return &horizonProbe{privateTestHierarchy: mesi.New(m, mesi.DefaultConfig(m))}
+}
+
+// TestHorizonOrdersMesiHits: thread 1's second load of x would hit its S
+// copy if it ran when thread 1 resumed, but thread 0's earlier-clocked
+// store invalidates that copy first. The horizon must keep the hit out
+// of the guest, so the load goes through the scheduler after the store,
+// misses and reads 5 — exactly what MinTimeScheduler's run does.
+func TestHorizonOrdersMesiHits(t *testing.T) {
+	x := mem.Addr(0x1000)
+	run := func(sync bool) (*Result, *horizonProbe, mem.Word) {
+		var got mem.Word
+		h := newMesiProbe()
+		e := New(h, horizonGuests(x, x, &got))
+		h.e = e
+		if sync {
+			e.SetScheduler(MinTimeScheduler{})
+		}
+		res, err := e.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, h, got
+	}
+	ref, _, want := run(true)
+	res, h, got := run(false)
+	if want != 5 || got != 5 {
+		t.Fatalf("thread 1 read %d (synchronous %d), want 5", got, want)
+	}
+	if !reflect.DeepEqual(res, ref) {
+		t.Errorf("result differs:\nsynchronous: %+v\nfast path:   %+v", ref, res)
+	}
+	if h.called[1] != 1 {
+		t.Errorf("core 1 offered %d ops to Private, want 1 (its first load)", h.called[1])
+	}
+	if h.beyond != 0 {
+		t.Errorf("%d ordered ops ran inline at or past the run-queue minimum", h.beyond)
+	}
+}
+
+// TestHorizonSkipsIncoherent guards the other side: the incoherent
+// hierarchy's private ops are unordered, so thread 1's hit on its L1
+// copy of x must still run inline although thread 0, with its store
+// pending, sits below it in the run queue.
+func TestHorizonSkipsIncoherent(t *testing.T) {
+	var got mem.Word
+	h := &horizonProbe{privateTestHierarchy: newInlineCounter(2).Hierarchy}
+	e := New(h, horizonGuests(0x1000, 0x2000, &got))
+	h.e = e
+	if _, err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if h.accepted[1] != 1 || h.beyond != 1 {
+		t.Errorf("core 1 ran %d ops inline, %d of them past the run-queue minimum; want 1 and 1", h.accepted[1], h.beyond)
+	}
+}
+
+// TestHorizonTieBreak pins the (clock, ID) order setHorizon folds into
+// one bound: at an equal clock only the lower ID goes first.
+func TestHorizonTieBreak(t *testing.T) {
+	for _, c := range []struct {
+		time        int64
+		id, otherID int
+		want        bool
+	}{
+		{9, 1, 0, true},
+		{10, 0, 1, true},
+		{10, 1, 0, false},
+		{11, 0, 1, false},
+	} {
+		th := &thread{id: c.id, time: c.time, budget: 1}
+		th.setHorizon(&thread{id: c.otherID, time: 10})
+		if got := th.inlineAccess(); got != c.want {
+			t.Errorf("thread %d at %d against thread %d at 10: inline %v, want %v", c.id, c.time, c.otherID, got, c.want)
+		}
+	}
+	th := &thread{budget: 1, time: math.MaxInt64 - 1}
+	if th.setHorizon(nil); !th.inlineAccess() {
+		t.Error("a thread alone in the run must never meet its horizon")
 	}
 }

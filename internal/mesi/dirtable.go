@@ -1,7 +1,9 @@
 package mesi
 
 import (
+	"cmp"
 	"math/bits"
+	"slices"
 
 	"repro/internal/mem"
 )
@@ -17,8 +19,9 @@ import (
 //     new chunk, never moves existing entries — and only the slot index
 //     rehashes.
 //
-//   - No iteration. The old maps were never ranged over, so replacing them
-//     cannot perturb any ordering the simulator observes.
+//   - No iteration in slot order. The old maps were never ranged over, so
+//     replacing them cannot perturb any ordering the simulator observes;
+//     the one walk, forEachSorted (for Fingerprint), goes in line order.
 //
 // Deleted entries go on a free list and are reused (zeroed) by the next
 // insert, so steady-state directory footprint tracks the number of lines
@@ -152,6 +155,22 @@ func (t *dirTable) freeIfZero(line mem.Addr) {
 	e := t.lookup(line)
 	if e != nil && e.state == dirUncached && e.presence == 0 && !e.migrated && !e.noMigrate {
 		t.del(line)
+	}
+}
+
+// forEachSorted calls f for every live entry in ascending line order, so
+// the walk does not depend on the slot layout an insert/delete history
+// left behind.
+func (t *dirTable) forEachSorted(f func(line mem.Addr, e *dirEntry)) {
+	keys := make([]dirSlot, 0, t.live)
+	for _, s := range t.slots {
+		if s.key != slotEmpty && s.key != slotDead {
+			keys = append(keys, s)
+		}
+	}
+	slices.SortFunc(keys, func(a, b dirSlot) int { return cmp.Compare(a.key, b.key) })
+	for _, s := range keys {
+		f(mem.Addr(s.key)<<6, t.entry(s.ref))
 	}
 }
 

@@ -20,6 +20,7 @@ import (
 	"fmt"
 
 	"repro/internal/cache"
+	"repro/internal/isa"
 	"repro/internal/mem"
 	"repro/internal/noc"
 	"repro/internal/stats"
@@ -182,11 +183,9 @@ func (h *Hierarchy) Store(core int, a mem.Addr, v mem.Word) int64 {
 	var lat int64
 	l := l1.Lookup(a)
 	switch {
-	case l != nil && l.State == cache.Modified:
-		// Hit in M: write locally.
-	case l != nil && l.State == cache.Exclusive:
-		// Silent E->M upgrade; the directory already records ownership.
-		l.State = cache.Modified
+	case l != nil && (l.State == cache.Modified || l.State == cache.Exclusive):
+		// Hit in M, or the silent E->M upgrade: the block directory
+		// already names this core as owner (see CheckInvariants).
 	case l != nil && l.State == cache.Shared:
 		lat = h.upgradeToM(core, line)
 		l = l1.Peek(a)
@@ -194,12 +193,54 @@ func (h *Hierarchy) Store(core int, a mem.Addr, v mem.Word) int64 {
 		lat = h.fetchIntoL1(core, line, true)
 		l = l1.Peek(a)
 	}
+	writeL1(l, a, v)
+	return lat
+}
+
+// writeL1 writes v into core's L1 copy l of a, which now holds the line
+// in M.
+func writeL1(l *cache.Line, a mem.Addr, v mem.Word) {
 	l.Words[mem.WordIndex(a)] = v
 	l.State = cache.Modified
 	l.Dirty = mem.FullMask // HCC writebacks are full lines
-	h.dirL2(h.m.BlockOf(core), line).owner = h.coreInBlock(core)
-	return lat
 }
+
+// Private runs core's cacheable load (kind isa.OpLoad) or store
+// (isa.OpStore of v) when it is an L1 hit that needs no directory work:
+// a load of a line in M, E or S, or a store to a line in M or E (the
+// silent E->M upgrade). It then has exactly Load's or Store's effect —
+// LRU touch, hit count, state, data — and reports true. On a miss, or a
+// store to an S line (an upgrade), it changes nothing and reports false.
+//
+// Other cores' ops invalidate and downgrade L1 copies, so a hit is only
+// a hit at its place in the global (clock, ID) order: PrivateOrdered is
+// true, and the engine runs a private op only where the scheduler would
+// have run it next. Nothing else about a hit depends on the order. The
+// migratory-sharing detector records nothing on a hit: it reads the
+// owner's L1 state when a forward happens, and forwards, being misses,
+// still run through the scheduler in (clock, ID) order.
+func (h *Hierarchy) Private(core int, kind isa.OpKind, a mem.Addr, v mem.Word) (mem.Word, bool) {
+	l1 := h.l1[core]
+	// Read the state before LookupHit touches LRU or counts a hit.
+	l := l1.Peek(a)
+	if l == nil {
+		return 0, false
+	}
+	switch {
+	case kind == isa.OpLoad && l.State != cache.Invalid:
+		l1.LookupHit(a)
+		return l.Words[mem.WordIndex(a)], true
+	case kind == isa.OpStore && (l.State == cache.Modified || l.State == cache.Exclusive):
+		l1.LookupHit(a)
+		writeL1(l, a, v)
+		return 0, true
+	}
+	return 0, false
+}
+
+// PrivateOrdered reports true: a private op's outcome depends on what
+// other cores did before it (see Private).
+func (h *Hierarchy) PrivateOrdered() bool { return true }
 
 // fetchIntoL1 brings a line into core's L1 with read (S/E) or write (M)
 // rights, performing all directory work, and returns the latency.
@@ -765,9 +806,11 @@ func (h *Hierarchy) Drain() {
 	}
 }
 
-// CheckInvariants verifies the single-writer/multiple-reader and
-// inclusivity invariants, returning an error describing the first
-// violation. Tests call it after operation sequences.
+// CheckInvariants verifies the single-writer/multiple-reader, inclusivity
+// and ownership invariants, returning an error describing the first
+// violation. Tests call it after operation sequences. Ownership: every
+// L1 line in M or E has a block directory entry in dirOwned naming its
+// core as owner, which is why a store hit need not write the owner.
 func (h *Hierarchy) CheckInvariants() error {
 	for b := 0; b < h.m.Blocks; b++ {
 		seen := make(map[mem.Addr][]int)
@@ -784,10 +827,9 @@ func (h *Hierarchy) CheckInvariants() error {
 				}
 				if l.State == cache.Modified || l.State == cache.Exclusive {
 					seen[l.Tag] = append(seen[l.Tag], core)
-				}
-				if l.State == cache.Shared {
-					for _, other := range seen[l.Tag] {
-						_ = other
+					if e := h.l2dir[b].lookup(l.Tag); e == nil || e.state != dirOwned || e.owner != ci {
+						err = fmt.Errorf("ownership: core %d holds %#x in %v but block %d's directory entry is %+v",
+							core, uint32(l.Tag), l.State, b, e)
 					}
 				}
 			})
