@@ -41,15 +41,16 @@ func interCellsOnExecutor(t *testing.T, res *InterResult, opts RunOptions, wantS
 			wl := InterWorkloads(ScaleTest)[i]
 			h := NewModeHierarchy(NewInterMachine(), mode).(*core.Hierarchy)
 			h.SetBlockParallel(true)
-			rec := opts.instrument(h)
-			orc, err := opts.checks(h, wl.Threads)
-			if err != nil {
+			c := wl.Cell(h, mode)
+			c.Recorder = opts.instrument(h)
+			var err error
+			if c.Oracle, err = opts.checks(h, wl.Threads); err != nil {
 				t.Fatal(err)
 			}
 			if got := h.ParallelShards(); got != wantShards {
 				t.Fatalf("%s: %d shards, want %d", cell, got, wantShards)
 			}
-			r, err := wl.RunObserved(context.Background(), h, mode, orc, rec)
+			r, err := c.Run(context.Background())
 			if err != nil || want.Error != "" {
 				if err == nil || err.Error() != want.Error {
 					t.Errorf("%s: error %v on the executor, %q serial", cell, err, want.Error)
@@ -62,7 +63,7 @@ func interCellsOnExecutor(t *testing.T, res *InterResult, opts RunOptions, wantS
 			if wb, inv := h.GlobalOps(); wb != want.GlobalWB || inv != want.GlobalINV {
 				t.Errorf("%s: global WB/INV %d/%d on the executor, %d/%d serial", cell, wb, inv, want.GlobalWB, want.GlobalINV)
 			}
-			if opts.Metrics && !reflect.DeepEqual(rec.Snapshot(), want.Metrics) {
+			if opts.Metrics && !reflect.DeepEqual(c.Recorder.Snapshot(), want.Metrics) {
 				t.Errorf("%s: metrics snapshot differs from the serial sweep's", cell)
 			}
 		}

@@ -12,8 +12,12 @@ package hic
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"strings"
 	"testing"
+
+	"repro/internal/runner"
 )
 
 func TestSeededFaultSweepIsDeterministicAcrossWorkerCounts(t *testing.T) {
@@ -99,6 +103,43 @@ func TestFaultedInterSweepIsRepeatable(t *testing.T) {
 		b, _ := runInterOpts(context.Background(), ScaleTest, opts)
 		if !bytes.Equal(want, encodeDoc(t, b.Document(ScaleTest))) {
 			t.Fatal("two identical faulted inter sweeps emitted different documents")
+		}
+	}
+}
+
+// TestFailingCellDocumentsPinned pins the bytes of sweeps whose cells
+// fail: the -faults rows render only each error's kind, so this is what
+// keeps a failed cell's error text — its "workload/config" (intra) or
+// "workload/mode" (inter, and manycore, whose cells are keyed by block
+// count) label, the oracle's violation and the verification mismatch —
+// from drifting. The digests are of the test-scale documents under the
+// coherence oracle and a seeded fault plan.
+func TestFailingCellDocumentsPinned(t *testing.T) {
+	opts := RunOptions{Parallel: 2, CheckCoherence: true, Faults: "drop-wb@rand; skip-inv@rand; seed=1"}
+	intra, _ := runIntraOpts(context.Background(), ScaleTest, opts)
+	inter, _ := runInterOpts(context.Background(), ScaleTest, opts)
+	many, _ := runManycoreOpts(context.Background(), ScaleTest, []int{1, 2}, DefaultManycoreCoresPerBlock, opts)
+	for _, tc := range []struct {
+		name string
+		doc  *runner.Document
+		want string
+	}{
+		{"intra", intra.Document(ScaleTest), "18f6d5822c8b5c14f2c316ce17b824ecdf1eed48e08405c53914a4067f70a189"},
+		{"inter", inter.Document(ScaleTest), "848423c469ea17a201fd1df92939455e845519f5f38072cac9457952b5c7d24e"},
+		{"manycore", many.Document(ScaleTest), "060b3113052ae3716194db028ba920cecd3ff3acee908c650656fd53d818ca3a"},
+	} {
+		failed := 0
+		for _, r := range tc.doc.Runs {
+			if r.Error != "" {
+				failed++
+			}
+		}
+		if failed == 0 {
+			t.Errorf("%s: no cell failed; the pin covers no error text", tc.name)
+		}
+		sum := sha256.Sum256(encodeDoc(t, tc.doc))
+		if got := hex.EncodeToString(sum[:]); got != tc.want {
+			t.Errorf("%s document sha256 = %s, want %s", tc.name, got, tc.want)
 		}
 	}
 }

@@ -21,6 +21,7 @@ import (
 	"repro/internal/oracle"
 	"repro/internal/runner"
 	"repro/internal/stats"
+	"repro/internal/workload"
 )
 
 // Scale selects the experiment problem sizes.
@@ -200,7 +201,9 @@ type RunOptions struct {
 	Trace bool
 	// Observer, when non-nil, is called with each cell's recorder after
 	// its run completes (successfully or not), before snapshots are
-	// taken for the outcome. Setting it alone also enables recording.
+	// taken for the outcome. The recorder is nil unless Metrics or Trace
+	// is set: an Observer alone (a progress callback) records nothing,
+	// so it keeps the engine's private-op fast path.
 	Observer func(workload, config string, rec *obs.Recorder)
 	// Only, when non-empty, restricts a sweep to the named workloads
 	// (unknown names are ignored). Figures are built from the cells that
@@ -213,8 +216,9 @@ type RunOptions struct {
 	// makes hits exact — the key covers everything that can change the
 	// outcome (workload, config, topology, scale, fault plan, seed, the
 	// result-affecting options, and the code version), and orchestration
-	// options are excluded. Traced sweeps bypass the cache, and the
-	// Observer callback does not fire for cells served from it.
+	// options are excluded, and so is the Observer. Traced sweeps bypass
+	// the cache, and the Observer callback fires only for cells that
+	// simulate, never for cells served from it.
 	Cache runner.Cache
 	// Seed salts the cache key. Current workloads are deterministic and
 	// ignore it; it exists so stochastic workloads can join the
@@ -272,33 +276,34 @@ func (o RunOptions) withCache(s Scale, topology string, t runner.Task) runner.Ta
 	return t
 }
 
-// cellRun runs a cell's application on h with the oracle and recorder
-// the options call for (either may be nil).
-type cellRun func(ctx context.Context, h Hierarchy, orc *oracle.Oracle, rec *obs.Recorder) (*runner.Outcome, error)
-
 // cell is the one task builder of the sweeps' cells. On a cell-cache
 // miss its task calls build — which constructs the cell's hierarchy and
-// its own application, nothing else — then attaches the recorder and
-// checks the options ask for, runs the cell, and finishes its outcome.
-// Each task owns everything it touches, so tasks run concurrently.
-func (o RunOptions) cell(s Scale, topology, workload, config string, build func() (h Hierarchy, threads int, run cellRun)) runner.Task {
+// its own application's verified run, nothing else — then attaches the
+// recorder and checks the options ask for, runs the cell, and finishes
+// its outcome; globalOps also captures the hierarchy's global WB/INV
+// line-operation counts. Each task owns everything it touches, so tasks
+// run concurrently.
+func (o RunOptions) cell(s Scale, topology, name, config string, globalOps bool, build func() workload.Cell) runner.Task {
 	return o.withCache(s, topology, runner.Task{
-		Workload: workload,
+		Workload: name,
 		Config:   config,
 		Run: func(ctx context.Context) (*runner.Outcome, error) {
-			h, threads, run := build()
-			rec := o.instrument(h)
-			orc, err := o.checks(h, threads)
-			if err != nil {
+			c := build()
+			c.Recorder = o.instrument(c.H)
+			var err error
+			if c.Oracle, err = o.checks(c.H, len(c.Guests)); err != nil {
 				return nil, err
 			}
-			out, err := run(ctx, h, orc, rec)
-			if err != nil {
-				o.finish(workload, config, rec, nil)
-				return nil, err
+			r, err := c.Run(ctx)
+			var out *runner.Outcome
+			if err == nil {
+				out = &runner.Outcome{Result: r}
+				if hi, ok := c.H.(*core.Hierarchy); globalOps && ok {
+					out.GlobalWB, out.GlobalINV = hi.GlobalOps()
+				}
 			}
-			o.finish(workload, config, rec, out)
-			return out, nil
+			o.finish(name, config, c.Recorder, out)
+			return out, err
 		},
 	})
 }
@@ -334,11 +339,13 @@ func (o RunOptions) checks(h engine.Hierarchy, threads int) (*oracle.Oracle, err
 }
 
 // instrument builds the cell's recorder per the options and attaches it
-// to the hierarchy's components; nil when observability is off.
+// to the hierarchy's components; nil unless Metrics or Trace asks for
+// one. An Observer alone records nothing: a recorder must see every op,
+// so it switches off the engine's private-op fast path.
 // Metrics-only cells keep exact totals and high-water marks but store
 // no timelines (negative caps); tracing buys the bounded rings.
 func (o RunOptions) instrument(h engine.Hierarchy) *obs.Recorder {
-	if !o.Metrics && !o.Trace && o.Observer == nil {
+	if !o.Metrics && !o.Trace {
 		return nil
 	}
 	cfg := obs.Config{SpanCap: -1, TrackCap: -1}
@@ -352,15 +359,13 @@ func (o RunOptions) instrument(h engine.Hierarchy) *obs.Recorder {
 
 // finish fires the Observer callback and captures the cell's snapshot
 // and timeline into the outcome (nil out on a failed run: the callback
-// still sees the recorder, the outcome captures nothing).
+// still sees the recorder, the outcome captures nothing). The callback
+// receives a nil recorder when neither Metrics nor Trace is set.
 func (o RunOptions) finish(workload, config string, rec *obs.Recorder, out *runner.Outcome) {
-	if rec == nil {
-		return
-	}
 	if o.Observer != nil {
 		o.Observer(workload, config, rec)
 	}
-	if out == nil {
+	if rec == nil || out == nil {
 		return
 	}
 	if o.Metrics {
@@ -411,19 +416,15 @@ type IntraResult struct {
 	Traces []obs.CellTrace
 }
 
-// intraTasks builds one task per (application, configuration) pair, in
-// IntraCells order.
-func intraTasks(s Scale, opts RunOptions) []runner.Task {
+// intraTasks builds one task per (application, configuration) pair
+// over the given configurations, in IntraCells order when they are
+// IntraConfigs.
+func intraTasks(s Scale, opts RunOptions, configs []Config) []runner.Task {
 	var tasks []runner.Task
 	for _, a := range selected(intraApps, opts.Only) {
-		for _, cfg := range IntraConfigs {
-			tasks = append(tasks, opts.cell(s, "intra", a.name, cfg.Name, func() (Hierarchy, int, cellRun) {
-				wl := a.build(s, intraThreads)
-				return NewHierarchy(NewIntraMachine(), cfg), wl.Threads,
-					func(ctx context.Context, h Hierarchy, orc *oracle.Oracle, rec *obs.Recorder) (*runner.Outcome, error) {
-						r, err := wl.RunObserved(ctx, h, cfg, orc, rec)
-						return &runner.Outcome{Result: r}, err
-					}
+		for _, cfg := range configs {
+			tasks = append(tasks, opts.cell(s, "intra", a.name, cfg.Name, false, func() workload.Cell {
+				return a.build(s, intraThreads).Cell(NewHierarchy(NewIntraMachine(), cfg), cfg)
 			}))
 		}
 	}
@@ -436,7 +437,7 @@ func intraTasks(s Scale, opts RunOptions) []runner.Task {
 // succeeded still get their figure groups, and Runs records every cell
 // including the failed ones.
 func runIntraOpts(ctx context.Context, s Scale, opts RunOptions) (*IntraResult, error) {
-	grid := runner.Run(ctx, intraTasks(s, opts), opts.runner())
+	grid := runner.Run(ctx, intraTasks(s, opts, IntraConfigs), opts.runner())
 	res := &IntraResult{
 		Figure9:  &Figure{Title: "Figure 9: normalized execution time (intra-block)", Categories: []string{"inv", "wb", "lock", "barrier", "rest"}},
 		Figure10: &Figure{Title: "Figure 10: normalized traffic, HCC vs B+M+I (flits)", Categories: []string{"linefill", "writeback", "invalidation", "memory"}},
@@ -543,17 +544,8 @@ func interTasks(s Scale, opts RunOptions) []runner.Task {
 	var tasks []runner.Task
 	for _, a := range selected(interApps, opts.Only) {
 		for _, mode := range InterModes {
-			tasks = append(tasks, opts.cell(s, "inter", a.name, mode.String(), func() (Hierarchy, int, cellRun) {
-				wl := a.build(s, interThreads)
-				return NewModeHierarchy(NewInterMachine(), mode), wl.Threads,
-					func(ctx context.Context, h Hierarchy, orc *oracle.Oracle, rec *obs.Recorder) (*runner.Outcome, error) {
-						r, err := wl.RunObserved(ctx, h, mode, orc, rec)
-						out := &runner.Outcome{Result: r}
-						if hi, ok := h.(*core.Hierarchy); ok {
-							out.GlobalWB, out.GlobalINV = hi.GlobalOps()
-						}
-						return out, err
-					}
+			tasks = append(tasks, opts.cell(s, "inter", a.name, mode.String(), true, func() workload.Cell {
+				return a.build(s, interThreads).Cell(NewModeHierarchy(NewInterMachine(), mode), mode)
 			}))
 		}
 	}
@@ -648,24 +640,11 @@ func ratio(a, b float64) float64 {
 // PatternTable regenerates Table I: the communication-pattern
 // classification of the intra-block applications, from the workloads' own
 // declarations cross-checked against the synchronization operations they
-// actually execute. The per-application Base runs execute under
-// DefaultRunOptions.
+// actually execute. The per-application Base runs are the intra sweep's
+// Base cells, run under DefaultRunOptions.
 func PatternTable(s Scale) (string, error) {
-	var tasks []runner.Task
-	for _, a := range intraApps {
-		tasks = append(tasks, runner.Task{
-			Workload: a.name,
-			Config:   Base.Name,
-			Run: func(context.Context) (*runner.Outcome, error) {
-				r, err := a.build(s, intraThreads).Run(NewHierarchy(NewIntraMachine(), Base), Base)
-				if err != nil {
-					return nil, err
-				}
-				return &runner.Outcome{Result: r}, nil
-			},
-		})
-	}
-	grid := runner.Run(context.Background(), tasks, DefaultRunOptions().runner())
+	opts := DefaultRunOptions()
+	grid := runner.Run(context.Background(), intraTasks(s, opts, []Config{Base}), opts.runner())
 	if err := grid.Err(); err != nil {
 		return "", err
 	}
@@ -719,6 +698,6 @@ func SyncCensus(r *Result) string {
 func VerifyAll() error {
 	opts := DefaultRunOptions()
 	opts.CheckCoherence = true
-	tasks := append(intraTasks(ScaleTest, opts), interTasks(ScaleTest, opts)...)
+	tasks := append(intraTasks(ScaleTest, opts, IntraConfigs), interTasks(ScaleTest, opts)...)
 	return runner.Run(context.Background(), tasks, opts.runner()).Err()
 }

@@ -206,8 +206,8 @@ func TestCellListsMatchTasks(t *testing.T) {
 		tasks       []runner.Task
 		first, last string
 	}{
-		{"intra", IntraCells(), intraTasks(ScaleTest, RunOptions{}), "[fft HCC]", "[water-sp B+M+I]"},
-		{"intra-only", IntraCells(only.Only...), intraTasks(ScaleTest, only), "[fft HCC]", "[fft B+M+I]"},
+		{"intra", IntraCells(), intraTasks(ScaleTest, RunOptions{}, IntraConfigs), "[fft HCC]", "[water-sp B+M+I]"},
+		{"intra-only", IntraCells(only.Only...), intraTasks(ScaleTest, only, IntraConfigs), "[fft HCC]", "[fft B+M+I]"},
 		{"inter", InterCells(), interTasks(ScaleTest, RunOptions{}), "[ep HCC]", "[jacobi Addr+L]"},
 		{"inter-only", InterCells(only.Only...), interTasks(ScaleTest, only), "[jacobi HCC]", "[jacobi Addr+L]"},
 		{"manycore", ManycoreCells(blocks), manycoreTasks(ScaleTest, blocks, 8, RunOptions{}), "[ep blocks-1]", "[jacobi blocks-8]"},

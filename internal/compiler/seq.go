@@ -2,15 +2,13 @@ package compiler
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"maps"
 	"slices"
 
 	"repro/internal/engine"
 	"repro/internal/mem"
-	"repro/internal/obs"
-	"repro/internal/oracle"
+	"repro/internal/workload"
 )
 
 // Reference executes prog sequentially over host arrays and returns the
@@ -70,49 +68,15 @@ type IRWorkload struct {
 	SkipVerify map[string]bool
 }
 
+// Cell returns the verified run of the workload lowered under mode on h.
+func (w *IRWorkload) Cell(h engine.Hierarchy, mode Mode) workload.Cell {
+	return workload.Cell{Label: w.Name + "/" + mode.String(), H: h, Guests: Lower(w.Prog, w.Threads, mode), Verify: w.VerifyMemory}
+}
+
 // Run lowers the workload under mode, executes it on h, drains, and
 // verifies every array against the sequential reference.
 func (w *IRWorkload) Run(h engine.Hierarchy, mode Mode) (*engine.Result, error) {
-	return w.RunChecked(context.Background(), h, mode, nil)
-}
-
-// RunChecked is Run with cooperative cancellation and an optional
-// coherence oracle observing the event stream; an oracle violation
-// becomes the run's primary error.
-func (w *IRWorkload) RunChecked(ctx context.Context, h engine.Hierarchy, mode Mode, orc *oracle.Oracle) (*engine.Result, error) {
-	return w.RunObserved(ctx, h, mode, orc, nil)
-}
-
-// RunObserved is RunChecked with an optional observability recorder fed
-// by the engine (per-core stall spans); attach the recorder to the
-// hierarchy separately (obs.Attach) for component metrics.
-func (w *IRWorkload) RunObserved(ctx context.Context, h engine.Hierarchy, mode Mode, orc *oracle.Oracle, rec *obs.Recorder) (*engine.Result, error) {
-	e := engine.New(h, Lower(w.Prog, w.Threads, mode))
-	if orc != nil {
-		e.SetObserver(orc)
-	}
-	if rec != nil {
-		e.SetRecorder(rec)
-	}
-	res, err := e.RunCtx(ctx)
-	if err != nil {
-		return nil, fmt.Errorf("%s/%s: %w", w.Name, mode, err)
-	}
-	h.Drain()
-	var errs []error
-	if orc != nil {
-		orc.CheckFinal(h.Memory())
-		if cerr := orc.Err(); cerr != nil {
-			errs = append(errs, fmt.Errorf("%s/%s: %w", w.Name, mode, cerr))
-		}
-	}
-	if verr := w.VerifyMemory(h.Memory()); verr != nil {
-		errs = append(errs, fmt.Errorf("%s/%s: verification: %w", w.Name, mode, verr))
-	}
-	if err := errors.Join(errs...); err != nil {
-		return nil, err
-	}
-	return res, nil
+	return w.Cell(h, mode).Run(context.Background())
 }
 
 // VerifyMemory checks the drained memory against the sequential reference.

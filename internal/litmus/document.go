@@ -65,9 +65,10 @@ func DefaultEnumOptions(k int) EnumOptions {
 // every configuration.
 func EnumerateDocument(configs []Config, k int, opts Options) *Document {
 	doc := &Document{Schema: envelope.SchemaV2, Kind: envelope.KindLitmus, Budget: opts.Budget}
+	tests := Enumerate(DefaultEnumOptions(k))
 	for _, cfg := range configs {
 		doc.Sweeps = append(doc.Sweeps, SweepResult{
-			Config: cfg.Name, K: k, Stats: Sweep(DefaultEnumOptions(k), cfg, opts),
+			Config: cfg.Name, K: k, Stats: Sweep(tests, cfg, opts),
 		})
 	}
 	return doc

@@ -624,12 +624,13 @@ type SweepStats struct {
 	Failed []string `json:"failed,omitempty"`
 }
 
-// Sweep enumerates every test under eo and explores each one under cfg,
-// aggregating the statistics the enumeration gate pins. Mutants are not
-// explored here (internal/fuzzgen judges them); Mutants only counts.
-func Sweep(eo EnumOptions, cfg Config, opts Options) SweepStats {
+// Sweep explores every test (an Enumerate output) under cfg,
+// aggregating the statistics the enumeration gate pins. The caller
+// enumerates once and sweeps the same programs under every config.
+// Mutants are not explored here (internal/fuzzgen judges them); Mutants
+// only counts.
+func Sweep(tests []Test, cfg Config, opts Options) SweepStats {
 	var st SweepStats
-	tests := Enumerate(eo)
 	st.Programs = len(tests)
 	for _, t := range tests {
 		st.Mutants += len(Mutants(t))

@@ -109,7 +109,7 @@ func TestEnumerationSweep(t *testing.T) {
 	if testing.Short() {
 		maxK = 3
 	}
-	st := Sweep(enumGateOptions(maxK), Base, Options{})
+	st := Sweep(Enumerate(enumGateOptions(maxK)), Base, Options{})
 	if len(st.Violating) > 0 {
 		t.Errorf("%d annotated programs violated, first: %s", len(st.Violating), st.Violating[0])
 	}

@@ -42,47 +42,64 @@ func (w *Workload) Guests(cfg annotate.Config) []engine.Guest {
 	return annotate.Guests(w.Threads, cfg, w.Pattern, w.Body)
 }
 
+// Cell returns the verified run of the workload under cfg on h.
+func (w *Workload) Cell(h engine.Hierarchy, cfg annotate.Config) Cell {
+	return Cell{Label: w.Name + "/" + cfg.Name, H: h, Guests: w.Guests(cfg), Verify: w.Verify}
+}
+
 // Run executes the workload on hierarchy h under cfg, drains, verifies,
 // and returns the engine result.
 func (w *Workload) Run(h engine.Hierarchy, cfg annotate.Config) (*engine.Result, error) {
-	return w.RunChecked(context.Background(), h, cfg, nil)
+	return w.Cell(h, cfg).Run(context.Background())
 }
 
-// RunChecked is Run with cooperative cancellation and an optional
-// coherence oracle: when orc is non-nil it observes the run's event
-// stream, checks the final memory image after the drain, and any
-// violation it found becomes the run's primary error (verification still
-// runs and its failure is joined in).
-func (w *Workload) RunChecked(ctx context.Context, h engine.Hierarchy, cfg annotate.Config, orc *oracle.Oracle) (*engine.Result, error) {
-	return w.RunObserved(ctx, h, cfg, orc, nil)
+// Cell is one verified simulation run: guests on a hierarchy, and the
+// check of the drained memory against the application's sequential
+// reference. Both programming models build one (Workload.Cell,
+// compiler.IRWorkload.Cell), and every sweep cell runs through it.
+type Cell struct {
+	// Label prefixes every error of the run ("fft/B+M", "cg/Addr+L").
+	Label  string
+	H      engine.Hierarchy
+	Guests []engine.Guest
+	// Verify checks the drained memory against the sequential reference.
+	Verify func(m *mem.Memory) error
+	// Oracle, when non-nil, observes the run's event stream and checks
+	// the final memory image after the drain; a violation it found
+	// becomes the run's primary error (verification still runs and its
+	// failure is joined in).
+	Oracle *oracle.Oracle
+	// Recorder, when non-nil, is fed per-core stall spans by the engine;
+	// attach it to the hierarchy separately (obs.Attach) for component
+	// metrics. Snapshots are the caller's to take afterwards.
+	Recorder *obs.Recorder
 }
 
-// RunObserved is RunChecked with an optional observability recorder:
-// when rec is non-nil the engine feeds it per-core stall spans and the
-// hierarchy (if it supports attachment — see obs.Attach) its component
-// metrics. Snapshots are the caller's to take afterwards.
-func (w *Workload) RunObserved(ctx context.Context, h engine.Hierarchy, cfg annotate.Config, orc *oracle.Oracle, rec *obs.Recorder) (*engine.Result, error) {
-	e := engine.New(h, w.Guests(cfg))
-	if orc != nil {
-		e.SetObserver(orc)
+// Run executes the cell with cooperative cancellation: it runs the
+// guests to completion, drains the hierarchy, has the oracle check the
+// final image, and verifies the drained memory.
+func (c Cell) Run(ctx context.Context) (*engine.Result, error) {
+	e := engine.New(c.H, c.Guests)
+	if c.Oracle != nil {
+		e.SetObserver(c.Oracle)
 	}
-	if rec != nil {
-		e.SetRecorder(rec)
+	if c.Recorder != nil {
+		e.SetRecorder(c.Recorder)
 	}
 	res, err := e.RunCtx(ctx)
 	if err != nil {
-		return nil, fmt.Errorf("%s/%s: %w", w.Name, cfg.Name, err)
+		return nil, fmt.Errorf("%s: %w", c.Label, err)
 	}
-	h.Drain()
+	c.H.Drain()
 	var errs []error
-	if orc != nil {
-		orc.CheckFinal(h.Memory())
-		if cerr := orc.Err(); cerr != nil {
-			errs = append(errs, fmt.Errorf("%s/%s: %w", w.Name, cfg.Name, cerr))
+	if c.Oracle != nil {
+		c.Oracle.CheckFinal(c.H.Memory())
+		if cerr := c.Oracle.Err(); cerr != nil {
+			errs = append(errs, fmt.Errorf("%s: %w", c.Label, cerr))
 		}
 	}
-	if verr := w.Verify(h.Memory()); verr != nil {
-		errs = append(errs, fmt.Errorf("%s/%s: verification: %w", w.Name, cfg.Name, verr))
+	if verr := c.Verify(c.H.Memory()); verr != nil {
+		errs = append(errs, fmt.Errorf("%s: verification: %w", c.Label, verr))
 	}
 	if err := errors.Join(errs...); err != nil {
 		return nil, err

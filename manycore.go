@@ -6,13 +6,11 @@ import (
 	"slices"
 	"strings"
 
-	"repro/internal/compiler"
 	"repro/internal/envelope"
-	"repro/internal/obs"
-	"repro/internal/oracle"
 	"repro/internal/runner"
 	"repro/internal/stats"
 	"repro/internal/topo"
+	"repro/internal/workload"
 )
 
 // This file implements the many-core block-scaling experiment (E7): the
@@ -92,14 +90,9 @@ func manycoreTasks(s Scale, blockCounts []int, coresPerBlock int, opts RunOption
 	var tasks []runner.Task
 	for _, a := range apps {
 		for _, b := range blocks {
-			tasks = append(tasks, opts.cell(s, topology, a.name, manycoreConfig(b), func() (Hierarchy, int, cellRun) {
+			tasks = append(tasks, opts.cell(s, topology, a.name, manycoreConfig(b), false, func() workload.Cell {
 				m := NewManycoreMachine(b, coresPerBlock)
-				wl := a.build(s, m.NumCores())
-				return NewModeHierarchy(m, ModeAddrL), wl.Threads,
-					func(ctx context.Context, h Hierarchy, orc *oracle.Oracle, rec *obs.Recorder) (*runner.Outcome, error) {
-						r, err := wl.RunObserved(ctx, h, compiler.ModeAddrL, orc, rec)
-						return &runner.Outcome{Result: r}, err
-					}
+				return a.build(s, m.NumCores()).Cell(NewModeHierarchy(m, ModeAddrL), ModeAddrL)
 			}))
 		}
 	}

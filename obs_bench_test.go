@@ -23,7 +23,7 @@ func BenchmarkObsOverhead(b *testing.B) {
 		opts []Option
 	}{
 		{"off", nil},
-		{"metrics", []Option{WithObserver(func(_, _ string, rec *Recorder) {
+		{"metrics", []Option{WithMetrics(), WithObserver(func(_, _ string, rec *Recorder) {
 			if rec.Snapshot() == nil {
 				b.Fatal("nil snapshot from enabled recorder")
 			}

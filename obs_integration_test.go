@@ -12,6 +12,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"sync"
 	"testing"
 
 	"repro/internal/obs"
@@ -115,7 +116,7 @@ func TestRunWithObserver(t *testing.T) {
 	wl := IntraWorkloads(ScaleTest)[0]
 	h := NewHierarchy(NewIntraMachine(), BMI)
 	var snap *MetricsSnapshot
-	res, err := Run(h, wl.Guests(BMI), WithObserver(func(workload, config string, rec *Recorder) {
+	res, err := Run(h, wl.Guests(BMI), WithMetrics(), WithObserver(func(workload, config string, rec *Recorder) {
 		snap = rec.Snapshot()
 	}))
 	if err != nil {
@@ -133,6 +134,29 @@ func TestRunWithObserver(t *testing.T) {
 	}
 	if total != res.Stalls.Total() {
 		t.Errorf("observed stall cycles %d != engine total %d", total, res.Stalls.Total())
+	}
+}
+
+// TestObserverAloneRecordsNothing: a progress-only observer (the
+// server's) must not attach a recorder — a recorder must see every op,
+// so it would switch off the engine's private-op fast path on every
+// cell. The callback still fires once per cell, with a nil recorder.
+func TestObserverAloneRecordsNothing(t *testing.T) {
+	var mu sync.Mutex
+	var cells []string
+	_, err := RunIntra(context.Background(), ScaleTest, WithOnly("fft"), WithObserver(func(workload, config string, rec *Recorder) {
+		mu.Lock()
+		defer mu.Unlock()
+		cells = append(cells, workload+"/"+config)
+		if rec != nil {
+			t.Errorf("%s/%s: observer-only sweep attached a recorder", workload, config)
+		}
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cells) != len(IntraCells("fft")) {
+		t.Errorf("observer fired for %d cells, want %d: %v", len(cells), len(IntraCells("fft")), cells)
 	}
 }
 

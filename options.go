@@ -89,7 +89,8 @@ func WithTracing() Option {
 }
 
 // WithObserver registers a callback invoked with each cell's recorder
-// after its run completes. Setting it alone also enables recording.
+// after its run completes. The recorder is nil unless WithMetrics or
+// WithTracing is also given: a callback alone records nothing.
 func WithObserver(f func(workload, config string, rec *Recorder)) Option {
 	return func(o *RunOptions) { o.Observer = f }
 }
@@ -131,11 +132,11 @@ func RunInter(ctx context.Context, s Scale, opts ...Option) (*InterResult, error
 }
 
 // Run executes guests on h and returns the result. Options apply per
-// run: WithMetrics/WithTracing/WithObserver attach a recorder to the
-// engine and (when h supports it) the hierarchy, and the Observer
-// callback — invoked with empty workload/config labels — is the access
-// path to its snapshot and timeline. Orchestration options (parallelism,
-// timeouts) have no effect on a single Run.
+// run: WithMetrics/WithTracing attach a recorder to the engine and (when
+// h supports it) the hierarchy, and the WithObserver callback — invoked
+// with empty workload/config labels — is the access path to its snapshot
+// and timeline. Orchestration options (parallelism, timeouts) have no
+// effect on a single Run.
 func Run(h Hierarchy, guests []Guest, opts ...Option) (*Result, error) {
 	var o RunOptions
 	for _, opt := range opts {

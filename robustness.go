@@ -12,6 +12,7 @@ package hic
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/core"
@@ -24,42 +25,24 @@ import (
 // calibrate runs each application clean under every configuration a
 // calibrated fault class targets, returning the results keyed
 // "workload/config". The census of WB/INV-family instructions in these
-// runs is what the calibrated plans index into.
+// runs is what the calibrated plans index into. The runs are the intra
+// sweep's cells under the caller's orchestration only: no fault plan,
+// no checks, no recorder.
 func calibrate(ctx context.Context, s Scale, classes []FaultClass, opts RunOptions) (map[string]*Result, error) {
-	need := map[string]Config{}
+	var need []Config
 	for _, c := range classes {
-		if c.Calibrate != nil {
-			need[c.Config.Name] = c.Config
+		if c.Calibrate != nil && !slices.Contains(need, c.Config) {
+			need = append(need, c.Config)
 		}
 	}
-	out := map[string]*Result{}
-	if len(need) == 0 {
-		return out, nil
-	}
-	var tasks []runner.Task
-	for _, a := range intraApps {
-		for _, cfg := range need {
-			tasks = append(tasks, runner.Task{
-				Workload: a.name,
-				Config:   cfg.Name,
-				Run: func(ctx context.Context) (*runner.Outcome, error) {
-					r, err := a.build(s, intraThreads).RunChecked(ctx, NewHierarchy(NewIntraMachine(), cfg), cfg, nil)
-					if err != nil {
-						return nil, err
-					}
-					return &runner.Outcome{Result: r}, nil
-				},
-			})
-		}
-	}
-	grid := runner.Run(ctx, tasks, opts.runner())
+	clean := RunOptions{Parallel: opts.Parallel, Timeout: opts.Timeout}
+	grid := runner.Run(ctx, intraTasks(s, clean, need), clean.runner())
 	if err := grid.Err(); err != nil {
 		return nil, fmt.Errorf("buggy-annotation calibration: %w", err)
 	}
-	for _, a := range intraApps {
-		for name := range need {
-			out[a.name+"/"+name] = grid.Result(a.name, name)
-		}
+	out := map[string]*Result{}
+	for _, c := range grid.Cells() {
+		out[c.Workload+"/"+c.Config] = c.Outcome.Result
 	}
 	return out, nil
 }
@@ -282,15 +265,16 @@ func RunBuggyAnnotation(ctx context.Context, s Scale, options ...Option) (*Fault
 				}
 				st := faultinject.NewState(r.plan)
 				ch.SetFaults(st)
-				orc := oracle.New(wl.Threads)
-				orc.SetFaults(st)
-				res, err := wl.RunChecked(ctx, h, r.cfg, orc)
+				c := wl.Cell(h, r.cfg)
+				c.Oracle = oracle.New(wl.Threads)
+				c.Oracle.SetFaults(st)
+				res, err := c.Run(ctx)
 				// Each task owns exactly one entry, so concurrent tasks
 				// never write the same slot; the runner's completion
 				// barrier publishes the writes before assembly below.
 				ent := &rep.Entries[i]
 				ent.Injected = st.Injected()
-				ent.Violations = orc.Total()
+				ent.Violations = c.Oracle.Total()
 				if err != nil {
 					return nil, err
 				}
