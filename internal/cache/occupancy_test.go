@@ -6,48 +6,6 @@ import (
 	"repro/internal/mem"
 )
 
-// scanFingerprint is the reference Fingerprint: it scans every set and
-// every way for valid frames, the formulation whose hash order and value
-// the valid-bitmap walk must reproduce.
-func scanFingerprint(c *Cache) uint64 {
-	h := mem.FingerprintSeed
-	ways := c.cfg.Ways
-	for s := 0; s < c.sets; s++ {
-		base := s * ways
-		hasValid := false
-		for w := 0; w < ways; w++ {
-			if c.keys[base+w] != 0 {
-				hasValid = true
-				break
-			}
-		}
-		if !hasValid {
-			continue
-		}
-		h = mem.Mix64(h, uint64(s))
-		for w := 0; w < ways; w++ {
-			if c.keys[base+w] == 0 {
-				continue
-			}
-			rank := 0
-			for v := 0; v < ways; v++ {
-				if c.lrus[base+v] < c.lrus[base+w] {
-					rank++
-				}
-			}
-			l := &c.frames[base+w]
-			h = mem.Mix64(h, uint64(w))
-			h = mem.Mix64(h, uint64(l.Tag))
-			h = mem.Mix64(h, uint64(l.Dirty)<<8|uint64(l.State))
-			h = mem.Mix64(h, uint64(rank))
-			for i := range l.Words {
-				h = mem.Mix64(h, uint64(l.Words[i]))
-			}
-		}
-	}
-	return h
-}
-
 // checkOccupancy compares every bitmap-driven walk against a scan of all
 // frames.
 func checkOccupancy(t *testing.T, c *Cache, step int) {
@@ -88,7 +46,7 @@ func checkOccupancy(t *testing.T, c *Cache, step int) {
 	if n := c.CountDirty(); n != len(dirty) {
 		t.Fatalf("step %d: CountDirty %d, scan %d", step, n, len(dirty))
 	}
-	if got, want := c.Fingerprint(), scanFingerprint(c); got != want {
+	if got, want := c.Fingerprint(), c.ReferenceFingerprint(); got != want {
 		t.Fatalf("step %d: Fingerprint %#x, all-sets scan %#x", step, got, want)
 	}
 }

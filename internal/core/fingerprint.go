@@ -1,6 +1,9 @@
 package core
 
-import "repro/internal/mem"
+import (
+	"repro/internal/cache"
+	"repro/internal/mem"
+)
 
 // Fingerprint hashes every piece of hierarchy state that can influence
 // future behavior, for the litmus explorer's dedup table: the backing
@@ -10,18 +13,30 @@ import "repro/internal/mem"
 // The litmus machines never enable Bloom signatures; Fingerprint panics
 // if they are present rather than silently under-hashing.
 func (h *Hierarchy) Fingerprint() uint64 {
+	return h.fingerprint((*mem.Memory).Fingerprint, (*cache.Cache).Fingerprint)
+}
+
+// ReferenceFingerprint is Fingerprint over the memory's and the caches'
+// reference fingerprints, the differential reference the litmus
+// package's FuzzStateFingerprintMatchesReference checks Fingerprint
+// against. No simulation path calls it.
+func (h *Hierarchy) ReferenceFingerprint() uint64 {
+	return h.fingerprint((*mem.Memory).ReferenceFingerprint, (*cache.Cache).ReferenceFingerprint)
+}
+
+func (h *Hierarchy) fingerprint(memFP func(*mem.Memory) uint64, cacheFP func(*cache.Cache) uint64) uint64 {
 	if h.bloom != nil {
 		panic("core: Fingerprint does not cover Bloom-signature state")
 	}
-	fp := h.backing.Fingerprint()
+	fp := memFP(h.backing)
 	for _, c := range h.l1 {
-		fp = mem.Mix64(fp, c.Fingerprint())
+		fp = mem.Mix64(fp, cacheFP(c))
 	}
 	for _, c := range h.l2 {
-		fp = mem.Mix64(fp, c.Fingerprint())
+		fp = mem.Mix64(fp, cacheFP(c))
 	}
 	if h.l3 != nil {
-		fp = mem.Mix64(fp, h.l3.Fingerprint())
+		fp = mem.Mix64(fp, cacheFP(h.l3))
 	}
 	for core, b := range h.meb {
 		if b == nil {

@@ -6,11 +6,18 @@ import (
 )
 
 // fingerprinter is implemented by components that can hash their
-// complete behavioral state (core.Hierarchy, oracle.Oracle). The MESI
-// hierarchy does not implement it, so StateFingerprint degrades
-// gracefully there.
+// complete behavioral state: both hierarchies (core.Hierarchy and
+// mesi.Hierarchy) and the coherence oracle. A hierarchy or observer
+// without it makes StateFingerprint report ok=false.
 type fingerprinter interface {
 	Fingerprint() uint64
+}
+
+// referenceFingerprinter is implemented by the components whose
+// Fingerprint has a differential reference (core.Hierarchy and
+// oracle.Oracle); see ReferenceStateFingerprint.
+type referenceFingerprinter interface {
+	ReferenceFingerprint() uint64
 }
 
 // StateFingerprint hashes the complete state of the running machine at a
@@ -38,13 +45,40 @@ func (e *Engine) StateFingerprint() (uint64, bool) {
 	// observers match too. An observer that cannot fingerprint itself
 	// makes the whole state unhashable.
 	if e.obs != nil {
-		of, obsOK := e.obs.(fingerprinter)
-		if !obsOK {
+		of, ok := e.obs.(fingerprinter)
+		if !ok {
 			return 0, false
 		}
 		h = mem.Mix64(h, of.Fingerprint())
 	}
-	h = mem.Mix64(h, e.ctrl.Fingerprint())
+	return e.foldThreads(mem.Mix64(h, e.ctrl.Fingerprint())), true
+}
+
+// ReferenceStateFingerprint is StateFingerprint over the components'
+// reference fingerprints: the differential reference the litmus
+// package's FuzzStateFingerprintMatchesReference checks StateFingerprint
+// against (two states' fingerprints must be equal exactly when their
+// reference fingerprints are). It returns ok=false when the hierarchy
+// or the observer has no reference. No simulation path calls it.
+func (e *Engine) ReferenceStateFingerprint() (uint64, bool) {
+	hf, ok := e.h.(referenceFingerprinter)
+	if !ok {
+		return 0, false
+	}
+	h := hf.ReferenceFingerprint()
+	if e.obs != nil {
+		of, ok := e.obs.(referenceFingerprinter)
+		if !ok {
+			return 0, false
+		}
+		h = mem.Mix64(h, of.ReferenceFingerprint())
+	}
+	return e.foldThreads(mem.Mix64(h, e.ctrl.ReferenceFingerprint())), true
+}
+
+// foldThreads folds the decision count and every thread's continuation
+// state into h.
+func (e *Engine) foldThreads(h uint64) uint64 {
 	h = mem.Mix64(h, uint64(e.decision))
 	for _, t := range e.ts {
 		h = mem.Mix64(h, uint64(t.state))
@@ -57,7 +91,7 @@ func (e *Engine) StateFingerprint() (uint64, bool) {
 			h = hashOp(h, t.cur)
 		}
 	}
-	return h, true
+	return h
 }
 
 func hashOp(h uint64, op isa.Op) uint64 {

@@ -21,7 +21,7 @@ package litmus
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 
 	"repro/internal/annotate"
 	"repro/internal/mem"
@@ -211,25 +211,33 @@ type Outcome struct {
 
 // Key renders the outcome as a canonical string, used as the map key in
 // reports.
-func (o Outcome) Key() string {
-	var b strings.Builder
+func (o Outcome) Key() string { return string(o.appendKey(nil)) }
+
+// appendKey appends the outcome's Key to b.
+func (o Outcome) appendKey(b []byte) []byte {
 	for i, v := range o.Regs {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
+		b = append(b, 'r')
+		b = strconv.AppendInt(b, int64(i), 10)
 		if v == UnsetReg {
-			fmt.Fprintf(&b, "r%d=?", i)
+			b = append(b, "=?"...)
 		} else {
-			fmt.Fprintf(&b, "r%d=%d", i, v)
+			b = append(b, '=')
+			b = strconv.AppendUint(b, uint64(v), 10)
 		}
 	}
 	for i, v := range o.Mem {
 		if i > 0 || len(o.Regs) > 0 {
-			b.WriteByte(';')
+			b = append(b, ';')
 		}
-		fmt.Fprintf(&b, "m%d=%d", i, v)
+		b = append(b, 'm')
+		b = strconv.AppendInt(b, int64(i), 10)
+		b = append(b, '=')
+		b = strconv.AppendUint(b, uint64(v), 10)
 	}
-	return b.String()
+	return b
 }
 
 // Test is one litmus test.

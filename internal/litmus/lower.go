@@ -60,20 +60,23 @@ func (t Test) lineOf(v VarID) mem.Range {
 // serialized by the engine's rendezvous protocol, so sharing it is safe.
 func Guests(t Test, cfg Config, regs []mem.Word) []engine.Guest {
 	gs := make([]engine.Guest, len(t.Threads))
-	for i, instrs := range t.Threads {
-		instrs := instrs
-		gs[i] = func(ep engine.Proc) {
-			p := annotate.Wrap(ep, cfg.Ann, annotate.Pattern{OCC: t.OCC})
-			for _, in := range instrs {
-				exec(p, t, cfg, in, regs)
-			}
-		}
+	for i := range t.Threads {
+		gs[i] = func(ep engine.Proc) { runThread(ep, &t, &cfg, i, regs) }
 	}
 	return gs
 }
 
+// runThread runs thread i of t on ep. The annotated view lives in this
+// frame, so a replay's guests allocate nothing.
+func runThread(ep engine.Proc, t *Test, cfg *Config, i int, regs []mem.Word) {
+	p := annotate.Wrap(ep, cfg.Ann, annotate.Pattern{OCC: t.OCC})
+	for j := range t.Threads[i] {
+		exec(p, t, cfg, &t.Threads[i][j], regs)
+	}
+}
+
 // exec runs one litmus instruction on thread p.
-func exec(p *annotate.P, t Test, cfg Config, in Instr, regs []mem.Word) {
+func exec(p *annotate.P, t *Test, cfg *Config, in *Instr, regs []mem.Word) {
 	a := t.AddrOf(in.Var)
 	r := t.rangeOf(in.Var)
 	switch in.Kind {

@@ -58,7 +58,7 @@ func exploreUnpruned(t Test, cfg Config) (*Report, map[string]bool) {
 			rep.ErrorRuns++
 			rep.Errors = append(rep.Errors, fmt.Sprintf("schedule %v: %v", u.sched, err))
 		default:
-			m.finish(t, rep, fmt.Sprint(u.sched))
+			m.finish(t, rep, u.sched)
 			for _, v := range m.o.Violations() {
 				classes[string(v.Class)] = true
 			}

@@ -35,36 +35,45 @@ func Mix64(h, v uint64) uint64 {
 // Fingerprint hashes the full contents of the backing store: every word
 // ever written, in ascending address order, as (address, value) pairs.
 // Pages are dense bitmapped arrays, so iteration order is deterministic;
-// the map-backed oracle store sorts its keys first.
+// the map-backed oracle store sorts its keys first. Only the population
+// bitmap words the page summary marks are visited: pages of a reused
+// (Reset) store stay resident, so scanning every bitmap word would cost
+// the page size, not the footprint. ReferenceFingerprint is the same hash
+// computed by scanning the whole bitmap.
 func (m *Memory) Fingerprint() uint64 {
-	h := FingerprintSeed
 	if m.oracle != nil {
-		addrs := make([]Addr, 0, len(m.oracle.words))
-		for a := range m.oracle.words {
-			addrs = append(addrs, a)
-		}
-		sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-		for _, a := range addrs {
-			h = Mix64(h, uint64(a))
-			h = Mix64(h, uint64(m.oracle.words[a]))
-		}
-		return h
+		return m.oracle.fingerprint()
 	}
+	h := FingerprintSeed
 	for pn, p := range m.pages {
 		if p == nil {
 			continue
 		}
-		base := Addr(uint32(pn) << pageShift)
-		// Walk only the set bits of the population bitmap: pages of a
-		// reused (Reset) store stay resident, so scanning every word of
-		// every page would cost the page size, not the footprint.
-		for bi, bm := range p.written {
-			for ; bm != 0; bm &= bm - 1 {
-				wi := bi*64 + bits.TrailingZeros64(bm)
-				h = Mix64(h, uint64(base)+uint64(wi*WordBytes))
-				h = Mix64(h, uint64(p.words[wi]))
+		base := uint64(pn) << pageShift
+		for si, sm := range p.nonzero {
+			for ; sm != 0; sm &= sm - 1 {
+				bi := si*64 + bits.TrailingZeros64(sm)
+				for bm := p.written[bi]; bm != 0; bm &= bm - 1 {
+					wi := bi*64 + bits.TrailingZeros64(bm)
+					h = Mix64(h, base+uint64(wi*WordBytes))
+					h = Mix64(h, uint64(p.words[wi]))
+				}
 			}
 		}
+	}
+	return h
+}
+
+func (o *storeOracle) fingerprint() uint64 {
+	addrs := make([]Addr, 0, len(o.words))
+	for a := range o.words {
+		addrs = append(addrs, a)
+	}
+	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
+	h := FingerprintSeed
+	for _, a := range addrs {
+		h = Mix64(h, uint64(a))
+		h = Mix64(h, uint64(o.words[a]))
 	}
 	return h
 }
