@@ -120,3 +120,24 @@ func TestExploreLeavesNoGoroutines(t *testing.T) {
 		t.Errorf("goroutines: %d before exploring the suite, %d after", before, after)
 	}
 }
+
+// TestExploreSteadyStateAllocs pins what one exploration allocates on a
+// warm machine: the report and its outcomes, the guests and their
+// coroutines, and little per replay beyond the engine's abort error for
+// cut runs. The replay state — explorer stack, dedup table, summaries,
+// oracle, sync controller, run result — is reused, so a per-replay
+// allocation creeping back adds about one allocation per run, 15 here,
+// and crosses the budget (the measured count plus a few allocations of
+// headroom).
+func TestExploreSteadyStateAllocs(t *testing.T) {
+	const budget = 70 // measured: 63
+	i := slices.IndexFunc(Suite, func(tc Test) bool { return tc.Name == "lock-annotated" })
+	tc, cfg, opts := Suite[i], Base, Options{}.withDefaults()
+	m := machinePool(cfg).Get().(*machine)
+	if rep := m.explore(tc, cfg, opts); rep.Runs != 15 {
+		t.Fatalf("%s/%s explored %d runs, want the 15 the budget is sized for", tc.Name, cfg.Name, rep.Runs)
+	}
+	if got := testing.AllocsPerRun(50, func() { m.explore(tc, cfg, opts) }); got > budget {
+		t.Errorf("%s/%s: %.0f allocations per exploration on a warm machine, budget %d", tc.Name, cfg.Name, got, budget)
+	}
+}

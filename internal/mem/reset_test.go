@@ -44,8 +44,9 @@ func randomWrites(rng *rand.Rand, m *Memory, n int) {
 }
 
 // TestFingerprintBitmapWalk: the set-bit walk hashes exactly what the
-// per-word reference hashes, over random write patterns and across
-// Reset, and a reset store is indistinguishable from a fresh one.
+// per-word reference and the full bitmap walk (ReferenceFingerprint)
+// hash, over random write patterns and across Reset, and a reset store
+// is indistinguishable from a fresh one.
 func TestFingerprintBitmapWalk(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	reused := NewMemory()
@@ -57,6 +58,9 @@ func TestFingerprintBitmapWalk(t *testing.T) {
 		randomWrites(rand.New(rand.NewSource(seed)), fresh, n)
 		if got, want := reused.Fingerprint(), perWordFingerprint(reused); got != want {
 			t.Fatalf("round %d: bitmap walk %#x, per-word reference %#x", round, got, want)
+		}
+		if got, want := reused.Fingerprint(), reused.ReferenceFingerprint(); got != want {
+			t.Fatalf("round %d: summary walk %#x, full bitmap walk %#x", round, got, want)
 		}
 		if got, want := reused.Fingerprint(), fresh.Fingerprint(); got != want {
 			t.Fatalf("round %d: reused store %#x, fresh store %#x", round, got, want)
