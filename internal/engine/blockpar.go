@@ -72,7 +72,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/isa"
-	"repro/internal/stats"
 )
 
 // ShardedHierarchy is implemented by hierarchies that can partition their
@@ -215,7 +214,7 @@ func (e *Engine) runBlockParallel(ctx context.Context, sh ShardedHierarchy) (*Re
 	}
 	defer stopShards()
 
-	res := &Result{PerThread: make([]stats.Stalls, len(e.ts))}
+	res := e.newResult()
 	limit := e.NoProgressLimit
 	if limit <= 0 {
 		limit = DefaultNoProgressLimit
