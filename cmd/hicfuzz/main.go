@@ -16,6 +16,9 @@
 // to a minimal litmus-DSL repro, printed with the failure (error_kind
 // "fuzz-repro" in -json), and the exit status is 1.
 //
+// Cells fan out across -parallel workers (0, the default, means
+// GOMAXPROCS).
+//
 // With -json the campaign report is emitted on stdout under the hic/v2
 // envelope with kind "fuzz". The document is canonical — host wall
 // times are stripped unless -timing — so identical invocations are
@@ -37,7 +40,6 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/cli"
 	"repro/internal/fuzzgen"
 	"repro/internal/litmus"
 )
@@ -45,7 +47,9 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("hicfuzz: ")
-	f := cli.Register(flag.CommandLine, cli.FuzzFlags)
+	parallel := flag.Int("parallel", 0, "worker count for the experiment sweeps (0 = GOMAXPROCS)")
+	asJSON := flag.Bool("json", false, "emit results as a machine-readable JSON document on stdout")
+	timing := flag.Bool("timing", false, "include host wall times in -json output (not deterministic)")
 	seeds := flag.String("seeds", "1:201", "seed range LO:HI (half-open; one program per seed)")
 	mutants := flag.Int("mutants", 2, "under-annotated mutants derived per program")
 	budget := flag.Duration("budget", 0, "campaign wall-time budget: cells starting after it are skipped (0 = none)")
@@ -53,9 +57,6 @@ func main() {
 	corpus := flag.String("corpus", "", "write the seed range as Go fuzz corpus files into this directory and exit")
 	verbose := flag.Bool("v", false, "print every detection, not just the summary")
 	flag.Parse()
-	if err := f.Validate(); err != nil {
-		log.Fatal(err)
-	}
 	lo, hi, err := parseSeeds(*seeds)
 	if err != nil {
 		log.Fatal(err)
@@ -72,7 +73,7 @@ func main() {
 	opts := fuzzgen.Options{
 		SeedLo: lo, SeedHi: hi,
 		MutantsPerProgram: *mutants,
-		Parallel:          f.Parallel,
+		Parallel:          *parallel,
 		Budget:            *budget,
 	}
 	if *cfgName != "" {
@@ -84,8 +85,8 @@ func main() {
 	}
 
 	rep, runErr := fuzzgen.Campaign(context.Background(), opts)
-	if f.JSON {
-		if !f.Timing {
+	if *asJSON {
+		if !*timing {
 			for i := range rep.Runs {
 				rep.Runs[i].WallMS = 0
 			}
@@ -99,7 +100,7 @@ func main() {
 		printReport(rep, *verbose)
 	}
 	if runErr != nil {
-		if !f.JSON {
+		if !*asJSON {
 			fmt.Printf("FAIL: %v\n", firstLine(runErr))
 		}
 		os.Exit(1)

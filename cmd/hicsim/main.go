@@ -30,14 +30,19 @@
 //	table1    Table I, the communication-pattern classification with a
 //	          census of the synchronization operations each kernel executes
 //
-// Every suite but table1 is a serve.Request: hicsim builds it from the
-// flags, validates it with Request.Normalize and computes it with
-// Request.Run — the same method hicserve's workers call — or sends it to
-// a hicserve instance with -server. A flag that does nothing for the
-// chosen suite is an error, not ignored: -blocks and -cores-per-block
-// apply to manycore only, the sweep flags to the four results suites
-// (intra, inter, all, manycore), the litmus flags to litmus, -json and
-// -server to every suite but table1, and table1 is text only.
+// Every suite but table1 is a serve.Request: the flags that describe
+// the computation (-suite, -scale, -check-coherence, -metrics, -blocks,
+// -cores-per-block, -test, -config, -budget, -max-schedules, -enumerate,
+// -k) fill its fields directly, Request.Normalize validates it — with
+// the same message hicserve answers 400 with — and Request.Run computes
+// it, the same method hicserve's workers call, unless -server sends it
+// to a hicserve instance. A flag that does nothing for the chosen suite
+// is an error, not ignored: -blocks and -cores-per-block apply to
+// manycore only, the sweep flags to the four results suites (intra,
+// inter, all, manycore), the litmus flags to litmus, -json and -server
+// to every suite but table1, and table1 is text only. Normalize also
+// bounds the sizes: -blocks up to serve.MaxBlocks, -cores-per-block up
+// to serve.MaxCoresPerBlock and -k up to serve.MaxK.
 // `hicsim -suite manycore -blocks 128` runs machines up to 1024 cores.
 //
 // Runs fan out across -parallel workers (default GOMAXPROCS); results are
@@ -104,20 +109,24 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"runtime"
+	"runtime/pprof"
 	"strings"
 	"time"
 
 	hic "repro"
-	"repro/internal/cli"
 	"repro/internal/litmus"
+	"repro/internal/obs"
 	"repro/internal/runner"
 	"repro/internal/serve"
 	"repro/internal/shapecheck"
 )
 
-// Flag scopes, as space-separated flag names. Flags that fill a
-// serve.Request field are judged by Request.Normalize instead.
+// Flag scopes, as space-separated flag names.
 const (
+	// requestFlags fill a serve.Request field; on a suite that builds a
+	// Request, Request.Normalize judges them.
+	requestFlags = "scale check-coherence metrics blocks cores-per-block test config budget max-schedules enumerate k"
 	// anySuite flags apply to every suite.
 	anySuite   = "suite cpuprofile memprofile"
 	docFlags   = "json server tenant"
@@ -140,111 +149,238 @@ var accepts = map[string]string{
 	"table1":   "scale",
 }
 
+// options is hicsim's parsed command line: the request the flags that
+// fill a serve.Request field bind to, and hicsim's own flags.
+type options struct {
+	req serve.Request
+	// scale is req.Scale parsed, for the suites that simulate.
+	scale                  hic.Scale
+	parallel               int
+	timeout                time.Duration
+	json, timing, check    bool
+	verbose                bool
+	faults                 string
+	traceChrome            string
+	cpuProfile, memProfile string
+	server, tenant         string
+}
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("hicsim: ")
-	f := cli.Register(flag.CommandLine, cli.SweepFlags)
-	suite := flag.String("suite", "all", "what to run: intra, inter, all, manycore, litmus, overhead, or table1")
-	// The litmus filters and bounds parse straight into the request.
-	var req serve.Request
-	flag.StringVar(&req.Test, "test", "", "run only the named litmus suite test")
-	flag.StringVar(&req.Config, "config", "", "run only the named litmus configuration (Base, B+M+I, Adaptive)")
-	flag.IntVar(&req.Budget, "budget", 0, "per-schedule litmus step budget (0 = default)")
-	flag.IntVar(&req.MaxSchedules, "max-schedules", 0, "total schedule cap per litmus exploration (0 = default)")
-	verbose := flag.Bool("v", false, "print litmus exploration statistics and outcome histograms")
-	flag.Parse()
-	req.Suite = *suite
-	if err := validate(&req, f); err != nil {
-		log.Fatal(err)
-	}
-	s, err := f.ScaleValue()
+	o, err := parse(flag.CommandLine, os.Args[1:])
 	if err != nil {
 		log.Fatal(err)
 	}
 	ctx := context.Background()
 
-	if f.Server != "" {
-		remote(ctx, req, f)
+	if o.server != "" {
+		remote(ctx, o)
 		return
 	}
-	stopProfiles := f.StartProfiles()
+	stopProfiles := startProfiles(o.cpuProfile, o.memProfile)
 	defer stopProfiles()
 
 	switch {
-	case f.Faults != "":
-		rep, err := hic.RunBuggyAnnotation(ctx, s, f.Options()...)
+	case o.faults != "":
+		rep, err := hic.RunBuggyAnnotation(ctx, o.scale, o.faultOptions()...)
 		if rep != nil {
 			fmt.Print(rep.Render())
 		}
 		if err != nil {
 			log.Fatal(err)
 		}
-	case req.Suite == "table1":
-		out, err := hic.PatternTable(s)
+	case o.req.Suite == "table1":
+		out, err := hic.PatternTable(o.scale)
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Print(out)
 	default:
-		local(ctx, req, f, s, *verbose)
+		local(ctx, o)
 	}
 }
 
-// validate completes req from the flags set on the command line and
-// checks it. A flag that fills a Request field is left to
-// Request.Normalize, which rejects it where the suite does not use it;
-// any other flag must be one hicsim uses for the suite (accepts).
-func validate(req *serve.Request, f *cli.Flags) error {
-	accepted, ok := accepts[req.Suite]
-	if !ok {
-		return fmt.Errorf("unknown -suite %q (want intra, inter, all, manycore, litmus, overhead, or table1)", req.Suite)
+// parse declares hicsim's flags on fs, parses args and validates them.
+// main passes flag.CommandLine, which exits on a syntax error or -h.
+func parse(fs *flag.FlagSet, args []string) (*options, error) {
+	o := &options{}
+	r := &o.req
+	fs.StringVar(&r.Suite, "suite", "all", "what to run: intra, inter, all, manycore, litmus, overhead, or table1")
+	fs.StringVar(&r.Scale, "scale", "bench", "problem scale: test or bench")
+	fs.IntVar(&o.parallel, "parallel", 0, "worker count for the experiment sweeps (0 = GOMAXPROCS)")
+	fs.DurationVar(&o.timeout, "timeout", 0, "per-run timeout (0 = none)")
+	fs.BoolVar(&o.json, "json", false, "emit results as a machine-readable JSON document on stdout")
+	fs.BoolVar(&o.timing, "timing", false, "include host wall times in -json output (not deterministic)")
+	fs.BoolVar(&o.check, "check", false, "verify the paper's expected orderings; exit nonzero on violation")
+	fs.BoolVar(&r.Coherence, "check-coherence", false, "attach the coherence oracle to every run")
+	fs.StringVar(&o.faults, "faults", "", `run the buggy-annotation experiment: "matrix" or a fault plan`)
+	fs.BoolVar(&r.Metrics, "metrics", false, "embed per-run observability snapshots in the JSON run records")
+	fs.StringVar(&o.traceChrome, "trace-chrome", "", "write a Chrome trace_event file of the sweep's stall timelines (open in Perfetto)")
+	fs.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile to this file")
+	fs.StringVar(&o.memProfile, "memprofile", "", "write a heap profile to this file on exit")
+	fs.IntVar(&r.Blocks, "blocks", 0, "largest block count of the many-core block-scaling sweep (powers of two up to it)")
+	fs.IntVar(&r.CoresPerBlock, "cores-per-block", hic.DefaultManycoreCoresPerBlock, "cores per block of the many-core machines")
+	fs.StringVar(&r.Test, "test", "", "run only the named litmus suite test")
+	fs.StringVar(&r.Config, "config", "", "run only the named litmus configuration (Base, B+M+I, Adaptive)")
+	fs.IntVar(&r.Budget, "budget", 0, "per-schedule litmus step budget (0 = default)")
+	fs.IntVar(&r.MaxSchedules, "max-schedules", 0, "total schedule cap per litmus exploration (0 = default)")
+	fs.BoolVar(&r.Enumerate, "enumerate", false, "sweep every litmus shape up to -k ops instead of the curated suite")
+	fs.IntVar(&r.K, "k", 4, "op budget per enumerated program (with -enumerate)")
+	fs.BoolVar(&o.verbose, "v", false, "print litmus exploration statistics and outcome histograms")
+	fs.StringVar(&o.server, "server", "", "run on this hicserve base URL instead of locally (requires -json; bytes are identical)")
+	fs.StringVar(&o.tenant, "tenant", "", "tenant label sent with -server requests")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
 	}
-	scope, served := "-suite "+req.Suite, req.Suite != "table1"
-	if f.Faults != "" && req.Suite == "all" {
+	return o, o.validate(fs)
+}
+
+// validate checks the flags set on fs. A flag that fills a Request
+// field is left to Request.Normalize, which rejects it where the suite
+// does not use it; any other flag must be one hicsim uses for the suite
+// (accepts).
+func (o *options) validate(fs *flag.FlagSet) error {
+	r := &o.req
+	accepted, ok := accepts[r.Suite]
+	if !ok {
+		return fmt.Errorf("unknown -suite %q (want intra, inter, all, manycore, litmus, overhead, or table1)", r.Suite)
+	}
+	scope, served := "-suite "+r.Suite, r.Suite != "table1"
+	if o.faults != "" && r.Suite == "all" {
 		scope, accepted, served = "-faults", faultFlags, false
 	}
+	set := map[string]bool{}
 	var err error
-	flag.Visit(func(fl *flag.Flag) {
-		field := true
-		switch fl.Name {
-		case "scale":
-			req.Scale = f.Scale
-		case "check-coherence":
-			req.Coherence = f.CheckCoherence
-		case "metrics":
-			req.Metrics = f.Metrics
-		case "blocks":
-			req.Blocks = f.Blocks
-		case "cores-per-block":
-			req.CoresPerBlock = f.CoresPerBlock
-		case "enumerate":
-			req.Enumerate = f.Enumerate
-		case "k":
-			req.K = f.K
-		case "test", "config", "budget", "max-schedules":
-		default:
-			field = false
-		}
-		if err == nil && !(served && field) && !inList(anySuite+" "+accepted, fl.Name) {
+	fs.Visit(func(fl *flag.Flag) {
+		set[fl.Name] = true
+		if err == nil && !(served && inList(requestFlags, fl.Name)) && !inList(anySuite+" "+accepted, fl.Name) {
 			err = fmt.Errorf("-%s does not apply to %s", fl.Name, scope)
 		}
 	})
 	if err != nil {
 		return err
 	}
-	if err := f.Validate(); err != nil {
+	// The -k and -cores-per-block defaults are the Request's own, which
+	// Normalize fills where they apply; hicsim's bench scale applies
+	// wherever a scale does.
+	if !set["k"] {
+		r.K = 0
+	} else if r.K < 1 {
+		return fmt.Errorf("-k %d: want an op budget of at least 1", r.K)
+	}
+	if !set["cores-per-block"] {
+		r.CoresPerBlock = 0
+	}
+	if !set["scale"] && served && !r.Simulation() {
+		r.Scale = ""
+	}
+	if err := o.refuseWithServer(); err != nil {
 		return err
 	}
-	if !served {
+	if served {
+		if r.K != 0 && !r.Enumerate {
+			return fmt.Errorf("-k applies to -suite litmus -enumerate only")
+		}
+		if err := r.Normalize(); err != nil {
+			return err
+		}
+		if !r.Simulation() {
+			return nil
+		}
+	}
+	switch r.Scale {
+	case "bench":
+		o.scale = hic.ScaleBench
+	case "test":
+		o.scale = hic.ScaleTest
+	default:
+		return fmt.Errorf("unknown scale %q (want test or bench)", r.Scale)
+	}
+	return nil
+}
+
+// refuseWithServer rejects, with -server, the flags the server cannot
+// honor: it computes canonical documents with its own workers and
+// per-run bound, so flags that change the output beyond what a Request
+// can express, or that only act on a local process, cannot ride along.
+func (o *options) refuseWithServer() error {
+	switch {
+	case o.server == "":
 		return nil
+	case !o.json:
+		return fmt.Errorf("-server requires -json (the server returns the machine-readable document)")
+	case o.parallel != 0 || o.timeout != 0:
+		return fmt.Errorf("-parallel and -timeout are incompatible with -server (the server uses its own)")
+	case o.timing:
+		return fmt.Errorf("-timing is incompatible with -server (served documents are canonical, wall times stripped)")
+	case o.traceChrome != "":
+		return fmt.Errorf("-trace-chrome is incompatible with -server (stall timelines stay on the server)")
+	case o.cpuProfile != "" || o.memProfile != "":
+		return fmt.Errorf("profiling flags are incompatible with -server (profile the server process instead)")
 	}
-	if req.K != 0 && !req.Enumerate {
-		return fmt.Errorf("-k applies to -suite litmus -enumerate only")
+	return nil
+}
+
+// faultOptions returns the robustness experiment's run options.
+// "matrix" selects RunBuggyAnnotation's canonical per-class plans, so
+// it contributes no plan of its own; any other -faults value is one.
+func (o *options) faultOptions() []hic.Option {
+	opts := []hic.Option{hic.WithParallel(o.parallel), hic.WithTimeout(o.timeout)}
+	if o.faults != "matrix" {
+		opts = append(opts, hic.WithFaultPlan(o.faults))
 	}
-	if req.Simulation() && req.Scale == "" {
-		req.Scale = f.Scale // hicsim defaults to bench scale, a Request to test
+	return opts
+}
+
+// startProfiles begins the -cpuprofile capture and returns a stop
+// function that ends it and writes the -memprofile snapshot; defer it
+// from main. Profile-file failures are fatal.
+func startProfiles(cpuProfile, memProfile string) (stop func()) {
+	var stopCPU func()
+	if cpuProfile != "" {
+		out, err := os.Create(cpuProfile)
+		if err != nil {
+			log.Fatal(err)
+		}
+		if err := pprof.StartCPUProfile(out); err != nil {
+			log.Fatal(err)
+		}
+		stopCPU = func() {
+			pprof.StopCPUProfile()
+			out.Close()
+		}
 	}
-	return req.Normalize()
+	return func() {
+		if stopCPU != nil {
+			stopCPU()
+		}
+		if memProfile != "" {
+			out, err := os.Create(memProfile)
+			if err != nil {
+				log.Fatal(err)
+			}
+			defer out.Close()
+			runtime.GC()
+			if err := pprof.WriteHeapProfile(out); err != nil {
+				log.Fatal(err)
+			}
+		}
+	}
+}
+
+// writeTraces writes the sweep's stall timelines to path as a Chrome
+// trace_event file.
+func writeTraces(path string, traces []obs.CellTrace) error {
+	out, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := obs.WriteChrome(out, traces); err != nil {
+		out.Close()
+		return err
+	}
+	return out.Close()
 }
 
 // inList reports whether name is a word of the space-separated list.
@@ -252,27 +388,27 @@ func inList(list, name string) bool {
 	return strings.Contains(" "+list+" ", " "+name+" ")
 }
 
-// remote runs req on the -server instance and prints the fetched
-// document. -check then gates the decoded bytes exactly as it gates a
-// local run, and a failed litmus verdict exits nonzero as it does
-// locally.
-func remote(ctx context.Context, req serve.Request, f *cli.Flags) {
-	c := &serve.Client{BaseURL: f.Server, Tenant: f.Tenant}
-	data, err := c.Run(ctx, req)
+// remote runs the request on the -server instance and prints the
+// fetched document. -check then gates the decoded bytes exactly as it
+// gates a local run, and a failed litmus verdict exits nonzero as it
+// does locally.
+func remote(ctx context.Context, o *options) {
+	c := &serve.Client{BaseURL: o.server, Tenant: o.tenant}
+	data, err := c.Run(ctx, o.req)
 	if err != nil {
 		log.Fatal(err)
 	}
 	if _, err := os.Stdout.Write(data); err != nil {
 		log.Fatal(err)
 	}
-	if f.Check {
+	if o.check {
 		doc, err := runner.Decode(bytes.NewReader(data))
 		if err != nil {
 			log.Fatalf("decoding served document: %v", err)
 		}
 		check(doc)
 	}
-	if req.Suite == "litmus" {
+	if o.req.Suite == "litmus" {
 		var doc litmus.Document
 		if err := json.Unmarshal(data, &doc); err != nil {
 			log.Fatalf("decoding served document: %v", err)
@@ -293,33 +429,35 @@ func check(doc *runner.Document) {
 	}
 }
 
-// local computes req in this process with the Request.Run the server's
-// workers call. The document goes to stdout with -json (partial on cell
-// failures) and the text report otherwise; -check gates a results
-// document either way.
-func local(ctx context.Context, req serve.Request, f *cli.Flags, s hic.Scale, verbose bool) {
-	res, err := req.Run(ctx, serve.Env{Parallel: f.Parallel, Timeout: f.Timeout, Trace: f.Tracing()})
+// local computes the request in this process with the Request.Run the
+// server's workers call. The document goes to stdout with -json
+// (partial on cell failures) and the text report otherwise; -check
+// gates a results document either way.
+func local(ctx context.Context, o *options) {
+	res, err := o.req.Run(ctx, serve.Env{Parallel: o.parallel, Timeout: o.timeout, Trace: o.traceChrome != ""})
 	if res == nil {
 		log.Fatal(err)
 	}
-	if f.JSON {
+	if o.json {
 		write := res.Encode
-		if f.Timing {
+		if o.timing {
 			write = res.Doc.EncodeTiming // -timing applies to results suites only
 		}
 		if err := write(os.Stdout); err != nil {
 			log.Fatal(err)
 		}
 	}
-	if err := f.WriteTraces(res.Traces); err != nil {
-		log.Fatal(err)
+	if o.traceChrome != "" {
+		if err := writeTraces(o.traceChrome, res.Traces); err != nil {
+			log.Fatal(err)
+		}
 	}
 	if err != nil {
 		log.Print(err)
-	} else if !f.JSON {
-		report(req, res, f, s, verbose)
+	} else if !o.json {
+		report(o, res)
 	}
-	if f.Check {
+	if o.check {
 		check(res.Doc)
 	}
 	if err != nil || res.Litmus != nil && res.Litmus.Failed() {
@@ -328,24 +466,24 @@ func local(ctx context.Context, req serve.Request, f *cli.Flags, s hic.Scale, ve
 }
 
 // report prints a local result's text report.
-func report(req serve.Request, res *serve.Result, f *cli.Flags, s hic.Scale, verbose bool) {
-	workers := hic.NewRunOptions(hic.WithParallel(f.Parallel)).Workers(1 << 30)
-	switch req.Suite {
+func report(o *options, res *serve.Result) {
+	workers := hic.NewRunOptions(hic.WithParallel(o.parallel)).Workers(1 << 30)
+	switch o.req.Suite {
 	case "intra":
 		printIntra(res.Intra)
 	case "inter":
 		printInter(res.Inter)
 	case "all":
-		printAll(s, res.Intra, res.Inter)
+		printAll(o.scale, res.Intra, res.Inter)
 		fmt.Printf("\nsweep wall time (%d workers): intra %s, inter %s\n",
 			workers, res.Walls[0].Round(time.Millisecond), res.Walls[1].Round(time.Millisecond))
 	case "manycore":
 		fmt.Printf("== E7: block scaling (up to %d blocks x %d cores) ==============\n",
-			req.Blocks, req.CoresPerBlock)
+			o.req.Blocks, o.req.CoresPerBlock)
 		fmt.Println(res.Manycore.Curve.Render())
 		fmt.Printf("sweep wall time (%d workers): %s\n", workers, res.Walls[0].Round(time.Millisecond))
 	case "litmus":
-		printLitmus(res.Litmus, verbose)
+		printLitmus(res.Litmus, o.verbose)
 	case "overhead":
 		fmt.Print(res.Storage.Render())
 	}

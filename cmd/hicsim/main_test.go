@@ -7,6 +7,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -17,6 +18,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/envelope"
 	"repro/internal/litmus"
@@ -185,6 +187,28 @@ func TestHicsimFlagPlumbing(t *testing.T) {
 			}
 			if !strings.Contains(string(out), tc.want) {
 				t.Errorf("error does not say %q:\n%s", tc.want, out)
+			}
+		})
+	}
+
+	// Oversized inputs are refused at once, with Request.Normalize's
+	// bound and exit status 1; the deadline turns a hang into a failure.
+	for _, tc := range []struct {
+		name string
+		args []string
+		want string
+	}{
+		{"huge-blocks-exits-1", []string{"-suite", "manycore", "-blocks", "9223372036854775807"}, "blocks 9223372036854775807: want at most 256"},
+		{"huge-cores-per-block-exits-1", []string{"-suite", "manycore", "-blocks", "2", "-cores-per-block", "9223372036854775807"}, "cores_per_block 9223372036854775807: want at most 32"},
+		{"huge-k-exits-1", []string{"-suite", "litmus", "-enumerate", "-k", "9223372036854775807"}, "k 9223372036854775807: want an op budget of at most 5"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			out, err := exec.CommandContext(ctx, bin, tc.args...).CombinedOutput()
+			var exit *exec.ExitError
+			if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.Contains(string(out), tc.want) {
+				t.Errorf("hicsim %v: %v\n%s\nwant exit status 1 and %q", tc.args, err, out, tc.want)
 			}
 		})
 	}

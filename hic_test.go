@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -184,6 +185,26 @@ func TestAppTableNames(t *testing.T) {
 		}
 		for _, a := range manycoreApps {
 			check(a.name, a.build(s, DefaultManycoreCoresPerBlock).Name)
+		}
+	}
+}
+
+func TestManycoreBlockCounts(t *testing.T) {
+	for _, tc := range []struct {
+		max        int
+		n, largest int
+	}{
+		{1, 1, 1},
+		{128, 8, 128},
+		{200, 8, 128},
+		// Doubling past the largest power of two must end the list, not
+		// wrap around and loop forever.
+		{math.MaxInt, strconv.IntSize - 1, math.MaxInt/2 + 1},
+	} {
+		got := ManycoreBlockCounts(tc.max)
+		if len(got) != tc.n || got[len(got)-1] != tc.largest {
+			t.Errorf("ManycoreBlockCounts(%d) = %d counts up to %d, want %d up to %d",
+				tc.max, len(got), got[len(got)-1], tc.n, tc.largest)
 		}
 	}
 }

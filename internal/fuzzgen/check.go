@@ -29,9 +29,6 @@ const (
 
 var engineNames = [...]string{"fast-forward", "serial", "block-parallel"}
 
-// EngineNames lists the differential engines in run order.
-func EngineNames() []string { return append([]string(nil), engineNames[:]...) }
-
 // runResult is one execution's observable outcome.
 type runResult struct {
 	res  *engine.Result

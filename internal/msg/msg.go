@@ -46,9 +46,6 @@ func NewComm(ar *mem.Arena, ranks, slotWords, flagBase int) *Comm {
 	return c
 }
 
-// Ranks returns the communicator size.
-func (c *Comm) Ranks() int { return c.ranks }
-
 // pairFlag returns the flag ID sequencing messages from src to dst. The
 // flag value counts completed transfers: the sender waits for value 2k
 // (buffer free), posts the payload, sets 2k+1; the receiver waits for

@@ -38,8 +38,6 @@ type Job struct {
 	result   []byte
 	cells    []cellStatus
 	done     int
-	// doneCh closes when the job reaches a terminal state.
-	doneCh chan struct{}
 }
 
 // cellStatus tracks one simulation cell's progress.
@@ -77,8 +75,7 @@ type Progress struct {
 func newJob(id, tenant string, req Request, key string) *Job {
 	j := &Job{
 		ID: id, Tenant: tenant, Req: req, Key: key,
-		state:  JobQueued,
-		doneCh: make(chan struct{}),
+		state: JobQueued,
 	}
 	for _, wc := range req.cells(req.Workloads) {
 		j.cells = append(j.cells, cellStatus{Workload: wc[0], Config: wc[1], State: "pending"})
@@ -128,5 +125,4 @@ func (j *Job) finish(state JobState, result []byte, errText string) {
 		}
 		j.done = len(j.cells)
 	}
-	close(j.doneCh)
 }

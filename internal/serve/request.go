@@ -70,6 +70,16 @@ type Request struct {
 	K         int  `json:"k,omitempty"`
 }
 
+// Bounds on the request fields that size a computation. Each admits
+// what the repository runs, with headroom: the 1024-core manycore sweep
+// (128 blocks of 8 cores) and the exhaustive litmus enumeration up to
+// k=5. The largest machine they allow has 8192 cores.
+const (
+	MaxBlocks        = 256
+	MaxCoresPerBlock = 32
+	MaxK             = 5
+)
+
 // Simulation reports whether the suite runs the experiment sweeps (as
 // opposed to the litmus explorer or the storage computation).
 func (r *Request) Simulation() bool {
@@ -96,11 +106,17 @@ func (r *Request) Normalize() error {
 			if r.Blocks < 1 {
 				return fmt.Errorf("suite manycore requires blocks >= 1")
 			}
+			if r.Blocks > MaxBlocks {
+				return fmt.Errorf("blocks %d: want at most %d", r.Blocks, MaxBlocks)
+			}
 			if r.CoresPerBlock == 0 {
 				r.CoresPerBlock = hic.DefaultManycoreCoresPerBlock
 			}
 			if r.CoresPerBlock < 1 {
 				return fmt.Errorf("cores_per_block %d: want at least 1", r.CoresPerBlock)
+			}
+			if r.CoresPerBlock > MaxCoresPerBlock {
+				return fmt.Errorf("cores_per_block %d: want at most %d", r.CoresPerBlock, MaxCoresPerBlock)
 			}
 		} else if r.Blocks != 0 || r.CoresPerBlock != 0 {
 			return fmt.Errorf("blocks and cores_per_block apply to suite manycore only")
@@ -132,6 +148,9 @@ func (r *Request) Normalize() error {
 			}
 			if r.K < 1 {
 				return fmt.Errorf("k %d: want an op budget of at least 1", r.K)
+			}
+			if r.K > MaxK {
+				return fmt.Errorf("k %d: want an op budget of at most %d", r.K, MaxK)
 			}
 		} else {
 			// K is inert without Enumerate; canonicalize instead of

@@ -13,6 +13,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -333,6 +334,28 @@ func TestHTTPErrorSurface(t *testing.T) {
 			var se *StatusError
 			if !errors.As(err, &se) || se.Code != http.StatusBadRequest {
 				t.Errorf("%s: got %v, want 400", name, err)
+			}
+		}
+	})
+
+	t.Run("oversized-request-400", func(t *testing.T) {
+		// Each would list or build an unbounded sweep; Normalize refuses
+		// it before the server lock is taken.
+		for _, tc := range []struct {
+			req  Request
+			want string
+		}{
+			{Request{Suite: "manycore", Blocks: math.MaxInt}, fmt.Sprintf("blocks %d: want at most %d", math.MaxInt, MaxBlocks)},
+			{Request{Suite: "manycore", Blocks: MaxBlocks + 1}, fmt.Sprintf("want at most %d", MaxBlocks)},
+			{Request{Suite: "manycore", Blocks: 2, CoresPerBlock: math.MaxInt}, fmt.Sprintf("want at most %d", MaxCoresPerBlock)},
+			{Request{Suite: "litmus", Enumerate: true, K: math.MaxInt}, fmt.Sprintf("want an op budget of at most %d", MaxK)},
+		} {
+			ctx, cancel := context.WithTimeout(ctx, 10*time.Second)
+			_, err := c.Submit(ctx, tc.req)
+			cancel()
+			var se *StatusError
+			if !errors.As(err, &se) || se.Code != http.StatusBadRequest || !strings.Contains(se.Message, tc.want) {
+				t.Errorf("%+v: got %v, want 400 %q", tc.req, err, tc.want)
 			}
 		}
 	})

@@ -36,7 +36,9 @@ func NewManycoreMachine(blocks, coresPerBlock int) *Machine {
 // itself included when it is a power of two).
 func ManycoreBlockCounts(max int) []int {
 	var counts []int
-	for b := 1; b <= max; b *= 2 {
+	// b turns negative when doubling overflows past the largest power of
+	// two an int holds.
+	for b := 1; b > 0 && b <= max; b *= 2 {
 		counts = append(counts, b)
 	}
 	return counts
