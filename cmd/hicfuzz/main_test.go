@@ -85,6 +85,36 @@ func TestFuzzCLI(t *testing.T) {
 		}
 	})
 
+	// -parallel, -json and -timing must each parse and reach the run:
+	// a flag that parses but is never wired in would leave the wall
+	// times stripped (or kept) regardless of -timing.
+	t.Run("shared-flags-round-trip", func(t *testing.T) {
+		wall := func(args ...string) float64 {
+			out, err := exec.Command(bin, append([]string{"-seeds", "1:3", "-parallel", "3", "-json"}, args...)...).Output()
+			if err != nil {
+				t.Fatalf("hicfuzz %v: %v", args, err)
+			}
+			var rep fuzzgen.Report
+			if err := json.Unmarshal(out, &rep); err != nil {
+				t.Fatalf("decoding -json output: %v", err)
+			}
+			if len(rep.Runs) == 0 {
+				t.Fatal("no runs in -json output")
+			}
+			var sum float64
+			for _, r := range rep.Runs {
+				sum += r.WallMS
+			}
+			return sum
+		}
+		if w := wall("-timing"); w <= 0 {
+			t.Errorf("-timing: total wall_ms = %v, want > 0", w)
+		}
+		if w := wall(); w != 0 {
+			t.Errorf("without -timing: total wall_ms = %v, want 0", w)
+		}
+	})
+
 	t.Run("config-filter", func(t *testing.T) {
 		out, err := exec.Command(bin, "-seeds", "1:5", "-config", "B+M+I", "-json").Output()
 		if err != nil {
