@@ -58,6 +58,15 @@ func TestParse(t *testing.T) {
 					t.Errorf("request = %+v, verbose %v; want %+v, verbose", o.req, o.verbose, want)
 				}
 			}},
+		{name: "parallel-reaches-a-litmus-run", args: []string{"-suite", "litmus", "-enumerate", "-k", "3", "-json", "-parallel", "3"},
+			check: func(t *testing.T, o *options) {
+				if env := o.env(); env.Parallel != 3 {
+					t.Errorf("env.Parallel = %d, want 3", env.Parallel)
+				}
+				if want := (serve.Request{Suite: "litmus", Enumerate: true, K: 3}); !reflect.DeepEqual(o.req, want) {
+					t.Errorf("request = %+v, want %+v: the worker count must not enter the request", o.req, want)
+				}
+			}},
 		{name: "litmus-has-no-scale", args: []string{"-suite", "litmus", "-test", "sb"},
 			check: func(t *testing.T, o *options) {
 				if want := (serve.Request{Suite: "litmus", Test: "sb"}); !reflect.DeepEqual(o.req, want) {

@@ -39,15 +39,16 @@
 // to a hicserve instance. A flag that does nothing for the chosen suite
 // is an error, not ignored: -blocks and -cores-per-block apply to
 // manycore only, the sweep flags to the four results suites (intra,
-// inter, all, manycore), the litmus flags to litmus, -json and -server
-// to every suite but table1, and table1 is text only. Normalize also
-// bounds the sizes: -blocks up to serve.MaxBlocks, -cores-per-block up
-// to serve.MaxCoresPerBlock and -k up to serve.MaxK.
+// inter, all, manycore), the litmus flags and -parallel to litmus,
+// -json and -server to every suite but table1, and table1 is text only.
+// Normalize also bounds the sizes: -blocks up to serve.MaxBlocks,
+// -cores-per-block up to serve.MaxCoresPerBlock and -k up to serve.MaxK.
 // `hicsim -suite manycore -blocks 128` runs machines up to 1024 cores.
 //
-// Runs fan out across -parallel workers (default GOMAXPROCS); results are
-// identical to a serial sweep. -timeout bounds each individual run; a run
-// that exceeds it fails its own cell instead of hanging the sweep.
+// Runs, and litmus explorations, fan out across -parallel workers
+// (default GOMAXPROCS); results are identical to a serial sweep.
+// -timeout bounds each individual run; a run that exceeds it fails its
+// own cell instead of hanging the sweep.
 //
 // -check-coherence attaches the shadow-memory coherence oracle to every
 // run: each load is checked against the happens-before-legal value set
@@ -144,7 +145,7 @@ var accepts = map[string]string{
 	"inter":    sweepFlags + " trace-chrome",
 	"all":      sweepFlags + " trace-chrome",
 	"manycore": sweepFlags,
-	"litmus":   docFlags + " v",
+	"litmus":   docFlags + " parallel v",
 	"overhead": docFlags,
 	"table1":   "scale",
 }
@@ -208,7 +209,7 @@ func parse(fs *flag.FlagSet, args []string) (*options, error) {
 	r := &o.req
 	fs.StringVar(&r.Suite, "suite", "all", "what to run: intra, inter, all, manycore, litmus, overhead, or table1")
 	fs.StringVar(&r.Scale, "scale", "bench", "problem scale: test or bench")
-	fs.IntVar(&o.parallel, "parallel", 0, "worker count for the experiment sweeps (0 = GOMAXPROCS)")
+	fs.IntVar(&o.parallel, "parallel", 0, "worker count for the experiment sweeps and litmus explorations (0 = GOMAXPROCS)")
 	fs.DurationVar(&o.timeout, "timeout", 0, "per-run timeout (0 = none)")
 	fs.BoolVar(&o.json, "json", false, "emit results as a machine-readable JSON document on stdout")
 	fs.BoolVar(&o.timing, "timing", false, "include host wall times in -json output (not deterministic)")
@@ -429,12 +430,19 @@ func check(doc *runner.Document) {
 	}
 }
 
+// env is the execution context of a local run: -parallel workers (for
+// the simulation sweeps and the litmus explorations alike), the -timeout
+// per-run bound, and stall timelines when -trace-chrome wants them.
+func (o *options) env() serve.Env {
+	return serve.Env{Parallel: o.parallel, Timeout: o.timeout, Trace: o.traceChrome != ""}
+}
+
 // local computes the request in this process with the Request.Run the
 // server's workers call. The document goes to stdout with -json
 // (partial on cell failures) and the text report otherwise; -check
 // gates a results document either way.
 func local(ctx context.Context, o *options) {
-	res, err := o.req.Run(ctx, serve.Env{Parallel: o.parallel, Timeout: o.timeout, Trace: o.traceChrome != ""})
+	res, err := o.req.Run(ctx, o.env())
 	if res == nil {
 		log.Fatal(err)
 	}

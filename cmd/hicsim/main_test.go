@@ -261,6 +261,11 @@ func TestSuiteOutputsPinned(t *testing.T) {
 		{[]string{"-suite", "litmus", "-v"}, "48bfab1525efbec2982ddd49093c1a432aa73a23dedd08ba44b889685bf91115"},
 		{[]string{"-suite", "litmus", "-test", "sb", "-config", "Base"}, "40d66235bfcdfbb85297e4411943e5bf44258df2e856bcc8cfae478e18541577"},
 		{[]string{"-suite", "litmus", "-enumerate", "-k", "3", "-json"}, "c117781c0158301123ca31bdb3beca72d64cb735f7ad0eefdd3426f7adf0422a"},
+		// Litmus explorations fan out across -parallel workers; the
+		// documents must not depend on the worker count.
+		{[]string{"-suite", "litmus", "-json", "-parallel", "4"}, "67d3442a404343fc42091a93044b7bda7fb166cefc5868d6efb8044e54924159"},
+		{[]string{"-suite", "litmus", "-enumerate", "-k", "3", "-json", "-parallel", "1"}, "c117781c0158301123ca31bdb3beca72d64cb735f7ad0eefdd3426f7adf0422a"},
+		{[]string{"-suite", "litmus", "-enumerate", "-k", "3", "-json", "-parallel", "4"}, "c117781c0158301123ca31bdb3beca72d64cb735f7ad0eefdd3426f7adf0422a"},
 		{[]string{"-suite", "litmus", "-enumerate", "-k", "3", "-v"}, "3ae1d0e5386c1624e383eb3c78e1528f6d2aabe4c5a2f8ba9a0979f37dcdd622"},
 	} {
 		name := strings.Join(tc.args, " ")

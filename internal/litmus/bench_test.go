@@ -18,3 +18,17 @@ func BenchmarkExploreEnumerate(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkEnumerate generates the k=4 enumeration alone, one full
+// Enumerate per iteration: the setup every `hicsim -suite litmus
+// -enumerate -k 4` sweep pays before it explores. Run with -benchmem to
+// see what the canonical-form dedup allocates.
+func BenchmarkEnumerate(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		enumSink = Enumerate(DefaultEnumOptions(4))
+	}
+}
+
+// enumSink keeps BenchmarkEnumerate's result live.
+var enumSink []Test

@@ -5,8 +5,12 @@
 package litmus
 
 import (
+	"context"
 	"encoding/json"
 	"io"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/envelope"
 )
@@ -37,18 +41,26 @@ type Document struct {
 	Sweeps  []SweepResult `json:"sweeps,omitempty"`
 }
 
-// SuiteDocument explores every test under every configuration and
-// collects the verdicts and reports. The returned error covers harness
-// failures only; failed verdicts are data (see Failed).
-func SuiteDocument(tests []Test, configs []Config, opts Options) (*Document, error) {
+// SuiteDocument explores every test under every configuration across
+// workers goroutines (0 means GOMAXPROCS) and collects the verdicts and
+// reports in test-then-config order. The returned error covers harness
+// failures and cancellation only: it stops between explorations once
+// ctx is done and returns its error. Failed verdicts are data (see
+// Failed).
+func SuiteDocument(ctx context.Context, tests []Test, configs []Config, opts Options, workers int) (*Document, error) {
 	doc := &Document{Schema: envelope.SchemaV2, Kind: envelope.KindLitmus, Budget: opts.Budget}
-	for _, t := range tests {
-		for _, cfg := range configs {
-			v, rep, err := Run(t, cfg, opts)
-			if err != nil {
-				return nil, err
-			}
-			doc.Results = append(doc.Results, SuiteResult{Verdict: v, Report: rep})
+	doc.Results = make([]SuiteResult, len(tests)*len(configs))
+	errs := make([]error, len(doc.Results))
+	err := forEach(ctx, len(doc.Results), workers, func(i int) {
+		v, rep, err := Run(tests[i/len(configs)], configs[i%len(configs)], opts)
+		doc.Results[i], errs[i] = SuiteResult{Verdict: v, Report: rep}, err
+	})
+	if err != nil {
+		return nil, err
+	}
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
 		}
 	}
 	return doc, nil
@@ -62,16 +74,48 @@ func DefaultEnumOptions(k int) EnumOptions {
 }
 
 // EnumerateDocument runs the systematic enumeration up to k ops under
-// every configuration.
-func EnumerateDocument(configs []Config, k int, opts Options) *Document {
+// every configuration, exploring the programs across workers goroutines
+// (0 means GOMAXPROCS). It stops between programs once ctx is done and
+// returns its error.
+func EnumerateDocument(ctx context.Context, configs []Config, k int, opts Options, workers int) (*Document, error) {
 	doc := &Document{Schema: envelope.SchemaV2, Kind: envelope.KindLitmus, Budget: opts.Budget}
 	tests := Enumerate(DefaultEnumOptions(k))
 	for _, cfg := range configs {
-		doc.Sweeps = append(doc.Sweeps, SweepResult{
-			Config: cfg.Name, K: k, Stats: Sweep(tests, cfg, opts),
-		})
+		st, err := Sweep(ctx, tests, cfg, opts, workers)
+		if err != nil {
+			return nil, err
+		}
+		doc.Sweeps = append(doc.Sweeps, SweepResult{Config: cfg.Name, K: k, Stats: st})
 	}
-	return doc
+	return doc, nil
+}
+
+// forEach calls f(i) for every i in [0, n) across workers goroutines (0
+// means GOMAXPROCS; 1 runs them in order). Workers take the next index
+// as they free up; f must write only its own index's slot. forEach
+// stops handing out indices once ctx is done and then returns ctx's
+// error.
+func forEach(ctx context.Context, n, workers int, f func(i int)) error {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < min(workers, n); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for ctx.Err() == nil {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				f(i)
+			}
+		}()
+	}
+	wg.Wait()
+	return ctx.Err()
 }
 
 // Failed reports whether any verdict failed or any enumeration sweep

@@ -1,9 +1,12 @@
 package litmus
 
 import (
+	"bytes"
+	"context"
 	"fmt"
+	"math/bits"
 	"sort"
-	"strings"
+	"strconv"
 
 	"repro/internal/mem"
 )
@@ -78,49 +81,65 @@ func (o EnumOptions) withDefaults() EnumOptions {
 	if o.Flags <= 0 {
 		o.Flags = 1
 	}
+	o.Vars = min(o.Vars, o.MaxOps+1, maxIDs)
+	o.Flags = min(o.Flags, o.MaxOps, maxIDs)
 	return o
 }
+
+// maxIDs bounds the variable and flag alphabets: IDs index uint64 masks
+// and fixed-size rename tables. withDefaults clamps both alphabets to
+// what a program of MaxOps ops can use contiguously (MaxOps+1 variables,
+// since the one DMA is the only two-variable op; MaxOps flags), so below
+// 63 ops the clamp drops only IDs that no valid program uses.
+const maxIDs = 64
+
+// keySep separates threads in a canonical key; no InstrKind codes to it.
+const keySep = 0xff
 
 // enumOp is one abstract instruction of the enumeration alphabet; values
 // and registers are assigned when the program is reified into a Test.
 type enumOp struct {
 	kind InstrKind
-	arg  int // variable (memory ops, DMA dest) or flag ID (notify/await)
-	src  int // DMA source variable
+	arg  uint8 // variable (memory ops, DMA dest) or flag ID (notify/await)
+	src  uint8 // DMA source variable
 }
 
-// sym renders the op as one compact name token.
-func (op enumOp) sym() string {
+// appendSym appends the op's compact name token: a kind letter and its
+// variable or flag ID ("s0", "a1", "d1<0"; "c", "x" and "b" carry none).
+func (op enumOp) appendSym(b []byte) []byte {
+	var c byte
 	switch op.kind {
 	case IStore:
-		return fmt.Sprintf("s%d", op.arg)
+		c = 's'
 	case ILoad:
-		return fmt.Sprintf("l%d", op.arg)
+		c = 'l'
 	case IWB:
-		return fmt.Sprintf("w%d", op.arg)
+		c = 'w'
 	case IINV:
-		return fmt.Sprintf("i%d", op.arg)
+		c = 'i'
 	case INotifyFlag:
-		return fmt.Sprintf("n%d", op.arg)
+		c = 'n'
 	case IAwaitFlag:
-		return fmt.Sprintf("a%d", op.arg)
-	case ICSEnter:
-		return "c"
-	case ICSExit:
-		return "x"
-	case IBarrierSync:
-		return "b"
+		c = 'a'
 	case IDMA:
-		return fmt.Sprintf("d%d<%d", op.arg, op.src)
+		b = strconv.AppendUint(append(b, 'd'), uint64(op.arg), 10)
+		return strconv.AppendUint(append(b, '<'), uint64(op.src), 10)
+	case ICSEnter:
+		return append(b, 'c')
+	case ICSExit:
+		return append(b, 'x')
+	case IBarrierSync:
+		return append(b, 'b')
 	default:
-		return "?"
+		return append(b, '?')
 	}
+	return strconv.AppendUint(append(b, c), uint64(op.arg), 10)
 }
 
 // alphabet builds the op vocabulary for the options.
 func (o EnumOptions) alphabet() []enumOp {
 	var al []enumOp
-	for v := 0; v < o.Vars; v++ {
+	for v := uint8(0); int(v) < o.Vars; v++ {
 		al = append(al,
 			enumOp{kind: IStore, arg: v},
 			enumOp{kind: ILoad, arg: v},
@@ -128,7 +147,7 @@ func (o EnumOptions) alphabet() []enumOp {
 			enumOp{kind: IINV, arg: v},
 		)
 	}
-	for f := 0; f < o.Flags; f++ {
+	for f := uint8(0); int(f) < o.Flags; f++ {
 		al = append(al,
 			enumOp{kind: INotifyFlag, arg: f},
 			enumOp{kind: IAwaitFlag, arg: f},
@@ -141,8 +160,8 @@ func (o EnumOptions) alphabet() []enumOp {
 		al = append(al, enumOp{kind: IBarrierSync})
 	}
 	if o.DMA {
-		for dst := 0; dst < o.Vars; dst++ {
-			for src := 0; src < o.Vars; src++ {
+		for dst := uint8(0); int(dst) < o.Vars; dst++ {
+			for src := uint8(0); int(src) < o.Vars; src++ {
 				if dst != src {
 					al = append(al, enumOp{kind: IDMA, arg: dst, src: src})
 				}
@@ -152,100 +171,122 @@ func (o EnumOptions) alphabet() []enumOp {
 	return al
 }
 
+// enumerator is one Enumerate call's state. The candidate program and
+// the key buffers are reused across candidates; emit keeps nothing of
+// them but the reified test and the key's string.
+type enumerator struct {
+	o     EnumOptions
+	al    []enumOp
+	lens  []int      // each thread's length in the current shape
+	prog  [][]enumOp // the candidate, one buffer per thread
+	perms [][]int    // every thread order of the current thread count
+	seen  map[string]struct{}
+	key   []byte // the least code so far (canonicalKey)
+	code  []byte // the code under construction
+	tests []Test
+}
+
 // Enumerate generates every canonical litmus test up to the options'
 // bounds. Every test is annotated-by-construction (ExpectNone, open
 // outcome set); thread permutations and variable/flag renamings are
-// deduplicated to one representative.
+// deduplicated to their first-generated representative.
 func Enumerate(o EnumOptions) []Test {
 	o = o.withDefaults()
-	al := o.alphabet()
-
-	var tests []Test
-	seen := map[string]bool{}
-	emit := func(prog [][]enumOp) {
-		if !progValid(prog) {
-			return
-		}
-		key := canonicalKey(prog)
-		if seen[key] {
-			return
-		}
-		seen[key] = true
-		t := reify(prog)
-		tests = append(tests, t)
-		if o.Packed && t.Vars >= 2 && !usesDMA(prog) {
-			p := t
-			p.Name += "+packed"
-			p.Packed = true
-			tests = append(tests, p)
-		}
-	}
-
+	e := &enumerator{o: o, al: o.alphabet(), seen: map[string]struct{}{}}
 	// Enumerate thread counts, per-thread lengths, and sequences.
 	for n := 2; n <= o.MaxThreads; n++ {
-		lens := make([]int, n)
-		var fill func(i, rem int)
-		var seqs [][]enumOp
-		var build func(i int)
-		build = func(i int) {
-			if i == n {
-				prog := make([][]enumOp, n)
-				for j := range seqs {
-					prog[j] = append([]enumOp(nil), seqs[j]...)
-				}
-				emit(prog)
-				return
-			}
-			var gen func(seq []enumOp, depth int)
-			gen = func(seq []enumOp, depth int) {
-				if len(seq) == lens[i] {
-					if depth != 0 {
-						return // unbalanced critical section
-					}
-					seqs = append(seqs, append([]enumOp(nil), seq...))
-					build(i + 1)
-					seqs = seqs[:len(seqs)-1]
-					return
-				}
-				for _, op := range al {
-					if !threadStepOK(seq, depth, op) {
-						continue
-					}
-					d := depth
-					switch op.kind {
-					case ICSEnter:
-						d++
-					case ICSExit:
-						d--
-					}
-					gen(append(seq, op), d)
-				}
-			}
-			gen(nil, 0)
+		e.lens = make([]int, n)
+		e.prog = make([][]enumOp, n)
+		for i := range e.prog {
+			e.prog[i] = make([]enumOp, 0, o.MaxOps)
 		}
-		fill = func(i, rem int) {
-			if i == n {
-				if rem == 0 {
-					build(0)
-				}
-				return
-			}
-			// Each thread gets at least one op; leave enough for the rest.
-			for l := 1; l <= rem-(n-1-i); l++ {
-				lens[i] = l
-				fill(i+1, rem-l)
-			}
-		}
+		e.perms = permutations(n)
 		for total := n; total <= o.MaxOps; total++ {
-			fill(0, total)
+			e.fill(0, total)
 		}
 	}
-	return tests
+	return e.tests
+}
+
+// fill gives threads i onward a length each, summing to rem, then
+// generates their sequences.
+func (e *enumerator) fill(i, rem int) {
+	n := len(e.lens)
+	if i == n {
+		if rem == 0 {
+			e.build(0)
+		}
+		return
+	}
+	// Each thread gets at least one op; leave enough for the rest.
+	for l := 1; l <= rem-(n-1-i); l++ {
+		e.lens[i] = l
+		e.fill(i+1, rem-l)
+	}
+}
+
+// build generates thread i's sequences and, behind each, the later
+// threads', emitting every complete candidate.
+func (e *enumerator) build(i int) {
+	if i == len(e.prog) {
+		e.emit()
+		return
+	}
+	e.gen(i, 0, 0)
+}
+
+// gen extends thread i's sequence one op at a time, in alphabet order,
+// under the intra-thread rules. depth is the critical-section depth and
+// dirty the variables the sequence has dirty (see dirtyAfter).
+func (e *enumerator) gen(i, depth int, dirty uint64) {
+	seq := e.prog[i]
+	if len(seq) == e.lens[i] {
+		if depth == 0 { // balanced critical sections only
+			e.build(i + 1)
+		}
+		return
+	}
+	for _, op := range e.al {
+		if !threadStepOK(depth, dirty, op) {
+			continue
+		}
+		d := depth
+		switch op.kind {
+		case ICSEnter:
+			d++
+		case ICSExit:
+			d--
+		}
+		e.prog[i] = append(seq, op)
+		e.gen(i, d, dirtyAfter(dirty, op))
+	}
+	e.prog[i] = seq
+}
+
+// emit keeps the candidate if it is valid and the first of its symmetry
+// class.
+func (e *enumerator) emit() {
+	if !progValid(e.prog) {
+		return
+	}
+	key := e.canonicalKey()
+	if _, dup := e.seen[string(key)]; dup {
+		return
+	}
+	e.seen[string(key)] = struct{}{}
+	t := reify(e.prog)
+	e.tests = append(e.tests, t)
+	if e.o.Packed && t.Vars >= 2 && !usesDMA(e.prog) {
+		p := t
+		p.Name += "+packed"
+		p.Packed = true
+		e.tests = append(e.tests, p)
+	}
 }
 
 // threadStepOK applies the intra-thread validity rules for appending op
-// to seq at critical-section depth.
-func threadStepOK(seq []enumOp, depth int, op enumOp) bool {
+// to a sequence at critical-section depth with the dirty variables.
+func threadStepOK(depth int, dirty uint64, op enumOp) bool {
 	switch op.kind {
 	case ICSEnter:
 		if depth != 0 {
@@ -264,39 +305,28 @@ func threadStepOK(seq []enumOp, depth int, op enumOp) bool {
 		// a variable this thread has dirty would silently publish it,
 		// making the "mutant drops a publication" judgment meaningless.
 		// Keep INV to clean variables.
-		if dirtyAt(seq, op.arg) {
+		if dirty&(1<<op.arg) != 0 {
 			return false
 		}
 	case IDMA:
 		// DMA reads the shared levels: the source must be clean here.
-		if dirtyAt(seq, op.src) {
+		if dirty&(1<<op.src) != 0 {
 			return false
 		}
 	}
 	return true
 }
 
-// dirtyAt reports whether variable v is locally dirty (stored and not
-// yet covered by a WB or a WB-ALL-bearing annotated op) after seq.
-func dirtyAt(seq []enumOp, v int) bool {
-	dirty := false
-	for _, op := range seq {
-		switch op.kind {
-		case IStore:
-			if op.arg == v {
-				dirty = true
-			}
-		case IWB:
-			if op.arg == v {
-				dirty = false
-			}
-		case IINV:
-			if op.arg == v {
-				dirty = false // INV drains dirty words on its way out
-			}
-		case INotifyFlag, ICSExit, IBarrierSync:
-			dirty = false // these lower with a WB ALL on the write side
-		}
+// dirtyAfter returns the thread's locally dirty variables (stored and
+// not yet covered by a WB or a WB-ALL-bearing annotated op) after op.
+func dirtyAfter(dirty uint64, op enumOp) uint64 {
+	switch op.kind {
+	case IStore:
+		return dirty | 1<<op.arg
+	case IWB, IINV:
+		return dirty &^ (1 << op.arg) // INV drains dirty words on its way out
+	case INotifyFlag, ICSExit, IBarrierSync:
+		return 0 // these lower with a WB ALL on the write side
 	}
 	return dirty
 }
@@ -305,89 +335,94 @@ func dirtyAt(seq []enumOp, v int) bool {
 // comment): barrier uniformity, await liveness, DMA constraints, and
 // contiguous variable/flag use.
 func progValid(prog [][]enumOp) bool {
-	// Barrier counts must match across every thread.
-	b0 := countKind(prog[0], IBarrierSync)
-	for _, seq := range prog[1:] {
-		if countKind(seq, IBarrierSync) != b0 {
-			return false
+	var (
+		barriers [litmusCores]int
+		stores   [litmusCores]uint64 // variables each thread stores
+		waitFree [litmusCores]uint64 // flags notified before the thread's first await or barrier
+		unmet    [litmusCores]uint64 // flags awaited with no earlier notify in the same thread
+		vars     uint64
+		flags    uint64
+		dmas     int
+		dma      enumOp
+		dmaBy    int
+	)
+	for ti, seq := range prog {
+		var notified uint64
+		blocked := false
+		for _, op := range seq {
+			bit := uint64(1) << op.arg
+			switch op.kind {
+			case IStore:
+				stores[ti] |= bit
+				vars |= bit
+			case ILoad, IWB, IINV:
+				vars |= bit
+			case INotifyFlag:
+				flags |= bit
+				notified |= bit
+				if !blocked {
+					waitFree[ti] |= bit
+				}
+			case IAwaitFlag:
+				flags |= bit
+				unmet[ti] |= bit &^ notified
+				blocked = true
+			case IBarrierSync:
+				barriers[ti]++
+				blocked = true
+			case IDMA:
+				vars |= bit | 1<<op.src
+				dmas++
+				dma, dmaBy = op, ti
+			}
 		}
 	}
 
-	// Every await needs a notify: earlier in its own sequence, or in
-	// another thread behind a wait-free prefix.
-	for ti, seq := range prog {
-		for ii, op := range seq {
-			if op.kind != IAwaitFlag {
-				continue
+	// Barrier counts must match across every thread. Every await needs a
+	// notify: earlier in its own sequence, or in another thread behind a
+	// wait-free prefix.
+	for ti := range prog {
+		if barriers[ti] != barriers[0] {
+			return false
+		}
+		var others uint64
+		for tj := range prog {
+			if tj != ti {
+				others |= waitFree[tj]
 			}
-			if notifiesBefore(seq[:ii], op.arg) || notifiedWaitFree(prog, ti, op.arg) {
-				continue
-			}
+		}
+		if unmet[ti]&^others != 0 {
 			return false
 		}
 	}
 
 	// DMA: at most one; dest stored by nobody; source stored only by the
 	// issuing thread (clean-at-issue is the intra-thread rule).
-	dmas := 0
-	for ti, seq := range prog {
-		for _, op := range seq {
-			if op.kind != IDMA {
-				continue
+	if dmas > 1 {
+		return false
+	}
+	if dmas == 1 {
+		var stored, storedByOthers uint64
+		for tj := range prog {
+			stored |= stores[tj]
+			if tj != dmaBy {
+				storedByOthers |= stores[tj]
 			}
-			dmas++
-			if dmas > 1 {
-				return false
-			}
-			for tj, other := range prog {
-				for _, oo := range other {
-					if oo.kind == IStore && oo.arg == op.arg {
-						return false // dest stored
-					}
-					if tj != ti && oo.kind == IStore && oo.arg == op.src {
-						return false // source stored by another thread
-					}
-				}
-			}
+		}
+		if stored&(1<<dma.arg) != 0 || storedByOthers&(1<<dma.src) != 0 {
+			return false
 		}
 	}
 
 	// Used variables and flags must form prefixes {0..m} so renamings of
 	// the same shape are generated once (canonicalKey dedups the rest).
-	return contiguous(usedVars(prog)) && contiguous(usedFlags(prog))
+	return vars&(vars+1) == 0 && flags&(flags+1) == 0
 }
 
-func countKind(seq []enumOp, k InstrKind) int {
-	n := 0
-	for _, op := range seq {
-		if op.kind == k {
-			n++
-		}
-	}
-	return n
-}
-
-func notifiesBefore(prefix []enumOp, flag int) bool {
-	for _, op := range prefix {
-		if op.kind == INotifyFlag && op.arg == flag {
-			return true
-		}
-	}
-	return false
-}
-
-// notifiedWaitFree reports whether some thread other than ti notifies
-// flag behind a prefix free of awaits and barriers.
-func notifiedWaitFree(prog [][]enumOp, ti, flag int) bool {
-	for tj, seq := range prog {
-		if tj == ti {
-			continue
-		}
+func usesDMA(prog [][]enumOp) bool {
+	for _, seq := range prog {
 		for _, op := range seq {
-			if op.kind == IAwaitFlag || op.kind == IBarrierSync {
-				break
-			}
-			if op.kind == INotifyFlag && op.arg == flag {
+			if op.kind == IDMA {
 				return true
 			}
 		}
@@ -395,150 +430,113 @@ func notifiedWaitFree(prog [][]enumOp, ti, flag int) bool {
 	return false
 }
 
-func usedVars(prog [][]enumOp) map[int]bool {
-	m := map[int]bool{}
-	for _, seq := range prog {
-		for _, op := range seq {
-			switch op.kind {
-			case IStore, ILoad, IWB, IINV:
-				m[op.arg] = true
-			case IDMA:
-				m[op.arg] = true
-				m[op.src] = true
-			}
-		}
-	}
-	return m
-}
-
-func usedFlags(prog [][]enumOp) map[int]bool {
-	m := map[int]bool{}
-	for _, seq := range prog {
-		for _, op := range seq {
-			if op.kind == INotifyFlag || op.kind == IAwaitFlag {
-				m[op.arg] = true
-			}
-		}
-	}
-	return m
-}
-
-func contiguous(m map[int]bool) bool {
-	for i := 0; i < len(m); i++ {
-		if !m[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func usesDMA(prog [][]enumOp) bool {
-	for _, seq := range prog {
-		if countKind(seq, IDMA) > 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// canonicalKey returns the minimal rendering of the program over all
-// thread permutations, with variables and flags renamed by first use in
-// each permutation's thread-major order — an exact canonical form, so
-// dedup by key keeps exactly one representative per symmetry class.
-func canonicalKey(prog [][]enumOp) string {
-	best := ""
-	perms(len(prog), func(order []int) {
-		varMap, flagMap := map[int]int{}, map[int]int{}
-		var b strings.Builder
+// canonicalKey returns the candidate's canonical key, in a buffer reused
+// across candidates. Each thread order codes the program as one byte
+// per op kind followed by the op's variable or flag IDs, renamed by
+// first use in that order's thread-major sequence, with keySep between
+// threads; the key is the least code over all orders. The code is
+// injective on renamed programs, so two programs share a key exactly
+// when one is a thread permutation and variable/flag renaming of the
+// other, and dedup by key keeps one representative per symmetry class.
+func (e *enumerator) canonicalKey() []byte {
+	for pi, order := range e.perms {
+		var vars, flags [maxIDs]uint8 // renamed ID + 1; 0 = not yet used
+		var nv, nf uint8
+		c := e.code[:0]
 		for i, ti := range order {
 			if i > 0 {
-				b.WriteByte('|')
+				c = append(c, keySep)
 			}
-			for j, op := range prog[ti] {
-				if j > 0 {
-					b.WriteByte('.')
+			for _, op := range e.prog[ti] {
+				c = append(c, byte(op.kind))
+				switch op.kind {
+				case IStore, ILoad, IWB, IINV:
+					c = append(c, rename(&vars, &nv, op.arg))
+				case INotifyFlag, IAwaitFlag:
+					c = append(c, rename(&flags, &nf, op.arg))
+				case IDMA:
+					c = append(c, rename(&vars, &nv, op.arg), rename(&vars, &nv, op.src))
 				}
-				b.WriteString(renameOp(op, varMap, flagMap).sym())
 			}
 		}
-		if s := b.String(); best == "" || s < best {
-			best = s
+		if pi == 0 || bytes.Compare(c, e.key) < 0 {
+			c, e.key = e.key, c
 		}
-	})
-	return best
+		e.code = c
+	}
+	return e.key
 }
 
-func renameOp(op enumOp, varMap, flagMap map[int]int) enumOp {
-	mapID := func(m map[int]int, id int) int {
-		if v, ok := m[id]; ok {
-			return v
-		}
-		v := len(m)
-		m[id] = v
-		return v
+// rename maps id to its first-use index in table, of which n are taken.
+func rename(table *[maxIDs]uint8, n *uint8, id uint8) uint8 {
+	if table[id] == 0 {
+		*n++
+		table[id] = *n
 	}
-	switch op.kind {
-	case IStore, ILoad, IWB, IINV:
-		op.arg = mapID(varMap, op.arg)
-	case INotifyFlag, IAwaitFlag:
-		op.arg = mapID(flagMap, op.arg)
-	case IDMA:
-		op.arg = mapID(varMap, op.arg)
-		op.src = mapID(varMap, op.src)
-	}
-	return op
+	return table[id] - 1
 }
 
-// perms calls f with every permutation of 0..n-1 (n is tiny).
-func perms(n int, f func([]int)) {
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
+// permutations lists every ordering of 0..n-1 (n is at most litmusCores).
+func permutations(n int) [][]int {
+	if n == 0 {
+		return [][]int{{}}
 	}
-	var rec func(k int)
-	rec = func(k int) {
-		if k == n {
-			f(order)
-			return
-		}
-		for i := k; i < n; i++ {
-			order[k], order[i] = order[i], order[k]
-			rec(k + 1)
-			order[k], order[i] = order[i], order[k]
+	var out [][]int
+	for _, p := range permutations(n - 1) {
+		for at := 0; at <= len(p); at++ {
+			q := make([]int, 0, n)
+			q = append(append(append(q, p[:at]...), n-1), p[at:]...)
+			out = append(out, q)
 		}
 	}
-	rec(0)
+	return out
 }
 
 // reify turns an abstract program into a runnable Test: store values and
 // load registers are assigned in thread-major order, every used variable
 // joins Final, the outcome set is open (nil Allowed), and the name is
-// the program's canonical rendering.
+// the program's rendering.
 func reify(prog [][]enumOp) Test {
-	t := Test{Expect: ExpectNone}
-	t.Vars = len(usedVars(prog))
-	val := mem.Word(0)
-	var name []string
+	t := Test{Expect: ExpectNone, Doc: "enumerated annotated program (violation-free by construction)"}
+	total := 0
 	for _, seq := range prog {
-		var instrs []Instr
-		var syms []string
-		for _, op := range seq {
-			syms = append(syms, op.sym())
+		total += len(seq)
+	}
+	instrs := make([]Instr, 0, total) // one backing array, sliced per thread
+	name := append(make([]byte, 0, 8+4*total), "enum["...)
+	t.Threads = make([][]Instr, len(prog))
+	var vars uint64
+	val := mem.Word(0)
+	for ti, seq := range prog {
+		if ti > 0 {
+			name = append(name, '|')
+		}
+		start := len(instrs)
+		for j, op := range seq {
+			if j > 0 {
+				name = append(name, '.')
+			}
+			name = op.appendSym(name)
+			v := VarID(op.arg)
 			switch op.kind {
 			case IStore:
 				val++
-				instrs = append(instrs, Store(VarID(op.arg), val))
+				instrs = append(instrs, Store(v, val))
+				vars |= 1 << op.arg
 			case ILoad:
-				instrs = append(instrs, Load(VarID(op.arg), Reg(t.Regs)))
+				instrs = append(instrs, Load(v, Reg(t.Regs)))
 				t.Regs++
+				vars |= 1 << op.arg
 			case IWB:
-				instrs = append(instrs, WB(VarID(op.arg)))
+				instrs = append(instrs, WB(v))
+				vars |= 1 << op.arg
 			case IINV:
-				instrs = append(instrs, INV(VarID(op.arg)))
+				instrs = append(instrs, INV(v))
+				vars |= 1 << op.arg
 			case INotifyFlag:
-				instrs = append(instrs, NotifyFlag(op.arg, 1))
+				instrs = append(instrs, NotifyFlag(int(op.arg), 1))
 			case IAwaitFlag:
-				instrs = append(instrs, AwaitFlag(op.arg, 1))
+				instrs = append(instrs, AwaitFlag(int(op.arg), 1))
 			case ICSEnter:
 				instrs = append(instrs, CSEnter(0))
 			case ICSExit:
@@ -546,17 +544,17 @@ func reify(prog [][]enumOp) Test {
 			case IBarrierSync:
 				instrs = append(instrs, BarrierSync(0))
 			case IDMA:
-				instrs = append(instrs, DMA(VarID(op.arg), VarID(op.src), 0))
+				instrs = append(instrs, DMA(v, VarID(op.src), 0))
+				vars |= 1<<op.arg | 1<<op.src
 			}
 		}
-		t.Threads = append(t.Threads, instrs)
-		name = append(name, strings.Join(syms, "."))
+		t.Threads[ti] = instrs[start:len(instrs):len(instrs)]
 	}
+	t.Vars = bits.OnesCount64(vars)
 	for v := 0; v < t.Vars; v++ {
 		t.Final = append(t.Final, VarID(v))
 	}
-	t.Name = "enum[" + strings.Join(name, "|") + "]"
-	t.Doc = "enumerated annotated program (violation-free by construction)"
+	t.Name = string(append(name, ']'))
 	return t
 }
 
@@ -578,6 +576,19 @@ func rawForm(in Instr) (Instr, bool) {
 	return Instr{}, false
 }
 
+// mutationSites calls f with the position and raw counterpart of every
+// annotated sync instruction of t, in thread-major order: the sites
+// Mutants strips one at a time, and all that mutantCount counts.
+func mutationSites(t Test, f func(ti, ii int, raw Instr)) {
+	for ti, seq := range t.Threads {
+		for ii, in := range seq {
+			if raw, ok := rawForm(in); ok {
+				f(ti, ii, raw)
+			}
+		}
+	}
+}
+
 // Mutants returns the under-annotated variants of t: every annotated
 // sync instruction is individually replaced by its raw counterpart
 // (dropping that site's WB/INV bundle). Each mutant keeps ExpectNone and
@@ -587,24 +598,26 @@ func rawForm(in Instr) (Instr, bool) {
 // annotation was masked (no communication crossed it).
 func Mutants(t Test) []Test {
 	var ms []Test
-	for ti, seq := range t.Threads {
-		for ii, in := range seq {
-			raw, ok := rawForm(in)
-			if !ok {
-				continue
-			}
-			m := t
-			m.Name = fmt.Sprintf("%s!t%di%d-raw", t.Name, ti, ii)
-			m.Doc = fmt.Sprintf("mutant of %s: thread %d instr %d (%v) stripped to %v", t.Name, ti, ii, in.Kind, raw.Kind)
-			m.Threads = make([][]Instr, len(t.Threads))
-			for j, s := range t.Threads {
-				m.Threads[j] = append([]Instr(nil), s...)
-			}
-			m.Threads[ti][ii] = raw
-			ms = append(ms, m)
+	mutationSites(t, func(ti, ii int, raw Instr) {
+		in := t.Threads[ti][ii]
+		m := t
+		m.Name = fmt.Sprintf("%s!t%di%d-raw", t.Name, ti, ii)
+		m.Doc = fmt.Sprintf("mutant of %s: thread %d instr %d (%v) stripped to %v", t.Name, ti, ii, in.Kind, raw.Kind)
+		m.Threads = make([][]Instr, len(t.Threads))
+		for j, s := range t.Threads {
+			m.Threads[j] = append([]Instr(nil), s...)
 		}
-	}
+		m.Threads[ti][ii] = raw
+		ms = append(ms, m)
+	})
 	return ms
+}
+
+// mutantCount is len(Mutants(t)), without building the mutants.
+func mutantCount(t Test) int {
+	n := 0
+	mutationSites(t, func(int, int, Instr) { n++ })
+	return n
 }
 
 // SweepStats aggregates one enumeration sweep (Sweep).
@@ -624,33 +637,53 @@ type SweepStats struct {
 	Failed []string `json:"failed,omitempty"`
 }
 
-// Sweep explores every test (an Enumerate output) under cfg,
-// aggregating the statistics the enumeration gate pins. The caller
-// enumerates once and sweeps the same programs under every config.
-// Mutants are not explored here (internal/fuzzgen judges them); Mutants
-// only counts.
-func Sweep(tests []Test, cfg Config, opts Options) SweepStats {
-	var st SweepStats
-	st.Programs = len(tests)
-	for _, t := range tests {
-		st.Mutants += len(Mutants(t))
-		rep, err := Explore(t, cfg, opts)
+// Sweep explores every test (an Enumerate output) under cfg across
+// workers goroutines (0 means GOMAXPROCS) and folds the per-program
+// statistics in program order, so the result does not depend on the
+// worker count. The caller enumerates once and sweeps the same programs
+// under every config. Mutants are counted, not explored
+// (internal/fuzzgen judges them). Sweep stops between programs once ctx
+// is done and returns its error.
+func Sweep(ctx context.Context, tests []Test, cfg Config, opts Options, workers int) (SweepStats, error) {
+	type program struct {
+		runs, schedules, cuts, states int64
+		violating                     bool
+		failed                        string
+	}
+	progs := make([]program, len(tests))
+	err := forEach(ctx, len(tests), workers, func(i int) {
+		p := &progs[i]
+		rep, err := Explore(tests[i], cfg, opts)
 		if err != nil {
-			st.Failed = append(st.Failed, t.Name+": "+err.Error())
-			continue
+			p.failed = err.Error()
+			return
 		}
-		st.Runs += int64(rep.Runs)
-		st.Schedules += int64(rep.Schedules)
-		st.DedupCuts += int64(rep.DedupCuts)
-		st.StatesSeen += int64(rep.StatesSeen)
-		if rep.ViolationSchedules > 0 {
+		p.runs, p.schedules = int64(rep.Runs), int64(rep.Schedules)
+		p.cuts, p.states = int64(rep.DedupCuts), int64(rep.StatesSeen)
+		p.violating = rep.ViolationSchedules > 0
+		if rep.ErrorRuns > 0 || rep.Truncated > 0 || rep.Capped {
+			p.failed = "exploration not exhaustive"
+		}
+	})
+	if err != nil {
+		return SweepStats{}, err
+	}
+	st := SweepStats{Programs: len(tests)}
+	for i, p := range progs {
+		t := tests[i]
+		st.Mutants += mutantCount(t)
+		st.Runs += p.runs
+		st.Schedules += p.schedules
+		st.DedupCuts += p.cuts
+		st.StatesSeen += p.states
+		if p.violating {
 			st.Violating = append(st.Violating, t.Name)
 		}
-		if rep.ErrorRuns > 0 || rep.Truncated > 0 || rep.Capped {
-			st.Failed = append(st.Failed, t.Name+": exploration not exhaustive")
+		if p.failed != "" {
+			st.Failed = append(st.Failed, t.Name+": "+p.failed)
 		}
 	}
 	sort.Strings(st.Violating)
 	sort.Strings(st.Failed)
-	return st
+	return st, nil
 }

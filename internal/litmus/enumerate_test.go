@@ -1,6 +1,10 @@
 package litmus
 
 import (
+	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -70,6 +74,41 @@ func TestEnumerateGolden(t *testing.T) {
 	}
 }
 
+// enumDigest hashes every generated test, in order: its name, doc,
+// sizes, packed flag, instructions, final variables, outcome-set
+// openness and expectation. Two enumerations with equal digests emit
+// the same programs in the same order under the same names.
+func enumDigest(tests []Test) string {
+	h := sha256.New()
+	for _, t := range tests {
+		fmt.Fprintf(h, "%s\x00%s\x00%d %d %t %v %v %t %d\n",
+			t.Name, t.Doc, t.Vars, t.Regs, t.Packed, t.Threads, t.Final, t.Allowed == nil, t.Expect)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestEnumeratePinned pins Enumerate(DefaultEnumOptions(k)) byte for
+// byte: the digests were taken from the string-keyed enumerator the
+// byte-coded canonical form replaced, so any change in which programs
+// are generated, their order or their names fails here.
+func TestEnumeratePinned(t *testing.T) {
+	for _, c := range []struct {
+		k      int
+		digest string
+	}{
+		{2, "abb9d3fa63aec5d6fa577f2cd7005ab264e1dd5d12df2b352166aac7bef6ef61"},
+		{3, "fcb28869d90f485daa86d17f96e81b96032528ab91dda3fb1af64bee351ae3e3"},
+		{4, "21077eca43156034c7ea9da68ee3c80b9ce7c576d6a69c1c25f63ef51c324329"},
+	} {
+		if testing.Short() && c.k > 3 {
+			continue
+		}
+		if got := enumDigest(Enumerate(DefaultEnumOptions(c.k))); got != c.digest {
+			t.Errorf("k=%d: enumeration digest %s, pinned %s", c.k, got, c.digest)
+		}
+	}
+}
+
 // TestEnumerateDeterministic: two runs produce identical test lists.
 func TestEnumerateDeterministic(t *testing.T) {
 	a := Enumerate(enumGateOptions(3))
@@ -89,9 +128,8 @@ func TestEnumerateCanonical(t *testing.T) {
 		if tc.Packed {
 			continue
 		}
-		// Threads of a canonical program arrive sorted by their rendering
-		// in at least one permutation; a cheap spot-check: the name embeds
-		// the canonical key, so names are canonical renderings.
+		// A cheap spot-check that names are the enumeration's renderings;
+		// TestEnumeratePinned pins the exact programs and names.
 		if !strings.HasPrefix(tc.Name, "enum[") {
 			t.Fatalf("unexpected name %q", tc.Name)
 		}
@@ -109,7 +147,10 @@ func TestEnumerationSweep(t *testing.T) {
 	if testing.Short() {
 		maxK = 3
 	}
-	st := Sweep(Enumerate(enumGateOptions(maxK)), Base, Options{})
+	st, err := Sweep(context.Background(), Enumerate(enumGateOptions(maxK)), Base, Options{}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(st.Violating) > 0 {
 		t.Errorf("%d annotated programs violated, first: %s", len(st.Violating), st.Violating[0])
 	}
@@ -133,6 +174,32 @@ func TestEnumerationSweep(t *testing.T) {
 	}
 	t.Logf("k=%d: %d programs, %d mutants, runs=%d schedules=%d dedup_cuts=%d states=%d",
 		maxK, st.Programs, st.Mutants, st.Runs, st.Schedules, st.DedupCuts, st.StatesSeen)
+}
+
+// TestDocumentsIndependentOfWorkerCount: the suite and enumeration
+// documents fan their explorations out across workers and assemble them
+// in program order, so one worker and four must give equal documents.
+func TestDocumentsIndependentOfWorkerCount(t *testing.T) {
+	ctx := context.Background()
+	var suite, enum [2]*Document
+	for i, workers := range []int{1, 4} {
+		var err error
+		if suite[i], err = SuiteDocument(ctx, Suite[:6], Configs, Options{}, workers); err != nil {
+			t.Fatal(err)
+		}
+		if enum[i], err = EnumerateDocument(ctx, Configs[:2], 3, Options{}, workers); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !reflect.DeepEqual(suite[0], suite[1]) {
+		t.Error("suite document differs between 1 and 4 workers")
+	}
+	if !reflect.DeepEqual(enum[0], enum[1]) {
+		t.Error("enumeration document differs between 1 and 4 workers")
+	}
+	if enum[0].Failed() || len(enum[0].Sweeps) != 2 || enum[0].Sweeps[0].Stats.Programs != 1009 {
+		t.Errorf("k=3 enumeration document looks wrong: %+v", enum[0].Sweeps)
+	}
 }
 
 // TestEnumerateMutantsChangeBehavior spot-checks that stripping an

@@ -330,7 +330,7 @@ func (r *Request) Run(ctx context.Context, env Env) (*Result, error) {
 	}
 	switch r.Suite {
 	case "litmus":
-		doc, err := r.litmusDocument()
+		doc, err := r.litmusDocument(ctx, env.Parallel)
 		if err != nil {
 			return nil, err
 		}
@@ -393,8 +393,10 @@ func (r *Request) compute(ctx context.Context, env Env) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// litmusDocument runs the litmus suite or enumeration.
-func (r *Request) litmusDocument() (*litmus.Document, error) {
+// litmusDocument runs the litmus suite or enumeration across workers
+// goroutines (0 means GOMAXPROCS); canceling ctx stops it between
+// explorations with ctx's error.
+func (r *Request) litmusDocument(ctx context.Context, workers int) (*litmus.Document, error) {
 	tests := litmus.Suite
 	if r.Test != "" {
 		t, _ := litmus.SuiteTest(r.Test) // validated by Normalize
@@ -407,9 +409,9 @@ func (r *Request) litmusDocument() (*litmus.Document, error) {
 	}
 	opts := litmus.Options{Budget: r.Budget, MaxSchedules: r.MaxSchedules}
 	if r.Enumerate {
-		return litmus.EnumerateDocument(configs, r.K, opts), nil
+		return litmus.EnumerateDocument(ctx, configs, r.K, opts, workers)
 	}
-	return litmus.SuiteDocument(tests, configs, opts)
+	return litmus.SuiteDocument(ctx, tests, configs, opts, workers)
 }
 
 // cells lists the (workload, config) labels the suite runs under the

@@ -1,11 +1,62 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"reflect"
 	"slices"
+	"sync"
 	"testing"
+	"time"
 )
+
+// TestLitmusRunStopsOnCancel: a litmus enumeration checks its context
+// between programs, so canceling a k=4 sweep (seconds of exploration
+// on one worker) stops Run within a second with the context's error.
+// The cancel comes once the sweep has polled the context, so the clock
+// runs during exploration, not during the enumeration before it.
+func TestLitmusRunStopsOnCancel(t *testing.T) {
+	r := Request{Suite: "litmus", Enumerate: true, K: 4}
+	if err := r.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	parent, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	ctx := &pollCtx{Context: parent, polled: make(chan struct{})}
+	done := make(chan error, 1)
+	go func() {
+		_, err := r.Run(ctx, Env{Parallel: 1})
+		done <- err
+	}()
+	select {
+	case <-ctx.polled:
+	case err := <-done:
+		t.Fatalf("Run returned %v without checking its context", err)
+	}
+	time.Sleep(50 * time.Millisecond)
+	cancel()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("Run returned %v, want context.Canceled", err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("a canceled k=4 enumeration did not stop within 1s")
+	}
+}
+
+// pollCtx closes polled the first time its Err is called.
+type pollCtx struct {
+	context.Context
+	once   sync.Once
+	polled chan struct{}
+}
+
+func (c *pollCtx) Err() error {
+	c.once.Do(func() { close(c.polled) })
+	return c.Context.Err()
+}
 
 // FuzzNormalize feeds JSON-decoded requests, as handleSubmit receives
 // them, to Normalize. It must never panic, and a request it accepts

@@ -123,13 +123,16 @@ func New(cfg Config) (*Server, error) {
 }
 
 // Close cancels running sweeps, refuses further submits, and waits for
-// the workers to exit.
+// the workers to exit. Closing a closed server only waits.
 func (s *Server) Close() {
 	s.cancel()
 	s.mu.Lock()
+	wasClosed := s.closed
 	s.closed = true
 	s.mu.Unlock()
-	close(s.queue)
+	if !wasClosed {
+		close(s.queue)
+	}
 	s.wg.Wait()
 }
 

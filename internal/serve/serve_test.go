@@ -139,7 +139,7 @@ func TestServedLitmusAndOverheadBytesEqualLocal(t *testing.T) {
 	t.Run("litmus", func(t *testing.T) {
 		test, _ := litmus.SuiteTest("sb")
 		cfg, _ := litmus.ConfigByName("Base")
-		doc, err := litmus.SuiteDocument([]litmus.Test{test}, []litmus.Config{cfg}, litmus.Options{})
+		doc, err := litmus.SuiteDocument(ctx, []litmus.Test{test}, []litmus.Config{cfg}, litmus.Options{}, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -456,6 +456,30 @@ func TestComputeFailureIsNotCached(t *testing.T) {
 	}
 	if string(data) != "{}\n" {
 		t.Fatalf("resubmit after failure returned %q", data)
+	}
+	if got := metricsCounter(t, c, "serve.jobs.failed"); got != 1 {
+		t.Fatalf("serve.jobs.failed = %d, want 1", got)
+	}
+}
+
+// TestCloseCancelsRunningLitmusJob: Close cancels the workers' context,
+// and a running litmus enumeration honors it, so the job reports failed
+// instead of finishing its seconds-long sweep while Close waits.
+func TestCloseCancelsRunningLitmusJob(t *testing.T) {
+	s, c := newTestServer(t, Config{Workers: 1, Parallel: 1})
+	ctx := context.Background()
+	reply, err := c.Submit(ctx, Request{Suite: "litmus", Enumerate: true, K: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, c, reply.ID, JobRunning)
+	s.Close()
+	st, err := c.Status(ctx, reply.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.State != JobFailed || !strings.Contains(st.Error, context.Canceled.Error()) {
+		t.Fatalf("status = %+v, want failed with %q", st, context.Canceled)
 	}
 	if got := metricsCounter(t, c, "serve.jobs.failed"); got != 1 {
 		t.Fatalf("serve.jobs.failed = %d, want 1", got)
