@@ -33,13 +33,21 @@
 // X-Hic-Tenant request header). Submits beyond either limit are refused
 // with 429 and a Retry-After hint. -parallel and -timeout shape each
 // sweep exactly like the CLI flags of the same names.
+//
+// The bound address is logged at startup, so -addr 127.0.0.1:0 picks a
+// free port. SIGINT or SIGTERM stops the listener, lets in-flight
+// requests finish for a few seconds, cancels running sweeps, and exits 0.
 package main
 
 import (
+	"context"
 	"flag"
 	"log"
+	"net"
 	"net/http"
+	"os/signal"
 	"runtime"
+	"syscall"
 	"time"
 
 	"repro/internal/serve"
@@ -68,13 +76,36 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer s.Close()
 
+	// Catch the signals before the address is logged, so a supervisor
+	// that signals as soon as it reads the address still gets a clean exit.
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		log.Fatal(err)
+	}
 	srv := &http.Server{
-		Addr:              *addr,
 		Handler:           s.Handler(),
 		ReadHeaderTimeout: 10 * time.Second,
 	}
-	log.Printf("listening on %s (workers=%d queue=%d per-tenant=%d)", *addr, *workers, *queue, *perTenant)
-	log.Fatal(srv.ListenAndServe())
+	log.Printf("listening on %s (workers=%d queue=%d per-tenant=%d)", ln.Addr(), *workers, *queue, *perTenant)
+
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
+	select {
+	case err := <-served:
+		s.Close()
+		log.Fatal(err)
+	case <-ctx.Done():
+	}
+	stop() // a second signal kills the process outright
+
+	log.Printf("shutting down")
+	drain, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(drain); err != nil {
+		log.Printf("http shutdown: %v", err)
+	}
+	s.Close()
+	log.Printf("stopped")
 }

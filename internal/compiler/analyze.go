@@ -73,14 +73,6 @@ type Plan struct {
 	flat    []flatLoop
 }
 
-// chunkOwner returns the owner of iteration i of loop l.
-func chunkOwner(l *Loop, i, threads int) int {
-	if !l.Parallel {
-		return 0
-	}
-	return workload.OwnerOf(l.Hi-l.Lo, i-l.Lo, threads)
-}
-
 // iterRange returns thread t's iterations of loop l.
 func iterRange(l *Loop, t, threads int) (lo, hi int) {
 	if !l.Parallel {

@@ -1,7 +1,6 @@
 package runner
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -13,7 +12,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/oracle"
 	"repro/internal/topo"
-	"repro/internal/trace"
 )
 
 func TestNilOutcomeFailsCell(t *testing.T) {
@@ -61,24 +59,10 @@ func TestErrorKindTaxonomy(t *testing.T) {
 	}
 }
 
-// The invariant panics in cache, topo, and trace stay panics — they mark
-// impossible configurations or corrupt inputs, not run outcomes — and the
-// runner's job is to surface each as a labeled PanicError instead of
-// crashing the sweep.
+// The invariant panics in cache and topo stay panics — they mark
+// impossible configurations, not run outcomes — and the runner's job is
+// to surface each as a labeled PanicError instead of crashing the sweep.
 func TestInvariantPanicsSurfaceAsPanicErrors(t *testing.T) {
-	corrupt := func() []byte {
-		var buf bytes.Buffer
-		w, err := trace.NewWriter(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
-		// A record with an impossible op kind after a valid header.
-		return append(buf.Bytes(), bytes.Repeat([]byte{0xFF}, 128)...)
-	}()
-
 	cases := []struct {
 		name string
 		body func(ctx context.Context) (*Outcome, error)
@@ -104,20 +88,6 @@ func TestInvariantPanicsSurfaceAsPanicErrors(t *testing.T) {
 				return nil, nil
 			},
 			msg: "invalid mesh",
-		},
-		{
-			name: "trace-corrupt-stream",
-			body: func(ctx context.Context) (*Outcome, error) {
-				r, err := trace.NewReader(bytes.NewReader(corrupt))
-				if err != nil {
-					return nil, err
-				}
-				// The replay guest panics on the corrupt record before it
-				// touches the proc, so no engine is needed.
-				trace.Replay(r)(nil)
-				return nil, nil
-			},
-			msg: "trace:",
 		},
 	}
 	for _, c := range cases {

@@ -164,18 +164,6 @@ func (r *FaultReport) Detection() (injected, detected int) {
 	return injected, detected
 }
 
-// Undetected returns the entries whose injected fault produced no
-// coherence error (masked faults).
-func (r *FaultReport) Undetected() []FaultMatrixEntry {
-	var out []FaultMatrixEntry
-	for _, e := range r.Entries {
-		if e.Injected > 0 && !e.Detected {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
 // Render formats the matrix as a text table.
 func (r *FaultReport) Render() string {
 	var b strings.Builder
