@@ -133,6 +133,15 @@ func TestParse(t *testing.T) {
 		{name: "litmus-enumerate-with-test", args: []string{"-suite", "litmus", "-enumerate", "-test", "sb"}, want: "test applies to the curated suite, not -enumerate"},
 		{name: "litmus-negative-budget", args: []string{"-suite", "litmus", "-budget", "-5"}, want: "budget and max_schedules must be non-negative"},
 		{name: "litmus-k-without-enumerate", args: []string{"-suite", "litmus", "-k", "3"}, want: "-k applies to -suite litmus -enumerate only"},
+
+		// A request flag the suite does not use is refused even at its
+		// zero value, which Normalize cannot tell from unset.
+		{name: "overhead-zero-request-flags", args: []string{"-suite", "overhead", "-budget", "0", "-metrics=false", "-enumerate=false", "-blocks", "0"}, want: "-metrics does not apply to -suite overhead"},
+		{name: "litmus-zero-blocks", args: []string{"-suite", "litmus", "-blocks", "0"}, want: "-blocks does not apply to -suite litmus"},
+		{name: "litmus-empty-scale", args: []string{"-suite", "litmus", "-scale", ""}, want: "-scale does not apply to -suite litmus"},
+		{name: "sweep-zero-cores-per-block", args: []string{"-suite", "inter", "-scale", "test", "-cores-per-block", "0"}, want: "-cores-per-block does not apply to -suite inter"},
+		{name: "sweep-zero-litmus-flags", args: []string{"-suite", "intra", "-scale", "test", "-enumerate=false", "-max-schedules", "0"}, want: "-max-schedules does not apply to -suite intra"},
+		{name: "litmus-zero-own-flags", args: []string{"-suite", "litmus", "-enumerate=false", "-budget", "0", "-config", ""}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			fs := flag.NewFlagSet("hicsim", flag.ContinueOnError)

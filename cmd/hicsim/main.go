@@ -126,8 +126,11 @@ import (
 // Flag scopes, as space-separated flag names.
 const (
 	// requestFlags fill a serve.Request field; on a suite that builds a
-	// Request, Request.Normalize judges them.
-	requestFlags = "scale check-coherence metrics blocks cores-per-block test config budget max-schedules enumerate k"
+	// Request, Request.Normalize judges their values and requestScope
+	// says which of them the suite uses.
+	simRequest    = "scale check-coherence metrics"
+	litmusRequest = "test config budget max-schedules enumerate k"
+	requestFlags  = simRequest + " blocks cores-per-block " + litmusRequest
 	// anySuite flags apply to every suite.
 	anySuite   = "suite cpuprofile memprofile"
 	docFlags   = "json server tenant"
@@ -148,6 +151,19 @@ var accepts = map[string]string{
 	"litmus":   docFlags + " parallel v",
 	"overhead": docFlags,
 	"table1":   "scale",
+}
+
+// requestScope lists, per suite that builds a Request, the requestFlags
+// it uses. Normalize rejects a nonzero value of any other one, but it
+// cannot tell an explicit zero from an unset field, so validate rejects
+// setting one at all.
+var requestScope = map[string]string{
+	"intra":    simRequest,
+	"inter":    simRequest,
+	"all":      simRequest,
+	"manycore": simRequest + " blocks cores-per-block",
+	"litmus":   litmusRequest,
+	"overhead": "",
 }
 
 // options is hicsim's parsed command line: the request the flags that
@@ -238,9 +254,10 @@ func parse(fs *flag.FlagSet, args []string) (*options, error) {
 }
 
 // validate checks the flags set on fs. A flag that fills a Request
-// field is left to Request.Normalize, which rejects it where the suite
-// does not use it; any other flag must be one hicsim uses for the suite
-// (accepts).
+// field must be one the suite uses (requestScope); Request.Normalize
+// judges its value first, so a nonzero value where the suite does not
+// use it fails with the server's message. Any other flag must be one
+// hicsim uses for the suite (accepts).
 func (o *options) validate(fs *flag.FlagSet) error {
 	r := &o.req
 	accepted, ok := accepts[r.Suite]
@@ -285,6 +302,11 @@ func (o *options) validate(fs *flag.FlagSet) error {
 		}
 		if err := r.Normalize(); err != nil {
 			return err
+		}
+		for _, name := range strings.Fields(requestFlags) {
+			if set[name] && !inList(requestScope[r.Suite], name) {
+				return fmt.Errorf("-%s does not apply to %s", name, scope)
+			}
 		}
 		if !r.Simulation() {
 			return nil

@@ -691,13 +691,3 @@ func SyncCensus(r *Result) string {
 	sort.Strings(parts)
 	return strings.Join(parts, " ")
 }
-
-// VerifyAll runs every workload at test scale under every configuration
-// and mode with the coherence oracle attached, returning the labeled
-// failures (a full self-check of the reproduction).
-func VerifyAll() error {
-	opts := DefaultRunOptions()
-	opts.CheckCoherence = true
-	tasks := append(intraTasks(ScaleTest, opts, IntraConfigs), interTasks(ScaleTest, opts)...)
-	return runner.Run(context.Background(), tasks, opts.runner()).Err()
-}

@@ -134,11 +134,7 @@ func NewHierarchy(m *Machine, cfg Config) Hierarchy {
 	if cfg.HCC {
 		return mesi.New(m, mesi.Config{L1: l1, L2: l2, L3: l3})
 	}
-	c := core.Config{L1: l1, L2: l2, L3: l3, WriteThrough: cfg.WriteThrough}
-	if cfg.UseBloom {
-		c.BloomBits = 256
-		c.BloomHashes = 2
-	}
+	c := core.Config{L1: l1, L2: l2, L3: l3, WriteThrough: cfg.WriteThrough, Bloom: cfg.UseBloom}
 	if cfg.UseMEB {
 		c.MEBEntries = 16
 	}

@@ -11,15 +11,6 @@ import (
 	"repro/internal/runner"
 )
 
-func TestVerifyAll(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full verification sweep")
-	}
-	if err := VerifyAll(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestRunIntraBlockShapes(t *testing.T) {
 	res, err := RunIntra(context.Background(), ScaleTest)
 	if err != nil {

@@ -130,32 +130,6 @@ func (p *P) BarrierSync(id int) {
 	p.INVAll()
 }
 
-// BarrierSyncRanges is the programmer-refined barrier annotation of
-// Section IV-A.1: only the given ranges are written back and invalidated
-// (for example, when each thread owns part of the shared space and reuses
-// it across barriers). Empty slices fall back to the ALL forms.
-func (p *P) BarrierSyncRanges(id int, wb, inv []mem.Range) {
-	if p.cfg.HCC {
-		p.Barrier(id)
-		return
-	}
-	if !p.cfg.WriteThrough {
-		if len(wb) == 0 {
-			p.WBAll()
-		}
-		for _, r := range wb {
-			p.WB(r)
-		}
-	}
-	p.Barrier(id)
-	if len(inv) == 0 {
-		p.INVAll()
-	}
-	for _, r := range inv {
-		p.INV(r)
-	}
-}
-
 // CSEnter is an annotated lock acquire. Under OCC it first posts all
 // writes made since the last full writeback (the pre-acquire WB of Figure
 // 4d); it then eliminates potentially stale data: eagerly before the

@@ -227,28 +227,3 @@ func TestBaseSlowerThanBMIOnCriticalSections(t *testing.T) {
 		t.Errorf("B+M+I (%d cycles) not faster than Base (%d cycles)", bmi.Cycles, base.Cycles)
 	}
 }
-
-func TestBarrierSyncRanges(t *testing.T) {
-	const n = 16
-	app := func(p *P) {
-		slot := mem.Addr(0x1000 + p.ID()*4)
-		p.Store(slot, mem.Word(p.ID()))
-		wb := []mem.Range{mem.WordRange(slot, 1)}
-		inv := []mem.Range{mem.WordRange(0x1000, n)}
-		p.BarrierSyncRanges(0, wb, inv)
-		if p.ID() == 0 {
-			var sum mem.Word
-			for i := 0; i < n; i++ {
-				sum += p.Load(0x1000 + mem.Addr(i*4))
-			}
-			p.Store(0x2000, sum)
-		}
-		p.BarrierSync(1)
-	}
-	for _, cfg := range []Config{HCC, Base, BMI} {
-		h, _ := runApp(t, cfg, Pattern{}, n, app)
-		if got := h.Memory().ReadWord(0x2000); got != mem.Word(n*(n-1)/2) {
-			t.Errorf("%s: sum = %d", cfg.Name, got)
-		}
-	}
-}

@@ -119,8 +119,7 @@ func TestAllUnderBloomSignatures(t *testing.T) {
 		t.Run(w.Name, func(t *testing.T) {
 			m := topo.NewIntraBlock()
 			c := core.DefaultConfig(m)
-			c.BloomBits = 256
-			c.BloomHashes = 2
+			c.Bloom = true
 			h := core.New(m, c)
 			if _, err := w.Run(h, annotate.BloomSig); err != nil {
 				t.Fatal(err)

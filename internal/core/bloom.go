@@ -101,23 +101,25 @@ func (f *Bloom) Bits() int { return int(f.nbits) }
 // SizeFlits returns the network cost of transferring the signature.
 func (f *Bloom) SizeFlits() int64 { return noc.DataFlits(int(f.nbits) / 8) }
 
+// The hierarchy's signatures are 256-bit filters with 2 hash functions.
+const (
+	bloomBits   = 256
+	bloomHashes = 2
+)
+
 // bloomState is the per-hierarchy signature machinery.
 type bloomState struct {
 	write    []*Bloom       // per core: lines written since last publish
 	channels map[int]*Bloom // per sync channel (lock ID): published union
-	hashes   int
-	nbits    int
 }
 
-func newBloomState(cores, nbits, hashes int) *bloomState {
+func newBloomState(cores int) *bloomState {
 	s := &bloomState{
 		write:    make([]*Bloom, cores),
 		channels: make(map[int]*Bloom),
-		hashes:   hashes,
-		nbits:    nbits,
 	}
 	for i := range s.write {
-		s.write[i] = NewBloom(nbits, hashes)
+		s.write[i] = NewBloom(bloomBits, bloomHashes)
 	}
 	return s
 }
@@ -131,7 +133,7 @@ func (h *Hierarchy) SigPublish(core, ch int) int64 {
 	}
 	sig, ok := h.bloom.channels[ch]
 	if !ok {
-		sig = NewBloom(h.bloom.nbits, h.bloom.hashes)
+		sig = NewBloom(bloomBits, bloomHashes)
 		h.bloom.channels[ch] = sig
 	}
 	w := h.bloom.write[core]

@@ -12,8 +12,7 @@ import (
 func bloomHierarchy() *Hierarchy {
 	m := topo.NewIntraBlock()
 	cfg := DefaultConfig(m)
-	cfg.BloomBits = 256
-	cfg.BloomHashes = 2
+	cfg.Bloom = true
 	return New(m, cfg)
 }
 

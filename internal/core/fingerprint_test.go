@@ -85,7 +85,7 @@ func TestFingerprintSensitivity(t *testing.T) {
 func TestFingerprintPanicsOnBloom(t *testing.T) {
 	m := topo.NewIntraBlock()
 	cfg := DefaultConfig(m)
-	cfg.BloomBits = 256
+	cfg.Bloom = true
 	h := New(m, cfg)
 	defer func() {
 		if recover() == nil {

@@ -41,12 +41,11 @@ type Config struct {
 	// MEBEntries and IEBEntries enable the entry buffers when nonzero.
 	MEBEntries int
 	IEBEntries int
-	// BloomBits enables Ashby-style Bloom-signature selective
-	// self-invalidation when nonzero (BloomHashes defaults to 2): cores
-	// accumulate write signatures, publish them on release (SigPublish)
-	// and acquirers invalidate selectively (INVSig). See bloom.go.
-	BloomBits   int
-	BloomHashes int
+	// Bloom enables Ashby-style Bloom-signature selective
+	// self-invalidation with 256-bit, 2-hash signatures: cores accumulate
+	// write signatures, publish them on release (SigPublish) and
+	// acquirers invalidate selectively (INVSig). See bloom.go.
+	Bloom bool
 	// WriteThrough switches the L1s from write-back to write-through (the
 	// VIPS-style self-downgrade alternative discussed in Section VIII):
 	// every store immediately propagates its word to the shared L2, lines
@@ -153,12 +152,8 @@ func New(m *topo.Machine, cfg Config) *Hierarchy {
 	for t := range h.threadMap {
 		h.threadMap[t] = m.BlockOf(t)
 	}
-	if cfg.BloomBits > 0 {
-		hashes := cfg.BloomHashes
-		if hashes == 0 {
-			hashes = 2
-		}
-		h.bloom = newBloomState(m.NumCores(), cfg.BloomBits, hashes)
+	if cfg.Bloom {
+		h.bloom = newBloomState(m.NumCores())
 	}
 	return h
 }

@@ -106,7 +106,7 @@ func TestResetRefusesAttachedState(t *testing.T) {
 	bloom := func() *Hierarchy {
 		m := topo.NewCustom(1, 4, 0, topo.DefaultParams())
 		cfg := DefaultConfig(m)
-		cfg.BloomBits = 256
+		cfg.Bloom = true
 		return New(m, cfg)
 	}
 	for name, build := range map[string]func() *Hierarchy{

@@ -371,9 +371,3 @@ func (s *State) TakeMEBMiss() map[mem.Addr]bool {
 func (s *State) Injected() int64 {
 	return s.Drops + s.Delays + s.Skips + s.Lies + s.MEBDiscards
 }
-
-// Summary renders the injection counters ("drops=1 skips=0 ...").
-func (s *State) Summary() string {
-	return fmt.Sprintf("drops=%d delays=%d skips=%d lies=%d meb-discards=%d",
-		s.Drops, s.Delays, s.Skips, s.Lies, s.MEBDiscards)
-}

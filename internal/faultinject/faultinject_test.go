@@ -122,7 +122,7 @@ func TestStateCursors(t *testing.T) {
 		t.Errorf("NextIEBLie sequence = %v, want [false true false]", got)
 	}
 	if st.Drops != 1 || st.Delays != 1 || st.Skips != 1 || st.Lies != 1 {
-		t.Errorf("counters = %s, want one of each", st.Summary())
+		t.Errorf("drops/delays/skips/lies = %d/%d/%d/%d, want one of each", st.Drops, st.Delays, st.Skips, st.Lies)
 	}
 	if st.Injected() != 4 {
 		t.Errorf("Injected() = %d, want 4", st.Injected())

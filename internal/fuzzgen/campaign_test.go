@@ -178,7 +178,7 @@ func TestShrinkDeterministic(t *testing.T) {
 	if a != b {
 		t.Fatalf("two shrinks of the same mutant differ:\n--- first\n%s\n--- second\n%s", a, b)
 	}
-	if got := SignatureOf(shrunk, cfg); got != sig {
+	if got := signatureOf(Check(shrunk, cfg)); got != sig {
 		t.Fatalf("shrunk repro signature = %v, want %v", got, sig)
 	}
 }

@@ -1,6 +1,7 @@
 package fuzzgen
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/litmus"
@@ -83,6 +84,56 @@ func TestEnumeratedMutantsJudged(t *testing.T) {
 		t.Error("no mutant detected at k>=4: the judge lost its teeth")
 	}
 	t.Logf("k=%d: %d mutants judged: %d detected, %d proven masked", k, judged, detected, masked)
+
+	// At every k, the classic MP shape (Store x; NotifyFlag || AwaitFlag;
+	// Load x) must expose its weakened notify as a missing writeback.
+	var mp litmus.Test
+	for _, tc := range litmus.Enumerate(litmus.EnumOptions{MaxOps: 4, MaxThreads: 2, Vars: 1, Flags: 1}) {
+		if tc.Name == "enum[s0.n0|a0.l0]" {
+			mp = tc
+		}
+	}
+	if mp.Name == "" {
+		t.Fatal("enumeration did not generate the MP shape")
+	}
+	found := false
+	for _, m := range EnumeratedMutants(mp) {
+		if m.Site.Class != "weaken-notify" {
+			continue
+		}
+		found = true
+		v := JudgeExhaustive(Program{Test: mp}, m, litmus.Base, litmus.Options{})
+		if v.Err != nil || !v.Detected || v.BadAttribution != "" {
+			t.Errorf("%s: want a detected, attributed violation, got %+v", m.Test.Name, v)
+		}
+	}
+	if !found {
+		t.Error("the MP shape has no weaken-notify mutant")
+	}
+}
+
+// TestEnumeratedMutantsMatchSweepCount: the mutants fuzzgen builds from
+// an enumeration and the count the sweep documents report come from one
+// weakening table (litmus.RawForm), so over the k=3 enumeration they
+// agree, and every mutant is a valid program.
+func TestEnumeratedMutantsMatchSweepCount(t *testing.T) {
+	tests := litmus.Enumerate(litmus.DefaultEnumOptions(3))
+	st, err := litmus.Sweep(context.Background(), tests, litmus.Base, litmus.Options{}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for _, tc := range tests {
+		for _, m := range EnumeratedMutants(tc) {
+			n++
+			if err := m.Test.Validate(); err != nil {
+				t.Fatalf("invalid mutant: %v", err)
+			}
+		}
+	}
+	if st.Programs != 1009 || n != st.Mutants {
+		t.Errorf("%d programs: %d enumerated mutants, sweep counts %d", st.Programs, n, st.Mutants)
+	}
 }
 
 // TestJudgeExhaustiveAgreesWithJudge cross-checks the two judges on

@@ -18,13 +18,9 @@ type Mutant struct {
 	Test litmus.Test
 }
 
-// mutate applies the site's weakening to a deep copy of t.
-//
-//	drop-wb / drop-inv          delete the raw IWB / IINV
-//	weaken-notify               INotifyFlag -> IFlagSet  (keeps the sync, drops the WB)
-//	weaken-await                IAwaitFlag  -> IFlagWait (keeps the sync, drops the INV)
-//	weaken-csenter              ICSEnter    -> IAcquire
-//	weaken-csexit               ICSExit     -> IRelease
+// mutate applies the site's weakening to a deep copy of t: drop-wb and
+// drop-inv delete the raw IWB / IINV, and the four weaken-* classes
+// replace the annotated sync op by its raw form (litmus.RawForm).
 //
 // Every weakening preserves the raw synchronization op, so the mutant
 // cannot deadlock and the oracle's vector clocks still order the racing
@@ -37,22 +33,15 @@ func mutate(t litmus.Test, s Site) litmus.Test {
 		out.Threads[i] = append([]litmus.Instr(nil), th...)
 	}
 	th := out.Threads[s.Thread]
-	in := th[s.Index]
 	switch s.Class {
 	case "drop-wb", "drop-inv":
 		out.Threads[s.Thread] = append(th[:s.Index:s.Index], th[s.Index+1:]...)
-	case "weaken-notify":
-		in.Kind = litmus.IFlagSet
-		th[s.Index] = in
-	case "weaken-await":
-		in.Kind = litmus.IFlagWait
-		th[s.Index] = in
-	case "weaken-csenter":
-		in.Kind = litmus.IAcquire
-		th[s.Index] = in
-	case "weaken-csexit":
-		in.Kind = litmus.IRelease
-		th[s.Index] = in
+	case "weaken-notify", "weaken-await", "weaken-csenter", "weaken-csexit":
+		raw, ok := litmus.RawForm(th[s.Index])
+		if !ok {
+			panic("fuzzgen: " + s.Class + " site is not an annotated sync op")
+		}
+		th[s.Index] = raw
 	default:
 		panic("fuzzgen: unknown mutation class " + s.Class)
 	}
@@ -93,27 +82,6 @@ func Mutants(p Program, max int) []Mutant {
 		out = append(out, Mutant{Seed: p.Seed, Site: s, Test: mutate(p.Test, s)})
 	}
 	return out
-}
-
-// wbFamily reports whether kind publishes (covers pending stores) in the
-// annotated lowering: the raw per-line WB, the config-lowered publish,
-// and the annotated release-side forms, which all lower through a
-// WB ALL (or the MEB-served variant).
-func wbFamily(k litmus.InstrKind) bool {
-	switch k {
-	case litmus.IWB, litmus.IPublish, litmus.INotifyFlag, litmus.ICSExit, litmus.IBarrierSync:
-		return true
-	}
-	return false
-}
-
-// invFamily reports whether kind invalidates in the annotated lowering.
-func invFamily(k litmus.InstrKind) bool {
-	switch k {
-	case litmus.IINV, litmus.IInvalidate, litmus.IAwaitFlag, litmus.ICSEnter, litmus.IBarrierSync:
-		return true
-	}
-	return false
 }
 
 // wbCoverage returns the variables whose publication the site's mutation

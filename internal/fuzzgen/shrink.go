@@ -26,11 +26,7 @@ func (s Signature) String() string {
 	return s.Kind
 }
 
-// SignatureOf classifies one check outcome.
-func SignatureOf(t litmus.Test, cfg litmus.Config) Signature {
-	return signatureOf(Check(t, cfg))
-}
-
+// signatureOf classifies one check outcome.
 func signatureOf(res CheckResult) Signature {
 	switch {
 	case res.Err != nil:

@@ -3,19 +3,8 @@ package isa
 import "repro/internal/mem"
 
 // This file classifies operations for observers of a running machine —
-// schedule explorers, the coherence oracle, and trace analyzers — that
-// need to reason about what an op touches without re-deriving the
-// hierarchy's behavior.
-
-// IsWBFamily reports whether the op pushes dirty data toward shared
-// levels: the range, ALL, and level-adaptive writeback forms.
-func (k OpKind) IsWBFamily() bool {
-	switch k {
-	case OpWB, OpWBAll, OpWBCons, OpWBConsAll:
-		return true
-	}
-	return false
-}
+// schedule explorers and the coherence oracle — that need to reason
+// about what an op touches without re-deriving the hierarchy's behavior.
 
 // IsINVFamily reports whether the op discards potentially stale private
 // copies: the range, ALL, signature-filtered, and level-adaptive

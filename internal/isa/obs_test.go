@@ -7,17 +7,10 @@ import (
 )
 
 func TestOpFamilies(t *testing.T) {
-	wantWB := map[OpKind]bool{OpWB: true, OpWBAll: true, OpWBCons: true, OpWBConsAll: true}
 	wantINV := map[OpKind]bool{OpINV: true, OpINVAll: true, OpInvProd: true, OpInvProdAll: true, OpINVSig: true}
 	for k := OpKind(0); k < NumOpKinds; k++ {
-		if got := k.IsWBFamily(); got != wantWB[k] {
-			t.Errorf("%v.IsWBFamily() = %v, want %v", k, got, wantWB[k])
-		}
 		if got := k.IsINVFamily(); got != wantINV[k] {
 			t.Errorf("%v.IsINVFamily() = %v, want %v", k, got, wantINV[k])
-		}
-		if wantWB[k] && wantINV[k] {
-			t.Errorf("%v claims both WB and INV families", k)
 		}
 	}
 }

@@ -3,7 +3,6 @@ package litmus
 import (
 	"bytes"
 	"context"
-	"fmt"
 	"math/bits"
 	"sort"
 	"strconv"
@@ -21,8 +20,8 @@ import (
 // drain dirty words in this machine, and the oracle is purely
 // value-based), so every emitted test is violation-free by construction
 // and carries ExpectNone with an open (nil) Allowed set. The under-
-// annotated variants come from Mutants, which strips one annotation
-// bundle at a time; internal/fuzzgen judges those exhaustively.
+// annotated variants strip one annotation bundle at a time through
+// RawForm; internal/fuzzgen builds and judges those exhaustively.
 //
 // Termination of every generated program under every schedule is
 // guaranteed by construction:
@@ -558,65 +557,39 @@ func reify(prog [][]enumOp) Test {
 	return t
 }
 
-// rawForm maps each annotated sync instruction to its raw machine
-// counterpart, stripping the annotation bundle the config would lower
-// around it. Ops without a raw counterpart (the barrier has none in the
-// DSL) map to ok=false.
-func rawForm(in Instr) (Instr, bool) {
+// RawForm is the weakening table for under-annotated mutants: it returns
+// in with its annotated sync kind replaced by the raw machine counterpart
+// (notify→flag-set, await→flag-wait, cs-enter→acquire, cs-exit→release),
+// which keeps the synchronization but drops the WB/INV bundle the config
+// lowers around it. Ops without a raw counterpart (the barrier has none
+// in the DSL) return ok=false.
+func RawForm(in Instr) (Instr, bool) {
 	switch in.Kind {
 	case INotifyFlag:
-		return FlagSet(in.ID, in.Val), true
+		in.Kind = IFlagSet
 	case IAwaitFlag:
-		return FlagWait(in.ID, in.Val), true
+		in.Kind = IFlagWait
 	case ICSEnter:
-		return Acquire(in.ID), true
+		in.Kind = IAcquire
 	case ICSExit:
-		return Release(in.ID), true
+		in.Kind = IRelease
+	default:
+		return Instr{}, false
 	}
-	return Instr{}, false
+	return in, true
 }
 
-// mutationSites calls f with the position and raw counterpart of every
-// annotated sync instruction of t, in thread-major order: the sites
-// Mutants strips one at a time, and all that mutantCount counts.
-func mutationSites(t Test, f func(ti, ii int, raw Instr)) {
-	for ti, seq := range t.Threads {
-		for ii, in := range seq {
-			if raw, ok := rawForm(in); ok {
-				f(ti, ii, raw)
+// mutantCount is the number of t's instructions RawForm weakens: one
+// mutant per annotated sync site.
+func mutantCount(t Test) int {
+	n := 0
+	for _, seq := range t.Threads {
+		for _, in := range seq {
+			if _, ok := RawForm(in); ok {
+				n++
 			}
 		}
 	}
-}
-
-// Mutants returns the under-annotated variants of t: every annotated
-// sync instruction is individually replaced by its raw counterpart
-// (dropping that site's WB/INV bundle). Each mutant keeps ExpectNone and
-// the open outcome set — the caller judges it by exhaustive exploration
-// (internal/fuzzgen.JudgeExhaustive): either some schedule exposes a
-// violation, or zero violations across the full schedule space prove the
-// annotation was masked (no communication crossed it).
-func Mutants(t Test) []Test {
-	var ms []Test
-	mutationSites(t, func(ti, ii int, raw Instr) {
-		in := t.Threads[ti][ii]
-		m := t
-		m.Name = fmt.Sprintf("%s!t%di%d-raw", t.Name, ti, ii)
-		m.Doc = fmt.Sprintf("mutant of %s: thread %d instr %d (%v) stripped to %v", t.Name, ti, ii, in.Kind, raw.Kind)
-		m.Threads = make([][]Instr, len(t.Threads))
-		for j, s := range t.Threads {
-			m.Threads[j] = append([]Instr(nil), s...)
-		}
-		m.Threads[ti][ii] = raw
-		ms = append(ms, m)
-	})
-	return ms
-}
-
-// mutantCount is len(Mutants(t)), without building the mutants.
-func mutantCount(t Test) int {
-	n := 0
-	mutationSites(t, func(int, int, Instr) { n++ })
 	return n
 }
 

@@ -58,14 +58,6 @@ type HistSnapshot struct {
 	Buckets []int64 `json:"buckets,omitempty"`
 }
 
-// Mean returns the arithmetic mean of the observations (0 when empty).
-func (s HistSnapshot) Mean() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return float64(s.Sum) / float64(s.Count)
-}
-
 func (h *Hist) snapshot() HistSnapshot {
 	s := HistSnapshot{Count: h.count.Load(), Sum: h.sum.Load(), Max: h.max.Load()}
 	last := -1

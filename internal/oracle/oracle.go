@@ -437,6 +437,22 @@ func (o *Oracle) dropUnpub(t int, a mem.Addr) {
 	}
 }
 
+// legalHere reports whether got is in the word's legal read set: the
+// last happens-before-ordered write's value or any still-concurrent
+// write's value. Allocation-free; shared by the hot-path load check and
+// CheckFinal.
+func legalHere(ws *wordState, got mem.Word) bool {
+	if got == ws.wr.val {
+		return true
+	}
+	for _, e := range ws.conc {
+		if got == e.val {
+			return true
+		}
+	}
+	return false
+}
+
 // load checks a read against the legal value set.
 func (o *Oracle) load(ev engine.Event) {
 	t := ev.Thread

@@ -158,6 +158,68 @@ func TestCheckFinalCleanMemory(t *testing.T) {
 	}
 }
 
+// TestLegalValuesUnwritten: a word no thread wrote is unconstrained, for
+// loads and for the final memory image alike.
+func TestLegalValuesUnwritten(t *testing.T) {
+	o := New(2)
+	loadEv(o, 0, 0x100, 42)
+	m := mem.NewMemory()
+	m.WriteWord(0x100, 9)
+	o.CheckFinal(m)
+	if o.Total() != 0 {
+		t.Fatalf("unwritten word constrained: %v", o.Violations())
+	}
+}
+
+// TestLegalValuesRespectHappensBefore: the writer itself is ordered after
+// its own write, and any byte address of a word checks that word.
+func TestLegalValuesRespectHappensBefore(t *testing.T) {
+	o := New(2)
+	store(o, 0, 0x100, 7)
+	loadEv(o, 0, 0x100, 7)
+	if o.Total() != 0 {
+		t.Fatalf("writer's own value flagged: %v", o.Violations())
+	}
+	loadEv(o, 0, 0x100, 0)
+	if o.Total() != 1 {
+		t.Fatalf("writer's stale read of its own write: Total = %d, want 1", o.Total())
+	}
+	store(o, 0, 0x200, 3)
+	flagSet(o, 0, 3)
+	flagWaitDone(o, 1, 3)
+	loadEv(o, 1, 0x202, 3)
+	if o.Total() != 1 {
+		t.Fatalf("mid-word read of the ordered value flagged: %v", o.Violations())
+	}
+	loadEv(o, 1, 0x202, 0)
+	if o.Total() != 2 || o.Violations()[1].Addr != 0x200 {
+		t.Fatalf("mid-word stale read not flagged at its word: %v", o.Violations())
+	}
+}
+
+// TestLegalValuesConcurrentWritesAndDedup: drained memory may hold any of
+// a word's concurrent last writes, and a value two threads both wrote is
+// one legal value.
+func TestLegalValuesConcurrentWritesAndDedup(t *testing.T) {
+	final := func(got mem.Word) int {
+		o := New(3)
+		store(o, 0, 0x200, 1)
+		store(o, 1, 0x200, 2) // concurrent with thread 0's write
+		store(o, 0, 0x300, 5)
+		store(o, 1, 0x300, 5)
+		m := mem.NewMemory()
+		m.WriteWord(0x200, got)
+		m.WriteWord(0x300, 5)
+		o.CheckFinal(m)
+		return o.Total()
+	}
+	for got, want := range map[mem.Word]int{1: 0, 2: 0, 3: 1} {
+		if n := final(got); n != want {
+			t.Errorf("final value %d: Total = %d, want %d", got, n, want)
+		}
+	}
+}
+
 // ---- Integration: injected fault ⇒ detected violation ------------------
 
 // checkedRun executes guests on an intra-block incoherent hierarchy with

@@ -231,29 +231,6 @@ func (f *Figure) Render() string {
 	return b.String()
 }
 
-// GeoMeanTotals returns, for each bar label, the geometric mean across
-// groups of the bar's total height. The paper's "average" bars over
-// normalized execution times are means over the per-application ratios;
-// the geometric mean is the standard aggregation for normalized ratios.
-func (f *Figure) GeoMeanTotals() map[string]float64 {
-	prod := make(map[string]float64)
-	n := make(map[string]int)
-	for _, g := range f.Groups {
-		for _, bar := range g.Bars {
-			if _, ok := prod[bar.Label]; !ok {
-				prod[bar.Label] = 1
-			}
-			prod[bar.Label] *= bar.Height()
-			n[bar.Label]++
-		}
-	}
-	out := make(map[string]float64, len(prod))
-	for label, p := range prod {
-		out[label] = pow(p, 1/float64(n[label]))
-	}
-	return out
-}
-
 // MeanTotals returns the arithmetic mean of bar totals per label, matching
 // how the paper's "Average" group is computed in Figures 9-12.
 func (f *Figure) MeanTotals() map[string]float64 {
@@ -270,67 +247,4 @@ func (f *Figure) MeanTotals() map[string]float64 {
 		out[label] = s / float64(n[label])
 	}
 	return out
-}
-
-func pow(x, y float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	return math.Pow(x, y)
-}
-
-// RenderBars prints the figure as horizontal ASCII bars (one per config
-// bar, segments marked by category initials), scaled so the largest bar
-// spans width characters. It complements Render for quick visual reading
-// in terminals.
-func (f *Figure) RenderBars(width int) string {
-	if width < 10 {
-		width = 10
-	}
-	var maxH float64
-	for _, g := range f.Groups {
-		for _, bar := range g.Bars {
-			if h := bar.Height(); h > maxH {
-				maxH = h
-			}
-		}
-	}
-	if maxH == 0 {
-		maxH = 1
-	}
-	marks := make([]byte, len(f.Categories))
-	for i, c := range f.Categories {
-		if len(c) > 0 {
-			marks[i] = c[0]
-		} else {
-			marks[i] = '#'
-		}
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s\n", f.Title)
-	for _, g := range f.Groups {
-		fmt.Fprintf(&b, "%s\n", g.Name)
-		for _, bar := range g.Bars {
-			fmt.Fprintf(&b, "  %-8s ", bar.Label)
-			for i, s := range bar.Segments {
-				n := int(finite(s) / maxH * float64(width))
-				mark := byte('#')
-				if i < len(marks) {
-					mark = marks[i]
-				}
-				for k := 0; k < n; k++ {
-					b.WriteByte(mark)
-				}
-			}
-			fmt.Fprintf(&b, " %.3f\n", bar.Height())
-		}
-	}
-	if len(f.Categories) > 0 {
-		b.WriteString("legend:")
-		for i, c := range f.Categories {
-			fmt.Fprintf(&b, " %c=%s", marks[i], c)
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
 }

@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -133,54 +132,5 @@ func TestFigureMeans(t *testing.T) {
 	}
 	if got := f.MeanTotals()["x"]; got != 2.5 {
 		t.Errorf("arithmetic mean = %v", got)
-	}
-	if got := f.GeoMeanTotals()["x"]; math.Abs(got-2) > 1e-12 {
-		t.Errorf("geometric mean = %v", got)
-	}
-}
-
-func TestGeoMeanZeroBar(t *testing.T) {
-	f := &Figure{Groups: []Group{{Name: "a", Bars: []Bar{{Label: "x", Segments: []float64{0}}}}}}
-	if got := f.GeoMeanTotals()["x"]; got != 0 {
-		t.Errorf("geomean with zero bar = %v", got)
-	}
-}
-
-func TestRenderBars(t *testing.T) {
-	f := &Figure{
-		Title:      "Figure X",
-		Categories: []string{"inv", "wb", "rest"},
-		Groups: []Group{{Name: "app", Bars: []Bar{
-			{Label: "HCC", Segments: []float64{0, 0, 1}},
-			{Label: "Base", Segments: []float64{0.2, 0.3, 1}},
-		}}},
-	}
-	out := f.RenderBars(40)
-	for _, want := range []string{"Figure X", "app", "HCC", "Base", "legend:", "i=inv"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("RenderBars missing %q:\n%s", want, out)
-		}
-	}
-	// The Base bar (height 1.5) is the longest; its segment characters
-	// must outnumber HCC's.
-	lines := strings.Split(out, "\n")
-	var hccLen, baseLen int
-	for _, l := range lines {
-		if strings.Contains(l, "HCC") {
-			hccLen = strings.Count(l, "r")
-		}
-		if strings.Contains(l, "Base") {
-			baseLen = strings.Count(l, "r") + strings.Count(l, "i") + strings.Count(l, "w")
-		}
-	}
-	if baseLen <= hccLen {
-		t.Errorf("Base bar (%d marks) should be longer than HCC (%d)", baseLen, hccLen)
-	}
-}
-
-func TestRenderBarsEmptyFigure(t *testing.T) {
-	f := &Figure{Title: "empty"}
-	if out := f.RenderBars(5); !strings.Contains(out, "empty") {
-		t.Error("empty figure should still render its title")
 	}
 }

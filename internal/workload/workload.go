@@ -161,12 +161,6 @@ func ChunkOf(n, t, nthreads int) (lo, hi int) {
 	return lo, hi
 }
 
-// OwnerOf returns the thread owning item i under chunk distribution.
-func OwnerOf(n, i, nthreads int) int {
-	per := (n + nthreads - 1) / nthreads
-	return i / per
-}
-
 // CheckWord compares one memory word against an expected value.
 func CheckWord(m *mem.Memory, a mem.Addr, want mem.Word, what string) error {
 	if got := m.ReadWord(a); got != want {

@@ -88,20 +88,6 @@ func TestChunksAreConsecutive(t *testing.T) {
 	}
 }
 
-func TestOwnerOfMatchesChunkOf(t *testing.T) {
-	f := func(n8, t8, i8 uint8) bool {
-		n := int(n8%200) + 1
-		threads := int(t8%32) + 1
-		i := int(i8) % n
-		owner := OwnerOf(n, i, threads)
-		lo, hi := ChunkOf(n, owner, threads)
-		return i >= lo && i < hi
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestCheckWord(t *testing.T) {
 	m := mem.NewMemory()
 	m.WriteWord(0x100, 5)
