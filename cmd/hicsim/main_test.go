@@ -245,6 +245,9 @@ func TestSuiteOutputsPinned(t *testing.T) {
 		{[]string{"-suite", "inter", "-scale", "test"}, "3de371901c0f1fec113b99d45432c2951bc9adf146b0b7272cbaece3e8d751e2"},
 		{[]string{"-suite", "all", "-scale", "test", "-json"}, "9f1138cdeac479ab816f6fb299ee022a5139dcec7ddac6e00117850a3930c3ff"},
 		{[]string{"-suite", "all", "-scale", "test"}, "88418acf100416965bdac123a7c23c42da581c5d4d6717ad03c48d6560ccb7aa"},
+		// The only pinned document with metric snapshots: both
+		// hierarchies' cache, L3 and memory metrics.
+		{[]string{"-suite", "all", "-scale", "test", "-metrics", "-json"}, "b9fdbbf4f5edcbf738688928365dc7752fe242d26b89061ebd9fdde11ca1a688"},
 		{[]string{"-suite", "overhead", "-json"}, "24686374509b8fd25671fbb13ca511cd2b0c99d6ebde2b54d78bcd470191a87e"},
 		{[]string{"-suite", "overhead"}, "1dacf5b0c48c9997198f815f70acaba3c94ed1448a131ff6d5bec2eb7aa198e3"},
 		{[]string{"-suite", "manycore", "-blocks", "4", "-scale", "test", "-json"}, "4aa5726b9e5724f75ad67d4b9eb9d218107f6c4bf375aa894ed99ca211a96b06"},

@@ -106,3 +106,48 @@ func TestMinCacheSets(t *testing.T) {
 		t.Errorf("MinCacheSets = %d exceeds the L1's %d sets", got, l1)
 	}
 }
+
+// pinOps runs a fixed op sequence that touches every level: same-set
+// stores and cross-core loads that evict from the L1s, whole-cache WB and
+// INV, an armed-IEB load, uncached accesses and a range writeback.
+func pinOps(h *Hierarchy) {
+	n := h.Machine().NumCores()
+	for i := 0; i < 6; i++ {
+		c := i * 5 % n
+		a := mem.Addr(0x1000 + i*(8<<10))
+		h.Store(c, a, mem.Word(i+1))
+		h.Load((c+1)%n, a)
+	}
+	h.WBAll(0, true, isa.LevelAuto)
+	h.INVAll(1, true, isa.LevelAuto)
+	h.Load(1, 0x1000)
+	h.StoreUncached(2, 0x9000, 77)
+	h.LoadUncached(3, 0x9000)
+	h.Store(n-1, 0xa000, 9)
+	h.WB(n-1, mem.WordRange(0xa000, 1), isa.LevelAuto)
+}
+
+// TestFingerprintPinned pins Fingerprint and ReferenceFingerprint after
+// pinOps, and again after Drain, on the intra machine and on the
+// four-block inter machine (which has an L3). A refactor of the cache
+// levels must leave every value unchanged.
+func TestFingerprintPinned(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		h    *Hierarchy
+		want [4]uint64 // Fingerprint, ReferenceFingerprint; then both after Drain
+	}{
+		{"intra", intraHierarchy(), [4]uint64{0x66972c0a3a193611, 0x66972c0a3a193611, 0x20cd3d5e938cb3f9, 0x20cd3d5e938cb3f9}},
+		{"inter", interHierarchy(), [4]uint64{0x9397e1168f86a096, 0x9397e1168f86a096, 0x35a8205f9312add8, 0x35a8205f9312add8}},
+	} {
+		h := tc.h
+		pinOps(h)
+		var got [4]uint64
+		got[0], got[1] = h.Fingerprint(), h.ReferenceFingerprint()
+		h.Drain()
+		got[2], got[3] = h.Fingerprint(), h.ReferenceFingerprint()
+		if got != tc.want {
+			t.Errorf("%s: fingerprints = %#x, want %#x", tc.name, got, tc.want)
+		}
+	}
+}

@@ -383,3 +383,43 @@ func TestCrossBlockMigratoryChain(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestFingerprintPinned pins Fingerprint after a fixed op sequence, and
+// again after Drain, on the intra machine and on the four-block inter
+// machine (which has an L3). The sequence's same-set stores evict from
+// the L1s, its cross-core loads forward and downgrade, and its uncached
+// accesses reach memory. A refactor of the cache levels must leave every
+// value unchanged.
+func TestFingerprintPinned(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		h    *Hierarchy
+		want [2]uint64 // Fingerprint; Fingerprint after Drain
+	}{
+		{"intra", intraHCC(), [2]uint64{0x89b0867350d33a14, 0x58092025556d2595}},
+		{"inter", interHCC(), [2]uint64{0x8db7e631300f47c3, 0x831f6b1c603fb656}},
+	} {
+		h := tc.h
+		n := h.Machine().NumCores()
+		for i := 0; i < 6; i++ {
+			c := i * 5 % n
+			a := mem.Addr(0x1000 + i*(8<<10))
+			h.Store(c, a, mem.Word(i+1))
+			h.Load((c+1)%n, a)
+		}
+		h.Store(1, 0x1000, 11)
+		h.StoreUncached(2, 0x9000, 77)
+		h.LoadUncached(3, 0x9000)
+		h.Store(n-1, 0xa000, 9)
+		var got [2]uint64
+		got[0] = h.Fingerprint()
+		h.Drain()
+		got[1] = h.Fingerprint()
+		if got != tc.want {
+			t.Errorf("%s: fingerprints = %#x, want %#x", tc.name, got, tc.want)
+		}
+		if err := h.CheckInvariants(); err != nil {
+			t.Error(err)
+		}
+	}
+}
