@@ -140,9 +140,9 @@ func (h *Hierarchy) SigPublish(core, ch int) int64 {
 	sig.Union(w)
 	w.Reset()
 	h.ctr(core).Inc("bloom.publishes", 1)
-	h.m.Mesh.Account(stats.SyncTraffic, w.SizeFlits())
+	h.M.Mesh.Account(stats.SyncTraffic, w.SizeFlits())
 	// The signature rides the release message to the controller.
-	return h.m.SyncCost(core, ch) / 2
+	return h.M.SyncCost(core, ch) / 2
 }
 
 // INVSig selectively self-invalidates core's L1 using channel ch's
@@ -154,12 +154,12 @@ func (h *Hierarchy) INVSig(core, ch int) int64 {
 	if h.bloom == nil {
 		return 0
 	}
-	p := h.m.Params
+	p := h.M.Params
 	sig, ok := h.bloom.channels[ch]
 	if !ok {
 		return p.ScanPerFrame
 	}
-	l1 := h.l1[core]
+	l1 := h.L1[core]
 	lat := int64(l1.NumFrames()) * p.TraversalPerFrame
 	drains := 0
 	matched := 0

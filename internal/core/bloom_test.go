@@ -101,10 +101,10 @@ func TestINVSigIsSelective(t *testing.T) {
 	h.WBAll(0, false, isa.LevelAuto)
 	h.SigPublish(0, ch)
 	h.INVSig(1, ch)
-	if h.l1[1].Peek(written) != nil {
+	if h.L1[1].Peek(written) != nil {
 		t.Error("written line should have been invalidated")
 	}
-	if h.l1[1].Peek(untouched) == nil {
+	if h.L1[1].Peek(untouched) == nil {
 		t.Error("unwritten line should have survived the selective invalidation")
 	}
 }

@@ -92,7 +92,7 @@ func TestWBLeavesLineCleanValid(t *testing.T) {
 	a := mem.Addr(0x3000)
 	h.Store(0, a, 5)
 	h.WB(0, mem.WordRange(a, 1), isa.LevelAuto)
-	l := h.l1[0].Peek(a)
+	l := h.L1[0].Peek(a)
 	if l == nil || !l.Valid {
 		t.Fatal("line should remain valid after WB")
 	}
@@ -114,7 +114,7 @@ func TestWBNoEffectWhenClean(t *testing.T) {
 	if h.Counters().Get("wb.words") != before {
 		t.Error("clean WB moved data")
 	}
-	if lat >= h.m.Params.L2RT {
+	if lat >= h.M.Params.L2RT {
 		t.Errorf("clean WB latency %d should not include a drain round trip", lat)
 	}
 }
@@ -126,7 +126,7 @@ func TestINVDrainsDirtyDataFirst(t *testing.T) {
 	// INV without prior WB: Section III-B says dirty data is written back
 	// before invalidation, so no update may be lost.
 	h.INV(0, mem.WordRange(a, 1), isa.LevelAuto)
-	if h.l1[0].Peek(a) != nil {
+	if h.L1[0].Peek(a) != nil {
 		t.Fatal("line still present after INV")
 	}
 	if v, _ := h.Load(1, a); v != 77 {
@@ -143,7 +143,7 @@ func TestINVRangeExpandsToLines(t *testing.T) {
 	}
 	h.INV(0, mem.RangeOf(base+4, 2*mem.LineBytes), isa.LevelAuto)
 	for i := 0; i < 3; i++ {
-		if h.l1[0].Peek(base+mem.Addr(i*mem.LineBytes)) != nil {
+		if h.L1[0].Peek(base+mem.Addr(i*mem.LineBytes)) != nil {
 			t.Errorf("line %d not invalidated", i)
 		}
 	}
@@ -155,10 +155,10 @@ func TestWBAllFullTraversal(t *testing.T) {
 		h.Store(0, mem.Addr(0x6000+i*mem.LineBytes), mem.Word(i))
 	}
 	lat := h.WBAll(0, false, isa.LevelAuto)
-	if lat < int64(h.l1[0].NumFrames()) {
+	if lat < int64(h.L1[0].NumFrames()) {
 		t.Errorf("full WB ALL latency %d below tag traversal cost", lat)
 	}
-	if h.l1[0].CountDirty() != 0 {
+	if h.L1[0].CountDirty() != 0 {
 		t.Error("dirty lines remain after WB ALL")
 	}
 	// Values visible to others after INV.
@@ -179,7 +179,7 @@ func TestWBAllMEBServedAndCheaper(t *testing.T) {
 	if h.Counters().Get("meb.served") != 1 {
 		t.Fatal("MEB did not serve the WB ALL")
 	}
-	if h.l1[0].CountDirty() != 0 {
+	if h.L1[0].CountDirty() != 0 {
 		t.Error("MEB WB ALL left dirty lines")
 	}
 	// Compare against a full traversal on a second, identical hierarchy.
@@ -202,7 +202,7 @@ func TestMEBOverflowFallsBack(t *testing.T) {
 	if h.Counters().Get("meb.fallback") != 1 {
 		t.Error("overflowed MEB should fall back to full traversal")
 	}
-	if h.l1[0].CountDirty() != 0 {
+	if h.L1[0].CountDirty() != 0 {
 		t.Error("fallback WB ALL left dirty lines")
 	}
 	// The WB ALL cleared the MEB, so it is valid again.
@@ -230,7 +230,7 @@ func TestMEBSoundnessProperty(t *testing.T) {
 			}
 		}
 		h.WBAll(0, true, isa.LevelAuto)
-		return h.l1[0].CountDirty() == 0
+		return h.L1[0].CountDirty() == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
@@ -337,7 +337,7 @@ func TestLatencyOrdering(t *testing.T) {
 	h := interHierarchy()
 	a := mem.Addr(0xe000)
 	_, missLat := h.Load(0, a) // cold: memory
-	if missLat < h.m.Params.MemRT {
+	if missLat < h.M.Params.MemRT {
 		t.Errorf("cold miss latency %d below memory RT", missLat)
 	}
 	if _, lat := h.Load(0, a); lat != 0 {

@@ -28,18 +28,18 @@ import (
 // latency. Ranges must be line-aligned and of equal, line-multiple length
 // (the DMA engine works in whole lines).
 func (h *Hierarchy) DMACopy(core int, dst mem.Addr, src mem.Range, toBlock int) int64 {
-	if h.l3 == nil {
+	if h.L3 == nil {
 		// Single-block machine: the L2 is the only shared level; a DMA
 		// degenerates to an L2-to-L2 copy within the block.
-		toBlock = h.m.BlockOf(core)
+		toBlock = h.M.BlockOf(core)
 	}
 	if src.Base%mem.LineBytes != 0 || dst%mem.LineBytes != 0 || src.Bytes%mem.LineBytes != 0 {
 		panic("core: DMA ranges must be line-aligned and line-multiple")
 	}
-	if toBlock < 0 || toBlock >= h.m.Blocks {
+	if toBlock < 0 || toBlock >= h.M.Blocks {
 		panic("core: DMA target block out of range")
 	}
-	p := h.m.Params
+	p := h.M.Params
 	lines := int64(src.NumLines())
 	h.ctr(core).Inc("dma.transfers", 1)
 	h.ctr(core).Inc("dma.lines", lines)
@@ -49,38 +49,38 @@ func (h *Hierarchy) DMACopy(core int, dst mem.Addr, src mem.Range, toBlock int) 
 		var words [mem.WordsPerLine]mem.Word
 		// Source of truth: L3 (the caller wrote back globally), falling
 		// back to memory.
-		if h.l3 != nil {
-			if l3l := h.l3.Peek(line); l3l != nil {
+		if h.L3 != nil {
+			if l3l := h.L3.Peek(line); l3l != nil {
 				words = l3l.Words
 			} else {
-				h.backing.ReadLine(line, &words)
+				h.Backing.ReadLine(line, &words)
 			}
 		} else {
-			b := h.m.BlockOf(core)
-			if l2l := h.l2[b].Peek(line); l2l != nil {
+			b := h.M.BlockOf(core)
+			if l2l := h.L2[b].Peek(line); l2l != nil {
 				words = l2l.Words
 			} else {
-				h.backing.ReadLine(line, &words)
+				h.Backing.ReadLine(line, &words)
 			}
 		}
 		dline := mem.Addr(int64(line) + off)
 		// Destination in L3 (dirty with respect to memory).
-		if h.l3 != nil {
-			if l3l := h.l3.Peek(dline); l3l != nil {
+		if h.L3 != nil {
+			if l3l := h.L3.Peek(dline); l3l != nil {
 				l3l.Words = words
 				l3l.Dirty = mem.FullMask
 			} else {
 				var victim cache.Line
-				if _, evicted := h.l3.Insert(dline, &words, 0, &victim); evicted && victim.IsDirty() {
+				if _, evicted := h.L3.Insert(dline, &words, 0, &victim); evicted && victim.IsDirty() {
 					h.writeMemory(victim.Tag, &victim.Words, victim.Dirty)
 				}
-				h.l3.Peek(dline).Dirty = mem.FullMask
+				h.L3.Peek(dline).Dirty = mem.FullMask
 			}
 		} else {
-			h.backing.WriteLine(dline, &words, mem.FullMask)
+			h.Backing.WriteLine(dline, &words, mem.FullMask)
 		}
 		// Deposit into the target block's L2 (clean: the L3 holds it too).
-		l2 := h.l2[toBlock]
+		l2 := h.L2[toBlock]
 		if l2l := l2.Peek(dline); l2l != nil {
 			l2l.Words = words
 			l2l.Dirty = 0
@@ -90,18 +90,18 @@ func (h *Hierarchy) DMACopy(core int, dst mem.Addr, src mem.Range, toBlock int) 
 				h.mergeBelowL2(victim.Tag, &victim.Words, victim.Dirty)
 			}
 		}
-		h.m.Mesh.Account(stats.MemoryTraffic, noc.CtrlFlits()+noc.DataFlits(mem.LineBytes)) // L3 read leg
-		h.m.Mesh.Account(stats.Writeback, noc.DataFlits(mem.LineBytes))                     // deposit leg
+		h.M.Mesh.Account(stats.MemoryTraffic, noc.CtrlFlits()+noc.DataFlits(mem.LineBytes)) // L3 read leg
+		h.M.Mesh.Account(stats.Writeback, noc.DataFlits(mem.LineBytes))                     // deposit leg
 	})
 
 	// Initiation cost: descriptor round trip to the engine at the L3 plus
 	// pipelined per-line occupancy.
 	var rt int64
-	if h.l3 != nil {
-		rt = p.L3RT + h.m.Mesh.RTLatency(h.m.CoreNode(core), h.m.L3Node(src.Base))
+	if h.L3 != nil {
+		rt = p.L3RT + h.M.Mesh.RTLatency(h.M.CoreNode(core), h.M.L3Node(src.Base))
 	} else {
-		b := h.m.BlockOf(core)
-		rt = p.L2RT + h.m.Mesh.RTLatency(h.m.CoreNode(core), h.m.L2BankNode(b, src.Base))
+		b := h.M.BlockOf(core)
+		rt = p.L2RT + h.M.Mesh.RTLatency(h.M.CoreNode(core), h.M.L2BankNode(b, src.Base))
 	}
 	return rt + lines*p.WBOccupancy
 }

@@ -29,7 +29,7 @@ func TestDMACopyCrossBlock(t *testing.T) {
 		if v != mem.Word(100+i) {
 			t.Fatalf("word %d = %d, want %d", i, v, 100+i)
 		}
-		if i%mem.WordsPerLine == 0 && l >= h.m.Params.MemRT {
+		if i%mem.WordsPerLine == 0 && l >= h.M.Params.MemRT {
 			t.Errorf("word %d latency %d: DMA deposit should avoid deep misses", i, l)
 		}
 	}

@@ -50,7 +50,7 @@ func (h *Hierarchy) wbFaultRange(core int, r mem.Range) (int64, bool) {
 	case faultinject.WBDelay:
 		h.ctr(core).Inc("fault.wb.delayed", 1)
 		r.Lines(func(line mem.Addr, _ mem.LineMask) {
-			if l := h.l1[core].Peek(line); l != nil && l.IsDirty() {
+			if l := h.L1[core].Peek(line); l != nil && l.IsDirty() {
 				h.park(l)
 			}
 		})
@@ -70,7 +70,7 @@ func (h *Hierarchy) wbFaultAll(core int) (int64, bool) {
 		return 1, true
 	case faultinject.WBDelay:
 		h.ctr(core).Inc("fault.wb.delayed", 1)
-		h.l1[core].ForEachValid(func(_ cache.FrameID, l *cache.Line) {
+		h.L1[core].ForEachValid(func(_ cache.FrameID, l *cache.Line) {
 			if l.IsDirty() {
 				h.park(l)
 			}
@@ -101,7 +101,7 @@ func (h *Hierarchy) park(l *cache.Line) {
 func (h *Hierarchy) applyDelayed() {
 	for i := range h.delayed {
 		d := &h.delayed[i]
-		h.backing.WriteLine(d.line, &d.words, d.mask)
+		h.Backing.WriteLine(d.line, &d.words, d.mask)
 	}
 	h.delayed = h.delayed[:0]
 }

@@ -28,15 +28,15 @@ func (h *Hierarchy) fingerprint(memFP func(*mem.Memory) uint64, cacheFP func(*ca
 	if h.bloom != nil {
 		panic("core: Fingerprint does not cover Bloom-signature state")
 	}
-	fp := memFP(h.backing)
-	for _, c := range h.l1 {
+	fp := memFP(h.Backing)
+	for _, c := range h.L1 {
 		fp = mem.Mix64(fp, cacheFP(c))
 	}
-	for _, c := range h.l2 {
+	for _, c := range h.L2 {
 		fp = mem.Mix64(fp, cacheFP(c))
 	}
-	if h.l3 != nil {
-		fp = mem.Mix64(fp, cacheFP(h.l3))
+	if h.L3 != nil {
+		fp = mem.Mix64(fp, cacheFP(h.L3))
 	}
 	for core, b := range h.meb {
 		if b == nil {
@@ -85,19 +85,19 @@ func boolBit(b bool) uint64 {
 // are powers of two), which is what isa.Deps needs to make independence
 // sound under evictions.
 func (h *Hierarchy) MinCacheSets() int {
-	min := h.l1[0].Sets()
-	for _, c := range h.l1 {
+	min := h.L1[0].Sets()
+	for _, c := range h.L1 {
 		if c.Sets() < min {
 			min = c.Sets()
 		}
 	}
-	for _, c := range h.l2 {
+	for _, c := range h.L2 {
 		if c.Sets() < min {
 			min = c.Sets()
 		}
 	}
-	if h.l3 != nil && h.l3.Sets() < min {
-		min = h.l3.Sets()
+	if h.L3 != nil && h.L3.Sets() < min {
+		min = h.L3.Sets()
 	}
 	return min
 }

@@ -102,7 +102,7 @@ func TestMinCacheSets(t *testing.T) {
 		t.Errorf("MinCacheSets = %d, want 16 (the L1)", got)
 	}
 	inter := interHierarchy()
-	if got, l1 := inter.MinCacheSets(), inter.l1[0].Sets(); got > l1 {
+	if got, l1 := inter.MinCacheSets(), inter.L1[0].Sets(); got > l1 {
 		t.Errorf("MinCacheSets = %d exceeds the L1's %d sets", got, l1)
 	}
 }

@@ -73,13 +73,13 @@ func DefaultConfig(m *topo.Machine) Config {
 
 // Hierarchy is one hardware-incoherent cache hierarchy instance.
 type Hierarchy struct {
-	m   *topo.Machine
+	M   *topo.Machine
 	cfg Config
 
-	backing *mem.Memory
-	l1      []*cache.Cache // per core
-	l2      []*cache.Cache // per block
-	l3      *cache.Cache   // nil when the machine has no L3
+	Backing *mem.Memory
+	L1      []*cache.Cache // per core
+	L2      []*cache.Cache // per block
+	L3      *cache.Cache   // nil when the machine has no L3
 
 	meb []*MEB // per core, nil entries when disabled
 	ieb []*IEB // per core, nil entries when disabled
@@ -118,11 +118,11 @@ type Hierarchy struct {
 // memory. Threads are mapped identically to cores (thread t on core t).
 func New(m *topo.Machine, cfg Config) *Hierarchy {
 	h := &Hierarchy{
-		m:       m,
+		M:       m,
 		cfg:     cfg,
-		backing: mem.NewMemory(),
-		l1:      make([]*cache.Cache, m.NumCores()),
-		l2:      make([]*cache.Cache, m.Blocks),
+		Backing: mem.NewMemory(),
+		L1:      make([]*cache.Cache, m.NumCores()),
+		L2:      make([]*cache.Cache, m.Blocks),
 		meb:     make([]*MEB, m.NumCores()),
 		ieb:     make([]*IEB, m.NumCores()),
 		ctrs:    make([]*stats.Counters, m.Blocks),
@@ -130,8 +130,8 @@ func New(m *topo.Machine, cfg Config) *Hierarchy {
 	for b := range h.ctrs {
 		h.ctrs[b] = stats.NewCounters()
 	}
-	for c := range h.l1 {
-		h.l1[c] = cache.New(cfg.L1)
+	for c := range h.L1 {
+		h.L1[c] = cache.New(cfg.L1)
 		if cfg.MEBEntries > 0 {
 			h.meb[c] = NewMEB(cfg.MEBEntries)
 		}
@@ -139,14 +139,14 @@ func New(m *topo.Machine, cfg Config) *Hierarchy {
 			h.ieb[c] = NewIEB(cfg.IEBEntries)
 		}
 	}
-	for b := range h.l2 {
-		h.l2[b] = cache.New(cfg.L2)
+	for b := range h.L2 {
+		h.L2[b] = cache.New(cfg.L2)
 	}
 	if m.L3Banks > 0 {
 		if cfg.L3.Bytes == 0 {
 			panic("core: machine has L3 banks but config has no L3 cache")
 		}
-		h.l3 = cache.New(cfg.L3)
+		h.L3 = cache.New(cfg.L3)
 	}
 	h.threadMap = make([]int, m.NumCores())
 	for t := range h.threadMap {
@@ -180,15 +180,15 @@ func (h *Hierarchy) Reset() {
 	case h.bloom != nil:
 		panic("core: Reset of a hierarchy with Bloom signatures")
 	}
-	h.backing.Reset()
-	for _, c := range h.l1 {
+	h.Backing.Reset()
+	for _, c := range h.L1 {
 		c.Reset()
 	}
-	for _, c := range h.l2 {
+	for _, c := range h.L2 {
 		c.Reset()
 	}
-	if h.l3 != nil {
-		h.l3.Reset()
+	if h.L3 != nil {
+		h.L3.Reset()
 	}
 	for _, b := range h.meb {
 		if b != nil {
@@ -203,23 +203,23 @@ func (h *Hierarchy) Reset() {
 		}
 	}
 	for t := range h.threadMap {
-		h.threadMap[t] = h.m.BlockOf(t)
+		h.threadMap[t] = h.M.BlockOf(t)
 	}
 	h.delayed = h.delayed[:0]
 	for _, c := range h.ctrs {
 		c.Reset()
 	}
-	h.m.Mesh.ResetTraffic()
+	h.M.Mesh.ResetTraffic()
 }
 
 // Machine returns the topology the hierarchy is built on.
-func (h *Hierarchy) Machine() *topo.Machine { return h.m }
+func (h *Hierarchy) Machine() *topo.Machine { return h.M }
 
 // Memory returns the backing store (authoritative only after Drain).
-func (h *Hierarchy) Memory() *mem.Memory { return h.backing }
+func (h *Hierarchy) Memory() *mem.Memory { return h.Backing }
 
 // ctr returns the counter bag events raised on core must land in.
-func (h *Hierarchy) ctr(core int) *stats.Counters { return h.ctrs[h.m.BlockOf(core)] }
+func (h *Hierarchy) ctr(core int) *stats.Counters { return h.ctrs[h.M.BlockOf(core)] }
 
 // Counters returns the protocol event counters, merged across the
 // per-block bags. Callers must be quiescent with respect to shard
@@ -236,20 +236,20 @@ func (h *Hierarchy) Counters() *stats.Counters {
 }
 
 // Traffic returns accumulated network traffic.
-func (h *Hierarchy) Traffic() stats.Traffic { return h.m.Mesh.Traffic() }
+func (h *Hierarchy) Traffic() stats.Traffic { return h.M.Mesh.Traffic() }
 
 // SyncCost implements the synchronization cost hook for the hwsync
 // controller, accounting the request/grant message pair as sync traffic.
 func (h *Hierarchy) SyncCost(core, id int) int64 {
-	h.m.Mesh.Account(stats.SyncTraffic, 2)
-	return h.m.SyncCost(core, id)
+	h.M.Mesh.Account(stats.SyncTraffic, 2)
+	return h.M.SyncCost(core, id)
 }
 
 // MapThread records in the ThreadMap that thread t runs in block b. The
 // runtime calls this when threads are spawned; tests use it to check that
 // level-adaptive programs run unmodified under different mappings.
 func (h *Hierarchy) MapThread(t, b int) {
-	if b < 0 || b >= h.m.Blocks {
+	if b < 0 || b >= h.M.Blocks {
 		panic(fmt.Sprintf("core: thread %d mapped to nonexistent block %d", t, b))
 	}
 	h.threadMap[t] = b
@@ -261,7 +261,7 @@ func (h *Hierarchy) sameBlock(core, peer int) bool {
 	if peer < 0 || peer >= len(h.threadMap) {
 		return false
 	}
-	return h.m.BlockOf(core) == h.threadMap[peer]
+	return h.M.BlockOf(core) == h.threadMap[peer]
 }
 
 // ---- Loads and stores -------------------------------------------------
@@ -270,7 +270,7 @@ func (h *Hierarchy) sameBlock(core, peer int) bool {
 // exposed latency. L1 hits are pipelined (zero exposed cycles). When the
 // core's IEB is armed, the load follows the Section IV-B.2 protocol.
 func (h *Hierarchy) Load(core int, a mem.Addr) (mem.Word, int64) {
-	l1 := h.l1[core]
+	l1 := h.L1[core]
 	line := mem.LineAddr(a)
 
 	if b := h.ieb[core]; b != nil && b.Armed() {
@@ -327,7 +327,7 @@ func iebFresh(b *IEB, l1 *cache.Cache, a mem.Addr) string {
 // Under write-through the word goes straight to the shared L2 and the L1
 // copy stays clean.
 func (h *Hierarchy) Store(core int, a mem.Addr, v mem.Word) int64 {
-	l1 := h.l1[core]
+	l1 := h.L1[core]
 	var lat int64
 	l := l1.Lookup(a)
 	if l == nil {
@@ -341,7 +341,7 @@ func (h *Hierarchy) Store(core int, a mem.Addr, v mem.Word) int64 {
 		words[i] = v
 		h.ctr(core).Inc("wt.stores", 1)
 		h.noteBloomWrite(core, mem.LineAddr(a))
-		h.mergeBelowL1(h.m.BlockOf(core), mem.LineAddr(a), &words, mem.Bit(i))
+		h.mergeBelowL1(h.M.BlockOf(core), mem.LineAddr(a), &words, mem.Bit(i))
 		return lat
 	}
 	h.storeL1(core, l, a, v)
@@ -355,7 +355,7 @@ func (h *Hierarchy) storeL1(core int, l *cache.Line, a mem.Addr, v mem.Word) {
 	i := mem.WordIndex(a)
 	if !l.Dirty.Has(i) {
 		if b := h.meb[core]; b != nil {
-			f := h.l1[core].FrameOf(a)
+			f := h.L1[core].FrameOf(a)
 			if h.fi != nil && h.fi.MEBOverCap(b.Len(), b.Has(f)) {
 				// Injected fault: an undersized MEB silently discards the
 				// record instead of entering the overflow state.
@@ -388,7 +388,7 @@ func (h *Hierarchy) Private(core int, kind isa.OpKind, a mem.Addr, v mem.Word) (
 	if h.fi != nil || h.rec != nil {
 		return 0, false
 	}
-	l1 := h.l1[core]
+	l1 := h.L1[core]
 	switch kind {
 	case isa.OpLoad:
 		var name string
@@ -427,10 +427,10 @@ func (h *Hierarchy) PrivateOrdered() bool { return false }
 // fillL1 fetches a line into core's L1 from the shared levels, handling
 // victim writeback, and returns the line data and exposed latency.
 func (h *Hierarchy) fillL1(core int, line mem.Addr) ([mem.WordsPerLine]mem.Word, int64) {
-	b := h.m.BlockOf(core)
+	b := h.M.BlockOf(core)
 	words, lat := h.readThroughL2(core, b, line)
 	var victim cache.Line
-	if _, evicted := h.l1[core].Insert(line, &words, cache.StateNone, &victim); evicted && victim.IsDirty() {
+	if _, evicted := h.L1[core].Insert(line, &words, cache.StateNone, &victim); evicted && victim.IsDirty() {
 		// Victim writeback drains through the write buffer: traffic but no
 		// exposed latency.
 		h.mergeBelowL1(b, victim.Tag, &victim.Words, victim.Dirty)
@@ -443,14 +443,14 @@ func (h *Hierarchy) fillL1(core int, line mem.Addr) ([mem.WordsPerLine]mem.Word,
 // filling L2 from L3/memory on an L2 miss. Latency covers the L1-miss
 // round trip to the L2 bank plus any deeper legs.
 func (h *Hierarchy) readThroughL2(core, b int, line mem.Addr) ([mem.WordsPerLine]mem.Word, int64) {
-	p := h.m.Params
-	mesh := h.m.Mesh
-	bank := h.m.L2BankNode(b, line)
-	lat := p.L2RT + mesh.RTLatency(h.m.CoreNode(core), bank)
+	p := h.M.Params
+	mesh := h.M.Mesh
+	bank := h.M.L2BankNode(b, line)
+	lat := p.L2RT + mesh.RTLatency(h.M.CoreNode(core), bank)
 	// This leg can run on a block-parallel shard (L2-hit fills are
 	// shard-local); route the flits to the shard's accumulator.
 	mesh.AccountShard(b, stats.Linefill, noc.CtrlFlits()+noc.DataFlits(mem.LineBytes))
-	if l2l := h.l2[b].Lookup(line); l2l != nil {
+	if l2l := h.L2[b].Lookup(line); l2l != nil {
 		return l2l.Words, lat
 	}
 	words, deeper := h.fillL2(b, line)
@@ -460,33 +460,33 @@ func (h *Hierarchy) readThroughL2(core, b int, line mem.Addr) ([mem.WordsPerLine
 // fillL2 fetches a line into block b's L2 from L3 or memory and returns
 // its data plus the latency of the deeper legs.
 func (h *Hierarchy) fillL2(b int, line mem.Addr) ([mem.WordsPerLine]mem.Word, int64) {
-	p := h.m.Params
-	mesh := h.m.Mesh
-	bank := h.m.L2BankNode(b, line)
+	p := h.M.Params
+	mesh := h.M.Mesh
+	bank := h.M.L2BankNode(b, line)
 	var words [mem.WordsPerLine]mem.Word
 	var lat int64
-	if h.l3 != nil {
-		l3n := h.m.L3Node(line)
+	if h.L3 != nil {
+		l3n := h.M.L3Node(line)
 		lat += p.L3RT + mesh.RTLatency(bank, l3n)
 		mesh.Account(stats.Linefill, noc.CtrlFlits()+noc.DataFlits(mem.LineBytes))
-		if l3l := h.l3.Lookup(line); l3l != nil {
+		if l3l := h.L3.Lookup(line); l3l != nil {
 			words = l3l.Words
 		} else {
-			lat += p.MemRT + mesh.RTLatency(l3n, h.m.MemNode(line))
+			lat += p.MemRT + mesh.RTLatency(l3n, h.M.MemNode(line))
 			mesh.Account(stats.MemoryTraffic, noc.CtrlFlits()+noc.DataFlits(mem.LineBytes))
-			h.backing.ReadLine(line, &words)
+			h.Backing.ReadLine(line, &words)
 			var v3 cache.Line
-			if _, evicted := h.l3.Insert(line, &words, cache.StateNone, &v3); evicted && v3.IsDirty() {
+			if _, evicted := h.L3.Insert(line, &words, cache.StateNone, &v3); evicted && v3.IsDirty() {
 				h.writeMemory(v3.Tag, &v3.Words, v3.Dirty)
 			}
 		}
 	} else {
-		lat += p.MemRT + mesh.RTLatency(bank, h.m.MemNode(line))
+		lat += p.MemRT + mesh.RTLatency(bank, h.M.MemNode(line))
 		mesh.Account(stats.MemoryTraffic, noc.CtrlFlits()+noc.DataFlits(mem.LineBytes))
-		h.backing.ReadLine(line, &words)
+		h.Backing.ReadLine(line, &words)
 	}
 	var victim cache.Line
-	if _, evicted := h.l2[b].Insert(line, &words, cache.StateNone, &victim); evicted && victim.IsDirty() {
+	if _, evicted := h.L2[b].Insert(line, &words, cache.StateNone, &victim); evicted && victim.IsDirty() {
 		h.mergeBelowL2(victim.Tag, &victim.Words, victim.Dirty)
 		h.ctrs[b].Inc("l2.evict.dirty", 1)
 	}
@@ -495,8 +495,8 @@ func (h *Hierarchy) fillL2(b int, line mem.Addr) ([mem.WordsPerLine]mem.Word, in
 
 // writeMemory pushes masked words to backing memory with memory traffic.
 func (h *Hierarchy) writeMemory(line mem.Addr, words *[mem.WordsPerLine]mem.Word, mask mem.LineMask) {
-	h.backing.WriteLine(line, words, mask)
-	h.m.Mesh.Account(stats.MemoryTraffic, noc.DataFlits(mask.Count()*mem.WordBytes))
+	h.Backing.WriteLine(line, words, mask)
+	h.M.Mesh.Account(stats.MemoryTraffic, noc.DataFlits(mask.Count()*mem.WordBytes))
 }
 
 // mergeBelowL1 pushes masked dirty words from an L1 line into the block's
@@ -505,8 +505,8 @@ func (h *Hierarchy) writeMemory(line mem.Addr, words *[mem.WordsPerLine]mem.Word
 func (h *Hierarchy) mergeBelowL1(b int, line mem.Addr, words *[mem.WordsPerLine]mem.Word, mask mem.LineMask) {
 	// Like the L2 read leg, this can run on a block-parallel shard (the
 	// OpLocal classifier only admits writebacks whose lines hit the L2).
-	h.m.Mesh.AccountShard(b, stats.Writeback, noc.DataFlits(mask.Count()*mem.WordBytes))
-	if l2l := h.l2[b].Peek(line); l2l != nil {
+	h.M.Mesh.AccountShard(b, stats.Writeback, noc.DataFlits(mask.Count()*mem.WordBytes))
+	if l2l := h.L2[b].Peek(line); l2l != nil {
 		for i := 0; i < mem.WordsPerLine; i++ {
 			if mask.Has(i) {
 				l2l.Words[i] = words[i]
@@ -521,15 +521,15 @@ func (h *Hierarchy) mergeBelowL1(b int, line mem.Addr, words *[mem.WordsPerLine]
 // mergeBelowL2 pushes masked dirty words from an L2 line into L3 if
 // present (marking them dirty), else to memory.
 func (h *Hierarchy) mergeBelowL2(line mem.Addr, words *[mem.WordsPerLine]mem.Word, mask mem.LineMask) {
-	if h.l3 != nil {
-		h.m.Mesh.Account(stats.Writeback, noc.DataFlits(mask.Count()*mem.WordBytes))
+	if h.L3 != nil {
+		h.M.Mesh.Account(stats.Writeback, noc.DataFlits(mask.Count()*mem.WordBytes))
 	}
 	h.mergeBelowL2NoTraffic(line, words, mask)
 }
 
 func (h *Hierarchy) mergeBelowL2NoTraffic(line mem.Addr, words *[mem.WordsPerLine]mem.Word, mask mem.LineMask) {
-	if h.l3 != nil {
-		if l3l := h.l3.Peek(line); l3l != nil {
+	if h.L3 != nil {
+		if l3l := h.L3.Peek(line); l3l != nil {
 			for i := 0; i < mem.WordsPerLine; i++ {
 				if mask.Has(i) {
 					l3l.Words[i] = words[i]
@@ -548,25 +548,25 @@ func (h *Hierarchy) mergeBelowL2NoTraffic(line mem.Addr, words *[mem.WordsPerLin
 // bypassing the private caches — the access mode of the synchronization
 // variables and MPI buffers of Programming Model 1.
 func (h *Hierarchy) LoadUncached(core int, a mem.Addr) (mem.Word, int64) {
-	h.m.Mesh.Account(stats.SyncTraffic, noc.CtrlFlits()+noc.DataFlits(mem.WordBytes))
-	return h.backing.ReadWord(a), h.uncachedRT(core, a)
+	h.M.Mesh.Account(stats.SyncTraffic, noc.CtrlFlits()+noc.DataFlits(mem.WordBytes))
+	return h.Backing.ReadWord(a), h.uncachedRT(core, a)
 }
 
 // StoreUncached writes a word directly to the on-chip shared storage.
 func (h *Hierarchy) StoreUncached(core int, a mem.Addr, v mem.Word) int64 {
-	h.m.Mesh.Account(stats.SyncTraffic, noc.DataFlits(mem.WordBytes))
-	h.backing.WriteWord(a, v)
+	h.M.Mesh.Account(stats.SyncTraffic, noc.DataFlits(mem.WordBytes))
+	h.Backing.WriteWord(a, v)
 	return h.uncachedRT(core, a)
 }
 
 func (h *Hierarchy) uncachedRT(core int, a mem.Addr) int64 {
-	p := h.m.Params
+	p := h.M.Params
 	line := mem.LineAddr(a)
-	if h.l3 != nil {
-		return p.L3RT + h.m.Mesh.RTLatency(h.m.CoreNode(core), h.m.L3Node(line))
+	if h.L3 != nil {
+		return p.L3RT + h.M.Mesh.RTLatency(h.M.CoreNode(core), h.M.L3Node(line))
 	}
-	b := h.m.BlockOf(core)
-	return p.L2RT + h.m.Mesh.RTLatency(h.m.CoreNode(core), h.m.L2BankNode(b, line))
+	b := h.M.BlockOf(core)
+	return p.L2RT + h.M.Mesh.RTLatency(h.M.CoreNode(core), h.M.L2BankNode(b, line))
 }
 
 // ---- Epochs and verification ------------------------------------------
@@ -589,11 +589,11 @@ func (h *Hierarchy) EpochBoundary(core int) {
 // data still cached (and later re-written) wins over the delayed copy.
 func (h *Hierarchy) Drain() {
 	h.applyDelayed()
-	for c, l1 := range h.l1 {
-		b := h.m.BlockOf(c)
+	for c, l1 := range h.L1 {
+		b := h.M.BlockOf(c)
 		l1.ForEachValid(func(_ cache.FrameID, l *cache.Line) {
 			if l.IsDirty() {
-				if l2l := h.l2[b].Peek(l.Tag); l2l != nil {
+				if l2l := h.L2[b].Peek(l.Tag); l2l != nil {
 					for i := 0; i < mem.WordsPerLine; i++ {
 						if l.Dirty.Has(i) {
 							l2l.Words[i] = l.Words[i]
@@ -607,7 +607,7 @@ func (h *Hierarchy) Drain() {
 			}
 		})
 	}
-	for _, l2 := range h.l2 {
+	for _, l2 := range h.L2 {
 		l2.ForEachValid(func(_ cache.FrameID, l *cache.Line) {
 			if l.IsDirty() {
 				h.drainToBelowL2(l.Tag, &l.Words, l.Dirty)
@@ -615,10 +615,10 @@ func (h *Hierarchy) Drain() {
 			}
 		})
 	}
-	if h.l3 != nil {
-		h.l3.ForEachValid(func(_ cache.FrameID, l *cache.Line) {
+	if h.L3 != nil {
+		h.L3.ForEachValid(func(_ cache.FrameID, l *cache.Line) {
 			if l.IsDirty() {
-				h.backing.WriteLine(l.Tag, &l.Words, l.Dirty)
+				h.Backing.WriteLine(l.Tag, &l.Words, l.Dirty)
 				l.Dirty = 0
 			}
 		})
@@ -626,8 +626,8 @@ func (h *Hierarchy) Drain() {
 }
 
 func (h *Hierarchy) drainToBelowL2(line mem.Addr, words *[mem.WordsPerLine]mem.Word, mask mem.LineMask) {
-	if h.l3 != nil {
-		if l3l := h.l3.Peek(line); l3l != nil {
+	if h.L3 != nil {
+		if l3l := h.L3.Peek(line); l3l != nil {
 			for i := 0; i < mem.WordsPerLine; i++ {
 				if mask.Has(i) {
 					l3l.Words[i] = words[i]
@@ -637,5 +637,5 @@ func (h *Hierarchy) drainToBelowL2(line mem.Addr, words *[mem.WordsPerLine]mem.W
 			return
 		}
 	}
-	h.backing.WriteLine(line, words, mask)
+	h.Backing.WriteLine(line, words, mask)
 }

@@ -21,11 +21,11 @@ import (
 func (h *Hierarchy) SetObs(r *obs.Recorder) {
 	h.rec = r
 	h.mebTrack, h.iebTrack = nil, nil
-	h.m.Mesh.SetObs(r)
+	h.M.Mesh.SetObs(r)
 	if r == nil {
 		return
 	}
-	n := h.m.NumCores()
+	n := h.M.NumCores()
 	h.mebTrack = make([]*obs.Track, n)
 	h.iebTrack = make([]*obs.Track, n)
 	for c := 0; c < n; c++ {
@@ -64,8 +64,8 @@ func (h *Hierarchy) collect(c *obs.Collect) {
 	l1, l2 := h.CacheStats()
 	emitCacheStats(c, "cache.l1", l1)
 	emitCacheStats(c, "cache.l2", l2)
-	if h.l3 != nil {
-		emitCacheStats(c, "cache.l3", h.l3.Stats())
+	if h.L3 != nil {
+		emitCacheStats(c, "cache.l3", h.L3.Stats())
 	}
 
 	var mebRecords, mebOverflows, iebInsertions, iebEvictions int64
@@ -91,7 +91,7 @@ func (h *Hierarchy) collect(c *obs.Collect) {
 		c.Count("proto."+name, ctr.Get(name))
 	}
 
-	words, pages := h.backing.Stats()
+	words, pages := h.Backing.Stats()
 	c.Count("mem.footprint.words", int64(words))
 	c.Gauge("mem.pages", int64(pages))
 }

@@ -26,9 +26,9 @@ import (
 func (h *Hierarchy) SetBlockParallel(on bool) {
 	h.blockPar = on
 	if on {
-		h.m.Mesh.SetTrafficShards(h.m.Blocks)
+		h.M.Mesh.SetTrafficShards(h.M.Blocks)
 	} else {
-		h.m.Mesh.SetTrafficShards(0)
+		h.M.Mesh.SetTrafficShards(0)
 	}
 }
 
@@ -40,13 +40,13 @@ func (h *Hierarchy) ParallelShards() int {
 	if !h.blockPar || h.fi != nil || h.rec != nil {
 		return 1
 	}
-	return h.m.Blocks
+	return h.M.Blocks
 }
 
 // ShardOf maps a core to its shard — the block it belongs to. The shard
 // index deliberately equals the block index: the engine's cross-block DMA
 // check relies on OpDMACopy's Peer (a block) naming the target shard.
-func (h *Hierarchy) ShardOf(core int) int { return h.m.BlockOf(core) }
+func (h *Hierarchy) ShardOf(core int) int { return h.M.BlockOf(core) }
 
 // OpLocal reports whether op, executed now on core, provably touches only
 // core's block: its L1/MEB/IEB/signature, the block's L2, and the block's
@@ -55,7 +55,7 @@ func (h *Hierarchy) OpLocal(core int, op *isa.Op) bool {
 	if !h.blockPar || h.fi != nil || h.rec != nil {
 		return false
 	}
-	b := h.m.BlockOf(core)
+	b := h.M.BlockOf(core)
 	switch op.Kind {
 	case isa.OpCompute:
 		return true
@@ -88,13 +88,13 @@ func (h *Hierarchy) OpLocal(core int, op *isa.Op) bool {
 // draining its dirty words into the L2) and refills — local only when
 // both the drain and the refill stay in the block.
 func (h *Hierarchy) loadLocal(core, b int, a mem.Addr) bool {
-	l1 := h.l1[core]
+	l1 := h.L1[core]
 	line := mem.LineAddr(a)
 	l := l1.Peek(a)
 	if ieb := h.ieb[core]; ieb != nil && ieb.Armed() {
 		if !ieb.Contains(line) && !(l != nil && l.Dirty.Has(mem.WordIndex(a))) && l != nil {
 			// The load will self-invalidate and refetch this line.
-			if l.IsDirty() && h.l2[b].Peek(line) == nil {
+			if l.IsDirty() && h.L2[b].Peek(line) == nil {
 				return false // the drain would descend below the L2
 			}
 			l = nil // the refill takes the just-freed frame
@@ -111,10 +111,10 @@ func (h *Hierarchy) loadLocal(core, b int, a mem.Addr) bool {
 // write-through the stored word also merges into the block's L2, so the
 // line must be present there.
 func (h *Hierarchy) storeLocal(core, b int, a mem.Addr) bool {
-	if h.cfg.WriteThrough && h.l2[b].Peek(a) == nil {
+	if h.cfg.WriteThrough && h.L2[b].Peek(a) == nil {
 		return false
 	}
-	if h.l1[core].Peek(a) != nil {
+	if h.L1[core].Peek(a) != nil {
 		return true
 	}
 	return h.fillLocal(core, b, mem.LineAddr(a))
@@ -127,12 +127,12 @@ func (h *Hierarchy) storeLocal(core, b int, a mem.Addr) bool {
 // since gained an invalid frame, the real insertion is strictly safer: it
 // uses the invalid frame and evicts nothing.)
 func (h *Hierarchy) fillLocal(core, b int, line mem.Addr) bool {
-	if h.l2[b].Peek(line) == nil {
+	if h.L2[b].Peek(line) == nil {
 		return false
 	}
-	l1 := h.l1[core]
+	l1 := h.L1[core]
 	v := l1.Frame(l1.Victim(line))
-	return !v.IsDirty() || h.l2[b].Peek(v.Tag) != nil
+	return !v.IsDirty() || h.L2[b].Peek(v.Tag) != nil
 }
 
 // rangeLocal reports whether a local-level WB or INV over r stays inside
@@ -145,7 +145,7 @@ func (h *Hierarchy) rangeLocal(core, b int, r mem.Range) bool {
 		if !ok {
 			return
 		}
-		if l := h.l1[core].Peek(line); l != nil && l.IsDirty() && h.l2[b].Peek(line) == nil {
+		if l := h.L1[core].Peek(line); l != nil && l.IsDirty() && h.L2[b].Peek(line) == nil {
 			ok = false
 		}
 	})

@@ -31,14 +31,14 @@ type Probe struct {
 // counts runs with any eviction in Report.EvictionRuns.
 func (h *Hierarchy) Evictions() int64 {
 	var n int64
-	for _, c := range h.l1 {
+	for _, c := range h.L1 {
 		n += c.Evictions
 	}
-	for _, c := range h.l2 {
+	for _, c := range h.L2 {
 		n += c.Evictions
 	}
-	if h.l3 != nil {
-		n += h.l3.Evictions
+	if h.L3 != nil {
+		n += h.L3.Evictions
 	}
 	return n
 }
@@ -46,10 +46,10 @@ func (h *Hierarchy) Evictions() int64 {
 // CacheStats returns the event counters summed over every core's L1 and
 // over every block's L2.
 func (h *Hierarchy) CacheStats() (l1, l2 cache.Stats) {
-	for _, c := range h.l1 {
+	for _, c := range h.L1 {
 		addCacheStats(&l1, c)
 	}
-	for _, c := range h.l2 {
+	for _, c := range h.L2 {
 		addCacheStats(&l2, c)
 	}
 	return l1, l2
@@ -61,23 +61,23 @@ func (h *Hierarchy) CacheStats() (l1, l2 cache.Stats) {
 func (h *Hierarchy) ProbeWord(core int, a mem.Addr) Probe {
 	wi := mem.WordIndex(a)
 	var p Probe
-	if l := h.l1[core].Peek(a); l != nil {
+	if l := h.L1[core].Peek(a); l != nil {
 		p.L1Present = true
 		p.L1Dirty = l.Dirty.Has(wi)
 		p.L1Val = l.Words[wi]
 	}
-	if l := h.l2[h.m.BlockOf(core)].Peek(a); l != nil {
+	if l := h.L2[h.M.BlockOf(core)].Peek(a); l != nil {
 		p.L2Present = true
 		p.L2Dirty = l.Dirty.Has(wi)
 		p.L2Val = l.Words[wi]
 	}
-	if h.l3 != nil {
-		if l := h.l3.Peek(a); l != nil {
+	if h.L3 != nil {
+		if l := h.L3.Peek(a); l != nil {
 			p.L3Present = true
 			p.L3Dirty = l.Dirty.Has(wi)
 			p.L3Val = l.Words[wi]
 		}
 	}
-	p.MemVal = h.backing.ReadWord(a)
+	p.MemVal = h.Backing.ReadWord(a)
 	return p
 }

@@ -52,7 +52,7 @@ func TestProbeWordHasNoSideEffects(t *testing.T) {
 	h := intraHierarchy()
 	a := mem.Addr(0x3000)
 	h.Store(0, a, 5)
-	l1 := h.l1[0]
+	l1 := h.L1[0]
 	hits, misses := l1.Hits, l1.Misses
 	for i := 0; i < 10; i++ {
 		h.ProbeWord(0, a)

@@ -38,7 +38,7 @@ func runLitmusProgram(h *Hierarchy) {
 	}
 	h.Store(3, x, 9)
 	h.WB(3, mem.WordRange(x, 1), isa.LevelAuto)
-	h.MapThread(3, h.m.Blocks-1)
+	h.MapThread(3, h.M.Blocks-1)
 	h.Drain()
 }
 

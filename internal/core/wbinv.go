@@ -24,7 +24,7 @@ import (
 
 // effLevel clamps the requested level to the machine's depth.
 func (h *Hierarchy) effLevel(lvl isa.Level) isa.Level {
-	if h.l3 == nil {
+	if h.L3 == nil {
 		return isa.LevelAuto
 	}
 	return lvl
@@ -42,7 +42,7 @@ func (h *Hierarchy) WB(core int, r mem.Range, lvl isa.Level) int64 {
 
 func (h *Hierarchy) wb(core int, r mem.Range, lvl isa.Level) int64 {
 	lvl = h.effLevel(lvl)
-	p := h.m.Params
+	p := h.M.Params
 	var lat int64
 	written := 0
 	var lastLine mem.Addr
@@ -66,13 +66,13 @@ func (h *Hierarchy) wb(core int, r mem.Range, lvl isa.Level) int64 {
 // effect on lines with no dirty valid data.
 func (h *Hierarchy) wbLine(core int, line mem.Addr, lvl isa.Level) bool {
 	wrote := false
-	if l := h.l1[core].Peek(line); l != nil && l.IsDirty() {
+	if l := h.L1[core].Peek(line); l != nil && l.IsDirty() {
 		h.wbDirtyWords(core, l, lvl)
 		wrote = true
 	}
 	if lvl == isa.LevelGlobal {
-		b := h.m.BlockOf(core)
-		if l2l := h.l2[b].Peek(line); l2l != nil && l2l.IsDirty() {
+		b := h.M.BlockOf(core)
+		if l2l := h.L2[b].Peek(line); l2l != nil && l2l.IsDirty() {
 			h.pushL2WordsToL3(core, l2l)
 			wrote = true
 		}
@@ -83,7 +83,7 @@ func (h *Hierarchy) wbLine(core int, line mem.Addr, lvl isa.Level) bool {
 // wbDirtyWords ejects an L1 line's dirty words toward the requested level
 // and leaves the line clean valid.
 func (h *Hierarchy) wbDirtyWords(core int, l *cache.Line, lvl isa.Level) {
-	b := h.m.BlockOf(core)
+	b := h.M.BlockOf(core)
 	h.ctr(core).Inc("wb.words", int64(l.Dirty.Count()))
 	h.ctr(core).Inc("wb.dirtylines", 1)
 	if h.effLevel(lvl) == isa.LevelGlobal {
@@ -100,8 +100,8 @@ func (h *Hierarchy) wbDirtyWords(core int, l *cache.Line, lvl isa.Level) {
 // holds them too.
 func (h *Hierarchy) pushWordsGlobal(b int, line mem.Addr, words *[mem.WordsPerLine]mem.Word, mask mem.LineMask) {
 	flits := noc.DataFlits(mask.Count() * mem.WordBytes)
-	h.m.Mesh.Account(stats.Writeback, flits) // L1 -> L2 leg
-	if l2l := h.l2[b].Peek(line); l2l != nil {
+	h.M.Mesh.Account(stats.Writeback, flits) // L1 -> L2 leg
+	if l2l := h.L2[b].Peek(line); l2l != nil {
 		for i := 0; i < mem.WordsPerLine; i++ {
 			if mask.Has(i) {
 				l2l.Words[i] = words[i]
@@ -109,7 +109,7 @@ func (h *Hierarchy) pushWordsGlobal(b int, line mem.Addr, words *[mem.WordsPerLi
 		}
 		l2l.Dirty &^= mask
 	}
-	h.m.Mesh.Account(stats.Writeback, flits) // L2 -> L3 leg
+	h.M.Mesh.Account(stats.Writeback, flits) // L2 -> L3 leg
 	h.mergeBelowL2NoTraffic(line, words, mask)
 }
 
@@ -118,19 +118,19 @@ func (h *Hierarchy) pushWordsGlobal(b int, line mem.Addr, words *[mem.WordsPerLi
 func (h *Hierarchy) pushL2WordsToL3(core int, l2l *cache.Line) {
 	h.ctr(core).Inc("wb.words", int64(l2l.Dirty.Count()))
 	h.ctr(core).Inc("wb.dirtylines", 1)
-	h.m.Mesh.Account(stats.Writeback, noc.DataFlits(l2l.Dirty.Count()*mem.WordBytes))
+	h.M.Mesh.Account(stats.Writeback, noc.DataFlits(l2l.Dirty.Count()*mem.WordBytes))
 	h.mergeBelowL2NoTraffic(l2l.Tag, &l2l.Words, l2l.Dirty)
 	l2l.Dirty = 0
 }
 
 // wbDrainRT is the final drain round trip of a writeback burst.
 func (h *Hierarchy) wbDrainRT(core int, line mem.Addr, lvl isa.Level) int64 {
-	p := h.m.Params
-	b := h.m.BlockOf(core)
-	bank := h.m.L2BankNode(b, line)
-	rt := p.L2RT + h.m.Mesh.RTLatency(h.m.CoreNode(core), bank)
+	p := h.M.Params
+	b := h.M.BlockOf(core)
+	bank := h.M.L2BankNode(b, line)
+	rt := p.L2RT + h.M.Mesh.RTLatency(h.M.CoreNode(core), bank)
 	if h.effLevel(lvl) == isa.LevelGlobal {
-		rt += p.L3RT + h.m.Mesh.RTLatency(bank, h.m.L3Node(line))
+		rt += p.L3RT + h.M.Mesh.RTLatency(bank, h.M.L3Node(line))
 	}
 	return rt
 }
@@ -148,14 +148,14 @@ func (h *Hierarchy) INV(core int, r mem.Range, lvl isa.Level) int64 {
 
 func (h *Hierarchy) inv(core int, r mem.Range, lvl isa.Level) int64 {
 	lvl = h.effLevel(lvl)
-	p := h.m.Params
-	b := h.m.BlockOf(core)
+	p := h.M.Params
+	b := h.M.BlockOf(core)
 	var lat int64
 	drains := 0
 	var dead cache.Line // victim buffer reused across lines
 	r.Lines(func(line mem.Addr, _ mem.LineMask) {
 		lat += p.ScanPerFrame
-		if h.l1[core].InvalidateInto(line, &dead) {
+		if h.L1[core].InvalidateInto(line, &dead) {
 			h.ctr(core).Inc("inv.l1lines", 1)
 			if dead.IsDirty() {
 				h.wbDirtyWordsOfInvalidated(b, &dead, lvl)
@@ -164,7 +164,7 @@ func (h *Hierarchy) inv(core int, r mem.Range, lvl isa.Level) int64 {
 		}
 		if lvl == isa.LevelGlobal {
 			lat += p.ScanPerFrame // L2 tag check
-			if h.l2[b].InvalidateInto(line, &dead) {
+			if h.L2[b].InvalidateInto(line, &dead) {
 				h.ctr(core).Inc("inv.l2lines", 1)
 				if dead.IsDirty() {
 					h.pushL2WordsToL3(core, &dead)
@@ -183,7 +183,7 @@ func (h *Hierarchy) inv(core int, r mem.Range, lvl isa.Level) int64 {
 // words go straight to the L3/memory; at LevelAuto they merge into the L2.
 func (h *Hierarchy) wbDirtyWordsOfInvalidated(b int, l *cache.Line, lvl isa.Level) {
 	if h.effLevel(lvl) == isa.LevelGlobal {
-		h.m.Mesh.Account(stats.Writeback, noc.DataFlits(l.Dirty.Count()*mem.WordBytes))
+		h.M.Mesh.Account(stats.Writeback, noc.DataFlits(l.Dirty.Count()*mem.WordBytes))
 		h.mergeBelowL2NoTraffic(l.Tag, &l.Words, l.Dirty)
 	} else {
 		h.mergeBelowL1(b, l.Tag, &l.Words, l.Dirty)
@@ -205,8 +205,8 @@ func (h *Hierarchy) WBAll(core int, useMEB bool, lvl isa.Level) int64 {
 
 func (h *Hierarchy) wbAll(core int, useMEB bool, lvl isa.Level) int64 {
 	lvl = h.effLevel(lvl)
-	p := h.m.Params
-	l1 := h.l1[core]
+	p := h.M.Params
+	l1 := h.L1[core]
 	meb := h.meb[core]
 	var lat int64
 	written := 0
@@ -253,10 +253,10 @@ func (h *Hierarchy) wbAll(core int, useMEB bool, lvl isa.Level) int64 {
 	h.countLineOp(core, "wb", lvl, int64(written))
 
 	if lvl == isa.LevelGlobal {
-		b := h.m.BlockOf(core)
-		l2 := h.l2[b]
+		b := h.M.BlockOf(core)
+		l2 := h.L2[b]
 		// Banked parallel traversal of the block's L2 tags.
-		lat += int64(l2.NumFrames()/h.m.CoresPerBlock) * p.TraversalPerFrame
+		lat += int64(l2.NumFrames()/h.M.CoresPerBlock) * p.TraversalPerFrame
 		l2written := 0
 		l2.ForEachValid(func(_ cache.FrameID, l *cache.Line) {
 			if l.IsDirty() {
@@ -266,7 +266,7 @@ func (h *Hierarchy) wbAll(core int, useMEB bool, lvl isa.Level) int64 {
 		})
 		lat += int64(l2written) * p.WBOccupancy
 		if l2written > 0 {
-			lat += p.L3RT + h.m.Mesh.RTLatency(h.m.CoreNode(core), h.m.L3Node(0))
+			lat += p.L3RT + h.M.Mesh.RTLatency(h.M.CoreNode(core), h.M.L3Node(0))
 		}
 		h.countLineOp(core, "wb", lvl, int64(l2written))
 	}
@@ -288,7 +288,7 @@ func (h *Hierarchy) INVAll(core int, lazy bool, lvl isa.Level) int64 {
 
 func (h *Hierarchy) invAll(core int, lazy bool, lvl isa.Level) int64 {
 	lvl = h.effLevel(lvl)
-	p := h.m.Params
+	p := h.M.Params
 	if lazy && lvl == isa.LevelAuto {
 		if b := h.ieb[core]; b != nil {
 			b.Arm()
@@ -297,9 +297,9 @@ func (h *Hierarchy) invAll(core int, lazy bool, lvl isa.Level) int64 {
 			return 1
 		}
 	}
-	b := h.m.BlockOf(core)
+	b := h.M.BlockOf(core)
 	drains := 0
-	n := h.l1[core].FlashInvalidate(func(l *cache.Line) {
+	n := h.L1[core].FlashInvalidate(func(l *cache.Line) {
 		h.wbDirtyWordsOfInvalidated(b, l, lvl)
 		drains++
 	})
@@ -308,7 +308,7 @@ func (h *Hierarchy) invAll(core int, lazy bool, lvl isa.Level) int64 {
 	lat := p.FlashCost + int64(drains)*p.WBOccupancy
 	if lvl == isa.LevelGlobal {
 		l2drains := 0
-		n2 := h.l2[b].FlashInvalidate(func(l *cache.Line) {
+		n2 := h.L2[b].FlashInvalidate(func(l *cache.Line) {
 			h.pushL2WordsToL3(core, l)
 			l2drains++
 		})

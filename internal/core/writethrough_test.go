@@ -32,7 +32,7 @@ func TestWriteThroughLeavesL1Clean(t *testing.T) {
 	h := wtHierarchy()
 	a := mem.Addr(0x2000)
 	h.Store(0, a, 7)
-	l := h.l1[0].Peek(a)
+	l := h.L1[0].Peek(a)
 	if l == nil || l.IsDirty() {
 		t.Error("write-through store should leave the L1 line clean")
 	}

@@ -12,15 +12,15 @@ import (
 // depend on how the tables or the counter bag happen to be laid out. The
 // cache event counters are not included; CacheStats reports them.
 func (h *Hierarchy) Fingerprint() uint64 {
-	fp := h.backing.Fingerprint()
-	for _, c := range h.l1 {
+	fp := h.Backing.Fingerprint()
+	for _, c := range h.L1 {
 		fp = mem.Mix64(fp, c.Fingerprint())
 	}
-	for _, c := range h.l2 {
+	for _, c := range h.L2 {
 		fp = mem.Mix64(fp, c.Fingerprint())
 	}
-	if h.l3 != nil {
-		fp = mem.Mix64(fp, h.l3.Fingerprint())
+	if h.L3 != nil {
+		fp = mem.Mix64(fp, h.L3.Fingerprint())
 	}
 	for _, dirs := range [][]*dirTable{h.l2dir, h.l3dirs} {
 		for i, t := range dirs {
@@ -52,10 +52,10 @@ func boolBit(b bool) uint64 {
 // CacheStats returns the event counters summed over every core's L1 and
 // over every block's L2.
 func (h *Hierarchy) CacheStats() (l1, l2 cache.Stats) {
-	for _, c := range h.l1 {
+	for _, c := range h.L1 {
 		addCacheStats(&l1, c)
 	}
-	for _, c := range h.l2 {
+	for _, c := range h.L2 {
 		addCacheStats(&l2, c)
 	}
 	return l1, l2

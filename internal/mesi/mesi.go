@@ -75,11 +75,11 @@ func DefaultConfig(m *topo.Machine) Config {
 
 // Hierarchy is one hardware-coherent MESI hierarchy.
 type Hierarchy struct {
-	m       *topo.Machine
-	backing *mem.Memory
-	l1      []*cache.Cache
-	l2      []*cache.Cache
-	l3      *cache.Cache
+	M       *topo.Machine
+	Backing *mem.Memory
+	L1      []*cache.Cache
+	L2      []*cache.Cache
+	L3      *cache.Cache
 
 	l2dir  []*dirTable // per block: line -> per-core presence (core index within block)
 	l3dirs []*dirTable // per L3 bank: line -> per-block presence
@@ -90,18 +90,18 @@ type Hierarchy struct {
 // New builds a coherent hierarchy on machine m.
 func New(m *topo.Machine, cfg Config) *Hierarchy {
 	h := &Hierarchy{
-		m:       m,
-		backing: mem.NewMemory(),
-		l1:      make([]*cache.Cache, m.NumCores()),
-		l2:      make([]*cache.Cache, m.Blocks),
+		M:       m,
+		Backing: mem.NewMemory(),
+		L1:      make([]*cache.Cache, m.NumCores()),
+		L2:      make([]*cache.Cache, m.Blocks),
 		l2dir:   make([]*dirTable, m.Blocks),
 		ctr:     stats.NewCounters(),
 	}
-	for c := range h.l1 {
-		h.l1[c] = cache.New(cfg.L1)
+	for c := range h.L1 {
+		h.L1[c] = cache.New(cfg.L1)
 	}
-	for b := range h.l2 {
-		h.l2[b] = cache.New(cfg.L2)
+	for b := range h.L2 {
+		h.L2[b] = cache.New(cfg.L2)
 		h.l2dir[b] = newDirTable()
 	}
 	if m.L3Banks > 0 {
@@ -113,7 +113,7 @@ func New(m *topo.Machine, cfg Config) *Hierarchy {
 			// a larger machine would silently shift bits into oblivion.
 			panic(fmt.Sprintf("mesi: %d blocks exceed the 64-bit directory presence field", m.Blocks))
 		}
-		h.l3 = cache.New(cfg.L3)
+		h.L3 = cache.New(cfg.L3)
 		// One directory table per L3 bank, mirroring the physical banking:
 		// lines hash to banks, so each table stays small and bank lookups
 		// never touch another bank's map.
@@ -129,25 +129,25 @@ func New(m *topo.Machine, cfg Config) *Hierarchy {
 }
 
 // Machine returns the topology.
-func (h *Hierarchy) Machine() *topo.Machine { return h.m }
+func (h *Hierarchy) Machine() *topo.Machine { return h.M }
 
 // Memory returns the backing store (authoritative after Drain).
-func (h *Hierarchy) Memory() *mem.Memory { return h.backing }
+func (h *Hierarchy) Memory() *mem.Memory { return h.Backing }
 
 // Counters returns protocol event counters.
 func (h *Hierarchy) Counters() *stats.Counters { return h.ctr }
 
 // Traffic returns accumulated flit counts.
-func (h *Hierarchy) Traffic() stats.Traffic { return h.m.Mesh.Traffic() }
+func (h *Hierarchy) Traffic() stats.Traffic { return h.M.Mesh.Traffic() }
 
 // SyncCost is the synchronization cost hook (identical to the incoherent
 // machine's: the sync hardware is the same in both designs).
 func (h *Hierarchy) SyncCost(core, id int) int64 {
-	h.m.Mesh.Account(stats.SyncTraffic, 2)
-	return h.m.SyncCost(core, id)
+	h.M.Mesh.Account(stats.SyncTraffic, 2)
+	return h.M.SyncCost(core, id)
 }
 
-func (h *Hierarchy) coreInBlock(core int) int { return core % h.m.CoresPerBlock }
+func (h *Hierarchy) coreInBlock(core int) int { return core % h.M.CoresPerBlock }
 
 func (h *Hierarchy) dirL2(b int, line mem.Addr) *dirEntry {
 	return h.l2dir[b].getOrCreate(line)
@@ -159,7 +159,7 @@ func (h *Hierarchy) dirL3(line mem.Addr) *dirEntry {
 
 // dirTableL3 returns the directory table of the L3 bank that owns line.
 func (h *Hierarchy) dirTableL3(line mem.Addr) *dirTable {
-	return h.l3dirs[h.m.L3BankOf(line)]
+	return h.l3dirs[h.M.L3BankOf(line)]
 }
 
 // ---- Core-facing operations -------------------------------------------
@@ -167,7 +167,7 @@ func (h *Hierarchy) dirTableL3(line mem.Addr) *dirTable {
 // Load performs a coherent read, returning the value and exposed latency.
 func (h *Hierarchy) Load(core int, a mem.Addr) (mem.Word, int64) {
 	line := mem.LineAddr(a)
-	l1 := h.l1[core]
+	l1 := h.L1[core]
 	if l := l1.Lookup(a); l != nil && l.State != cache.Invalid {
 		return l.Words[mem.WordIndex(a)], 0
 	}
@@ -179,7 +179,7 @@ func (h *Hierarchy) Load(core int, a mem.Addr) (mem.Word, int64) {
 // Store performs a coherent write, returning exposed latency.
 func (h *Hierarchy) Store(core int, a mem.Addr, v mem.Word) int64 {
 	line := mem.LineAddr(a)
-	l1 := h.l1[core]
+	l1 := h.L1[core]
 	var lat int64
 	l := l1.Lookup(a)
 	switch {
@@ -220,7 +220,7 @@ func writeL1(l *cache.Line, a mem.Addr, v mem.Word) {
 // owner's L1 state when a forward happens, and forwards, being misses,
 // still run through the scheduler in (clock, ID) order.
 func (h *Hierarchy) Private(core int, kind isa.OpKind, a mem.Addr, v mem.Word) (mem.Word, bool) {
-	l1 := h.l1[core]
+	l1 := h.L1[core]
 	// Read the state before LookupHit touches LRU or counts a hit.
 	l := l1.Peek(a)
 	if l == nil {
@@ -245,18 +245,18 @@ func (h *Hierarchy) PrivateOrdered() bool { return true }
 // fetchIntoL1 brings a line into core's L1 with read (S/E) or write (M)
 // rights, performing all directory work, and returns the latency.
 func (h *Hierarchy) fetchIntoL1(core int, line mem.Addr, excl bool) int64 {
-	b := h.m.BlockOf(core)
-	p := h.m.Params
-	mesh := h.m.Mesh
-	bank := h.m.L2BankNode(b, line)
+	b := h.M.BlockOf(core)
+	p := h.M.Params
+	mesh := h.M.Mesh
+	bank := h.M.L2BankNode(b, line)
 
-	lat := p.L2RT + mesh.RTLatency(h.m.CoreNode(core), bank)
+	lat := p.L2RT + mesh.RTLatency(h.M.CoreNode(core), bank)
 	mesh.Account(stats.Linefill, noc.CtrlFlits()+noc.DataFlits(mem.LineBytes))
 
 	// Ensure the block's L2 has the line with sufficient block-level
 	// rights (inclusive hierarchy).
 	lat += h.ensureL2(b, line, excl)
-	l2l := h.l2[b].Peek(line)
+	l2l := h.L2[b].Peek(line)
 	e := h.dirL2(b, line)
 	ci := h.coreInBlock(core)
 
@@ -267,11 +267,11 @@ func (h *Hierarchy) fetchIntoL1(core int, line mem.Addr, excl bool) int64 {
 		// sharing optimization: a read of freshly written data predicts a
 		// read-modify-write chain, so granting exclusivity saves the
 		// follow-up upgrade).
-		ownerCore := b*h.m.CoresPerBlock + e.owner
-		lat += mesh.RTLatency(bank, h.m.CoreNode(ownerCore)) + p.L1RT
+		ownerCore := b*h.M.CoresPerBlock + e.owner
+		lat += mesh.RTLatency(bank, h.M.CoreNode(ownerCore)) + p.L1RT
 		h.ctr.Inc("forwards", 1)
 		migratory := false
-		if ol := h.l1[ownerCore].Peek(line); ol != nil && ol.State != cache.Invalid {
+		if ol := h.L1[ownerCore].Peek(line); ol != nil && ol.State != cache.Invalid {
 			if ol.State == cache.Modified {
 				l2l.Words = ol.Words
 				l2l.Dirty = mem.FullMask
@@ -283,7 +283,7 @@ func (h *Hierarchy) fetchIntoL1(core int, line mem.Addr, excl bool) int64 {
 				e.noMigrate = true
 			}
 			if excl || migratory {
-				h.l1[ownerCore].Invalidate(line)
+				h.L1[ownerCore].Invalidate(line)
 				mesh.Account(stats.Invalidation, 2*noc.CtrlFlits())
 				h.ctr.Inc("invalidations", 1)
 				if migratory {
@@ -327,7 +327,7 @@ func (h *Hierarchy) fetchIntoL1(core int, line mem.Addr, excl bool) int64 {
 
 	words := l2l.Words
 	var victim cache.Line
-	if _, evicted := h.l1[core].Insert(line, &words, st, &victim); evicted {
+	if _, evicted := h.L1[core].Insert(line, &words, st, &victim); evicted {
 		h.l1VictimWriteback(core, &victim)
 	}
 	return lat
@@ -335,12 +335,12 @@ func (h *Hierarchy) fetchIntoL1(core int, line mem.Addr, excl bool) int64 {
 
 // upgradeToM converts core's S copy to M, invalidating other sharers.
 func (h *Hierarchy) upgradeToM(core int, line mem.Addr) int64 {
-	b := h.m.BlockOf(core)
-	p := h.m.Params
-	mesh := h.m.Mesh
-	bank := h.m.L2BankNode(b, line)
+	b := h.M.BlockOf(core)
+	p := h.M.Params
+	mesh := h.M.Mesh
+	bank := h.M.L2BankNode(b, line)
 	ci := h.coreInBlock(core)
-	lat := p.L2RT + mesh.RTLatency(h.m.CoreNode(core), bank)
+	lat := p.L2RT + mesh.RTLatency(h.M.CoreNode(core), bank)
 	mesh.Account(stats.Invalidation, noc.CtrlFlits()) // upgrade request
 	h.ctr.Inc("upgrades", 1)
 
@@ -353,7 +353,7 @@ func (h *Hierarchy) upgradeToM(core int, line mem.Addr) int64 {
 	e.owner = ci
 	e.presence = 0
 	e.set(ci)
-	if l := h.l1[core].Peek(line); l != nil {
+	if l := h.L1[core].Peek(line); l != nil {
 		l.State = cache.Modified
 	}
 	return lat
@@ -364,31 +364,31 @@ func (h *Hierarchy) upgradeToM(core int, line mem.Addr) int64 {
 // latency of the farthest leg.
 func (h *Hierarchy) invalidateBlockSharers(b int, line mem.Addr, keep int) int64 {
 	e := h.dirL2(b, line)
-	mesh := h.m.Mesh
-	bank := h.m.L2BankNode(b, line)
+	mesh := h.M.Mesh
+	bank := h.M.L2BankNode(b, line)
 	var worst int64
 	forEachSharerMask(e.presence, func(s int) {
 		if s == keep {
 			return
 		}
-		core := b*h.m.CoresPerBlock + s
-		leg := mesh.RTLatency(bank, h.m.CoreNode(core))
+		core := b*h.M.CoresPerBlock + s
+		leg := mesh.RTLatency(bank, h.M.CoreNode(core))
 		if leg > worst {
 			worst = leg
 		}
 		mesh.Account(stats.Invalidation, 2*noc.CtrlFlits()) // inv + ack
 		h.ctr.Inc("invalidations", 1)
-		if l := h.l1[core].Peek(line); l != nil {
+		if l := h.L1[core].Peek(line); l != nil {
 			if l.State == cache.Modified {
 				// Possible under stale presence after silent transitions:
 				// save the data.
-				if l2l := h.l2[b].Peek(line); l2l != nil {
+				if l2l := h.L2[b].Peek(line); l2l != nil {
 					l2l.Words = l.Words
 					l2l.Dirty = mem.FullMask
 				}
 				mesh.Account(stats.Writeback, noc.DataFlits(mem.LineBytes))
 			}
-			h.l1[core].Invalidate(line)
+			h.L1[core].Invalidate(line)
 		}
 		e.clear(s)
 	})
@@ -403,14 +403,14 @@ func (h *Hierarchy) invalidateBlockSharers(b int, line mem.Addr, keep int) int64
 // l1VictimWriteback handles an evicted L1 line: M lines write data back to
 // the block's L2; clean lines are dropped silently (presence goes stale).
 func (h *Hierarchy) l1VictimWriteback(core int, victim *cache.Line) {
-	b := h.m.BlockOf(core)
+	b := h.M.BlockOf(core)
 	e := h.dirL2(b, victim.Tag)
 	if victim.State == cache.Modified {
-		if l2l := h.l2[b].Peek(victim.Tag); l2l != nil {
+		if l2l := h.L2[b].Peek(victim.Tag); l2l != nil {
 			l2l.Words = victim.Words
 			l2l.Dirty = mem.FullMask
 		}
-		h.m.Mesh.Account(stats.Writeback, noc.DataFlits(mem.LineBytes))
+		h.M.Mesh.Account(stats.Writeback, noc.DataFlits(mem.LineBytes))
 		h.ctr.Inc("l1.evict.dirty", 1)
 		e.clear(h.coreInBlock(core))
 		if e.state == dirOwned && e.owner == h.coreInBlock(core) {
@@ -428,7 +428,7 @@ func (h *Hierarchy) l1VictimWriteback(core int, victim *cache.Line) {
 // blockSoleHolder reports whether block b is the only block holding line
 // (always true on the single-block machine).
 func (h *Hierarchy) blockSoleHolder(b int, line mem.Addr) bool {
-	if h.l3 == nil {
+	if h.L3 == nil {
 		return true
 	}
 	e3 := h.dirL3(line)
@@ -441,20 +441,20 @@ func (h *Hierarchy) blockSoleHolder(b int, line mem.Addr) bool {
 // block-level rights, fetching from L3/memory and doing inter-block
 // coherence work as needed. Returns added latency.
 func (h *Hierarchy) ensureL2(b int, line mem.Addr, excl bool) int64 {
-	p := h.m.Params
-	mesh := h.m.Mesh
-	bank := h.m.L2BankNode(b, line)
-	l2l := h.l2[b].Peek(line)
+	p := h.M.Params
+	mesh := h.M.Mesh
+	bank := h.M.L2BankNode(b, line)
+	l2l := h.L2[b].Peek(line)
 
-	if h.l3 == nil {
+	if h.L3 == nil {
 		// Single-block machine: the L2 is the last level.
 		if l2l != nil {
 			return 0
 		}
-		lat := p.MemRT + mesh.RTLatency(bank, h.m.MemNode(line))
+		lat := p.MemRT + mesh.RTLatency(bank, h.M.MemNode(line))
 		mesh.Account(stats.MemoryTraffic, noc.CtrlFlits()+noc.DataFlits(mem.LineBytes))
 		var words [mem.WordsPerLine]mem.Word
-		h.backing.ReadLine(line, &words)
+		h.Backing.ReadLine(line, &words)
 		h.insertL2(b, line, &words)
 		return lat
 	}
@@ -466,22 +466,22 @@ func (h *Hierarchy) ensureL2(b int, line mem.Addr, excl bool) int64 {
 		return 0
 	}
 
-	l3n := h.m.L3Node(line)
+	l3n := h.M.L3Node(line)
 	lat := p.L3RT + mesh.RTLatency(bank, l3n)
 	mesh.Account(stats.Linefill, noc.CtrlFlits()+noc.DataFlits(mem.LineBytes))
 
 	// Bring the line into the L3 if absent.
-	l3l := h.l3.Peek(line)
+	l3l := h.L3.Peek(line)
 	if l3l == nil {
-		lat += p.MemRT + mesh.RTLatency(l3n, h.m.MemNode(line))
+		lat += p.MemRT + mesh.RTLatency(l3n, h.M.MemNode(line))
 		mesh.Account(stats.MemoryTraffic, noc.CtrlFlits()+noc.DataFlits(mem.LineBytes))
 		var words [mem.WordsPerLine]mem.Word
-		h.backing.ReadLine(line, &words)
+		h.Backing.ReadLine(line, &words)
 		var victim cache.Line
-		if _, evicted := h.l3.Insert(line, &words, cache.StateNone, &victim); evicted {
+		if _, evicted := h.L3.Insert(line, &words, cache.StateNone, &victim); evicted {
 			h.recallL3Victim(&victim)
 		}
-		l3l = h.l3.Peek(line)
+		l3l = h.L3.Peek(line)
 	}
 
 	// Owned in another block: recall its data. A read recall of dirty
@@ -513,7 +513,7 @@ func (h *Hierarchy) ensureL2(b int, line mem.Addr, excl bool) int64 {
 	if l2l == nil {
 		words := l3l.Words
 		h.insertL2(b, line, &words)
-		l2l = h.l2[b].Peek(line)
+		l2l = h.L2[b].Peek(line)
 	} else {
 		l2l.Words = l3l.Words
 		l2l.Dirty = 0
@@ -535,7 +535,7 @@ func (h *Hierarchy) ensureL2(b int, line mem.Addr, excl bool) int64 {
 // insertL2 installs a line in block b's L2, handling the inclusive victim.
 func (h *Hierarchy) insertL2(b int, line mem.Addr, words *[mem.WordsPerLine]mem.Word) {
 	var victim cache.Line
-	if _, evicted := h.l2[b].Insert(line, words, cache.StateNone, &victim); evicted {
+	if _, evicted := h.L2[b].Insert(line, words, cache.StateNone, &victim); evicted {
 		h.evictL2Line(b, &victim)
 	}
 }
@@ -547,15 +547,15 @@ func (h *Hierarchy) evictL2Line(b int, victim *cache.Line) {
 	words := victim.Words
 	dirty := victim.IsDirty()
 	forEachSharerMask(e.presence, func(s int) {
-		core := b*h.m.CoresPerBlock + s
-		if l := h.l1[core].Peek(victim.Tag); l != nil {
+		core := b*h.M.CoresPerBlock + s
+		if l := h.L1[core].Peek(victim.Tag); l != nil {
 			if l.State == cache.Modified {
 				words = l.Words
 				dirty = true
-				h.m.Mesh.Account(stats.Writeback, noc.DataFlits(mem.LineBytes))
+				h.M.Mesh.Account(stats.Writeback, noc.DataFlits(mem.LineBytes))
 			}
-			h.l1[core].Invalidate(victim.Tag)
-			h.m.Mesh.Account(stats.Invalidation, 2*noc.CtrlFlits())
+			h.L1[core].Invalidate(victim.Tag)
+			h.M.Mesh.Account(stats.Invalidation, 2*noc.CtrlFlits())
 			h.ctr.Inc("invalidations", 1)
 		}
 	})
@@ -563,7 +563,7 @@ func (h *Hierarchy) evictL2Line(b int, victim *cache.Line) {
 	if dirty {
 		h.writeBelowL2(victim.Tag, &words)
 	}
-	if h.l3 != nil {
+	if h.L3 != nil {
 		// Block no longer holds the line.
 		e3 := h.dirL3(victim.Tag)
 		e3.clear(b)
@@ -580,30 +580,30 @@ func (h *Hierarchy) evictL2Line(b int, victim *cache.Line) {
 
 // writeBelowL2 pushes a full line's data to L3 (marking dirty) or memory.
 func (h *Hierarchy) writeBelowL2(line mem.Addr, words *[mem.WordsPerLine]mem.Word) {
-	if h.l3 != nil {
-		if l3l := h.l3.Peek(line); l3l != nil {
+	if h.L3 != nil {
+		if l3l := h.L3.Peek(line); l3l != nil {
 			l3l.Words = *words
 			l3l.Dirty = mem.FullMask
-			h.m.Mesh.Account(stats.Writeback, noc.DataFlits(mem.LineBytes))
+			h.M.Mesh.Account(stats.Writeback, noc.DataFlits(mem.LineBytes))
 			return
 		}
 	}
-	h.backing.WriteLine(line, words, mem.FullMask)
-	h.m.Mesh.Account(stats.MemoryTraffic, noc.DataFlits(mem.LineBytes))
+	h.Backing.WriteLine(line, words, mem.FullMask)
+	h.M.Mesh.Account(stats.MemoryTraffic, noc.DataFlits(mem.LineBytes))
 }
 
 // blockHoldsDirty reports whether block b holds modified data for line
 // (in its L2 copy or in one of its L1s).
 func (h *Hierarchy) blockHoldsDirty(b int, line mem.Addr) bool {
-	if l2l := h.l2[b].Peek(line); l2l != nil && l2l.IsDirty() {
+	if l2l := h.L2[b].Peek(line); l2l != nil && l2l.IsDirty() {
 		return true
 	}
 	e := h.dirL2(b, line)
 	if e.state != dirOwned {
 		return false
 	}
-	ownerCore := b*h.m.CoresPerBlock + e.owner
-	ol := h.l1[ownerCore].Peek(line)
+	ownerCore := b*h.M.CoresPerBlock + e.owner
+	ol := h.L1[ownerCore].Peek(line)
 	return ol != nil && ol.State == cache.Modified
 }
 
@@ -611,30 +611,30 @@ func (h *Hierarchy) blockHoldsDirty(b int, line mem.Addr) bool {
 // it at the L3 directory), downgrading (shared) or invalidating (excl) the
 // block's copies, and refreshes the L3 data. Returns the leg latency.
 func (h *Hierarchy) recallBlock(b int, line mem.Addr, excl bool) int64 {
-	p := h.m.Params
-	mesh := h.m.Mesh
-	l3n := h.m.L3Node(line)
-	bank := h.m.L2BankNode(b, line)
+	p := h.M.Params
+	mesh := h.M.Mesh
+	l3n := h.M.L3Node(line)
+	bank := h.M.L2BankNode(b, line)
 	lat := mesh.RTLatency(l3n, bank) + p.L2RT
 	h.ctr.Inc("block.recalls", 1)
 
-	l2l := h.l2[b].Peek(line)
+	l2l := h.L2[b].Peek(line)
 	e := h.dirL2(b, line)
 	// First pull any dirty L1 copy into the block's L2.
 	if e.state == dirOwned {
-		ownerCore := b*h.m.CoresPerBlock + e.owner
-		if ol := h.l1[ownerCore].Peek(line); ol != nil && ol.State == cache.Modified && l2l != nil {
+		ownerCore := b*h.M.CoresPerBlock + e.owner
+		if ol := h.L1[ownerCore].Peek(line); ol != nil && ol.State == cache.Modified && l2l != nil {
 			l2l.Words = ol.Words
 			l2l.Dirty = mem.FullMask
 			mesh.Account(stats.Writeback, noc.DataFlits(mem.LineBytes))
-			lat += mesh.RTLatency(bank, h.m.CoreNode(ownerCore)) + p.L1RT
+			lat += mesh.RTLatency(bank, h.M.CoreNode(ownerCore)) + p.L1RT
 		}
 	}
 	if excl {
 		// Invalidate every L1 copy in the block, then the L2 copy.
 		forEachSharerMask(e.presence, func(s int) {
-			core := b*h.m.CoresPerBlock + s
-			if h.l1[core].Invalidate(line) {
+			core := b*h.M.CoresPerBlock + s
+			if h.L1[core].Invalidate(line) {
 				mesh.Account(stats.Invalidation, 2*noc.CtrlFlits())
 				h.ctr.Inc("invalidations", 1)
 			}
@@ -642,8 +642,8 @@ func (h *Hierarchy) recallBlock(b int, line mem.Addr, excl bool) int64 {
 		h.l2dir[b].del(line)
 	} else {
 		forEachSharerMask(e.presence, func(s int) {
-			core := b*h.m.CoresPerBlock + s
-			if l := h.l1[core].Peek(line); l != nil && l.State != cache.Shared {
+			core := b*h.M.CoresPerBlock + s
+			if l := h.L1[core].Peek(line); l != nil && l.State != cache.Shared {
 				l.State = cache.Shared
 			}
 		})
@@ -651,13 +651,13 @@ func (h *Hierarchy) recallBlock(b int, line mem.Addr, excl bool) int64 {
 	}
 	// Refresh L3 with the block's data.
 	if l2l != nil {
-		if l3l := h.l3.Peek(line); l3l != nil && l2l.IsDirty() {
+		if l3l := h.L3.Peek(line); l3l != nil && l2l.IsDirty() {
 			l3l.Words = l2l.Words
 			l3l.Dirty = mem.FullMask
 			mesh.Account(stats.Writeback, noc.DataFlits(mem.LineBytes))
 		}
 		if excl {
-			h.l2[b].Invalidate(line)
+			h.L2[b].Invalidate(line)
 		} else {
 			l2l.Dirty = 0
 		}
@@ -668,14 +668,14 @@ func (h *Hierarchy) recallBlock(b int, line mem.Addr, excl bool) int64 {
 // invalidateSharerBlocks invalidates line from every block except keep.
 func (h *Hierarchy) invalidateSharerBlocks(line mem.Addr, keep int) int64 {
 	e3 := h.dirL3(line)
-	mesh := h.m.Mesh
-	l3n := h.m.L3Node(line)
+	mesh := h.M.Mesh
+	l3n := h.M.L3Node(line)
 	var worst int64
 	forEachSharerMask(e3.presence, func(b int) {
 		if b == keep {
 			return
 		}
-		leg := mesh.RTLatency(l3n, h.m.L2BankNode(b, line))
+		leg := mesh.RTLatency(l3n, h.M.L2BankNode(b, line))
 		if leg > worst {
 			worst = leg
 		}
@@ -684,11 +684,11 @@ func (h *Hierarchy) invalidateSharerBlocks(line mem.Addr, keep int) int64 {
 		// Invalidate the block's L1 copies and its L2 copy.
 		eb := h.dirL2(b, line)
 		forEachSharerMask(eb.presence, func(s int) {
-			core := b*h.m.CoresPerBlock + s
-			h.l1[core].Invalidate(line)
+			core := b*h.M.CoresPerBlock + s
+			h.L1[core].Invalidate(line)
 		})
 		h.l2dir[b].del(line)
-		h.l2[b].Invalidate(line)
+		h.L2[b].Invalidate(line)
 		e3.clear(b)
 	})
 	keepHad := e3.has(keep)
@@ -708,30 +708,30 @@ func (h *Hierarchy) recallL3Victim(victim *cache.Line) {
 	forEachSharerMask(e3.presence, func(b int) {
 		eb := h.dirL2(b, victim.Tag)
 		forEachSharerMask(eb.presence, func(s int) {
-			core := b*h.m.CoresPerBlock + s
-			if l := h.l1[core].Peek(victim.Tag); l != nil {
+			core := b*h.M.CoresPerBlock + s
+			if l := h.L1[core].Peek(victim.Tag); l != nil {
 				if l.State == cache.Modified {
 					words = l.Words
 					dirty = true
 				}
-				h.l1[core].Invalidate(victim.Tag)
-				h.m.Mesh.Account(stats.Invalidation, 2*noc.CtrlFlits())
+				h.L1[core].Invalidate(victim.Tag)
+				h.M.Mesh.Account(stats.Invalidation, 2*noc.CtrlFlits())
 				h.ctr.Inc("invalidations", 1)
 			}
 		})
-		if l2l := h.l2[b].Peek(victim.Tag); l2l != nil {
+		if l2l := h.L2[b].Peek(victim.Tag); l2l != nil {
 			if l2l.IsDirty() {
 				words = l2l.Words
 				dirty = true
 			}
-			h.l2[b].Invalidate(victim.Tag)
+			h.L2[b].Invalidate(victim.Tag)
 		}
 		h.l2dir[b].del(victim.Tag)
 	})
 	h.dirTableL3(victim.Tag).del(victim.Tag)
 	if dirty {
-		h.backing.WriteLine(victim.Tag, &words, mem.FullMask)
-		h.m.Mesh.Account(stats.MemoryTraffic, noc.DataFlits(mem.LineBytes))
+		h.Backing.WriteLine(victim.Tag, &words, mem.FullMask)
+		h.M.Mesh.Account(stats.MemoryTraffic, noc.DataFlits(mem.LineBytes))
 	}
 	h.ctr.Inc("l3.evictions", 1)
 }
@@ -740,25 +740,25 @@ func (h *Hierarchy) recallL3Victim(victim *cache.Line) {
 
 // LoadUncached mirrors the incoherent hierarchy's uncacheable access.
 func (h *Hierarchy) LoadUncached(core int, a mem.Addr) (mem.Word, int64) {
-	h.m.Mesh.Account(stats.SyncTraffic, noc.CtrlFlits()+noc.DataFlits(mem.WordBytes))
-	return h.backing.ReadWord(a), h.uncachedRT(core, a)
+	h.M.Mesh.Account(stats.SyncTraffic, noc.CtrlFlits()+noc.DataFlits(mem.WordBytes))
+	return h.Backing.ReadWord(a), h.uncachedRT(core, a)
 }
 
 // StoreUncached mirrors the incoherent hierarchy's uncacheable access.
 func (h *Hierarchy) StoreUncached(core int, a mem.Addr, v mem.Word) int64 {
-	h.m.Mesh.Account(stats.SyncTraffic, noc.DataFlits(mem.WordBytes))
-	h.backing.WriteWord(a, v)
+	h.M.Mesh.Account(stats.SyncTraffic, noc.DataFlits(mem.WordBytes))
+	h.Backing.WriteWord(a, v)
 	return h.uncachedRT(core, a)
 }
 
 func (h *Hierarchy) uncachedRT(core int, a mem.Addr) int64 {
-	p := h.m.Params
+	p := h.M.Params
 	line := mem.LineAddr(a)
-	if h.l3 != nil {
-		return p.L3RT + h.m.Mesh.RTLatency(h.m.CoreNode(core), h.m.L3Node(line))
+	if h.L3 != nil {
+		return p.L3RT + h.M.Mesh.RTLatency(h.M.CoreNode(core), h.M.L3Node(line))
 	}
-	b := h.m.BlockOf(core)
-	return p.L2RT + h.m.Mesh.RTLatency(h.m.CoreNode(core), h.m.L2BankNode(b, line))
+	b := h.M.BlockOf(core)
+	return p.L2RT + h.M.Mesh.RTLatency(h.M.CoreNode(core), h.M.L2BankNode(b, line))
 }
 
 // EpochBoundary is a no-op: hardware coherence needs no epoch management.
@@ -766,40 +766,40 @@ func (h *Hierarchy) EpochBoundary(int) {}
 
 // Drain flushes all modified data to backing memory for verification.
 func (h *Hierarchy) Drain() {
-	for c, l1 := range h.l1 {
-		b := h.m.BlockOf(c)
+	for c, l1 := range h.L1 {
+		b := h.M.BlockOf(c)
 		l1.ForEachValid(func(_ cache.FrameID, l *cache.Line) {
 			if l.State == cache.Modified {
-				if l2l := h.l2[b].Peek(l.Tag); l2l != nil {
+				if l2l := h.L2[b].Peek(l.Tag); l2l != nil {
 					l2l.Words = l.Words
 					l2l.Dirty = mem.FullMask
 				} else {
-					h.backing.WriteLine(l.Tag, &l.Words, mem.FullMask)
+					h.Backing.WriteLine(l.Tag, &l.Words, mem.FullMask)
 				}
 				l.State = cache.Shared
 			}
 		})
 	}
-	for _, l2 := range h.l2 {
+	for _, l2 := range h.L2 {
 		l2.ForEachValid(func(_ cache.FrameID, l *cache.Line) {
 			if l.IsDirty() {
-				if h.l3 != nil {
-					if l3l := h.l3.Peek(l.Tag); l3l != nil {
+				if h.L3 != nil {
+					if l3l := h.L3.Peek(l.Tag); l3l != nil {
 						l3l.Words = l.Words
 						l3l.Dirty = mem.FullMask
 						l.Dirty = 0
 						return
 					}
 				}
-				h.backing.WriteLine(l.Tag, &l.Words, mem.FullMask)
+				h.Backing.WriteLine(l.Tag, &l.Words, mem.FullMask)
 				l.Dirty = 0
 			}
 		})
 	}
-	if h.l3 != nil {
-		h.l3.ForEachValid(func(_ cache.FrameID, l *cache.Line) {
+	if h.L3 != nil {
+		h.L3.ForEachValid(func(_ cache.FrameID, l *cache.Line) {
 			if l.IsDirty() {
-				h.backing.WriteLine(l.Tag, &l.Words, l.Dirty)
+				h.Backing.WriteLine(l.Tag, &l.Words, l.Dirty)
 				l.Dirty = 0
 			}
 		})
@@ -812,16 +812,16 @@ func (h *Hierarchy) Drain() {
 // L1 line in M or E has a block directory entry in dirOwned naming its
 // core as owner, which is why a store hit need not write the owner.
 func (h *Hierarchy) CheckInvariants() error {
-	for b := 0; b < h.m.Blocks; b++ {
+	for b := 0; b < h.M.Blocks; b++ {
 		seen := make(map[mem.Addr][]int)
-		for ci := 0; ci < h.m.CoresPerBlock; ci++ {
-			core := b*h.m.CoresPerBlock + ci
+		for ci := 0; ci < h.M.CoresPerBlock; ci++ {
+			core := b*h.M.CoresPerBlock + ci
 			var err error
-			h.l1[core].ForEachValid(func(_ cache.FrameID, l *cache.Line) {
+			h.L1[core].ForEachValid(func(_ cache.FrameID, l *cache.Line) {
 				if err != nil {
 					return
 				}
-				if h.l2[b].Peek(l.Tag) == nil {
+				if h.L2[b].Peek(l.Tag) == nil {
 					err = fmt.Errorf("inclusivity: core %d holds %#x absent from block %d L2", core, uint32(l.Tag), b)
 					return
 				}
@@ -842,21 +842,21 @@ func (h *Hierarchy) CheckInvariants() error {
 				return fmt.Errorf("SWMR: line %#x owned M/E by cores %v", uint32(line), owners)
 			}
 			// No S copy may coexist with an M/E copy in the same block.
-			for ci := 0; ci < h.m.CoresPerBlock; ci++ {
-				core := b*h.m.CoresPerBlock + ci
+			for ci := 0; ci < h.M.CoresPerBlock; ci++ {
+				core := b*h.M.CoresPerBlock + ci
 				if core == owners[0] {
 					continue
 				}
-				if l := h.l1[core].Peek(line); l != nil && l.State != cache.Invalid {
+				if l := h.L1[core].Peek(line); l != nil && l.State != cache.Invalid {
 					return fmt.Errorf("SWMR: line %#x owned by core %d but also valid (%v) in core %d",
 						uint32(line), owners[0], l.State, core)
 				}
 			}
 		}
-		if h.l3 != nil {
+		if h.L3 != nil {
 			var err error
-			h.l2[b].ForEachValid(func(_ cache.FrameID, l *cache.Line) {
-				if err == nil && h.l3.Peek(l.Tag) == nil {
+			h.L2[b].ForEachValid(func(_ cache.FrameID, l *cache.Line) {
+				if err == nil && h.L3.Peek(l.Tag) == nil {
 					err = fmt.Errorf("inclusivity: block %d holds %#x absent from L3", b, uint32(l.Tag))
 				}
 			})

@@ -58,7 +58,7 @@ func TestExclusiveGrantAndSilentUpgrade(t *testing.T) {
 	h := intraHCC()
 	a := mem.Addr(0x3000)
 	h.Load(0, a) // sole reader: E
-	l := h.l1[0].Peek(a)
+	l := h.L1[0].Peek(a)
 	if l.State.String() != "E" {
 		t.Fatalf("sole reader state = %v, want E", l.State)
 	}
@@ -81,7 +81,7 @@ func TestSharedUpgradeLatency(t *testing.T) {
 	if lat <= 0 {
 		t.Error("S->M upgrade should have exposed latency")
 	}
-	if l := h.l1[5].Peek(a); l != nil && l.State.String() != "I" {
+	if l := h.L1[5].Peek(a); l != nil && l.State.String() != "I" {
 		t.Errorf("sharer state after upgrade = %v", l.State)
 	}
 }
@@ -106,7 +106,7 @@ func TestDirtyForwardingMigratesOwnership(t *testing.T) {
 	if lat := h.Store(1, a, 78); lat != 0 {
 		t.Errorf("migrated store latency = %d, want 0 (silent E->M)", lat)
 	}
-	if l := h.l1[0].Peek(a); l != nil && l.State != cache.Invalid {
+	if l := h.L1[0].Peek(a); l != nil && l.State != cache.Invalid {
 		t.Error("old owner should have been invalidated")
 	}
 	if err := h.CheckInvariants(); err != nil {
@@ -123,7 +123,7 @@ func TestCleanSharingStaysShared(t *testing.T) {
 	h.Load(1, a) // migrates E to core 1 (dirty recall)
 	h.Load(2, a) // clean copy at core 1: plain downgrade to shared
 	h.Load(3, a)
-	if l := h.l1[2].Peek(a); l == nil || l.State == cache.Invalid {
+	if l := h.L1[2].Peek(a); l == nil || l.State == cache.Invalid {
 		t.Error("reader 2 lost its copy")
 	}
 	if _, lat := h.Load(1, a); lat != 0 {

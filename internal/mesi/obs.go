@@ -13,7 +13,7 @@ import (
 
 // SetObs attaches the observability recorder (nil detaches).
 func (h *Hierarchy) SetObs(r *obs.Recorder) {
-	h.m.Mesh.SetObs(r)
+	h.M.Mesh.SetObs(r)
 	if r == nil {
 		return
 	}
@@ -25,13 +25,13 @@ func (h *Hierarchy) collect(c *obs.Collect) {
 	l1, l2 := h.CacheStats()
 	emitCacheStats(c, "cache.l1", l1)
 	emitCacheStats(c, "cache.l2", l2)
-	if h.l3 != nil {
-		emitCacheStats(c, "cache.l3", h.l3.Stats())
+	if h.L3 != nil {
+		emitCacheStats(c, "cache.l3", h.L3.Stats())
 	}
 	for _, name := range h.ctr.Names() {
 		c.Count("proto."+name, h.ctr.Get(name))
 	}
-	words, pages := h.backing.Stats()
+	words, pages := h.Backing.Stats()
 	c.Count("mem.footprint.words", int64(words))
 	c.Gauge("mem.pages", int64(pages))
 }

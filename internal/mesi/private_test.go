@@ -37,7 +37,7 @@ type observed struct {
 }
 
 func observe(h *Hierarchy) observed {
-	o := observed{l3: h.l3.Stats(), traffic: h.Traffic()}
+	o := observed{l3: h.L3.Stats(), traffic: h.Traffic()}
 	o.l1, o.l2 = h.CacheStats()
 	return o
 }
@@ -120,7 +120,7 @@ func TestPrivateAcceptsHitsOnly(t *testing.T) {
 	if !accepts(0, isa.OpLoad) || !accepts(0, isa.OpStore) {
 		t.Fatal("Private refused a hit in E")
 	}
-	if st := h.l1[0].Peek(a).State; st != cache.Modified {
+	if st := h.L1[0].Peek(a).State; st != cache.Modified {
 		t.Fatalf("store hit left the line in %v, want M", st)
 	}
 	h.Load(1, a) // forwards core 0's dirty copy: migrates ownership to core 1
