@@ -28,6 +28,7 @@ import (
 	"repro/internal/apps/nas"
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/levels"
 	"repro/internal/mem"
 	"repro/internal/topo"
 )
@@ -242,8 +243,7 @@ func BenchmarkAblationMEBSize(b *testing.B) {
 			var fallbacks, served int64
 			for i := 0; i < b.N; i++ {
 				m := NewIntraMachine()
-				l1, l2, l3 := scaledCacheConfig(m)
-				h := core.New(m, core.Config{L1: l1, L2: l2, L3: l3, MEBEntries: size, IEBEntries: 4})
+				h := core.New(m, core.Config{Config: scaledCacheConfig(m), MEBEntries: size, IEBEntries: 4})
 				var err error
 				r, err = Run(h, csWorkload(16, 8, 2, 12))
 				if err != nil {
@@ -271,8 +271,7 @@ func BenchmarkAblationIEBSize(b *testing.B) {
 			var evictions int64
 			for i := 0; i < b.N; i++ {
 				m := NewIntraMachine()
-				l1, l2, l3 := scaledCacheConfig(m)
-				h := core.New(m, core.Config{L1: l1, L2: l2, L3: l3, MEBEntries: 16, IEBEntries: size})
+				h := core.New(m, core.Config{Config: scaledCacheConfig(m), MEBEntries: 16, IEBEntries: size})
 				guests := make([]engine.Guest, 16)
 				app := func(p *annotate.P) {
 					for k := 0; k < 8; k++ {
@@ -370,7 +369,7 @@ func BenchmarkExtensionHierarchicalReduction(b *testing.B) {
 // operations per second for a memory-heavy guest.
 func BenchmarkEngineThroughput(b *testing.B) {
 	m := topo.NewIntraBlock()
-	h := core.New(m, core.DefaultConfig(m))
+	h := core.New(m, core.Config{Config: levels.DefaultConfig(m)})
 	const opsPerGuest = 10000
 	guests := make([]engine.Guest, 16)
 	for i := range guests {
@@ -572,8 +571,7 @@ func BenchmarkExtensionBlockScaling(b *testing.B) {
 				run := func(mode Mode) (int64, int64) {
 					m := topo.NewCustom(blocks, 8, 4, topo.DefaultParams())
 					m.Params.TraversalPerFrame = 4
-					l1, l2, l3 := scaledCacheConfig(m)
-					h := core.New(m, core.Config{L1: l1, L2: l2, L3: l3})
+					h := core.New(m, core.Config{Config: scaledCacheConfig(m)})
 					h.SetBlockParallel(true)
 					w := jacobi.New(jacobi.Bench, m.NumCores())
 					if _, err := w.Run(h, compilerMode(mode)); err != nil {
@@ -612,8 +610,7 @@ func BenchmarkManycoreScaling(b *testing.B) {
 					var r *Result
 					for i := 0; i < b.N; i++ {
 						m := NewManycoreMachine(blocks, DefaultManycoreCoresPerBlock)
-						l1, l2, l3 := scaledCacheConfig(m)
-						h := core.New(m, core.Config{L1: l1, L2: l2, L3: l3})
+						h := core.New(m, core.Config{Config: scaledCacheConfig(m)})
 						h.SetBlockParallel(eng.par)
 						w := jacobi.New(jacobi.Bench, m.NumCores())
 						var err error

@@ -26,6 +26,7 @@ import (
 	"repro/internal/compiler"
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/levels"
 	"repro/internal/mesi"
 	"repro/internal/overhead"
 	"repro/internal/stats"
@@ -109,20 +110,22 @@ func NewInterMachine() *Machine {
 // sets must exceed the L1 for the relative cost of whole-cache WB/INV to
 // match the full-scale machine). Table III geometry — associativity,
 // banking, latencies, MEB/IEB sizes — is unchanged; only capacities
-// shrink. Use the core/mesi DefaultConfig for full Table III capacities.
+// shrink. levels.DefaultConfig gives the full Table III capacities.
 const (
 	scaledL1Bytes   = 4 << 10   // per core (Table III: 32 KB)
 	scaledL2PerCore = 16 << 10  // per L2 bank (Table III: 128 KB)
 	scaledL3PerBank = 256 << 10 // per L3 bank (Table III: 4 MB)
 )
 
-func scaledCacheConfig(m *Machine) (l1, l2, l3 cache.Config) {
-	l1 = cache.Config{Bytes: scaledL1Bytes, Ways: 4}
-	l2 = cache.Config{Bytes: scaledL2PerCore * m.CoresPerBlock, Ways: 8}
-	if m.L3Banks > 0 {
-		l3 = cache.Config{Bytes: scaledL3PerBank * m.L3Banks, Ways: 8}
+func scaledCacheConfig(m *Machine) levels.Config {
+	cfg := levels.Config{
+		L1: cache.Config{Bytes: scaledL1Bytes, Ways: 4},
+		L2: cache.Config{Bytes: scaledL2PerCore * m.CoresPerBlock, Ways: 8},
 	}
-	return l1, l2, l3
+	if m.L3Banks > 0 {
+		cfg.L3 = cache.Config{Bytes: scaledL3PerBank * m.L3Banks, Ways: 8}
+	}
+	return cfg
 }
 
 // NewHierarchy builds the memory hierarchy for an intra-block
@@ -130,11 +133,11 @@ func scaledCacheConfig(m *Machine) (l1, l2, l3 cache.Config) {
 // incoherent hierarchy with the configuration's entry buffers. Capacities
 // follow the scaled experiment configuration (see scaledCacheConfig).
 func NewHierarchy(m *Machine, cfg Config) Hierarchy {
-	l1, l2, l3 := scaledCacheConfig(m)
+	lc := scaledCacheConfig(m)
 	if cfg.HCC {
-		return mesi.New(m, mesi.Config{L1: l1, L2: l2, L3: l3})
+		return mesi.New(m, lc)
 	}
-	c := core.Config{L1: l1, L2: l2, L3: l3, WriteThrough: cfg.WriteThrough, Bloom: cfg.UseBloom}
+	c := core.Config{Config: lc, WriteThrough: cfg.WriteThrough, Bloom: cfg.UseBloom}
 	if cfg.UseMEB {
 		c.MEBEntries = 16
 	}
@@ -147,11 +150,11 @@ func NewHierarchy(m *Machine, cfg Config) Hierarchy {
 // NewModeHierarchy builds the hierarchy for an inter-block mode on machine
 // m. The Model 2 configurations do not use the entry buffers.
 func NewModeHierarchy(m *Machine, mode Mode) Hierarchy {
-	l1, l2, l3 := scaledCacheConfig(m)
+	lc := scaledCacheConfig(m)
 	if mode == ModeHCC {
-		return mesi.New(m, mesi.Config{L1: l1, L2: l2, L3: l3})
+		return mesi.New(m, lc)
 	}
-	return core.New(m, core.Config{L1: l1, L2: l2, L3: l3})
+	return core.New(m, core.Config{Config: lc})
 }
 
 // StorageReport regenerates the Section VII-A control/storage comparison.

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/levels"
 	"repro/internal/mem"
 	"repro/internal/mesi"
 	"repro/internal/topo"
@@ -15,9 +16,9 @@ func runApp(t *testing.T, cfg Config, pat Pattern, n int, app App) (engine.Hiera
 	m := topo.NewIntraBlock()
 	var h engine.Hierarchy
 	if cfg.HCC {
-		h = mesi.New(m, mesi.DefaultConfig(m))
+		h = mesi.New(m, levels.DefaultConfig(m))
 	} else {
-		c := core.DefaultConfig(m)
+		c := core.Config{Config: levels.DefaultConfig(m)}
 		if cfg.UseMEB {
 			c.MEBEntries = 16
 		}

@@ -6,6 +6,7 @@ import (
 	"repro/internal/compiler"
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/levels"
 	"repro/internal/mesi"
 	"repro/internal/topo"
 )
@@ -13,9 +14,9 @@ import (
 func hierFor(mode compiler.Mode) engine.Hierarchy {
 	m := topo.NewInterBlock()
 	if mode == compiler.ModeHCC {
-		return mesi.New(m, mesi.DefaultConfig(m))
+		return mesi.New(m, levels.DefaultConfig(m))
 	}
-	return core.New(m, core.DefaultConfig(m))
+	return core.New(m, core.Config{Config: levels.DefaultConfig(m)})
 }
 
 func TestJacobiAllModes(t *testing.T) {
@@ -55,7 +56,7 @@ func TestJacobiGlobalOpsDropSharply(t *testing.T) {
 // thread-to-block mapping (Section V-B's portability requirement).
 func TestJacobiUnderShuffledThreadMap(t *testing.T) {
 	m := topo.NewInterBlock()
-	h := core.New(m, core.DefaultConfig(m))
+	h := core.New(m, core.Config{Config: levels.DefaultConfig(m)})
 	// Reverse the mapping: thread t runs conceptually in block 3-t/8.
 	// (Threads still execute on their cores; the ThreadMap is what the
 	// level-adaptive hardware consults, so a wrong map that still covers

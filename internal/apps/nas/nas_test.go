@@ -6,6 +6,7 @@ import (
 	"repro/internal/compiler"
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/levels"
 	"repro/internal/mesi"
 	"repro/internal/topo"
 )
@@ -13,9 +14,9 @@ import (
 func hierFor(mode compiler.Mode) engine.Hierarchy {
 	m := topo.NewInterBlock()
 	if mode == compiler.ModeHCC {
-		return mesi.New(m, mesi.DefaultConfig(m))
+		return mesi.New(m, levels.DefaultConfig(m))
 	}
-	return core.New(m, core.DefaultConfig(m))
+	return core.New(m, core.Config{Config: levels.DefaultConfig(m)})
 }
 
 func runAllModes(t *testing.T, mk func() *compiler.IRWorkload) {

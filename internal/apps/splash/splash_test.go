@@ -6,6 +6,7 @@ import (
 	"repro/internal/annotate"
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/levels"
 	"repro/internal/mesi"
 	"repro/internal/topo"
 	"repro/internal/workload"
@@ -14,9 +15,9 @@ import (
 func hierarchyFor(cfg annotate.Config) engine.Hierarchy {
 	m := topo.NewIntraBlock()
 	if cfg.HCC {
-		return mesi.New(m, mesi.DefaultConfig(m))
+		return mesi.New(m, levels.DefaultConfig(m))
 	}
-	c := core.DefaultConfig(m)
+	c := core.Config{Config: levels.DefaultConfig(m)}
 	c.WriteThrough = cfg.WriteThrough
 	if cfg.UseMEB {
 		c.MEBEntries = 16
@@ -118,7 +119,7 @@ func TestAllUnderBloomSignatures(t *testing.T) {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
 			m := topo.NewIntraBlock()
-			c := core.DefaultConfig(m)
+			c := core.Config{Config: levels.DefaultConfig(m)}
 			c.Bloom = true
 			h := core.New(m, c)
 			if _, err := w.Run(h, annotate.BloomSig); err != nil {

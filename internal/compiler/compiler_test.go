@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/levels"
 	"repro/internal/mem"
 	"repro/internal/mesi"
 	"repro/internal/topo"
@@ -14,9 +15,9 @@ import (
 func hierFor(mode Mode) engine.Hierarchy {
 	m := topo.NewInterBlock()
 	if mode == ModeHCC {
-		return mesi.New(m, mesi.DefaultConfig(m))
+		return mesi.New(m, levels.DefaultConfig(m))
 	}
-	return core.New(m, core.DefaultConfig(m))
+	return core.New(m, core.Config{Config: levels.DefaultConfig(m)})
 }
 
 // pipeline is a simple two-stage producer-consumer program: loop P writes

@@ -5,13 +5,14 @@ import (
 	"testing/quick"
 
 	"repro/internal/isa"
+	"repro/internal/levels"
 	"repro/internal/mem"
 	"repro/internal/topo"
 )
 
 func bloomHierarchy() *Hierarchy {
 	m := topo.NewIntraBlock()
-	cfg := DefaultConfig(m)
+	cfg := Config{Config: levels.DefaultConfig(m)}
 	cfg.Bloom = true
 	return New(m, cfg)
 }
@@ -136,7 +137,7 @@ func TestChannelSignaturesSaturate(t *testing.T) {
 
 func TestBloomDisabledOpsAreNoops(t *testing.T) {
 	m := topo.NewIntraBlock()
-	h := New(m, DefaultConfig(m)) // no Bloom
+	h := New(m, Config{Config: levels.DefaultConfig(m)}) // no Bloom
 	if lat := h.SigPublish(0, 1); lat != 0 {
 		t.Error("publish without Bloom should be free")
 	}

@@ -6,13 +6,14 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/isa"
+	"repro/internal/levels"
 	"repro/internal/mem"
 	"repro/internal/topo"
 )
 
 func intraHierarchy() *Hierarchy {
 	m := topo.NewIntraBlock()
-	cfg := DefaultConfig(m)
+	cfg := Config{Config: levels.DefaultConfig(m)}
 	cfg.MEBEntries = 16
 	cfg.IEBEntries = 4
 	return New(m, cfg)
@@ -20,7 +21,7 @@ func intraHierarchy() *Hierarchy {
 
 func interHierarchy() *Hierarchy {
 	m := topo.NewInterBlock()
-	return New(m, DefaultConfig(m))
+	return New(m, Config{Config: levels.DefaultConfig(m)})
 }
 
 // seed writes v to addr via core c and returns the store's latency.
@@ -512,7 +513,7 @@ func TestMapThreadValidation(t *testing.T) {
 
 func TestL1EvictionWritesBackDirtyWords(t *testing.T) {
 	m := topo.NewIntraBlock()
-	cfg := DefaultConfig(m)
+	cfg := Config{Config: levels.DefaultConfig(m)}
 	cfg.L1 = cacheConfigTiny()
 	h := New(m, cfg)
 	// Fill one set beyond capacity with dirty lines; evicted dirty data

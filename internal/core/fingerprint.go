@@ -2,6 +2,7 @@ package core
 
 import (
 	"repro/internal/cache"
+	"repro/internal/levels"
 	"repro/internal/mem"
 )
 
@@ -28,16 +29,7 @@ func (h *Hierarchy) fingerprint(memFP func(*mem.Memory) uint64, cacheFP func(*ca
 	if h.bloom != nil {
 		panic("core: Fingerprint does not cover Bloom-signature state")
 	}
-	fp := memFP(h.Backing)
-	for _, c := range h.L1 {
-		fp = mem.Mix64(fp, cacheFP(c))
-	}
-	for _, c := range h.L2 {
-		fp = mem.Mix64(fp, cacheFP(c))
-	}
-	if h.L3 != nil {
-		fp = mem.Mix64(fp, cacheFP(h.L3))
-	}
+	fp := h.FingerprintWith(memFP, cacheFP)
 	for core, b := range h.meb {
 		if b == nil {
 			continue
@@ -47,7 +39,7 @@ func (h *Hierarchy) fingerprint(memFP func(*mem.Memory) uint64, cacheFP func(*ca
 		for _, f := range b.entries {
 			fp = mem.Mix64(fp, uint64(f))
 		}
-		fp = mem.Mix64(fp, boolBit(b.overflow))
+		fp = mem.Mix64(fp, levels.BoolBit(b.overflow))
 	}
 	for core, b := range h.ieb {
 		if b == nil {
@@ -58,7 +50,7 @@ func (h *Hierarchy) fingerprint(memFP func(*mem.Memory) uint64, cacheFP func(*ca
 		for _, a := range b.fifo {
 			fp = mem.Mix64(fp, uint64(a))
 		}
-		fp = mem.Mix64(fp, boolBit(b.armed))
+		fp = mem.Mix64(fp, levels.BoolBit(b.armed))
 	}
 	for _, p := range h.delayed {
 		fp = mem.Mix64(fp, uint64(p.line))
@@ -72,32 +64,13 @@ func (h *Hierarchy) fingerprint(memFP func(*mem.Memory) uint64, cacheFP func(*ca
 	return fp
 }
 
-func boolBit(b bool) uint64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
 // MinCacheSets returns the smallest set count among the hierarchy's
 // caches. Two lines can conflict for capacity in *some* cache exactly
 // when their line numbers are congruent modulo this value (set counts
 // are powers of two), which is what isa.Deps needs to make independence
 // sound under evictions.
 func (h *Hierarchy) MinCacheSets() int {
-	min := h.L1[0].Sets()
-	for _, c := range h.L1 {
-		if c.Sets() < min {
-			min = c.Sets()
-		}
-	}
-	for _, c := range h.L2 {
-		if c.Sets() < min {
-			min = c.Sets()
-		}
-	}
-	if h.L3 != nil && h.L3.Sets() < min {
-		min = h.L3.Sets()
-	}
-	return min
+	n := h.L1[0].Sets()
+	h.EachCache(func(c *cache.Cache) { n = min(n, c.Sets()) })
+	return n
 }

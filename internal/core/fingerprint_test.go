@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/isa"
+	"repro/internal/levels"
 	"repro/internal/mem"
 	"repro/internal/topo"
 )
@@ -15,8 +16,10 @@ import (
 func litmusLikeHierarchy() *Hierarchy {
 	m := topo.NewCustom(1, 4, 0, topo.DefaultParams())
 	return New(m, Config{
-		L1:         cache.Config{Bytes: 4 << 10, Ways: 4},
-		L2:         cache.Config{Bytes: 32 << 10, Ways: 8},
+		Config: levels.Config{
+			L1: cache.Config{Bytes: 4 << 10, Ways: 4},
+			L2: cache.Config{Bytes: 32 << 10, Ways: 8},
+		},
 		MEBEntries: 16,
 		IEBEntries: 4,
 	})
@@ -84,7 +87,7 @@ func TestFingerprintSensitivity(t *testing.T) {
 
 func TestFingerprintPanicsOnBloom(t *testing.T) {
 	m := topo.NewIntraBlock()
-	cfg := DefaultConfig(m)
+	cfg := Config{Config: levels.DefaultConfig(m)}
 	cfg.Bloom = true
 	h := New(m, cfg)
 	defer func() {

@@ -24,6 +24,7 @@ import (
 	"repro/internal/cache"
 	"repro/internal/faultinject"
 	"repro/internal/isa"
+	"repro/internal/levels"
 	"repro/internal/mem"
 	"repro/internal/noc"
 	"repro/internal/obs"
@@ -33,11 +34,8 @@ import (
 
 // Config sizes the hierarchy.
 type Config struct {
-	// L1 is each core's private cache; L2 is each block's shared cache
-	// (one logical cache per block, physically banked across the block's
-	// tiles for latency); L3 is the global shared cache, present only when
-	// the machine has L3 banks.
-	L1, L2, L3 cache.Config
+	// Config sizes the cache levels, shared with the MESI baseline.
+	levels.Config
 	// MEBEntries and IEBEntries enable the entry buffers when nonzero.
 	MEBEntries int
 	IEBEntries int
@@ -55,31 +53,10 @@ type Config struct {
 	WriteThrough bool
 }
 
-// DefaultConfig returns the Table III cache sizes for machine m: 32 KB
-// 4-way L1s, 128 KB × cores-per-block 8-way block L2s, and 4 MB × banks
-// 8-way L3 when the machine is multi-block. The entry buffers are disabled;
-// experiment configurations enable them explicitly (Table II's B+M, B+I,
-// B+M+I).
-func DefaultConfig(m *topo.Machine) Config {
-	cfg := Config{
-		L1: cache.Config{Bytes: 32 << 10, Ways: 4},
-		L2: cache.Config{Bytes: (128 << 10) * m.CoresPerBlock, Ways: 8},
-	}
-	if m.L3Banks > 0 {
-		cfg.L3 = cache.Config{Bytes: (4 << 20) * m.L3Banks, Ways: 8}
-	}
-	return cfg
-}
-
 // Hierarchy is one hardware-incoherent cache hierarchy instance.
 type Hierarchy struct {
-	M   *topo.Machine
+	levels.Levels
 	cfg Config
-
-	Backing *mem.Memory
-	L1      []*cache.Cache // per core
-	L2      []*cache.Cache // per block
-	L3      *cache.Cache   // nil when the machine has no L3
 
 	meb []*MEB // per core, nil entries when disabled
 	ieb []*IEB // per core, nil entries when disabled
@@ -118,35 +95,22 @@ type Hierarchy struct {
 // memory. Threads are mapped identically to cores (thread t on core t).
 func New(m *topo.Machine, cfg Config) *Hierarchy {
 	h := &Hierarchy{
-		M:       m,
-		cfg:     cfg,
-		Backing: mem.NewMemory(),
-		L1:      make([]*cache.Cache, m.NumCores()),
-		L2:      make([]*cache.Cache, m.Blocks),
-		meb:     make([]*MEB, m.NumCores()),
-		ieb:     make([]*IEB, m.NumCores()),
-		ctrs:    make([]*stats.Counters, m.Blocks),
+		Levels: levels.New(m, cfg.Config),
+		cfg:    cfg,
+		meb:    make([]*MEB, m.NumCores()),
+		ieb:    make([]*IEB, m.NumCores()),
+		ctrs:   make([]*stats.Counters, m.Blocks),
 	}
 	for b := range h.ctrs {
 		h.ctrs[b] = stats.NewCounters()
 	}
-	for c := range h.L1 {
-		h.L1[c] = cache.New(cfg.L1)
+	for c := range h.meb {
 		if cfg.MEBEntries > 0 {
 			h.meb[c] = NewMEB(cfg.MEBEntries)
 		}
 		if cfg.IEBEntries > 0 {
 			h.ieb[c] = NewIEB(cfg.IEBEntries)
 		}
-	}
-	for b := range h.L2 {
-		h.L2[b] = cache.New(cfg.L2)
-	}
-	if m.L3Banks > 0 {
-		if cfg.L3.Bytes == 0 {
-			panic("core: machine has L3 banks but config has no L3 cache")
-		}
-		h.L3 = cache.New(cfg.L3)
 	}
 	h.threadMap = make([]int, m.NumCores())
 	for t := range h.threadMap {
@@ -181,15 +145,7 @@ func (h *Hierarchy) Reset() {
 		panic("core: Reset of a hierarchy with Bloom signatures")
 	}
 	h.Backing.Reset()
-	for _, c := range h.L1 {
-		c.Reset()
-	}
-	for _, c := range h.L2 {
-		c.Reset()
-	}
-	if h.L3 != nil {
-		h.L3.Reset()
-	}
+	h.EachCache((*cache.Cache).Reset)
 	for _, b := range h.meb {
 		if b != nil {
 			b.Clear()
@@ -212,12 +168,6 @@ func (h *Hierarchy) Reset() {
 	h.M.Mesh.ResetTraffic()
 }
 
-// Machine returns the topology the hierarchy is built on.
-func (h *Hierarchy) Machine() *topo.Machine { return h.M }
-
-// Memory returns the backing store (authoritative only after Drain).
-func (h *Hierarchy) Memory() *mem.Memory { return h.Backing }
-
 // ctr returns the counter bag events raised on core must land in.
 func (h *Hierarchy) ctr(core int) *stats.Counters { return h.ctrs[h.M.BlockOf(core)] }
 
@@ -233,16 +183,6 @@ func (h *Hierarchy) Counters() *stats.Counters {
 		merged.Merge(c)
 	}
 	return merged
-}
-
-// Traffic returns accumulated network traffic.
-func (h *Hierarchy) Traffic() stats.Traffic { return h.M.Mesh.Traffic() }
-
-// SyncCost implements the synchronization cost hook for the hwsync
-// controller, accounting the request/grant message pair as sync traffic.
-func (h *Hierarchy) SyncCost(core, id int) int64 {
-	h.M.Mesh.Account(stats.SyncTraffic, 2)
-	return h.M.SyncCost(core, id)
 }
 
 // MapThread records in the ThreadMap that thread t runs in block b. The
@@ -542,33 +482,6 @@ func (h *Hierarchy) mergeBelowL2NoTraffic(line mem.Addr, words *[mem.WordsPerLin
 	h.writeMemory(line, words, mask)
 }
 
-// ---- Uncacheable accesses ---------------------------------------------
-
-// LoadUncached reads a word directly from the on-chip shared storage,
-// bypassing the private caches — the access mode of the synchronization
-// variables and MPI buffers of Programming Model 1.
-func (h *Hierarchy) LoadUncached(core int, a mem.Addr) (mem.Word, int64) {
-	h.M.Mesh.Account(stats.SyncTraffic, noc.CtrlFlits()+noc.DataFlits(mem.WordBytes))
-	return h.Backing.ReadWord(a), h.uncachedRT(core, a)
-}
-
-// StoreUncached writes a word directly to the on-chip shared storage.
-func (h *Hierarchy) StoreUncached(core int, a mem.Addr, v mem.Word) int64 {
-	h.M.Mesh.Account(stats.SyncTraffic, noc.DataFlits(mem.WordBytes))
-	h.Backing.WriteWord(a, v)
-	return h.uncachedRT(core, a)
-}
-
-func (h *Hierarchy) uncachedRT(core int, a mem.Addr) int64 {
-	p := h.M.Params
-	line := mem.LineAddr(a)
-	if h.L3 != nil {
-		return p.L3RT + h.M.Mesh.RTLatency(h.M.CoreNode(core), h.M.L3Node(line))
-	}
-	b := h.M.BlockOf(core)
-	return p.L2RT + h.M.Mesh.RTLatency(h.M.CoreNode(core), h.M.L2BankNode(b, line))
-}
-
 // ---- Epochs and verification ------------------------------------------
 
 // EpochBoundary tells core's cache controller that a synchronization
@@ -615,14 +528,7 @@ func (h *Hierarchy) Drain() {
 			}
 		})
 	}
-	if h.L3 != nil {
-		h.L3.ForEachValid(func(_ cache.FrameID, l *cache.Line) {
-			if l.IsDirty() {
-				h.Backing.WriteLine(l.Tag, &l.Words, l.Dirty)
-				l.Dirty = 0
-			}
-		})
-	}
+	h.DrainL3()
 }
 
 func (h *Hierarchy) drainToBelowL2(line mem.Addr, words *[mem.WordsPerLine]mem.Word, mask mem.LineMask) {

@@ -9,10 +9,7 @@ package core
 // that exists nowhere else. With no recorder attached the hooks are a
 // single nil-slice test.
 
-import (
-	"repro/internal/cache"
-	"repro/internal/obs"
-)
+import "repro/internal/obs"
 
 // SetObs attaches the observability recorder (nil detaches). The mesh's
 // histograms are hooked, per-core MEB/IEB occupancy tracks are created
@@ -61,12 +58,7 @@ func (h *Hierarchy) sampleIEB(core int) {
 
 // collect reads the hierarchy's existing counters into a snapshot.
 func (h *Hierarchy) collect(c *obs.Collect) {
-	l1, l2 := h.CacheStats()
-	emitCacheStats(c, "cache.l1", l1)
-	emitCacheStats(c, "cache.l2", l2)
-	if h.L3 != nil {
-		emitCacheStats(c, "cache.l3", h.L3.Stats())
-	}
+	h.Levels.Collect(c)
 
 	var mebRecords, mebOverflows, iebInsertions, iebEvictions int64
 	for i := range h.meb {
@@ -90,25 +82,6 @@ func (h *Hierarchy) collect(c *obs.Collect) {
 	for _, name := range ctr.Names() {
 		c.Count("proto."+name, ctr.Get(name))
 	}
-
-	words, pages := h.Backing.Stats()
-	c.Count("mem.footprint.words", int64(words))
-	c.Gauge("mem.pages", int64(pages))
-}
-
-func addCacheStats(dst *cache.Stats, c *cache.Cache) {
-	s := c.Stats()
-	dst.Hits += s.Hits
-	dst.Misses += s.Misses
-	dst.Evictions += s.Evictions
-	dst.WritebacksOnEvict += s.WritebacksOnEvict
-}
-
-func emitCacheStats(c *obs.Collect, prefix string, s cache.Stats) {
-	c.Count(prefix+".hits", s.Hits)
-	c.Count(prefix+".misses", s.Misses)
-	c.Count(prefix+".evictions", s.Evictions)
-	c.Count(prefix+".writebacks_on_evict", s.WritebacksOnEvict)
 }
 
 // gaugeOccupancy merges the per-core high-water marks into one gauge

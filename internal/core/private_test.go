@@ -7,6 +7,7 @@ import (
 	"repro/internal/cache"
 	"repro/internal/faultinject"
 	"repro/internal/isa"
+	"repro/internal/levels"
 	"repro/internal/mem"
 	"repro/internal/obs"
 	"repro/internal/topo"
@@ -17,10 +18,10 @@ import (
 // evicting and refilling. mode picks the write-back L1s with MEB and IEB,
 // bare write-back L1s, or write-through L1s.
 func privateTwin(mode byte) *Hierarchy {
-	cfg := Config{
+	cfg := Config{Config: levels.Config{
 		L1: cache.Config{Bytes: 512, Ways: 2},
 		L2: cache.Config{Bytes: 4 << 10, Ways: 4},
-	}
+	}}
 	switch mode % 3 {
 	case 0:
 		cfg.MEBEntries, cfg.IEBEntries = 4, 2

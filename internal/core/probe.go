@@ -31,28 +31,8 @@ type Probe struct {
 // counts runs with any eviction in Report.EvictionRuns.
 func (h *Hierarchy) Evictions() int64 {
 	var n int64
-	for _, c := range h.L1 {
-		n += c.Evictions
-	}
-	for _, c := range h.L2 {
-		n += c.Evictions
-	}
-	if h.L3 != nil {
-		n += h.L3.Evictions
-	}
+	h.EachCache(func(c *cache.Cache) { n += c.Evictions })
 	return n
-}
-
-// CacheStats returns the event counters summed over every core's L1 and
-// over every block's L2.
-func (h *Hierarchy) CacheStats() (l1, l2 cache.Stats) {
-	for _, c := range h.L1 {
-		addCacheStats(&l1, c)
-	}
-	for _, c := range h.L2 {
-		addCacheStats(&l2, c)
-	}
-	return l1, l2
 }
 
 // ProbeWord reports where the word at a currently lives relative to

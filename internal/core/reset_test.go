@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/faultinject"
 	"repro/internal/isa"
+	"repro/internal/levels"
 	"repro/internal/mem"
 	"repro/internal/obs"
 	"repro/internal/stats"
@@ -105,7 +106,7 @@ func TestResetMatchesFresh(t *testing.T) {
 func TestResetRefusesAttachedState(t *testing.T) {
 	bloom := func() *Hierarchy {
 		m := topo.NewCustom(1, 4, 0, topo.DefaultParams())
-		cfg := DefaultConfig(m)
+		cfg := Config{Config: levels.DefaultConfig(m)}
 		cfg.Bloom = true
 		return New(m, cfg)
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/isa"
+	"repro/internal/levels"
 	"repro/internal/mem"
 	"repro/internal/stats"
 	"repro/internal/topo"
@@ -11,7 +12,7 @@ import (
 
 func wtHierarchy() *Hierarchy {
 	m := topo.NewIntraBlock()
-	cfg := DefaultConfig(m)
+	cfg := Config{Config: levels.DefaultConfig(m)}
 	cfg.WriteThrough = true
 	cfg.IEBEntries = 4
 	return New(m, cfg)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/levels"
 	"repro/internal/mem"
 	"repro/internal/mesi"
 	"repro/internal/stats"
@@ -13,7 +14,7 @@ import (
 
 func incoherent16() *core.Hierarchy {
 	m := topo.NewIntraBlock()
-	cfg := core.DefaultConfig(m)
+	cfg := core.Config{Config: levels.DefaultConfig(m)}
 	cfg.MEBEntries = 16
 	cfg.IEBEntries = 4
 	return core.New(m, cfg)
@@ -21,7 +22,7 @@ func incoherent16() *core.Hierarchy {
 
 func coherent16() *mesi.Hierarchy {
 	m := topo.NewIntraBlock()
-	return mesi.New(m, mesi.DefaultConfig(m))
+	return mesi.New(m, levels.DefaultConfig(m))
 }
 
 // Interface conformance.

@@ -10,6 +10,7 @@ import (
 	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/isa"
+	"repro/internal/levels"
 	"repro/internal/mem"
 	"repro/internal/mesi"
 	"repro/internal/topo"
@@ -25,10 +26,10 @@ type inlineCounter struct {
 
 func newInlineCounter(cores int) *inlineCounter {
 	m := topo.NewCustom(1, cores, 0, topo.DefaultParams())
-	return &inlineCounter{Hierarchy: core.New(m, core.Config{
+	return &inlineCounter{Hierarchy: core.New(m, core.Config{Config: levels.Config{
 		L1: cache.Config{Bytes: 4 << 10, Ways: 4},
 		L2: cache.Config{Bytes: 32 << 10, Ways: 8},
-	})}
+	}})}
 }
 
 func (c *inlineCounter) Private(core int, kind isa.OpKind, a mem.Addr, v mem.Word) (mem.Word, bool) {
@@ -175,7 +176,7 @@ func horizonGuests(x, y mem.Addr, got *mem.Word) []Guest {
 
 func newMesiProbe() *horizonProbe {
 	m := topo.NewCustom(1, 2, 0, topo.DefaultParams())
-	return &horizonProbe{privateTestHierarchy: mesi.New(m, mesi.DefaultConfig(m))}
+	return &horizonProbe{privateTestHierarchy: mesi.New(m, levels.DefaultConfig(m))}
 }
 
 // TestHorizonOrdersMesiHits: thread 1's second load of x would hit its S

@@ -3,6 +3,7 @@ package engine
 import (
 	"testing"
 
+	"repro/internal/levels"
 	"repro/internal/mem"
 	"repro/internal/mesi"
 	"repro/internal/topo"
@@ -13,7 +14,7 @@ import (
 // the L1: filling a line and then dirtying it each change the state.
 func TestStateFingerprintMesi(t *testing.T) {
 	m := topo.NewCustom(1, 2, 0, topo.DefaultParams())
-	h := mesi.New(m, mesi.DefaultConfig(m))
+	h := mesi.New(m, levels.DefaultConfig(m))
 	e := New(h, []Guest{func(Proc) {}, func(Proc) {}})
 	empty, ok := e.StateFingerprint()
 	if !ok {

@@ -7,6 +7,7 @@ import (
 	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/levels"
 	"repro/internal/mem"
 	"repro/internal/oracle"
 	"repro/internal/topo"
@@ -58,8 +59,10 @@ const litmusCores = 4
 func NewHierarchy(cfg Config, blocks, coresPerBlock int) *core.Hierarchy {
 	m := topo.NewCustom(blocks, coresPerBlock, 0, topo.DefaultParams())
 	return core.New(m, core.Config{
-		L1:         cache.Config{Bytes: 4 << 10, Ways: 4},
-		L2:         cache.Config{Bytes: 32 << 10, Ways: 8},
+		Config: levels.Config{
+			L1: cache.Config{Bytes: 4 << 10, Ways: 4},
+			L2: cache.Config{Bytes: 32 << 10, Ways: 8},
+		},
 		MEBEntries: cfg.MEBEntries,
 		IEBEntries: cfg.IEBEntries,
 	})

@@ -10,6 +10,7 @@ import (
 	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/levels"
 	"repro/internal/oracle"
 	"repro/internal/topo"
 )
@@ -35,8 +36,10 @@ func fingerprintHierarchy(cfg Config, tiny bool) *core.Hierarchy {
 		return litmusHierarchy(cfg)
 	}
 	return core.New(topo.NewCustom(1, litmusCores, 0, topo.DefaultParams()), core.Config{
-		L1:         cache.Config{Bytes: 2 * 64, Ways: 2},
-		L2:         cache.Config{Bytes: 4 * 64, Ways: 4},
+		Config: levels.Config{
+			L1: cache.Config{Bytes: 2 * 64, Ways: 2},
+			L2: cache.Config{Bytes: 4 * 64, Ways: 4},
+		},
 		MEBEntries: cfg.MEBEntries,
 		IEBEntries: cfg.IEBEntries,
 	})

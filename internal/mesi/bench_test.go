@@ -3,6 +3,7 @@ package mesi
 import (
 	"testing"
 
+	"repro/internal/levels"
 	"repro/internal/mem"
 	"repro/internal/topo"
 )
@@ -14,7 +15,7 @@ import (
 // heap dirEntry; the benchmark's allocs/op tracks that cost.
 func BenchmarkMesiDirectory(b *testing.B) {
 	bench := func(b *testing.B, m *topo.Machine) {
-		h := New(m, DefaultConfig(m))
+		h := New(m, levels.DefaultConfig(m))
 		cores := m.NumCores()
 		// Working set: 8192 lines shared round-robin by all cores, with
 		// every fourth access a store so ownership migrates between cores

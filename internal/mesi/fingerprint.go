@@ -2,6 +2,7 @@ package mesi
 
 import (
 	"repro/internal/cache"
+	"repro/internal/levels"
 	"repro/internal/mem"
 )
 
@@ -12,22 +13,13 @@ import (
 // depend on how the tables or the counter bag happen to be laid out. The
 // cache event counters are not included; CacheStats reports them.
 func (h *Hierarchy) Fingerprint() uint64 {
-	fp := h.Backing.Fingerprint()
-	for _, c := range h.L1 {
-		fp = mem.Mix64(fp, c.Fingerprint())
-	}
-	for _, c := range h.L2 {
-		fp = mem.Mix64(fp, c.Fingerprint())
-	}
-	if h.L3 != nil {
-		fp = mem.Mix64(fp, h.L3.Fingerprint())
-	}
+	fp := h.FingerprintWith((*mem.Memory).Fingerprint, (*cache.Cache).Fingerprint)
 	for _, dirs := range [][]*dirTable{h.l2dir, h.l3dirs} {
 		for i, t := range dirs {
 			fp = mem.Mix64(fp, uint64(i)<<1|1)
 			t.forEachSorted(func(line mem.Addr, e *dirEntry) {
 				fp = mem.Mix64(fp, uint64(line))
-				fp = mem.Mix64(fp, uint64(e.state)|boolBit(e.migrated)<<8|boolBit(e.noMigrate)<<9)
+				fp = mem.Mix64(fp, uint64(e.state)|levels.BoolBit(e.migrated)<<8|levels.BoolBit(e.noMigrate)<<9)
 				fp = mem.Mix64(fp, e.presence)
 				fp = mem.Mix64(fp, uint64(e.owner))
 			})
@@ -40,23 +32,4 @@ func (h *Hierarchy) Fingerprint() uint64 {
 		fp = mem.Mix64(fp, uint64(h.ctr.Get(name)))
 	}
 	return fp
-}
-
-func boolBit(b bool) uint64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-// CacheStats returns the event counters summed over every core's L1 and
-// over every block's L2.
-func (h *Hierarchy) CacheStats() (l1, l2 cache.Stats) {
-	for _, c := range h.L1 {
-		addCacheStats(&l1, c)
-	}
-	for _, c := range h.L2 {
-		addCacheStats(&l2, c)
-	}
-	return l1, l2
 }

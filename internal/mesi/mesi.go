@@ -21,6 +21,7 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/isa"
+	"repro/internal/levels"
 	"repro/internal/mem"
 	"repro/internal/noc"
 	"repro/internal/stats"
@@ -55,31 +56,9 @@ func (e *dirEntry) clear(i int)    { e.presence &^= 1 << uint(i) }
 func (e *dirEntry) set(i int)      { e.presence |= 1 << uint(i) }
 func (e *dirEntry) has(i int) bool { return e.presence&(1<<uint(i)) != 0 }
 
-// Config sizes the coherent hierarchy; identical cache geometry to the
-// incoherent one so comparisons are apples-to-apples.
-type Config struct {
-	L1, L2, L3 cache.Config
-}
-
-// DefaultConfig returns Table III cache sizes for machine m.
-func DefaultConfig(m *topo.Machine) Config {
-	cfg := Config{
-		L1: cache.Config{Bytes: 32 << 10, Ways: 4},
-		L2: cache.Config{Bytes: (128 << 10) * m.CoresPerBlock, Ways: 8},
-	}
-	if m.L3Banks > 0 {
-		cfg.L3 = cache.Config{Bytes: (4 << 20) * m.L3Banks, Ways: 8}
-	}
-	return cfg
-}
-
 // Hierarchy is one hardware-coherent MESI hierarchy.
 type Hierarchy struct {
-	M       *topo.Machine
-	Backing *mem.Memory
-	L1      []*cache.Cache
-	L2      []*cache.Cache
-	L3      *cache.Cache
+	levels.Levels
 
 	l2dir  []*dirTable // per block: line -> per-core presence (core index within block)
 	l3dirs []*dirTable // per L3 bank: line -> per-block presence
@@ -87,33 +66,22 @@ type Hierarchy struct {
 	ctr *stats.Counters
 }
 
-// New builds a coherent hierarchy on machine m.
-func New(m *topo.Machine, cfg Config) *Hierarchy {
+// New builds a coherent hierarchy on machine m with cache geometry cfg.
+func New(m *topo.Machine, cfg levels.Config) *Hierarchy {
 	h := &Hierarchy{
-		M:       m,
-		Backing: mem.NewMemory(),
-		L1:      make([]*cache.Cache, m.NumCores()),
-		L2:      make([]*cache.Cache, m.Blocks),
-		l2dir:   make([]*dirTable, m.Blocks),
-		ctr:     stats.NewCounters(),
+		Levels: levels.New(m, cfg),
+		l2dir:  make([]*dirTable, m.Blocks),
+		ctr:    stats.NewCounters(),
 	}
-	for c := range h.L1 {
-		h.L1[c] = cache.New(cfg.L1)
-	}
-	for b := range h.L2 {
-		h.L2[b] = cache.New(cfg.L2)
+	for b := range h.l2dir {
 		h.l2dir[b] = newDirTable()
 	}
 	if m.L3Banks > 0 {
-		if cfg.L3.Bytes == 0 {
-			panic("mesi: machine has L3 banks but config has no L3 cache")
-		}
 		if m.Blocks > 64 {
 			// The L3 directory's presence field is a uint64 over blocks;
 			// a larger machine would silently shift bits into oblivion.
 			panic(fmt.Sprintf("mesi: %d blocks exceed the 64-bit directory presence field", m.Blocks))
 		}
-		h.L3 = cache.New(cfg.L3)
 		// One directory table per L3 bank, mirroring the physical banking:
 		// lines hash to banks, so each table stays small and bank lookups
 		// never touch another bank's map.
@@ -128,24 +96,8 @@ func New(m *topo.Machine, cfg Config) *Hierarchy {
 	return h
 }
 
-// Machine returns the topology.
-func (h *Hierarchy) Machine() *topo.Machine { return h.M }
-
-// Memory returns the backing store (authoritative after Drain).
-func (h *Hierarchy) Memory() *mem.Memory { return h.Backing }
-
 // Counters returns protocol event counters.
 func (h *Hierarchy) Counters() *stats.Counters { return h.ctr }
-
-// Traffic returns accumulated flit counts.
-func (h *Hierarchy) Traffic() stats.Traffic { return h.M.Mesh.Traffic() }
-
-// SyncCost is the synchronization cost hook (identical to the incoherent
-// machine's: the sync hardware is the same in both designs).
-func (h *Hierarchy) SyncCost(core, id int) int64 {
-	h.M.Mesh.Account(stats.SyncTraffic, 2)
-	return h.M.SyncCost(core, id)
-}
 
 func (h *Hierarchy) coreInBlock(core int) int { return core % h.M.CoresPerBlock }
 
@@ -736,30 +688,7 @@ func (h *Hierarchy) recallL3Victim(victim *cache.Line) {
 	h.ctr.Inc("l3.evictions", 1)
 }
 
-// ---- Uncacheable, epochs, drain ----------------------------------------
-
-// LoadUncached mirrors the incoherent hierarchy's uncacheable access.
-func (h *Hierarchy) LoadUncached(core int, a mem.Addr) (mem.Word, int64) {
-	h.M.Mesh.Account(stats.SyncTraffic, noc.CtrlFlits()+noc.DataFlits(mem.WordBytes))
-	return h.Backing.ReadWord(a), h.uncachedRT(core, a)
-}
-
-// StoreUncached mirrors the incoherent hierarchy's uncacheable access.
-func (h *Hierarchy) StoreUncached(core int, a mem.Addr, v mem.Word) int64 {
-	h.M.Mesh.Account(stats.SyncTraffic, noc.DataFlits(mem.WordBytes))
-	h.Backing.WriteWord(a, v)
-	return h.uncachedRT(core, a)
-}
-
-func (h *Hierarchy) uncachedRT(core int, a mem.Addr) int64 {
-	p := h.M.Params
-	line := mem.LineAddr(a)
-	if h.L3 != nil {
-		return p.L3RT + h.M.Mesh.RTLatency(h.M.CoreNode(core), h.M.L3Node(line))
-	}
-	b := h.M.BlockOf(core)
-	return p.L2RT + h.M.Mesh.RTLatency(h.M.CoreNode(core), h.M.L2BankNode(b, line))
-}
+// ---- Epochs, drain ----------------------------------------
 
 // EpochBoundary is a no-op: hardware coherence needs no epoch management.
 func (h *Hierarchy) EpochBoundary(int) {}
@@ -796,14 +725,7 @@ func (h *Hierarchy) Drain() {
 			}
 		})
 	}
-	if h.L3 != nil {
-		h.L3.ForEachValid(func(_ cache.FrameID, l *cache.Line) {
-			if l.IsDirty() {
-				h.Backing.WriteLine(l.Tag, &l.Words, l.Dirty)
-				l.Dirty = 0
-			}
-		})
-	}
+	h.DrainL3()
 }
 
 // CheckInvariants verifies the single-writer/multiple-reader, inclusivity

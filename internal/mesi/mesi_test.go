@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/cache"
+	"repro/internal/levels"
 	"repro/internal/mem"
 	"repro/internal/stats"
 	"repro/internal/topo"
@@ -12,12 +13,12 @@ import (
 
 func intraHCC() *Hierarchy {
 	m := topo.NewIntraBlock()
-	return New(m, DefaultConfig(m))
+	return New(m, levels.DefaultConfig(m))
 }
 
 func interHCC() *Hierarchy {
 	m := topo.NewInterBlock()
-	return New(m, DefaultConfig(m))
+	return New(m, levels.DefaultConfig(m))
 }
 
 func TestCoherentProducerConsumer(t *testing.T) {
@@ -276,7 +277,7 @@ func testRandomizedCoherence(t *testing.T, h *Hierarchy, cores int) {
 // (with a tiny config) L2 evictions exercise inclusive recall paths.
 func TestEvictionStress(t *testing.T) {
 	m := topo.NewIntraBlock()
-	cfg := DefaultConfig(m)
+	cfg := levels.DefaultConfig(m)
 	cfg.L1.Bytes = 4 << 10 // 64 lines
 	h := New(m, cfg)
 	rng := rand.New(rand.NewSource(99))
@@ -301,7 +302,7 @@ func TestEvictionStress(t *testing.T) {
 
 func TestL2EvictionRecallsL1Inclusive(t *testing.T) {
 	m := topo.NewIntraBlock()
-	cfg := DefaultConfig(m)
+	cfg := levels.DefaultConfig(m)
 	cfg.L2.Bytes = 8 << 10 // 128 lines total: force L2 evictions
 	cfg.L2.Ways = 2
 	h := New(m, cfg)

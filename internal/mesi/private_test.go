@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/isa"
+	"repro/internal/levels"
 	"repro/internal/mem"
 	"repro/internal/stats"
 	"repro/internal/topo"
@@ -15,7 +16,7 @@ import (
 // fuzzer's eight lines keep evicting L1 and L2 lines (inclusive recalls)
 // and L3 lines (block recalls).
 func privateTwin() *Hierarchy {
-	return New(topo.NewCustom(2, 2, 1, topo.DefaultParams()), Config{
+	return New(topo.NewCustom(2, 2, 1, topo.DefaultParams()), levels.Config{
 		L1: cache.Config{Bytes: 256, Ways: 2},
 		L2: cache.Config{Bytes: 512, Ways: 2},
 		L3: cache.Config{Bytes: 512, Ways: 2},

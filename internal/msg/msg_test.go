@@ -5,13 +5,14 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/levels"
 	"repro/internal/mem"
 	"repro/internal/topo"
 )
 
 func newMachine() (*core.Hierarchy, *mem.Arena) {
 	m := topo.NewInterBlock()
-	return core.New(m, core.DefaultConfig(m)), mem.NewArena(1 << 20)
+	return core.New(m, core.Config{Config: levels.DefaultConfig(m)}), mem.NewArena(1 << 20)
 }
 
 func run(t *testing.T, h engine.Hierarchy, guests []engine.Guest) *engine.Result {

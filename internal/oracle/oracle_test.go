@@ -8,6 +8,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/faultinject"
 	"repro/internal/isa"
+	"repro/internal/levels"
 	"repro/internal/mem"
 	"repro/internal/topo"
 )
@@ -227,7 +228,7 @@ func TestLegalValuesConcurrentWritesAndDedup(t *testing.T) {
 func checkedRun(t *testing.T, plan string, cfgMod func(*core.Config), guests []engine.Guest) *Oracle {
 	t.Helper()
 	m := topo.NewIntraBlock()
-	cfg := core.DefaultConfig(m)
+	cfg := core.Config{Config: levels.DefaultConfig(m)}
 	if cfgMod != nil {
 		cfgMod(&cfg)
 	}
@@ -344,7 +345,7 @@ func TestDelayWBReachesMemoryAtDrain(t *testing.T) {
 	const a = mem.Addr(0x1000)
 	r := mem.WordRange(a, 1)
 	m := topo.NewIntraBlock()
-	h := core.New(m, core.DefaultConfig(m))
+	h := core.New(m, core.Config{Config: levels.DefaultConfig(m)})
 	h.SetFaults(faultinject.NewState(faultinject.MustParse("delay-wb@0")))
 	guests := []engine.Guest{
 		func(p engine.Proc) { p.Store(a, 41); p.WB(r); p.FlagSet(0, 1) },
