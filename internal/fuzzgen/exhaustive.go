@@ -54,7 +54,8 @@ func reportViolations(rep *litmus.Report) []oracle.Violation {
 	return out
 }
 
-// enumMutationClass maps an annotated sync kind to its weakening class.
+// enumMutationClass names the weakening class and side of each kind
+// litmus.RawForm weakens; RawForm alone decides which kinds those are.
 var enumMutationClass = map[litmus.InstrKind]struct {
 	class string
 	side  Side
@@ -73,10 +74,10 @@ func EnumeratedMutants(t litmus.Test) []Mutant {
 	var ms []Mutant
 	for ti, th := range t.Threads {
 		for ii, in := range th {
-			mc, ok := enumMutationClass[in.Kind]
-			if !ok {
+			if _, ok := litmus.RawForm(in); !ok {
 				continue
 			}
+			mc := enumMutationClass[in.Kind]
 			s := Site{Thread: ti, Index: ii, Class: mc.class, Side: mc.side}
 			ms = append(ms, Mutant{Site: s, Test: mutate(t, s)})
 		}

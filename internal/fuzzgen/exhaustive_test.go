@@ -181,3 +181,16 @@ func TestJudgeExhaustiveAgreesWithJudge(t *testing.T) {
 	}
 	t.Logf("%d mutants cross-checked, %d capped and skipped", checked, skipped)
 }
+
+// TestRawFormKindsHaveClass: litmus.RawForm is the only list of
+// weakenable kinds, and enumMutationClass only names their class and
+// side, so the two must cover the same kinds. A kind RawForm weakens
+// without a class would reach mutate with an empty class name.
+func TestRawFormKindsHaveClass(t *testing.T) {
+	for k := litmus.InstrKind(0); k < 256; k++ {
+		_, weakened := litmus.RawForm(litmus.Instr{Kind: k})
+		if _, named := enumMutationClass[k]; weakened != named {
+			t.Errorf("%v: RawForm weakens it = %v, class table names it = %v", k, weakened, named)
+		}
+	}
+}

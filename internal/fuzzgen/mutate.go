@@ -19,8 +19,8 @@ type Mutant struct {
 }
 
 // mutate applies the site's weakening to a deep copy of t: drop-wb and
-// drop-inv delete the raw IWB / IINV, and the four weaken-* classes
-// replace the annotated sync op by its raw form (litmus.RawForm).
+// drop-inv delete the raw IWB / IINV, and every other class (weaken-*)
+// replaces the annotated sync op by its raw form (litmus.RawForm).
 //
 // Every weakening preserves the raw synchronization op, so the mutant
 // cannot deadlock and the oracle's vector clocks still order the racing
@@ -36,14 +36,12 @@ func mutate(t litmus.Test, s Site) litmus.Test {
 	switch s.Class {
 	case "drop-wb", "drop-inv":
 		out.Threads[s.Thread] = append(th[:s.Index:s.Index], th[s.Index+1:]...)
-	case "weaken-notify", "weaken-await", "weaken-csenter", "weaken-csexit":
+	default:
 		raw, ok := litmus.RawForm(th[s.Index])
 		if !ok {
 			panic("fuzzgen: " + s.Class + " site is not an annotated sync op")
 		}
 		th[s.Index] = raw
-	default:
-		panic("fuzzgen: unknown mutation class " + s.Class)
 	}
 	out.Name = fmt.Sprintf("%s-%s-t%d.%d", t.Name, s.Class, s.Thread, s.Index)
 	return out
