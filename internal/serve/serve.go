@@ -161,6 +161,11 @@ func (s *Server) run(job *Job) {
 		},
 	}
 	data, err := s.compute(s.ctx, job.Req, env)
+	if err == nil {
+		// The store has its own lock; a persisted Put writes and renames
+		// a file, which must not hold up status polls and submits.
+		s.store.Put(job.Key, data)
+	}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -170,7 +175,6 @@ func (s *Server) run(job *Job) {
 		job.finish(JobFailed, nil, err.Error())
 		return
 	}
-	s.store.Put(job.Key, data)
 	s.completed++
 	job.finish(JobDone, data, "")
 }
@@ -216,6 +220,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		tenant = "anonymous"
 	}
 	key := req.Key()
+	// Outside mu: the store has its own lock, and a persisted lookup
+	// reads and hashes a file.
+	data, stored := s.store.Get(key)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -224,7 +231,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.submitted++
-	if data, ok := s.store.Get(key); ok {
+	if stored {
 		// Born done: the store already holds this address's bytes.
 		job := newJob(s.nextID(), tenant, req, key)
 		job.cacheHit = true
@@ -303,6 +310,19 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 // snapshot, the same format the simulator's observability layer emits,
 // so existing tooling (and the CI cache-hit gate) can read it.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
+	snap := &obs.Snapshot{Schema: obs.MetricsSchema, Counters: map[string]int64{}}
+	count := func(name string, v int64) {
+		if v != 0 {
+			snap.Counters[name] = v
+		}
+	}
+	// The store's counters are read before taking mu: the store's lock
+	// can be held through a file read or write.
+	count("serve.store.hits", s.store.Hits())
+	count("serve.store.misses", s.store.Misses())
+	count("serve.store.corrupt", s.store.Corrupt())
+	count("serve.store.entries", int64(s.store.Len()))
+
 	s.mu.Lock()
 	var queued, running int64
 	for _, j := range s.jobs {
@@ -313,16 +333,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 			running++
 		}
 	}
-	snap := &obs.Snapshot{Schema: obs.MetricsSchema, Counters: map[string]int64{}}
-	count := func(name string, v int64) {
-		if v != 0 {
-			snap.Counters[name] = v
-		}
-	}
-	count("serve.store.hits", s.store.Hits())
-	count("serve.store.misses", s.store.Misses())
-	count("serve.store.corrupt", s.store.Corrupt())
-	count("serve.store.entries", int64(s.store.Len()))
 	count("serve.cells.hits", s.cells.Hits())
 	count("serve.cells.misses", s.cells.Misses())
 	count("serve.cells.entries", int64(s.cells.Len()))

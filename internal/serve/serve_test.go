@@ -19,6 +19,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -622,5 +623,40 @@ func TestRequestOptionsReachTheRun(t *testing.T) {
 		fmt.Sprint(o.Only) != "[fft]" {
 		t.Errorf("request fields = coherence %v, metrics %v, faults %q, seed %d, only %v",
 			o.CheckCoherence, o.Metrics, o.Faults, o.Seed, o.Only)
+	}
+}
+
+// TestStoreLookupDoesNotBlockStatus: a store lookup can read and hash a
+// persisted entry, so handleSubmit makes it outside the server mutex
+// (the store has its own lock). With the store held busy, a submit
+// waits on it, but a status poll for an existing job still answers.
+func TestStoreLookupDoesNotBlockStatus(t *testing.T) {
+	s, c := newTestServer(t, Config{Workers: 1})
+	release := make(chan struct{})
+	defer close(release)
+	stubCompute(s, release)
+	ctx := context.Background()
+	r1, err := c.Submit(ctx, litmusReq(301))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	s.store.mu.Lock()
+	var unlock sync.Once
+	defer unlock.Do(s.store.mu.Unlock)
+	submitted := make(chan error, 1)
+	go func() {
+		_, err := c.Submit(ctx, litmusReq(302))
+		submitted <- err
+	}()
+	time.Sleep(50 * time.Millisecond) // let the submit reach the store
+	sctx, cancel := context.WithTimeout(ctx, time.Second)
+	defer cancel()
+	if _, err := c.Status(sctx, r1.ID); err != nil {
+		t.Fatalf("status poll while the store is busy: %v", err)
+	}
+	unlock.Do(s.store.mu.Unlock)
+	if err := <-submitted; err != nil {
+		t.Fatalf("submit after the store freed: %v", err)
 	}
 }
