@@ -30,8 +30,8 @@
 //
 // -workers bounds concurrent sweeps, -queue the submitted backlog, and
 // -per-tenant one tenant's in-flight jobs (tenants are named by the
-// X-Hic-Tenant request header). Submits beyond either limit are refused
-// with 429 and a Retry-After hint. -parallel and -timeout shape each
+// X-Hic-Tenant request header); each must be positive. Submits beyond
+// either limit are refused with 429 and a Retry-After hint. -parallel and -timeout shape each
 // sweep exactly like the CLI flags of the same names.
 //
 // The bound address is logged at startup, so -addr 127.0.0.1:0 picks a
@@ -64,6 +64,16 @@ func main() {
 	timeout := flag.Duration("timeout", 0, "per-run timeout within a sweep (0 = none)")
 	cacheDir := flag.String("cache-dir", "", "persist the result cache to this directory (default: memory only)")
 	flag.Parse()
+	// serve.New would replace a non-positive count by its default, which
+	// the startup log below would not show.
+	for _, f := range []struct {
+		name string
+		n    int
+	}{{"workers", *workers}, {"queue", *queue}, {"per-tenant", *perTenant}} {
+		if f.n <= 0 {
+			log.Fatalf("-%s %d: must be positive", f.name, f.n)
+		}
+	}
 
 	s, err := serve.New(serve.Config{
 		Workers:    *workers,

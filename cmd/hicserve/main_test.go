@@ -8,9 +8,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"strings"
 	"sync"
 	"syscall"
 	"testing"
@@ -37,16 +39,23 @@ func (b *lockedBuffer) String() string {
 	return b.buf.String()
 }
 
+// buildHicserve compiles the command into a temp dir.
+func buildHicserve(t *testing.T) string {
+	t.Helper()
+	bin := filepath.Join(t.TempDir(), "hicserve")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	return bin
+}
+
 var listeningRE = regexp.MustCompile(`listening on (\S+) `)
 
 func TestSIGTERMShutsDownCleanly(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the binary")
 	}
-	bin := filepath.Join(t.TempDir(), "hicserve")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
+	bin := buildHicserve(t)
 	cacheDir := t.TempDir()
 	var logs lockedBuffer
 	cmd := exec.Command(bin, "-addr", "127.0.0.1:0", "-cache-dir", cacheDir, "-parallel", "2")
@@ -101,5 +110,34 @@ func TestSIGTERMShutsDownCleanly(t *testing.T) {
 	}
 	if entries, _ := filepath.Glob(filepath.Join(cacheDir, "*.entry")); len(entries) != 1 {
 		t.Errorf("cache dir holds %d entries, want the one sweep's", len(entries))
+	}
+}
+
+// TestNonPositiveCountsRefused: the job counts must be positive. A zero
+// or negative -workers, -queue or -per-tenant exits 1 naming the flag,
+// rather than starting with a default the startup log does not show.
+func TestNonPositiveCountsRefused(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the binary")
+	}
+	bin := buildHicserve(t)
+	for _, args := range [][]string{
+		{"-workers", "0"},
+		{"-queue", "0"},
+		{"-per-tenant", "0"},
+		{"-workers", "-1"},
+	} {
+		t.Run(strings.Join(args, " "), func(t *testing.T) {
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			out, err := exec.CommandContext(ctx, bin, append([]string{"-addr", "127.0.0.1:0"}, args...)...).CombinedOutput()
+			var ee *exec.ExitError
+			if !errors.As(err, &ee) || ee.ExitCode() != 1 {
+				t.Fatalf("hicserve %s: %v, want exit status 1\n%s", strings.Join(args, " "), err, out)
+			}
+			if !strings.Contains(string(out), args[0]+" ") {
+				t.Errorf("message does not name %s:\n%s", args[0], out)
+			}
+		})
 	}
 }
