@@ -65,6 +65,17 @@ type Line struct {
 // IsDirty reports whether any word of the line is dirty.
 func (l *Line) IsDirty() bool { return l.Valid && l.Dirty != 0 }
 
+// Merge writes the words of words that mask selects into the line and
+// marks them dirty.
+func (l *Line) Merge(words *[mem.WordsPerLine]mem.Word, mask mem.LineMask) {
+	for i := 0; i < mem.WordsPerLine; i++ {
+		if mask.Has(i) {
+			l.Words[i] = words[i]
+		}
+	}
+	l.Dirty |= mask
+}
+
 // FrameID identifies a physical line frame within a cache. The MEB records
 // frame IDs rather than addresses: for a 32-KB cache with 64-B lines that
 // is a 9-bit ID (Table III).

@@ -447,12 +447,7 @@ func (h *Hierarchy) mergeBelowL1(b int, line mem.Addr, words *[mem.WordsPerLine]
 	// OpLocal classifier only admits writebacks whose lines hit the L2).
 	h.M.Mesh.AccountShard(b, stats.Writeback, noc.DataFlits(mask.Count()*mem.WordBytes))
 	if l2l := h.L2[b].Peek(line); l2l != nil {
-		for i := 0; i < mem.WordsPerLine; i++ {
-			if mask.Has(i) {
-				l2l.Words[i] = words[i]
-			}
-		}
-		l2l.Dirty |= mask
+		l2l.Merge(words, mask)
 		return
 	}
 	h.mergeBelowL2NoTraffic(line, words, mask)
@@ -470,12 +465,7 @@ func (h *Hierarchy) mergeBelowL2(line mem.Addr, words *[mem.WordsPerLine]mem.Wor
 func (h *Hierarchy) mergeBelowL2NoTraffic(line mem.Addr, words *[mem.WordsPerLine]mem.Word, mask mem.LineMask) {
 	if h.L3 != nil {
 		if l3l := h.L3.Peek(line); l3l != nil {
-			for i := 0; i < mem.WordsPerLine; i++ {
-				if mask.Has(i) {
-					l3l.Words[i] = words[i]
-				}
-			}
-			l3l.Dirty |= mask
+			l3l.Merge(words, mask)
 			return
 		}
 	}
@@ -507,41 +497,13 @@ func (h *Hierarchy) Drain() {
 		l1.ForEachValid(func(_ cache.FrameID, l *cache.Line) {
 			if l.IsDirty() {
 				if l2l := h.L2[b].Peek(l.Tag); l2l != nil {
-					for i := 0; i < mem.WordsPerLine; i++ {
-						if l.Dirty.Has(i) {
-							l2l.Words[i] = l.Words[i]
-						}
-					}
-					l2l.Dirty |= l.Dirty
+					l2l.Merge(&l.Words, l.Dirty)
 				} else {
-					h.drainToBelowL2(l.Tag, &l.Words, l.Dirty)
+					h.DrainBelowL2(l.Tag, &l.Words, l.Dirty)
 				}
 				l.Dirty = 0
 			}
 		})
 	}
-	for _, l2 := range h.L2 {
-		l2.ForEachValid(func(_ cache.FrameID, l *cache.Line) {
-			if l.IsDirty() {
-				h.drainToBelowL2(l.Tag, &l.Words, l.Dirty)
-				l.Dirty = 0
-			}
-		})
-	}
-	h.DrainL3()
-}
-
-func (h *Hierarchy) drainToBelowL2(line mem.Addr, words *[mem.WordsPerLine]mem.Word, mask mem.LineMask) {
-	if h.L3 != nil {
-		if l3l := h.L3.Peek(line); l3l != nil {
-			for i := 0; i < mem.WordsPerLine; i++ {
-				if mask.Has(i) {
-					l3l.Words[i] = words[i]
-				}
-			}
-			l3l.Dirty |= mask
-			return
-		}
-	}
-	h.Backing.WriteLine(line, words, mask)
+	h.DrainShared()
 }

@@ -102,11 +102,7 @@ func (h *Hierarchy) pushWordsGlobal(b int, line mem.Addr, words *[mem.WordsPerLi
 	flits := noc.DataFlits(mask.Count() * mem.WordBytes)
 	h.M.Mesh.Account(stats.Writeback, flits) // L1 -> L2 leg
 	if l2l := h.L2[b].Peek(line); l2l != nil {
-		for i := 0; i < mem.WordsPerLine; i++ {
-			if mask.Has(i) {
-				l2l.Words[i] = words[i]
-			}
-		}
+		l2l.Merge(words, mask)
 		l2l.Dirty &^= mask
 	}
 	h.M.Mesh.Account(stats.Writeback, flits) // L2 -> L3 leg

@@ -191,10 +191,19 @@ func BoolBit(b bool) uint64 {
 	return 0
 }
 
-// DrainL3 writes every dirty L3 word to backing memory, without timing
-// or traffic, and leaves the lines clean: the last step of both
-// hierarchies' Drain.
-func (lv *Levels) DrainL3() {
+// DrainShared is the shared-level half of both hierarchies' Drain: it
+// moves every dirty word of the L2s below them (DrainBelowL2), then every
+// dirty L3 word to memory, without timing or traffic, and leaves the
+// lines clean.
+func (lv *Levels) DrainShared() {
+	for _, l2 := range lv.L2 {
+		l2.ForEachValid(func(_ cache.FrameID, l *cache.Line) {
+			if l.IsDirty() {
+				lv.DrainBelowL2(l.Tag, &l.Words, l.Dirty)
+				l.Dirty = 0
+			}
+		})
+	}
 	if lv.L3 == nil {
 		return
 	}
@@ -204,4 +213,17 @@ func (lv *Levels) DrainL3() {
 			l.Dirty = 0
 		}
 	})
+}
+
+// DrainBelowL2 merges the words mask selects into the L3 copy of line,
+// marking them dirty, or writes them to memory when the L3 does not hold
+// the line, without timing or traffic.
+func (lv *Levels) DrainBelowL2(line mem.Addr, words *[mem.WordsPerLine]mem.Word, mask mem.LineMask) {
+	if lv.L3 != nil {
+		if l3l := lv.L3.Peek(line); l3l != nil {
+			l3l.Merge(words, mask)
+			return
+		}
+	}
+	lv.Backing.WriteLine(line, words, mask)
 }

@@ -700,8 +700,7 @@ func (h *Hierarchy) Drain() {
 		l1.ForEachValid(func(_ cache.FrameID, l *cache.Line) {
 			if l.State == cache.Modified {
 				if l2l := h.L2[b].Peek(l.Tag); l2l != nil {
-					l2l.Words = l.Words
-					l2l.Dirty = mem.FullMask
+					l2l.Merge(&l.Words, mem.FullMask)
 				} else {
 					h.Backing.WriteLine(l.Tag, &l.Words, mem.FullMask)
 				}
@@ -709,23 +708,9 @@ func (h *Hierarchy) Drain() {
 			}
 		})
 	}
-	for _, l2 := range h.L2 {
-		l2.ForEachValid(func(_ cache.FrameID, l *cache.Line) {
-			if l.IsDirty() {
-				if h.L3 != nil {
-					if l3l := h.L3.Peek(l.Tag); l3l != nil {
-						l3l.Words = l.Words
-						l3l.Dirty = mem.FullMask
-						l.Dirty = 0
-						return
-					}
-				}
-				h.Backing.WriteLine(l.Tag, &l.Words, mem.FullMask)
-				l.Dirty = 0
-			}
-		})
-	}
-	h.DrainL3()
+	// Dirty lines are always whole (Dirty is mem.FullMask), so the
+	// shared levels drain exactly as the incoherent hierarchy's do.
+	h.DrainShared()
 }
 
 // CheckInvariants verifies the single-writer/multiple-reader, inclusivity

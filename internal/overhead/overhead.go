@@ -10,7 +10,9 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/levels"
 	"repro/internal/mem"
+	"repro/internal/topo"
 )
 
 // Params describes one machine for the storage model.
@@ -30,15 +32,17 @@ type Params struct {
 	MESIStateBits int
 }
 
-// PaperMachine returns the Section VII-A machine: 4 blocks × 8 cores,
-// Table III cache sizes.
+// PaperMachine returns the Section VII-A machine: the Table III
+// inter-block machine (4 blocks × 8 cores) with its cache sizes.
 func PaperMachine() Params {
+	m := topo.NewInterBlock()
+	c := levels.DefaultConfig(m)
 	return Params{
-		Blocks:        4,
-		CoresPerBlock: 8,
-		L1Bytes:       32 << 10,
-		L2Bytes:       (128 << 10) * 8,
-		L3Bytes:       16 << 20,
+		Blocks:        m.Blocks,
+		CoresPerBlock: m.CoresPerBlock,
+		L1Bytes:       c.L1.Bytes,
+		L2Bytes:       c.L2.Bytes,
+		L3Bytes:       c.L3.Bytes,
 		MEBEntries:    16,
 		IEBEntries:    4,
 		AddrBits:      40,
