@@ -252,6 +252,9 @@ func TestSuiteOutputsPinned(t *testing.T) {
 		{[]string{"-suite", "overhead"}, "1dacf5b0c48c9997198f815f70acaba3c94ed1448a131ff6d5bec2eb7aa198e3"},
 		{[]string{"-suite", "manycore", "-blocks", "4", "-scale", "test", "-json"}, "4aa5726b9e5724f75ad67d4b9eb9d218107f6c4bf375aa894ed99ca211a96b06"},
 		{[]string{"-suite", "manycore", "-blocks", "4", "-scale", "test"}, "49085037d20e88e7ddacd11f5f91fc7423a8ecd635cc338eff5e5506081c1db6"},
+		// -blocks 7 runs the -blocks 4 sweep, and its header says "up to 4
+		// blocks".
+		{[]string{"-suite", "manycore", "-blocks", "7", "-scale", "test"}, "49085037d20e88e7ddacd11f5f91fc7423a8ecd635cc338eff5e5506081c1db6"},
 		{[]string{"-suite", "table1", "-scale", "test"}, "96e2e0a32303c3aa485353d7a5fccde104f33db7b936720fbacabcb39671f71a"},
 		// The buggy-annotation matrix and a custom plan, at one worker and
 		// at four.

@@ -401,6 +401,8 @@ func TestRequestKeyCanonicalization(t *testing.T) {
 		// K is inert without enumerate; manycore defaults its core count.
 		{{Suite: "litmus", K: 7}, {Suite: "litmus"}},
 		{{Suite: "manycore", Blocks: 2}, {Suite: "manycore", Blocks: 2, CoresPerBlock: 8}},
+		// The sweep runs the powers of two up to blocks, so 7 runs 1, 2, 4.
+		{{Suite: "manycore", Blocks: 4}, {Suite: "manycore", Blocks: 7}},
 	}
 	for _, pair := range same {
 		if a, b := key(pair[0]), key(pair[1]); a != b {
