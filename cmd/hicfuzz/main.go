@@ -31,7 +31,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -40,6 +39,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/envelope"
 	"repro/internal/fuzzgen"
 	"repro/internal/litmus"
 )
@@ -91,9 +91,7 @@ func main() {
 				rep.Runs[i].WallMS = 0
 			}
 		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
+		if err := envelope.Encode(os.Stdout, rep); err != nil {
 			log.Fatal(err)
 		}
 	} else {

@@ -33,9 +33,6 @@ type parked struct {
 // SetFaults attaches a fault-injection state (nil detaches).
 func (h *Hierarchy) SetFaults(fi *faultinject.State) { h.fi = fi }
 
-// Faults returns the attached fault-injection state, or nil.
-func (h *Hierarchy) Faults() *faultinject.State { return h.fi }
-
 // wbFaultRange consults the WB cursor for a range writeback. When the
 // instruction is sabotaged it performs the fault's effect and returns
 // (latency, true); the caller must then skip the real writeback.

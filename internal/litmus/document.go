@@ -6,7 +6,6 @@ package litmus
 
 import (
 	"context"
-	"encoding/json"
 	"io"
 	"runtime"
 	"sync"
@@ -136,8 +135,4 @@ func (d *Document) Failed() bool {
 
 // Encode writes the document as indented JSON with a trailing newline,
 // the canonical wire form shared by the CLI and the server.
-func (d *Document) Encode(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(d)
-}
+func (d *Document) Encode(w io.Writer) error { return envelope.Encode(w, d) }

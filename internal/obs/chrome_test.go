@@ -23,11 +23,11 @@ func goldenTrace() []CellTrace {
 	r.Span(0, stats.WBStall, 100, 40)
 	r.Span(1, stats.LockStall, 25, 75)
 	r.SetNow(0)
-	r.Sample("meb", 0, 0)
+	r.Track("meb", 0).Sample(r.Now(), 0)
 	r.SetNow(100)
-	r.Sample("meb", 0, 3)
+	r.Track("meb", 0).Sample(r.Now(), 3)
 	r.SetNow(140)
-	r.Sample("meb", 0, 0)
+	r.Track("meb", 0).Sample(r.Now(), 0)
 
 	r2 := New(Config{})
 	r2.Span(0, stats.INVStall, 0, 12)

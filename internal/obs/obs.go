@@ -6,8 +6,8 @@
 //
 // The design has two rules:
 //
-//  1. Disabled means nil. Every Recorder (and Counter/Hist/SpanTrack/
-//     Track) method is safe on a nil receiver and returns immediately,
+//  1. Disabled means nil. Every Recorder (and Hist/SpanTrack/Track)
+//     method is safe on a nil receiver and returns immediately,
 //     so an uninstrumented run carries exactly one pointer-is-nil test
 //     per would-be hook — nothing is allocated and nothing is counted.
 //     The overhead-guard benchmark (BenchmarkObsOverhead) and the CI
@@ -22,14 +22,13 @@
 //     flit-size histograms (noc), and MEB/IEB occupancy tracks (core).
 //
 // A Recorder belongs to one run (one experiment cell) and is used from
-// that run's scheduler goroutine; counters and histograms use atomics so
-// collectors may also be read concurrently, but the span and track rings
+// that run's scheduler goroutine; histograms use atomics so they may
+// also be read concurrently, but the span and track rings
 // are single-writer by construction.
 package obs
 
 import (
 	"sort"
-	"sync/atomic"
 
 	"repro/internal/stats"
 )
@@ -62,7 +61,6 @@ type Recorder struct {
 	cfg Config
 	now int64 // simulated clock, maintained by the engine via SetNow
 
-	counters   map[string]*Counter
 	hists      map[string]*Hist
 	spans      []*SpanTrack // per core, grown on first use
 	tracks     map[trackKey]*Track
@@ -83,16 +81,11 @@ func New(cfg Config) *Recorder {
 		cfg.TrackCap = DefaultTrackCap
 	}
 	return &Recorder{
-		cfg:      cfg,
-		counters: make(map[string]*Counter),
-		hists:    make(map[string]*Hist),
-		tracks:   make(map[trackKey]*Track),
+		cfg:    cfg,
+		hists:  make(map[string]*Hist),
+		tracks: make(map[trackKey]*Track),
 	}
 }
-
-// Enabled reports whether the recorder records anything (i.e. is
-// non-nil). Components may use it to skip building hook state.
-func (r *Recorder) Enabled() bool { return r != nil }
 
 // SetNow advances the recorder's view of the simulated clock. The engine
 // calls it once per scheduler step so that component-side samples
@@ -110,21 +103,6 @@ func (r *Recorder) Now() int64 {
 		return 0
 	}
 	return r.now
-}
-
-// Counter returns the named counter, creating it on first use. On a nil
-// recorder it returns nil, and a nil *Counter's methods are no-ops, so
-// components may resolve counters once at attach time and add blindly.
-func (r *Recorder) Counter(name string) *Counter {
-	if r == nil {
-		return nil
-	}
-	c := r.counters[name]
-	if c == nil {
-		c = new(Counter)
-		r.counters[name] = c
-	}
-	return c
 }
 
 // Hist returns the named histogram, creating it on first use (nil on a
@@ -176,15 +154,6 @@ func (r *Recorder) Track(name string, core int) *Track {
 	return t
 }
 
-// Sample appends value v at the current simulated time to the named
-// per-core track (convenience over Track().Sample()).
-func (r *Recorder) Sample(name string, core int, v int64) {
-	if r == nil {
-		return
-	}
-	r.Track(name, core).Sample(r.now, v)
-}
-
 // OnCollect registers a snapshot-time collector: a closure that reads a
 // component's existing counters into the snapshot. Collectors run in
 // registration order each time Snapshot is called.
@@ -209,25 +178,6 @@ func Attach(h any, r *Recorder) bool {
 		i.SetObs(r)
 	}
 	return ok
-}
-
-// Counter is a single atomic event counter.
-type Counter struct{ v atomic.Int64 }
-
-// Add increments the counter by n (no-op on nil).
-func (c *Counter) Add(n int64) {
-	if c == nil {
-		return
-	}
-	c.v.Add(n)
-}
-
-// Load returns the current count (0 on nil).
-func (c *Counter) Load() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.v.Load()
 }
 
 // sortedKeys returns m's keys in sorted order, for deterministic

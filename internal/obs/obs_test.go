@@ -14,16 +14,9 @@ import (
 // here is a crash in every uninstrumented run.
 func TestNilRecorderIsInert(t *testing.T) {
 	var r *Recorder
-	if r.Enabled() {
-		t.Fatal("nil recorder claims to be enabled")
-	}
 	r.SetNow(5)
 	if r.Now() != 0 {
 		t.Error("nil recorder has a clock")
-	}
-	r.Counter("x").Add(1)
-	if r.Counter("x").Load() != 0 {
-		t.Error("nil counter holds a value")
 	}
 	r.Hist("h").Observe(7)
 	if r.Hist("h").Count() != 0 {
@@ -36,7 +29,7 @@ func TestNilRecorderIsInert(t *testing.T) {
 	if (r.SpanTrack(3).Totals() != stats.Stalls{}) {
 		t.Error("nil span track holds totals")
 	}
-	r.Sample("meb", 0, 9)
+	r.Track("meb", 0).Sample(r.Now(), 9)
 	if r.Track("meb", 0).HWM() != 0 || r.Track("meb", 0).Samples() != nil {
 		t.Error("nil track holds samples")
 	}
@@ -101,13 +94,13 @@ func TestSpanCoalescingAndBounding(t *testing.T) {
 func TestTrackDedupAndHWM(t *testing.T) {
 	r := New(Config{TrackCap: 2})
 	r.SetNow(10)
-	r.Sample("meb", 1, 3)
+	r.Track("meb", 1).Sample(r.Now(), 3)
 	r.SetNow(20)
-	r.Sample("meb", 1, 3) // unchanged: no new sample
+	r.Track("meb", 1).Sample(r.Now(), 3) // unchanged: no new sample
 	r.SetNow(30)
-	r.Sample("meb", 1, 7)
+	r.Track("meb", 1).Sample(r.Now(), 7)
 	r.SetNow(40)
-	r.Sample("meb", 1, 2) // ring full: dropped, HWM still tracked
+	r.Track("meb", 1).Sample(r.Now(), 2) // ring full: dropped, HWM still tracked
 	tr := r.Track("meb", 1)
 	if got := tr.Samples(); len(got) != 2 || got[0] != (TrackSample{T: 10, V: 3}) || got[1] != (TrackSample{T: 30, V: 7}) {
 		t.Fatalf("samples = %+v", got)
@@ -120,15 +113,15 @@ func TestTrackDedupAndHWM(t *testing.T) {
 func TestSnapshotDeterministicAndReconciled(t *testing.T) {
 	build := func() *Recorder {
 		r := New(Config{})
-		r.Counter("b.count").Add(2)
-		r.Counter("a.count").Add(1)
 		r.Hist("lat").Observe(16)
 		r.Hist("lat").Observe(32)
 		r.Span(0, stats.Busy, 0, 10)
 		r.Span(1, stats.INVStall, 3, 7)
 		r.SetNow(4)
-		r.Sample("meb", 0, 5)
+		r.Track("meb", 0).Sample(r.Now(), 5)
 		r.OnCollect(func(c *Collect) {
+			c.Count("b.count", 2)
+			c.Count("a.count", 1)
 			c.Count("cache.hits", 9)
 			c.Count("zero.skipped", 0)
 			c.Gauge("meb.occ.hwm", r.Track("meb", 0).HWM())
@@ -176,7 +169,7 @@ func TestSnapshotDeterministicAndReconciled(t *testing.T) {
 func TestTotalsOnlyCapsStoreNothing(t *testing.T) {
 	r := New(Config{SpanCap: -1, TrackCap: -1})
 	r.Span(0, stats.Busy, 0, 4)
-	r.Sample("meb", 0, 3)
+	r.Track("meb", 0).Sample(r.Now(), 3)
 	if n := len(r.SpanTrack(0).Spans()); n != 0 {
 		t.Errorf("stored %d spans with negative cap", n)
 	}

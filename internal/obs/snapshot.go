@@ -17,9 +17,8 @@ const MetricsSchema = envelope.MetricsV1
 // count.
 type Snapshot struct {
 	Schema string `json:"schema"`
-	// Counters holds event counts: the hot-path counters registered via
-	// Recorder.Counter plus everything the snapshot-time collectors
-	// contribute (cache hits/misses/evictions, MEB/IEB events, protocol
+	// Counters holds event counts, all contributed by the snapshot-time
+	// collectors (cache hits/misses/evictions, MEB/IEB events, protocol
 	// counters, memory accesses).
 	Counters map[string]int64 `json:"counters,omitempty"`
 	// Gauges holds level samples, merged by maximum (buffer occupancy
@@ -61,8 +60,8 @@ func (c *Collect) Gauge(name string, v int64) {
 	}
 }
 
-// Snapshot collects the current metrics: registered counters, the
-// snapshot-time collectors, histogram summaries, and stall-span totals.
+// Snapshot collects the current metrics: the snapshot-time collectors,
+// histogram summaries, and stall-span totals.
 // It may be called repeatedly; each call re-reads the live state. On a
 // nil recorder it returns nil.
 func (r *Recorder) Snapshot() *Snapshot {
@@ -71,9 +70,6 @@ func (r *Recorder) Snapshot() *Snapshot {
 	}
 	s := &Snapshot{Schema: MetricsSchema}
 	col := &Collect{s: s}
-	for _, name := range sortedKeys(r.counters) {
-		col.Count(name, r.counters[name].Load())
-	}
 	for _, f := range r.collectors {
 		f(col)
 	}

@@ -4,17 +4,10 @@
 package overhead
 
 import (
-	"encoding/json"
 	"io"
 
 	"repro/internal/envelope"
 )
-
-// DocItem is one storage structure in the JSON document.
-type DocItem struct {
-	Name string `json:"name"`
-	Bits int64  `json:"bits"`
-}
 
 // Document is the machine-readable storage comparison (schema hic/v2,
 // kind "storage"). It has no v1 layout: the storage kind postdates the
@@ -22,11 +15,11 @@ type DocItem struct {
 type Document struct {
 	Schema         string        `json:"schema"`
 	Kind           envelope.Kind `json:"kind"`
-	Coherent       []DocItem     `json:"coherent"`
-	Incoherent     []DocItem     `json:"incoherent"`
-	CoherentBits   int64         `json:"coherent_bits"`
-	IncoherentBits int64         `json:"incoherent_bits"`
-	SavingsBits    int64         `json:"savings_bits"`
+	Coherent       []Item        `json:"coherent"`
+	Incoherent     []Item        `json:"incoherent"`
+	CoherentBits   Bits          `json:"coherent_bits"`
+	IncoherentBits Bits          `json:"incoherent_bits"`
+	SavingsBits    Bits          `json:"savings_bits"`
 	SavingsKB      float64       `json:"savings_kb"`
 }
 
@@ -35,27 +28,15 @@ func (r *Report) Document() *Document {
 	return &Document{
 		Schema:         envelope.SchemaV2,
 		Kind:           envelope.KindStorage,
-		Coherent:       docItems(r.Coherent),
-		Incoherent:     docItems(r.Incoherent),
-		CoherentBits:   int64(r.CoherentTotal()),
-		IncoherentBits: int64(r.IncoherentTotal()),
-		SavingsBits:    int64(r.Savings()),
+		Coherent:       r.Coherent,
+		Incoherent:     r.Incoherent,
+		CoherentBits:   r.CoherentTotal(),
+		IncoherentBits: r.IncoherentTotal(),
+		SavingsBits:    r.Savings(),
 		SavingsKB:      r.Savings().KB(),
 	}
 }
 
-func docItems(in []Item) []DocItem {
-	out := make([]DocItem, 0, len(in))
-	for _, i := range in {
-		out = append(out, DocItem{Name: i.Name, Bits: int64(i.Bits)})
-	}
-	return out
-}
-
 // Encode writes the document as indented JSON with a trailing newline,
 // the canonical wire form shared by the CLI and the server.
-func (d *Document) Encode(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(d)
-}
+func (d *Document) Encode(w io.Writer) error { return envelope.Encode(w, d) }

@@ -56,10 +56,11 @@ type Bits int64
 // KB returns the quantity in kilobytes.
 func (b Bits) KB() float64 { return float64(b) / 8 / 1024 }
 
-// Item is one storage structure in the comparison.
+// Item is one storage structure in the comparison, in the report and
+// in its JSON document alike.
 type Item struct {
-	Name string
-	Bits Bits
+	Name string `json:"name"`
+	Bits Bits   `json:"bits"`
 }
 
 // Report is the full comparison.

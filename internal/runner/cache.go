@@ -101,18 +101,11 @@ func CodeVersion() string {
 	return codeVersion
 }
 
-// Cache is consulted by sweep task bodies before they simulate: a hit
-// returns the cell's outcome without building a hierarchy or stepping
-// the engine. Implementations must be safe for concurrent use; cached
-// outcomes are shared and must be treated as immutable by callers.
-type Cache interface {
-	// Get returns the outcome stored under key, if any.
-	Get(key string) (*Outcome, bool)
-	// Put stores a successful outcome under key.
-	Put(key string, out *Outcome)
-}
-
-// MemCache is the in-memory Cache with hit/miss accounting.
+// MemCache is the in-memory result cache that sweep task bodies consult
+// before they simulate: a hit returns the cell's outcome without
+// building a hierarchy or stepping the engine. It is safe for concurrent
+// use and counts hits and misses; cached outcomes are shared and must be
+// treated as immutable by callers.
 type MemCache struct {
 	mu     sync.Mutex
 	m      map[string]*Outcome

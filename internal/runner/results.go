@@ -32,32 +32,11 @@ type Document struct {
 	Scale string `json:"scale"`
 	// Suite names what ran: "intra", "inter", or "all".
 	Suite string `json:"suite"`
-	// Figures are the regenerated paper figures.
-	Figures []Figure `json:"figures"`
+	// Figures are the regenerated paper figures, each bar's Total
+	// filled from its height.
+	Figures []stats.Figure `json:"figures"`
 	// Runs holds one record per sweep cell, in task order.
 	Runs []RunRecord `json:"runs"`
-}
-
-// Figure is the JSON form of a stats.Figure, with a stable identifier.
-type Figure struct {
-	// ID names the paper artifact ("figure9" ... "figure12").
-	ID         string   `json:"id"`
-	Title      string   `json:"title"`
-	Categories []string `json:"categories"`
-	Groups     []Group  `json:"groups"`
-}
-
-// Group is one application's bars.
-type Group struct {
-	Name string `json:"name"`
-	Bars []Bar  `json:"bars"`
-}
-
-// Bar is one normalized stacked bar.
-type Bar struct {
-	Label    string    `json:"label"`
-	Segments []float64 `json:"segments"`
-	Total    float64   `json:"total"`
 }
 
 // RunRecord is one cell's raw metrics.
@@ -92,21 +71,8 @@ type RunRecord struct {
 	Metrics *obs.Snapshot `json:"metrics,omitempty"`
 }
 
-// FigureJSON converts a stats.Figure under the given identifier.
-func FigureJSON(id string, f *stats.Figure) Figure {
-	out := Figure{ID: id, Title: f.Title, Categories: f.Categories}
-	for _, g := range f.Groups {
-		jg := Group{Name: g.Name}
-		for _, b := range g.Bars {
-			jg.Bars = append(jg.Bars, Bar{Label: b.Label, Segments: b.Segments, Total: b.Height()})
-		}
-		out.Groups = append(out.Groups, jg)
-	}
-	return out
-}
-
 // FigureByID returns the document's figure with the given ID, or nil.
-func (d *Document) FigureByID(id string) *Figure {
+func (d *Document) FigureByID(id string) *stats.Figure {
 	for i := range d.Figures {
 		if d.Figures[i].ID == id {
 			return &d.Figures[i]
@@ -181,22 +147,12 @@ func (d *Document) Encode(w io.Writer) error {
 	for i := range canon.Runs {
 		canon.Runs[i].WallMS = 0
 	}
-	return encode(w, &canon)
+	return envelope.Encode(w, &canon)
 }
 
 // EncodeTiming writes the document with host wall times included; the
 // output is not deterministic across runs.
-func (d *Document) EncodeTiming(w io.Writer) error { return encode(w, d) }
-
-func encode(w io.Writer, d *Document) error {
-	b, err := json.MarshalIndent(d, "", "  ")
-	if err != nil {
-		return err
-	}
-	b = append(b, '\n')
-	_, err = w.Write(b)
-	return err
-}
+func (d *Document) EncodeTiming(w io.Writer) error { return envelope.Encode(w, d) }
 
 // Decode reads a document produced by Encode or EncodeTiming.
 func Decode(r io.Reader) (*Document, error) {

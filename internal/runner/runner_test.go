@@ -248,10 +248,10 @@ func TestEncodeStripsWallTimeAndRoundTrips(t *testing.T) {
 
 func TestMergeAndFigureByID(t *testing.T) {
 	a := &Document{Schema: envelope.SchemaV2, Kind: envelope.KindResults, Scale: "test", Suite: "intra",
-		Figures: []Figure{{ID: "figure9"}, {ID: "figure10"}},
+		Figures: []stats.Figure{{ID: "figure9"}, {ID: "figure10"}},
 		Runs:    []RunRecord{{Workload: "fft", Config: "HCC"}}}
 	b := &Document{Schema: envelope.SchemaV2, Kind: envelope.KindResults, Scale: "test", Suite: "inter",
-		Figures: []Figure{{ID: "figure11"}, {ID: "figure12"}},
+		Figures: []stats.Figure{{ID: "figure11"}, {ID: "figure12"}},
 		Runs:    []RunRecord{{Workload: "ep", Config: "Addr"}}}
 	m := Merge(a, b)
 	if m.Suite != "all" || m.Scale != "test" {

@@ -36,6 +36,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/envelope"
 	"repro/internal/obs"
 	"repro/internal/runner"
 )
@@ -359,7 +360,5 @@ func writeError(w http.ResponseWriter, code int, msg string) {
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	envelope.Encode(w, v)
 }

@@ -18,7 +18,10 @@
 //	                HCC (paper: ≈ +5%).
 //
 // Each rule only fires when its figure is present, so intra-only and
-// inter-only documents check cleanly.
+// inter-only documents check cleanly. The rules read the document's
+// stats.Figures through MeanTotals and Height; on an encoded document
+// these equal the encoded totals, since a total is the finite sum of its
+// segments and JSON carries no NaN or infinity.
 package shapecheck
 
 import (
@@ -28,6 +31,7 @@ import (
 
 	"repro/internal/envelope"
 	"repro/internal/runner"
+	"repro/internal/stats"
 )
 
 // Tolerances. The orderings are qualitative; the slack absorbs scale
@@ -127,24 +131,8 @@ func checkRuns(doc *runner.Document) []Violation {
 	return vs
 }
 
-// meanTotals averages bar totals per label across groups.
-func meanTotals(f *runner.Figure) map[string]float64 {
-	sum := make(map[string]float64)
-	n := make(map[string]int)
-	for _, g := range f.Groups {
-		for _, b := range g.Bars {
-			sum[b.Label] += b.Total
-			n[b.Label]++
-		}
-	}
-	for l := range sum {
-		sum[l] /= float64(n[l])
-	}
-	return sum
-}
-
 // barOf returns group g's bar with the given label, or nil.
-func barOf(g *runner.Group, label string) *runner.Bar {
+func barOf(g *stats.Group, label string) *stats.Bar {
 	for i := range g.Bars {
 		if g.Bars[i].Label == label {
 			return &g.Bars[i]
@@ -156,7 +144,7 @@ func barOf(g *runner.Group, label string) *runner.Bar {
 // requireBaseline checks every group's baseline bar totals exactly 1.0
 // (the normalization contract keyed assembly must uphold in any config
 // order).
-func requireBaseline(f *runner.Figure, label string) []Violation {
+func requireBaseline(f *stats.Figure, label string) []Violation {
 	var vs []Violation
 	for i := range f.Groups {
 		g := &f.Groups[i]
@@ -166,17 +154,17 @@ func requireBaseline(f *runner.Figure, label string) []Violation {
 				Detail: fmt.Sprintf("%s has no %s bar", g.Name, label)})
 			continue
 		}
-		if math.Abs(b.Total-1) > eqTol {
+		if math.Abs(b.Height()-1) > eqTol {
 			vs = append(vs, Violation{Figure: f.ID, Rule: label + " normalized to 1.0",
-				Detail: fmt.Sprintf("%s %s total = %.6f", g.Name, label, b.Total)})
+				Detail: fmt.Sprintf("%s %s total = %.6f", g.Name, label, b.Height())})
 		}
 	}
 	return vs
 }
 
-func checkFigure9(f *runner.Figure) []Violation {
+func checkFigure9(f *stats.Figure) []Violation {
 	vs := requireBaseline(f, "HCC")
-	m := meanTotals(f)
+	m := f.MeanTotals()
 	base, bmi := m["Base"], m["B+M+I"]
 	if base <= 1 {
 		vs = append(vs, Violation{Figure: f.ID, Rule: "Base slower than HCC",
@@ -193,7 +181,7 @@ func checkFigure9(f *runner.Figure) []Violation {
 	return vs
 }
 
-func checkFigure10(f *runner.Figure) []Violation {
+func checkFigure10(f *stats.Figure) []Violation {
 	vs := requireBaseline(f, "HCC")
 	invIdx := -1
 	for i, c := range f.Categories {
@@ -214,14 +202,14 @@ func checkFigure10(f *runner.Figure) []Violation {
 				Detail: fmt.Sprintf("%s B+M+I invalidation = %.6f", g.Name, b.Segments[invIdx])})
 		}
 	}
-	if m := meanTotals(f); m["B+M+I"] > 1+trafficSlack {
+	if m := f.MeanTotals(); m["B+M+I"] > 1+trafficSlack {
 		vs = append(vs, Violation{Figure: f.ID, Rule: "B+M+I traffic ≤ HCC",
 			Detail: fmt.Sprintf("mean B+M+I traffic = %.4f, want ≤ %.2f", m["B+M+I"], 1+trafficSlack)})
 	}
 	return vs
 }
 
-func checkFigure11(f *runner.Figure) []Violation {
+func checkFigure11(f *stats.Figure) []Violation {
 	var vs []Violation
 	// Segments are [global WB fraction, global INV fraction] vs Addr.
 	frac := func(name string) []float64 {
@@ -284,9 +272,9 @@ func checkFigure11(f *runner.Figure) []Violation {
 	return vs
 }
 
-func checkFigure12(f *runner.Figure) []Violation {
+func checkFigure12(f *stats.Figure) []Violation {
 	vs := requireBaseline(f, "HCC")
-	m := meanTotals(f)
+	m := f.MeanTotals()
 	base, addr, addrL := m["Base"], m["Addr"], m["Addr+L"]
 	if addr >= base {
 		vs = append(vs, Violation{Figure: f.ID, Rule: "Addr faster than Base",

@@ -1,7 +1,8 @@
 // Package stats holds the measurement vocabulary shared by the simulators:
 // stall categories matching the paper's Figure 9 breakdown, network traffic
-// classes matching Figure 10, and text renderers for normalized stacked-bar
-// tables so the benchmark harness can print the same rows the paper plots.
+// classes matching Figure 10, and normalized stacked-bar figures that
+// render as the text rows the paper plots and encode as the figures of
+// the JSON results documents.
 package stats
 
 import (
@@ -168,10 +169,13 @@ func (c *Counters) Merge(o *Counters) {
 }
 
 // Bar is one stacked bar of a normalized figure: a label plus segment
-// values in the figure's category order.
+// values in the figure's category order. Total is the bar's encoded
+// height: a results document fills it from Height when it is built,
+// and everything that reads a bar calls Height instead.
 type Bar struct {
-	Label    string
-	Segments []float64
+	Label    string    `json:"label"`
+	Segments []float64 `json:"segments"`
+	Total    float64   `json:"total"`
 }
 
 // Height returns the bar's total height. Non-finite segments (NaN or
@@ -194,19 +198,23 @@ func finite(v float64) float64 {
 	return v
 }
 
-// Figure is a printable reproduction of one of the paper's normalized
-// stacked-bar figures: groups of bars (one group per application), each
-// normalized to the group's reference bar.
+// Figure is a reproduction of one of the paper's normalized stacked-bar
+// figures: groups of bars (one group per application), each normalized
+// to the group's reference bar. It renders as a text table and is the
+// JSON form of a results document's figures.
 type Figure struct {
-	Title      string
-	Categories []string
-	Groups     []Group
+	// ID names the paper artifact ("figure9" ... "figure12",
+	// "manycore").
+	ID         string   `json:"id"`
+	Title      string   `json:"title"`
+	Categories []string `json:"categories"`
+	Groups     []Group  `json:"groups"`
 }
 
 // Group is one application's set of bars.
 type Group struct {
-	Name string
-	Bars []Bar
+	Name string `json:"name"`
+	Bars []Bar  `json:"bars"`
 }
 
 // Render prints the figure as a fixed-width text table: one row per bar,

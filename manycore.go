@@ -6,7 +6,6 @@ import (
 	"slices"
 	"strings"
 
-	"repro/internal/envelope"
 	"repro/internal/runner"
 	"repro/internal/stats"
 	"repro/internal/topo"
@@ -69,25 +68,18 @@ type ManycoreResult struct {
 // manycoreConfig is the grid's config key for a block count.
 func manycoreConfig(blocks int) string { return fmt.Sprintf("blocks-%d", blocks) }
 
-// manycoreGrid returns the selected applications and the block counts in
-// the sweep's task order. Runs has always been recorded sorted by
-// (workload, config label), so both sort by label: "ep" before
-// "jacobi", and "blocks-128" before "blocks-16".
-func manycoreGrid(blockCounts []int, only []string) ([]app[*IRWorkload], []int) {
-	apps := slices.SortedFunc(slices.Values(selected(manycoreApps, only)), func(a, b app[*IRWorkload]) int {
+// manycoreTasks builds one task per (application, block count). Each
+// cell constructs its own machine, hierarchy and application. Runs has
+// always been recorded sorted by (workload, config label), so the tasks
+// sort both by label: "ep" before "jacobi", and "blocks-128" before
+// "blocks-16".
+func manycoreTasks(s Scale, blockCounts []int, coresPerBlock int, opts RunOptions) []runner.Task {
+	apps := slices.SortedFunc(slices.Values(selected(manycoreApps, opts.Only)), func(a, b app[*IRWorkload]) int {
 		return strings.Compare(a.name, b.name)
 	})
 	blocks := slices.SortedFunc(slices.Values(blockCounts), func(a, b int) int {
 		return strings.Compare(manycoreConfig(a), manycoreConfig(b))
 	})
-	return apps, blocks
-}
-
-// manycoreTasks builds one task per (application, block count), in
-// ManycoreCells order. Each cell constructs its own machine, hierarchy
-// and application.
-func manycoreTasks(s Scale, blockCounts []int, coresPerBlock int, opts RunOptions) []runner.Task {
-	apps, blocks := manycoreGrid(blockCounts, opts.Only)
 	topology := fmt.Sprintf("manycore/%d", coresPerBlock)
 	var tasks []runner.Task
 	for _, a := range apps {
@@ -111,14 +103,7 @@ func RunManycore(ctx context.Context, s Scale, blockCounts []int, coresPerBlock 
 // ManycoreCells lists the block-scaling sweep's cells over the given
 // block counts like IntraCells.
 func ManycoreCells(blockCounts []int, only ...string) [][2]string {
-	apps, blocks := manycoreGrid(blockCounts, only)
-	var cells [][2]string
-	for _, a := range apps {
-		for _, b := range blocks {
-			cells = append(cells, [2]string{a.name, manycoreConfig(b)})
-		}
-	}
-	return cells
+	return taskCells(manycoreTasks(ScaleTest, blockCounts, DefaultManycoreCoresPerBlock, RunOptions{Only: only}))
 }
 
 // runManycoreOpts is the struct-options form behind RunManycore; error
@@ -134,6 +119,7 @@ func runManycoreOpts(ctx context.Context, s Scale, blockCounts []int, coresPerBl
 	grid := runner.Run(ctx, manycoreTasks(s, blockCounts, coresPerBlock, opts), opts.runner())
 	res := &ManycoreResult{
 		Curve: &Figure{
+			ID:         "manycore",
 			Title:      fmt.Sprintf("Block scaling: normalized execution time (%d cores/block, Addr+L)", coresPerBlock),
 			Categories: []string{"cycles"},
 		},
@@ -172,14 +158,5 @@ func runManycoreOpts(ctx context.Context, s Scale, blockCounts []int, coresPerBl
 // Document serializes the result for the shape checker and external
 // tooling.
 func (r *ManycoreResult) Document(s Scale) *runner.Document {
-	return &runner.Document{
-		Schema: envelope.SchemaV2,
-		Kind:   envelope.KindResults,
-		Scale:  s.Name(),
-		Suite:  "manycore",
-		Figures: []runner.Figure{
-			runner.FigureJSON("manycore", r.Curve),
-		},
-		Runs: r.Runs,
-	}
+	return document(s, "manycore", r.Runs, r.Curve)
 }

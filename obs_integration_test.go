@@ -115,7 +115,7 @@ func TestRunWithObserver(t *testing.T) {
 	// callback is the programmatic access path to the recorder.
 	wl := IntraWorkloads(ScaleTest)[0]
 	h := NewHierarchy(NewIntraMachine(), BMI)
-	var snap *MetricsSnapshot
+	var snap *obs.Snapshot
 	res, err := Run(h, wl.Guests(BMI), WithMetrics(), WithObserver(func(workload, config string, rec *Recorder) {
 		snap = rec.Snapshot()
 	}))

@@ -25,18 +25,8 @@ import (
 // receives (re-exported from internal/obs).
 type Recorder = obs.Recorder
 
-// MetricsSnapshot is a recorder's deterministic metrics snapshot.
-type MetricsSnapshot = obs.Snapshot
-
-// CellTrace is one cell's labeled stall timeline, ready for
-// obs.WriteChrome.
-type CellTrace = obs.CellTrace
-
-// Cache is a content-addressed sweep result cache (re-exported from
-// internal/runner); see WithCache.
-type Cache = runner.Cache
-
-// MemCache is the in-memory Cache with hit/miss accounting.
+// MemCache is the content-addressed sweep result cache, in memory with
+// hit/miss accounting (re-exported from internal/runner); see WithCache.
 type MemCache = runner.MemCache
 
 // NewMemCache returns an empty in-memory result cache for WithCache.
@@ -106,7 +96,7 @@ func WithOnly(workloads ...string) Option {
 // cells whose runner.CellKey hash is already stored return the cached
 // outcome with zero engine steps. Determinism makes hits exact. See
 // RunOptions.Cache for the keying discipline.
-func WithCache(c runner.Cache) Option {
+func WithCache(c *MemCache) Option {
 	return func(o *RunOptions) { o.Cache = c }
 }
 
