@@ -1,7 +1,9 @@
 // Command hicserve runs sweep-as-a-service: an HTTP/JSON server that
-// executes the same experiment sweeps the CLIs run and answers with the
-// same canonical documents, fronted by a bounded job queue, per-tenant
-// concurrency limits, and a content-addressed result cache.
+// computes every document hicsim computes — the experiment sweeps, the
+// litmus suite, the storage comparison and the fuzz campaign — and
+// answers with the same canonical documents, fronted by a bounded job
+// queue, per-tenant concurrency limits, and a content-addressed result
+// cache.
 //
 // Usage:
 //

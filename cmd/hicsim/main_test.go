@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"repro/internal/envelope"
+	"repro/internal/fuzzgen"
 	"repro/internal/litmus"
 	"repro/internal/obs"
 	"repro/internal/runner"
@@ -273,6 +274,12 @@ func TestSuiteOutputsPinned(t *testing.T) {
 		{[]string{"-suite", "litmus", "-enumerate", "-k", "3", "-json", "-parallel", "1"}, "c117781c0158301123ca31bdb3beca72d64cb735f7ad0eefdd3426f7adf0422a"},
 		{[]string{"-suite", "litmus", "-enumerate", "-k", "3", "-json", "-parallel", "4"}, "c117781c0158301123ca31bdb3beca72d64cb735f7ad0eefdd3426f7adf0422a"},
 		{[]string{"-suite", "litmus", "-enumerate", "-k", "3", "-v"}, "3ae1d0e5386c1624e383eb3c78e1528f6d2aabe4c5a2f8ba9a0979f37dcdd622"},
+		// The fuzz digests were taken from the retired fuzz command's
+		// `-seeds 1:201 -json` and `-seeds 1:9`; the document must not
+		// depend on the worker count.
+		{[]string{"-suite", "fuzz", "-seeds", "1:201", "-json"}, "5adda88aa0122f1e9405435d518646edf6d39d8172d17afc348cc6936c33c518"},
+		{[]string{"-suite", "fuzz", "-seeds", "1:201", "-json", "-parallel", "1"}, "5adda88aa0122f1e9405435d518646edf6d39d8172d17afc348cc6936c33c518"},
+		{[]string{"-suite", "fuzz", "-seeds", "1:9"}, "6910f7051e21ab443595e5d604166fb89eb7afe640e188409b570506f5e644c2"},
 	} {
 		name := strings.Join(tc.args, " ")
 		t.Run(name, func(t *testing.T) {
@@ -415,6 +422,7 @@ func TestServedMatchesLocal(t *testing.T) {
 		{"-suite", "litmus", "-test", "sb", "-config", "Base", "-json"},
 		// A truncated exploration fails its verdict: exit 1 either way.
 		{"-suite", "litmus", "-test", "sb", "-config", "Base", "-budget", "3", "-json"},
+		{"-suite", "fuzz", "-seeds", "1:9", "-json"},
 	} {
 		t.Run(strings.Join(args, " "), func(t *testing.T) {
 			want, wantCode := run(args...)
@@ -427,4 +435,132 @@ func TestServedMatchesLocal(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestFuzzCLI drives -suite fuzz the way CI and users do: the text
+// summary, the -json document's determinism across worker counts, the
+// flags it shares with the other suites, the -config filter, corpus
+// emission, and refused flags.
+func TestFuzzCLI(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the binary")
+	}
+	bin := buildHicsim(t)
+	fuzz := func(args ...string) *exec.Cmd {
+		return exec.Command(bin, append([]string{"-suite", "fuzz"}, args...)...)
+	}
+
+	t.Run("text-summary", func(t *testing.T) {
+		out, err := fuzz("-seeds", "1:9").CombinedOutput()
+		if err != nil {
+			t.Fatalf("-suite fuzz -seeds 1:9: %v\n%s", err, out)
+		}
+		for _, want := range []string{"fuzz: seeds [1,9): 8 programs", "Base"} {
+			if !strings.Contains(string(out), want) {
+				t.Errorf("output missing %q:\n%s", want, out)
+			}
+		}
+	})
+
+	t.Run("json-deterministic-across-workers", func(t *testing.T) {
+		run := func(workers string) []byte {
+			out, err := fuzz("-seeds", "1:9", "-parallel", workers, "-json").Output()
+			if err != nil {
+				t.Fatalf("-suite fuzz -json -parallel %s: %v", workers, err)
+			}
+			return out
+		}
+		a, b := run("1"), run("8")
+		if !bytes.Equal(a, b) {
+			t.Fatal("-json output differs between 1 and 8 workers")
+		}
+		var rep fuzzgen.Report
+		if err := json.Unmarshal(a, &rep); err != nil {
+			t.Fatalf("decoding -json output: %v", err)
+		}
+		if rep.Schema != envelope.SchemaV2 || rep.Kind != envelope.KindFuzz {
+			t.Errorf("schema/kind = %q/%q, want %q/%q", rep.Schema, rep.Kind, envelope.SchemaV2, envelope.KindFuzz)
+		}
+		if rep.Programs != 8 || len(rep.Runs) != 8*4 {
+			t.Errorf("programs = %d, runs = %d", rep.Programs, len(rep.Runs))
+		}
+		for _, r := range rep.Runs {
+			if r.Error != "" {
+				t.Errorf("%s/%s: %s", r.Workload, r.Config, r.Error)
+			}
+		}
+	})
+
+	// -parallel, -json and -timing must each parse and reach the run:
+	// a flag that parses but is never wired in would leave the wall
+	// times stripped (or kept) regardless of -timing.
+	t.Run("shared-flags-round-trip", func(t *testing.T) {
+		wall := func(args ...string) float64 {
+			out, err := fuzz(append([]string{"-seeds", "1:3", "-parallel", "3", "-json"}, args...)...).Output()
+			if err != nil {
+				t.Fatalf("-suite fuzz %v: %v", args, err)
+			}
+			var rep fuzzgen.Report
+			if err := json.Unmarshal(out, &rep); err != nil {
+				t.Fatalf("decoding -json output: %v", err)
+			}
+			if len(rep.Runs) == 0 {
+				t.Fatal("no runs in -json output")
+			}
+			var sum float64
+			for _, r := range rep.Runs {
+				sum += r.WallMS
+			}
+			return sum
+		}
+		if w := wall("-timing"); w <= 0 {
+			t.Errorf("-timing: total wall_ms = %v, want > 0", w)
+		}
+		if w := wall(); w != 0 {
+			t.Errorf("without -timing: total wall_ms = %v, want 0", w)
+		}
+	})
+
+	t.Run("config-filter", func(t *testing.T) {
+		out, err := fuzz("-seeds", "1:5", "-config", "B+M+I", "-json").Output()
+		if err != nil {
+			t.Fatalf("-suite fuzz -config B+M+I: %v", err)
+		}
+		var rep fuzzgen.Report
+		if err := json.Unmarshal(out, &rep); err != nil {
+			t.Fatal(err)
+		}
+		if len(rep.Runs) != 4 {
+			t.Errorf("runs = %d, want 4 (one config)", len(rep.Runs))
+		}
+	})
+
+	t.Run("corpus-emission", func(t *testing.T) {
+		dir := filepath.Join(t.TempDir(), "corpus")
+		out, err := fuzz("-seeds", "3:6", "-corpus", dir).CombinedOutput()
+		if err != nil {
+			t.Fatalf("-suite fuzz -corpus: %v\n%s", err, out)
+		}
+		for _, seed := range []string{"3", "4", "5"} {
+			body, err := os.ReadFile(filepath.Join(dir, "seed-"+seed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := "go test fuzz v1\nuint64(" + seed + ")\n"; string(body) != want {
+				t.Errorf("seed-%s = %q, want %q", seed, body, want)
+			}
+		}
+	})
+
+	t.Run("bad-flags-exit-nonzero", func(t *testing.T) {
+		for _, args := range [][]string{
+			{"-seeds", "9:3"},
+			{"-config", "no-such-config"},
+			{"-json", "-schema", "v2"},
+		} {
+			if err := fuzz(args...).Run(); err == nil {
+				t.Errorf("-suite fuzz %v accepted", args)
+			}
+		}
+	})
 }

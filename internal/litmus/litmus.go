@@ -410,9 +410,9 @@ var (
 // Configs is the standard configuration matrix.
 var Configs = []Config{Base, BMI, Adaptive}
 
-// ConfigByName resolves a configuration label (as given to hicsim
-// -config and hicfuzz -config) to its Config, the fuzz-only BM/BI
-// configurations included.
+// ConfigByName resolves a configuration label (a request's config, as
+// given to hicsim -config for the litmus and fuzz suites) to its
+// Config, the fuzz-only BM/BI configurations included.
 func ConfigByName(name string) (Config, bool) {
 	for _, c := range append(append([]Config{}, Configs...), BM, BI) {
 		if c.Name == name {

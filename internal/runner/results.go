@@ -142,12 +142,19 @@ func Merge(docs ...*Document) *Document {
 // byte-identical output. The original document is not modified.
 func (d *Document) Encode(w io.Writer) error {
 	canon := *d
-	canon.Runs = make([]RunRecord, len(d.Runs))
-	copy(canon.Runs, d.Runs)
-	for i := range canon.Runs {
-		canon.Runs[i].WallMS = 0
-	}
+	canon.Runs = StripWalls(d.Runs)
 	return envelope.Encode(w, &canon)
+}
+
+// StripWalls returns a copy of runs with host wall times zeroed, the
+// canonical form the documents encode.
+func StripWalls(runs []RunRecord) []RunRecord {
+	canon := make([]RunRecord, len(runs))
+	copy(canon, runs)
+	for i := range canon {
+		canon[i].WallMS = 0
+	}
+	return canon
 }
 
 // EncodeTiming writes the document with host wall times included; the

@@ -53,16 +53,16 @@ func (c *Client) url(path string) string {
 	return strings.TrimSuffix(c.BaseURL, "/") + path
 }
 
-// do performs one request and decodes a JSON reply into out (skipped
-// when out is nil). Non-2xx replies come back as *StatusError.
-func (c *Client) do(ctx context.Context, method, path string, body []byte, out any) error {
+// do performs one request and returns the reply body. Non-2xx replies
+// come back as *StatusError.
+func (c *Client) do(ctx context.Context, method, path string, body []byte) ([]byte, error) {
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, c.url(path), rd)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
@@ -72,12 +72,12 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, out a
 	}
 	resp, err := c.http().Do(req)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer resp.Body.Close()
 	data, err := io.ReadAll(resp.Body)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if resp.StatusCode < 200 || resp.StatusCode > 299 {
 		se := &StatusError{Code: resp.StatusCode}
@@ -90,12 +90,9 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, out a
 		if secs, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil {
 			se.RetryAfter = time.Duration(secs) * time.Second
 		}
-		return se
+		return nil, se
 	}
-	if out == nil {
-		return nil
-	}
-	return json.Unmarshal(data, out)
+	return data, nil
 }
 
 // Submit posts the request once. A 429 comes back as *StatusError with
@@ -105,44 +102,27 @@ func (c *Client) Submit(ctx context.Context, req Request) (SubmitReply, error) {
 	if err != nil {
 		return SubmitReply{}, err
 	}
-	var reply SubmitReply
-	if err := c.do(ctx, http.MethodPost, "/v2/sweeps", body, &reply); err != nil {
+	data, err := c.do(ctx, http.MethodPost, "/v2/sweeps", body)
+	if err != nil {
 		return SubmitReply{}, err
 	}
-	return reply, nil
+	var reply SubmitReply
+	return reply, json.Unmarshal(data, &reply)
 }
 
 // Status fetches a job's state.
 func (c *Client) Status(ctx context.Context, id string) (Status, error) {
+	data, err := c.do(ctx, http.MethodGet, "/v2/sweeps/"+id, nil)
+	if err != nil {
+		return Status{}, err
+	}
 	var st Status
-	err := c.do(ctx, http.MethodGet, "/v2/sweeps/"+id, nil, &st)
-	return st, err
+	return st, json.Unmarshal(data, &st)
 }
 
 // Result fetches a finished job's document bytes, verbatim.
 func (c *Client) Result(ctx context.Context, id string) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.url("/v2/sweeps/"+id+"/result"), nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.http().Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		var er errorReply
-		msg := strings.TrimSpace(string(data))
-		if json.Unmarshal(data, &er) == nil && er.Error != "" {
-			msg = er.Error
-		}
-		return nil, &StatusError{Code: resp.StatusCode, Message: msg}
-	}
-	return data, nil
+	return c.do(ctx, http.MethodGet, "/v2/sweeps/"+id+"/result", nil)
 }
 
 // Wait polls until the job is terminal and returns its final status.

@@ -94,10 +94,9 @@ func (s *Store) Put(key string, data []byte) {
 	if err != nil {
 		return
 	}
-	if _, err := fmt.Fprintf(tmp, "%x\n%s", sha256.Sum256(data), data); err == nil && tmp.Close() == nil {
-		os.Rename(tmp.Name(), filepath.Join(s.dir, key+".entry"))
-	} else {
-		tmp.Close()
+	_, err = fmt.Fprintf(tmp, "%x\n%s", sha256.Sum256(data), data)
+	if cerr := tmp.Close(); err != nil || cerr != nil ||
+		os.Rename(tmp.Name(), filepath.Join(s.dir, key+".entry")) != nil {
 		os.Remove(tmp.Name())
 	}
 }
