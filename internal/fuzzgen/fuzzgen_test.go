@@ -1,6 +1,7 @@
 package fuzzgen
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -74,6 +75,15 @@ func TestMutantsDeterministic(t *testing.T) {
 				t.Fatalf("seed %d mutant %s: identical to parent", seed, m.Test.Name)
 			}
 		}
+	}
+}
+
+// TestMutantsHugeMax: a max past the site count mutates every site once
+// and sizes nothing by max itself.
+func TestMutantsHugeMax(t *testing.T) {
+	p := Gen(1)
+	if got := Mutants(p, math.MaxInt); len(got) != len(p.Sites) {
+		t.Fatalf("Mutants(max=MaxInt) = %d mutants, want one per site (%d)", len(got), len(p.Sites))
 	}
 }
 

@@ -55,7 +55,7 @@ func Mutants(p Program, max int) []Mutant {
 	if max <= 0 || len(p.Sites) == 0 {
 		return nil
 	}
-	idx := make([]int, 0, max)
+	idx := make([]int, 0, min(max, len(p.Sites)))
 	if len(p.Sites) <= max {
 		for i := range p.Sites {
 			idx = append(idx, i)
