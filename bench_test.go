@@ -588,7 +588,7 @@ func BenchmarkExtensionBlockScaling(b *testing.B) {
 	}
 }
 
-// BenchmarkManycoreScaling is the wall-clock companion to the E7
+// BenchmarkManycoreScaling is the wall-clock companion to the E9
 // block-scaling experiment: one Jacobi cell per machine size, serial vs
 // block-parallel engine, up to 128 blocks × 8 cores. The reported
 // sim_cycles per size must be identical across the two engines; ns/op is

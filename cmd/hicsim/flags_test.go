@@ -126,6 +126,11 @@ func TestParse(t *testing.T) {
 		{name: "server-timing", args: []string{"-json", "-timing", "-server", "http://127.0.0.1:1"}, want: "-timing"},
 		{name: "server-trace-chrome", args: []string{"-json", "-trace-chrome", "t.json", "-server", "http://127.0.0.1:1"}, want: "-trace-chrome"},
 		{name: "server-cpuprofile", args: []string{"-json", "-cpuprofile", "cpu.out", "-server", "http://127.0.0.1:1"}, want: "profiling"},
+		{name: "server-tenant", args: []string{"-json", "-tenant", "x", "-server", "http://127.0.0.1:1"}},
+
+		// A flag that only shapes another flag's output is refused without it.
+		{name: "tenant-without-server", args: []string{"-suite", "overhead", "-tenant", "x"}, want: "-tenant requires -server"},
+		{name: "timing-without-json", args: []string{"-suite", "inter", "-scale", "test", "-timing"}, want: "-timing requires -json"},
 
 		{name: "k-zero", args: []string{"-suite", "litmus", "-enumerate", "-k", "0"}, want: "-k 0: want an op budget of at least 1"},
 		{name: "unknown-scale", args: []string{"-scale", "huge"}, want: `unknown scale "huge"`},

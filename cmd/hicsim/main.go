@@ -12,14 +12,14 @@
 //	       [-blocks N] [-cores-per-block N]
 //	       [-test NAME] [-config NAME] [-budget N] [-max-schedules N]
 //	       [-enumerate] [-k N] [-seeds LO:HI] [-mutants N] [-corpus DIR]
-//	       [-v] [-server URL]
+//	       [-v] [-server URL [-tenant NAME]]
 //
 // -suite selects what runs, by the names hicserve's requests use:
 //
 //	intra     Figures 9 and 10 (intra-block time and traffic)
 //	inter     Figures 11 and 12 (inter-block WB/INV counts and time)
 //	all       (default) Table I, the storage comparison and Figures 9-12
-//	manycore  the E7 block-scaling sweep: Jacobi and NAS EP on machines of
+//	manycore  the E9 block-scaling sweep: Jacobi and NAS EP on machines of
 //	          1, 2, 4, ... blocks up to -blocks, each of -cores-per-block
 //	          cores (default 8), under Addr+L
 //	litmus    the litmus suite: every test in internal/litmus's table,
@@ -45,7 +45,8 @@
 // -cores-per-block apply to manycore only, the sweep flags to the four results suites (intra,
 // inter, all, manycore), the litmus flags and -parallel to litmus,
 // -seeds, -mutants, -config, -parallel, -timing, -v and -corpus to fuzz,
-// -json and -server to every suite but table1, and table1 is text only.
+// -json and -server to every suite but table1, and table1 is text only;
+// -timing needs -json and -tenant needs -server.
 // Normalize also bounds the sizes: -blocks up to serve.MaxBlocks,
 // -cores-per-block up to serve.MaxCoresPerBlock, -k up to serve.MaxK
 // and -seeds to serve.MaxSeeds seeds.
@@ -344,6 +345,12 @@ func (o *options) validate(fs *flag.FlagSet) error {
 	if err := o.refuseWithServer(); err != nil {
 		return err
 	}
+	if set["tenant"] && o.server == "" {
+		return fmt.Errorf("-tenant requires -server (it labels the requests sent to a hicserve instance)")
+	}
+	if set["timing"] && !o.json {
+		return fmt.Errorf("-timing requires -json (it adds host wall times to the document)")
+	}
 	if served {
 		if r.K != 0 && !r.Enumerate {
 			return fmt.Errorf("-k applies to -suite litmus -enumerate only")
@@ -563,7 +570,7 @@ func report(o *options, res *serve.Result) {
 		fmt.Printf("\nsweep wall time (%d workers): intra %s, inter %s\n",
 			workers, res.Walls[0].Round(time.Millisecond), res.Walls[1].Round(time.Millisecond))
 	case "manycore":
-		fmt.Printf("== E7: block scaling (up to %d blocks x %d cores) ==============\n",
+		fmt.Printf("== E9: block scaling (up to %d blocks x %d cores) ==============\n",
 			o.req.Blocks, o.req.CoresPerBlock)
 		fmt.Println(res.Manycore.Curve.Render())
 		fmt.Printf("sweep wall time (%d workers): %s\n", workers, res.Walls[0].Round(time.Millisecond))

@@ -252,10 +252,10 @@ func TestSuiteOutputsPinned(t *testing.T) {
 		{[]string{"-suite", "overhead", "-json"}, "24686374509b8fd25671fbb13ca511cd2b0c99d6ebde2b54d78bcd470191a87e"},
 		{[]string{"-suite", "overhead"}, "1dacf5b0c48c9997198f815f70acaba3c94ed1448a131ff6d5bec2eb7aa198e3"},
 		{[]string{"-suite", "manycore", "-blocks", "4", "-scale", "test", "-json"}, "4aa5726b9e5724f75ad67d4b9eb9d218107f6c4bf375aa894ed99ca211a96b06"},
-		{[]string{"-suite", "manycore", "-blocks", "4", "-scale", "test"}, "49085037d20e88e7ddacd11f5f91fc7423a8ecd635cc338eff5e5506081c1db6"},
+		{[]string{"-suite", "manycore", "-blocks", "4", "-scale", "test"}, "1d9478deb26bca86121d94fafdc5df89878345168bfb75cdb9dcabe3af9f53ea"},
 		// -blocks 7 runs the -blocks 4 sweep, and its header says "up to 4
 		// blocks".
-		{[]string{"-suite", "manycore", "-blocks", "7", "-scale", "test"}, "49085037d20e88e7ddacd11f5f91fc7423a8ecd635cc338eff5e5506081c1db6"},
+		{[]string{"-suite", "manycore", "-blocks", "7", "-scale", "test"}, "1d9478deb26bca86121d94fafdc5df89878345168bfb75cdb9dcabe3af9f53ea"},
 		{[]string{"-suite", "table1", "-scale", "test"}, "96e2e0a32303c3aa485353d7a5fccde104f33db7b936720fbacabcb39671f71a"},
 		// The buggy-annotation matrix and a custom plan, at one worker and
 		// at four.
@@ -419,6 +419,7 @@ func TestServedMatchesLocal(t *testing.T) {
 	}
 	for _, args := range [][]string{
 		{"-suite", "inter", "-scale", "test", "-json"},
+		{"-suite", "manycore", "-blocks", "4", "-scale", "test", "-json"},
 		{"-suite", "litmus", "-test", "sb", "-config", "Base", "-json"},
 		// A truncated exploration fails its verdict: exit 1 either way.
 		{"-suite", "litmus", "-test", "sb", "-config", "Base", "-budget", "3", "-json"},

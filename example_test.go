@@ -10,28 +10,42 @@ import (
 // The minimal incoherent-hierarchy program: a producer exports a value
 // with WB, the threads synchronize through the controller, and the
 // consumer self-invalidates before reading (Section III-A's sequence).
+// The consumer caches the line before the handoff; without the WB/INV
+// pair it keeps reading that stale copy, because the hardware really is
+// incoherent.
 func Example() {
-	h := hic.NewHierarchy(hic.NewIntraMachine(), hic.Base)
-	var got mem.Word
-	guests := make([]hic.Guest, 16)
-	guests[0] = func(p hic.Proc) {
-		p.Store(0x1000, 42)
-		p.WB(mem.WordRange(0x1000, 1))
-		p.FlagSet(0, 1)
+	exchange := func(annotated bool) mem.Word {
+		h := hic.NewHierarchy(hic.NewIntraMachine(), hic.Base)
+		var got mem.Word
+		guests := make([]hic.Guest, 16)
+		guests[0] = func(p hic.Proc) {
+			p.Store(0x1000, 42)
+			if annotated {
+				p.WB(mem.WordRange(0x1000, 1))
+			}
+			p.FlagSet(0, 1)
+		}
+		guests[1] = func(p hic.Proc) {
+			p.Load(0x1000) // cache a copy before the handoff
+			p.FlagWait(0, 1)
+			if annotated {
+				p.INV(mem.WordRange(0x1000, 1))
+			}
+			got = p.Load(0x1000)
+		}
+		for i := 2; i < 16; i++ {
+			guests[i] = func(hic.Proc) {}
+		}
+		if _, err := hic.Run(h, guests); err != nil {
+			panic(err)
+		}
+		return got
 	}
-	guests[1] = func(p hic.Proc) {
-		p.FlagWait(0, 1)
-		p.INV(mem.WordRange(0x1000, 1))
-		got = p.Load(0x1000)
-	}
-	for i := 2; i < 16; i++ {
-		guests[i] = func(hic.Proc) {}
-	}
-	if _, err := hic.Run(h, guests); err != nil {
-		panic(err)
-	}
-	fmt.Println(got)
-	// Output: 42
+	fmt.Println("with WB+INV:", exchange(true))
+	fmt.Println("without:", exchange(false))
+	// Output:
+	// with WB+INV: 42
+	// without: 0
 }
 
 // Programming Model 1: the annotator inserts the WB/INV instructions that

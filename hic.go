@@ -12,7 +12,6 @@
 //   - internal/engine — the deterministic execution-driven simulator;
 //   - internal/annotate — Programming Model 1 (sync-point annotation);
 //   - internal/compiler — Programming Model 2 (IR analysis + lowering);
-//   - internal/msg — the shared-buffer MPI layer;
 //   - workloads under internal/apps.
 //
 // It exposes machine factories, the experiment runners that regenerate the

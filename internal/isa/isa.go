@@ -21,9 +21,8 @@ const (
 	// OpLoad reads one word; OpStore writes one word. Both are cacheable.
 	OpLoad OpKind = iota
 	OpStore
-	// OpLoadU and OpStoreU are uncacheable word accesses, used for
-	// synchronization-adjacent data such as the MPI shared buffers of
-	// Programming Model 1.
+	// OpLoadU and OpStoreU are uncacheable word accesses: they go
+	// straight to memory and bypass every cache level.
 	OpLoadU
 	OpStoreU
 	// OpCompute models local computation for a given cycle count.

@@ -12,7 +12,7 @@ import (
 	"repro/internal/workload"
 )
 
-// This file implements the many-core block-scaling experiment (E7): the
+// This file implements the many-core block-scaling experiment (E9): the
 // same Model 2 applications as the inter-block evaluation, run on custom
 // machines from 1 block up to 128 blocks of 8 cores (1024 cores), under
 // the level-adaptive Addr+L mode. The experiment exists to exercise the
