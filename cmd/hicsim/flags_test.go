@@ -96,11 +96,11 @@ func TestParse(t *testing.T) {
 				}
 			}},
 		{name: "fuzz-flags-fill-the-request", args: []string{"-suite", "fuzz", "-seeds", "05:9", "-mutants", "3",
-			"-config", "B+M", "-parallel", "2", "-json", "-timing", "-v"},
+			"-config", "B+M", "-parallel", "2", "-json", "-timing"},
 			check: func(t *testing.T, o *options) {
 				want := serve.Request{Suite: "fuzz", Seeds: "5:9", Mutants: 3, Config: "B+M"}
-				if !reflect.DeepEqual(o.req, want) || o.parallel != 2 || !o.json || !o.timing || !o.verbose {
-					t.Errorf("request = %+v, options = %+v; want %+v, -parallel 2 -json -timing -v", o.req, o, want)
+				if !reflect.DeepEqual(o.req, want) || o.parallel != 2 || !o.json || !o.timing {
+					t.Errorf("request = %+v, options = %+v; want %+v, -parallel 2 -json -timing", o.req, o, want)
 				}
 			}},
 		{name: "fuzz-corpus", args: []string{"-suite", "fuzz", "-seeds", "3:6", "-corpus", "dir"},
@@ -131,6 +131,7 @@ func TestParse(t *testing.T) {
 		// A flag that only shapes another flag's output is refused without it.
 		{name: "tenant-without-server", args: []string{"-suite", "overhead", "-tenant", "x"}, want: "-tenant requires -server"},
 		{name: "timing-without-json", args: []string{"-suite", "inter", "-scale", "test", "-timing"}, want: "-timing requires -json"},
+		{name: "v-with-json", args: []string{"-suite", "fuzz", "-seeds", "1:3", "-json", "-v"}, want: "-v does not apply to -json"},
 
 		{name: "k-zero", args: []string{"-suite", "litmus", "-enumerate", "-k", "0"}, want: "-k 0: want an op budget of at least 1"},
 		{name: "unknown-scale", args: []string{"-scale", "huge"}, want: `unknown scale "huge"`},

@@ -46,7 +46,8 @@
 // inter, all, manycore), the litmus flags and -parallel to litmus,
 // -seeds, -mutants, -config, -parallel, -timing, -v and -corpus to fuzz,
 // -json and -server to every suite but table1, and table1 is text only;
-// -timing needs -json and -tenant needs -server.
+// -timing needs -json, -v needs the text report (no -json), and -tenant
+// needs -server.
 // Normalize also bounds the sizes: -blocks up to serve.MaxBlocks,
 // -cores-per-block up to serve.MaxCoresPerBlock, -k up to serve.MaxK
 // and -seeds to serve.MaxSeeds seeds.
@@ -350,6 +351,9 @@ func (o *options) validate(fs *flag.FlagSet) error {
 	}
 	if set["timing"] && !o.json {
 		return fmt.Errorf("-timing requires -json (it adds host wall times to the document)")
+	}
+	if set["v"] && o.json {
+		return fmt.Errorf("-v does not apply to -json (it adds detail to the text report)")
 	}
 	if served {
 		if r.K != 0 && !r.Enumerate {

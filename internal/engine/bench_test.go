@@ -206,3 +206,36 @@ func TestEngineStepAllocs(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkRunq drives the run queue alone through the lockstep pattern
+// of the HCC cells: the in-hand thread advances a few cycles per op and
+// trades places with the queue minimum once it loses it, and one op in
+// 4,096 takes a far-future clock that leaves the calendar window. At 4
+// threads the queue is its heap alone (maxHeapSlots).
+func BenchmarkRunq(b *testing.B) {
+	for _, threads := range []int{4, 16, 64, 1024} {
+		b.Run(benchName("threads", threads), func(b *testing.B) {
+			ts := make([]*thread, threads)
+			for i := range ts {
+				ts[i] = &thread{id: i, time: int64(i % 4)}
+			}
+			var q runq
+			q.reset(ts)
+			for _, th := range ts {
+				q.push(th)
+			}
+			t := q.pop()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if i%4096 == 4095 {
+					t.time += ringBuckets
+				} else {
+					t.time += int64(1 + i%5)
+				}
+				if q.before(t) {
+					t = q.swapMin(t)
+				}
+			}
+		})
+	}
+}

@@ -15,8 +15,8 @@ package engine
 //     L3, backing memory, the sync controller, or another block).
 //     Classification is conservative: when in doubt, GLOBAL.
 //   - Each shard executes its own threads in (local clock, thread ID)
-//     order — exactly the serial heap order restricted to the shard. A
-//     shard with NO blocked threads free-runs: it executes local ops
+//     order — exactly the serial run-queue order restricted to the
+//     shard. A shard with NO blocked threads free-runs: it executes local ops
 //     without looking at any sibling, because local ops of different
 //     shards commute and nothing can be delivered into a shard whose
 //     threads are all runnable (sync grants target blocked threads
@@ -185,16 +185,38 @@ func (e *Engine) runBlockParallel(ctx context.Context, sh ShardedHierarchy) (*Re
 		g.shards[i] = &parShard{idx: i, resume: make(chan struct{}, 1)}
 		g.shards[i].clock.Store(maxKey)
 	}
+	// Each shard's queue serves the ID range from its first thread to its
+	// last.
+	lo, hi := make([]int, n), make([]int, n)
+	for i := range lo {
+		lo[i] = -1
+	}
 	for _, t := range e.ts {
 		s := sh.ShardOf(t.id)
 		if s < 0 || s >= n {
 			return nil, fmt.Errorf("engine: ShardOf(%d) = %d out of range [0,%d)", t.id, s, n)
 		}
 		g.shardOf[t.id] = s
-		g.shards[s].rq.push(t)
+		if lo[s] < 0 {
+			lo[s] = t.id
+		}
+		hi[s] = t.id + 1
+	}
+	for i, p := range g.shards {
+		if lo[i] >= 0 {
+			p.rq.reset(e.ts[lo[i]:hi[i]])
+		}
+	}
+	for _, t := range e.ts {
+		g.shards[g.shardOf[t.id]].rq.push(t)
 	}
 	e.par = g
-	defer func() { e.par = nil }()
+	defer func() {
+		e.par = nil
+		for _, p := range g.shards {
+			p.rq.tally()
+		}
+	}()
 
 	for _, p := range g.shards {
 		g.join.Add(1)
@@ -429,7 +451,7 @@ func (p *parShard) runPhase(e *Engine, g *parGroup) {
 			quiesce(false)
 			return
 		}
-		if m := p.rq.peek(); m != nil && runqLess(m, t) {
+		if p.rq.before(t) {
 			t = p.rq.swapMin(t)
 		}
 	}

@@ -17,18 +17,18 @@
 // The engine is event-driven (see DESIGN.md §10): guests deposit
 // operations that return no value into a per-thread ring without waiting
 // for execution and suspend only at loads, so the scheduler's hot loop is
-// a heap pop, a ring pop, the hierarchy call, and a heap re-push. Control
+// a run-queue pop, a ring pop, the hierarchy call, and a re-push. Control
 // moves between a guest and the scheduler by direct coroutine switch —
 // never through the Go scheduler, so there is no goroutine parking or
 // wakeup anywhere on the hot path, and guest and scheduler never run
 // concurrently. Blocked threads leave the run queue entirely; their wake
-// is a grant event whose timestamp re-enters the heap, so when every core
-// is quiescent the pop itself jumps global time directly to the earliest
-// pending grant. Execution order is unchanged from the synchronous
-// engine: the heap pops a unique (time, thread-ID) minimum, and a
-// thread's clock is final before it is re-pushed, so the operation
-// sequence — and therefore every result, event stream, and span — is
-// byte-identical.
+// is a grant event whose timestamp re-enters the queue, so when every
+// core is quiescent the pop itself jumps global time directly to the
+// earliest pending grant. Execution order is unchanged from the
+// synchronous engine: the run queue pops a unique (time, thread-ID)
+// minimum, and a thread's clock is final before it is re-pushed, so the
+// operation sequence — and therefore every result, event stream, and
+// span — is byte-identical.
 //
 // Compute and the L1 hits a PrivateHierarchy vouches for never reach the
 // scheduler: the guest coroutine runs them itself, in program order, when
@@ -385,7 +385,7 @@ const (
 // (structure-of-arrays layout indexed by dense thread id): a single
 // allocation instead of one per thread, with the op rings embedded, so
 // a 1024-core engine costs one slab plus the coroutine handles. The run
-// queue backing store is preallocated to its maximum occupancy.
+// queue's ring is allocated by the first pipelined run.
 func New(h Hierarchy, guests []Guest) *Engine {
 	e := &Engine{h: h, ctrl: hwsync.New(h.SyncCost)}
 	e.tstore = make([]thread, len(guests))
@@ -394,7 +394,6 @@ func New(h Hierarchy, guests []Guest) *Engine {
 		e.tstore[i] = thread{id: i, guest: g}
 		e.ts[i] = &e.tstore[i]
 	}
-	e.rq.ts = make([]*thread, 0, len(guests))
 	return e
 }
 
@@ -434,8 +433,6 @@ func (e *Engine) Reset(guests []Guest) {
 		e.tstore[i] = thread{id: i, guest: g, co: e.tstore[i].co}
 		e.ts[i] = &e.tstore[i]
 	}
-	clear(e.rq.ts)
-	e.rq.ts = e.rq.ts[:0]
 	e.ctrl.Reset()
 	*e = Engine{
 		h:      e.h,
@@ -532,7 +529,7 @@ func (e *Engine) RunCtx(ctx context.Context) (*Result, error) {
 // guest is still computing), executes it, and keeps the thread in hand
 // while its advanced clock is still the global minimum — the common case
 // under the default policy's 23% same-thread run length, and the case
-// where the heap is skipped entirely. A pop that finds the guest's pipe
+// where the queue is skipped entirely. A pop that finds the guest's pipe
 // closed retires the thread. Blocked threads re-enter the queue from
 // wake(), timestamped at their grant — which is what makes a fully
 // quiescent machine jump straight to the earliest pending event.
@@ -549,6 +546,8 @@ func (e *Engine) RunCtx(ctx context.Context) (*Result, error) {
 // before its next deposited op runs, so every op that reaches the
 // scheduler still runs in (time, ID) order.
 func (e *Engine) runPipelined(ctx context.Context) (*Result, error) {
+	e.rq.reset(e.ts)
+	defer e.rq.tally()
 	for _, t := range e.ts {
 		e.rq.push(t)
 	}
@@ -599,7 +598,7 @@ func (e *Engine) runPipelined(ctx context.Context) (*Result, error) {
 			steps += n
 			idle += n
 			if t.time != before {
-				if m := e.rq.peek(); m != nil && runqLess(m, t) {
+				if e.rq.before(t) {
 					t = e.rq.swapMin(t)
 					continue
 				}
@@ -626,7 +625,7 @@ func (e *Engine) runPipelined(ctx context.Context) (*Result, error) {
 			return nil, err
 		}
 		if runnable {
-			if m := e.rq.peek(); m != nil && runqLess(m, t) {
+			if e.rq.before(t) {
 				t = e.rq.swapMin(t)
 			}
 		} else {

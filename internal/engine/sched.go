@@ -73,14 +73,10 @@ func (e *ScheduleAbortError) Error() string {
 // ErrorKind labels the failure for the runner's error taxonomy.
 func (e *ScheduleAbortError) ErrorKind() string { return "sched-abort" }
 
-// next returns the thread to step, consulting the external scheduler when
-// one is installed. With no scheduler it is the run-queue pop (minimum
-// local clock, thread ID tie-break). A nil thread with a nil error means
-// no thread is runnable (completion or deadlock, decided by the caller).
+// next returns the thread the external scheduler picks among the ready
+// ones. A nil thread with a nil error means no thread is runnable
+// (completion or deadlock, decided by the caller).
 func (e *Engine) next() (*thread, error) {
-	if e.sched == nil {
-		return e.rq.pop(), nil
-	}
 	e.cands = e.cands[:0]
 	for _, t := range e.ts {
 		if t.state == ready {
