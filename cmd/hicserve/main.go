@@ -12,7 +12,9 @@
 //
 // Endpoints (see internal/serve):
 //
-//	POST /v2/sweeps             submit a sweep request
+//	POST /v2/sweeps             submit a sweep request; 202 queued or
+//	                            joined, 200 done (sweep-store hit), 429
+//	                            over capacity; its id is the content address
 //	GET  /v2/sweeps/{id}        job status with live per-cell progress
 //	GET  /v2/sweeps/{id}/result the finished document, byte-identical
 //	                            to the equivalent CLI -json invocation
@@ -25,10 +27,12 @@
 //	hicsim -json -scale test -server http://localhost:8080
 //
 // Results are cached by content address — a hash of the normalized
-// request plus the server's code version. Because the simulator is
-// deterministic, a cache hit returns exactly the bytes a fresh run
-// would compute; a warm resubmit is answered at submit time with zero
-// engine steps. -cache-dir persists the cache across restarts.
+// request plus the server's code version — which is also the sweep's
+// ID: one job per address. Because the simulator is deterministic, a
+// cache hit returns exactly the bytes a fresh run would compute; a warm
+// resubmit is answered at submit time with zero engine steps, and one
+// of a queued or running address joins its job. -cache-dir persists
+// finished documents across restarts.
 //
 // -workers bounds concurrent sweeps, -queue the submitted backlog, and
 // -per-tenant one tenant's in-flight jobs (tenants are named by the

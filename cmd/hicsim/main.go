@@ -106,10 +106,10 @@
 // sweep's per-core stall timelines as a Chrome trace_event file, one
 // process per cell, viewable in Perfetto or chrome://tracing.
 //
-// -cpuprofile and -memprofile write pprof profiles of the sweep (see
-// DESIGN.md "Performance" for the profiling workflow); sweep goroutines
-// are labeled workload/config, so `go tool pprof -tags` attributes
-// samples to experiment cells.
+// -cpuprofile and -memprofile write pprof profiles of the sweep, failing
+// runs included (see DESIGN.md "Performance" for the profiling
+// workflow); sweep goroutines are labeled workload/config, so `go tool
+// pprof -tags` attributes samples to experiment cells.
 //
 // -server URL delegates the suite to a hicserve instance and prints the
 // fetched document — byte-identical to a local -json run, with the same
@@ -210,18 +210,31 @@ type options struct {
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("hicsim: ")
-	o, err := parse(flag.CommandLine, os.Args[1:])
+	os.Exit(run(flag.CommandLine, os.Args[1:]))
+}
+
+// run is the whole command and returns its exit status. Every path out
+// of it, failing ones included, first stops the -cpuprofile capture and
+// writes the -memprofile snapshot.
+func run(fs *flag.FlagSet, args []string) (code int) {
+	o, err := parse(fs, args)
 	if err != nil {
-		log.Fatal(err)
+		return fail(err)
 	}
 	ctx := context.Background()
 
 	if o.server != "" {
-		remote(ctx, o)
-		return
+		return remote(ctx, o)
 	}
-	stopProfiles := startProfiles(o.cpuProfile, o.memProfile)
-	defer stopProfiles()
+	stopProfiles, err := startProfiles(o.cpuProfile, o.memProfile)
+	if err != nil {
+		return fail(err)
+	}
+	defer func() {
+		if err := stopProfiles(); err != nil {
+			code = fail(err)
+		}
+	}()
 
 	switch {
 	case o.faults != "":
@@ -230,23 +243,30 @@ func main() {
 			fmt.Print(rep.Render())
 		}
 		if err != nil {
-			log.Fatal(err)
+			return fail(err)
 		}
 	case o.corpus != "":
 		lo, hi := o.req.SeedRange()
 		if err := writeCorpus(o.corpus, lo, hi); err != nil {
-			log.Fatal(err)
+			return fail(err)
 		}
 		fmt.Printf("wrote %d corpus inputs to %s\n", hi-lo, o.corpus)
 	case o.req.Suite == "table1":
 		out, err := hic.PatternTable(o.scale)
 		if err != nil {
-			log.Fatal(err)
+			return fail(err)
 		}
 		fmt.Print(out)
 	default:
-		local(ctx, o)
+		return local(ctx, o)
 	}
+	return 0
+}
+
+// fail logs err and returns the failing exit status.
+func fail(err error) int {
+	log.Print(err)
+	return 1
 }
 
 // parse declares hicsim's flags on fs, parses args and validates them.
@@ -416,39 +436,39 @@ func (o *options) faultOptions() []hic.Option {
 }
 
 // startProfiles begins the -cpuprofile capture and returns a stop
-// function that ends it and writes the -memprofile snapshot; defer it
-// from main. Profile-file failures are fatal.
-func startProfiles(cpuProfile, memProfile string) (stop func()) {
-	var stopCPU func()
+// function that ends it and writes the -memprofile snapshot; run defers
+// it.
+func startProfiles(cpuProfile, memProfile string) (stop func() error, err error) {
+	stopCPU := func() error { return nil }
 	if cpuProfile != "" {
 		out, err := os.Create(cpuProfile)
 		if err != nil {
-			log.Fatal(err)
+			return nil, err
 		}
 		if err := pprof.StartCPUProfile(out); err != nil {
-			log.Fatal(err)
-		}
-		stopCPU = func() {
-			pprof.StopCPUProfile()
 			out.Close()
+			return nil, err
+		}
+		stopCPU = func() error {
+			pprof.StopCPUProfile()
+			return out.Close()
 		}
 	}
-	return func() {
-		if stopCPU != nil {
-			stopCPU()
+	return func() error {
+		if err := stopCPU(); err != nil || memProfile == "" {
+			return err
 		}
-		if memProfile != "" {
-			out, err := os.Create(memProfile)
-			if err != nil {
-				log.Fatal(err)
-			}
-			defer out.Close()
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(out); err != nil {
-				log.Fatal(err)
-			}
+		out, err := os.Create(memProfile)
+		if err != nil {
+			return err
 		}
-	}
+		runtime.GC()
+		if err := pprof.WriteHeapProfile(out); err != nil {
+			out.Close()
+			return err
+		}
+		return out.Close()
+	}, nil
 }
 
 // writeTraces writes the sweep's stall timelines to path as a Chrome
@@ -473,48 +493,42 @@ func inList(list, name string) bool {
 // remote runs the request on the -server instance and prints the
 // fetched document. -check then gates the decoded bytes exactly as it
 // gates a local run, and a failed litmus verdict or fuzz cell exits
-// nonzero as it does locally.
-func remote(ctx context.Context, o *options) {
+// nonzero as it does locally. It returns the exit status.
+func remote(ctx context.Context, o *options) int {
 	c := &serve.Client{BaseURL: o.server, Tenant: o.tenant}
 	data, err := c.Run(ctx, o.req)
 	if err != nil {
-		log.Fatal(err)
+		return fail(err)
 	}
 	if _, err := os.Stdout.Write(data); err != nil {
-		log.Fatal(err)
-	}
-	if o.check {
-		doc, err := runner.Decode(bytes.NewReader(data))
-		if err != nil {
-			log.Fatalf("decoding served document: %v", err)
-		}
-		check(doc)
+		return fail(err)
 	}
 	var res serve.Result
-	switch o.req.Suite {
-	case "litmus":
+	switch {
+	case o.check: // only the results suites take -check
+		res.Doc, err = runner.Decode(bytes.NewReader(data))
+	case o.req.Suite == "litmus":
 		res.Litmus = &litmus.Document{}
 		err = json.Unmarshal(data, res.Litmus)
-	case "fuzz":
+	case o.req.Suite == "fuzz":
 		res.Fuzz = &fuzzgen.Report{}
 		err = json.Unmarshal(data, res.Fuzz)
 	}
 	if err != nil {
-		log.Fatalf("decoding served document: %v", err)
+		return fail(fmt.Errorf("decoding served document: %v", err))
 	}
-	if res.Failed() {
-		os.Exit(1)
+	if (o.check && !check(res.Doc)) || res.Failed() {
+		return 1
 	}
+	return 0
 }
 
-// check runs the shapecheck gate on a results document, exiting nonzero
-// on any violated ordering.
-func check(doc *runner.Document) {
+// check runs the shapecheck gate on a results document and reports
+// whether every ordering holds.
+func check(doc *runner.Document) bool {
 	vs := shapecheck.Check(doc)
 	fmt.Fprint(os.Stderr, shapecheck.Render(vs))
-	if len(vs) > 0 {
-		os.Exit(1)
-	}
+	return len(vs) == 0
 }
 
 // env is the execution context of a local run: -parallel workers (for
@@ -528,11 +542,11 @@ func (o *options) env() serve.Env {
 // local computes the request in this process with the Request.Run the
 // server's workers call. The document goes to stdout with -json
 // (partial on cell failures) and the text report otherwise; -check
-// gates a results document either way.
-func local(ctx context.Context, o *options) {
+// gates a results document either way. It returns the exit status.
+func local(ctx context.Context, o *options) int {
 	res, err := o.req.Run(ctx, o.env())
 	if res == nil {
-		log.Fatal(err)
+		return fail(err)
 	}
 	if o.json {
 		write := res.Encode
@@ -540,29 +554,28 @@ func local(ctx context.Context, o *options) {
 			write = res.EncodeTiming
 		}
 		if err := write(os.Stdout); err != nil {
-			log.Fatal(err)
+			return fail(err)
 		}
 	}
 	if o.traceChrome != "" {
 		if err := writeTraces(o.traceChrome, res.Traces); err != nil {
-			log.Fatal(err)
+			return fail(err)
 		}
+	}
+	if err == nil && !o.json {
+		err = report(o, res)
 	}
 	if err != nil {
 		log.Print(err)
-	} else if !o.json {
-		report(o, res)
 	}
-	if o.check {
-		check(res.Doc)
+	if (o.check && !check(res.Doc)) || err != nil || res.Failed() {
+		return 1
 	}
-	if err != nil || res.Failed() {
-		os.Exit(1)
-	}
+	return 0
 }
 
 // report prints a local result's text report.
-func report(o *options, res *serve.Result) {
+func report(o *options, res *serve.Result) error {
 	workers := hic.NewRunOptions(hic.WithParallel(o.parallel)).Workers(1 << 30)
 	switch o.req.Suite {
 	case "intra":
@@ -570,7 +583,9 @@ func report(o *options, res *serve.Result) {
 	case "inter":
 		printInter(res.Inter)
 	case "all":
-		printAll(o.scale, res.Intra, res.Inter)
+		if err := printAll(o.scale, res.Intra, res.Inter); err != nil {
+			return err
+		}
 		fmt.Printf("\nsweep wall time (%d workers): intra %s, inter %s\n",
 			workers, res.Walls[0].Round(time.Millisecond), res.Walls[1].Round(time.Millisecond))
 	case "manycore":
@@ -585,6 +600,7 @@ func report(o *options, res *serve.Result) {
 	case "fuzz":
 		printReport(res.Fuzz, o.verbose)
 	}
+	return nil
 }
 
 // writeCorpus emits one Go fuzz corpus input per seed, in the encoding
@@ -732,11 +748,11 @@ func printMeans(title string, f *hic.Figure) {
 // printAll renders the whole reproduction at scale s: Table I (its
 // census taken from the intra sweep's Base cells), the storage
 // comparison, and Figures 9-12 against the paper's headline numbers.
-func printAll(s hic.Scale, intra *hic.IntraResult, inter *hic.InterResult) {
+func printAll(s hic.Scale, intra *hic.IntraResult, inter *hic.InterResult) error {
 	fmt.Println("== E1: Table I =================================================")
 	table1, err := intra.PatternTable(s)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	fmt.Println(table1)
 
@@ -758,4 +774,5 @@ func printAll(s hic.Scale, intra *hic.IntraResult, inter *hic.InterResult) {
 	m12 := inter.Figure12.MeanTotals()
 	fmt.Printf("mean normalized execution time: Base %.3f, Addr %.3f, Addr+L %.3f (paper: Addr+L ~1.05, -31%% vs Base, -5%% vs Addr)\n",
 		m12["Base"], m12["Addr"], m12["Addr+L"])
+	return nil
 }

@@ -375,6 +375,22 @@ func TestLitmusSuite(t *testing.T) {
 		}
 	})
 
+	t.Run("failing-run-writes-profiles", func(t *testing.T) {
+		// The profiles are stopped and written before a failing run exits.
+		dir := t.TempDir()
+		cpu, mem := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")
+		out, err := litmusRun("-test", "sb", "-budget", "2", "-cpuprofile", cpu, "-memprofile", mem).CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+			t.Fatalf("truncated exploration: %v, want exit 1\n%s", err, out)
+		}
+		for _, p := range []string{cpu, mem} {
+			if fi, err := os.Stat(p); err != nil || fi.Size() == 0 {
+				t.Errorf("%s after a failing run: %v, want a non-empty profile", filepath.Base(p), err)
+			}
+		}
+	})
+
 	t.Run("unknown-test-exits-nonzero", func(t *testing.T) {
 		out, err := litmusRun("-test", "no-such-test").CombinedOutput()
 		if err == nil || !strings.Contains(string(out), "unknown litmus test") {

@@ -148,8 +148,9 @@ func (c *Client) Wait(ctx context.Context, id string) (Status, error) {
 }
 
 // Run is the whole thin-client flow: submit (sleeping out 429
-// backpressure per the server's Retry-After hint), wait, and fetch the
-// result. A failed job returns its error text.
+// backpressure per the server's Retry-After hint), wait unless the
+// submit reply is already done, and fetch the result. A failed job
+// returns its error text.
 func (c *Client) Run(ctx context.Context, req Request) ([]byte, error) {
 	var reply SubmitReply
 	for {
@@ -172,12 +173,14 @@ func (c *Client) Run(ctx context.Context, req Request) ([]byte, error) {
 		case <-time.After(delay):
 		}
 	}
-	st, err := c.Wait(ctx, reply.ID)
-	if err != nil {
-		return nil, err
-	}
-	if st.State == JobFailed {
-		return nil, fmt.Errorf("sweep %s failed: %s", reply.ID, st.Error)
+	if reply.State != JobDone {
+		st, err := c.Wait(ctx, reply.ID)
+		if err != nil {
+			return nil, err
+		}
+		if st.State == JobFailed {
+			return nil, fmt.Errorf("sweep %s failed: %s", reply.ID, st.Error)
+		}
 	}
 	return c.Result(ctx, reply.ID)
 }

@@ -1,6 +1,8 @@
 // Job lifecycle: a submitted sweep is queued, picked up by a worker,
 // and finishes done or failed; a submit whose content address is
-// already stored is born done. All job state is guarded by the server's
+// persisted in the -cache-dir is born done. The server keeps one job
+// per content address, so a done job's result is the only in-memory
+// copy of its document. All job state is guarded by the server's
 // mutex — jobs are small and the sweep work itself runs outside the
 // lock.
 
@@ -22,14 +24,13 @@ const (
 
 // Job is one submitted sweep.
 type Job struct {
-	// ID addresses the job ("swp-000001").
+	// ID is the request's content address (Request.Key): one job per
+	// address.
 	ID string
-	// Tenant is the submitter's tenant label.
+	// Tenant is the label of the tenant whose submit created the job.
 	Tenant string
 	// Req is the normalized request.
 	Req Request
-	// Key is the request's content address.
-	Key string
 
 	// state, result, and progress are guarded by the server's mutex.
 	state    JobState
@@ -54,8 +55,8 @@ type Status struct {
 	Suite  string   `json:"suite"`
 	Scale  string   `json:"scale,omitempty"`
 	Tenant string   `json:"tenant"`
-	// Cache is "hit" when the result was served from the sweep store
-	// without running, "miss" otherwise.
+	// Cache is "hit" when the job was loaded from the -cache-dir without
+	// running, "miss" otherwise.
 	Cache    string    `json:"cache"`
 	Error    string    `json:"error,omitempty"`
 	Progress *Progress `json:"progress,omitempty"`
@@ -72,11 +73,8 @@ type Progress struct {
 
 // newJob builds a job in the queued state with its progress cells
 // pre-populated from the request's predicted task list.
-func newJob(id, tenant string, req Request, key string) *Job {
-	j := &Job{
-		ID: id, Tenant: tenant, Req: req, Key: key,
-		state: JobQueued,
-	}
+func newJob(id, tenant string, req Request) *Job {
+	j := &Job{ID: id, Tenant: tenant, Req: req, state: JobQueued}
 	for _, wc := range req.cells(req.Workloads) {
 		j.cells = append(j.cells, cellStatus{Workload: wc[0], Config: wc[1], State: "pending"})
 	}

@@ -3,8 +3,9 @@
 // per-tenant concurrency limits, and a two-level content-addressed
 // result cache.
 //
-//	POST /v2/sweeps            submit a Request; 202 queued, 200 done
-//	                           (sweep-store hit), 429 over capacity
+//	POST /v2/sweeps            submit a Request; 202 queued or joined,
+//	                           200 done (sweep-store hit), 429 over
+//	                           capacity; its id is the content address
 //	GET  /v2/sweeps/{id}       job status with live per-cell progress
 //	GET  /v2/sweeps/{id}/result the document bytes, byte-identical to
 //	                           the equivalent CLI -json invocation
@@ -12,10 +13,12 @@
 //	                           snapshot (cache hits, rejections, jobs)
 //	GET  /healthz              liveness
 //
-// Caching is content-addressed at two levels. The sweep store maps a
-// normalized request's hash (which covers the code version) to the
-// finished document bytes: a warm resubmit is answered at submit time
-// with zero engine steps. The cell cache (hic.WithCache) shares
+// Caching is content-addressed at two levels. A sweep's ID is its
+// normalized request's hash (which covers the code version), and the
+// server keeps one job per ID: a resubmit of a done address is answered
+// at submit time with zero engine steps, one of a queued or running
+// address joins its job, and Store persists documents to -cache-dir
+// across restarts. The cell cache (hic.WithCache) shares
 // individual simulation outcomes across jobs whose option sets agree,
 // so overlapping requests — "intra" then "all", or per-workload slices
 // of the same sweep — reuse each other's work. Determinism makes both
@@ -54,8 +57,8 @@ type Config struct {
 	Parallel int
 	// Timeout bounds each individual simulation run (0 = none).
 	Timeout time.Duration
-	// CacheDir persists the sweep store across restarts ("" keeps it
-	// in memory only).
+	// CacheDir persists finished documents across restarts ("" keeps
+	// them in memory only).
 	CacheDir string
 }
 
@@ -67,13 +70,15 @@ type Server struct {
 
 	mu       sync.Mutex
 	closed   bool
-	jobs     map[string]*Job
+	jobs     map[string]*Job // by content address, one per address
 	inflight map[string]int
-	seq      int
 
-	// counters (guarded by mu)
+	// counters (guarded by mu); a submit not answered done is a store
+	// miss
 	submitted, completed, failed  int64
 	rejectedQueue, rejectedTenant int64
+	hits, corrupt, entries        int64
+	queued, running               int64
 
 	queue  chan *Job
 	ctx    context.Context
@@ -149,6 +154,8 @@ func (s *Server) worker() {
 func (s *Server) run(job *Job) {
 	s.mu.Lock()
 	job.state = JobRunning
+	s.queued--
+	s.running++
 	s.mu.Unlock()
 
 	env := Env{
@@ -163,13 +170,14 @@ func (s *Server) run(job *Job) {
 	}
 	data, err := s.compute(s.ctx, job.Req, env)
 	if err == nil {
-		// The store has its own lock; a persisted Put writes and renames
-		// a file, which must not hold up status polls and submits.
-		s.store.Put(job.Key, data)
+		// Outside mu: a persisted Put writes and renames a file, which
+		// must not hold up status polls and submits.
+		s.store.Put(job.ID, data)
 	}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.running--
 	s.inflight[job.Tenant]--
 	if err != nil {
 		s.failed++
@@ -177,6 +185,7 @@ func (s *Server) run(job *Job) {
 		return
 	}
 	s.completed++
+	s.entries++
 	job.finish(JobDone, data, "")
 }
 
@@ -200,7 +209,7 @@ const TenantHeader = "X-Hic-Tenant"
 type SubmitReply struct {
 	ID    string   `json:"id"`
 	State JobState `json:"state"`
-	// Cache is "hit" when the sweep store answered at submit time.
+	// Cache is "hit" when a finished document answered the submit.
 	Cache string `json:"cache"`
 }
 
@@ -221,24 +230,44 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		tenant = "anonymous"
 	}
 	key := req.Key()
-	// Outside mu: the store has its own lock, and a persisted lookup
-	// reads and hashes a file.
-	data, stored := s.store.Get(key)
+	s.mu.Lock()
+	job := s.live(key)
+	s.mu.Unlock()
+	var data []byte
+	var stored, corrupt bool
+	if job == nil {
+		// Outside mu: a persisted lookup reads and hashes a file.
+		data, stored, corrupt = s.store.Get(key)
+	}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if corrupt {
+		s.corrupt++
+	}
 	if s.closed {
 		writeError(w, http.StatusServiceUnavailable, "server shutting down")
 		return
 	}
 	s.submitted++
-	if stored {
-		// Born done: the store already holds this address's bytes.
-		job := newJob(s.nextID(), tenant, req, key)
+	// Re-read: a concurrent submit may have created the job meanwhile.
+	if job = s.live(key); job == nil && stored {
+		// Born done: the -cache-dir holds this address's bytes.
+		job = newJob(key, tenant, req)
 		job.cacheHit = true
 		job.finish(JobDone, data, "")
-		s.jobs[job.ID] = job
-		writeJSON(w, http.StatusOK, SubmitReply{ID: job.ID, State: JobDone, Cache: "hit"})
+		s.jobs[key] = job
+		s.entries++
+	}
+	if job != nil && job.state == JobDone {
+		s.hits++
+		writeJSON(w, http.StatusOK, SubmitReply{ID: key, State: JobDone, Cache: "hit"})
+		return
+	}
+	if job != nil {
+		// Join the queued or running job: no second compute, and no
+		// queue or tenant slot.
+		writeJSON(w, http.StatusAccepted, SubmitReply{ID: key, State: job.state, Cache: "miss"})
 		return
 	}
 	if s.inflight[tenant] >= s.cfg.PerTenant {
@@ -248,7 +277,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("tenant %q at its in-flight limit (%d)", tenant, s.cfg.PerTenant))
 		return
 	}
-	job := newJob(s.nextID(), tenant, req, key)
+	job = newJob(key, tenant, req)
 	select {
 	case s.queue <- job:
 	default:
@@ -257,15 +286,19 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusTooManyRequests, "queue full")
 		return
 	}
-	s.jobs[job.ID] = job
+	s.jobs[key] = job
 	s.inflight[tenant]++
-	writeJSON(w, http.StatusAccepted, SubmitReply{ID: job.ID, State: JobQueued, Cache: "miss"})
+	s.queued++
+	writeJSON(w, http.StatusAccepted, SubmitReply{ID: key, State: JobQueued, Cache: "miss"})
 }
 
-// nextID mints a job ID. Caller holds mu.
-func (s *Server) nextID() string {
-	s.seq++
-	return fmt.Sprintf("swp-%06d", s.seq)
+// live returns the job of an address unless it is absent or failed.
+// Caller holds mu.
+func (s *Server) live(key string) *Job {
+	if j := s.jobs[key]; j != nil && j.state != JobFailed {
+		return j
+	}
+	return nil
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
@@ -317,31 +350,19 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 			snap.Counters[name] = v
 		}
 	}
-	// The store's counters are read before taking mu: the store's lock
-	// can be held through a file read or write.
-	count("serve.store.hits", s.store.Hits())
-	count("serve.store.misses", s.store.Misses())
-	count("serve.store.corrupt", s.store.Corrupt())
-	count("serve.store.entries", int64(s.store.Len()))
-
 	s.mu.Lock()
-	var queued, running int64
-	for _, j := range s.jobs {
-		switch j.state {
-		case JobQueued:
-			queued++
-		case JobRunning:
-			running++
-		}
-	}
+	count("serve.store.hits", s.hits)
+	count("serve.store.misses", s.submitted-s.hits)
+	count("serve.store.corrupt", s.corrupt)
+	count("serve.store.entries", s.entries)
 	count("serve.cells.hits", s.cells.Hits())
 	count("serve.cells.misses", s.cells.Misses())
 	count("serve.cells.entries", int64(s.cells.Len()))
 	count("serve.jobs.submitted", s.submitted)
 	count("serve.jobs.completed", s.completed)
 	count("serve.jobs.failed", s.failed)
-	count("serve.jobs.queued", queued)
-	count("serve.jobs.running", running)
+	count("serve.jobs.queued", s.queued)
+	count("serve.jobs.running", s.running)
 	count("serve.rejected.queue_full", s.rejectedQueue)
 	count("serve.rejected.tenant_limit", s.rejectedTenant)
 	s.mu.Unlock()

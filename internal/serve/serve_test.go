@@ -10,6 +10,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -20,6 +21,8 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -89,7 +92,7 @@ func TestServedIntraBytesEqualLocalAndWarmResubmitHits(t *testing.T) {
 	}
 
 	// Cold run: one store miss, no hits yet.
-	if h, m := s.store.Hits(), s.store.Misses(); h != 0 || m != 1 {
+	if h, m := metricsCounter(t, c, "serve.store.hits"), metricsCounter(t, c, "serve.store.misses"); h != 0 || m != 1 {
 		t.Fatalf("store hits/misses after cold run = %d/%d, want 0/1", h, m)
 	}
 	cellMisses := s.cells.Misses()
@@ -103,8 +106,12 @@ func TestServedIntraBytesEqualLocalAndWarmResubmitHits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if reply.State != JobDone || reply.Cache != "hit" {
-		t.Fatalf("warm resubmit reply = %+v, want done/hit", reply)
+	key := req
+	if err := key.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	if reply.State != JobDone || reply.Cache != "hit" || reply.ID != key.Key() {
+		t.Fatalf("warm resubmit reply = %+v, want done/hit with the content address as ID", reply)
 	}
 	again, err := c.Result(ctx, reply.ID)
 	if err != nil {
@@ -120,13 +127,14 @@ func TestServedIntraBytesEqualLocalAndWarmResubmitHits(t *testing.T) {
 		t.Fatalf("serve.store.hits = %d, want >= 1", got)
 	}
 
-	// The born-done job reports full progress and its cache provenance.
+	// The address's one job is the cold run's: done, computed (a cache
+	// miss), with full progress.
 	st, err := c.Status(ctx, reply.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Cache != "hit" || st.State != JobDone {
-		t.Fatalf("status = %+v, want done/hit", st)
+	if st.Cache != "miss" || st.State != JobDone {
+		t.Fatalf("status = %+v, want done/miss", st)
 	}
 	wantCells := len(hic.IntraConfigs)
 	if st.Progress == nil || st.Progress.Total != wantCells || st.Progress.Done != wantCells {
@@ -320,7 +328,7 @@ func TestHTTPErrorSurface(t *testing.T) {
 	ctx := context.Background()
 
 	t.Run("unknown-sweep-404", func(t *testing.T) {
-		_, err := c.Status(ctx, "swp-999999")
+		_, err := c.Status(ctx, strings.Repeat("0", 64))
 		var se *StatusError
 		if !errors.As(err, &se) || se.Code != http.StatusNotFound {
 			t.Fatalf("got %v, want 404", err)
@@ -562,13 +570,25 @@ func TestStorePersistsAcrossRestart(t *testing.T) {
 	}
 
 	// A fresh server over the same directory answers at submit time.
-	s2, c2 := newTestServer(t, Config{Workers: 1, CacheDir: dir})
+	_, c2 := newTestServer(t, Config{Workers: 1, CacheDir: dir})
 	reply, err := c2.Submit(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if reply.Cache != "hit" || reply.State != JobDone {
 		t.Fatalf("restarted server reply = %+v, want done/hit", reply)
+	}
+	// The born-done job reports full progress and its cache provenance.
+	st, err := c2.Status(ctx, reply.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Cache != "hit" || st.State != JobDone {
+		t.Fatalf("restarted status = %+v, want done/hit", st)
+	}
+	wantCells := len(hic.IntraConfigs)
+	if st.Progress == nil || st.Progress.Total != wantCells || st.Progress.Done != wantCells {
+		t.Fatalf("progress = %+v, want %d/%d cells done", st.Progress, wantCells, wantCells)
 	}
 	data, err := c2.Result(ctx, reply.ID)
 	if err != nil {
@@ -577,8 +597,8 @@ func TestStorePersistsAcrossRestart(t *testing.T) {
 	if !bytes.Equal(data, want) {
 		t.Fatal("persisted bytes differ from the local run")
 	}
-	if s2.store.Hits() != 1 {
-		t.Fatalf("restarted store hits = %d, want 1", s2.store.Hits())
+	if got := metricsCounter(t, c2, "serve.store.hits"); got != 1 {
+		t.Fatalf("restarted store hits = %d, want 1", got)
 	}
 
 	// A damaged entry is never served: the next server counts it as
@@ -600,7 +620,7 @@ func TestStorePersistsAcrossRestart(t *testing.T) {
 			if err := os.WriteFile(entry, tc.damage(file), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			s, c := newTestServer(t, Config{Workers: 1, CacheDir: dir})
+			_, c := newTestServer(t, Config{Workers: 1, CacheDir: dir})
 			reply, err := c.Submit(ctx, req)
 			if err != nil {
 				t.Fatal(err)
@@ -618,7 +638,7 @@ func TestStorePersistsAcrossRestart(t *testing.T) {
 			if !bytes.Equal(data, want) {
 				t.Fatal("recomputed bytes differ from the local run")
 			}
-			if h, m := s.store.Hits(), s.store.Misses(); h != 0 || m != 1 {
+			if h, m := metricsCounter(t, c, "serve.store.hits"), metricsCounter(t, c, "serve.store.misses"); h != 0 || m != 1 {
 				t.Fatalf("store hits/misses = %d/%d, want 0/1", h, m)
 			}
 			if got := metricsCounter(t, c, "serve.store.corrupt"); got != 1 {
@@ -630,7 +650,8 @@ func TestStorePersistsAcrossRestart(t *testing.T) {
 
 // TestStorePutFailedRenameLeavesNoTempFile: when the entry cannot be
 // renamed into place (here a directory holds its name), Put removes its
-// temp file instead of leaving a put-* file in the cache dir.
+// temp file instead of leaving a put-* file in the cache dir, and
+// nothing is persisted.
 func TestStorePutFailedRenameLeavesNoTempFile(t *testing.T) {
 	dir := t.TempDir()
 	s, err := NewStore(dir)
@@ -645,8 +666,40 @@ func TestStorePutFailedRenameLeavesNoTempFile(t *testing.T) {
 	if left, _ := filepath.Glob(filepath.Join(dir, "put-*")); len(left) > 0 {
 		t.Fatalf("failed rename left %v in the cache dir", left)
 	}
-	if data, ok := s.Get(key); !ok || string(data) != "{}\n" {
-		t.Fatalf("Get after Put = %q, %v; want the in-memory entry", data, ok)
+	if data, ok, corrupt := s.Get(key); ok || corrupt {
+		t.Fatalf("Get after a failed Put = %q, %v, %v; want nothing", data, ok, corrupt)
+	}
+}
+
+// TestStoreCountsDamagedFileOnce: only the lookup that deletes a damaged
+// entry reports it corrupt, so lookups racing on one file count it once.
+func TestStoreCountsDamagedFileOnce(t *testing.T) {
+	dir := t.TempDir()
+	s, err := NewStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := strings.Repeat("cd", 32)
+	if err := os.WriteFile(filepath.Join(dir, key+".entry"), []byte("bad\n{}\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	const lookups = 8
+	var wg sync.WaitGroup
+	var corrupt atomic.Int64
+	for range lookups {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, ok, bad := s.Get(key); ok {
+				t.Error("damaged entry served")
+			} else if bad {
+				corrupt.Add(1)
+			}
+		}()
+	}
+	wg.Wait()
+	if got := corrupt.Load(); got != 1 {
+		t.Fatalf("%d lookups reported the damaged entry corrupt, want 1", got)
 	}
 }
 
@@ -698,12 +751,14 @@ func TestRequestOptionsReachTheRun(t *testing.T) {
 	}
 }
 
-// TestStoreLookupDoesNotBlockStatus: a store lookup can read and hash a
-// persisted entry, so handleSubmit makes it outside the server mutex
-// (the store has its own lock). With the store held busy, a submit
-// waits on it, but a status poll for an existing job still answers.
+// TestStoreLookupDoesNotBlockStatus: a store lookup reads and hashes a
+// persisted entry, so handleSubmit makes it outside the server mutex.
+// With the disk held busy (the entry is a FIFO nobody writes yet), a
+// submit waits on it, but a status poll for an existing job still
+// answers.
 func TestStoreLookupDoesNotBlockStatus(t *testing.T) {
-	s, c := newTestServer(t, Config{Workers: 1})
+	dir := t.TempDir()
+	s, c := newTestServer(t, Config{Workers: 1, CacheDir: dir})
 	release := make(chan struct{})
 	defer close(release)
 	stubCompute(s, release)
@@ -713,22 +768,190 @@ func TestStoreLookupDoesNotBlockStatus(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s.store.mu.Lock()
-	var unlock sync.Once
-	defer unlock.Do(s.store.mu.Unlock)
-	submitted := make(chan error, 1)
+	slow := litmusReq(302)
+	if err := slow.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	fifo := filepath.Join(dir, slow.Key()+".entry")
+	if err := syscall.Mkfifo(fifo, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// The writer's open blocks until the lookup opens the FIFO to read,
+	// whichever comes first; the lookup's read then blocks until free
+	// lets the framed bytes through, which make it a hit.
+	gate := make(chan struct{})
+	var unblock sync.Once
+	free := func() { unblock.Do(func() { close(gate) }) }
+	defer free()
 	go func() {
-		_, err := c.Submit(ctx, litmusReq(302))
-		submitted <- err
+		f, err := os.OpenFile(fifo, os.O_WRONLY, 0)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer f.Close()
+		<-gate
+		fmt.Fprintf(f, "%x\n%s", sha256.Sum256([]byte("{}\n")), "{}\n")
 	}()
-	time.Sleep(50 * time.Millisecond) // let the submit reach the store
+	type answer struct {
+		reply SubmitReply
+		err   error
+	}
+	submitted := make(chan answer, 1)
+	go func() {
+		reply, err := c.Submit(ctx, slow)
+		submitted <- answer{reply, err}
+	}()
+	time.Sleep(50 * time.Millisecond) // let the submit reach the disk
 	sctx, cancel := context.WithTimeout(ctx, time.Second)
 	defer cancel()
 	if _, err := c.Status(sctx, r1.ID); err != nil {
-		t.Fatalf("status poll while the store is busy: %v", err)
+		t.Fatalf("status poll while the disk is busy: %v", err)
 	}
-	unlock.Do(s.store.mu.Unlock)
-	if err := <-submitted; err != nil {
-		t.Fatalf("submit after the store freed: %v", err)
+	select {
+	case a := <-submitted:
+		t.Fatalf("submit answered %+v, %v before the disk freed", a.reply, a.err)
+	default:
+	}
+	free()
+	if a := <-submitted; a.err != nil || a.reply.State != JobDone || a.reply.Cache != "hit" {
+		t.Fatalf("submit after the disk freed = %+v, %v; want done/hit", a.reply, a.err)
+	}
+}
+
+// instantCompute replaces the server's compute hook with one that
+// returns at once and counts its calls.
+func instantCompute(s *Server) *atomic.Int64 {
+	var calls atomic.Int64
+	s.compute = func(context.Context, Request, Env) ([]byte, error) {
+		calls.Add(1)
+		return []byte("{}\n"), nil
+	}
+	return &calls
+}
+
+// TestWarmResubmitsKeepOneJob: a job's ID is its content address, so
+// resubmitting a finished address answers from its job and mints none.
+func TestWarmResubmitsKeepOneJob(t *testing.T) {
+	s, c := newTestServer(t, Config{Workers: 1})
+	calls := instantCompute(s)
+	ctx := context.Background()
+	if _, err := c.Run(ctx, litmusReq(501)); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 1000; i++ {
+		reply, err := c.Submit(ctx, litmusReq(501))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reply.State != JobDone || reply.Cache != "hit" {
+			t.Fatalf("warm resubmit %d = %+v, want done/hit", i, reply)
+		}
+	}
+	s.mu.Lock()
+	jobs := len(s.jobs)
+	s.mu.Unlock()
+	if jobs != 1 || calls.Load() != 1 {
+		t.Fatalf("after 1,001 submits of one address: %d jobs, %d computes; want 1 and 1", jobs, calls.Load())
+	}
+	if h, m := metricsCounter(t, c, "serve.store.hits"), metricsCounter(t, c, "serve.store.misses"); h != 1000 || m != 1 {
+		t.Fatalf("store hits/misses = %d/%d, want 1000/1", h, m)
+	}
+}
+
+// TestConcurrentIdenticalSubmitsComputeOnce: a submit that finds its
+// address queued or running joins that job instead of computing again.
+func TestConcurrentIdenticalSubmitsComputeOnce(t *testing.T) {
+	s, c := newTestServer(t, Config{Workers: 1})
+	release := make(chan struct{})
+	stubCompute(s, release)
+	var calls atomic.Int64
+	block := s.compute
+	s.compute = func(ctx context.Context, req Request, env Env) ([]byte, error) {
+		calls.Add(1)
+		return block(ctx, req, env)
+	}
+	ctx := context.Background()
+	results := make(chan []byte, 2)
+	for range 2 {
+		go func() {
+			data, err := c.Run(ctx, litmusReq(601))
+			if err != nil {
+				t.Error(err)
+			}
+			results <- data
+		}()
+	}
+	for deadline := time.Now().Add(5 * time.Second); metricsCounter(t, c, "serve.jobs.submitted") < 2; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the two submits never arrived")
+		}
+	}
+	close(release)
+	for range 2 {
+		if data := <-results; string(data) != "{}\n" {
+			t.Errorf("client got %q, want the document", data)
+		}
+	}
+	if calls.Load() != 1 {
+		t.Fatalf("two identical cold submits computed %d times, want 1", calls.Load())
+	}
+}
+
+// countingTransport counts the HTTP round trips a client makes.
+type countingTransport struct{ n atomic.Int64 }
+
+func (ct *countingTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	ct.n.Add(1)
+	return http.DefaultTransport.RoundTrip(req)
+}
+
+// TestClientRunWarmMakesTwoRequests: a submit answered done needs no
+// status poll, only the result fetch.
+func TestClientRunWarmMakesTwoRequests(t *testing.T) {
+	s, c := newTestServer(t, Config{Workers: 1})
+	instantCompute(s)
+	ctx := context.Background()
+	if _, err := c.Run(ctx, litmusReq(701)); err != nil {
+		t.Fatal(err)
+	}
+	ct := &countingTransport{}
+	warm := &Client{BaseURL: c.BaseURL, HTTP: &http.Client{Transport: ct}, PollInterval: c.PollInterval}
+	data, err := warm.Run(ctx, litmusReq(701))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(data) != "{}\n" || ct.n.Load() != 2 {
+		t.Fatalf("warm Run = %q in %d requests, want the document in 2", data, ct.n.Load())
+	}
+}
+
+// TestQueuedRunningCounters: serve.jobs.queued and .running follow each
+// job through its state transitions.
+func TestQueuedRunningCounters(t *testing.T) {
+	s, c := newTestServer(t, Config{Workers: 1})
+	release := make(chan struct{})
+	stubCompute(s, release)
+	ctx := context.Background()
+	r1, err := c.Submit(ctx, litmusReq(801))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, c, r1.ID, JobRunning)
+	r2, err := c.Submit(ctx, litmusReq(802))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q, r := metricsCounter(t, c, "serve.jobs.queued"), metricsCounter(t, c, "serve.jobs.running"); q != 1 || r != 1 {
+		t.Fatalf("queued/running = %d/%d with two jobs waiting, want 1/1", q, r)
+	}
+	close(release)
+	for _, id := range []string{r1.ID, r2.ID} {
+		if _, err := c.Wait(ctx, id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if q, r := metricsCounter(t, c, "serve.jobs.queued"), metricsCounter(t, c, "serve.jobs.running"); q != 0 || r != 0 {
+		t.Fatalf("queued/running = %d/%d after release, want 0/0", q, r)
 	}
 }

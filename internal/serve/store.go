@@ -1,7 +1,7 @@
-// The sweep-level result store: canonical document bytes, addressed by
-// the request's content hash. A hit at submit time answers the whole
-// request without queueing a job — determinism makes the stored bytes
-// exactly what a fresh run would produce for the same address.
+// The persisted sweep store: canonical document bytes on disk,
+// addressed by the request's content hash, so a restarted server
+// answers a warm resubmit without recomputing it. In memory, the
+// server's job table is the only copy of a finished document.
 
 package serve
 
@@ -12,62 +12,49 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
-	"sync"
 )
 
 // keyPattern is the only shape a content address can take; it keeps
 // directory-backed lookups from ever leaving the cache directory.
 var keyPattern = regexp.MustCompile(`^[0-9a-f]{64}$`)
 
-// Store holds document bytes by content address, in memory and
-// optionally persisted to a directory, with hit/miss accounting. Each
-// persisted entry is one <key>.entry file: the hex SHA-256 of the
-// document bytes on the first line, then the bytes. A file whose digest
-// does not match (truncated, or corrupted on disk) is never served: Get
-// counts it as a miss and as corrupt, and deletes it.
+// Store persists document bytes by content address in a directory
+// (-cache-dir); a store without one holds nothing. Each entry is one
+// <key>.entry file: the hex SHA-256 of the document bytes on the first
+// line, then the bytes. A file whose digest does not match (truncated,
+// or corrupted on disk) is never served: Get reports it as corrupt and
+// deletes it. Callers do this file I/O outside the server mutex.
 type Store struct {
-	mu      sync.Mutex
-	mem     map[string][]byte
-	dir     string
-	hits    int64
-	misses  int64
-	corrupt int64
+	dir string
 }
 
-// NewStore returns a store persisting to dir ("" keeps entries in
-// memory only). The directory is created if absent.
+// NewStore returns a store persisting to dir ("" persists nothing).
+// The directory is created if absent.
 func NewStore(dir string) (*Store, error) {
 	if dir != "" {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return nil, fmt.Errorf("serve: cache dir: %w", err)
 		}
 	}
-	return &Store{mem: make(map[string][]byte), dir: dir}, nil
+	return &Store{dir: dir}, nil
 }
 
-// Get returns the bytes stored under key and counts the hit or miss.
-// Directory entries found on disk are verified and promoted into memory.
-func (s *Store) Get(key string) ([]byte, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if data, ok := s.mem[key]; ok {
-		s.hits++
-		return data, true
+// Get returns the verified bytes persisted under key. corrupt reports a
+// damaged entry this call deleted, so racing lookups count it once; it
+// may delete a racing Put's sound file, costing a recompute on restart.
+func (s *Store) Get(key string) (data []byte, ok, corrupt bool) {
+	if s.dir == "" || !keyPattern.MatchString(key) {
+		return nil, false, false
 	}
-	if s.dir != "" && keyPattern.MatchString(key) {
-		path := filepath.Join(s.dir, key+".entry")
-		if file, err := os.ReadFile(path); err == nil {
-			if data, ok := unframe(file); ok {
-				s.mem[key] = data
-				s.hits++
-				return data, true
-			}
-			s.corrupt++
-			os.Remove(path)
-		}
+	path := filepath.Join(s.dir, key+".entry")
+	file, err := os.ReadFile(path)
+	if err != nil {
+		return nil, false, false
 	}
-	s.misses++
-	return nil, false
+	if data, ok := unframe(file); ok {
+		return data, true, false
+	}
+	return nil, false, os.Remove(path) == nil
 }
 
 // unframe returns the document bytes of an entry file, or false when its
@@ -80,13 +67,10 @@ func unframe(file []byte) ([]byte, bool) {
 	return data, true
 }
 
-// Put stores data under key (and persists it when the store is
-// directory-backed). Persistence failures are silent: the in-memory
-// entry still serves this process, and the next process recomputes.
+// Put persists data under key, writing a temp file and renaming it into
+// place. Failures are silent: the job table still serves this process,
+// and the next process recomputes.
 func (s *Store) Put(key string, data []byte) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.mem[key] = data
 	if s.dir == "" || !keyPattern.MatchString(key) {
 		return
 	}
@@ -99,33 +83,4 @@ func (s *Store) Put(key string, data []byte) {
 		os.Rename(tmp.Name(), filepath.Join(s.dir, key+".entry")) != nil {
 		os.Remove(tmp.Name())
 	}
-}
-
-// Hits returns how many Get calls found an entry.
-func (s *Store) Hits() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.hits
-}
-
-// Misses returns how many Get calls found nothing.
-func (s *Store) Misses() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.misses
-}
-
-// Corrupt returns how many persisted entries failed verification and
-// were deleted.
-func (s *Store) Corrupt() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.corrupt
-}
-
-// Len returns the number of in-memory entries.
-func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.mem)
 }
