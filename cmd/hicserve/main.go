@@ -37,8 +37,9 @@
 // -workers bounds concurrent sweeps, -queue the submitted backlog, and
 // -per-tenant one tenant's in-flight jobs (tenants are named by the
 // X-Hic-Tenant request header); each must be positive. Submits beyond
-// either limit are refused with 429 and a Retry-After hint. -parallel and -timeout shape each
-// sweep exactly like the CLI flags of the same names.
+// either limit are refused with 429 and a Retry-After hint. -parallel
+// (positive) and -timeout (not negative) shape each sweep exactly like
+// the CLI flags of the same names.
 //
 // The bound address is logged at startup, so -addr 127.0.0.1:0 picks a
 // free port. SIGINT or SIGTERM stops the listener, lets in-flight
@@ -70,15 +71,19 @@ func main() {
 	timeout := flag.Duration("timeout", 0, "per-run timeout within a sweep (0 = none)")
 	cacheDir := flag.String("cache-dir", "", "persist the result cache to this directory (default: memory only)")
 	flag.Parse()
-	// serve.New would replace a non-positive count by its default, which
-	// the startup log below would not show.
+	// serve.New would replace a non-positive count by its default, and
+	// a sweep would read a negative -parallel or -timeout as GOMAXPROCS
+	// or no timeout, which the startup log below would not show.
 	for _, f := range []struct {
 		name string
 		n    int
-	}{{"workers", *workers}, {"queue", *queue}, {"per-tenant", *perTenant}} {
+	}{{"workers", *workers}, {"queue", *queue}, {"per-tenant", *perTenant}, {"parallel", *parallel}} {
 		if f.n <= 0 {
 			log.Fatalf("-%s %d: must be positive", f.name, f.n)
 		}
+	}
+	if *timeout < 0 {
+		log.Fatalf("-timeout %s: must not be negative", *timeout)
 	}
 
 	s, err := serve.New(serve.Config{
@@ -104,7 +109,8 @@ func main() {
 		Handler:           s.Handler(),
 		ReadHeaderTimeout: 10 * time.Second,
 	}
-	log.Printf("listening on %s (workers=%d queue=%d per-tenant=%d)", ln.Addr(), *workers, *queue, *perTenant)
+	log.Printf("listening on %s (workers=%d queue=%d per-tenant=%d parallel=%d timeout=%s)",
+		ln.Addr(), *workers, *queue, *perTenant, *parallel, *timeout)
 
 	served := make(chan error, 1)
 	go func() { served <- srv.Serve(ln) }()

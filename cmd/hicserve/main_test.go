@@ -113,9 +113,11 @@ func TestSIGTERMShutsDownCleanly(t *testing.T) {
 	}
 }
 
-// TestNonPositiveCountsRefused: the job counts must be positive. A zero
-// or negative -workers, -queue or -per-tenant exits 1 naming the flag,
-// rather than starting with a default the startup log does not show.
+// TestNonPositiveCountsRefused: the job and worker counts must be
+// positive and the timeout not negative. A zero or negative -workers,
+// -queue, -per-tenant or -parallel, or a negative -timeout, exits 1
+// naming the flag, rather than starting with a default the startup log
+// does not show.
 func TestNonPositiveCountsRefused(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the binary")
@@ -126,6 +128,9 @@ func TestNonPositiveCountsRefused(t *testing.T) {
 		{"-queue", "0"},
 		{"-per-tenant", "0"},
 		{"-workers", "-1"},
+		{"-parallel", "0"},
+		{"-parallel", "-5"},
+		{"-timeout", "-1s"},
 	} {
 		t.Run(strings.Join(args, " "), func(t *testing.T) {
 			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)

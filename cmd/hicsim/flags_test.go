@@ -5,8 +5,11 @@ package main
 
 import (
 	"flag"
+	"fmt"
 	"io"
+	"maps"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -15,14 +18,17 @@ import (
 	"repro/internal/serve"
 )
 
+// parseCase is one command line of TestParse.
+type parseCase struct {
+	name string
+	args []string
+	want string // error substring; "" means accepted
+	// check inspects the options of an accepted command line.
+	check func(t *testing.T, o *options)
+}
+
 func TestParse(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		args []string
-		want string // error substring; "" means accepted
-		// check inspects the options of an accepted command line.
-		check func(t *testing.T, o *options)
-	}{
+	cases := []parseCase{
 		{name: "defaults", check: func(t *testing.T, o *options) {
 			if want := (serve.Request{Suite: "all", Scale: "bench"}); !reflect.DeepEqual(o.req, want) {
 				t.Errorf("request = %+v, want %+v", o.req, want)
@@ -51,9 +57,9 @@ func TestParse(t *testing.T) {
 				}
 			}},
 		{name: "litmus-flags-fill-the-request", args: []string{"-suite", "litmus", "-enumerate", "-k", "3",
-			"-config", "Base", "-budget", "5", "-max-schedules", "7", "-v"},
+			"-config", "Base", "-budget", "5", "-v"},
 			check: func(t *testing.T, o *options) {
-				want := serve.Request{Suite: "litmus", Enumerate: true, K: 3, Config: "Base", Budget: 5, MaxSchedules: 7}
+				want := serve.Request{Suite: "litmus", Enumerate: true, K: 3, Config: "Base", Budget: 5}
 				if !reflect.DeepEqual(o.req, want) || !o.verbose {
 					t.Errorf("request = %+v, verbose %v; want %+v, verbose", o.req, o.verbose, want)
 				}
@@ -139,6 +145,19 @@ func TestParse(t *testing.T) {
 		{name: "unknown-scale-faults", args: []string{"-scale", "huge", "-faults", "matrix"}, want: `unknown scale "huge"`},
 		{name: "removed-schema", args: []string{"-schema", "v2"}, want: "flag provided but not defined: -schema"},
 		{name: "removed-dpor", args: []string{"-dpor=false"}, want: "flag provided but not defined: -dpor"},
+		{name: "removed-max-schedules", args: []string{"-suite", "litmus", "-max-schedules", "3"}, want: "flag provided but not defined: -max-schedules"},
+
+		// Negative worker counts and timeouts are refused, not read as
+		// GOMAXPROCS and as no timeout.
+		{name: "negative-parallel", args: []string{"-suite", "litmus", "-test", "sb", "-parallel", "-3"}, want: "-parallel -3: must not be negative"},
+		{name: "negative-timeout", args: []string{"-suite", "intra", "-scale", "test", "-timeout", "-1s", "-json"}, want: "-timeout -1s: must not be negative"},
+		{name: "negative-parallel-faults", args: []string{"-faults", "matrix", "-parallel", "-1"}, want: "-parallel -1: must not be negative"},
+		{name: "zero-parallel-and-timeout", args: []string{"-suite", "fuzz", "-seeds", "1:3", "-parallel", "0"},
+			check: func(t *testing.T, o *options) {
+				if o.parallel != 0 || o.timeout != 0 {
+					t.Errorf("parallel/timeout = %d/%s, want 0/0s", o.parallel, o.timeout)
+				}
+			}},
 
 		// Oversized inputs fail with Request.Normalize's bound.
 		{name: "huge-blocks", args: []string{"-suite", "manycore", "-blocks", "9223372036854775807"}, want: "blocks 9223372036854775807: want at most 256"},
@@ -146,37 +165,37 @@ func TestParse(t *testing.T) {
 		{name: "huge-k", args: []string{"-suite", "litmus", "-enumerate", "-k", "9223372036854775807"}, want: "k 9223372036854775807: want an op budget of at most 5"},
 
 		// TestHicsimFlagPlumbing's rejections, in process.
-		{name: "blocks-outside-manycore", args: []string{"-suite", "intra", "-scale", "test", "-blocks", "2"}, want: "blocks and cores_per_block apply to suite manycore only"},
-		{name: "cores-per-block-outside-manycore", args: []string{"-scale", "test", "-cores-per-block", "4"}, want: "blocks and cores_per_block apply to suite manycore only"},
+		{name: "blocks-outside-manycore", args: []string{"-suite", "intra", "-scale", "test", "-blocks", "2"}, want: "-blocks does not apply to -suite intra"},
+		{name: "cores-per-block-outside-manycore", args: []string{"-scale", "test", "-cores-per-block", "4"}, want: "-cores-per-block does not apply to -suite all"},
 		{name: "faults-with-suite", args: []string{"-suite", "inter", "-scale", "test", "-faults", "matrix"}, want: "-faults does not apply"},
 		{name: "json-with-table1", args: []string{"-suite", "table1", "-scale", "test", "-json"}, want: "-json does not apply"},
 		{name: "check-with-table1", args: []string{"-suite", "table1", "-scale", "test", "-check"}, want: "-check does not apply"},
 		{name: "server-with-table1", args: []string{"-suite", "table1", "-scale", "test", "-server", "http://127.0.0.1:1"}, want: "-server does not apply"},
 		{name: "unknown-suite", args: []string{"-suite", "storage", "-scale", "test"}, want: "unknown -suite"},
 		{name: "block-parallel", args: []string{"-suite", "manycore", "-blocks", "2", "-scale", "test", "-block-parallel"}, want: "flag provided but not defined: -block-parallel"},
-		{name: "litmus-flag-on-sweep", args: []string{"-suite", "inter", "-scale", "test", "-test", "sb"}, want: "litmus parameters apply to suite litmus only"},
-		{name: "scale-with-litmus", args: []string{"-suite", "litmus", "-scale", "test"}, want: "scale applies to simulation suites only"},
+		{name: "litmus-flag-on-sweep", args: []string{"-suite", "inter", "-scale", "test", "-test", "sb"}, want: "-test does not apply to -suite inter"},
+		{name: "scale-with-litmus", args: []string{"-suite", "litmus", "-scale", "test"}, want: "-scale does not apply to -suite litmus"},
 		{name: "v-with-sweep", args: []string{"-suite", "inter", "-scale", "test", "-v"}, want: "-v does not apply"},
 		{name: "litmus-enumerate-with-test", args: []string{"-suite", "litmus", "-enumerate", "-test", "sb"}, want: "test applies to the curated suite, not -enumerate"},
-		{name: "litmus-negative-budget", args: []string{"-suite", "litmus", "-budget", "-5"}, want: "budget and max_schedules must be non-negative"},
+		{name: "litmus-negative-budget", args: []string{"-suite", "litmus", "-budget", "-5"}, want: "budget -5: must be non-negative"},
 		{name: "litmus-k-without-enumerate", args: []string{"-suite", "litmus", "-k", "3"}, want: "-k applies to -suite litmus -enumerate only"},
 
 		// A request flag the suite does not use is refused even at its
 		// zero value, which Normalize cannot tell from unset.
-		{name: "overhead-zero-request-flags", args: []string{"-suite", "overhead", "-budget", "0", "-metrics=false", "-enumerate=false", "-blocks", "0"}, want: "-metrics does not apply to -suite overhead"},
+		{name: "overhead-zero-request-flags", args: []string{"-suite", "overhead", "-budget", "0", "-metrics=false", "-enumerate=false", "-blocks", "0"}, want: "-blocks does not apply to -suite overhead"},
 		{name: "litmus-zero-blocks", args: []string{"-suite", "litmus", "-blocks", "0"}, want: "-blocks does not apply to -suite litmus"},
 		{name: "litmus-empty-scale", args: []string{"-suite", "litmus", "-scale", ""}, want: "-scale does not apply to -suite litmus"},
 		{name: "sweep-zero-cores-per-block", args: []string{"-suite", "inter", "-scale", "test", "-cores-per-block", "0"}, want: "-cores-per-block does not apply to -suite inter"},
-		{name: "sweep-zero-litmus-flags", args: []string{"-suite", "intra", "-scale", "test", "-enumerate=false", "-max-schedules", "0"}, want: "-max-schedules does not apply to -suite intra"},
+		{name: "sweep-zero-litmus-flags", args: []string{"-suite", "intra", "-scale", "test", "-enumerate=false", "-k", "0"}, want: "-enumerate does not apply to -suite intra"},
 		{name: "litmus-zero-own-flags", args: []string{"-suite", "litmus", "-enumerate=false", "-budget", "0", "-config", ""}},
 		{name: "sweep-zero-mutants", args: []string{"-suite", "intra", "-scale", "test", "-mutants", "0"}, want: "-mutants does not apply to -suite intra"},
 
 		// The fuzz suite's flags stay on it, and the other suites' off it.
-		{name: "seeds-on-litmus", args: []string{"-suite", "litmus", "-seeds", "1:3"}, want: "seeds and mutants apply to suite fuzz only"},
-		{name: "mutants-on-overhead", args: []string{"-suite", "overhead", "-mutants", "3"}, want: "seeds and mutants apply to suite fuzz only"},
+		{name: "seeds-on-litmus", args: []string{"-suite", "litmus", "-seeds", "1:3"}, want: "-seeds does not apply to -suite litmus"},
+		{name: "mutants-on-overhead", args: []string{"-suite", "overhead", "-mutants", "3"}, want: "-mutants does not apply to -suite overhead"},
 		{name: "corpus-on-litmus", args: []string{"-suite", "litmus", "-corpus", "dir"}, want: "-corpus does not apply to -suite litmus"},
-		{name: "fuzz-litmus-flag", args: []string{"-suite", "fuzz", "-test", "sb"}, want: "litmus parameters apply to suite litmus only"},
-		{name: "fuzz-scale", args: []string{"-suite", "fuzz", "-scale", "test"}, want: "scale applies to simulation suites only"},
+		{name: "fuzz-litmus-flag", args: []string{"-suite", "fuzz", "-test", "sb"}, want: "-test does not apply to -suite fuzz"},
+		{name: "fuzz-scale", args: []string{"-suite", "fuzz", "-scale", "test"}, want: "-scale does not apply to -suite fuzz"},
 		{name: "fuzz-timeout", args: []string{"-suite", "fuzz", "-timeout", "1s"}, want: "-timeout does not apply to -suite fuzz"},
 		{name: "fuzz-check", args: []string{"-suite", "fuzz", "-json", "-check"}, want: "-check does not apply to -suite fuzz"},
 		{name: "fuzz-unknown-config", args: []string{"-suite", "fuzz", "-config", "no-such-config"}, want: `unknown litmus config "no-such-config"`},
@@ -187,7 +206,14 @@ func TestParse(t *testing.T) {
 		{name: "corpus-with-json", args: []string{"-suite", "fuzz", "-corpus", "dir", "-json"}, want: "-json does not apply to -corpus"},
 		{name: "corpus-with-mutants", args: []string{"-suite", "fuzz", "-corpus", "dir", "-mutants", "3"}, want: "-mutants does not apply to -corpus"},
 		{name: "corpus-with-server", args: []string{"-suite", "fuzz", "-corpus", "dir", "-json", "-server", "http://127.0.0.1:1"}, want: "does not apply to -corpus"},
-	} {
+		{name: "corpus-default-seeds", args: []string{"-suite", "fuzz", "-corpus", "dir"},
+			check: func(t *testing.T, o *options) {
+				if lo, hi := o.req.SeedRange(); lo != 1 || hi != 201 {
+					t.Errorf("seeds [%d,%d), want the campaign's [1,201)", lo, hi)
+				}
+			}},
+	}
+	for _, tc := range append(cases, outOfScopeCases(t)...) {
 		t.Run(tc.name, func(t *testing.T) {
 			fs := flag.NewFlagSet("hicsim", flag.ContinueOnError)
 			fs.SetOutput(io.Discard)
@@ -234,5 +260,99 @@ func TestParseSeeds(t *testing.T) {
 	}
 	if lo, hi, err := parseSeeds("1:5001", "-corpus", "dir"); err != nil || lo != 1 || hi != 5001 {
 		t.Errorf("parseSeeds(1:5001) with -corpus = %d, %d, %v", lo, hi, err)
+	}
+}
+
+// requestFields maps each serve.Request field's JSON name to the field.
+func requestFields() map[string]reflect.StructField {
+	fields := map[string]reflect.StructField{}
+	for _, f := range reflect.VisibleFields(reflect.TypeFor[serve.Request]()) {
+		name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+		fields[name] = f
+	}
+	return fields
+}
+
+// defaultFlags returns hicsim's flag set, parsed with no arguments.
+func defaultFlags(t *testing.T) (*flag.FlagSet, *options) {
+	t.Helper()
+	fs := flag.NewFlagSet("hicsim", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	o, err := parse(fs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fs, o
+}
+
+// outOfScopeCases generates, from serve.Uses, a refused command line
+// for every suite that builds a Request and every request flag it does
+// not use, once at the flag's zero value and once at a nonzero one.
+func outOfScopeCases(t *testing.T) []parseCase {
+	fields := requestFields()
+	fs, _ := defaultFlags(t)
+	var cases []parseCase
+	for _, suite := range slices.Sorted(maps.Keys(accepts)) {
+		if suite == "table1" {
+			continue
+		}
+		fs.VisitAll(func(fl *flag.Flag) {
+			f, ok := fields[field(fl.Name)]
+			if !ok || serve.Uses(suite, field(fl.Name)) {
+				return
+			}
+			values := map[reflect.Kind][2]string{
+				reflect.Bool:   {"false", "true"},
+				reflect.Int:    {"0", "3"},
+				reflect.String: {"", "x"},
+			}[f.Type.Kind()]
+			if values[1] == "" {
+				t.Fatalf("-%s fills a %s field; give it zero and nonzero values", fl.Name, f.Type)
+			}
+			for i, v := range values {
+				cases = append(cases, parseCase{
+					name: fmt.Sprintf("out-of-scope/%s/-%s/%s", suite, fl.Name, []string{"zero", "nonzero"}[i]),
+					args: []string{"-suite", suite, "-" + fl.Name + "=" + v},
+					want: fmt.Sprintf("-%s does not apply to -suite %s", fl.Name, suite),
+				})
+			}
+		})
+	}
+	if len(cases) == 0 {
+		t.Fatal("no out-of-scope request flag")
+	}
+	return cases
+}
+
+// TestFlagsBindRequestFields: a flag fills the Request field it spells
+// (see field) or is hicsim-only, and a hicsim-only flag spells no
+// field, so the flag name alone says which field serve.Uses judges.
+// Every hicsim-only flag is in some scope list, and every suite that
+// builds a Request is one serve knows.
+func TestFlagsBindRequestFields(t *testing.T) {
+	fields := requestFields()
+	fs, o := defaultFlags(t)
+	bound := map[uintptr]string{}
+	req := reflect.ValueOf(&o.req).Elem()
+	for name, f := range fields {
+		bound[req.FieldByIndex(f.Index).Addr().Pointer()] = name
+	}
+	lists := anySuite + " " + faultFlags + " " + strings.Join(slices.Collect(maps.Values(accepts)), " ")
+	fs.VisitAll(func(fl *flag.Flag) {
+		name, isField := bound[reflect.ValueOf(fl.Value).Pointer()]
+		_, spellsField := fields[field(fl.Name)]
+		switch {
+		case isField && name != field(fl.Name):
+			t.Errorf("-%s fills Request field %q, not %q", fl.Name, name, field(fl.Name))
+		case !isField && spellsField:
+			t.Errorf("hicsim-only flag -%s spells Request field %q", fl.Name, field(fl.Name))
+		case !isField && !inList(lists, fl.Name):
+			t.Errorf("hicsim-only flag -%s is in no scope list", fl.Name)
+		}
+	})
+	for suite := range accepts {
+		if suite != "table1" && !serve.Uses(suite, "suite") {
+			t.Errorf("suite %s builds a Request, but serve does not know it", suite)
+		}
 	}
 }

@@ -10,7 +10,7 @@
 //	       [-faults matrix|PLAN] [-metrics] [-trace-chrome F]
 //	       [-cpuprofile F] [-memprofile F]
 //	       [-blocks N] [-cores-per-block N]
-//	       [-test NAME] [-config NAME] [-budget N] [-max-schedules N]
+//	       [-test NAME] [-config NAME] [-budget N]
 //	       [-enumerate] [-k N] [-seeds LO:HI] [-mutants N] [-corpus DIR]
 //	       [-v] [-server URL [-tenant NAME]]
 //
@@ -36,18 +36,18 @@
 //
 // Every suite but table1 is a serve.Request: the flags that describe
 // the computation (-suite, -scale, -check-coherence, -metrics, -blocks,
-// -cores-per-block, -test, -config, -budget, -max-schedules, -enumerate,
-// -k, -seeds, -mutants) fill its fields directly, Request.Normalize
-// validates it — with the same message hicserve answers 400 with — and
-// Request.Run computes it, the same method hicserve's workers call,
-// unless -server sends it to a hicserve instance. A flag that does
-// nothing for the chosen suite is an error, not ignored: -blocks and
-// -cores-per-block apply to manycore only, the sweep flags to the four results suites (intra,
-// inter, all, manycore), the litmus flags and -parallel to litmus,
-// -seeds, -mutants, -config, -parallel, -timing, -v and -corpus to fuzz,
-// -json and -server to every suite but table1, and table1 is text only;
-// -timing needs -json, -v needs the text report (no -json), and -tenant
-// needs -server.
+// -cores-per-block, -test, -config, -budget, -enumerate, -k, -seeds,
+// -mutants) each fill the field their name spells (-check-coherence
+// fills coherence), Request.Normalize validates it — with the same
+// message hicserve answers 400 with — and Request.Run computes it, the
+// same method hicserve's workers call, unless -server sends it to a
+// hicserve instance. A flag that does nothing for the chosen suite is an
+// error, not ignored, even at its zero value: a request flag must fill a
+// field the suite uses, by internal/serve's one scope table (serve.Uses),
+// and hicsim's own flags have their per-suite lists here (-json and
+// -server apply to every suite but table1, -parallel to every suite but
+// overhead and table1, and table1 is text only); -timing needs -json, -v
+// needs the text report (no -json), and -tenant needs -server.
 // Normalize also bounds the sizes: -blocks up to serve.MaxBlocks,
 // -cores-per-block up to serve.MaxCoresPerBlock, -k up to serve.MaxK
 // and -seeds to serve.MaxSeeds seeds.
@@ -56,7 +56,7 @@
 // Runs, litmus explorations and fuzz cells fan out across -parallel
 // workers (default GOMAXPROCS); results are identical to a serial sweep.
 // -timeout bounds each individual run; a run that exceeds it fails its
-// own cell instead of hanging the sweep.
+// own cell instead of hanging the sweep. Neither may be negative.
 //
 // -check-coherence attaches the shadow-memory coherence oracle to every
 // run: each load is checked against the happens-before-legal value set
@@ -73,8 +73,8 @@
 //
 // The litmus suite prints one verdict line per (test, configuration)
 // pair; -v adds exploration statistics and the outcome histogram. -test
-// and -config restrict the matrix; -budget and -max-schedules bound each
-// exploration (0 means the explorer's defaults). Exploration uses dynamic
+// and -config restrict the matrix; -budget bounds each schedule's
+// scheduling decisions (0 means the explorer's default). Exploration uses dynamic
 // partial-order reduction. -enumerate replaces the curated suite with the
 // systematic enumeration of every litmus shape up to -k ops (default 4)
 // and fails unless every annotated program explores violation-free to
@@ -144,15 +144,11 @@ import (
 	"repro/internal/shapecheck"
 )
 
-// Flag scopes, as space-separated flag names.
+// Flag scopes, as space-separated flag names. The flags that fill a
+// serve.Request field are each named for the field (see field); a suite
+// that builds a Request takes those serve.Uses says it uses, and the
+// lists below hold hicsim's own flags.
 const (
-	// requestFlags fill a serve.Request field; on a suite that builds a
-	// Request, Request.Normalize judges their values and requestScope
-	// says which of them the suite uses.
-	simRequest    = "scale check-coherence metrics"
-	litmusRequest = "test config budget max-schedules enumerate k"
-	fuzzRequest   = "config seeds mutants"
-	requestFlags  = simRequest + " blocks cores-per-block " + litmusRequest + " seeds mutants"
 	// anySuite flags apply to every suite.
 	anySuite   = "suite cpuprofile memprofile"
 	docFlags   = "json server tenant"
@@ -176,18 +172,14 @@ var accepts = map[string]string{
 	"table1":   "scale",
 }
 
-// requestScope lists, per suite that builds a Request, the requestFlags
-// it uses. Normalize rejects a nonzero value of any other one, but it
-// cannot tell an explicit zero from an unset field, so validate rejects
-// setting one at all.
-var requestScope = map[string]string{
-	"intra":    simRequest,
-	"inter":    simRequest,
-	"all":      simRequest,
-	"manycore": simRequest + " blocks cores-per-block",
-	"litmus":   litmusRequest,
-	"overhead": "",
-	"fuzz":     fuzzRequest,
+// field returns the JSON name of the Request field the flag name fills:
+// the flag's own name with "-" for "_", except -check-coherence. A
+// hicsim-only flag names no field.
+func field(flag string) string {
+	if flag == "check-coherence" {
+		return "coherence"
+	}
+	return strings.ReplaceAll(flag, "-", "_")
 }
 
 // options is hicsim's parsed command line: the request the flags that
@@ -276,8 +268,8 @@ func parse(fs *flag.FlagSet, args []string) (*options, error) {
 	r := &o.req
 	fs.StringVar(&r.Suite, "suite", "all", "what to run: intra, inter, all, manycore, litmus, overhead, fuzz, or table1")
 	fs.StringVar(&r.Scale, "scale", "bench", "problem scale: test or bench")
-	fs.IntVar(&o.parallel, "parallel", 0, "worker count for the experiment sweeps, litmus explorations and fuzz cells (0 = GOMAXPROCS)")
-	fs.DurationVar(&o.timeout, "timeout", 0, "per-run timeout (0 = none)")
+	fs.IntVar(&o.parallel, "parallel", 0, "worker count for the experiment sweeps, litmus explorations and fuzz cells (0 = GOMAXPROCS; not negative)")
+	fs.DurationVar(&o.timeout, "timeout", 0, "per-run timeout (0 = none; not negative)")
 	fs.BoolVar(&o.json, "json", false, "emit results as a machine-readable JSON document on stdout")
 	fs.BoolVar(&o.timing, "timing", false, "include host wall times in -json output (not deterministic)")
 	fs.BoolVar(&o.check, "check", false, "verify the paper's expected orderings; exit nonzero on violation")
@@ -288,15 +280,14 @@ func parse(fs *flag.FlagSet, args []string) (*options, error) {
 	fs.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile to this file")
 	fs.StringVar(&o.memProfile, "memprofile", "", "write a heap profile to this file on exit")
 	fs.IntVar(&r.Blocks, "blocks", 0, "largest block count of the many-core block-scaling sweep (powers of two up to it)")
-	fs.IntVar(&r.CoresPerBlock, "cores-per-block", hic.DefaultManycoreCoresPerBlock, "cores per block of the many-core machines")
+	fs.IntVar(&r.CoresPerBlock, "cores-per-block", 0, fmt.Sprintf("cores per block of the many-core machines (default %d)", hic.DefaultManycoreCoresPerBlock))
 	fs.StringVar(&r.Test, "test", "", "run only the named litmus suite test")
 	fs.StringVar(&r.Config, "config", "", "run only the named litmus or fuzz configuration (Base, B+M, B+I, B+M+I, Adaptive)")
 	fs.IntVar(&r.Budget, "budget", 0, "per-schedule litmus step budget (0 = default)")
-	fs.IntVar(&r.MaxSchedules, "max-schedules", 0, "total schedule cap per litmus exploration (0 = default)")
 	fs.BoolVar(&r.Enumerate, "enumerate", false, "sweep every litmus shape up to -k ops instead of the curated suite")
-	fs.IntVar(&r.K, "k", 4, "op budget per enumerated program (with -enumerate)")
-	fs.StringVar(&r.Seeds, "seeds", "1:201", "fuzz seed range LO:HI (half-open; one program per seed)")
-	fs.IntVar(&r.Mutants, "mutants", 2, "under-annotated fuzz mutants derived per program")
+	fs.IntVar(&r.K, "k", 0, "op budget per enumerated program (with -enumerate; default 4)")
+	fs.StringVar(&r.Seeds, "seeds", "", "fuzz seed range LO:HI (half-open; one program per seed; default 1:201)")
+	fs.IntVar(&r.Mutants, "mutants", 0, "under-annotated fuzz mutants derived per program (default 2)")
 	fs.StringVar(&o.corpus, "corpus", "", "write the fuzz seed range as Go fuzz corpus files into this directory")
 	fs.BoolVar(&o.verbose, "v", false, "print litmus exploration statistics and outcome histograms, or every fuzz detection")
 	fs.StringVar(&o.server, "server", "", "run on this hicserve base URL instead of locally (requires -json; bytes are identical)")
@@ -307,11 +298,11 @@ func parse(fs *flag.FlagSet, args []string) (*options, error) {
 	return o, o.validate(fs)
 }
 
-// validate checks the flags set on fs. A flag that fills a Request
-// field must be one the suite uses (requestScope); Request.Normalize
-// judges its value first, so a nonzero value where the suite does not
-// use it fails with the server's message. Any other flag must be one
-// hicsim uses for the suite (accepts).
+// validate checks the flags set on fs. Each must be one hicsim uses
+// for the suite (accepts) or, on a suite that builds a Request, fill a
+// field the suite uses (serve.Uses), even when set to its zero value,
+// which Request.Normalize cannot tell from unset. Normalize then judges
+// the request's values, with the message hicserve answers 400 with.
 func (o *options) validate(fs *flag.FlagSet) error {
 	r := &o.req
 	accepted, ok := accepts[r.Suite]
@@ -319,7 +310,6 @@ func (o *options) validate(fs *flag.FlagSet) error {
 		return fmt.Errorf("unknown -suite %q (want intra, inter, all, manycore, litmus, overhead, fuzz, or table1)", r.Suite)
 	}
 	scope, served := "-suite "+r.Suite, r.Suite != "table1"
-	reqScope := requestScope[r.Suite]
 	switch {
 	case o.faults != "" && r.Suite == "all":
 		scope, accepted, served = "-faults", faultFlags, false
@@ -330,36 +320,31 @@ func (o *options) validate(fs *flag.FlagSet) error {
 	var err error
 	fs.Visit(func(fl *flag.Flag) {
 		set[fl.Name] = true
-		if err == nil && !(served && inList(requestFlags, fl.Name)) && !inList(anySuite+" "+accepted, fl.Name) {
+		if err == nil && !inList(anySuite+" "+accepted, fl.Name) && !(served && serve.Uses(r.Suite, field(fl.Name))) {
 			err = fmt.Errorf("-%s does not apply to %s", fl.Name, scope)
 		}
 	})
-	if err != nil {
+	switch {
+	case err != nil:
 		return err
-	}
-	if scope == "-corpus" {
+	case o.parallel < 0:
+		return fmt.Errorf("-parallel %d: must not be negative", o.parallel)
+	case o.timeout < 0:
+		return fmt.Errorf("-timeout %s: must not be negative", o.timeout)
+	case scope == "-corpus":
+		if !set["seeds"] {
+			r.Seeds = "1:201" // the campaign's default; a corpus has no seed bound
+		}
 		_, _, err := serve.ParseSeeds(r.Seeds)
 		return err
-	}
-	// The -k, -cores-per-block, -seeds and -mutants defaults are the
-	// Request's own, which Normalize fills where they apply; hicsim's
-	// bench scale applies wherever a scale does.
-	if !set["k"] {
-		r.K = 0
-	} else if r.K < 1 {
+	// Normalize fills a zero -k or -seeds with its default, so an
+	// explicit one is refused here.
+	case set["k"] && r.K < 1:
 		return fmt.Errorf("-k %d: want an op budget of at least 1", r.K)
-	}
-	if !set["seeds"] {
-		r.Seeds = ""
-	} else if r.Seeds == "" {
+	case set["seeds"] && r.Seeds == "":
 		return fmt.Errorf(`-seeds "": want LO:HI`)
 	}
-	if !set["cores-per-block"] {
-		r.CoresPerBlock = 0
-	}
-	if !set["mutants"] {
-		r.Mutants = 0
-	}
+	// hicsim's bench scale applies wherever a scale does.
 	if !set["scale"] && served && !r.Simulation() {
 		r.Scale = ""
 	}
@@ -381,11 +366,6 @@ func (o *options) validate(fs *flag.FlagSet) error {
 		}
 		if err := r.Normalize(); err != nil {
 			return err
-		}
-		for _, name := range strings.Fields(requestFlags) {
-			if set[name] && !inList(reqScope, name) {
-				return fmt.Errorf("-%s does not apply to %s", name, scope)
-			}
 		}
 		if !r.Simulation() {
 			return nil

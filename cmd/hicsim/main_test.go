@@ -159,26 +159,25 @@ func TestHicsimFlagPlumbing(t *testing.T) {
 	})
 
 	// Flags that do nothing for the chosen suite are rejected, not
-	// silently ignored: by Request.Normalize for the flags that fill a
-	// serve.Request field, by hicsim's own scope check for the rest.
+	// silently ignored (TestParse checks every such pair in process).
 	for _, tc := range []struct {
 		name string
 		args []string
 		want string
 	}{
-		{"blocks-outside-manycore-exits-nonzero", []string{"-suite", "intra", "-scale", "test", "-blocks", "2"}, "blocks and cores_per_block apply to suite manycore only"},
-		{"cores-per-block-outside-manycore-exits-nonzero", []string{"-scale", "test", "-cores-per-block", "4"}, "blocks and cores_per_block apply to suite manycore only"},
+		{"blocks-outside-manycore-exits-nonzero", []string{"-suite", "intra", "-scale", "test", "-blocks", "2"}, "-blocks does not apply to -suite intra"},
+		{"cores-per-block-outside-manycore-exits-nonzero", []string{"-scale", "test", "-cores-per-block", "4"}, "-cores-per-block does not apply to -suite all"},
 		{"faults-with-suite-exits-nonzero", []string{"-suite", "inter", "-scale", "test", "-faults", "matrix"}, "-faults does not apply"},
 		{"json-with-table1-exits-nonzero", []string{"-suite", "table1", "-scale", "test", "-json"}, "-json does not apply"},
 		{"check-with-table1-exits-nonzero", []string{"-suite", "table1", "-scale", "test", "-check"}, "-check does not apply"},
 		{"server-with-table1-exits-nonzero", []string{"-suite", "table1", "-scale", "test", "-server", "http://127.0.0.1:1"}, "-server does not apply"},
 		{"unknown-suite-exits-nonzero", []string{"-suite", "storage", "-scale", "test"}, "unknown -suite"},
 		{"block-parallel-exits-nonzero", []string{"-suite", "manycore", "-blocks", "2", "-scale", "test", "-block-parallel"}, "flag provided but not defined: -block-parallel"},
-		{"litmus-flag-on-sweep-exits-nonzero", []string{"-suite", "inter", "-scale", "test", "-test", "sb"}, "litmus parameters apply to suite litmus only"},
-		{"scale-with-litmus-exits-nonzero", []string{"-suite", "litmus", "-scale", "test"}, "scale applies to simulation suites only"},
+		{"litmus-flag-on-sweep-exits-nonzero", []string{"-suite", "inter", "-scale", "test", "-test", "sb"}, "-test does not apply to -suite inter"},
+		{"scale-with-litmus-exits-nonzero", []string{"-suite", "litmus", "-scale", "test"}, "-scale does not apply to -suite litmus"},
 		{"v-with-sweep-exits-nonzero", []string{"-suite", "inter", "-scale", "test", "-v"}, "-v does not apply"},
 		{"litmus-enumerate-with-test-exits-nonzero", []string{"-suite", "litmus", "-enumerate", "-test", "sb"}, "test applies to the curated suite, not -enumerate"},
-		{"litmus-negative-budget-exits-nonzero", []string{"-suite", "litmus", "-budget", "-5"}, "budget and max_schedules must be non-negative"},
+		{"litmus-negative-budget-exits-nonzero", []string{"-suite", "litmus", "-budget", "-5"}, "budget -5: must be non-negative"},
 		{"litmus-k-without-enumerate-exits-nonzero", []string{"-suite", "litmus", "-k", "3"}, "-k applies to -suite litmus -enumerate only"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -2,9 +2,10 @@
 // document-producing run, plus its content address and its computation
 // (Run), which both the server's workers and hicsim's local runs call.
 // Normalization is strict —
-// fields that do not apply to the requested suite are rejected rather
-// than ignored, so two requests that would compute identical bytes
-// never hash to different addresses because of an inert field.
+// fields that do not apply to the requested suite (suiteFields) are
+// rejected rather than ignored, so two requests that would compute
+// identical bytes never hash to different addresses because of an inert
+// field.
 
 package serve
 
@@ -17,13 +18,13 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"slices"
 	"strconv"
 	"strings"
 	"time"
 
 	hic "repro"
-	"repro/internal/faultinject"
 	"repro/internal/fuzzgen"
 	"repro/internal/litmus"
 	"repro/internal/obs"
@@ -50,9 +51,6 @@ type Request struct {
 	Coherence bool `json:"coherence,omitempty"`
 	// Metrics embeds per-run observability snapshots in the records.
 	Metrics bool `json:"metrics,omitempty"`
-	// Faults is a deterministic fault plan (internal/faultinject
-	// grammar), canonicalized by Normalize.
-	Faults string `json:"faults,omitempty"`
 	// Seed salts the content address (see hic.WithSeed).
 	Seed int64 `json:"seed,omitempty"`
 	// Blocks and CoresPerBlock shape the manycore sweep (suite
@@ -64,10 +62,9 @@ type Request struct {
 	// Config restricts the litmus matrix or the fuzz campaign's.
 	Test   string `json:"test,omitempty"`
 	Config string `json:"config,omitempty"`
-	// Budget and MaxSchedules bound each litmus exploration (0 means
-	// the explorer's defaults).
-	Budget       int `json:"budget,omitempty"`
-	MaxSchedules int `json:"max_schedules,omitempty"`
+	// Budget bounds the scheduling decisions of each schedule a litmus
+	// exploration runs (0 means the explorer's default).
+	Budget int `json:"budget,omitempty"`
 	// Enumerate sweeps the systematic litmus enumeration up to K ops
 	// instead of the curated suite.
 	Enumerate bool `json:"enumerate,omitempty"`
@@ -93,26 +90,56 @@ const (
 	MaxMutants       = 64
 )
 
+// simFields are the Request fields every simulation suite uses.
+const simFields = "scale workloads coherence metrics seed"
+
+// suiteFields maps each suite to the JSON names of the Request fields it
+// uses, besides suite itself. It is the one place that decision lives:
+// Normalize refuses any other field a request sets, and hicsim refuses
+// any other request flag.
+var suiteFields = map[string]string{
+	"intra":    simFields,
+	"inter":    simFields,
+	"all":      simFields,
+	"manycore": simFields + " blocks cores_per_block",
+	"litmus":   "test config budget enumerate k",
+	"overhead": "",
+	"fuzz":     "config seeds mutants",
+}
+
+// Uses reports whether suite uses the Request field whose JSON name is
+// field. Every suite uses suite; an unknown suite uses nothing.
+func Uses(suite, field string) bool {
+	fields, ok := suiteFields[suite]
+	return ok && (field == "suite" || slices.Contains(strings.Fields(fields), field))
+}
+
 // Simulation reports whether the suite runs the experiment sweeps (as
 // opposed to the litmus explorer or the storage computation).
 func (r *Request) Simulation() bool {
-	switch r.Suite {
-	case "intra", "inter", "all", "manycore":
-		return true
-	}
-	return false
+	return Uses(r.Suite, "scale")
 }
 
 // Normalize fills defaults, canonicalizes spellings, and validates; the
 // request is ready for Key and computation afterward. Errors are safe
 // to return to clients.
 func (r *Request) Normalize() error {
-	if r.Suite != "fuzz" && (r.Seeds != "" || r.Mutants != 0) {
-		return fmt.Errorf("seeds and mutants apply to suite fuzz only")
+	if _, ok := suiteFields[r.Suite]; !ok {
+		return fmt.Errorf("unknown suite %q (want intra, inter, all, manycore, litmus, overhead, or fuzz)", r.Suite)
 	}
-	if r.Suite != "litmus" && (r.Test != "" || r.Budget != 0 || r.MaxSchedules != 0 ||
-		r.Enumerate || r.K != 0 || r.Config != "" && r.Suite != "fuzz") {
-		return fmt.Errorf("litmus parameters apply to suite litmus only")
+	// A field counts as set when the canonical JSON Key hashes names it.
+	b, err := json.Marshal(r)
+	if err != nil {
+		return err
+	}
+	var set map[string]json.RawMessage
+	if err := json.Unmarshal(b, &set); err != nil {
+		return err
+	}
+	for _, field := range slices.Sorted(maps.Keys(set)) {
+		if !Uses(r.Suite, field) {
+			return fmt.Errorf("%s does not apply to suite %s", field, r.Suite)
+		}
 	}
 	switch {
 	case r.Simulation():
@@ -142,23 +169,11 @@ func (r *Request) Normalize() error {
 			if r.CoresPerBlock > MaxCoresPerBlock {
 				return fmt.Errorf("cores_per_block %d: want at most %d", r.CoresPerBlock, MaxCoresPerBlock)
 			}
-		} else if r.Blocks != 0 || r.CoresPerBlock != 0 {
-			return fmt.Errorf("blocks and cores_per_block apply to suite manycore only")
 		}
 		if err := r.normalizeWorkloads(); err != nil {
 			return err
 		}
-		if r.Faults != "" {
-			plan, err := faultinject.Parse(r.Faults)
-			if err != nil {
-				return fmt.Errorf("faults: %w", err)
-			}
-			r.Faults = plan.String()
-		}
 	case r.Suite == "litmus":
-		if err := r.rejectSimulationFields(); err != nil {
-			return err
-		}
 		if r.Enumerate {
 			if r.Test != "" {
 				return fmt.Errorf("test applies to the curated suite, not -enumerate")
@@ -182,13 +197,10 @@ func (r *Request) Normalize() error {
 				}
 			}
 		}
-		if r.Budget < 0 || r.MaxSchedules < 0 {
-			return fmt.Errorf("budget and max_schedules must be non-negative")
+		if r.Budget < 0 {
+			return fmt.Errorf("budget %d: must be non-negative", r.Budget)
 		}
 	case r.Suite == "fuzz":
-		if err := r.rejectSimulationFields(); err != nil {
-			return err
-		}
 		if r.Seeds == "" {
 			r.Seeds = "1:201"
 		}
@@ -206,12 +218,6 @@ func (r *Request) Normalize() error {
 		if r.Mutants < 0 || r.Mutants > MaxMutants {
 			return fmt.Errorf("mutants %d: want 0 to %d", r.Mutants, MaxMutants)
 		}
-	case r.Suite == "overhead":
-		if err := r.rejectSimulationFields(); err != nil {
-			return err
-		}
-	default:
-		return fmt.Errorf("unknown suite %q (want intra, inter, all, manycore, litmus, overhead, or fuzz)", r.Suite)
 	}
 	if r.Config != "" {
 		if _, ok := litmus.ConfigByName(r.Config); !ok {
@@ -242,19 +248,6 @@ func ParseSeeds(s string) (lo, hi uint64, err error) {
 func (r *Request) SeedRange() (lo, hi uint64) {
 	lo, hi, _ = ParseSeeds(r.Seeds)
 	return lo, hi
-}
-
-// rejectSimulationFields refuses sweep-only fields on non-simulation
-// suites.
-func (r *Request) rejectSimulationFields() error {
-	if r.Scale != "" {
-		return fmt.Errorf("scale applies to simulation suites only")
-	}
-	if len(r.Workloads) > 0 || r.Coherence || r.Metrics ||
-		r.Faults != "" || r.Seed != 0 || r.Blocks != 0 || r.CoresPerBlock != 0 {
-		return fmt.Errorf("simulation parameters apply to suites intra, inter, all, and manycore only")
-	}
-	return nil
 }
 
 // normalizeWorkloads sorts, deduplicates, and validates the workload
@@ -331,9 +324,6 @@ func (r *Request) options(env Env) []hic.Option {
 	}
 	if r.Metrics {
 		opts = append(opts, hic.WithMetrics())
-	}
-	if r.Faults != "" {
-		opts = append(opts, hic.WithFaultPlan(r.Faults))
 	}
 	if r.Seed != 0 {
 		opts = append(opts, hic.WithSeed(r.Seed))
@@ -497,7 +487,7 @@ func (r *Request) litmusDocument(ctx context.Context, workers int) (*litmus.Docu
 		c, _ := litmus.ConfigByName(r.Config)
 		configs = []litmus.Config{c}
 	}
-	opts := litmus.Options{Budget: r.Budget, MaxSchedules: r.MaxSchedules}
+	opts := litmus.Options{Budget: r.Budget}
 	if r.Enumerate {
 		return litmus.EnumerateDocument(ctx, configs, r.K, opts, workers)
 	}

@@ -1,11 +1,13 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"reflect"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -74,15 +76,16 @@ func (c *pollCtx) Err() error {
 }
 
 // FuzzNormalize feeds JSON-decoded requests, as handleSubmit receives
-// them, to Normalize. It must never panic, and a request it accepts
-// must be a fixed point: normalizing it again succeeds and changes
-// neither the request nor its content address, and listing its cells
-// returns.
+// them (unknown fields refused), to Normalize. It must never panic, and
+// a request it accepts must name only fields its suite uses in its
+// canonical JSON and be a fixed point: normalizing it again succeeds
+// and changes neither the request nor its content address, and listing
+// its cells returns.
 func FuzzNormalize(f *testing.F) {
 	for _, body := range []string{
 		`{"suite":"intra"}`,
 		`{"suite":"all","scale":"bench","coherence":true,"metrics":true,"seed":7}`,
-		`{"suite":"intra","workloads":["fft","barnes","fft"],"faults":"delay-wb@64; drop-wb@16"}`,
+		`{"suite":"intra","workloads":["fft","barnes","fft"],"seed":3}`,
 		`{"suite":"manycore","blocks":128,"cores_per_block":8,"workloads":["jacobi"]}`,
 		`{"suite":"litmus","test":"sb","config":"Base","budget":3}`,
 		`{"suite":"litmus","enumerate":true,"k":5}`,
@@ -107,13 +110,32 @@ func FuzzNormalize(f *testing.F) {
 		`{"suite":"manycore","blocks":2,"cores_per_block":9223372036854775807}`,
 		`{"suite":"litmus","enumerate":true,"k":9223372036854775807}`,
 		`{"suite":"fuzz","mutants":1000000000000}`,
+		// Refused: the deleted fault-plan field.
+		`{"suite":"intra","workloads":["fft","barnes","fft"],"faults":"delay-wb@64; drop-wb@16"}`,
+		// Accepted: an empty list is absent from the canonical JSON.
+		`{"suite":"overhead","workloads":[]}`,
 	} {
 		f.Add([]byte(body))
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var r Request
-		if json.Unmarshal(body, &r) != nil || r.Normalize() != nil {
+		dec := json.NewDecoder(bytes.NewReader(body))
+		dec.DisallowUnknownFields()
+		if dec.Decode(&r) != nil || r.Normalize() != nil {
 			return
+		}
+		canonical, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var set map[string]json.RawMessage
+		if err := json.Unmarshal(canonical, &set); err != nil {
+			t.Fatal(err)
+		}
+		for field := range set {
+			if !Uses(r.Suite, field) {
+				t.Fatalf("accepted %s names %s, which suite %s does not use", canonical, field, r.Suite)
+			}
 		}
 		once := r
 		once.Workloads = slices.Clone(r.Workloads)
@@ -129,4 +151,47 @@ func FuzzNormalize(f *testing.F) {
 		}
 		r.cells(r.Workloads)
 	})
+}
+
+// TestSuiteFieldsTable: the scope table names only real Request fields
+// and suites Normalize computes, and every field but suite is used by
+// some suite, so none is dead weight in the content address.
+func TestSuiteFieldsTable(t *testing.T) {
+	tags := requestFields()
+	for suite, fields := range suiteFields {
+		for _, name := range strings.Fields(fields) {
+			if _, ok := tags[name]; !ok {
+				t.Errorf("suite %s uses %q, which is no Request field", suite, name)
+			}
+		}
+		r := Request{Suite: suite}
+		if Uses(suite, "blocks") {
+			r.Blocks = 1
+		}
+		if err := r.Normalize(); err != nil {
+			t.Errorf("suite %s: Normalize refuses its minimal request: %v", suite, err)
+		}
+	}
+	for name := range tags {
+		used := false
+		for suite := range suiteFields {
+			used = used || Uses(suite, name)
+		}
+		if !used {
+			t.Errorf("Request field %q is used by no suite", name)
+		}
+	}
+	if Uses("nonesuch", "suite") {
+		t.Error("an unknown suite uses suite")
+	}
+}
+
+// requestFields maps each Request field's JSON name to the field.
+func requestFields() map[string]reflect.StructField {
+	fields := map[string]reflect.StructField{}
+	for _, f := range reflect.VisibleFields(reflect.TypeFor[Request]()) {
+		name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+		fields[name] = f
+	}
+	return fields
 }

@@ -19,6 +19,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -404,15 +405,50 @@ func TestHTTPErrorSurface(t *testing.T) {
 		}
 	})
 
+	t.Run("inert-field-400", func(t *testing.T) {
+		// Every field a suite does not use is refused there, so an inert
+		// field never moves a content address.
+		for suite, fields := range suiteFields {
+			for name, f := range requestFields() {
+				if Uses(suite, name) {
+					continue
+				}
+				req := Request{Suite: suite}
+				v := reflect.ValueOf(&req).Elem().FieldByIndex(f.Index)
+				switch v.Kind() {
+				case reflect.Bool:
+					v.SetBool(true)
+				case reflect.Int, reflect.Int64:
+					v.SetInt(3)
+				case reflect.String:
+					v.SetString("x")
+				case reflect.Slice:
+					v.Set(reflect.ValueOf([]string{"fft"}))
+				default:
+					t.Fatalf("field %s has kind %s; give it a nonzero value", name, v.Kind())
+				}
+				_, err := c.Submit(ctx, req)
+				want := name + " does not apply to suite " + suite
+				var se *StatusError
+				if !errors.As(err, &se) || se.Code != http.StatusBadRequest || !strings.Contains(se.Message, want) {
+					t.Errorf("%s (suite %s uses %q): got %v, want 400 %q", name, suite, fields, err, want)
+				}
+			}
+		}
+	})
+
 	t.Run("unknown-field-400", func(t *testing.T) {
-		// The removed v1-envelope, adjacent-swap and block-parallel
-		// fields must be refused, not silently dropped into a different
-		// layout.
+		// The removed v1-envelope, adjacent-swap, block-parallel,
+		// fault-plan and schedule-cap fields must be refused, not
+		// silently dropped into a different layout or answered with
+		// bytes computed without them.
 		for _, body := range []string{
 			`{"suite":"intra","bogus":1}`,
 			`{"suite":"intra","version":"v1"}`,
 			`{"suite":"litmus","swap":true}`,
 			`{"suite":"manycore","blocks":2,"block_parallel":true}`,
+			`{"suite":"intra","faults":"drop-wb@1"}`,
+			`{"suite":"litmus","max_schedules":3}`,
 		} {
 			resp, err := http.Post(c.BaseURL+"/v2/sweeps", "application/json", strings.NewReader(body))
 			if err != nil {
@@ -449,6 +485,8 @@ func TestRequestKeyCanonicalization(t *testing.T) {
 		// The campaign defaults its seed range and mutant count.
 		{{Suite: "fuzz"}, {Suite: "fuzz", Seeds: "1:201", Mutants: 2}},
 		{{Suite: "fuzz", Seeds: "05:009"}, {Suite: "fuzz", Seeds: "5:9"}},
+		// An empty list sets nothing, so no suite refuses it.
+		{{Suite: "overhead", Workloads: []string{}}, {Suite: "overhead"}},
 	}
 	for _, pair := range same {
 		if a, b := key(pair[0]), key(pair[1]); a != b {
@@ -736,7 +774,7 @@ func TestRequestOptionsReachTheRun(t *testing.T) {
 	// options: a field that parses but is never wired computes the
 	// wrong document under a correct-looking address.
 	r := Request{Suite: "intra", Workloads: []string{"fft"}, Coherence: true,
-		Metrics: true, Faults: "drop-wb@1", Seed: 7}
+		Metrics: true, Seed: 7}
 	if err := r.Normalize(); err != nil {
 		t.Fatal(err)
 	}
@@ -744,10 +782,9 @@ func TestRequestOptionsReachTheRun(t *testing.T) {
 	if o.Parallel != 5 || o.Timeout != 30*time.Second || !o.Trace {
 		t.Errorf("environment = %d/%s/%v, want 5/30s/true", o.Parallel, o.Timeout, o.Trace)
 	}
-	if !o.CheckCoherence || !o.Metrics || o.Faults != "drop-wb@1" || o.Seed != 7 ||
-		fmt.Sprint(o.Only) != "[fft]" {
-		t.Errorf("request fields = coherence %v, metrics %v, faults %q, seed %d, only %v",
-			o.CheckCoherence, o.Metrics, o.Faults, o.Seed, o.Only)
+	if !o.CheckCoherence || !o.Metrics || o.Seed != 7 || fmt.Sprint(o.Only) != "[fft]" {
+		t.Errorf("request fields = coherence %v, metrics %v, seed %d, only %v",
+			o.CheckCoherence, o.Metrics, o.Seed, o.Only)
 	}
 }
 
