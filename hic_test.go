@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -175,6 +176,30 @@ func TestAppTableNames(t *testing.T) {
 		for _, a := range manycoreApps {
 			check(a.name, a.build(s, DefaultManycoreCoresPerBlock).Name)
 		}
+	}
+}
+
+// TestManycoreHierarchyAllocation bounds what building the largest
+// manycore machine allocates. Line storage comes with a cache's first
+// insert, so construction costs the caches' side arrays (5.9 MiB), not
+// the 25 MiB of Line data behind their 344,064 frames.
+func TestManycoreHierarchyAllocation(t *testing.T) {
+	const limit = 8 << 20
+	m := NewManycoreMachine(128, DefaultManycoreCoresPerBlock)
+	var got uint64
+	for i := 0; i < 3; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		NewModeHierarchy(m, ModeAddrL)
+		runtime.ReadMemStats(&after)
+		if d := after.TotalAlloc - before.TotalAlloc; i == 0 || d < got {
+			got = d
+		}
+	}
+	t.Logf("building a 128-block Addr+L hierarchy allocated %.2f MiB", float64(got)/(1<<20))
+	if got >= limit {
+		t.Errorf("building a 128-block Addr+L hierarchy allocated %.2f MiB, want under %d MiB",
+			float64(got)/(1<<20), limit>>20)
 	}
 }
 

@@ -93,27 +93,62 @@ type Config struct {
 //
 // Line metadata that set scans need — the packed tag+valid key and the
 // LRU stamp — lives in dense side arrays (structure-of-arrays): a Line
-// is hundreds of bytes, so probing a set through the frames slice would
-// stride whole cache lines of simulator memory per way, while the side
-// arrays pack 8 ways into one. Lookup, Peek, FrameOf, Victim and Insert
-// touch only the side arrays until they have a frame to return.
+// is 76 bytes, so probing a set through the line data would stride a
+// whole cache line of simulator memory per way, while the side arrays
+// pack 8 ways into one. Lookup, Peek, FrameOf, Victim and Insert touch
+// only the side arrays until they have a frame to return.
+//
+// The Line data itself is paged: pages is a page table of pageLines-frame
+// pages, and a page is allocated by the first Insert into any of its
+// frames, never by New. A run touches a small share of a large machine's
+// frames, so most pages of most caches never exist. A page, once
+// allocated, is kept until the cache is dropped (Reset included), so a
+// frame that holds a line — or ever did — always has its page, and every
+// path but Insert indexes the page table without a nil check.
 //
 // The valid bitmap has bit f set exactly when frame f holds a line
-// (keys[f] != 0); Insert sets it and InvalidateFrame clears it. Whole-cache
+// (keys[f] != 0); Insert sets it, InvalidateFrame and Reset clear it. Whole-cache
 // walks — Reset, Fingerprint, ForEachValid, the counts and FlashInvalidate
 // — visit only its set bits, so they cost what the cache holds, not its
 // capacity.
 type Cache struct {
-	cfg    Config
-	sets   int
-	frames []Line   // sets × ways, frame f = set*ways + way
-	keys   []uint64 // tag | 1 when valid, 0 when invalid
-	lrus   []uint64 // LRU stamps, parallel to frames
-	valid  []uint64 // occupancy bitmap, bit f%64 of word f/64
-	clock  uint64
+	cfg   Config
+	sets  int
+	pages []*page  // frame f's line is pages[f/pageLines][f%pageLines]
+	keys  []uint64 // sets × ways, frame f = set*ways + way; tag | 1 when valid, 0 when invalid
+	lrus  []uint64 // LRU stamps, parallel to keys
+	valid []uint64 // occupancy bitmap, bit f%64 of word f/64
+	clock uint64
 
 	// Event counters.
 	Hits, Misses, Evictions, WritebacksOnEvict int64
+}
+
+// pageLines is the number of frames whose lines share one page. Eight
+// 76-byte lines make a 608-byte page: small enough that a page holding
+// one line wastes little, large enough that the page table takes one
+// byte per frame, an eighth of the key array.
+const (
+	pageShift = 3
+	pageLines = 1 << pageShift
+)
+
+// page holds the lines of pageLines consecutive frames.
+type page [pageLines]Line
+
+// line returns frame f's line. f's page must exist, which holds for any
+// frame that has held a line since New; line never allocates, so the
+// read paths that use it stay small enough to inline.
+func (c *Cache) line(f int) *Line { return &c.pages[f>>pageShift][f&(pageLines-1)] }
+
+// slot is line for Insert: it allocates f's page on first use.
+func (c *Cache) slot(f int) *Line {
+	p := c.pages[f>>pageShift]
+	if p == nil {
+		p = new(page)
+		c.pages[f>>pageShift] = p
+	}
+	return &p[f&(pageLines-1)]
 }
 
 // keyOf packs a line address and the valid bit into one comparable word.
@@ -150,33 +185,38 @@ func New(cfg Config) *Cache {
 		panic(fmt.Sprintf("cache: set count %d not a power of two", sets))
 	}
 	return &Cache{
-		cfg:    cfg,
-		sets:   sets,
-		frames: make([]Line, lines),
-		keys:   make([]uint64, lines),
-		lrus:   make([]uint64, lines),
-		valid:  make([]uint64, (lines+63)/64),
+		cfg:   cfg,
+		sets:  sets,
+		pages: make([]*page, (lines+pageLines-1)/pageLines),
+		keys:  make([]uint64, lines),
+		lrus:  make([]uint64, lines),
+		valid: make([]uint64, (lines+63)/64),
 	}
 }
 
 // Reset returns the cache to the state New produced — every frame
-// invalid, LRU clock and event counters zero — keeping its storage. Only
-// valid frames are cleared: InvalidateFrame zeroes a frame's line, key
-// and LRU stamp, and only a valid frame's stamp is ever set, so every
-// other frame is already pristine and resetting a mostly-empty cache
-// costs what was touched.
+// invalid, LRU clock and event counters zero — keeping its storage,
+// allocated pages included, so a pooled cache refilled by the same run
+// allocates nothing. Only valid frames are cleared (line, key and LRU
+// stamp, as InvalidateFrame does): only a valid frame's stamp is ever
+// set, so every other frame is already pristine and resetting a
+// mostly-empty cache costs what was touched. Reset writes the frames
+// out rather than calling InvalidateFrame so that it stays inlinable.
 func (c *Cache) Reset() {
 	for wi, w := range c.valid {
 		for ; w != 0; w &= w - 1 {
-			c.InvalidateFrame(FrameID(wi*64 + bits.TrailingZeros64(w)))
+			f := wi*64 + bits.TrailingZeros64(w)
+			*c.line(f) = Line{}
+			c.keys[f], c.lrus[f] = 0, 0
 		}
 	}
-	c.clock = 0
-	c.Hits, c.Misses, c.Evictions, c.WritebacksOnEvict = 0, 0, 0, 0
+	clear(c.valid)
+	c.clock, c.Hits, c.Misses, c.Evictions, c.WritebacksOnEvict = 0, 0, 0, 0, 0
 }
 
-// NumFrames returns the number of line frames.
-func (c *Cache) NumFrames() int { return len(c.frames) }
+// NumFrames returns the number of line frames: the capacity, allocated
+// or not.
+func (c *Cache) NumFrames() int { return len(c.keys) }
 
 // Sets returns the number of sets.
 func (c *Cache) Sets() int { return c.sets }
@@ -202,9 +242,12 @@ func (c *Cache) FrameOf(line mem.Addr) FrameID {
 	return -1
 }
 
-// Frame returns the line in frame f. The pointer stays valid until the
-// frame is reused; callers must not retain it across Insert calls.
-func (c *Cache) Frame(f FrameID) *Line { return &c.frames[f] }
+// Frame returns the line in frame f, which must have held a line since
+// New (a frame Insert returned, FrameOf found or the MEB recorded): the
+// storage of a frame that never did may not exist. The pointer stays
+// valid until the frame is reused; callers must not retain it across
+// Insert calls.
+func (c *Cache) Frame(f FrameID) *Line { return c.line(int(f)) }
 
 // Lookup returns the valid line holding addr's line, or nil. A successful
 // lookup refreshes LRU state and counts a hit; a failed one counts a miss.
@@ -229,7 +272,7 @@ func (c *Cache) LookupHit(addr mem.Addr) *Line {
 		if c.keys[f] == want {
 			c.Hits++
 			c.touch(FrameID(f))
-			return &c.frames[f]
+			return c.line(f)
 		}
 	}
 	return nil
@@ -239,12 +282,11 @@ func (c *Cache) LookupHit(addr mem.Addr) *Line {
 // counters. Hierarchy-internal probes (directory checks, WB traversals) use
 // Peek so they do not perturb replacement or hit statistics.
 func (c *Cache) Peek(addr mem.Addr) *Line {
-	line := mem.LineAddr(addr)
-	want := keyOf(line)
-	base := c.setOf(line) * c.cfg.Ways
-	for f := base; f < base+c.cfg.Ways; f++ {
-		if c.keys[f] == want {
-			return &c.frames[f]
+	want := keyOf(mem.LineAddr(addr))
+	base := c.setOf(addr) * c.cfg.Ways
+	for i, k := range c.keys[base : base+c.cfg.Ways] {
+		if k == want {
+			return c.line(base + i)
 		}
 	}
 	return nil
@@ -270,6 +312,18 @@ func (c *Cache) Victim(addr mem.Addr) FrameID {
 		}
 	}
 	return best
+}
+
+// VictimLine returns the valid line an insertion of line addr would
+// evict, or nil when Victim names an invalid way. Unlike Frame(Victim),
+// it is safe on a frame that never held a line, and it allocates
+// nothing.
+func (c *Cache) VictimLine(addr mem.Addr) *Line {
+	f := c.Victim(addr)
+	if c.keys[f] == 0 {
+		return nil
+	}
+	return c.line(int(f))
 }
 
 // Insert installs a line with the given data and state in a single set
@@ -306,26 +360,28 @@ func (c *Cache) Insert(line mem.Addr, words *[mem.WordsPerLine]mem.Word, st Stat
 	evicted := false
 	if f < 0 {
 		f = best
+		l := c.line(f)
 		if victim != nil {
-			*victim = c.frames[f]
+			*victim = *l
 		}
 		c.Evictions++
-		if c.frames[f].IsDirty() {
+		if l.IsDirty() {
 			c.WritebacksOnEvict++
 		}
 		evicted = true
 	}
-	c.frames[f] = Line{Tag: line, Valid: true, State: st, Words: *words}
+	*c.slot(f) = Line{Tag: line, Valid: true, State: st, Words: *words}
 	c.keys[f] = want
 	c.valid[f/64] |= 1 << (f % 64)
 	c.touch(FrameID(f))
 	return FrameID(f), evicted
 }
 
-// InvalidateFrame clears frame f. The caller must have dealt with dirty
-// data first (written it back or deliberately dropped it).
+// InvalidateFrame clears frame f, which must hold a line. The caller must
+// have dealt with dirty data first (written it back or deliberately
+// dropped it).
 func (c *Cache) InvalidateFrame(f FrameID) {
-	c.frames[f] = Line{}
+	*c.line(int(f)) = Line{}
 	c.keys[f] = 0
 	c.lrus[f] = 0
 	c.valid[f/64] &^= 1 << (f % 64)
@@ -351,7 +407,7 @@ func (c *Cache) InvalidateInto(addr mem.Addr, victim *Line) bool {
 	if f < 0 {
 		return false
 	}
-	*victim = c.frames[f]
+	*victim = *c.line(int(f))
 	c.InvalidateFrame(f)
 	return true
 }
@@ -363,7 +419,7 @@ func (c *Cache) ForEachValid(fn func(f FrameID, l *Line)) {
 	for wi, w := range c.valid {
 		for ; w != 0; w &= w - 1 {
 			f := wi*64 + bits.TrailingZeros64(w)
-			fn(FrameID(f), &c.frames[f])
+			fn(FrameID(f), c.line(f))
 		}
 	}
 }
@@ -382,7 +438,7 @@ func (c *Cache) CountDirty() int {
 	n := 0
 	for wi, w := range c.valid {
 		for ; w != 0; w &= w - 1 {
-			if c.frames[wi*64+bits.TrailingZeros64(w)].IsDirty() {
+			if c.line(wi*64 + bits.TrailingZeros64(w)).IsDirty() {
 				n++
 			}
 		}
@@ -402,8 +458,8 @@ func (c *Cache) FlashInvalidate(drain func(l *Line)) int {
 		// valid frame.
 		for c.valid[wi] != 0 {
 			f := wi*64 + bits.TrailingZeros64(c.valid[wi])
-			if c.frames[f].IsDirty() && drain != nil {
-				drain(&c.frames[f])
+			if l := c.line(f); l.IsDirty() && drain != nil {
+				drain(l)
 			}
 			c.InvalidateFrame(FrameID(f))
 			n++

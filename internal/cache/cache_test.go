@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -119,9 +120,70 @@ func TestLRUEviction(t *testing.T) {
 func TestVictimPrefersInvalidWay(t *testing.T) {
 	c := New(Config{Bytes: 2 * 64 * 2, Ways: 2})
 	c.Insert(0, lineWords(1), StateNone, nil)
-	f := c.Victim(128)
-	if c.Frame(f).Valid {
+	if f := c.Victim(128); c.keys[f] != 0 {
 		t.Error("victim should be the invalid way")
+	}
+	if v := c.VictimLine(128); v != nil {
+		t.Errorf("VictimLine = %+v, want nil for an invalid way", v)
+	}
+	c.Insert(128, lineWords(2), StateNone, nil)
+	c.Lookup(128) // line 0 becomes the LRU way
+	if v := c.VictimLine(256); v == nil || v.Tag != 0 {
+		t.Errorf("VictimLine = %+v, want the LRU line 0", v)
+	}
+}
+
+// allocBytes returns the fewest bytes fn allocated over three calls.
+func allocBytes(fn func()) uint64 {
+	var best uint64
+	for i := 0; i < 3; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		fn()
+		runtime.ReadMemStats(&after)
+		if d := after.TotalAlloc - before.TotalAlloc; i == 0 || d < best {
+			best = d
+		}
+	}
+	return best
+}
+
+// TestSparseConstruction checks that line storage is allocated by
+// Insert, not by New: building a cache costs its side arrays and page
+// table, a read of an empty cache allocates nothing, and a Reset cache
+// refills the pages it already has.
+func TestSparseConstruction(t *testing.T) {
+	const lines = 2048
+	cfg := Config{Bytes: lines * mem.LineBytes, Ways: 8}
+	var c *Cache
+	if got := allocBytes(func() { c = New(cfg) }); got >= lines*mem.LineBytes/2 {
+		t.Errorf("New of a %d-line cache allocated %d bytes, want under %d", lines, got, lines*mem.LineBytes/2)
+	}
+	for name, read := range map[string]func(){
+		"Peek":       func() { c.Peek(0x1040) },
+		"Lookup":     func() { c.Lookup(0x1040) },
+		"Victim":     func() { c.Victim(0x1040) },
+		"VictimLine": func() { c.VictimLine(0x1040) },
+		"FrameOf":    func() { c.FrameOf(0x1040) },
+	} {
+		if n := testing.AllocsPerRun(100, read); n != 0 {
+			t.Errorf("%s on an empty cache: %v allocations, want 0", name, n)
+		}
+	}
+	for i, p := range c.pages {
+		if p != nil {
+			t.Fatalf("page %d allocated by a read of an empty cache", i)
+		}
+	}
+
+	words := lineWords(1)
+	c.Insert(0x1040, words, StateNone, nil)
+	c.Reset()
+	if n := testing.AllocsPerRun(100, func() {
+		c.Insert(0x1040, words, StateNone, nil)
+		c.Reset()
+	}); n != 0 {
+		t.Errorf("Insert into a page kept by Reset: %v allocations, want 0", n)
 	}
 }
 

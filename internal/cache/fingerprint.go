@@ -39,7 +39,7 @@ func (c *Cache) Fingerprint() uint64 {
 					rank++
 				}
 			}
-			l := &c.frames[f]
+			l := c.line(f)
 			h = mem.Mix64(h, uint64(w))
 			h = mem.Mix64(h, uint64(l.Tag))
 			h = mem.Mix64(h, uint64(l.Dirty)<<8|uint64(l.State))

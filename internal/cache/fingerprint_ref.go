@@ -33,7 +33,7 @@ func (c *Cache) ReferenceFingerprint() uint64 {
 					rank++
 				}
 			}
-			l := &c.frames[base+w]
+			l := c.line(base + w)
 			h = mem.Mix64(h, uint64(w))
 			h = mem.Mix64(h, uint64(l.Tag))
 			h = mem.Mix64(h, uint64(l.Dirty)<<8|uint64(l.State))

@@ -6,28 +6,52 @@ import (
 	"repro/internal/mem"
 )
 
+// storedLine returns frame f's line, or nil when its page was never
+// allocated. Unlike Frame it is safe on any frame, and unlike Insert it
+// allocates nothing, so checking a cache leaves its page table as it was.
+func storedLine(c *Cache, f int) *Line {
+	if p := c.pages[f>>pageShift]; p != nil {
+		return &p[f&(pageLines-1)]
+	}
+	return nil
+}
+
 // checkOccupancy compares every bitmap-driven walk against a scan of all
-// frames.
-func checkOccupancy(t *testing.T, c *Cache, step int) {
+// frames, and checks the page table: a page exists exactly when some
+// Insert reached it (inserted[p]), so every valid frame has its page and
+// neither a read nor Reset allocates or drops one.
+func checkOccupancy(t *testing.T, c *Cache, inserted []bool, step int) {
 	t.Helper()
+	for p := range c.pages {
+		if got := c.pages[p] != nil; got != inserted[p] {
+			t.Fatalf("step %d: page %d allocated %v, reached by Insert %v", step, p, got, inserted[p])
+		}
+	}
 	var valid, dirty []FrameID
-	for f := range c.frames {
+	for f := range c.keys {
 		if got, want := c.valid[f/64]&(1<<(f%64)) != 0, c.keys[f] != 0; got != want {
 			t.Fatalf("step %d: frame %d: valid bit %v, key %#x", step, f, got, c.keys[f])
 		}
-		if c.frames[f].Valid != (c.keys[f] != 0) {
-			t.Fatalf("step %d: frame %d: Valid %v, key %#x", step, f, c.frames[f].Valid, c.keys[f])
+		l := storedLine(c, f)
+		if l == nil {
+			if c.keys[f] != 0 {
+				t.Fatalf("step %d: valid frame %d has no page", step, f)
+			}
+			continue
+		}
+		if l.Valid != (c.keys[f] != 0) {
+			t.Fatalf("step %d: frame %d: Valid %v, key %#x", step, f, l.Valid, c.keys[f])
 		}
 		if c.keys[f] != 0 {
 			valid = append(valid, FrameID(f))
-			if c.frames[f].IsDirty() {
+			if l.IsDirty() {
 				dirty = append(dirty, FrameID(f))
 			}
 		}
 	}
 	var walked []FrameID
 	c.ForEachValid(func(f FrameID, l *Line) {
-		if l != &c.frames[f] {
+		if l != storedLine(c, int(f)) {
 			t.Fatalf("step %d: ForEachValid passed frame %d a foreign line", step, f)
 		}
 		walked = append(walked, f)
@@ -54,21 +78,24 @@ func checkOccupancy(t *testing.T, c *Cache, step int) {
 // FuzzCacheOccupancy drives a two-bitmap-word cache (128 frames, 4-way)
 // through random inserts, hits, writes, invalidations, flash
 // invalidations and resets over a footprint of twice its capacity, and
-// checks after every step that the valid bitmap mirrors the frame keys
-// and that every walk over it agrees with a full-frame scan.
+// checks after every step that the valid bitmap mirrors the frame keys,
+// that every walk over it agrees with a full-frame scan, and that the
+// pages allocated are exactly those an Insert reached.
 func FuzzCacheOccupancy(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 2, 2, 1, 3, 2, 0, 200, 5, 0, 0, 7, 6, 0})
 	f.Add([]byte{0, 0, 0, 32, 0, 64, 0, 96, 0, 128, 2, 0, 4, 32, 1, 64})
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		c := New(Config{Bytes: 128 * mem.LineBytes, Ways: 4})
 		lines := 2 * c.NumFrames()
+		inserted := make([]bool, len(c.pages))
 		var victim Line
 		for i := 0; i+1 < len(prog); i += 2 {
 			line := mem.Addr(int(prog[i+1])%lines) * mem.LineBytes
 			switch prog[i] % 8 {
 			case 0, 1: // insert (the commonest step, so caches fill)
 				if c.Peek(line) == nil {
-					c.Insert(line, lineWords(mem.Word(i)), State(prog[i]%5), &victim)
+					f, _ := c.Insert(line, lineWords(mem.Word(i)), State(prog[i]%5), &victim)
+					inserted[f>>pageShift] = true
 				}
 			case 2: // hit, refreshing LRU order
 				c.Lookup(line)
@@ -98,7 +125,7 @@ func FuzzCacheOccupancy(f *testing.F) {
 					c.Reset()
 				}
 			}
-			checkOccupancy(t, c, i/2)
+			checkOccupancy(t, c, inserted, i/2)
 		}
 	})
 }

@@ -125,14 +125,14 @@ func (h *Hierarchy) storeLocal(core, b int, a mem.Addr) bool {
 // would displace must not carry dirty words that would miss the L2 on
 // their way down. (If the victim prediction is stale because the set has
 // since gained an invalid frame, the real insertion is strictly safer: it
-// uses the invalid frame and evicts nothing.)
+// uses the invalid frame and evicts nothing.) The query allocates no
+// cache storage, so classifying an access writes no cache state.
 func (h *Hierarchy) fillLocal(core, b int, line mem.Addr) bool {
 	if h.L2[b].Peek(line) == nil {
 		return false
 	}
-	l1 := h.L1[core]
-	v := l1.Frame(l1.Victim(line))
-	return !v.IsDirty() || h.L2[b].Peek(v.Tag) != nil
+	v := h.L1[core].VictimLine(line)
+	return v == nil || !v.IsDirty() || h.L2[b].Peek(v.Tag) != nil
 }
 
 // rangeLocal reports whether a local-level WB or INV over r stays inside
