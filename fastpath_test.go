@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/annotate"
 	"repro/internal/cache"
+	"repro/internal/compiler"
 	"repro/internal/engine"
 	"repro/internal/isa"
 	"repro/internal/mem"
@@ -113,7 +114,7 @@ func TestFastPathMatchesSynchronous(t *testing.T) {
 		for _, mode := range InterModes {
 			compareFastPath(t, w.Name+"/"+mode.String(), func(sync bool) (fastPathRun, int64) {
 				wl := InterWorkloads(ScaleTest)[i]
-				return runEngine(t, NewModeHierarchy(NewInterMachine(), mode).(privateHierarchy), LowerIR(wl.Prog, wl.Threads, mode), sync)
+				return runEngine(t, NewModeHierarchy(NewInterMachine(), mode).(privateHierarchy), compiler.Lower(wl.Prog, wl.Threads, mode), sync)
 			})
 		}
 	}

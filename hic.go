@@ -172,10 +172,3 @@ func WrapAnnotated(p Proc, cfg Config, pat Pattern) *AnnotatedProc {
 func AnnotatedGuests(n int, cfg Config, pat Pattern, app App) []Guest {
 	return annotate.Guests(n, cfg, pat, app)
 }
-
-// LowerIR compiles a Model 2 IR program for n threads under mode,
-// returning one guest per thread (analysis, inspector generation, and
-// WB_CONS/INV_PROD placement included).
-func LowerIR(prog *compiler.Program, n int, mode Mode) []Guest {
-	return compiler.Lower(prog, n, mode)
-}

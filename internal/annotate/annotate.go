@@ -61,9 +61,8 @@ var (
 	BM   = Config{Name: "B+M", UseMEB: true}
 	BI   = Config{Name: "B+I", UseIEB: true}
 	BMI  = Config{Name: "B+M+I", UseMEB: true, UseIEB: true}
-	// WT is the write-through extension configuration (not part of Table
-	// II; used by the ablation benches to engage the Section VIII
-	// comparison with VIPS-style self-downgrade).
+	// WT is the write-through extension configuration (not in Table II):
+	// Section VIII's VIPS-style self-downgrade, for TestAblationClaims.
 	WT = Config{Name: "WT", WriteThrough: true, UseIEB: true}
 	// BloomSig is the Ashby-style signature configuration (Section VIII
 	// comparison: selective invalidation, but channel signatures saturate

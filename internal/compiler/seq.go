@@ -62,10 +62,6 @@ type IRWorkload struct {
 	Name    string
 	Prog    *Program
 	Threads int
-	// SkipVerify lists arrays whose final contents are schedule-dependent
-	// and should not be compared (none of the shipped programs need it;
-	// it exists for experiments).
-	SkipVerify map[string]bool
 }
 
 // Cell returns the verified run of the workload lowered under mode on h.
@@ -85,9 +81,6 @@ func (w *IRWorkload) VerifyMemory(m *mem.Memory) error {
 	// Check arrays in name order so a failed run always reports the same
 	// mismatch: the message lands in the canonical run record.
 	for _, name := range slices.Sorted(maps.Keys(ref)) {
-		if w.SkipVerify[name] {
-			continue
-		}
 		arr := w.Prog.Arrays[name]
 		for i, v := range ref[name] {
 			if got := m.ReadWord(arr.At(i)); got != v {

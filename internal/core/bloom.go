@@ -21,7 +21,7 @@ import (
 // time and selectivity decays toward INV ALL — the overhead in
 // lock-intensive programs that the paper's MEB/IEB design avoids. The
 // implementation exists to reproduce that comparison
-// (BenchmarkExtensionBloom).
+// (TestAblationClaims/bloom in the root package).
 
 // Bloom is a fixed-size Bloom filter over line addresses.
 type Bloom struct {

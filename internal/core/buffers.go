@@ -26,7 +26,7 @@ type MEB struct {
 	present  map[cache.FrameID]bool
 	overflow bool
 
-	// Records and Overflows count buffer activity for ablation benches.
+	// Records and Overflows count buffer activity for the metrics snapshot.
 	Records, Overflows int64
 }
 

@@ -642,7 +642,11 @@ func TestStorePersistsAcrossRestart(t *testing.T) {
 	// A damaged entry is never served: the next server counts it as
 	// corrupt and as a miss, deletes it, and recomputes the local bytes
 	// (whose Put writes a sound entry for the next case).
-	entry := filepath.Join(dir, local.Key()+".entry")
+	store, err := NewStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entry := filepath.Join(store.dir, local.Key()+".entry")
 	for _, tc := range []struct {
 		name   string
 		damage func([]byte) []byte
@@ -697,11 +701,11 @@ func TestStorePutFailedRenameLeavesNoTempFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	key := strings.Repeat("ab", 32)
-	if err := os.Mkdir(filepath.Join(dir, key+".entry"), 0o755); err != nil {
+	if err := os.Mkdir(filepath.Join(s.dir, key+".entry"), 0o755); err != nil {
 		t.Fatal(err)
 	}
 	s.Put(key, []byte("{}\n"))
-	if left, _ := filepath.Glob(filepath.Join(dir, "put-*")); len(left) > 0 {
+	if left, _ := filepath.Glob(filepath.Join(s.dir, "put-*")); len(left) > 0 {
 		t.Fatalf("failed rename left %v in the cache dir", left)
 	}
 	if data, ok, corrupt := s.Get(key); ok || corrupt {
@@ -718,7 +722,7 @@ func TestStoreCountsDamagedFileOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	key := strings.Repeat("cd", 32)
-	if err := os.WriteFile(filepath.Join(dir, key+".entry"), []byte("bad\n{}\n"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(s.dir, key+".entry"), []byte("bad\n{}\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	const lookups = 8
@@ -809,7 +813,7 @@ func TestStoreLookupDoesNotBlockStatus(t *testing.T) {
 	if err := slow.Normalize(); err != nil {
 		t.Fatal(err)
 	}
-	fifo := filepath.Join(dir, slow.Key()+".entry")
+	fifo := filepath.Join(s.store.dir, slow.Key()+".entry")
 	if err := syscall.Mkfifo(fifo, 0o644); err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,8 @@
 // The persisted sweep store: canonical document bytes on disk,
 // addressed by the request's content hash, so a restarted server
-// answers a warm resubmit without recomputing it. In memory, the
+// answers a warm resubmit without recomputing it. The hash names the
+// build only by runner.CodeVersion, so a modified or unstamped build
+// files its entries under its executable's SHA-256. In memory, the
 // server's job table is the only copy of a finished document.
 
 package serve
@@ -12,6 +14,10 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strings"
+	"sync"
+
+	"repro/internal/runner"
 )
 
 // keyPattern is the only shape a content address can take; it keeps
@@ -28,16 +34,35 @@ type Store struct {
 	dir string
 }
 
-// NewStore returns a store persisting to dir ("" persists nothing).
-// The directory is created if absent.
+// NewStore returns a store persisting to dir ("" persists nothing), in
+// the subdirectory buildIdentity names if any, created if absent.
 func NewStore(dir string) (*Store, error) {
 	if dir != "" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
+		build, err := buildIdentity()
+		if err == nil {
+			dir = filepath.Join(dir, build)
+			err = os.MkdirAll(dir, 0o755)
+		}
+		if err != nil {
 			return nil, fmt.Errorf("serve: cache dir: %w", err)
 		}
 	}
 	return &Store{dir: dir}, nil
 }
+
+// buildIdentity is "" for a clean stamped build, else the hex SHA-256
+// of the running executable, which one process reads once.
+var buildIdentity = sync.OnceValues(func() (string, error) {
+	if v := runner.CodeVersion(); v != "unknown" && !strings.HasSuffix(v, "+dirty") {
+		return "", nil
+	}
+	exe, err := os.Executable()
+	if err != nil {
+		return "", err
+	}
+	data, err := os.ReadFile(exe)
+	return fmt.Sprintf("%x", sha256.Sum256(data)), err
+})
 
 // Get returns the verified bytes persisted under key. corrupt reports a
 // damaged entry this call deleted, so racing lookups count it once; it
@@ -51,20 +76,10 @@ func (s *Store) Get(key string) (data []byte, ok, corrupt bool) {
 	if err != nil {
 		return nil, false, false
 	}
-	if data, ok := unframe(file); ok {
+	if digest, data, ok := bytes.Cut(file, []byte("\n")); ok && string(digest) == fmt.Sprintf("%x", sha256.Sum256(data)) {
 		return data, true, false
 	}
 	return nil, false, os.Remove(path) == nil
-}
-
-// unframe returns the document bytes of an entry file, or false when its
-// digest line is missing or does not match them.
-func unframe(file []byte) ([]byte, bool) {
-	digest, data, ok := bytes.Cut(file, []byte("\n"))
-	if !ok || string(digest) != fmt.Sprintf("%x", sha256.Sum256(data)) {
-		return nil, false
-	}
-	return data, true
 }
 
 // Put persists data under key, writing a temp file and renaming it into

@@ -96,8 +96,7 @@ func NewInterBlock() *Machine {
 }
 
 // NewCustom builds a machine with the given shape; blocks×coresPerBlock
-// must be expressible as a mesh of 2^k columns. It exists for tests and
-// ablation benches.
+// must be expressible as a mesh of 2^k columns (manycore, litmus).
 func NewCustom(blocks, coresPerBlock, l3Banks int, p Params) *Machine {
 	return build(blocks, coresPerBlock, l3Banks, p)
 }
