@@ -122,11 +122,10 @@ func TestSIGTERMShutsDownCleanly(t *testing.T) {
 	if !regexp.MustCompile(`(?m)stopped$`).MatchString(s.logs.String()) {
 		t.Errorf("no shutdown line in the log:\n%s", s.logs.String())
 	}
-	// A modified or unstamped build files its entries one level down.
+	// Every build files its entries one level down.
 	glob := func(pattern string) []string {
-		top, _ := filepath.Glob(filepath.Join(cacheDir, pattern))
-		sub, _ := filepath.Glob(filepath.Join(cacheDir, "*", pattern))
-		return append(top, sub...)
+		paths, _ := filepath.Glob(filepath.Join(cacheDir, "*", pattern))
+		return paths
 	}
 	if tmp := glob("put-*"); len(tmp) > 0 {
 		t.Errorf("temp files left in the cache dir: %v", tmp)
@@ -136,11 +135,13 @@ func TestSIGTERMShutsDownCleanly(t *testing.T) {
 	}
 }
 
-// TestCacheDirSharedAcrossBuilds: two unstamped builds that differ in
-// one constant (the scaled L1 capacity, swapped in with go build
-// -overlay) share every request address, so the store must tell them
-// apart. Each build, started in turn over one -cache-dir, computes its
-// own bytes and then serves exactly those from the directory.
+// TestCacheDirSharedAcrossBuilds: two builds that differ in one
+// constant (the scaled L1 capacity, swapped in with go build -overlay)
+// share every request address, so the store must tell them apart. Both
+// carry the checkout's version stamp, which the overlay does not
+// change: from a clean checkout both claim the clean revision. Each
+// build, started in turn over one -cache-dir, computes its own bytes and
+// then serves exactly those from the directory.
 func TestCacheDirSharedAcrossBuilds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the binary")
@@ -166,9 +167,7 @@ func TestCacheDirSharedAcrossBuilds(t *testing.T) {
 	if err := os.WriteFile(overlay, spec, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	// -buildvcs=false makes both builds "unknown"; an overlay build
-	// stamped from a clean checkout would claim the clean revision.
-	bins := []string{buildHicserve(t, "-buildvcs=false"), buildHicserve(t, "-buildvcs=false", "-overlay", overlay)}
+	bins := []string{buildHicserve(t), buildHicserve(t, "-overlay", overlay)}
 
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()

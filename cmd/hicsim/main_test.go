@@ -267,6 +267,10 @@ func TestSuiteOutputsPinned(t *testing.T) {
 		{[]string{"-suite", "litmus", "-v"}, "48bfab1525efbec2982ddd49093c1a432aa73a23dedd08ba44b889685bf91115"},
 		{[]string{"-suite", "litmus", "-test", "sb", "-config", "Base"}, "40d66235bfcdfbb85297e4411943e5bf44258df2e856bcc8cfae478e18541577"},
 		{[]string{"-suite", "litmus", "-enumerate", "-k", "3", "-json"}, "c117781c0158301123ca31bdb3beca72d64cb735f7ad0eefdd3426f7adf0422a"},
+		// The k=4 enumeration's runs, schedules, dedup cuts and states
+		// seen change with any change to the engine's candidate sets or
+		// history hash.
+		{[]string{"-suite", "litmus", "-enumerate", "-k", "4", "-json"}, "7c0d23ee562a1028b2f2564332ce4dd20b1849aee5cda0406838f8cac71af1de"},
 		// Litmus explorations fan out across -parallel workers; the
 		// documents must not depend on the worker count.
 		{[]string{"-suite", "litmus", "-json", "-parallel", "4"}, "67d3442a404343fc42091a93044b7bda7fb166cefc5868d6efb8044e54924159"},

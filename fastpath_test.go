@@ -45,10 +45,10 @@ type fastPathRun struct {
 	mem    uint64
 }
 
-// runEngine runs guests on h to completion, under the synchronous
-// MinTimeScheduler reference when sync is set and on the default
-// pipelined engine otherwise, and drains h, returning how many ops ran
-// inline.
+// runEngine runs guests on h to completion, under the MinTimeScheduler
+// reference when sync is set (every op picked from a scan of the ready
+// threads, none run inline) and on the default run queue with the fast
+// path otherwise, and drains h, returning how many ops ran inline.
 func runEngine(t *testing.T, h privateHierarchy, guests []Guest, sync bool) (fastPathRun, int64) {
 	t.Helper()
 	ic := &inlineCount{privateHierarchy: h}
@@ -77,10 +77,10 @@ func compareFastPath(t *testing.T, cell string, run func(sync bool) (fastPathRun
 	ref, _ := run(true)
 	got, inlined := run(false)
 	if !reflect.DeepEqual(got.res, ref.res) {
-		t.Errorf("%s: result differs:\nsynchronous: %+v\nfast path:   %+v", cell, ref.res, got.res)
+		t.Errorf("%s: result differs:\nscheduled: %+v\nfast path: %+v", cell, ref.res, got.res)
 	}
 	if !maps.Equal(got.ctrs, ref.ctrs) {
-		t.Errorf("%s: counters differ:\nsynchronous: %v\nfast path:   %v", cell, ref.ctrs, got.ctrs)
+		t.Errorf("%s: counters differ:\nscheduled: %v\nfast path: %v", cell, ref.ctrs, got.ctrs)
 	}
 	if got.l1 != ref.l1 || got.l2 != ref.l2 {
 		t.Errorf("%s: cache stats differ: L1 %+v vs %+v, L2 %+v vs %+v", cell, ref.l1, got.l1, ref.l2, got.l2)
@@ -98,8 +98,8 @@ func compareFastPath(t *testing.T, cell string, run func(sync bool) (fastPathRun
 // (Table II's, HCC included, plus write-through and Bloom signatures) and
 // every inter application under every mode must leave the same result,
 // protocol counters, L1/L2 statistics and final memory on the default
-// engine as under the synchronous MinTimeScheduler, which never runs an
-// op inline.
+// engine as under MinTimeScheduler, which picks every op itself and so
+// never runs one inline.
 func TestFastPathMatchesSynchronous(t *testing.T) {
 	cfgs := append([]Config{annotate.WT, annotate.BloomSig}, IntraConfigs...)
 	for i, w := range IntraWorkloads(ScaleTest) {

@@ -59,10 +59,10 @@ package engine
 // model — never trip the check, because the target's threads are
 // blocked and its shard horizon-bounded below the transfer.
 //
-// The executor engages only for the default pipelined protocol with no
-// observer and no recorder attached (their event streams are defined by
-// global call order, so those runs stay serial), and only when the
-// hierarchy reports more than one shard.
+// The executor engages only with no Scheduler (which picks every op
+// itself), no observer and no recorder attached (their event streams
+// are defined by global call order, so those runs stay serial), and
+// only when the hierarchy reports more than one shard.
 
 import (
 	"context"

@@ -24,11 +24,16 @@
 // concurrently. Blocked threads leave the run queue entirely; their wake
 // is a grant event whose timestamp re-enters the queue, so when every
 // core is quiescent the pop itself jumps global time directly to the
-// earliest pending grant. Execution order is unchanged from the
-// synchronous engine: the run queue pops a unique (time, thread-ID)
+// earliest pending grant. The run queue pops a unique (time, thread-ID)
 // minimum, and a thread's clock is final before it is re-pushed, so the
 // operation sequence — and therefore every result, event stream, and
-// span — is byte-identical.
+// span — is fixed by the guests and the hierarchy alone.
+//
+// An external Scheduler (litmus exploration) replaces the run-queue pop:
+// at each decision the engine offers it every ready thread, in ID order,
+// with the head of the thread's ring as the op it would run. A thread
+// whose ring is empty is resumed first, so every candidate's op is known
+// before the pick.
 //
 // Compute and the L1 hits a PrivateHierarchy vouches for never reach the
 // scheduler: the guest coroutine runs them itself, in program order, when
@@ -39,10 +44,8 @@
 // (clock, ID) is below the run-queue minimum — the op the scheduler would
 // pick next anyway. Either way the scheduler re-keys the thread at its
 // advanced clock before its next scheduled op. The fast path is off under
-// an Observer or recorder, which must see every op. When an external
-// Scheduler is installed (litmus exploration), the engine falls back to
-// the synchronous one-op rendezvous, which keeps candidate sets (pending
-// ops included) observable at every decision point.
+// an Observer or recorder, which must see every op, and under a
+// Scheduler, which must pick every op.
 //
 // Each guest runs on a coroutine that parks once its guest is done
 // instead of ending. An engine that has been Reset keeps the parked
@@ -275,18 +278,14 @@ type Engine struct {
 	// blockpar.go).
 	par *parGroup
 
-	// pipelined selects the event-driven protocol (guests deposit ops
-	// asynchronously); it is the default. Installing a Scheduler switches
-	// to the synchronous rendezvous, whose per-decision candidate sets
-	// include every runnable thread's pending op.
-	pipelined bool
-
-	// sched, when non-nil, replaces the default scheduling policy (see
-	// sched.go); cands is its reused candidate buffer and decision counts
-	// the scheduling decisions taken.
+	// sched, when non-nil, replaces the run-queue pop (see sched.go);
+	// cands is its reused candidate buffer, decision counts the
+	// scheduling decisions taken, and pickErr is the error that ended the
+	// run at a decision (an abort or an out-of-range pick).
 	sched    Scheduler
 	cands    []Candidate
 	decision int64
+	pickErr  error
 
 	// NoProgressLimit overrides the livelock watchdog window when
 	// positive (see DefaultNoProgressLimit). Set it before Run.
@@ -312,21 +311,17 @@ type thread struct {
 	stalls  stats.Stalls
 	pipe    opPipe
 	loadVal mem.Word // pending load result, read by the guest on resume
-	// histHash is a rolling hash of every value delivered to the guest
-	// in synchronous mode, maintained by reply. Together with the
-	// pending op it pins the guest's continuation state for
-	// StateFingerprint (see fingerprint.go).
+	// histHash is a rolling hash of the value of every op the thread has
+	// completed under a Scheduler (see completed). Together with the ring
+	// head it pins the guest's continuation state for StateFingerprint
+	// (see fingerprint.go).
 	histHash uint64
-	next     isa.Op // pending op, valid when state == ready (synchronous mode)
 	cur      isa.Op // blocking sync op, valid while state == blocked
 	state    tstate
 	blockAt  int64           // time the blocking request was issued
 	blockAs  stats.StallKind // category charged for the wait
 	err      error
-	// pipelined mirrors Engine.pipelined for the guest-side do(); set
-	// before the guest coroutine starts.
-	pipelined bool
-	co        coro
+	co       coro
 	// finished is set by the coroutine once this run's guest has returned
 	// or unwound; stop asks the guest to unwind at its next yield (see
 	// shutdown).
@@ -335,7 +330,7 @@ type thread struct {
 	// pr is the guest-facing Proc, embedded here so it lives in the
 	// thread arena instead of a per-thread heap allocation.
 	pr proc
-	// Private-op fast path (pipelined mode only): priv is the hierarchy's
+	// Private-op fast path: priv is the hierarchy's
 	// private-op surface (nil when the path is off), budget the number of
 	// ops the guest may still run inline before the current resume
 	// returns, and ops the run's per-kind op counts, which inline ops bump
@@ -385,7 +380,7 @@ const (
 // (structure-of-arrays layout indexed by dense thread id): a single
 // allocation instead of one per thread, with the op rings embedded, so
 // a 1024-core engine costs one slab plus the coroutine handles. The run
-// queue's ring is allocated by the first pipelined run.
+// queue's ring is allocated by the first run.
 func New(h Hierarchy, guests []Guest) *Engine {
 	e := &Engine{h: h, ctrl: hwsync.New(h.SyncCost)}
 	e.tstore = make([]thread, len(guests))
@@ -482,8 +477,8 @@ func (e *Engine) Run() (*Result, error) {
 
 // ctxPollMask sets how often the step loop polls ctx: every 256 steps
 // keeps cancellation latency in the microseconds without measurably
-// slowing the hot loop. In the pipelined loop an inline op counts as a
-// step, and the inline budget never carries a resume past the next poll.
+// slowing the hot loop. An inline op counts as a step, and the inline
+// budget never carries a resume past the next poll.
 const ctxPollMask = 255
 
 // cpi is the busy time, in cycles, every non-compute op charges on top
@@ -504,22 +499,17 @@ func (e *Engine) RunCtx(ctx context.Context) (*Result, error) {
 		// coroutines with the run, whichever way it returns.
 		defer e.Close()
 	}
-	e.pipelined = e.sched == nil
 	for _, t := range e.ts {
-		t.pipelined = e.pipelined
 		t.pr = proc{t: t, n: len(e.ts)}
 		if t.co.resume == nil {
 			t.co.resume, t.co.halt = iter.Pull(guestSeq(t))
 		}
 	}
-	if e.pipelined {
-		if sh, ok := e.h.(ShardedHierarchy); ok && e.obs == nil && e.rec == nil &&
-			sh.ParallelShards() > 1 && len(e.ts) <= maxParThreads {
-			return e.runBlockParallel(ctx, sh)
-		}
-		return e.runPipelined(ctx)
+	if sh, ok := e.h.(ShardedHierarchy); ok && e.sched == nil && e.obs == nil && e.rec == nil &&
+		sh.ParallelShards() > 1 && len(e.ts) <= maxParThreads {
+		return e.runBlockParallel(ctx, sh)
 	}
-	return e.runSynchronous(ctx)
+	return e.runPipelined(ctx)
 }
 
 // runPipelined is the event-driven scheduler loop. Every non-done,
@@ -545,12 +535,12 @@ func (e *Engine) RunCtx(ctx context.Context) (*Result, error) {
 // the thread's clock past the run-queue minimum, the thread is re-keyed
 // before its next deposited op runs, so every op that reaches the
 // scheduler still runs in (time, ID) order.
+//
+// Under a Scheduler the run queue stays empty: each iteration's thread is
+// the one pick chooses among the ready threads, and the fast path is off.
 func (e *Engine) runPipelined(ctx context.Context) (*Result, error) {
 	e.rq.reset(e.ts)
 	defer e.rq.tally()
-	for _, t := range e.ts {
-		e.rq.push(t)
-	}
 	res := e.newResult()
 	limit := e.NoProgressLimit
 	if limit <= 0 {
@@ -565,7 +555,15 @@ func (e *Engine) runPipelined(ctx context.Context) (*Result, error) {
 	}
 	stop := ctx.Done()
 	var steps, idle, nextPoll int64
-	t := e.rq.pop()
+	var t *thread
+	if e.sched != nil {
+		t = e.pick()
+	} else {
+		for _, t := range e.ts {
+			e.rq.push(t)
+		}
+		t = e.rq.pop()
+	}
 	for {
 		if stop != nil && steps >= nextPoll {
 			select {
@@ -578,10 +576,13 @@ func (e *Engine) runPipelined(ctx context.Context) (*Result, error) {
 		}
 		steps++
 		if t == nil {
-			if e.allDone() {
-				break
+			err := e.pickErr
+			if err == nil {
+				if e.allDone() {
+					break
+				}
+				err = e.deadlockError()
 			}
-			err := e.deadlockError()
 			e.shutdown()
 			return nil, err
 		}
@@ -624,67 +625,15 @@ func (e *Engine) runPipelined(ctx context.Context) (*Result, error) {
 			e.shutdown()
 			return nil, err
 		}
-		if runnable {
+		switch {
+		case e.sched != nil:
+			t = e.pick()
+		case runnable:
 			if e.rq.before(t) {
 				t = e.rq.swapMin(t)
 			}
-		} else {
+		default:
 			t = e.rq.pop()
-		}
-	}
-	return e.finish(res)
-}
-
-// runSynchronous is the rendezvous scheduler loop used under an external
-// Scheduler: each step receives the chosen thread's op through a full
-// guest round trip, so every runnable thread's pending op is known at
-// every decision point.
-func (e *Engine) runSynchronous(ctx context.Context) (*Result, error) {
-	// Receive each thread's first op.
-	for _, t := range e.ts {
-		e.recvNext(t)
-	}
-	res := e.newResult()
-	limit := e.NoProgressLimit
-	if limit <= 0 {
-		limit = DefaultNoProgressLimit
-	}
-	stop := ctx.Done()
-	var steps, idle int64
-	for {
-		if stop != nil && steps&ctxPollMask == 0 {
-			select {
-			case <-stop:
-				e.shutdown()
-				return nil, fmt.Errorf("engine: run canceled: %w", ctx.Err())
-			default:
-			}
-		}
-		steps++
-		t, serr := e.next()
-		if serr != nil {
-			e.shutdown()
-			return nil, serr
-		}
-		if t == nil {
-			if e.allDone() {
-				break
-			}
-			err := e.deadlockError()
-			e.shutdown()
-			return nil, err
-		}
-		if err := e.step(t, res); err != nil {
-			e.shutdown()
-			return nil, err
-		}
-		if e.progressed {
-			e.progressed = false
-			idle = 0
-		} else if idle++; idle >= limit {
-			err := &LivelockError{Steps: idle, Blocked: e.blockedIDs()}
-			e.shutdown()
-			return nil, err
 		}
 	}
 	return e.finish(res)
@@ -736,11 +685,11 @@ func (e *Engine) nextOp(t *thread) (*isa.Op, bool) {
 	}
 }
 
-// privateOps returns the hierarchy's private-op surface when the
-// pipelined loop may use the fast path: never under an observer or a
-// recorder, which must see every op.
+// privateOps returns the hierarchy's private-op surface when the run may
+// use the fast path: never under an observer or a recorder, which must
+// see every op, nor under a Scheduler, which must pick every op.
 func (e *Engine) privateOps() PrivateHierarchy {
-	if e.obs != nil || e.rec != nil {
+	if e.obs != nil || e.rec != nil || e.sched != nil {
 		return nil
 	}
 	p, _ := e.h.(PrivateHierarchy)
@@ -831,54 +780,34 @@ func (e *Engine) deadlockError() error {
 }
 
 // stepPipelined executes op for thread t, reporting whether t is still
-// runnable (not blocked in the controller). Only load results are sent
-// back to the guest; every other op was deposited fire-and-forget. A
-// thread woken by its own op (the last barrier arrival) re-enters the
-// run queue through wake and reports not-runnable here, so it is never
-// both queued and in hand.
+// runnable (not blocked in the controller). Only load results are read
+// by the guest; every other op was deposited fire-and-forget, and its
+// zero value in loadVal is overwritten before the guest's next load
+// returns. A thread woken by its own op (the last barrier arrival)
+// re-enters the run queue through wake and reports not-runnable here, so
+// it is never both queued and in hand.
 func (e *Engine) stepPipelined(t *thread, op *isa.Op, res *Result) (bool, error) {
 	res.Ops[op.Kind]++
 	if e.rec != nil {
 		e.rec.SetNow(t.time)
 	}
+	var val mem.Word
 	if op.Kind.IsSync() {
 		e.h.EpochBoundary(t.id)
-		return e.stepSync(t, op)
-	}
-	val, err := e.execOp(t, op)
-	if err != nil {
-		return false, err
-	}
-	if op.Kind == isa.OpLoad || op.Kind == isa.OpLoadU {
+		if runnable, err := e.stepSync(t, op); !runnable || err != nil {
+			return runnable, err
+		}
+	} else {
+		var err error
+		if val, err = e.execOp(t, op); err != nil {
+			return false, err
+		}
 		t.loadVal = val
 	}
+	if e.sched != nil {
+		t.completed(val)
+	}
 	return true, nil
-}
-
-// step executes thread t's pending op under the synchronous protocol.
-func (e *Engine) step(t *thread, res *Result) error {
-	op := &t.next
-	res.Ops[op.Kind]++
-	if e.rec != nil {
-		e.rec.SetNow(t.time)
-	}
-	if op.Kind.IsSync() {
-		e.h.EpochBoundary(t.id)
-		runnable, err := e.stepSync(t, op)
-		if err != nil {
-			return err
-		}
-		if runnable {
-			e.reply(t, 0)
-		}
-		return nil
-	}
-	val, err := e.execOp(t, op)
-	if err != nil {
-		return err
-	}
-	e.reply(t, val)
-	return nil
 }
 
 // execOp performs a non-sync op against the hierarchy and charges its
@@ -959,11 +888,10 @@ func (e *Engine) execOp(t *thread, op *isa.Op) (mem.Word, error) {
 }
 
 // stepSync executes a synchronization op, blocking the thread when the
-// controller cannot grant immediately. Shared by both protocols; the
-// returned flag reports whether t may continue directly (true) or was
-// either parked in the controller or re-entered through wake (false —
-// barriers always resume via wake, even for the last arrival). How a
-// woken thread resumes is wake's mode branch.
+// controller cannot grant immediately. The returned flag reports whether
+// t may continue directly (true) or was either parked in the controller
+// or re-entered through wake (false — barriers always resume via wake,
+// even for the last arrival).
 func (e *Engine) stepSync(t *thread, op *isa.Op) (bool, error) {
 	if e.obs != nil {
 		e.obs.OnEvent(Event{Kind: EvSyncIssue, Thread: t.id, Op: *op, Time: t.time})
@@ -1047,7 +975,8 @@ func (e *Engine) granted(t *thread, op *isa.Op, at int64) {
 // wake unblocks a thread granted by the controller. All accounting —
 // the wait span, the clock jump to the grant time, the done event —
 // happens here, at grant creation, so the event stream and spans are
-// identical whichever protocol resumes the thread.
+// identical whichever loop runs the thread next. Under a Scheduler the
+// thread needs no queue: pick finds it ready.
 func (e *Engine) wake(g hwsync.Grant) {
 	t := e.ts[g.Thread]
 	if t.state != blocked {
@@ -1069,35 +998,19 @@ func (e *Engine) wake(g hwsync.Grant) {
 		s := e.par.shards[e.par.shardOf[t.id]]
 		s.blocked--
 		s.rq.push(t)
-	case e.pipelined:
-		e.rq.push(t)
+	case e.sched != nil:
+		t.completed(0)
 	default:
-		e.reply(t, 0)
+		e.rq.push(t)
 	}
 }
 
-// reply records the op's result for the guest and receives its next op
-// (synchronous protocol only).
-func (e *Engine) reply(t *thread, val mem.Word) {
-	t.loadVal = val
-	// The |1 bit makes every delivery change the hash (Mix64 fixes 0 at
-	// 0), so the hash also counts how many ops have completed.
+// completed folds the value of an op t has completed (zero for all but
+// loads) into its history hash. The |1 bit makes every op change the
+// hash (Mix64 fixes 0 at 0), so the hash also counts how many ops have
+// completed.
+func (t *thread) completed(val mem.Word) {
 	t.histHash = mem.Mix64(t.histHash, uint64(val)<<1|1)
-	e.recvNext(t)
-}
-
-// recvNext receives thread t's next op under the synchronous protocol,
-// marking it done when the guest returns. Ready threads are found by
-// scanning e.ts (see next), so the run queue stays unused in this mode.
-func (e *Engine) recvNext(t *thread) {
-	op, ok := e.nextOp(t)
-	if !ok {
-		t.state = done
-		e.progressed = true
-		return
-	}
-	t.next = *op
-	t.state = ready
 }
 
 // stopSentinel is the panic value do() raises when the engine halts a
@@ -1140,13 +1053,12 @@ func (t *thread) runGuest() {
 	t.guest(&t.pr)
 }
 
-// proc implements Proc over the thread's op ring. In pipelined mode ops
-// that return no value are deposited without suspending the guest —
-// program order is preserved by the ring, and the scheduler executes at
-// most one of this thread's ops at a time — while loads yield control
-// until their value arrives. In synchronous mode every op is a full
-// yield/resume rendezvous. Under the private-op fast path, Load, Store
-// and Compute first try to run inline (see inline).
+// proc implements Proc over the thread's op ring. Ops that return no
+// value are deposited without suspending the guest — program order is
+// preserved by the ring, and the scheduler executes at most one of this
+// thread's ops at a time — while loads yield control until their value
+// arrives. Under the private-op fast path, Load, Store and Compute first
+// try to run inline (see inline).
 type proc struct {
 	t *thread
 	n int
@@ -1158,16 +1070,12 @@ func (p *proc) do(op isa.Op) mem.Word {
 		// Ring full: hand control back until the scheduler drains it.
 		t.suspend()
 	}
-	if t.pipelined {
-		switch op.Kind {
-		case isa.OpLoad, isa.OpLoadU:
-			// A load suspends the guest. The scheduler resumes it only
-			// once its ring is empty (see nextOp), by which point the
-			// load has executed and left its value in loadVal.
-		default:
-			return 0
-		}
+	if op.Kind != isa.OpLoad && op.Kind != isa.OpLoadU {
+		return 0
 	}
+	// A load suspends the guest. The scheduler resumes it only once its
+	// ring is empty (see nextOp), by which point the load has executed
+	// and left its value in loadVal.
 	t.suspend()
 	return t.loadVal
 }

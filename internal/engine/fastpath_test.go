@@ -203,10 +203,10 @@ func TestHorizonOrdersMesiHits(t *testing.T) {
 	ref, _, want := run(true)
 	res, h, got := run(false)
 	if want != 5 || got != 5 {
-		t.Fatalf("thread 1 read %d (synchronous %d), want 5", got, want)
+		t.Fatalf("thread 1 read %d (scheduled %d), want 5", got, want)
 	}
 	if !reflect.DeepEqual(res, ref) {
-		t.Errorf("result differs:\nsynchronous: %+v\nfast path:   %+v", ref, res)
+		t.Errorf("result differs:\nscheduled: %+v\nfast path: %+v", ref, res)
 	}
 	if h.called[1] != 1 {
 		t.Errorf("core 1 offered %d ops to Private, want 1 (its first load)", h.called[1])

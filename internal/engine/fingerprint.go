@@ -21,19 +21,22 @@ type referenceFingerprinter interface {
 }
 
 // StateFingerprint hashes the complete state of the running machine at a
-// synchronous-mode scheduling decision: the hierarchy, the sync
-// controller, and every thread's continuation state. It returns ok=false
-// when the hierarchy cannot fingerprint itself.
+// Scheduler's decision: the hierarchy, the sync controller, and every
+// thread's continuation state. It returns ok=false when the hierarchy
+// cannot fingerprint itself.
 //
 // Guest continuation state is a closure and cannot be hashed directly,
 // but it does not need to be: a guest is a deterministic function of the
 // sequence of values the engine has delivered to it (loads are the only
 // ops that return data, and litmus guests branch only on loaded values),
-// so the per-thread rolling history hash maintained by reply() — plus
-// the pending op, block state, and local clock — pins the continuation
-// exactly. The scheduling-decision count is folded in too, so states at
-// different depths never alias and a fingerprint can never match one of
-// its own ancestors.
+// so the per-thread rolling history hash of completed ops (see
+// thread.completed) — plus the head of a ready thread's op ring, which
+// pick has filled and offered as its candidate, the blocked op, and the
+// local clock — pins the continuation exactly. Ops deposited behind the
+// ring head follow from the same history, so they need no hashing. The
+// scheduling-decision count is folded in too, so states at different
+// depths never alias and a fingerprint can never match one of its own
+// ancestors.
 func (e *Engine) StateFingerprint() (uint64, bool) {
 	hf, ok := e.h.(fingerprinter)
 	if !ok {
@@ -86,7 +89,11 @@ func (e *Engine) foldThreads(h uint64) uint64 {
 		h = mem.Mix64(h, t.histHash)
 		switch t.state {
 		case ready:
-			h = hashOp(h, t.next)
+			var head isa.Op
+			if op := t.pipe.peek(); op != nil {
+				head = *op
+			}
+			h = hashOp(h, head)
 		case blocked:
 			h = hashOp(h, t.cur)
 		}

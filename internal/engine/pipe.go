@@ -39,6 +39,15 @@ func (p *opPipe) tryPush(op isa.Op) bool {
 // empty reports whether every deposited op has been popped.
 func (p *opPipe) empty() bool { return p.tail == p.head }
 
+// peek returns the next op without removing it, or nil when the ring is
+// empty.
+func (p *opPipe) peek() *isa.Op {
+	if p.tail == p.head {
+		return nil
+	}
+	return &p.buf[p.head%pipeCap]
+}
+
 // tryPop removes the next op, reporting false when the ring is empty.
 // The returned pointer aliases the ring slot: it stays valid until the
 // producer has been resumed and deposited pipeCap further ops, which

@@ -11,8 +11,8 @@ import (
 )
 
 // resetGuests is a small program exercising every piece of engine state
-// Reset must restore: locks, barriers, flags, loads whose values the
-// synchronous protocol hashes, and per-thread clocks.
+// Reset must restore: locks, barriers, flags, loads whose values a run
+// under a Scheduler hashes, and per-thread clocks.
 func resetGuests(n int) []Guest {
 	counter, data := mem.Addr(0x5000), mem.Addr(0x6000)
 	guests := make([]Guest, n)
@@ -158,11 +158,11 @@ func exitPaths() []exitPath {
 // TestResetMatchesFresh: an engine (and its hierarchy) reset after a run
 // that ended any way Run can end, on any thread count, must produce a
 // Result byte-equal to a freshly constructed engine's for the same
-// guests, under both the pipelined protocol and the synchronous one an
-// installed Scheduler selects. The prior run happens either on a New
-// engine, whose coroutines must all end when its run returns, or on a
-// Reset one, whose kept coroutines must all park again whatever the exit
-// path; once every engine is closed, no goroutine is left behind.
+// guests, both on the run queue and under an installed Scheduler. The
+// prior run happens either on a New engine, whose coroutines must all
+// end when its run returns, or on a Reset one, whose kept coroutines
+// must all park again whatever the exit path; once every engine is
+// closed, no goroutine is left behind.
 func TestResetMatchesFresh(t *testing.T) {
 	base := goroutines()
 	encode := func(t *testing.T, res *Result, err error) []byte {

@@ -35,7 +35,7 @@ func TestRunqOrder(t *testing.T) {
 }
 
 // Interleaved push/pop: re-pushing a popped thread with a later time (the
-// recvNext pattern) must keep the order correct.
+// loop's re-push of a thread it ran) must keep the order correct.
 func TestRunqReinsert(t *testing.T) {
 	var q runq
 	a := &thread{id: 0, time: 0}

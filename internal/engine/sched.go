@@ -37,11 +37,11 @@ func (e *Engine) SetScheduler(s Scheduler) { e.sched = s }
 
 // MinTimeScheduler replays the engine's default scheduling policy —
 // minimum local clock, thread-ID tie-break — through the external
-// scheduler interface. Installing it forces the synchronous rendezvous
-// protocol (the serial reference engine) while executing the exact op
-// order of the default fast-forward run, which is what makes it the
-// baseline of differential tests: results must be byte-identical to the
-// schedulerless run.
+// scheduler interface. Installing it replaces the run queue with a scan
+// of the ready threads and turns the private-op fast path off, while
+// executing the exact op order of the default run. That makes it the
+// serial reference of differential tests: results must be byte-identical
+// to the schedulerless run.
 type MinTimeScheduler struct{}
 
 // Pick returns the first candidate with the minimal local clock; the
@@ -73,26 +73,41 @@ func (e *ScheduleAbortError) Error() string {
 // ErrorKind labels the failure for the runner's error taxonomy.
 func (e *ScheduleAbortError) ErrorKind() string { return "sched-abort" }
 
-// next returns the thread the external scheduler picks among the ready
-// ones. A nil thread with a nil error means no thread is runnable
-// (completion or deadlock, decided by the caller).
-func (e *Engine) next() (*thread, error) {
+// pick returns the thread the external scheduler picks among the ready
+// ones, offering each with the head of its op ring. A ready thread whose
+// ring is empty is resumed until it deposits an op, as nextOp would, and
+// marked done if its guest has returned instead. A nil thread means no
+// thread is runnable (completion or deadlock, decided by the caller)
+// unless pickErr is set.
+func (e *Engine) pick() *thread {
 	e.cands = e.cands[:0]
 	for _, t := range e.ts {
-		if t.state == ready {
-			e.cands = append(e.cands, Candidate{Thread: t.id, Time: t.time, Op: t.next})
+		if t.state != ready {
+			continue
 		}
+		for t.pipe.empty() && !t.finished {
+			t.co.resume()
+		}
+		op := t.pipe.peek()
+		if op == nil {
+			t.state = done
+			e.progressed = true
+			continue
+		}
+		e.cands = append(e.cands, Candidate{Thread: t.id, Time: t.time, Op: *op})
 	}
 	if len(e.cands) == 0 {
-		return nil, nil
+		return nil
 	}
 	e.decision++
 	i := e.sched.Pick(e.cands)
-	if i < 0 {
-		return nil, &ScheduleAbortError{Pick: i, Step: e.decision - 1}
+	switch {
+	case i < 0:
+		e.pickErr = &ScheduleAbortError{Pick: i, Step: e.decision - 1}
+		return nil
+	case i >= len(e.cands):
+		e.pickErr = fmt.Errorf("engine: scheduler picked %d of %d candidates", i, len(e.cands))
+		return nil
 	}
-	if i >= len(e.cands) {
-		return nil, fmt.Errorf("engine: scheduler picked %d of %d candidates", i, len(e.cands))
-	}
-	return e.ts[e.cands[i].Thread], nil
+	return e.ts[e.cands[i].Thread]
 }

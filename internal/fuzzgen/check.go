@@ -13,7 +13,10 @@ import (
 // The three execution engines every case runs through. The oracle run
 // uses the default fast-forward engine on the single-block litmus
 // machine; the differential trio runs on a two-block machine so the
-// block-parallel engine actually shards.
+// block-parallel engine actually shards. The serial leg installs
+// MinTimeScheduler, which picks every op from a scan of the ready
+// threads with the private-op fast path off, against the fast-forward
+// leg's run queue and fast path.
 //
 // This is the block-parallel executor's only non-test caller: no sweep,
 // command or server request can select it, because it is slower than

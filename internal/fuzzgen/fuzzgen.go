@@ -3,7 +3,7 @@
 // internal/litmus DSL, an annotation-mutation engine that weakens one
 // writeback or invalidation site at a time, and a checking harness that
 // runs every case under the shadow-SC coherence oracle and across the
-// three execution engines (synchronous serial, event-driven
+// three execution engines (serial under MinTimeScheduler, event-driven
 // fast-forward, block-parallel).
 //
 // The campaign's claims, per case and configuration:

@@ -56,8 +56,8 @@ func (t Test) lineOf(v VarID) mem.Range {
 }
 
 // Guests lowers the test's threads to engine guests under cfg. The regs
-// slice receives observation-register writes; guest execution is
-// serialized by the engine's rendezvous protocol, so sharing it is safe.
+// slice receives observation-register writes; the engine never runs two
+// guests at once, so sharing it is safe.
 func Guests(t Test, cfg Config, regs []mem.Word) []engine.Guest {
 	gs := make([]engine.Guest, len(t.Threads))
 	for i := range t.Threads {

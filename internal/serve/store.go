@@ -1,9 +1,10 @@
 // The persisted sweep store: canonical document bytes on disk,
 // addressed by the request's content hash, so a restarted server
 // answers a warm resubmit without recomputing it. The hash names the
-// build only by runner.CodeVersion, so a modified or unstamped build
-// files its entries under its executable's SHA-256. In memory, the
-// server's job table is the only copy of a finished document.
+// build only by runner.CodeVersion, which cannot tell every two builds
+// apart, so each build files its entries under its executable's SHA-256.
+// In memory, the server's job table is the only copy of a finished
+// document.
 
 package serve
 
@@ -14,10 +15,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
-	"strings"
 	"sync"
-
-	"repro/internal/runner"
 )
 
 // keyPattern is the only shape a content address can take; it keeps
@@ -35,7 +33,7 @@ type Store struct {
 }
 
 // NewStore returns a store persisting to dir ("" persists nothing), in
-// the subdirectory buildIdentity names if any, created if absent.
+// the subdirectory buildIdentity names, created if absent.
 func NewStore(dir string) (*Store, error) {
 	if dir != "" {
 		build, err := buildIdentity()
@@ -50,12 +48,11 @@ func NewStore(dir string) (*Store, error) {
 	return &Store{dir: dir}, nil
 }
 
-// buildIdentity is "" for a clean stamped build, else the hex SHA-256
-// of the running executable, which one process reads once.
+// buildIdentity is the hex SHA-256 of the running executable, which one
+// process reads once. A version stamp cannot stand in for it: a build of
+// a clean checkout with go build -overlay is stamped clean, yet computes
+// other bytes.
 var buildIdentity = sync.OnceValues(func() (string, error) {
-	if v := runner.CodeVersion(); v != "unknown" && !strings.HasSuffix(v, "+dirty") {
-		return "", nil
-	}
 	exe, err := os.Executable()
 	if err != nil {
 		return "", err
