@@ -180,11 +180,12 @@ func TestAppTableNames(t *testing.T) {
 }
 
 // TestManycoreHierarchyAllocation bounds what building the largest
-// manycore machine allocates. Line storage comes with a cache's first
-// insert, so construction costs the caches' side arrays (5.9 MiB), not
-// the 25 MiB of Line data behind their 344,064 frames.
+// manycore machine allocates. A cache set's storage comes with its first
+// insert, so construction costs the caches' set tables and valid bitmaps
+// (0.63 MiB), not the 30 MiB of keys, LRU stamps and lines behind their
+// 344,064 frames.
 func TestManycoreHierarchyAllocation(t *testing.T) {
-	const limit = 8 << 20
+	const limit = 1 << 20
 	m := NewManycoreMachine(128, DefaultManycoreCoresPerBlock)
 	var got uint64
 	for i := 0; i < 3; i++ {

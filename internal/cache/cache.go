@@ -91,70 +91,91 @@ type Config struct {
 
 // Cache is one set-associative write-back cache.
 //
-// Line metadata that set scans need — the packed tag+valid key and the
-// LRU stamp — lives in dense side arrays (structure-of-arrays): a Line
-// is 76 bytes, so probing a set through the line data would stride a
-// whole cache line of simulator memory per way, while the side arrays
-// pack 8 ways into one. Lookup, Peek, FrameOf, Victim and Insert touch
-// only the side arrays until they have a frame to return.
+// Storage is a set table with one pointer per set. A set's pointer is nil
+// until the set's first Insert, which allocates a block holding the
+// set's probe keys (line address and valid bit packed in one word), LRU
+// stamps and lines in one allocation. A run touches a small share of a large machine's sets,
+// so most sets of most caches never get storage. A hit loads the set's
+// block pointer and then finds the probe keys and the line behind it;
+// the keys come first and pack all eight ways into 32 bytes, so a probe
+// reads one host cache line before it touches a 76-byte Line.
 //
-// The Line data itself is paged: pages is a page table of pageLines-frame
-// pages, and a page is allocated by the first Insert into any of its
-// frames, never by New. A run touches a small share of a large machine's
-// frames, so most pages of most caches never exist. A page, once
-// allocated, is kept until the cache is dropped (Reset included), so a
-// frame that holds a line — or ever did — always has its page, and every
-// path but Insert indexes the page table without a nil check.
+// A block has maxWays frames. A narrower cache's sets share blocks with
+// their neighbours: the 8/ways sets whose frames fall in one block use
+// that block, so a 4-way set pays for no padding. The first of them to
+// take an Insert allocates the block and the others find it on their own
+// first Insert; a set's pointer stays nil until then. Storage, once
+// given, is kept until the cache is dropped (Reset included), so a frame
+// that holds a line — or ever did — always has its block, and every
+// path but Insert reads through the set table with at most a nil check.
 //
-// The valid bitmap has bit f set exactly when frame f holds a line
-// (keys[f] != 0); Insert sets it, InvalidateFrame and Reset clear it. Whole-cache
-// walks — Reset, Fingerprint, ForEachValid, the counts and FlashInvalidate
-// — visit only its set bits, so they cost what the cache holds, not its
-// capacity.
+// Frame f is way f%ways of set f/ways; its block is sets[f/ways] and its
+// slot there f%maxWays.
+//
+// The valid bitmap has bit f set exactly when frame f holds a line;
+// Insert sets it, InvalidateFrame and Reset clear it. Whole-cache
+// walks — Reset, Fingerprint, ForEachValid, the counts and
+// FlashInvalidate — visit only its set bits, so they cost what the cache
+// holds, not its capacity.
 type Cache struct {
-	cfg   Config
-	sets  int
-	pages []*page  // frame f's line is pages[f/pageLines][f%pageLines]
-	keys  []uint64 // sets × ways, frame f = set*ways + way; tag | 1 when valid, 0 when invalid
-	lrus  []uint64 // LRU stamps, parallel to keys
-	valid []uint64 // occupancy bitmap, bit f%64 of word f/64
-	clock uint64
+	sets    []*block // one per set; nil until the set's first Insert
+	ways    int
+	shift   uint     // log2(ways): set s's frames start at s<<shift
+	setMask mem.Addr // sets-1
+	valid   []uint64 // occupancy bitmap, bit f%64 of word f/64
+	clock   uint64
 
 	// Event counters.
 	Hits, Misses, Evictions, WritebacksOnEvict int64
 }
 
-// pageLines is the number of frames whose lines share one page. Eight
-// 76-byte lines make a 608-byte page: small enough that a page holding
-// one line wastes little, large enough that the page table takes one
-// byte per frame, an eighth of the key array.
-const (
-	pageShift = 3
-	pageLines = 1 << pageShift
-)
+// maxWays is the widest associativity a cache may have and the number of
+// frames in a block. Every cache in the repository is 4- or 8-way.
+const maxWays = 8
 
-// page holds the lines of pageLines consecutive frames.
-type page [pageLines]Line
-
-// line returns frame f's line. f's page must exist, which holds for any
-// frame that has held a line since New; line never allocates, so the
-// read paths that use it stay small enough to inline.
-func (c *Cache) line(f int) *Line { return &c.pages[f>>pageShift][f&(pageLines-1)] }
-
-// slot is line for Insert: it allocates f's page on first use.
-func (c *Cache) slot(f int) *Line {
-	p := c.pages[f>>pageShift]
-	if p == nil {
-		p = new(page)
-		c.pages[f>>pageShift] = p
-	}
-	return &p[f&(pageLines-1)]
+// block holds maxWays consecutive frames: one set of an 8-way cache, or
+// 8/ways neighbouring sets of a narrower one. An LRU stamp is set only
+// while the frame holds a line.
+type block struct {
+	keys  [maxWays]uint32 // keyOf the frame's line, or 0 when invalid
+	lrus  [maxWays]uint64
+	lines [maxWays]Line
 }
 
-// keyOf packs a line address and the valid bit into one comparable word.
-// Line addresses are line-aligned, so bit 0 is free for the valid flag;
-// an invalid frame's key is 0, which no valid line can produce.
-func keyOf(line mem.Addr) uint64 { return uint64(line) | 1 }
+// keyOf returns the probe key of the line holding addr: the line address
+// with every offset bit set, which no invalid frame's 0 can equal. Any
+// address within the line gives the same key.
+func keyOf(addr mem.Addr) uint32 { return uint32(addr) | (mem.LineBytes - 1) }
+
+// slot returns frame f's index within its block.
+func slot(f int) int { return f & (maxWays - 1) }
+
+// blockOf returns frame f's block, which exists once f's set has taken
+// an Insert.
+func (c *Cache) blockOf(f int) *block { return c.sets[f>>c.shift] }
+
+// line returns frame f's line. f's set must have storage, which holds
+// for any frame that has held a line since New.
+func (c *Cache) line(f int) *Line { return &c.blockOf(f).lines[slot(f)] }
+
+// storage returns set's block for Insert, giving the set one on its
+// first Insert: the block its neighbours already share, or a new one.
+func (c *Cache) storage(set int) *block {
+	if b := c.sets[set]; b != nil {
+		return b
+	}
+	share := maxWays >> c.shift // sets per block
+	first := set &^ (share - 1)
+	for s := first; s < first+share && s < len(c.sets); s++ {
+		if b := c.sets[s]; b != nil {
+			c.sets[set] = b
+			return b
+		}
+	}
+	b := new(block)
+	c.sets[set] = b
+	return b
+}
 
 // Stats is the cache's event counters in one bundle, read by the
 // observability layer at snapshot time (the counters themselves are
@@ -169,11 +190,15 @@ func (c *Cache) Stats() Stats {
 	return Stats{Hits: c.Hits, Misses: c.Misses, Evictions: c.Evictions, WritebacksOnEvict: c.WritebacksOnEvict}
 }
 
-// New builds a cache. Capacity must be a multiple of ways × line size and
-// the set count must be a power of two.
+// New builds a cache. Capacity must be a multiple of ways × line size,
+// the way count a power of two no larger than 8, and the set count a
+// power of two.
 func New(cfg Config) *Cache {
 	if cfg.Ways <= 0 || cfg.Bytes <= 0 {
 		panic(fmt.Sprintf("cache: bad config %+v", cfg))
+	}
+	if cfg.Ways > maxWays || cfg.Ways&(cfg.Ways-1) != 0 {
+		panic(fmt.Sprintf("cache: %d ways: want a power of two no larger than %d", cfg.Ways, maxWays))
 	}
 	lines := cfg.Bytes / mem.LineBytes
 	if lines*mem.LineBytes != cfg.Bytes || lines%cfg.Ways != 0 {
@@ -185,68 +210,83 @@ func New(cfg Config) *Cache {
 		panic(fmt.Sprintf("cache: set count %d not a power of two", sets))
 	}
 	return &Cache{
-		cfg:   cfg,
-		sets:  sets,
-		pages: make([]*page, (lines+pageLines-1)/pageLines),
-		keys:  make([]uint64, lines),
-		lrus:  make([]uint64, lines),
-		valid: make([]uint64, (lines+63)/64),
+		sets:    make([]*block, sets),
+		ways:    cfg.Ways,
+		shift:   uint(bits.TrailingZeros(uint(cfg.Ways))),
+		setMask: mem.Addr(sets - 1),
+		valid:   make([]uint64, (lines+63)/64),
 	}
 }
 
 // Reset returns the cache to the state New produced — every frame
-// invalid, LRU clock and event counters zero — keeping its storage,
-// allocated pages included, so a pooled cache refilled by the same run
-// allocates nothing. Only valid frames are cleared (line, key and LRU
-// stamp, as InvalidateFrame does): only a valid frame's stamp is ever
-// set, so every other frame is already pristine and resetting a
-// mostly-empty cache costs what was touched. Reset writes the frames
-// out rather than calling InvalidateFrame so that it stays inlinable.
+// invalid, LRU clock and event counters zero — keeping its storage, so a
+// pooled cache refilled by the same run allocates nothing. Only valid
+// frames are cleared (line, key and LRU stamp, as InvalidateFrame does):
+// only a valid frame's stamp is ever set, so every other frame is
+// already pristine and resetting a mostly-empty cache costs what was
+// touched.
 func (c *Cache) Reset() {
 	for wi, w := range c.valid {
 		for ; w != 0; w &= w - 1 {
-			f := wi*64 + bits.TrailingZeros64(w)
-			*c.line(f) = Line{}
-			c.keys[f], c.lrus[f] = 0, 0
+			c.clearFrame(wi*64 + bits.TrailingZeros64(w))
 		}
 	}
 	clear(c.valid)
 	c.clock, c.Hits, c.Misses, c.Evictions, c.WritebacksOnEvict = 0, 0, 0, 0, 0
 }
 
+// clearFrame returns frame f's line, key and LRU stamp to zero; the
+// caller clears its valid bit.
+func (c *Cache) clearFrame(f int) {
+	b, i := c.blockOf(f), slot(f)
+	b.lines[i] = Line{}
+	b.keys[i], b.lrus[i] = 0, 0
+}
+
 // NumFrames returns the number of line frames: the capacity, allocated
 // or not.
-func (c *Cache) NumFrames() int { return len(c.keys) }
+func (c *Cache) NumFrames() int { return len(c.sets) << c.shift }
 
 // Sets returns the number of sets.
-func (c *Cache) Sets() int { return c.sets }
+func (c *Cache) Sets() int { return len(c.sets) }
 
 // Ways returns the associativity.
-func (c *Cache) Ways() int { return c.cfg.Ways }
+func (c *Cache) Ways() int { return c.ways }
 
-// setOf returns the set index for a line address.
-func (c *Cache) setOf(line mem.Addr) int {
-	return int(line/mem.LineBytes) & (c.sets - 1)
+// setOf returns the set index for an address.
+func (c *Cache) setOf(addr mem.Addr) int {
+	return int(addr / mem.LineBytes & c.setMask)
+}
+
+// probe returns the block and slot of the frame holding addr's line, or
+// a nil block when the line is absent.
+func (c *Cache) probe(addr mem.Addr) (*block, int) {
+	set := c.setOf(addr)
+	if b := c.sets[set]; b != nil {
+		lo := slot(set << c.shift)
+		for i, k := range b.keys[lo : lo+c.ways] {
+			if k == keyOf(addr) {
+				return b, lo + i
+			}
+		}
+	}
+	return nil, 0
 }
 
 // FrameOf returns the frame holding the given line address, or -1.
 func (c *Cache) FrameOf(line mem.Addr) FrameID {
-	line = mem.LineAddr(line)
-	want := keyOf(line)
-	base := c.setOf(line) * c.cfg.Ways
-	for f := base; f < base+c.cfg.Ways; f++ {
-		if c.keys[f] == want {
-			return FrameID(f)
-		}
+	b, i := c.probe(line)
+	if b == nil {
+		return -1
 	}
-	return -1
+	return FrameID(c.setOf(line)<<c.shift | i&(c.ways-1))
 }
 
 // Frame returns the line in frame f, which must have held a line since
 // New (a frame Insert returned, FrameOf found or the MEB recorded): the
-// storage of a frame that never did may not exist. The pointer stays
-// valid until the frame is reused; callers must not retain it across
-// Insert calls.
+// storage of a set that never took an Insert does not exist. The pointer
+// stays valid until the frame is reused; callers must not retain it
+// across Insert calls.
 func (c *Cache) Frame(f FrameID) *Line { return c.line(int(f)) }
 
 // Lookup returns the valid line holding addr's line, or nil. A successful
@@ -265,50 +305,56 @@ func (c *Cache) Lookup(addr mem.Addr) *Line {
 // hit and otherwise fall back to a full Lookup use it so each miss is
 // counted once.
 func (c *Cache) LookupHit(addr mem.Addr) *Line {
-	line := mem.LineAddr(addr)
-	want := keyOf(line)
-	base := c.setOf(line) * c.cfg.Ways
-	for f := base; f < base+c.cfg.Ways; f++ {
-		if c.keys[f] == want {
-			c.Hits++
-			c.touch(FrameID(f))
-			return c.line(f)
-		}
+	b, i := c.probe(addr)
+	if b == nil {
+		return nil
 	}
-	return nil
+	c.Hits++
+	c.clock++
+	b.lrus[i] = c.clock
+	return &b.lines[i]
 }
 
 // Peek returns the valid line holding addr's line without touching LRU or
 // counters. Hierarchy-internal probes (directory checks, WB traversals) use
-// Peek so they do not perturb replacement or hit statistics.
+// Peek so they do not perturb replacement or hit statistics. It is probe
+// written out, so that it stays within the inliner's budget.
 func (c *Cache) Peek(addr mem.Addr) *Line {
-	want := keyOf(mem.LineAddr(addr))
-	base := c.setOf(addr) * c.cfg.Ways
-	for i, k := range c.keys[base : base+c.cfg.Ways] {
-		if k == want {
-			return c.line(base + i)
+	set := c.setOf(addr)
+	if b := c.sets[set]; b != nil {
+		lo := slot(set << c.shift)
+		for i, k := range b.keys[lo : lo+c.ways] {
+			if k == keyOf(addr) {
+				return &b.lines[lo+i]
+			}
 		}
 	}
 	return nil
-}
-
-func (c *Cache) touch(f FrameID) {
-	c.clock++
-	c.lrus[f] = c.clock
 }
 
 // Victim selects the frame an insertion of line addr would use: an invalid
 // way if one exists, else the LRU way of the set. It does not modify the
 // cache.
 func (c *Cache) Victim(addr mem.Addr) FrameID {
-	base := c.setOf(mem.LineAddr(addr)) * c.cfg.Ways
-	best := FrameID(base)
-	for f := base; f < base+c.cfg.Ways; f++ {
-		if c.keys[f] == 0 {
-			return FrameID(f)
+	set := c.setOf(addr)
+	base := set << c.shift
+	b := c.sets[set]
+	if b == nil {
+		return FrameID(base)
+	}
+	return FrameID(base + c.victimWay(b, slot(base)))
+}
+
+// victimWay returns the way Victim picks within the set whose frames
+// start at slot lo of b.
+func (c *Cache) victimWay(b *block, lo int) int {
+	best := 0
+	for w := 0; w < c.ways; w++ {
+		if b.keys[lo+w] == 0 {
+			return w
 		}
-		if c.lrus[f] < c.lrus[best] {
-			best = FrameID(f)
+		if b.lrus[lo+w] < b.lrus[lo+best] {
+			best = w
 		}
 	}
 	return best
@@ -316,14 +362,20 @@ func (c *Cache) Victim(addr mem.Addr) FrameID {
 
 // VictimLine returns the valid line an insertion of line addr would
 // evict, or nil when Victim names an invalid way. Unlike Frame(Victim),
-// it is safe on a frame that never held a line, and it allocates
+// it is safe on a set that never took an Insert, and it allocates
 // nothing.
 func (c *Cache) VictimLine(addr mem.Addr) *Line {
-	f := c.Victim(addr)
-	if c.keys[f] == 0 {
+	set := c.setOf(addr)
+	b := c.sets[set]
+	if b == nil {
 		return nil
 	}
-	return c.line(int(f))
+	lo := slot(set << c.shift)
+	i := lo + c.victimWay(b, lo)
+	if b.keys[i] == 0 {
+		return nil
+	}
+	return &b.lines[i]
 }
 
 // Insert installs a line with the given data and state in a single set
@@ -334,33 +386,36 @@ func (c *Cache) VictimLine(addr mem.Addr) *Line {
 // only cares that an eviction happened). The caller is responsible for
 // writing back the victim's dirty words; the WritebacksOnEvict counter
 // tracks how often that was needed. Insert panics if the line is already
-// present.
+// present. Insert is the only method that allocates: a set's first
+// Insert gives it storage.
 func (c *Cache) Insert(line mem.Addr, words *[mem.WordsPerLine]mem.Word, st State, victim *Line) (FrameID, bool) {
 	line = mem.LineAddr(line)
 	want := keyOf(line)
-	base := c.setOf(line) * c.cfg.Ways
+	set := c.setOf(line)
+	b := c.storage(set)
+	lo := slot(set << c.shift)
 	invalid := -1
-	best := base
-	for f := base; f < base+c.cfg.Ways; f++ {
-		k := c.keys[f]
+	best := lo
+	for i := lo; i < lo+c.ways; i++ {
+		k := b.keys[i]
 		if k == 0 {
 			if invalid < 0 {
-				invalid = f
+				invalid = i
 			}
 			continue
 		}
 		if k == want {
 			panic(fmt.Sprintf("cache: Insert of already-present line %#x", uint32(line)))
 		}
-		if c.lrus[f] < c.lrus[best] {
-			best = f
+		if b.lrus[i] < b.lrus[best] {
+			best = i
 		}
 	}
-	f := invalid
+	i := invalid
 	evicted := false
-	if f < 0 {
-		f = best
-		l := c.line(f)
+	if i < 0 {
+		i = best
+		l := &b.lines[i]
 		if victim != nil {
 			*victim = *l
 		}
@@ -370,10 +425,12 @@ func (c *Cache) Insert(line mem.Addr, words *[mem.WordsPerLine]mem.Word, st Stat
 		}
 		evicted = true
 	}
-	*c.slot(f) = Line{Tag: line, Valid: true, State: st, Words: *words}
-	c.keys[f] = want
+	b.lines[i] = Line{Tag: line, Valid: true, State: st, Words: *words}
+	b.keys[i] = want
+	c.clock++
+	b.lrus[i] = c.clock
+	f := set<<c.shift + i - lo
 	c.valid[f/64] |= 1 << (f % 64)
-	c.touch(FrameID(f))
 	return FrameID(f), evicted
 }
 
@@ -381,9 +438,7 @@ func (c *Cache) Insert(line mem.Addr, words *[mem.WordsPerLine]mem.Word, st Stat
 // have dealt with dirty data first (written it back or deliberately
 // dropped it).
 func (c *Cache) InvalidateFrame(f FrameID) {
-	*c.line(int(f)) = Line{}
-	c.keys[f] = 0
-	c.lrus[f] = 0
+	c.clearFrame(int(f))
 	c.valid[f/64] &^= 1 << (f % 64)
 }
 

@@ -33,6 +33,8 @@ func TestBadConfigPanics(t *testing.T) {
 		{Bytes: 0, Ways: 4},
 		{Bytes: 100, Ways: 4},        // not line-divisible
 		{Bytes: 3 * 64 * 4, Ways: 4}, // 3 sets: not a power of two
+		{Bytes: 6 * 64, Ways: 3},     // ways not a power of two
+		{Bytes: 16 * 64, Ways: 16},   // wider than a block
 	}
 	for _, cfg := range cases {
 		func() {
@@ -120,7 +122,7 @@ func TestLRUEviction(t *testing.T) {
 func TestVictimPrefersInvalidWay(t *testing.T) {
 	c := New(Config{Bytes: 2 * 64 * 2, Ways: 2})
 	c.Insert(0, lineWords(1), StateNone, nil)
-	if f := c.Victim(128); c.keys[f] != 0 {
+	if f := c.Victim(128); storedKey(c, int(f)) != 0 {
 		t.Error("victim should be the invalid way")
 	}
 	if v := c.VictimLine(128); v != nil {
@@ -149,41 +151,64 @@ func allocBytes(fn func()) uint64 {
 }
 
 // TestSparseConstruction checks that line storage is allocated by
-// Insert, not by New: building a cache costs its side arrays and page
-// table, a read of an empty cache allocates nothing, and a Reset cache
-// refills the pages it already has.
+// Insert, not by New: building a cache costs its set table (one pointer
+// per set) and valid bitmap, no read creates a set's storage or
+// allocates — not on an empty cache, nor on a set whose block-sharing
+// neighbour has storage — and a Reset cache refills the storage it
+// already has.
 func TestSparseConstruction(t *testing.T) {
-	const lines = 2048
-	cfg := Config{Bytes: lines * mem.LineBytes, Ways: 8}
+	const lines, ways = 2048, 4
+	cfg := Config{Bytes: lines * mem.LineBytes, Ways: ways}
 	var c *Cache
-	if got := allocBytes(func() { c = New(cfg) }); got >= lines*mem.LineBytes/2 {
-		t.Errorf("New of a %d-line cache allocated %d bytes, want under %d", lines, got, lines*mem.LineBytes/2)
+	limit := uint64(16 * lines / ways) // two words per set
+	if got := allocBytes(func() { c = New(cfg) }); got >= limit {
+		t.Errorf("New of a %d-line cache allocated %d bytes, want under %d", lines, got, limit)
 	}
-	for name, read := range map[string]func(){
-		"Peek":       func() { c.Peek(0x1040) },
-		"Lookup":     func() { c.Lookup(0x1040) },
-		"Victim":     func() { c.Victim(0x1040) },
-		"VictimLine": func() { c.VictimLine(0x1040) },
-		"FrameOf":    func() { c.FrameOf(0x1040) },
-	} {
+	// 0x8040 is in set 1; set 0 (0x8000) shares its block.
+	reads := func(addr mem.Addr) map[string]func() {
+		return map[string]func(){
+			"Peek":       func() { c.Peek(addr) },
+			"Lookup":     func() { c.Lookup(addr) },
+			"Victim":     func() { c.Victim(addr) },
+			"VictimLine": func() { c.VictimLine(addr) },
+			"FrameOf":    func() { c.FrameOf(addr) },
+		}
+	}
+	for name, read := range reads(0x8040) {
 		if n := testing.AllocsPerRun(100, read); n != 0 {
 			t.Errorf("%s on an empty cache: %v allocations, want 0", name, n)
 		}
 	}
-	for i, p := range c.pages {
-		if p != nil {
-			t.Fatalf("page %d allocated by a read of an empty cache", i)
+	for s, b := range c.sets {
+		if b != nil {
+			t.Fatalf("set %d given storage by a read of an empty cache", s)
 		}
 	}
 
 	words := lineWords(1)
-	c.Insert(0x1040, words, StateNone, nil)
+	c.Insert(0x8040, words, StateNone, nil)
+	for name, read := range reads(0x8000) {
+		if n := testing.AllocsPerRun(100, read); n != 0 {
+			t.Errorf("%s beside a set with storage: %v allocations, want 0", name, n)
+		}
+	}
+	for s, b := range c.sets {
+		if (b != nil) != (s == 1) {
+			t.Fatalf("set %d has storage %v after one Insert into set 1", s, b != nil)
+		}
+	}
+	c.Insert(0x8000, words, StateNone, nil)
+	if c.sets[0] != c.sets[1] {
+		t.Error("sets 0 and 1 of a 4-way cache do not share their block")
+	}
+
 	c.Reset()
 	if n := testing.AllocsPerRun(100, func() {
-		c.Insert(0x1040, words, StateNone, nil)
+		c.Insert(0x8040, words, StateNone, nil)
+		c.Insert(0x8000, words, StateNone, nil)
 		c.Reset()
 	}); n != 0 {
-		t.Errorf("Insert into a page kept by Reset: %v allocations, want 0", n)
+		t.Errorf("Insert into storage kept by Reset: %v allocations, want 0", n)
 	}
 }
 
@@ -335,5 +360,31 @@ func TestInsertMatchesVictimPrediction(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// benchSink keeps BenchmarkCacheHit's loads from being optimized away.
+var benchSink mem.Word
+
+// BenchmarkCacheHit times the hit path alone: 48 LookupHit and 48 Peek
+// hits per op on a Table III L1 (32 KB, 4-way) holding 48 lines spread
+// over its sets, so every probe walks a set's keys and returns its line.
+func BenchmarkCacheHit(b *testing.B) {
+	c := l1()
+	var addrs [48]mem.Addr
+	for i := range addrs {
+		addrs[i] = mem.Addr(i*37%c.Sets()) * mem.LineBytes
+		c.Insert(addrs[i], lineWords(mem.Word(i)), StateNone, nil)
+	}
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		var sum mem.Word
+		for _, a := range addrs {
+			sum += c.LookupHit(a).Words[0]
+		}
+		for _, a := range addrs {
+			sum += c.Peek(a).Words[1]
+		}
+		benchSink += sum
 	}
 }

@@ -16,7 +16,7 @@ import (
 // Event counters are excluded: they never influence behavior.
 func (c *Cache) Fingerprint() uint64 {
 	h := mem.FingerprintSeed
-	ways := c.cfg.Ways
+	ways := c.ways
 	set := -1
 	// Valid frames arrive in frame order, so each set's ways are visited
 	// together and in way order; a set is announced before its first one.
@@ -28,18 +28,18 @@ func (c *Cache) Fingerprint() uint64 {
 				set = s
 				h = mem.Mix64(h, uint64(s))
 			}
-			base := s * ways
+			b, lo, i := c.sets[s], slot(s*ways), slot(f)
 			// Rank the stamp within the set: the number of ways with a
 			// strictly smaller stamp. Invalid frames keep stamp 0 and tie
 			// at the bottom, which is fine — they are skipped here and
 			// victim selection prefers them regardless of stamp.
 			rank := 0
-			for v := 0; v < ways; v++ {
-				if c.lrus[base+v] < c.lrus[f] {
+			for v := lo; v < lo+ways; v++ {
+				if b.lrus[v] < b.lrus[i] {
 					rank++
 				}
 			}
-			l := c.line(f)
+			l := &b.lines[i]
 			h = mem.Mix64(h, uint64(w))
 			h = mem.Mix64(h, uint64(l.Tag))
 			h = mem.Mix64(h, uint64(l.Dirty)<<8|uint64(l.State))

@@ -9,12 +9,15 @@ import "repro/internal/mem"
 // FuzzStateFingerprintMatchesReference compare the two.
 func (c *Cache) ReferenceFingerprint() uint64 {
 	h := mem.FingerprintSeed
-	ways := c.cfg.Ways
-	for s := 0; s < c.sets; s++ {
-		base := s * ways
+	ways := c.ways
+	for s, b := range c.sets {
+		if b == nil {
+			continue
+		}
+		base := slot(s * ways)
 		hasValid := false
 		for w := 0; w < ways; w++ {
-			if c.keys[base+w] != 0 {
+			if b.keys[base+w] != 0 {
 				hasValid = true
 				break
 			}
@@ -24,16 +27,16 @@ func (c *Cache) ReferenceFingerprint() uint64 {
 		}
 		h = mem.Mix64(h, uint64(s))
 		for w := 0; w < ways; w++ {
-			if c.keys[base+w] == 0 {
+			if b.keys[base+w] == 0 {
 				continue
 			}
 			rank := 0
 			for v := 0; v < ways; v++ {
-				if c.lrus[base+v] < c.lrus[base+w] {
+				if b.lrus[base+v] < b.lrus[base+w] {
 					rank++
 				}
 			}
-			l := c.line(base + w)
+			l := &b.lines[base+w]
 			h = mem.Mix64(h, uint64(w))
 			h = mem.Mix64(h, uint64(l.Tag))
 			h = mem.Mix64(h, uint64(l.Dirty)<<8|uint64(l.State))

@@ -6,43 +6,57 @@ import (
 	"repro/internal/mem"
 )
 
-// storedLine returns frame f's line, or nil when its page was never
-// allocated. Unlike Frame it is safe on any frame, and unlike Insert it
-// allocates nothing, so checking a cache leaves its page table as it was.
+// storedLine returns frame f's line, or nil when f's set has no
+// storage. Unlike Frame it is safe on any frame, and unlike Insert it
+// allocates nothing, so checking a cache leaves its set table as it was.
 func storedLine(c *Cache, f int) *Line {
-	if p := c.pages[f>>pageShift]; p != nil {
-		return &p[f&(pageLines-1)]
+	if b := c.blockOf(f); b != nil {
+		return &b.lines[slot(f)]
 	}
 	return nil
 }
 
+// storedKey returns frame f's probe key, or 0 when f's set has no
+// storage.
+func storedKey(c *Cache, f int) uint32 {
+	if b := c.blockOf(f); b != nil {
+		return b.keys[slot(f)]
+	}
+	return 0
+}
+
 // checkOccupancy compares every bitmap-driven walk against a scan of all
-// frames, and checks the page table: a page exists exactly when some
-// Insert reached it (inserted[p]), so every valid frame has its page and
-// neither a read nor Reset allocates or drops one.
+// frames, and checks the set table: a set has storage exactly when some
+// Insert reached it (inserted[s]), sets that share a block share the
+// same one, every valid frame has storage, and neither a read nor Reset
+// creates or drops a set's storage.
 func checkOccupancy(t *testing.T, c *Cache, inserted []bool, step int) {
 	t.Helper()
-	for p := range c.pages {
-		if got := c.pages[p] != nil; got != inserted[p] {
-			t.Fatalf("step %d: page %d allocated %v, reached by Insert %v", step, p, got, inserted[p])
+	share := maxWays / c.Ways()
+	for s, b := range c.sets {
+		if got := b != nil; got != inserted[s] {
+			t.Fatalf("step %d: set %d has storage %v, reached by Insert %v", step, s, got, inserted[s])
+		}
+		for n := s &^ (share - 1); b != nil && n < s; n++ {
+			if c.sets[n] != nil && c.sets[n] != b {
+				t.Fatalf("step %d: sets %d and %d share frames but not a block", step, n, s)
+			}
 		}
 	}
 	var valid, dirty []FrameID
-	for f := range c.keys {
-		if got, want := c.valid[f/64]&(1<<(f%64)) != 0, c.keys[f] != 0; got != want {
-			t.Fatalf("step %d: frame %d: valid bit %v, key %#x", step, f, got, c.keys[f])
+	for f := 0; f < c.NumFrames(); f++ {
+		key := storedKey(c, f)
+		if got, want := c.valid[f/64]&(1<<(f%64)) != 0, key != 0; got != want {
+			t.Fatalf("step %d: frame %d: valid bit %v, key %#x", step, f, got, key)
 		}
 		l := storedLine(c, f)
 		if l == nil {
-			if c.keys[f] != 0 {
-				t.Fatalf("step %d: valid frame %d has no page", step, f)
-			}
 			continue
 		}
-		if l.Valid != (c.keys[f] != 0) {
-			t.Fatalf("step %d: frame %d: Valid %v, key %#x", step, f, l.Valid, c.keys[f])
+		if l.Valid != (key != 0) {
+			t.Fatalf("step %d: frame %d: Valid %v, key %#x", step, f, l.Valid, key)
 		}
-		if c.keys[f] != 0 {
+		if key != 0 {
 			valid = append(valid, FrameID(f))
 			if l.IsDirty() {
 				dirty = append(dirty, FrameID(f))
@@ -75,19 +89,26 @@ func checkOccupancy(t *testing.T, c *Cache, inserted []bool, step int) {
 	}
 }
 
-// FuzzCacheOccupancy drives a two-bitmap-word cache (128 frames, 4-way)
-// through random inserts, hits, writes, invalidations, flash
-// invalidations and resets over a footprint of twice its capacity, and
-// checks after every step that the valid bitmap mirrors the frame keys,
-// that every walk over it agrees with a full-frame scan, and that the
-// pages allocated are exactly those an Insert reached.
+// FuzzCacheOccupancy drives a two-bitmap-word cache (128 frames, 1-,
+// 2-, 4- or 8-way as the first byte picks) through random inserts, hits,
+// writes, invalidations, flash invalidations and resets over a footprint
+// of twice its capacity, and checks after every step that the valid
+// bitmap mirrors the frame keys, that every walk over it agrees with a
+// full-frame scan, and that the sets with storage are exactly those an
+// Insert reached.
 func FuzzCacheOccupancy(f *testing.F) {
-	f.Add([]byte{0, 1, 0, 2, 2, 1, 3, 2, 0, 200, 5, 0, 0, 7, 6, 0})
-	f.Add([]byte{0, 0, 0, 32, 0, 64, 0, 96, 0, 128, 2, 0, 4, 32, 1, 64})
+	f.Add([]byte{2, 0, 1, 0, 2, 2, 1, 3, 2, 0, 200, 5, 0, 0, 7, 6, 0})
+	f.Add([]byte{2, 0, 0, 0, 32, 0, 64, 0, 96, 0, 128, 2, 0, 4, 32, 1, 64})
+	f.Add([]byte{3, 0, 0, 0, 16, 0, 32, 7, 0, 0, 16, 4, 16, 0, 48})
+	f.Add([]byte{0, 0, 1, 0, 129, 0, 2, 6, 0, 0, 3})
 	f.Fuzz(func(t *testing.T, prog []byte) {
-		c := New(Config{Bytes: 128 * mem.LineBytes, Ways: 4})
+		if len(prog) == 0 {
+			return
+		}
+		c := New(Config{Bytes: 128 * mem.LineBytes, Ways: 1 << (prog[0] % 4)})
+		prog = prog[1:]
 		lines := 2 * c.NumFrames()
-		inserted := make([]bool, len(c.pages))
+		inserted := make([]bool, c.Sets())
 		var victim Line
 		for i := 0; i+1 < len(prog); i += 2 {
 			line := mem.Addr(int(prog[i+1])%lines) * mem.LineBytes
@@ -95,7 +116,7 @@ func FuzzCacheOccupancy(f *testing.F) {
 			case 0, 1: // insert (the commonest step, so caches fill)
 				if c.Peek(line) == nil {
 					f, _ := c.Insert(line, lineWords(mem.Word(i)), State(prog[i]%5), &victim)
-					inserted[f>>pageShift] = true
+					inserted[int(f)/c.Ways()] = true
 				}
 			case 2: // hit, refreshing LRU order
 				c.Lookup(line)

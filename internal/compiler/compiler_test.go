@@ -402,3 +402,79 @@ func TestEmptyChunksHandled(t *testing.T) {
 		}
 	}
 }
+
+// reusedBodyProg is a direct neighbour sum and an indirect gather over n
+// elements whose bodies return one reused buffer, so that executing it
+// allocates nothing per iteration unless the executor does.
+func reusedBodyProg(n int) *Program {
+	prog := NewProgram("reused-body")
+	prog.Array("idx", n)
+	prog.Array("src", n)
+	prog.Array("dst", n)
+	out := make([]mem.Word, 1)
+	ident := func(i int) int { return i }
+	perm := func(i int) int { return (i*7 + 3) % n }
+	prog.Add(
+		&Loop{
+			Name: "init", Parallel: true, Lo: 0, Hi: n,
+			Writes: []Write{{Array: "idx", At: ident}},
+			Body: func(i int, _ func(int) mem.Word) []mem.Word {
+				out[0] = mem.Word(perm(i))
+				return out
+			},
+		},
+		&Loop{
+			Name: "sum", Parallel: true, Lo: 0, Hi: n,
+			Reads:  []Read{{Array: "idx", At: ident}, {Array: "idx", At: func(i int) int { return (i + 1) % n }}},
+			Writes: []Write{{Array: "src", At: ident}},
+			Body: func(i int, read func(int) mem.Word) []mem.Word {
+				out[0] = read(0) + read(1)
+				return out
+			},
+		},
+		&Loop{
+			Name: "gather", Parallel: true, Lo: 0, Hi: n,
+			Reads: []Read{{
+				Array: "src", At: perm,
+				Indirect: true, IndexArray: "idx", IndexAt: ident,
+			}},
+			Writes: []Write{{Array: "dst", At: ident}},
+			Body: func(i int, read func(int) mem.Word) []mem.Word {
+				out[0] = read(0) + 5
+				return out
+			},
+		},
+	)
+	return prog
+}
+
+// TestIRExecutionAllocatesPerLoop checks that running the IR allocates a
+// fixed amount per loop, not per iteration: Reference, and a lowered run
+// on a small hierarchy (reset between runs, so its caches and memory keep
+// their storage), allocate as often at 2N iterations as at N.
+func TestIRExecutionAllocatesPerLoop(t *testing.T) {
+	const threads = 8
+	m := topo.NewInterBlock()
+	allocs := func(n int) (ref, run float64) {
+		prog := reusedBodyProg(n)
+		ref = testing.AllocsPerRun(5, func() { Reference(prog) })
+		h := core.New(m, core.Config{Config: levels.DefaultConfig(m)})
+		w := &IRWorkload{Name: prog.Name, Prog: prog, Threads: threads}
+		run = testing.AllocsPerRun(5, func() {
+			h.Reset()
+			if _, err := w.Run(h, ModeBase); err != nil {
+				t.Fatal(err)
+			}
+		})
+		return ref, run
+	}
+	ref1, run1 := allocs(256)
+	ref2, run2 := allocs(512)
+	t.Logf("Reference: %v allocations at 256 iterations, %v at 512; lowered run: %v, %v", ref1, ref2, run1, run2)
+	if ref1 != ref2 {
+		t.Errorf("Reference allocates %v times at 256 iterations per loop and %v at 512, want equal", ref1, ref2)
+	}
+	if run1 != run2 {
+		t.Errorf("a lowered run allocates %v times at 256 iterations per loop and %v at 512, want equal", run1, run2)
+	}
+}

@@ -121,21 +121,24 @@ func (ex *executor) runLoop(l *Loop) {
 	if l.Reduction != nil {
 		redLocal = make(map[int]mem.Word)
 	}
-	for i := lo; i < hi; i++ {
-		read := func(r int) mem.Word {
-			rd := &l.Reads[r]
-			elem := rd.At(i)
-			if rd.Indirect {
-				// The subscript itself is loaded through the hierarchy.
-				idxArr := ex.prog.Arrays[rd.IndexArray]
-				elem = int(ex.p.Load(idxArr.At(rd.IndexAt(i))))
-				// Conditional inspector-guided INV before the read.
-				if ex.mode == ModeAddr || ex.mode == ModeAddrL {
-					ex.irregularINV(l, r, i, elem, rd)
-				}
+	// read is built once per loop, not per iteration: it reads the
+	// iteration the loop variable i holds when Body calls it.
+	var i int
+	read := func(r int) mem.Word {
+		rd := &l.Reads[r]
+		elem := rd.At(i)
+		if rd.Indirect {
+			// The subscript itself is loaded through the hierarchy.
+			idxArr := ex.prog.Arrays[rd.IndexArray]
+			elem = int(ex.p.Load(idxArr.At(rd.IndexAt(i))))
+			// Conditional inspector-guided INV before the read.
+			if ex.mode == ModeAddr || ex.mode == ModeAddrL {
+				ex.irregularINV(l, r, i, elem, rd)
 			}
-			return ex.p.Load(ex.prog.Arrays[rd.Array].At(elem))
 		}
+		return ex.p.Load(ex.prog.Arrays[rd.Array].At(elem))
+	}
+	for i = lo; i < hi; i++ {
 		vals := l.Body(i, read)
 		if l.WorkCycles > 0 {
 			ex.p.Compute(l.WorkCycles)

@@ -26,15 +26,17 @@ func Reference(prog *Program) map[string][]mem.Word {
 		for _, s := range stmts {
 			switch s := s.(type) {
 			case *Loop:
-				for i := s.Lo; i < s.Hi; i++ {
-					read := func(r int) mem.Word {
-						rd := &s.Reads[r]
-						elem := rd.At(i)
-						if rd.Indirect {
-							elem = int(arrays[rd.IndexArray][rd.IndexAt(i)])
-						}
-						return arrays[rd.Array][elem]
+				// One read per loop, reading iteration i (as in runLoop).
+				var i int
+				read := func(r int) mem.Word {
+					rd := &s.Reads[r]
+					elem := rd.At(i)
+					if rd.Indirect {
+						elem = int(arrays[rd.IndexArray][rd.IndexAt(i)])
 					}
+					return arrays[rd.Array][elem]
+				}
+				for i = s.Lo; i < s.Hi; i++ {
 					vals := s.Body(i, read)
 					if s.Reduction != nil {
 						arrays[s.Reduction.Array][s.Reduction.At(i)] += vals[0]

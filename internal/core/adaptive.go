@@ -26,7 +26,7 @@ func (h *Hierarchy) adaptiveLevel(core, peer int) isa.Level {
 // ThreadMap.
 func (h *Hierarchy) WBCons(core int, r mem.Range, cons int) int64 {
 	lvl := h.adaptiveLevel(core, cons)
-	h.ctr(core).Inc("wbcons."+lvl.String(), 1)
+	h.ctr(core).Inc(wbConsOps.at(lvl), 1)
 	// Consult the fault plan here, not in the internal impl, so one
 	// instruction advances the WB cursor exactly once.
 	if lat, sabotaged := h.wbFaultRange(core, r); sabotaged {
@@ -40,7 +40,7 @@ func (h *Hierarchy) WBCons(core int, r mem.Range, cons int) int64 {
 // the ThreadMap.
 func (h *Hierarchy) InvProd(core int, r mem.Range, prod int) int64 {
 	lvl := h.adaptiveLevel(core, prod)
-	h.ctr(core).Inc("invprod."+lvl.String(), 1)
+	h.ctr(core).Inc(invProdOps.at(lvl), 1)
 	if h.invFault(core) {
 		return 1
 	}
@@ -52,7 +52,7 @@ func (h *Hierarchy) InvProd(core int, r mem.Range, prod int) int64 {
 // block's L2 to the L3 (Section V-B).
 func (h *Hierarchy) WBConsAll(core, cons int) int64 {
 	lvl := h.adaptiveLevel(core, cons)
-	h.ctr(core).Inc("wbcons."+lvl.String(), 1)
+	h.ctr(core).Inc(wbConsOps.at(lvl), 1)
 	if lat, sabotaged := h.wbFaultAll(core); sabotaged {
 		return lat
 	}
@@ -64,7 +64,7 @@ func (h *Hierarchy) WBConsAll(core, cons int) int64 {
 // block's L2 (Section V-B).
 func (h *Hierarchy) InvProdAll(core, prod int) int64 {
 	lvl := h.adaptiveLevel(core, prod)
-	h.ctr(core).Inc("invprod."+lvl.String(), 1)
+	h.ctr(core).Inc(invProdOps.at(lvl), 1)
 	if h.invFault(core) {
 		return 1
 	}

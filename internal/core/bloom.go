@@ -182,7 +182,7 @@ func (h *Hierarchy) INVSig(core, ch int) int64 {
 	h.ctr(core).Inc("bloom.invsig", 1)
 	h.ctr(core).Inc("bloom.matched", int64(matched))
 	h.ctr(core).Inc("inv.l1lines", int64(matched))
-	h.countLineOp(core, "inv", isa.LevelAuto, int64(matched))
+	h.countLineOp(core, &invLines, isa.LevelAuto, int64(matched))
 	return lat
 }
 

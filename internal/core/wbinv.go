@@ -52,7 +52,7 @@ func (h *Hierarchy) wb(core int, r mem.Range, lvl isa.Level) int64 {
 			written++
 			lastLine = line
 		}
-		h.countLineOp(core, "wb", lvl, 1)
+		h.countLineOp(core, &wbLines, lvl, 1)
 	})
 	lat += int64(written) * p.WBOccupancy
 	if written > 0 {
@@ -168,7 +168,7 @@ func (h *Hierarchy) inv(core int, r mem.Range, lvl isa.Level) int64 {
 				}
 			}
 		}
-		h.countLineOp(core, "inv", lvl, 1)
+		h.countLineOp(core, &invLines, lvl, 1)
 	})
 	lat += int64(drains) * p.WBOccupancy
 	return lat
@@ -246,7 +246,7 @@ func (h *Hierarchy) wbAll(core int, useMEB bool, lvl isa.Level) int64 {
 		meb.Clear()
 		h.sampleMEB(core)
 	}
-	h.countLineOp(core, "wb", lvl, int64(written))
+	h.countLineOp(core, &wbLines, lvl, int64(written))
 
 	if lvl == isa.LevelGlobal {
 		b := h.M.BlockOf(core)
@@ -264,7 +264,7 @@ func (h *Hierarchy) wbAll(core int, useMEB bool, lvl isa.Level) int64 {
 		if l2written > 0 {
 			lat += p.L3RT + h.M.Mesh.RTLatency(h.M.CoreNode(core), h.M.L3Node(0))
 		}
-		h.countLineOp(core, "wb", lvl, int64(l2written))
+		h.countLineOp(core, &wbLines, lvl, int64(l2written))
 	}
 	return lat
 }
@@ -300,7 +300,7 @@ func (h *Hierarchy) invAll(core int, lazy bool, lvl isa.Level) int64 {
 		drains++
 	})
 	h.ctr(core).Inc("inv.l1lines", int64(n))
-	h.countLineOp(core, "inv", lvl, int64(n))
+	h.countLineOp(core, &invLines, lvl, int64(n))
 	lat := p.FlashCost + int64(drains)*p.WBOccupancy
 	if lvl == isa.LevelGlobal {
 		l2drains := 0
@@ -309,23 +309,39 @@ func (h *Hierarchy) invAll(core int, lazy bool, lvl isa.Level) int64 {
 			l2drains++
 		})
 		h.ctr(core).Inc("inv.l2lines", int64(n2))
-		h.countLineOp(core, "inv", lvl, int64(n2))
+		h.countLineOp(core, &invLines, lvl, int64(n2))
 		lat += p.FlashCost + int64(l2drains)*p.WBOccupancy
 	}
 	return lat
 }
 
+// levelCounters names one protocol counter per WB/INV level: [0] for
+// LevelAuto, [1] for LevelGlobal. The tables below are built once, so
+// counting an operation builds no string.
+type levelCounters [2]string
+
+var (
+	wbLines    = levelCounters{"wb.lines.local", "wb.lines.global"}
+	invLines   = levelCounters{"inv.lines.local", "inv.lines.global"}
+	wbConsOps  = levelCounters{"wbcons.auto", "wbcons.global"}
+	invProdOps = levelCounters{"invprod.auto", "invprod.global"}
+)
+
+// at returns the counter name for lvl.
+func (n *levelCounters) at(lvl isa.Level) string {
+	if lvl == isa.LevelGlobal {
+		return n[1]
+	}
+	return n[0]
+}
+
 // countLineOp tracks line-granular WB/INV operations by level, feeding the
-// Figure 11 global-operation counts.
-func (h *Hierarchy) countLineOp(core int, op string, lvl isa.Level, n int64) {
+// Figure 11 global-operation counts; names is wbLines or invLines.
+func (h *Hierarchy) countLineOp(core int, names *levelCounters, lvl isa.Level, n int64) {
 	if n == 0 {
 		return
 	}
-	if lvl == isa.LevelGlobal {
-		h.ctr(core).Inc(op+".lines.global", n)
-	} else {
-		h.ctr(core).Inc(op+".lines.local", n)
-	}
+	h.ctr(core).Inc(names.at(lvl), n)
 }
 
 // GlobalOps returns the counts of global (L3-directed) WB line operations
